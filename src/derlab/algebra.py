@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .field import Mat, FieldError, is_prime
+from .field import Mat, is_prime
 
 
 class AlgebraError(ValueError):

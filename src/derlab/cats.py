@@ -9,7 +9,7 @@ so that every block decomposition downstream is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -86,9 +86,6 @@ class DirectCategory:
     def nonidentity_morphisms(self) -> List[str]:
         return sorted(f for f in self.morphisms if not self.is_identity(f))
 
-    def all_morphisms(self) -> List[str]:
-        return sorted(self.morphisms)
-
     def max_degree(self) -> int:
         return max(self.degree.values(), default=0)
 
@@ -147,9 +144,6 @@ class DirectCategory:
     def minimal_objects(self) -> List[str]:
         return [o for o in self.objects if all(self.is_identity(f) or self.tgt(f) != o for f in self.morphisms)]
 
-    def maximal_objects(self) -> List[str]:
-        return [o for o in self.objects if all(self.is_identity(f) or self.src(f) != o for f in self.morphisms)]
-
     def __repr__(self) -> str:
         return f"DirectCategory({self.objects}, {len(self.morphisms)} morphisms)"
 
@@ -207,15 +201,6 @@ class CatFunctor:
 
 def identity_functor(c: DirectCategory) -> CatFunctor:
     return CatFunctor(c, c, {o: o for o in c.objects}, {f: f for f in c.morphisms})
-
-
-def compose_functors(g: CatFunctor, f: CatFunctor) -> CatFunctor:
-    return CatFunctor(
-        f.dom,
-        g.cod,
-        {o: g.on_obj(f.on_obj(o)) for o in f.dom.objects},
-        {m: g.on_mor(f.on_mor(m)) for m in f.dom.morphisms},
-    )
 
 
 def object_functor(c: DirectCategory, o: str) -> CatFunctor:
@@ -438,31 +423,6 @@ def product_category(c1: DirectCategory, c2: DirectCategory) -> DirectCategory:
         for (g2, f2), h2 in c2.comp.items():
             comp[(mname(g1, g2), mname(f1, f2))] = mname(h1, h2)
     return DirectCategory(objects, morphisms, comp, identities)
-
-
-def product_projections(prod: DirectCategory, c1: DirectCategory, c2: DirectCategory) -> Tuple[CatFunctor, CatFunctor]:
-    def split_obj(o):
-        # names are "(a,b)" with a, b free of the separator pattern
-        inner = o[1:-1]
-        for k in range(len(inner)):
-            if inner[k] == ",":
-                a, b = inner[:k], inner[k + 1 :]
-                if a in c1.objects and b in c2.objects:
-                    return a, b
-        raise CategoryError(f"cannot split product object {o}")
-
-    def split_mor(m):
-        inner = m[1:-1]
-        for k in range(len(inner)):
-            if inner[k] == ",":
-                f, g = inner[:k], inner[k + 1 :]
-                if f in c1.morphisms and g in c2.morphisms:
-                    return f, g
-        raise CategoryError(f"cannot split product morphism {m}")
-
-    p1 = CatFunctor(prod, c1, {o: split_obj(o)[0] for o in prod.objects}, {m: split_mor(m)[0] for m in prod.morphisms})
-    p2 = CatFunctor(prod, c2, {o: split_obj(o)[1] for o in prod.objects}, {m: split_mor(m)[1] for m in prod.morphisms})
-    return p1, p2
 
 
 def full_subcategory(c: DirectCategory, objects: Sequence[str]) -> Tuple[DirectCategory, CatFunctor]:

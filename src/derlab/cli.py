@@ -18,14 +18,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import AlgebraError, algebra_from_dict, is_self_injective
-from .cats import CategoryError, category_from_dict, disjoint_union, functor_from_dict, identity_functor
+from .cats import CategoryError, category_from_dict, disjoint_union, functor_from_dict
 from .field import Mat
-from .modules import is_projective
+from .modules import ModuleError
 from .diagrams import (
     Diagram,
     DiagramError,
     diagram_from_dict,
-    dual_diagram,
     ext1,
     identity_diagram_map,
     hom_space_diagrams,
@@ -49,12 +48,13 @@ from .gorenstein import (
 from .homotopy import der2_witness, is_weak_equivalence, lift_to_arrow_diagram
 from .complexes import (
     LazyComplex,
+    WindowError,
     complete_resolution,
     contraction_on_window,
     is_termwise_contractible,
     sod_decompose,
 )
-from .dgkan import bar_resolution, crosscheck_kan, der4_check, restriction_weight
+from .dgkan import crosscheck_kan, der4_check
 from .modules import regular_module
 
 
@@ -159,7 +159,7 @@ def _item(item_id: str, suite: str, verdict: str, details: Optional[dict] = None
 def _guard(item_id: str, suite: str, fn: Callable[[], dict]) -> dict:
     try:
         return fn()
-    except (VerificationError, PreconditionError, DiagramError) as exc:
+    except (VerificationError, PreconditionError, DiagramError, WindowError) as exc:
         return _item(item_id, suite, "fail", {"error": str(exc)})
 
 
@@ -413,7 +413,7 @@ def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = Non
     session = Session(scenario, base)
     try:
         session.load()
-    except (ScenarioError, AlgebraError, CategoryError, DiagramError, KeyError, OSError) as exc:
+    except (ScenarioError, AlgebraError, CategoryError, DiagramError, ModuleError, KeyError, OSError) as exc:
         return {
             "error": str(exc),
             "items": [],

@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import Algebra
 from .cats import CatFunctor, DirectCategory, full_subcategory, terminal_category
 from .field import Mat, hstack, rank, solve, vstack
-from .modules import Module, ModuleMap, submodule, is_projective, zero_module
+from .modules import submodule, is_projective, zero_module
 from .diagrams import (
     Diagram,
     DiagramMap,
@@ -170,7 +170,9 @@ def complete_resolution(x: Diagram) -> LazyComplex:
         return compose_diagram_maps(neg_confl(k).left, neg_confl(k + 1).right)
 
     c = LazyComplex(shape, alg, term_fn, diff_fn, "complete-resolution")
-    c.seed = x  # noqa: attribute for witnesses
+    # witnesses for z0_witness: the seed and its inflation into E_0
+    c.seed = x
+    c.unit = pos[0].left
     return c
 
 
@@ -187,7 +189,7 @@ def z0_witness(c: LazyComplex) -> Tuple[Diagram, DiagramMap]:
     x = c.seed
     ker, incl = z0(c)
     # solve w with incl o w = eta where eta: x -> E_0 is the embed inflation
-    eta = _complete_resolution_unit(c)
+    eta = c.unit
     comps = {}
     for o in c.shape.objects:
         sol = solve(incl.comps[o], eta.comps[o])
@@ -199,18 +201,6 @@ def z0_witness(c: LazyComplex) -> Tuple[Diagram, DiagramMap]:
         if rank(w.comps[o]) != ker.at(o).dim or ker.at(o).dim != x.at(o).dim:
             raise VerificationError("z0 witness is not an isomorphism")
     return ker, w
-
-
-def _complete_resolution_unit(c: LazyComplex) -> DiagramMap:
-    c.term(0)
-    # pos[0].left is the inflation seed -> E_0; regenerate through the memo
-    # only the conflation data is needed; reconstruct from the diff structure:
-    # ker(d^0) = image of the unit, and the unit itself is stored on first build
-    if not hasattr(c, "_unit"):
-        emb = embed_gproj_into_proj(c.seed)
-        # By determinism this equals the conflation used in term/diff generation.
-        c._unit = emb.left
-    return c._unit
 
 
 class ComplexMap:
@@ -268,10 +258,6 @@ def cone(f: ComplexMap) -> LazyComplex:
         return DiagramMap(src, tgt, comps)
 
     return LazyComplex(shape, alg, term_fn, diff_fn, f"cone({f.label})")
-
-
-def cone_block_dims(f: ComplexMap, k: int, o: str) -> Tuple[int, int]:
-    return f.tgt.term(k).at(o).dim, f.src.term(k + 1).at(o).dim
 
 
 # -- contractibility -----------------------------------------------------------

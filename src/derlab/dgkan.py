@@ -12,34 +12,30 @@ never needs infinite resolutions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .algebra import Algebra
 from .cats import CatFunctor, DirectCategory, arrow_category, opposite_category, opposite_functor, slice_category, terminal_category
-from .field import Mat, hstack, rank, solve, vstack
-from .modules import Module, ModuleMap, direct_sum, submodule, zero_module
+from .field import Mat, rank, solve, vstack
+from .modules import Module, direct_sum, submodule, zero_module
 from .diagrams import (
     Diagram,
     DiagramMap,
     limit_of_diagram,
     restrict,
-    zero_diagram,
 )
 from .complexes import (
-    ComplexMap,
     LazyComplex,
     complete_resolution,
-    is_quasi_iso_on,
     restrict_complex,
     sod_decompose,
     z0,
 )
 from .gorenstein import VerificationError, gproj_left_kan, is_gproj, is_ginj
 from .homotopy import is_stable_iso_diagrams
-from .verdict import FALSE, TRUE, UNKNOWN, Verdict
+from .verdict import FALSE, Verdict
 
 
 class LeftKIModule:
@@ -376,18 +372,7 @@ class Weight:
 # -- collapsed Hom and tensor totalizations ------------------------------------------
 
 
-class CollapsedComplex(LazyComplex):
-    """A weighted homotopy (co)limit, with labeled block structure."""
-
-    def __init__(self, shape, alg, term_fn, diff_fn, label, labels_fn) -> None:
-        super().__init__(shape, alg, term_fn, diff_fn, label)
-        self._labels_fn = labels_fn
-
-    def block_labels(self, n: int) -> List[tuple]:
-        return self._labels_fn(n)
-
-
-def weighted_holim(w: Weight, f: LazyComplex) -> CollapsedComplex:
+def weighted_holim(w: Weight, f: LazyComplex) -> LazyComplex:
     """Hom over the free category from the weight into the complex of
     diagrams: by freeness each term collapses to finite sums of shifted
     evaluations.  Output over the point."""
@@ -451,10 +436,10 @@ def weighted_holim(w: Weight, f: LazyComplex) -> CollapsedComplex:
                         ) % p
         return DiagramMap(term_fn(n), term_fn(n + 1), {"*": Mat(p, out)})
 
-    return CollapsedComplex(e, alg, term_fn, diff_fn, "holim", blocks)
+    return LazyComplex(e, alg, term_fn, diff_fn, "holim")
 
 
-def weighted_hocolim(w: Weight, f: LazyComplex) -> CollapsedComplex:
+def weighted_hocolim(w: Weight, f: LazyComplex) -> LazyComplex:
     """Tensor of the weight (a complex of free right modules, presented over
     the opposite category) with the complex of diagrams."""
     wc = w.complex
@@ -518,7 +503,7 @@ def weighted_hocolim(w: Weight, f: LazyComplex) -> CollapsedComplex:
                         ) % p
         return DiagramMap(term_fn(n), term_fn(n + 1), {"*": Mat(p, out)})
 
-    return CollapsedComplex(e, alg, term_fn, diff_fn, "hocolim", blocks)
+    return LazyComplex(e, alg, term_fn, diff_fn, "hocolim")
 
 
 # -- homotopy Kan extensions over J ---------------------------------------------------
@@ -549,7 +534,7 @@ def _block_offsets(labels: List[tuple], dim_of) -> Tuple[Dict[tuple, int], List[
 class HoKanExtension:
     complex: LazyComplex
     weights: Dict[str, "Weight"]
-    collapsed: Dict[str, CollapsedComplex]
+    collapsed: Dict[str, LazyComplex]
 
 
 def ho_right_kan(u: CatFunctor, t: LazyComplex) -> HoKanExtension:

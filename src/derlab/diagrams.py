@@ -24,12 +24,12 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import Mat, column_space_basis, hstack, in_column_span, kernel_basis, kron, rank, solve, vstack
+from .field import Mat, column_space_basis, hstack, kernel_basis, kron, rank, solve, vstack
 from .modules import (
     Conflation,
     Module,
     ModuleMap,
-    ModuleError,
+    class_reps,
     compose,
     direct_sum,
     dual_module,
@@ -37,8 +37,8 @@ from .modules import (
     identity_map,
     injective_embed,
     quotient_module,
+    solve_in_basis,
     submodule,
-    zero_map,
     zero_module,
 )
 
@@ -403,32 +403,15 @@ def solve_in_hom(x: Diagram, y: Diagram, constraints: List[Tuple[DiagramMap, Dia
     the hom-space coordinates of phi.
     """
     basis = hom_space_diagrams(x, y)
-    p = x.alg.p
-    cols = []
-    rhs_parts = []
-    for pre, post, rhs_map in constraints:
-        rhs_parts.append(vec_diagram_map(rhs_map).a.reshape(-1))
-    rhs_vec = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0, dtype=np.int64)
-    for b in basis:
-        parts = []
-        for pre, post, rhs_map in constraints:
-            comp = compose_diagram_maps(post, compose_diagram_maps(b, pre))
-            parts.append(vec_diagram_map(comp).a.reshape(-1))
-        cols.append(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
-    if not cols:
-        if not rhs_vec.any():
-            return zero_diagram_map(x, y)
-        return None
-    system = Mat(p, np.stack(cols, axis=1))
-    sol = solve(system, Mat(p, rhs_vec.reshape(-1, 1)))
-    if sol is None:
-        return None
-    phi = zero_diagram_map(x, y)
-    for jrow in range(sol.rows):
-        c = int(sol.a[jrow, 0])
-        if c:
-            phi = phi + basis[jrow].scale(c)
-    return phi
+
+    def stacked(maps) -> Mat:
+        return vstack([Mat.zeros(x.alg.p, 0, 1)] + [vec_diagram_map(m) for m in maps])
+
+    images = [
+        stacked(compose_diagram_maps(post, compose_diagram_maps(b, pre)) for pre, post, _ in constraints) for b in basis
+    ]
+    rhs = stacked(rhs_map for _, _, rhs_map in constraints)
+    return solve_in_basis(basis, images, rhs, zero_diagram_map(x, y))
 
 
 def split_section_diagrams(defl: DiagramMap) -> Optional[DiagramMap]:
@@ -478,25 +461,6 @@ def cokernel_diagram(phi: DiagramMap) -> Tuple[Diagram, DiagramMap]:
         mats[f] = factor_matrix_through_surjection(projs[b].mat @ phi.tgt.mat(f), projs[a].mat)
     quot = Diagram(shape, alg, qmods, mats)
     return quot, DiagramMap(phi.tgt, quot, {o: projs[o].mat for o in shape.objects})
-
-
-def image_diagram(phi: DiagramMap) -> Tuple[Diagram, DiagramMap]:
-    """Image subdiagram of the target with its inclusion."""
-    shape, alg = phi.src.shape, phi.src.alg
-    mods, incls = {}, {}
-    for o in shape.objects:
-        mod, incl = submodule(phi.tgt.at(o), phi.comps[o])
-        mods[o] = mod
-        incls[o] = incl
-    mats = {}
-    for f in shape.nonidentity_morphisms():
-        a, b = shape.src(f), shape.tgt(f)
-        coords = solve(incls[b].mat, phi.tgt.mat(f) @ incls[a].mat)
-        if coords is None:
-            raise DiagramError("image is not preserved by the structure maps")
-        mats[f] = coords
-    img = Diagram(shape, alg, mods, mats)
-    return img, DiagramMap(img, phi.tgt, {o: incls[o].mat for o in shape.objects})
 
 
 def factor_matrix_through_surjection(t: Mat, sigma: Mat) -> Mat:
@@ -555,19 +519,6 @@ def pushout_diagrams(f: DiagramMap, g: DiagramMap) -> Tuple[Diagram, DiagramMap,
     )
     po, proj = cokernel_diagram(combined)
     return po, compose_diagram_maps(proj, injs[0]), compose_diagram_maps(proj, injs[1])
-
-
-def pullback_diagrams(f: DiagramMap, g: DiagramMap) -> Tuple[Diagram, DiagramMap, DiagramMap]:
-    if f.tgt is not g.tgt:
-        raise DiagramError("pullback needs a shared target diagram")
-    total, _, projs = direct_sum_diagrams([f.src, g.src])
-    combined = DiagramMap(
-        total,
-        f.tgt,
-        {o: hstack([f.comps[o], -g.comps[o] if g.comps[o].cols else g.comps[o]]) for o in f.src.shape.objects},
-    )
-    pb, incl = kernel_diagram(combined)
-    return pb, compose_diagram_maps(projs[0], incl), compose_diagram_maps(projs[1], incl)
 
 
 # -- covers and envelopes ------------------------------------------------------
@@ -639,25 +590,16 @@ def ext1(x: Diagram, y: Diagram) -> Ext1Result:
     K, incl = cover.sub, cover.left
     from_p = hom_space_diagrams(cover.middle, y)
     from_k = hom_space_diagrams(K, y)
-    p = x.alg.p
     if not from_k:
         return Ext1Result(0, [], K, incl, cover)
-    basis_mat = hstack([vec_diagram_map(b) for b in from_k])
-    img_cols = []
-    for h in from_p:
-        img_cols.append(vec_diagram_map(compose_diagram_maps(h, incl)))
-    img = hstack(img_cols) if img_cols else Mat.zeros(p, basis_mat.rows, 0)
-    img_rank = rank(img)
-    dim = len(from_k) - img_rank
+    img = [vec_diagram_map(compose_diagram_maps(h, incl)) for h in from_p]
+    if img:
+        sub = column_space_basis(hstack(img))
+    else:
+        sub = Mat.zeros(x.alg.p, vec_diagram_map(from_k[0]).rows, 0)
+    dim = len(from_k) - sub.cols
     # representatives: greedy completion of the image to all of Hom(K, y)
-    reps = []
-    current = column_space_basis(img) if img.cols else img
-    for b in from_k:
-        v = vec_diagram_map(b)
-        inside = v.is_zero() if current.cols == 0 else in_column_span(current, v)
-        if not inside:
-            reps.append(b)
-            current = hstack([current, v]) if current.cols else v
+    reps = class_reps(from_k, vec_diagram_map, sub)
     assert len(reps) == dim
     return Ext1Result(dim, reps, K, incl, cover)
 

@@ -12,12 +12,10 @@ obtained by linear duality over the opposite algebra and opposite shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from .algebra import Algebra
-from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_category, opposite_functor, punctured_slice, slice_category, SlicePresentation
+from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_functor, punctured_slice, slice_category, SlicePresentation
 from .field import Mat, hstack, rank, solve, vstack
 from .modules import (
     Module,
@@ -29,6 +27,8 @@ from .modules import (
     injective_embed,
     is_projective,
     quotient_module,
+    solve_in_basis,
+    vec_module_map,
     zero_map,
     zero_module,
 )
@@ -43,7 +43,6 @@ from .diagrams import (
     dual_diagram,
     dual_diagram_map,
     factor_matrix_through_surjection,
-    hom_space_diagrams,
     identity_diagram_map,
     is_projective_diagram,
     kernel_diagram,
@@ -55,7 +54,6 @@ from .diagrams import (
     right_kan_from_point,
     solve_in_hom,
     stalk_diagram,
-    vec_diagram_map,
     zero_diagram,
     zero_diagram_map,
 )
@@ -105,7 +103,6 @@ def latching(x: Diagram, j: str) -> LatchingDatum:
     rest = restrict(pres.projection, x)
     L, cocone = colimit_of_diagram(rest)
     xj = x.at(j)
-    p = x.alg.p
     objs = pres.cat.objects
     if not objs:
         lam = zero_map(L, xj)
@@ -123,7 +120,6 @@ def matching(y: Diagram, j: str) -> MatchingDatum:
     rest = restrict(pres.projection, y)
     M, cone = limit_of_diagram(rest)
     yj = y.at(j)
-    p = y.alg.p
     objs = pres.cat.objects
     if not objs:
         mu = zero_map(yj, M)
@@ -135,16 +131,6 @@ def matching(y: Diagram, j: str) -> MatchingDatum:
             raise VerificationError("matching cone does not factor through the limit")
         mu = ModuleMap(yj, M, coords)
     return MatchingDatum(j, M, mu, pres, cone)
-
-
-def latching_of_map(phi: DiagramMap, lat_src: LatchingDatum, lat_tgt: LatchingDatum) -> Mat:
-    """The induced map L_j(src) -> L_j(tgt) of a diagram map."""
-    objs = lat_src.pres.cat.objects
-    if lat_src.module.dim == 0:
-        return Mat.zeros(phi.src.alg.p, lat_tgt.module.dim, 0)
-    sigma = hstack([lat_src.cocone[o].mat for o in objs])
-    target = hstack([lat_tgt.cocone[o].mat @ phi.comps[lat_src.pres.pairs[o][0]] for o in objs])
-    return factor_matrix_through_surjection(target, sigma)
 
 
 # -- stalk presentations -------------------------------------------------------
@@ -260,7 +246,6 @@ def colim_gproj(x: Diagram) -> Module:
     C, cocone = colim_gproj_data(x)
     C2, cocone2 = colimit_of_diagram(x)
     objs = x.shape.objects
-    p = x.alg.p
     total = sum(x.at(o).dim for o in objs)
     if total == 0:
         if C.dim or C2.dim:
@@ -286,7 +271,6 @@ def colim_gproj_on_map(
     src_colim, src_cocone = src_data
     tgt_colim, tgt_cocone = tgt_data
     objs = phi.src.shape.objects
-    p = phi.src.alg.p
     if src_colim.dim == 0:
         return zero_map(src_colim, tgt_colim)
     sigma = hstack([src_cocone[o].mat for o in objs])
@@ -351,26 +335,6 @@ def gproj_left_kan(u: CatFunctor, x: Diagram) -> Diagram:
     return gproj_left_kan_data(u, x).diagram
 
 
-def gproj_left_kan_on_map(u: CatFunctor, phi: DiagramMap, src_data: GprojKan, tgt_data: GprojKan) -> DiagramMap:
-    """Functoriality of u_! on a map of Gorenstein-projective diagrams."""
-    J = u.cod
-    comps = {}
-    for j in J.objects:
-        pres = src_data.slices[j]
-        objs = pres.cat.objects
-        src_mod = src_data.diagram.at(j)
-        tgt_mod = tgt_data.diagram.at(j)
-        if src_mod.dim == 0:
-            comps[j] = Mat.zeros(phi.src.alg.p, tgt_mod.dim, 0)
-            continue
-        sigma = hstack([src_data.cocones[j][o].mat for o in objs])
-        target = hstack(
-            [tgt_data.cocones[j][o].mat @ phi.comps[pres.pairs[o][0]] for o in objs]
-        )
-        comps[j] = factor_matrix_through_surjection(target, sigma)
-    return DiagramMap(src_data.diagram, tgt_data.diagram, comps)
-
-
 def ginj_right_kan(u: CatFunctor, y: Diagram) -> Diagram:
     """Right Kan extension on Gorenstein injectives, by duality."""
     if not is_ginj(y):
@@ -380,24 +344,6 @@ def ginj_right_kan(u: CatFunctor, y: Diagram) -> Diagram:
 
 
 # -- embedding into a projective diagram ---------------------------------------------
-
-
-def _solve_module_map(src: Module, tgt: Module, pre: Mat, rhs: Mat) -> Optional[Mat]:
-    """A module map X: src -> tgt with X @ pre = rhs, linear in hom coordinates."""
-    basis = hom_space(src, tgt)
-    p = src.alg.p
-    if not basis:
-        return Mat.zeros(p, tgt.dim, src.dim) if rhs.is_zero() else None
-    cols = [(b.mat @ pre).a.reshape(-1, 1) for b in basis]
-    sol = solve(Mat(p, np.hstack(cols)), Mat(p, rhs.a.reshape(-1, 1)))
-    if sol is None:
-        return None
-    out = Mat.zeros(p, tgt.dim, src.dim)
-    for k in range(sol.rows):
-        c = int(sol.a[k, 0])
-        if c:
-            out = out + basis[k].mat.scale(c)
-    return out
 
 
 def embed_gproj_into_proj(g: Diagram, _enlarge: bool = False) -> DiagramConflation:
@@ -458,11 +404,17 @@ def embed_gproj_into_proj(g: Diagram, _enlarge: bool = False) -> DiagramConflati
                 )
                 l_eta = factor_matrix_through_surjection(target, sigma)
             # extend along the latching inflation into the injective lower part
-            ext = _solve_module_map(g.at(i), latq.module, latg.map.mat, l_eta)
+            basis = hom_space(g.at(i), latq.module)
+            ext = solve_in_basis(
+                basis,
+                [vec_module_map(compose(b, latg.map)) for b in basis],
+                vec_module_map(ModuleMap(latg.module, latq.module, l_eta)),
+                zero_map(g.at(i), latq.module),
+            )
             if ext is None:
                 raise VerificationError(f"latching extension failed at {i}")
             fresh_incl = injs[piece_index[i]].comps[i]
-            eta_comps[i] = latq.map.mat @ ext + fresh_incl @ fresh_maps[i].mat
+            eta_comps[i] = latq.map.mat @ ext.mat + fresh_incl @ fresh_maps[i].mat
         eta = DiagramMap(g, Q, eta_comps).validate()
         for i in shape.objects:
             if rank(eta.comps[i]) != g.at(i).dim:

@@ -11,41 +11,32 @@ hand.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .algebra import Algebra
 from .cats import (
     CatFunctor,
-    DirectCategory,
     arrow_category,
     cospan_category,
     product_category,
     square_category,
-    terminal_category,
 )
-from .field import Mat, column_space_basis, hstack, in_column_span, rank, solve, vstack
-from .modules import Module, ModuleMap, is_projective, syzygy, zero_module
+from .field import Mat, rank, vstack
+from .modules import Module, StableHomReport, stable_hom_in, stable_iso_map_in, stable_iso_search, syzygy
 from .modules import is_stable_iso as is_stable_iso_modules
 from .diagrams import (
     Diagram,
     DiagramConflation,
     DiagramMap,
     compose_diagram_maps,
-    constant_diagram,
     direct_sum_diagrams,
     hom_space_diagrams,
     identity_diagram_map,
     injective_embed_diagram,
     projective_cover_diagram,
-    restrict,
     solve_in_hom,
     stalk_diagram,
     vec_diagram_map,
-    zero_diagram,
     zero_diagram_map,
 )
 from .gorenstein import (
@@ -55,29 +46,46 @@ from .gorenstein import (
     ginj_right_kan,
     hull_ginj,
     is_gproj,
-    is_ginj,
     is_wtriv,
 )
-from .verdict import FALSE, TRUE, UNKNOWN, Verdict
+from .verdict import FALSE, TRUE, Verdict
 
 
 # -- stable homs of diagrams ---------------------------------------------------
 
 
-@dataclass
-class StableHomReport:
-    basis: List[DiagramMap]
-    proj_subspace: Mat
-    quotient_dim: int
+class _DiagramOps:
+    """Diagrams as an exact category for the stable layer in modules.py."""
 
-    def in_proj_subspace(self, f: DiagramMap) -> bool:
-        v = vec_diagram_map(f)
-        if self.proj_subspace.cols == 0:
-            return v.is_zero()
-        return in_column_span(self.proj_subspace, v)
+    error = VerificationError
+    hom_label = "Hom(x, y)"
 
-    def stably_equal(self, f: DiagramMap, g: DiagramMap) -> bool:
-        return self.in_proj_subspace(f - g)
+    def hom(self, a: Diagram, b: Diagram) -> List[DiagramMap]:
+        return hom_space_diagrams(a, b)
+
+    def vec(self, f: DiagramMap) -> Mat:
+        return vec_diagram_map(f)
+
+    def compose(self, g: DiagramMap, f: DiagramMap) -> DiagramMap:
+        return compose_diagram_maps(g, f)
+
+    def identity(self, a: Diagram) -> DiagramMap:
+        return identity_diagram_map(a)
+
+    def zero(self, a: Diagram, b: Diagram) -> DiagramMap:
+        return zero_diagram_map(a, b)
+
+    def cover(self, b: Diagram) -> DiagramMap:
+        return projective_cover_diagram(b).right
+
+    def stable_hom(self, a: Diagram, b: Diagram) -> StableHomReport:
+        return stable_hom_diagrams(a, b)
+
+    def is_stable_iso_map(self, f: DiagramMap) -> Tuple[bool, Optional[DiagramMap]]:
+        return is_stable_iso_map_diagrams(f)
+
+
+_DIAGRAMS = _DiagramOps()
 
 
 def stable_hom_diagrams(x: Diagram, y: Diagram, check: bool = False) -> StableHomReport:
@@ -86,75 +94,12 @@ def stable_hom_diagrams(x: Diagram, y: Diagram, check: bool = False) -> StableHo
     deflation of y."""
     if check and not (is_gproj(x) and is_gproj(y)):
         raise PreconditionError("stable homs are computed between Gorenstein projectives")
-    p = x.alg.p
-    basis = hom_space_diagrams(x, y)
-    cover = projective_cover_diagram(y).right
-    through = hom_space_diagrams(x, cover.src)
-    cols = [vec_diagram_map(compose_diagram_maps(cover, h)) for h in through]
-    total = sum(y.at(o).dim * x.at(o).dim for o in x.shape.objects)
-    sub = hstack(cols) if cols else Mat.zeros(p, total, 0)
-    sub = column_space_basis(sub) if sub.cols else sub
-    return StableHomReport(basis, sub, len(basis) - sub.cols)
-
-
-def stable_class_reps_diagrams(report: StableHomReport) -> List[DiagramMap]:
-    if not report.basis:
-        return []
-    p = report.basis[0].src.alg.p
-    current = report.proj_subspace
-    reps = []
-    for b in report.basis:
-        v = vec_diagram_map(b)
-        inside = v.is_zero() if current.cols == 0 else in_column_span(current, v)
-        if not inside:
-            reps.append(b)
-            current = hstack([current, v]) if current.cols else v
-    return reps
-
-
-def _left_stable_inverse(f: DiagramMap, end_src: StableHomReport) -> Optional[DiagramMap]:
-    m, n = f.src, f.tgt
-    p = m.alg.p
-    if m.total_dim() == 0:
-        return zero_diagram_map(n, m)
-    back = hom_space_diagrams(n, m)
-    cols = [vec_diagram_map(compose_diagram_maps(b, f)) for b in back]
-    sub = end_src.proj_subspace
-    all_cols = cols + [sub.col(j) for j in range(sub.cols)]
-    if not all_cols:
-        return None
-    target = vec_diagram_map(identity_diagram_map(m))
-    sol = solve(hstack(all_cols), target)
-    if sol is None:
-        return None
-    out = zero_diagram_map(n, m)
-    for j, b in enumerate(back):
-        c = int(sol.a[j, 0])
-        if c:
-            out = out + b.scale(c)
-    return out
+    return stable_hom_in(_DIAGRAMS, x, y)
 
 
 def is_stable_iso_map_diagrams(f: DiagramMap) -> Tuple[bool, Optional[DiagramMap]]:
     """Exact two-sided stable invertibility of a given map (two solves)."""
-    end_src = stable_hom_diagrams(f.src, f.src)
-    g = _left_stable_inverse(f, end_src)
-    if g is None:
-        return False, None
-    end_tgt = stable_hom_diagrams(f.tgt, f.tgt)
-    if f.tgt.total_dim() == 0:
-        return True, g
-    fwd = hom_space_diagrams(f.tgt, f.src)
-    cols = [vec_diagram_map(compose_diagram_maps(f, b)) for b in fwd]
-    sub = end_tgt.proj_subspace
-    all_cols = cols + [sub.col(j) for j in range(sub.cols)]
-    if not all_cols:
-        return False, None
-    if solve(hstack(all_cols), vec_diagram_map(identity_diagram_map(f.tgt))) is None:
-        return False, None
-    if not end_tgt.in_proj_subspace(compose_diagram_maps(f, g) - identity_diagram_map(f.tgt)):
-        raise VerificationError("stable inverse bookkeeping failed")
-    return True, g
+    return stable_iso_map_in(_DIAGRAMS, f)
 
 
 def is_stable_iso_diagrams(x: Diagram, y: Diagram, budget: int = 4096, seed: int = 0) -> Verdict:
@@ -162,37 +107,11 @@ def is_stable_iso_diagrams(x: Diagram, y: Diagram, budget: int = 4096, seed: int
 
     Componentwise obstructions certify "false" cheaply; candidates then run
     over stable classes of Hom(x, y), each checked exactly."""
-    p = x.alg.p
     for o in x.shape.objects:
         comp = is_stable_iso_modules(x.at(o), y.at(o), budget=budget, seed=seed)
         if comp.is_false:
             return Verdict(FALSE, reason=f"components at {o} are not stably isomorphic ({comp.reason})")
-    fwd = stable_hom_diagrams(x, y)
-    reps = stable_class_reps_diagrams(fwd)
-    t = len(reps)
-    total = p ** t
-
-    def candidate(coeffs) -> DiagramMap:
-        f = zero_diagram_map(x, y)
-        for c, r in zip(coeffs, reps):
-            if c:
-                f = f + r.scale(int(c))
-        return f
-
-    if total <= budget:
-        for coeffs in itertools.product(range(p), repeat=t):
-            f = candidate(coeffs)
-            ok, g = is_stable_iso_map_diagrams(f)
-            if ok:
-                return Verdict(TRUE, reason="witness found by exhaustive class search", witness=(f, g))
-        return Verdict(FALSE, reason=f"exhausted all {total} stable classes of Hom(x, y)")
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        f = candidate(rng.integers(0, p, size=t))
-        ok, g = is_stable_iso_map_diagrams(f)
-        if ok:
-            return Verdict(TRUE, reason="witness found by randomized search", witness=(f, g))
-    return Verdict(UNKNOWN, reason=f"budget {budget} exhausted over {total} stable classes")
+    return stable_iso_search(_DIAGRAMS, x, y, stable_hom_diagrams(x, y), budget, seed)
 
 
 # -- weak equivalences ------------------------------------------------------------

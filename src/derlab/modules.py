@@ -17,25 +17,24 @@ of the library exploits throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import Algebra
 from .field import (
-    FieldError,
     Mat,
     block_diag,
     column_space_basis,
     hstack,
     in_column_span,
+    invert,
     kernel_basis,
     kron,
     rank,
     rref,
     solve,
-    solve_left,
     vstack,
 )
 from .verdict import FALSE, TRUE, UNKNOWN, Verdict
@@ -260,7 +259,6 @@ def submodule(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
 
     Raises if the span is not invariant under the action.
     """
-    p = amb.alg.p
     basis = column_space_basis(span_cols)
     incl = basis  # amb.dim x r
     action = []
@@ -311,14 +309,6 @@ def factorize(f: ModuleMap) -> Factorization:
     image_mod, image_incl = submodule(f.tgt, f.mat)
     coker_mod, coker_proj = quotient_module(f.tgt, f.mat)
     return Factorization(kernel_incl, image_mod, coker_proj, image_incl)
-
-
-def kernel_incl(f: ModuleMap) -> ModuleMap:
-    return factorize(f).kernel
-
-
-def cokernel_proj(f: ModuleMap) -> ModuleMap:
-    return factorize(f).cokernel
 
 
 def pushout(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
@@ -417,41 +407,15 @@ def is_projective(m: Module) -> bool:
 def split_section(defl: ModuleMap) -> Optional[ModuleMap]:
     """A section s of a surjection (defl o s = id), if one exists."""
     cands = hom_space(defl.tgt, defl.src)
-    if defl.tgt.dim == 0:
-        return zero_map(defl.tgt, defl.src)
-    if not cands:
-        return None
-    p = defl.src.alg.p
-    cols = [ (defl.mat @ c.mat).a.reshape(-1, 1) for c in cands ]
-    target = Mat.identity(p, defl.tgt.dim).a.reshape(-1, 1)
-    sol = solve(Mat(p, np.hstack(cols)), Mat(p, target))
-    if sol is None:
-        return None
-    out = Mat.zeros(p, defl.src.dim, defl.tgt.dim)
-    for j in range(sol.rows):
-        if sol.a[j, 0]:
-            out = out + cands[j].mat.scale(int(sol.a[j, 0]))
-    return ModuleMap(defl.tgt, defl.src, out)
+    images = [vec_module_map(compose(defl, c)) for c in cands]
+    return solve_in_basis(cands, images, vec_module_map(identity_map(defl.tgt)), zero_map(defl.tgt, defl.src))
 
 
 def split_retraction(infl: ModuleMap) -> Optional[ModuleMap]:
     """A retraction r of an injection (r o infl = id), if one exists."""
     cands = hom_space(infl.tgt, infl.src)
-    if infl.src.dim == 0:
-        return zero_map(infl.tgt, infl.src)
-    if not cands:
-        return None
-    p = infl.src.alg.p
-    cols = [ (c.mat @ infl.mat).a.reshape(-1, 1) for c in cands ]
-    target = Mat.identity(p, infl.src.dim).a.reshape(-1, 1)
-    sol = solve(Mat(p, np.hstack(cols)), Mat(p, target))
-    if sol is None:
-        return None
-    out = Mat.zeros(p, infl.src.dim, infl.tgt.dim)
-    for j in range(sol.rows):
-        if sol.a[j, 0]:
-            out = out + cands[j].mat.scale(int(sol.a[j, 0]))
-    return ModuleMap(infl.tgt, infl.src, out)
+    images = [vec_module_map(compose(c, infl)) for c in cands]
+    return solve_in_basis(cands, images, vec_module_map(identity_map(infl.src)), zero_map(infl.tgt, infl.src))
 
 
 def is_injective(m: Module) -> bool:
@@ -466,85 +430,185 @@ def cosyzygy(m: Module) -> Module:
     return injective_embed(m).quot
 
 
-# -- stable homs and stable isomorphism ------------------------------------
+# -- the stable layer, shared by modules and diagrams --------------------------
+#
+# A stable Hom is Hom modulo the maps that factor through a projective.  The
+# functions below are written once over a small set of operations of the
+# exact category (an "ops" object, see _ModuleOps): hom basis, vectorize,
+# compose, identity, zero map and projective-cover deflation, plus the
+# category's own stable_hom / is_stable_iso_map entry points.  Ops objects
+# reach those through module-level names at call time, so rebinding a name
+# (as bench/tracer.py does) is seen by the shared code too.
+
+
+def vec_module_map(f: ModuleMap) -> Mat:
+    """The matrix of f as one column, row-major (the order of hom_space)."""
+    return Mat(f.mat.p, f.mat.a.reshape(-1, 1))
+
+
+def combine(zero, basis: Sequence, coeffs):
+    """zero + sum_j coeffs[j] basis[j] for maps with + and scale."""
+    out = zero
+    for c, b in zip(coeffs, basis):
+        if c:
+            out = out + b.scale(int(c))
+    return out
+
+
+def solve_in_basis(basis: Sequence, images: Sequence[Mat], rhs: Mat, zero, extra: Optional[Mat] = None):
+    """The map sum_j c_j basis[j] for the canonical solution c of
+    sum_j c_j images[j] + (a vector in the column span of extra) = rhs,
+    or None when there is none.
+
+    images[j] is the column vector basis[j] is sent to by whatever linear
+    condition the caller imposes; zero is the zero map the combination is
+    added onto.  With no columns at all, a zero rhs gives zero and any
+    other rhs gives None.
+    """
+    if len(images) != len(basis):
+        raise ModuleError(f"{len(images)} images for {len(basis)} basis maps")
+    cols = list(images) + ([extra] if extra is not None and extra.cols else [])
+    if not cols:
+        return zero if rhs.is_zero() else None
+    sol = solve(hstack(cols), rhs)
+    if sol is None:
+        return None
+    return combine(zero, basis, sol.a[:, 0])
+
+
+def class_reps(basis: Sequence, vec: Callable[[object], Mat], sub: Mat) -> List:
+    """Basis vectors completing the column span of sub, taken greedily in
+    basis order; their classes form a basis of span(basis) / span(sub)."""
+    reps = []
+    current = sub
+    for b in basis:
+        v = vec(b)
+        if not in_column_span(current, v):
+            reps.append(b)
+            current = hstack([current, v])
+    return reps
+
+
+def candidate_maps(basis: Sequence, zero, budget: int, seed: int) -> Tuple[bool, Iterator]:
+    """(exhaustive, candidates): every combination of basis when the p**t
+    of them fit in budget, otherwise budget seeded random draws."""
+    p, t = zero.src.alg.p, len(basis)
+    exhaustive = p ** t <= budget
+    if exhaustive:
+        space = itertools.product(range(p), repeat=t)
+    else:
+        rng = np.random.default_rng(seed)
+        space = (rng.integers(0, p, size=t) for _ in range(budget))
+    return exhaustive, (combine(zero, basis, coeffs) for coeffs in space)
 
 
 @dataclass
 class StableHomReport:
-    basis: List[ModuleMap]           # canonical basis of Hom(m, n)
+    basis: List                      # canonical basis of Hom(a, b)
     proj_subspace: Mat               # columns: vectorized maps factoring through a projective
     quotient_dim: int
+    vec: Callable[[object], Mat] = field(repr=False)
 
-    def in_proj_subspace(self, f: ModuleMap) -> bool:
-        v = Mat(f.mat.p, f.mat.a.reshape(-1, 1))
+    def in_proj_subspace(self, f) -> bool:
+        v = self.vec(f)
         if self.proj_subspace.cols == 0:
             return v.is_zero()
         return in_column_span(self.proj_subspace, v)
 
-    def stably_equal(self, f: ModuleMap, g: ModuleMap) -> bool:
-        return self.in_proj_subspace(f - g)
+
+def stable_hom_in(ops, a, b) -> StableHomReport:
+    """Hom(a, b), the subspace factoring through a projective, and the
+    quotient dimension.
+
+    Any factorization through a projective lifts through the cover
+    deflation P(b) ->> b, so the subspace is the image of composition
+    Hom(a, P(b)) -> Hom(a, b).
+    """
+    basis = ops.hom(a, b)
+    cover = ops.cover(b)
+    cols = [ops.vec(ops.compose(cover, h)) for h in ops.hom(a, cover.src)]
+    if cols:
+        sub = column_space_basis(hstack(cols))
+    else:
+        sub = Mat.zeros(a.alg.p, ops.vec(ops.zero(a, b)).rows, 0)
+    return StableHomReport(basis, sub, len(basis) - sub.cols, ops.vec)
+
+
+def stable_iso_map_in(ops, f) -> Tuple[bool, Optional[object]]:
+    """Is f invertible in the stable category?  Exact, no budget: a left
+    stable inverse g (g o f = id modulo projectives) and the existence of a
+    right one make g two-sided.  Returns (verdict, g when true)."""
+    back = ops.hom(f.tgt, f.src)
+    zero = ops.zero(f.tgt, f.src)
+    end_src = ops.stable_hom(f.src, f.src)
+    left = [ops.vec(ops.compose(b, f)) for b in back]
+    g = solve_in_basis(back, left, ops.vec(ops.identity(f.src)), zero, end_src.proj_subspace)
+    if g is None:
+        return False, None
+    end_tgt = ops.stable_hom(f.tgt, f.tgt)
+    right = [ops.vec(ops.compose(f, b)) for b in back]
+    if solve_in_basis(back, right, ops.vec(ops.identity(f.tgt)), zero, end_tgt.proj_subspace) is None:
+        return False, None
+    if not end_tgt.in_proj_subspace(ops.compose(f, g) - ops.identity(f.tgt)):
+        raise ops.error("stable inverse check is inconsistent")
+    return True, g
+
+
+def stable_iso_search(ops, a, b, fwd: StableHomReport, budget: int, seed: int) -> Verdict:
+    """Search the stable classes of fwd = Hom(a, b) for a stable
+    isomorphism, each candidate checked exactly by ops.is_stable_iso_map.
+    An exhausted exhaustive enumeration certifies "false"; a sampled
+    search that finds nothing reports "unknown"."""
+    reps = class_reps(fwd.basis, fwd.vec, fwd.proj_subspace)
+    total = a.alg.p ** len(reps)
+    exhaustive, candidates = candidate_maps(reps, ops.zero(a, b), budget, seed)
+    for f in candidates:
+        ok, g = ops.is_stable_iso_map(f)
+        if ok:
+            how = "exhaustive class search" if exhaustive else "randomized search"
+            return Verdict(TRUE, reason=f"witness found by {how}", witness=(f, g))
+    if exhaustive:
+        return Verdict(FALSE, reason=f"exhausted all {total} stable classes of {ops.hom_label}")
+    return Verdict(UNKNOWN, reason=f"budget {budget} exhausted over {total} stable classes")
+
+
+class _ModuleOps:
+    """Modules as an exact category for the shared stable layer."""
+
+    error = ModuleError
+    hom_label = "Hom(m, n)"
+
+    def hom(self, a: Module, b: Module) -> List[ModuleMap]:
+        return hom_space(a, b)
+
+    def vec(self, f: ModuleMap) -> Mat:
+        return vec_module_map(f)
+
+    def compose(self, g: ModuleMap, f: ModuleMap) -> ModuleMap:
+        return compose(g, f)
+
+    def identity(self, a: Module) -> ModuleMap:
+        return identity_map(a)
+
+    def zero(self, a: Module, b: Module) -> ModuleMap:
+        return zero_map(a, b)
+
+    def cover(self, b: Module) -> ModuleMap:
+        return free_cover(b).right
+
+    def stable_hom(self, a: Module, b: Module) -> StableHomReport:
+        return stable_hom(a, b)
+
+    def is_stable_iso_map(self, f: ModuleMap) -> Tuple[bool, Optional[ModuleMap]]:
+        return is_stable_iso_map(f)
+
+
+_MODULES = _ModuleOps()
 
 
 def stable_hom(m: Module, n: Module) -> StableHomReport:
-    """Hom(m, n), the subspace factoring through a projective, and the
-    quotient dimension.
-
-    Any factorization through a projective lifts through the free-cover
-    deflation P(n) ->> n, so the subspace is the image of composition
-    Hom(m, P(n)) -> Hom(m, n).
-    """
-    p = m.alg.p
-    basis = hom_space(m, n)
-    cover = free_cover(n).right
-    through = hom_space(m, cover.src)
-    cols = [ (cover.mat @ h.mat).a.reshape(-1, 1) for h in through ]
-    sub = Mat(p, np.hstack(cols)) if cols else Mat.zeros(p, n.dim * m.dim if n.dim * m.dim else 0, 0)
-    sub = column_space_basis(sub) if sub.cols else sub
-    qdim = len(basis) - (rank(sub) if sub.cols else 0)
-    return StableHomReport(basis, sub, qdim)
-
-
-def stable_class_reps(report: StableHomReport) -> List[ModuleMap]:
-    """Hom-basis vectors completing the projective subspace to all of Hom;
-    their classes form a basis of the stable quotient."""
-    if not report.basis:
-        return []
-    p = report.basis[0].mat.p
-    current = report.proj_subspace
-    reps = []
-    for b in report.basis:
-        v = Mat(p, b.mat.a.reshape(-1, 1))
-        if current.cols == 0:
-            inside = v.is_zero()
-        else:
-            inside = in_column_span(current, v)
-        if not inside:
-            reps.append(b)
-            current = hstack([current, v]) if current.cols else v
-    return reps
-
-
-def _solve_left_stable_inverse(f: ModuleMap, rep_end_src: StableHomReport) -> Optional[ModuleMap]:
-    """g with g o f = id_src modulo projectives (linear in g)."""
-    m, n = f.src, f.tgt
-    p = m.alg.p
-    if m.dim == 0:
-        return zero_map(n, m)
-    back = hom_space(n, m)
-    cols = [ (b.mat @ f.mat).a.reshape(-1, 1) for b in back ]
-    sub = rep_end_src.proj_subspace
-    all_cols = cols + [ sub.col(j).a.reshape(-1, 1) for j in range(sub.cols) ]
-    if not all_cols:
-        return None
-    target = Mat(p, Mat.identity(p, m.dim).a.reshape(-1, 1))
-    sol = solve(Mat(p, np.hstack(all_cols)), target)
-    if sol is None:
-        return None
-    out = Mat.zeros(p, m.dim, n.dim)
-    for j, b in enumerate(back):
-        if sol.a[j, 0]:
-            out = out + b.mat.scale(int(sol.a[j, 0]))
-    return ModuleMap(n, m, out)
+    """Hom(m, n) with its projective subspace and stable quotient dimension."""
+    return stable_hom_in(_MODULES, m, n)
 
 
 def is_stable_iso_map(f: ModuleMap) -> Tuple[bool, Optional[ModuleMap]]:
@@ -552,39 +616,15 @@ def is_stable_iso_map(f: ModuleMap) -> Tuple[bool, Optional[ModuleMap]]:
 
     Returns (verdict, two-sided stable inverse when true).
     """
-    end_src = stable_hom(f.src, f.src)
-    g = _solve_left_stable_inverse(f, end_src)
-    if g is None:
-        return False, None
-    end_tgt = stable_hom(f.tgt, f.tgt)
-    # right inverse: h with f o h = id_tgt mod projectives; then g is two-sided
-    fwd = hom_space(f.tgt, f.src)
-    p = f.mat.p
-    if f.tgt.dim == 0:
-        return True, g
-    cols = [ (f.mat @ b.mat).a.reshape(-1, 1) for b in fwd ]
-    sub = end_tgt.proj_subspace
-    all_cols = cols + [ sub.col(j).a.reshape(-1, 1) for j in range(sub.cols) ]
-    if not all_cols:
-        return False, None
-    target = Mat(p, Mat.identity(p, f.tgt.dim).a.reshape(-1, 1))
-    if solve(Mat(p, np.hstack(all_cols)), target) is None:
-        return False, None
-    # standard: a left inverse plus existence of a right inverse makes g two-sided
-    if not end_tgt.in_proj_subspace(compose(f, g) - identity_map(f.tgt)):
-        raise ModuleError("stable inverse check is inconsistent")
-    return True, g
+    return stable_iso_map_in(_MODULES, f)
 
 
 def is_stable_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Verdict:
     """Search for a stable isomorphism m ~ n.
 
-    Candidates range over stable classes of Hom(m, n); for each candidate
-    the two-sided stable invertibility is a pair of linear solves.  An
-    exhausted exhaustive enumeration certifies "false"; a sampled search
-    that finds nothing reports "unknown".
+    Cheap dimension obstructions certify "false"; then candidates range
+    over stable classes of Hom(m, n), each a pair of linear solves.
     """
-    p = m.alg.p
     end_m = stable_hom(m, m)
     end_n = stable_hom(n, n)
     if end_m.quotient_dim != end_n.quotient_dim:
@@ -595,32 +635,7 @@ def is_stable_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Ve
         return Verdict(FALSE, reason="stable Hom(m, n) = 0 but stable endomorphisms are nonzero")
     if bwd.quotient_dim == 0 and (end_m.quotient_dim or end_n.quotient_dim):
         return Verdict(FALSE, reason="stable Hom(n, m) = 0 but stable endomorphisms are nonzero")
-    reps = stable_class_reps(fwd)
-    t = len(reps)
-    total = p ** t
-
-    def candidate(coeffs) -> ModuleMap:
-        f = zero_map(m, n)
-        for c, r in zip(coeffs, reps):
-            if c:
-                f = f + r.scale(int(c))
-        return f
-
-    if total <= budget:
-        for coeffs in itertools.product(range(p), repeat=t):
-            f = candidate(coeffs)
-            ok, g = is_stable_iso_map(f)
-            if ok:
-                return Verdict(TRUE, reason="witness found by exhaustive class search", witness=(f, g))
-        return Verdict(FALSE, reason=f"exhausted all {total} stable classes of Hom(m, n)")
-    rng = np.random.default_rng(seed)
-    for _ in range(budget):
-        coeffs = rng.integers(0, p, size=t)
-        f = candidate(coeffs)
-        ok, g = is_stable_iso_map(f)
-        if ok:
-            return Verdict(TRUE, reason="witness found by randomized search", witness=(f, g))
-    return Verdict(UNKNOWN, reason=f"budget {budget} exhausted over {total} stable classes")
+    return stable_iso_search(_MODULES, m, n, fwd, budget, seed)
 
 
 def find_module_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Optional[ModuleMap]:
@@ -629,23 +644,5 @@ def find_module_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> 
         return None
     if m.dim == 0:
         return zero_map(m, n)
-    basis = hom_space(m, n)
-    p = m.alg.p
-    t = len(basis)
-    if p ** t <= budget:
-        space = itertools.product(range(p), repeat=t)
-        draws = None
-    else:
-        rng = np.random.default_rng(seed)
-        draws = (tuple(int(x) for x in rng.integers(0, p, size=t)) for _ in range(budget))
-        space = draws
-    from .field import invert
-
-    for coeffs in space:
-        f = zero_map(m, n)
-        for c, b in zip(coeffs, basis):
-            if c:
-                f = f + b.scale(int(c))
-        if invert(f.mat) is not None:
-            return f
-    return None
+    _, candidates = candidate_maps(hom_space(m, n), zero_map(m, n), budget, seed)
+    return next((f for f in candidates if invert(f.mat) is not None), None)

@@ -12,9 +12,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import Algebra
-from .cats import CatFunctor, DirectCategory, terminal_category
+from .cats import CatFunctor, DirectCategory
 from .field import Mat
-from .modules import Module, ModuleMap, hom_space, zero_module
+from .modules import Module, hom_space, zero_module
 from .diagrams import Diagram, projective_cover_diagram
 from .dgkan import LeftKIModule
 from .gorenstein import is_gproj

@@ -117,3 +117,56 @@ def test_empty_shape_rejected(tmp_path):
     report, code = run_scenario(str(scen))
     assert code == 2
     assert "empty" in report["error"]
+
+
+def test_module_law_violation_is_an_input_error(tmp_path):
+    # x acting as [[1]] over F_2[x]/(x^2) breaks x * x = 0
+    (tmp_path / "bad.json").write_text(json.dumps({
+        "shape": "point",
+        "objects": {"*": {"dim": 1, "action": [[[1]], [[1]]]}},
+        "morphisms": {},
+    }))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "algebra": str(SCENARIOS / "dual_numbers.json"),
+        "categories": {"point": str(SCENARIOS / "cat_point.json")},
+        "diagrams": {"bad": "bad.json"},
+        "suites": ["validate"],
+    }))
+    report, code = run_scenario(str(scen))
+    assert code == 2
+    assert "module law" in report["error"]
+    assert main(["run", str(scen)]) == 2
+
+
+def test_sod_on_non_acyclic_complex_is_a_guarded_failure(tmp_path):
+    k_point = json.loads((SCENARIOS / "diag_k_point.json").read_text())
+    (tmp_path / "lone.json").write_text(json.dumps({"shape": "point", "terms": {"0": k_point}, "diffs": {}}))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "algebra": str(SCENARIOS / "dual_numbers.json"),
+        "categories": {"point": str(SCENARIOS / "cat_point.json")},
+        "complexes": {"lone": "lone.json"},
+        "suites": ["sod"],
+    }))
+    report, code = run_scenario(str(scen))
+    assert code == 1
+    [item] = report["items"]
+    assert item["id"] == "sod/lone" and item["verdict"] == "fail"
+    assert "acyclic" in item["details"]["error"]
+
+
+def test_regression_reports_match_recorded_digests():
+    """Scenario reports stay byte-identical to bench/regression_digests.json."""
+    bench = SCENARIOS.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        from workloads import ScenarioRegression
+    finally:
+        sys.path.remove(str(bench))
+    recorded = json.loads((bench / "regression_digests.json").read_text())
+    got = ScenarioRegression.record_digests(SCENARIOS.parent)
+    assert sorted(got) == sorted(recorded)
+    for suite, expected in recorded.items():
+        assert got[suite]["items"] == expected["items"], suite
+        assert got[suite]["digest"] == expected["digest"], suite

@@ -202,3 +202,25 @@ def test_lift_socle_map_over_point(dn, simple, reg):
     assert is_gproj(z)
     # the edge composed with projection recovers the stable class of f
     assert z.at("(1,*)").dim >= reg.dim
+
+
+def test_module_and_point_diagram_stable_layers_agree(dn):
+    """The shared stable layer gives the same answers for a module and for
+    its stalk diagram over the point."""
+    import random
+
+    from derlab.modules import stable_hom
+    from derlab.samples import all_modules
+
+    point = terminal_category()
+    mods = all_modules(dn, 3)
+    rng = random.Random(0)
+    pairs = [(rng.choice(mods), rng.choice(mods)) for _ in range(24)]
+    statuses = set()
+    for m, n in pairs:
+        x, y = stalk_diagram(point, dn, "*", m), stalk_diagram(point, dn, "*", n)
+        assert stable_hom(m, n).quotient_dim == stable_hom_diagrams(x, y).quotient_dim
+        status = is_stable_iso(m, n).status
+        assert is_stable_iso_diagrams(x, y).status == status
+        statuses.add(status)
+    assert statuses == {"true", "false"}

@@ -288,3 +288,27 @@ def test_cover_and_envelope_are_exact(seed):
     m = random_module(alg, 3, rng)
     free_cover(m).validate()
     injective_embed(m).validate()
+
+
+def test_solve_in_basis_edge_cases(dn, simple, reg, zero):
+    from derlab.modules import ModuleError, solve_in_basis, split_retraction
+
+    z = zero_map(simple, simple)
+    # empty basis: a zero rhs gives the zero map, a nonzero one gives None
+    assert solve_in_basis([], [], Mat.zeros(2, 1, 1), z) is z
+    assert solve_in_basis([], [], Mat.column(2, [1]), z) is None
+    # zero-dimensional target: the only map is zero, and it solves
+    to_zero = solve_in_basis(hom_space(simple, zero), [], Mat.zeros(2, 0, 1), zero_map(simple, zero))
+    assert to_zero is not None and (to_zero.mat.rows, to_zero.mat.cols) == (0, 1)
+    r = split_retraction(zero_map(zero, reg))
+    assert r is not None and (r.mat.rows, r.mat.cols) == (0, 2)
+    # extra columns take part in the solve but not in the combination:
+    # the matrix unit e_00 is no endomorphism of Lambda, but lies in extra
+    basis = hom_space(reg, reg)
+    images = [Mat(2, b.mat.a.reshape(-1, 1)) for b in basis]
+    rhs = Mat.column(2, [1, 0, 0, 0])
+    assert solve_in_basis(basis, images, rhs, zero_map(reg, reg)) is None
+    assert solve_in_basis(basis, images, rhs, zero_map(reg, reg), extra=rhs).is_zero()
+    # images must pair with basis maps one to one
+    with pytest.raises(ModuleError):
+        solve_in_basis(basis, images[:1], rhs, zero_map(reg, reg), extra=rhs)
