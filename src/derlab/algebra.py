@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .field import Mat, is_prime
+from .field import MODULUS_BOUND, Mat, is_prime
 
 
 class AlgebraError(ValueError):
@@ -85,11 +85,14 @@ class Algebra:
 
 
 def validate_algebra(alg: Algebra) -> Algebra:
-    """Check primality, unitality, associativity and the declared radical.
+    """Check the modulus bound, primality, unitality, associativity and the
+    declared radical.
 
     Returns the same object on success; raises AlgebraError naming the
     failing axiom (with a witness triple for associativity).
     """
+    if alg.p >= MODULUS_BOUND:
+        raise AlgebraError(f"p = {alg.p} is not below MODULUS_BOUND = {MODULUS_BOUND}, which keeps int64 products exact")
     if not is_prime(alg.p):
         raise AlgebraError(f"p = {alg.p} is not prime")
     if alg.mul.shape != (alg.dim, alg.dim, alg.dim):
@@ -179,7 +182,8 @@ def algebra_from_dict(data: dict) -> Algebra:
             data["mul"],
             data.get("radical"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer (p included) too large for int64
         raise AlgebraError(f"malformed algebra document: {exc}") from exc
     return validate_algebra(alg)
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -401,6 +400,11 @@ SUITE_RUNNERS = {
 
 
 def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = None) -> Tuple[dict, int]:
+    """Run every suite of a scenario file; returns (report, exit code).
+
+    Suites run one after another: they share the session's unsynchronized
+    caches.  workers is accepted for compatibility and ignored.
+    """
     t0 = time.time()
     base = Path(scenario_path).resolve().parent
     try:
@@ -426,13 +430,8 @@ def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = Non
             return {"error": f"unknown suite {name!r}", "items": []}, 2
 
     items: List[dict] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(lambda name: SUITE_RUNNERS[name](session), suites):
-                items.extend(chunk)
-    else:
-        for name in suites:
-            items.extend(SUITE_RUNNERS[name](session))
+    for name in suites:
+        items.extend(SUITE_RUNNERS[name](session))
     items.sort(key=lambda it: it["id"])
     summary = {
         "pass": sum(1 for it in items if it["verdict"] == "pass"),
@@ -477,7 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a scenario file")
     runp.add_argument("scenario")
-    runp.add_argument("--workers", type=int, default=1)
+    runp.add_argument("--workers", type=int, default=1, help="accepted and ignored: suites run serially")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--report", default=None, help="write the JSON report here")
     exp = sub.add_parser("explain", help="render one report item")

@@ -20,6 +20,12 @@ class FieldError(ValueError):
     pass
 
 
+# Moduli must lie below this bound.  A matrix product sums n terms of at most
+# (p - 1)**2 < 2**40 each before reducing, so int64 stays exact for every
+# inner dimension n < 2**23, far past any dense matrix derlab can hold.
+MODULUS_BOUND = 2**20
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -44,6 +50,8 @@ class Mat:
     def __init__(self, p: int, data) -> None:
         if p < 2:
             raise FieldError(f"modulus must be >= 2, got {p}")
+        if p >= MODULUS_BOUND:
+            raise FieldError(f"modulus {p} is not below MODULUS_BOUND = {MODULUS_BOUND}, which keeps int64 products exact")
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise FieldError(f"matrix data must be 2-dimensional, got shape {arr.shape}")

@@ -22,7 +22,16 @@ from .cats import (
     square_category,
 )
 from .field import Mat, rank, vstack
-from .modules import Module, StableHomReport, stable_hom_in, stable_iso_map_in, stable_iso_search, syzygy
+from .modules import (
+    Module,
+    StableHomReport,
+    StableIsoPair,
+    stable_hom_in,
+    stable_iso_map_in,
+    stable_iso_pair_in,
+    stable_iso_search,
+    syzygy,
+)
 from .modules import is_stable_iso as is_stable_iso_modules
 from .diagrams import (
     Diagram,
@@ -81,8 +90,8 @@ class _DiagramOps:
     def stable_hom(self, a: Diagram, b: Diagram) -> StableHomReport:
         return stable_hom_diagrams(a, b)
 
-    def is_stable_iso_map(self, f: DiagramMap) -> Tuple[bool, Optional[DiagramMap]]:
-        return is_stable_iso_map_diagrams(f)
+    def is_stable_iso_map(self, f: DiagramMap, pair: StableIsoPair) -> Tuple[bool, Optional[DiagramMap]]:
+        return is_stable_iso_map_diagrams(f, pair)
 
 
 _DIAGRAMS = _DiagramOps()
@@ -97,9 +106,12 @@ def stable_hom_diagrams(x: Diagram, y: Diagram, check: bool = False) -> StableHo
     return stable_hom_in(_DIAGRAMS, x, y)
 
 
-def is_stable_iso_map_diagrams(f: DiagramMap) -> Tuple[bool, Optional[DiagramMap]]:
-    """Exact two-sided stable invertibility of a given map (two solves)."""
-    return stable_iso_map_in(_DIAGRAMS, f)
+def is_stable_iso_map_diagrams(
+    f: DiagramMap, pair: Optional[StableIsoPair] = None
+) -> Tuple[bool, Optional[DiagramMap]]:
+    """Exact two-sided stable invertibility of a given map (two solves);
+    pair as for modules.is_stable_iso_map."""
+    return stable_iso_map_in(_DIAGRAMS, f, pair or stable_iso_pair_in(_DIAGRAMS, f.src, f.tgt))
 
 
 def is_stable_iso_diagrams(x: Diagram, y: Diagram, budget: int = 4096, seed: int = 0) -> Verdict:

@@ -534,36 +534,62 @@ def stable_hom_in(ops, a, b) -> StableHomReport:
     return StableHomReport(basis, sub, len(basis) - sub.cols, ops.vec)
 
 
-def stable_iso_map_in(ops, f) -> Tuple[bool, Optional[object]]:
+@dataclass
+class StableIsoPair:
+    """What the stable-inverse check of any map src -> tgt needs that
+    depends only on the pair (src, tgt): the canonical basis of
+    Hom(tgt, src) and the stable endomorphism reports of src and tgt.  A
+    search builds it once and hands it to the check of every candidate."""
+
+    src: object
+    tgt: object
+    back: List
+    end_src: StableHomReport
+    end_tgt: StableHomReport
+
+
+def stable_iso_pair_in(ops, a, b) -> StableIsoPair:
+    """The per-pair data for checking maps a -> b."""
+    return StableIsoPair(a, b, ops.hom(b, a), ops.stable_hom(a, a), ops.stable_hom(b, b))
+
+
+def stable_iso_map_in(ops, f, pair: StableIsoPair) -> Tuple[bool, Optional[object]]:
     """Is f invertible in the stable category?  Exact, no budget: a left
     stable inverse g (g o f = id modulo projectives) and the existence of a
-    right one make g two-sided.  Returns (verdict, g when true)."""
-    back = ops.hom(f.tgt, f.src)
+    right one make g two-sided.  Returns (verdict, g when true).
+
+    pair must be the per-pair data of f's own source and target."""
+    if pair.src is not f.src or pair.tgt is not f.tgt:
+        raise ops.error("per-pair data belongs to another source or target")
+    back = pair.back
     zero = ops.zero(f.tgt, f.src)
-    end_src = ops.stable_hom(f.src, f.src)
     left = [ops.vec(ops.compose(b, f)) for b in back]
-    g = solve_in_basis(back, left, ops.vec(ops.identity(f.src)), zero, end_src.proj_subspace)
+    g = solve_in_basis(back, left, ops.vec(ops.identity(f.src)), zero, pair.end_src.proj_subspace)
     if g is None:
         return False, None
-    end_tgt = ops.stable_hom(f.tgt, f.tgt)
     right = [ops.vec(ops.compose(f, b)) for b in back]
-    if solve_in_basis(back, right, ops.vec(ops.identity(f.tgt)), zero, end_tgt.proj_subspace) is None:
+    if solve_in_basis(back, right, ops.vec(ops.identity(f.tgt)), zero, pair.end_tgt.proj_subspace) is None:
         return False, None
-    if not end_tgt.in_proj_subspace(ops.compose(f, g) - ops.identity(f.tgt)):
+    if not pair.end_tgt.in_proj_subspace(ops.compose(f, g) - ops.identity(f.tgt)):
         raise ops.error("stable inverse check is inconsistent")
     return True, g
 
 
-def stable_iso_search(ops, a, b, fwd: StableHomReport, budget: int, seed: int) -> Verdict:
+def stable_iso_search(
+    ops, a, b, fwd: StableHomReport, budget: int, seed: int, pair: Optional[StableIsoPair] = None
+) -> Verdict:
     """Search the stable classes of fwd = Hom(a, b) for a stable
-    isomorphism, each candidate checked exactly by ops.is_stable_iso_map.
-    An exhausted exhaustive enumeration certifies "false"; a sampled
-    search that finds nothing reports "unknown"."""
+    isomorphism, each candidate checked exactly by ops.is_stable_iso_map
+    against one StableIsoPair (built here unless the caller has it).  An
+    exhausted exhaustive enumeration certifies "false"; a sampled search
+    that finds nothing reports "unknown"."""
     reps = class_reps(fwd.basis, fwd.vec, fwd.proj_subspace)
     total = a.alg.p ** len(reps)
     exhaustive, candidates = candidate_maps(reps, ops.zero(a, b), budget, seed)
+    if pair is None:
+        pair = stable_iso_pair_in(ops, a, b)
     for f in candidates:
-        ok, g = ops.is_stable_iso_map(f)
+        ok, g = ops.is_stable_iso_map(f, pair)
         if ok:
             how = "exhaustive class search" if exhaustive else "randomized search"
             return Verdict(TRUE, reason=f"witness found by {how}", witness=(f, g))
@@ -599,8 +625,8 @@ class _ModuleOps:
     def stable_hom(self, a: Module, b: Module) -> StableHomReport:
         return stable_hom(a, b)
 
-    def is_stable_iso_map(self, f: ModuleMap) -> Tuple[bool, Optional[ModuleMap]]:
-        return is_stable_iso_map(f)
+    def is_stable_iso_map(self, f: ModuleMap, pair: StableIsoPair) -> Tuple[bool, Optional[ModuleMap]]:
+        return is_stable_iso_map(f, pair)
 
 
 _MODULES = _ModuleOps()
@@ -611,12 +637,14 @@ def stable_hom(m: Module, n: Module) -> StableHomReport:
     return stable_hom_in(_MODULES, m, n)
 
 
-def is_stable_iso_map(f: ModuleMap) -> Tuple[bool, Optional[ModuleMap]]:
+def is_stable_iso_map(f: ModuleMap, pair: Optional[StableIsoPair] = None) -> Tuple[bool, Optional[ModuleMap]]:
     """Is the given map invertible in the stable category?  Exact, no budget.
 
-    Returns (verdict, two-sided stable inverse when true).
+    Returns (verdict, two-sided stable inverse when true).  A search passes
+    the StableIsoPair of (f.src, f.tgt) it built once; a map checked on its
+    own builds it here.
     """
-    return stable_iso_map_in(_MODULES, f)
+    return stable_iso_map_in(_MODULES, f, pair or stable_iso_pair_in(_MODULES, f.src, f.tgt))
 
 
 def is_stable_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Verdict:
@@ -635,7 +663,8 @@ def is_stable_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Ve
         return Verdict(FALSE, reason="stable Hom(m, n) = 0 but stable endomorphisms are nonzero")
     if bwd.quotient_dim == 0 and (end_m.quotient_dim or end_n.quotient_dim):
         return Verdict(FALSE, reason="stable Hom(n, m) = 0 but stable endomorphisms are nonzero")
-    return stable_iso_search(_MODULES, m, n, fwd, budget, seed)
+    pair = StableIsoPair(m, n, bwd.basis, end_m, end_n)
+    return stable_iso_search(_MODULES, m, n, fwd, budget, seed, pair)
 
 
 def find_module_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Optional[ModuleMap]:

@@ -59,6 +59,19 @@ def test_nonprime_rejected():
         validate_algebra(Algebra(4, ["1"], [1], mul))
 
 
+def test_modulus_bound():
+    from derlab.field import FieldError
+
+    dual_numbers(1048573)  # the largest prime below MODULUS_BOUND = 2**20
+    mul = np.zeros((1, 1, 1), dtype=np.int64)
+    mul[0, 0, 0] = 1
+    for p in (1048583, 2**31 - 1):  # the next prime up, and a Mersenne prime
+        with pytest.raises(AlgebraError, match="MODULUS_BOUND"):
+            validate_algebra(Algebra(p, ["1"], [1], mul))
+        with pytest.raises(FieldError, match="MODULUS_BOUND"):
+            dual_numbers(p)  # its declared radical is a matrix over F_p
+
+
 def test_bad_radical_rejected():
     mul = np.zeros((2, 2, 2), dtype=np.int64)
     mul[0, 0, 0] = 1

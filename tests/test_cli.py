@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,34 @@ def test_module_law_violation_is_an_input_error(tmp_path):
     assert code == 2
     assert "module law" in report["error"]
     assert main(["run", str(scen)]) == 2
+
+
+def test_modulus_above_the_bound_is_an_input_error(tmp_path):
+    alg = json.loads((SCENARIOS / "dual_numbers.json").read_text())
+    alg["p"] = 1048583  # the smallest prime above MODULUS_BOUND = 2**20
+    (tmp_path / "alg.json").write_text(json.dumps(alg))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"algebra": "alg.json", "suites": ["validate"]}))
+    report, code = run_scenario(str(scen))
+    assert code == 2
+    assert "MODULUS_BOUND" in report["error"]
+    import derlab
+
+    src = Path(derlab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from derlab.cli import main; sys.exit(main())", "run", str(scen)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "MODULUS_BOUND" in proc.stderr
+    # a modulus past int64 is refused the same way
+    alg["p"] = 2**70 + 25
+    (tmp_path / "alg.json").write_text(json.dumps(alg))
+    report, code = run_scenario(str(scen))
+    assert code == 2 and "malformed algebra document" in report["error"]
 
 
 def test_sod_on_non_acyclic_complex_is_a_guarded_failure(tmp_path):

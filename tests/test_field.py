@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from derlab.field import (
+    MODULUS_BOUND,
     FieldError,
     Mat,
     hstack,
     in_column_span,
     invert,
+    is_prime,
     kernel_basis,
     rank,
     rref,
@@ -131,3 +133,40 @@ def test_subspace_helpers():
     v = Mat(2, [[1], [1], [0]])
     assert in_column_span(s, v)
     assert subspaces_equal(s, hstack([s, v]))
+
+
+LARGEST_ALLOWED_PRIME = 1048573  # the largest prime below MODULUS_BOUND = 2**20
+NEXT_PRIME = 1048583
+
+
+def _int_product(a, b):
+    """Exact product of two int-list matrices in Python integers."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_largest_allowed_prime_is_exact():
+    p = LARGEST_ALLOWED_PRIME
+    assert is_prime(p) and p < MODULUS_BOUND <= NEXT_PRIME and is_prime(NEXT_PRIME)
+    assert not any(is_prime(q) for q in range(p + 1, NEXT_PRIME))
+    assert (Mat(p, [[p - 1] * 3]) @ Mat(p, [[p - 1]] * 3)).to_list() == [[3]]
+    # entries next to p - 1 make every product as large as it can be
+    rng = np.random.default_rng(0)
+    a = Mat(p, rng.integers(p - 64, p, size=(5, 64)))
+    b = Mat(p, rng.integers(p - 64, p, size=(64, 4)))
+    want = [[x % p for x in row] for row in _int_product(a.to_list(), b.to_list())]
+    assert (a @ b).to_list() == want
+    m = Mat(p, rng.integers(p - 64, p, size=(6, 6)))
+    rhs = Mat(p, rng.integers(p - 64, p, size=(6, 2)))
+    x = solve(m, rhs)
+    assert x is not None
+    assert [[v % p for v in row] for row in _int_product(m.to_list(), x.to_list())] == rhs.to_list()
+    inv = invert(m)
+    assert inv is not None
+    assert [[v % p for v in row] for row in _int_product(m.to_list(), inv.to_list())] == Mat.identity(p, 6).to_list()
+
+
+def test_modulus_at_or_above_the_bound_is_rejected():
+    Mat(MODULUS_BOUND - 1, [[1]])
+    for p in (MODULUS_BOUND, NEXT_PRIME, 2**31 - 1):
+        with pytest.raises(FieldError, match="MODULUS_BOUND"):
+            Mat(p, [[1]])

@@ -205,8 +205,8 @@ def test_lift_socle_map_over_point(dn, simple, reg):
 
 
 def test_module_and_point_diagram_stable_layers_agree(dn):
-    """The shared stable layer gives the same answers for a module and for
-    its stalk diagram over the point."""
+    """The shared stable layer gives the same answers, witnesses included,
+    for a module and for its stalk diagram over the point."""
     import random
 
     from derlab.modules import stable_hom
@@ -220,7 +220,11 @@ def test_module_and_point_diagram_stable_layers_agree(dn):
     for m, n in pairs:
         x, y = stalk_diagram(point, dn, "*", m), stalk_diagram(point, dn, "*", n)
         assert stable_hom(m, n).quotient_dim == stable_hom_diagrams(x, y).quotient_dim
-        status = is_stable_iso(m, n).status
-        assert is_stable_iso_diagrams(x, y).status == status
-        statuses.add(status)
+        v, w = is_stable_iso(m, n), is_stable_iso_diagrams(x, y)
+        assert w.status == v.status
+        if v.witness is None:
+            assert w.witness is None
+        else:
+            assert [h.comps["*"] for h in w.witness] == [h.mat for h in v.witness]
+        statuses.add(v.status)
     assert statuses == {"true", "false"}

@@ -312,3 +312,101 @@ def test_solve_in_basis_edge_cases(dn, simple, reg, zero):
     # images must pair with basis maps one to one
     with pytest.raises(ModuleError):
         solve_in_basis(basis, images[:1], rhs, zero_map(reg, reg), extra=rhs)
+
+
+def _reference_is_stable_iso(m, n, budget=4096, seed=0):
+    """is_stable_iso as a plain loop in which every candidate goes through
+    is_stable_iso_map(f) alone, so each check builds its own per-pair data.
+    Returns (status, reason, witness)."""
+    from derlab.modules import candidate_maps, class_reps
+
+    end_m, end_n = stable_hom(m, m), stable_hom(n, n)
+    if end_m.quotient_dim != end_n.quotient_dim:
+        return "false", f"stable endomorphism dimensions differ ({end_m.quotient_dim} vs {end_n.quotient_dim})", None
+    fwd, bwd = stable_hom(m, n), stable_hom(n, m)
+    if fwd.quotient_dim == 0 and (end_m.quotient_dim or end_n.quotient_dim):
+        return "false", "stable Hom(m, n) = 0 but stable endomorphisms are nonzero", None
+    if bwd.quotient_dim == 0 and (end_m.quotient_dim or end_n.quotient_dim):
+        return "false", "stable Hom(n, m) = 0 but stable endomorphisms are nonzero", None
+    reps = class_reps(fwd.basis, fwd.vec, fwd.proj_subspace)
+    total = m.alg.p ** len(reps)
+    exhaustive, candidates = candidate_maps(reps, zero_map(m, n), budget, seed)
+    for f in candidates:
+        ok, g = is_stable_iso_map(f)
+        if ok:
+            how = "exhaustive class search" if exhaustive else "randomized search"
+            return "true", f"witness found by {how}", (f, g)
+    if exhaustive:
+        return "false", f"exhausted all {total} stable classes of Hom(m, n)", None
+    return "unknown", f"budget {budget} exhausted over {total} stable classes", None
+
+
+def _one_module_per_type(alg, max_dim):
+    """The first enumerated module of each isomorphism type (dim, rank of x)."""
+    from derlab.samples import all_modules
+
+    firsts = {}
+    for m in all_modules(alg, max_dim):
+        firsts.setdefault((m.dim, rank(m.action[1])), m)
+    return [firsts[k] for k in sorted(firsts)]
+
+
+def test_iso_search_matches_per_candidate_reference(dn):
+    types = _one_module_per_type(dn, 4)
+    assert len(types) == 9
+    statuses = set()
+    for i, m in enumerate(types):
+        other = types[(i + 1) % len(types)]
+        for n, budget, seed in ((syzygy(m), 4096, 0), (other, 4096, 0), (syzygy(m), 3, i)):
+            got = is_stable_iso(m, n, budget=budget, seed=seed)
+            status, reason, witness = _reference_is_stable_iso(m, n, budget, seed)
+            assert (got.status, got.reason) == (status, reason)
+            if witness is None:
+                assert got.witness is None
+            else:
+                assert [h.mat for h in got.witness] == [h.mat for h in witness]
+            statuses.add(status)
+    assert statuses == {"true", "false", "unknown"}
+
+
+def test_iso_search_builds_per_pair_data_once(dn, simple, monkeypatch):
+    """The hom spaces and stable homs a search builds do not grow with the
+    number of candidates it checks."""
+    from collections import Counter
+
+    import derlab.modules as modules
+    from derlab.homotopy import loop_via_square
+
+    res = loop_via_square(direct_sum([simple] * 3)[0])
+    counts = Counter()
+    for name in ("stable_hom", "hom_space", "is_stable_iso_map"):
+        def counting(*args, _name=name, _original=getattr(modules, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(modules, name, counting)
+
+    def search(budget):
+        counts.clear()
+        verdict = is_stable_iso(res.module, res.syzygy, budget=budget)
+        return verdict, dict(counts)
+
+    full, full_counts = search(4096)
+    _, single_counts = search(1)
+    assert full.is_true and full_counts["is_stable_iso_map"] > 1
+    assert single_counts["is_stable_iso_map"] == 1
+    for name in ("stable_hom", "hom_space"):
+        assert full_counts[name] == single_counts[name], name
+
+
+def test_stable_iso_map_rejects_another_pairs_data(dn, simple, reg):
+    from derlab.modules import ModuleError, StableIsoPair
+
+    f = identity_map(simple)
+    pair = StableIsoPair(simple, simple, hom_space(simple, simple), stable_hom(simple, simple), stable_hom(simple, simple))
+    (ok, g), (ok_alone, g_alone) = is_stable_iso_map(f, pair), is_stable_iso_map(f)
+    assert ok and ok_alone and g.mat == g_alone.mat
+    ks = direct_sum([simple, reg])[0]
+    other = StableIsoPair(ks, simple, hom_space(simple, ks), stable_hom(ks, ks), stable_hom(simple, simple))
+    with pytest.raises(ModuleError, match="per-pair data"):
+        is_stable_iso_map(f, other)
