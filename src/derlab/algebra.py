@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .field import MODULUS_BOUND, Mat, is_prime
+from .field import MODULUS_BOUND, Mat, check_integer_entries, is_prime
 
 
 class AlgebraError(ValueError):
@@ -129,7 +129,7 @@ def validate_algebra(alg: Algebra) -> Algebra:
 
 
 def _validate_radical(alg: Algebra) -> None:
-    from .field import column_space_basis, hstack, in_column_span, rank
+    from .field import column_space_basis, hstack, in_column_span
 
     rad = alg.radical
     if rad.rows != alg.dim:
@@ -173,10 +173,12 @@ def require_self_injective(alg: Algebra) -> Algebra:
 
 
 def algebra_from_dict(data: dict) -> Algebra:
-    """Load from the JSON document format; integers are reduced mod p."""
+    """Load from the JSON document format; integers are reduced mod p, and
+    any other entry (1.5, "1", null) is refused."""
     try:
+        check_integer_entries([data["p"], data["unit"], data["mul"], data.get("radical") or []])
         alg = Algebra(
-            int(data["p"]),
+            data["p"],
             data["basis"],
             data["unit"],
             data["mul"],

@@ -371,14 +371,8 @@ def is_sieve(u: CatFunctor) -> bool:
 
 
 def is_cosieve(u: CatFunctor) -> bool:
-    if not u.is_fully_faithful():
-        raise CategoryError("cosieve test requires a fully faithful functor")
-    image = {u.on_obj(i) for i in u.dom.objects}
-    J = u.cod
-    for f in J.morphisms:
-        if J.src(f) in image and J.tgt(f) not in image:
-            return False
-    return True
+    """For fully faithful u: is the image closed under morphisms out of it?"""
+    return is_sieve(opposite_functor(u))
 
 
 # -- constructions ----------------------------------------------------------

@@ -18,17 +18,21 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebra import AlgebraError, algebra_from_dict, is_self_injective
 from .cats import CategoryError, category_from_dict, disjoint_union, functor_from_dict
-from .field import Mat
+from .field import matrix_from_entries
 from .modules import ModuleError
 from .diagrams import (
     Diagram,
     DiagramError,
+    DiagramMap,
     diagram_from_dict,
     ext1,
-    identity_diagram_map,
     hom_space_diagrams,
+    identity_diagram_map,
+    is_projective_diagram,
+    projective_cover_diagram,
     restrict,
     stalk_diagram,
+    zero_diagram,
     zero_diagram_map,
 )
 from .gorenstein import (
@@ -104,49 +108,57 @@ class Session:
             self.categories[name] = cat
         for name, rel in self.scenario.get("functors", {}).items():
             data = self._read(rel)
-            dom = self.categories[data["dom"]]
-            cod = self.categories[data["cod"]]
-            self.functors[name] = functor_from_dict(data, dom, cod)
+            self.functors[name] = functor_from_dict(data, self._category(data, "dom"), self._category(data, "cod"))
         for name, rel in self.scenario.get("diagrams", {}).items():
             data = self._read(rel)
-            shape = self.categories[data["shape"]]
-            self.diagrams[name] = diagram_from_dict(shape, self.alg, data)
+            self.diagrams[name] = diagram_from_dict(self._category(data, "shape"), self.alg, data)
         for name, rel in self.scenario.get("complexes", {}).items():
             data = self._read(rel)
-            shape = self.categories[data["shape"]]
-            self.complexes[name] = self._complex_from_dict(shape, data)
+            self.complexes[name] = self._complex_from_dict(self._category(data, "shape"), data)
+
+    def _category(self, data, key: str):
+        """The loaded category a document names under key."""
+        try:
+            return self.categories[data[key]]
+        except (KeyError, TypeError) as exc:
+            raise ScenarioError(f"document names no loaded category under {key!r}") from exc
 
     def _complex_from_dict(self, shape, data) -> LazyComplex:
-        from .diagrams import DiagramMap, zero_diagram
+        """A bounded complex, or a periodic one given by a term and a diff at
+        each degree of one period; a malformed document is a ScenarioError."""
+        p = self.alg.p
+        try:
+            term_docs, diff_docs = data.get("terms", {}), data.get("diffs", {})
+            if not isinstance(term_docs, dict) or not isinstance(diff_docs, dict) or not all(isinstance(c, dict) for c in diff_docs.values()):
+                raise TypeError("terms, diffs and each diff must be mappings")
+            terms = {int(deg): diagram_from_dict(shape, self.alg, d) for deg, d in term_docs.items()}
+            diff_docs = {int(deg): comps for deg, comps in diff_docs.items()}
+            policy = data.get("policy", "zero-tails")
+            period = policy["periodic"]["period"] if isinstance(policy, dict) and "periodic" in policy else None
+            lo = min(terms, default=0)
+            if period is not None:
+                if isinstance(period, bool) or not isinstance(period, int) or period < 1:
+                    raise ValueError(f"period {period!r} is not a positive integer")
+                if not terms or set(terms) != set(range(lo, lo + period)) or set(diff_docs) != set(terms):
+                    raise ValueError("a periodic complex needs a term and a diff at each degree of one period, and nothing else")
+            zero = zero_diagram(shape, self.alg)
 
-        terms = {}
-        for deg, ddata in data.get("terms", {}).items():
-            terms[int(deg)] = diagram_from_dict(shape, self.alg, ddata)
-        policy = data.get("policy", "zero-tails")
-        periodic = isinstance(policy, dict) and "periodic" in policy
-        period = int(policy["periodic"]["period"]) if periodic else None
-        lo = min(terms) if terms else 0
+            def term_at(k: int) -> Diagram:
+                return terms[lo + (k - lo) % period] if period else terms.get(k, zero)
 
-        def term_at(k: int) -> Diagram:
-            if periodic:
-                return terms[lo + ((k - lo) % period)]
-            return terms.get(k, zero_diagram(shape, self.alg))
-
-        diffs = {}
-        for deg, comps in data.get("diffs", {}).items():
-            k = int(deg)
-            src, tgt = term_at(k), term_at(k + 1)
-            diffs[k] = DiagramMap(
-                src,
-                tgt,
-                {
-                    o: Mat(self.alg.p, comps[o])
-                    if tgt.at(o).dim and src.at(o).dim
-                    else Mat.zeros(self.alg.p, tgt.at(o).dim, src.at(o).dim)
-                    for o in shape.objects
-                },
-            )
-        if periodic:
+            diffs = {}
+            for k, comps in diff_docs.items():
+                src, tgt = term_at(k), term_at(k + 1)
+                mats = {}
+                for o in shape.objects:
+                    rows, cols = tgt.at(o).dim, src.at(o).dim
+                    mats[o] = matrix_from_entries(p, comps[o] if rows * cols else comps.get(o, []), rows, cols)
+                diffs[k] = DiagramMap(src, tgt, mats)
+        except (DiagramError, ModuleError):
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(f"malformed complex document: {exc}") from exc
+        if period:
             return LazyComplex.periodic(shape, self.alg, terms, diffs, period)
         return LazyComplex.bounded(shape, self.alg, terms, diffs)
 
@@ -279,8 +291,6 @@ def _suite_sod(s: Session) -> List[dict]:
         def check(name=name, c=c):
             res = sod_decompose(c, -m, m)
             tc_ok = is_termwise_contractible(res.tc_part, -m, m)
-            from .diagrams import is_projective_diagram
-
             p_ok = all(is_projective_diagram(res.p_part.term(k)) for k in range(-m, m + 1))
             contracted = contraction_on_window(res.tc_part, -m - 1, m + 1) is not None if getattr(c, "seed", None) is not None else None
             verdict = "pass" if (tc_ok and p_ok and contracted is not False) else "fail"
@@ -327,8 +337,6 @@ def _suite_derivator_axioms(s: Session) -> List[dict]:
                     {**{i1.on_mor(f): d.mat(f) for f in c.nonidentity_morphisms()}, **{i2.on_mor(f): d.mat(f) for f in c.nonidentity_morphisms()}},
                 )
                 ok = ok and (is_gproj(both) == is_gproj(d))
-                from .diagrams import projective_cover_diagram
-
                 cov_union = projective_cover_diagram(both)
                 cov = projective_cover_diagram(d)
                 for o in c.objects:

@@ -20,26 +20,28 @@ import numpy as np
 
 from .algebra import Algebra
 from .cats import CatFunctor, DirectCategory, full_subcategory, terminal_category
-from .field import Mat, hstack, rank, solve, vstack
+from .field import Mat, block_diag, hstack, kernel_basis, rank, solve, vstack
 from .modules import submodule, is_projective, zero_module
 from .diagrams import (
     Diagram,
     DiagramMap,
+    cokernel_diagram,
     compose_diagram_maps,
     counit_from_point,
     direct_sum_diagrams,
+    factor_matrix_through_surjection,
     hom_space_diagrams,
     identity_diagram_map,
     is_projective_diagram,
     kernel_diagram,
     left_kan_from_point,
+    projective_cover_diagram,
     restrict,
     vec_diagram_map,
     zero_diagram,
     zero_diagram_map,
 )
 from .gorenstein import VerificationError, embed_gproj_into_proj, is_gproj
-from .diagrams import projective_cover_diagram
 
 
 class WindowError(ValueError):
@@ -293,7 +295,7 @@ def is_termwise_contractible(c: LazyComplex, lo: int, hi: int, oracle: str = "au
     answer = True
     for k in range(lo, hi + 1):
         for o in c.shape.objects:
-            zmod, _ = submodule(c.term(k).at(o), _kernel_cols(c.diff(k).comps[o]))
+            zmod, _ = submodule(c.term(k).at(o), kernel_basis(c.diff(k).comps[o]))
             if not is_projective(zmod):
                 answer = False
                 break
@@ -316,12 +318,6 @@ def is_termwise_contractible(c: LazyComplex, lo: int, hi: int, oracle: str = "au
                 "projective-cocycle criterion and contraction search disagree"
             )
     return answer
-
-
-def _kernel_cols(m: Mat) -> Mat:
-    from .field import kernel_basis
-
-    return kernel_basis(m)
 
 
 def contraction_on_window(c: LazyComplex, lo: int, hi: int) -> Optional[Dict[int, DiagramMap]]:
@@ -390,8 +386,6 @@ def cohomology_at(c: LazyComplex, k: int) -> CohomologyData:
             raise VerificationError("boundaries do not land in the cocycles")
         comps[o] = sol
     beta = DiagramMap(c.term(k - 1), Z, comps)
-    from .diagrams import cokernel_diagram
-
     H, proj = cokernel_diagram(beta)
     return CohomologyData(k, Z, incl, H, proj)
 
@@ -400,8 +394,6 @@ def induced_on_cohomology(f: ComplexMap, k: int, src_data: Optional[CohomologyDa
     a = src_data or cohomology_at(f.src, k)
     b = tgt_data or cohomology_at(f.tgt, k)
     comps = {}
-    from .diagrams import factor_matrix_through_surjection
-
     for o in f.src.shape.objects:
         moved = f.comp(k).comps[o] @ a.incl.comps[o]
         zeta = solve(b.incl.comps[o], moved)
@@ -444,8 +436,6 @@ def _component_complex_at_min(c: LazyComplex, i: str) -> Tuple[LazyComplex, Comp
         src, tgt = term_fn(k), term_fn(k + 1)
         d_i = c.diff(k).comps[i]
         comps = {}
-        from .field import block_diag
-
         for o in shape.objects:
             n = len(shape.hom(i, o))
             comps[o] = block_diag(alg.p, [d_i] * n) if n else Mat.zeros(alg.p, tgt.at(o).dim, src.at(o).dim)
@@ -520,7 +510,7 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
     A, eps = _component_complex_at_min(c, i)
     X_ic = cone(eps)  # the i-contractible remainder
     sub_shape, incl = full_subcategory(shape, [o for o in shape.objects if o != i])
-    restricted = _restrict_complex(incl, X_ic)
+    restricted = restrict_complex(incl, X_ic)
     inner = _sod_recurse(restricted, lo, hi)
     # zeta = counit o k_!(theta): k_! is extension by zero since i is minimal
     B = _extend_by_zero_complex(sub_shape, inner.p_part, shape, i)
@@ -591,7 +581,7 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
     return SodResult(p_part, tc_part, map_p, map_tc, (lo, hi))
 
 
-def _restrict_complex(u: CatFunctor, c: LazyComplex) -> LazyComplex:
+def restrict_complex(u: CatFunctor, c: LazyComplex) -> LazyComplex:
     def term_fn(k: int) -> Diagram:
         return restrict(u, c.term(k))
 
@@ -600,7 +590,3 @@ def _restrict_complex(u: CatFunctor, c: LazyComplex) -> LazyComplex:
         return DiagramMap(term_fn(k), term_fn(k + 1), {o: d.comps[u.on_obj(o)] for o in u.dom.objects})
 
     return LazyComplex(u.dom, c.alg, term_fn, diff_fn, f"{c.label}|sub")
-
-
-def restrict_complex(u: CatFunctor, c: LazyComplex) -> LazyComplex:
-    return _restrict_complex(u, c)

@@ -21,21 +21,23 @@ from .cats import (
     SlicePresentation,
     analyze_components,
     opposite_category,
+    opposite_functor,
     same_category,
     slice_category,
 )
-from .field import Mat, column_space_basis, hstack, kernel_basis, kron, rank, solve, vstack
+from .field import Mat, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, solve, vstack
 from .modules import (
     Conflation,
     Module,
+    ModuleError,
     ModuleMap,
     class_reps,
     compose,
     direct_sum,
+    dual_map,
     dual_module,
     free_cover,
     identity_map,
-    injective_embed,
     quotient_module,
     solve_in_basis,
     submodule,
@@ -219,8 +221,6 @@ def direct_sum_diagrams(xs: Sequence[Diagram]) -> Tuple[Diagram, List[DiagramMap
         injs_by_obj[o] = injs
         projs_by_obj[o] = projs
     mats = {}
-    from .field import block_diag
-
     for f in shape.nonidentity_morphisms():
         mats[f] = block_diag(alg.p, [x.mat(f) for x in xs])
     total_diag = Diagram(shape, alg, modules, mats)
@@ -255,23 +255,9 @@ def left_kan_from_point(shape: DirectCategory, alg: Algebra, j: str, m: Module) 
 
 
 def right_kan_from_point(shape: DirectCategory, alg: Algebra, j: str, m: Module) -> Diagram:
-    """Value at a is one copy of m per morphism a -> j."""
-    p = alg.p
-    copies = {a: shape.hom(a, j) for a in shape.objects}
-    modules = {}
-    for a in shape.objects:
-        n = len(copies[a])
-        modules[a] = direct_sum([m] * n)[0] if n else zero_module(alg)
-    mats = {}
-    for h in shape.nonidentity_morphisms():
-        a, b = shape.src(h), shape.tgt(h)
-        src_c, tgt_c = copies[a], copies[b]
-        out = np.zeros((len(tgt_c) * m.dim, len(src_c) * m.dim), dtype=np.int64)
-        for ti, g in enumerate(tgt_c):
-            si = src_c.index(shape.compose(g, h))
-            out[ti * m.dim : (ti + 1) * m.dim, si * m.dim : (si + 1) * m.dim] = np.eye(m.dim, dtype=np.int64)
-        mats[h] = Mat(p, out)
-    return Diagram(shape, alg, modules, mats)
+    """Value at a is one copy of m per morphism a -> j: the dual of the free
+    diagram on D(m) at j over the opposite shape."""
+    return dual_diagram(left_kan_from_point(opposite_category(shape), alg.opposite(), j, dual_module(m)))
 
 
 def counit_from_point(x: Diagram, j: str, cover_map: Optional[ModuleMap] = None) -> Tuple[Diagram, DiagramMap]:
@@ -290,18 +276,11 @@ def counit_from_point(x: Diagram, j: str, cover_map: Optional[ModuleMap] = None)
 
 
 def unit_to_point(x: Diagram, j: str, env_map: Optional[ModuleMap] = None) -> Tuple[Diagram, DiagramMap]:
-    """The unit  x -> j_*(E)  where x_j embeds in E (default: E = x_j, id)."""
-    shape, alg = x.shape, x.alg
-    base = env_map if env_map is not None else identity_map(x.at(j))
-    cod = right_kan_from_point(shape, alg, j, base.tgt)
-    comps = {}
-    for a in shape.objects:
-        gs = shape.hom(a, j)
-        if gs:
-            comps[a] = vstack([base.mat @ x.mat(g) for g in gs])
-        else:
-            comps[a] = Mat.zeros(alg.p, 0, x.at(a).dim)
-    return cod, DiagramMap(x, cod, comps)
+    """The unit  x -> j_*(E)  where x_j embeds in E (default: E = x_j, id):
+    the dual of the counit at D(x) over the opposite shape."""
+    dom, eps = counit_from_point(dual_diagram(x), j, dual_map(env_map) if env_map is not None else None)
+    cod = dual_diagram(dom)
+    return cod, DiagramMap(x, cod, {o: c.T for o, c in eps.comps.items()})
 
 
 def restrict(u: CatFunctor, y: Diagram) -> Diagram:
@@ -340,10 +319,6 @@ def hom_space_diagrams(x: Diagram, y: Diagram) -> List[DiagramMap]:
     if total == 0:
         return []
     rows: List[np.ndarray] = []
-
-    def block_into(mat_rows: int, big: np.ndarray, o: str, piece: Mat) -> None:
-        big[:, offsets[o] : offsets[o] + piece.cols] = piece.a
-
     for o in objs:
         s, t = x.at(o).dim, y.at(o).dim
         if s == 0 or t == 0:
@@ -353,7 +328,7 @@ def hom_space_diagrams(x: Diagram, y: Diagram) -> List[DiagramMap]:
         for k in range(alg.dim):
             piece = kron(eye_t, x.at(o).action[k].T) - kron(y.at(o).action[k], eye_s)
             big = np.zeros((piece.rows, total), dtype=np.int64)
-            block_into(piece.rows, big, o, piece)
+            big[:, offsets[o] : offsets[o] + piece.cols] = piece.a
             rows.append(big)
     for f in x.shape.nonidentity_morphisms():
         a, b = x.shape.src(f), x.shape.tgt(f)
@@ -417,11 +392,6 @@ def solve_in_hom(x: Diagram, y: Diagram, constraints: List[Tuple[DiagramMap, Dia
 def split_section_diagrams(defl: DiagramMap) -> Optional[DiagramMap]:
     x = defl.tgt
     return solve_in_hom(x, defl.src, [(identity_diagram_map(x), defl, identity_diagram_map(x))])
-
-
-def split_retraction_diagrams(infl: DiagramMap) -> Optional[DiagramMap]:
-    x = infl.src
-    return solve_in_hom(infl.tgt, x, [(infl, identity_diagram_map(x), identity_diagram_map(x))])
 
 
 # -- kernels, cokernels, (co)limits ------------------------------------------
@@ -544,23 +514,20 @@ def projective_cover_diagram(x: Diagram) -> DiagramConflation:
     return DiagramConflation(incl, defl)
 
 
+def dual_conflation(c: DiagramConflation, sub: Optional[Diagram] = None) -> DiagramConflation:
+    """D(c):  D(quot) >--> D(middle) -->> D(sub), the legs dualized and
+    swapped.  A given sub stands in for D(c.quot), so a caller keeps its own
+    object as the source of the inflation."""
+    sub = sub if sub is not None else dual_diagram(c.quot)
+    middle, quot = dual_diagram(c.middle), dual_diagram(c.sub)
+    infl = DiagramMap(sub, middle, {o: m.T for o, m in c.right.comps.items()})
+    return DiagramConflation(infl, DiagramMap(middle, quot, {o: m.T for o, m in c.left.comps.items()}))
+
+
 def injective_embed_diagram(x: Diagram) -> DiagramConflation:
-    """Inflation  x >--> (+)_j j_*(injective envelope of x_j)  from units."""
-    shape, alg = x.shape, x.alg
-    pieces = []
-    units = []
-    for j in shape.objects:
-        env = injective_embed(x.at(j)).left
-        cod, eta = unit_to_point(x, j, env)
-        pieces.append(cod)
-        units.append(eta)
-    middle, _, projs = direct_sum_diagrams(pieces)
-    comps = {}
-    for o in shape.objects:
-        comps[o] = vstack([eta.comps[o] for eta in units]) if units else Mat.zeros(alg.p, 0, x.at(o).dim)
-    infl = DiagramMap(x, middle, comps)
-    cok, proj = cokernel_diagram(infl)
-    return DiagramConflation(infl, proj)
+    """Inflation  x >--> (+)_j j_*(injective envelope of x_j): the dual of the
+    projective cover of D(x)."""
+    return dual_conflation(projective_cover_diagram(dual_diagram(x)), x)
 
 
 def is_projective_diagram(x: Diagram) -> bool:
@@ -568,7 +535,7 @@ def is_projective_diagram(x: Diagram) -> bool:
 
 
 def is_injective_diagram(x: Diagram) -> bool:
-    return split_retraction_diagrams(injective_embed_diagram(x).left) is not None
+    return is_projective_diagram(dual_diagram(x))
 
 
 # -- Ext^1 ---------------------------------------------------------------------
@@ -607,16 +574,44 @@ def ext1(x: Diagram, y: Diagram) -> Ext1Result:
 # -- pointwise Kan extensions ----------------------------------------------------
 
 
-@dataclass
-class PointwiseKan:
-    diagram: Diagram
-    slices: Dict[str, SlicePresentation]
-    cones: Dict[str, Dict[str, ModuleMap]]   # per target object: slice object -> leg
+def slice_object(pres: SlicePresentation, i: str, f: str) -> str:
+    """The object of a slice presentation named by the pair (i, f)."""
+    for name, pair in pres.pairs.items():
+        if pair == (i, f):
+            return name
+    raise DiagramError("slice transport failed")
 
 
-def pointwise_left_kan_data(u: CatFunctor, x: Diagram) -> PointwiseKan:
+def slice_transport(
+    J: DirectCategory,
+    slices: Dict[str, SlicePresentation],
+    cocones: Dict[str, Dict[str, ModuleMap]],
+    modules: Dict[str, Module],
+) -> Dict[str, Mat]:
+    """Structure maps of a left Kan extension built from colimits over the
+    slices u/j: alpha: j -> j2 sends the pair (i, f) to (i, alpha o f), and
+    the cocone at j2 read along that relabelling factors through the
+    (jointly surjective) cocone at j."""
+    mats = {}
+    for alpha in J.nonidentity_morphisms():
+        j, j2 = J.src(alpha), J.tgt(alpha)
+        if modules[j].dim == 0:
+            mats[alpha] = Mat.zeros(modules[j2].alg.p, modules[j2].dim, 0)
+            continue
+        pres, pres2 = slices[j], slices[j2]
+        src_objs = pres.cat.objects
+        sigma = hstack([cocones[j][o].mat for o in src_objs])
+        target = hstack(
+            [cocones[j2][slice_object(pres2, pres.pairs[o][0], J.compose(alpha, pres.pairs[o][1]))].mat for o in src_objs]
+        )
+        mats[alpha] = factor_matrix_through_surjection(target, sigma)
+    return mats
+
+
+def pointwise_left_kan(u: CatFunctor, x: Diagram) -> Diagram:
+    """Pointwise colimits over the slices u/j, each certified by the
+    terminal-component coproduct formula where it applies."""
     J = u.cod
-    alg = x.alg
     slices: Dict[str, SlicePresentation] = {}
     cocones: Dict[str, Dict[str, ModuleMap]] = {}
     modules: Dict[str, Module] = {}
@@ -628,34 +623,7 @@ def pointwise_left_kan_data(u: CatFunctor, x: Diagram) -> PointwiseKan:
         cocones[j] = cocone
         modules[j] = colim
         _certify_coproduct_formula(pres, rest, colim, cocone)
-    mats = {}
-    for alpha in J.nonidentity_morphisms():
-        j, j2 = J.src(alpha), J.tgt(alpha)
-        pres, pres2 = slices[j], slices[j2]
-        src_objs = pres.cat.objects
-        sigma = hstack([cocones[j][o].mat for o in src_objs]) if src_objs else Mat.zeros(alg.p, modules[j].dim, 0)
-        t_blocks = []
-        for o in src_objs:
-            i, f = pres.pairs[o]
-            f2 = J.compose(alpha, f)
-            name2 = None
-            for o2, (i2, g2) in pres2.pairs.items():
-                if i2 == i and g2 == f2:
-                    name2 = o2
-                    break
-            if name2 is None:
-                raise DiagramError("slice transport failed")
-            t_blocks.append(cocones[j2][name2].mat)
-        target = hstack(t_blocks) if t_blocks else Mat.zeros(alg.p, modules[j2].dim, 0)
-        if modules[j].dim == 0:
-            mats[alpha] = Mat.zeros(alg.p, modules[j2].dim, 0)
-        else:
-            mats[alpha] = factor_matrix_through_surjection(target, sigma)
-    return PointwiseKan(Diagram(J, alg, modules, mats), slices, cocones)
-
-
-def pointwise_left_kan(u: CatFunctor, x: Diagram) -> Diagram:
-    return pointwise_left_kan_data(u, x).diagram
+    return Diagram(J, x.alg, modules, slice_transport(J, slices, cocones, modules))
 
 
 def _certify_coproduct_formula(pres: SlicePresentation, rest: Diagram, colim: Module, cocone: Dict[str, ModuleMap]) -> None:
@@ -672,52 +640,10 @@ def _certify_coproduct_formula(pres: SlicePresentation, rest: Diagram, colim: Mo
         raise DiagramError("terminal-component coproduct formula failed certification")
 
 
-def pointwise_right_kan_data(u: CatFunctor, y: Diagram) -> PointwiseKan:
-    J = u.cod
-    alg = y.alg
-    slices: Dict[str, SlicePresentation] = {}
-    cones: Dict[str, Dict[str, ModuleMap]] = {}
-    modules: Dict[str, Module] = {}
-    for j in J.objects:
-        pres = slice_category(u, j, "over")
-        rest = restrict(pres.projection, y)
-        lim, cone = limit_of_diagram(rest)
-        slices[j] = pres
-        cones[j] = cone
-        modules[j] = lim
-    mats = {}
-    for alpha in J.nonidentity_morphisms():
-        j, j2 = J.src(alpha), J.tgt(alpha)
-        pres, pres2 = slices[j], slices[j2]
-        # alpha: j -> j2 turns a pair (i, f: j2 -> u(i)) into (i, f o alpha)
-        tgt_objs = pres2.cat.objects
-        if modules[j2].dim == 0:
-            mats[alpha] = Mat.zeros(alg.p, 0, modules[j].dim)
-            continue
-        rows = []
-        for o2 in tgt_objs:
-            i, f = pres2.pairs[o2]
-            f_pre = J.compose(f, alpha)
-            name = None
-            for o, (i1, g1) in pres.pairs.items():
-                if i1 == i and g1 == f_pre:
-                    name = o
-                    break
-            if name is None:
-                raise DiagramError("coslice transport failed")
-            rows.append(cones[j][name].mat)
-        stacked = vstack(rows) if rows else Mat.zeros(alg.p, 0, modules[j].dim)
-        # factor through the limit inclusion of j2
-        incl = vstack([cones[j2][o2].mat for o2 in tgt_objs])
-        coords = solve(incl, stacked)
-        if coords is None:
-            raise DiagramError("limit transport failed")
-        mats[alpha] = coords
-    return PointwiseKan(Diagram(J, alg, modules, mats), slices, cones)
-
-
 def pointwise_right_kan(u: CatFunctor, y: Diagram) -> Diagram:
-    return pointwise_right_kan_data(u, y).diagram
+    """Pointwise limits over the slices j/u: the dual of the pointwise left
+    Kan extension of D(y) along the opposite functor."""
+    return dual_diagram(pointwise_left_kan(opposite_functor(u), dual_diagram(y)))
 
 
 # -- duality -----------------------------------------------------------------
@@ -739,9 +665,18 @@ def dual_diagram_map(phi: DiagramMap) -> DiagramMap:
 
 
 def module_from_dict(alg: Algebra, data: dict) -> Module:
-    dim = int(data["dim"])
-    action = [Mat(alg.p, a) if dim else Mat.zeros(alg.p, 0, 0) for a in data["action"]]
-    return Module(alg, action).validate()
+    """A module from its document; a malformed one is a DiagramError and a
+    broken module law a ModuleError."""
+    try:
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+            raise TypeError(f"dim {dim!r} is not a non-negative integer")
+        if not isinstance(data["action"], list):
+            raise TypeError("action is not a list of matrices")
+        m = Module(alg, [matrix_from_entries(alg.p, a, dim, dim) for a in data["action"]])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DiagramError(f"malformed module document: {exc}") from exc
+    return m.validate()
 
 
 def module_to_dict(m: Module) -> dict:
@@ -749,14 +684,19 @@ def module_to_dict(m: Module) -> dict:
 
 
 def diagram_from_dict(shape: DirectCategory, alg: Algebra, data: dict) -> Diagram:
-    modules = {o: module_from_dict(alg, d) for o, d in data["objects"].items()}
-    mats = {}
-    for f in shape.nonidentity_morphisms():
-        s, t = shape.src(f), shape.tgt(f)
-        if f in data.get("morphisms", {}):
-            mats[f] = Mat(alg.p, data["morphisms"][f]) if modules[t].dim and modules[s].dim else Mat(alg.p, np.zeros((modules[t].dim, modules[s].dim), dtype=np.int64))
-        else:
-            mats[f] = Mat.zeros(alg.p, modules[t].dim, modules[s].dim)
+    try:
+        objects, morphisms = data["objects"], data.get("morphisms", {})
+        if not isinstance(objects, dict) or not isinstance(morphisms, dict):
+            raise TypeError("objects and morphisms must be mappings")
+        modules = {o: module_from_dict(alg, objects[o]) for o in shape.objects}
+        mats = {}
+        for f in shape.nonidentity_morphisms():
+            rows, cols = modules[shape.tgt(f)].dim, modules[shape.src(f)].dim
+            mats[f] = matrix_from_entries(alg.p, morphisms[f], rows, cols) if f in morphisms else Mat.zeros(alg.p, rows, cols)
+    except (DiagramError, ModuleError):
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DiagramError(f"malformed diagram document: {exc}") from exc
     return Diagram(shape, alg, modules, mats).validate()
 
 

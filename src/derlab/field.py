@@ -148,6 +148,37 @@ class Mat:
         return f"Mat(p={self.p}, {self.to_list()})"
 
 
+def check_integer_entries(data) -> None:
+    """Raise TypeError unless every leaf of a nested list is an integer;
+    a document's 1.5, "1", true or null is refused, not truncated."""
+    stack = [data]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError(f"entry {x!r} is not an integer")
+
+
+def matrix_from_entries(p: int, data, rows: int, cols: int) -> Mat:
+    """The rows x cols matrix a document gives as nested lists of integers.
+
+    A zero-sized matrix may be written as any empty nesting ([] or [[]]).
+    Raises TypeError on a non-integer entry, OverflowError on one past
+    int64, and ValueError (FieldError included) on a ragged or wrongly
+    sized matrix.
+    """
+    check_integer_entries(data)
+    arr = np.asarray(data, dtype=np.int64)
+    if rows * cols == 0:
+        if arr.size:
+            raise FieldError(f"expected an empty {rows}x{cols} matrix, got {arr.size} entries")
+        return Mat.zeros(p, rows, cols)
+    if arr.shape != (rows, cols):
+        raise FieldError(f"expected a {rows}x{cols} matrix, got shape {arr.shape}")
+    return Mat(p, arr)
+
+
 def hstack(mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
     if not mats:

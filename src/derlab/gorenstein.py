@@ -15,17 +15,28 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .algebra import Algebra
-from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_functor, punctured_slice, slice_category, SlicePresentation
-from .field import Mat, hstack, rank, solve, vstack
+from .cats import (
+    CatFunctor,
+    DirectCategory,
+    SlicePresentation,
+    full_subcategory,
+    opposite_category,
+    opposite_functor,
+    punctured_slice,
+    slice_category,
+)
+from .field import Mat, hstack, rank, vstack
 from .modules import (
     Module,
     ModuleMap,
     compose,
     direct_sum,
+    dual_module,
     hom_space,
     identity_map,
     injective_embed,
     is_projective,
+    pushout,
     quotient_module,
     solve_in_basis,
     vec_module_map,
@@ -40,18 +51,18 @@ from .diagrams import (
     colimit_of_diagram,
     compose_diagram_maps,
     direct_sum_diagrams,
+    dual_conflation,
     dual_diagram,
-    dual_diagram_map,
     factor_matrix_through_surjection,
     identity_diagram_map,
     is_projective_diagram,
     kernel_diagram,
     left_kan_from_point,
-    limit_of_diagram,
     projective_cover_diagram,
     pushout_diagrams,
     restrict,
-    right_kan_from_point,
+    slice_object,
+    slice_transport,
     solve_in_hom,
     stalk_diagram,
     zero_diagram,
@@ -89,8 +100,6 @@ class MatchingDatum:
     index: str
     module: Module                      # M_j(Y)
     map: ModuleMap                      # mu_j(Y): Y_j -> M_j(Y)
-    pres: SlicePresentation             # boundary (j/I)
-    cone: Dict[str, ModuleMap]          # slice object -> leg out of M_j(Y)
 
     @property
     def is_deflation(self) -> bool:
@@ -115,22 +124,11 @@ def latching(x: Diagram, j: str) -> LatchingDatum:
 
 
 def matching(y: Diagram, j: str) -> MatchingDatum:
-    """Limit over the punctured slice above j, with the canonical map from y_j."""
-    pres = punctured_slice(y.shape, j, "over")
-    rest = restrict(pres.projection, y)
-    M, cone = limit_of_diagram(rest)
-    yj = y.at(j)
-    objs = pres.cat.objects
-    if not objs:
-        mu = zero_map(yj, M)
-    else:
-        incl = vstack([cone[o].mat for o in objs])
-        stacked = vstack([y.mat(pres.pairs[o][1]) for o in objs])
-        coords = solve(incl, stacked)
-        if coords is None:
-            raise VerificationError("matching cone does not factor through the limit")
-        mu = ModuleMap(yj, M, coords)
-    return MatchingDatum(j, M, mu, pres, cone)
+    """Limit over the punctured slice above j, with the canonical map from
+    y_j: the dual of the latching datum of D(y) over the opposite shape."""
+    lat = latching(dual_diagram(y), j)
+    M = dual_module(lat.module)
+    return MatchingDatum(j, M, ModuleMap(y.at(j), M, lat.map.mat.T))
 
 
 # -- stalk presentations -------------------------------------------------------
@@ -153,18 +151,9 @@ def stalk_presentation(shape: DirectCategory, alg: Algebra, j: str, p_mod: Modul
 
 
 def co_stalk_presentation(shape: DirectCategory, alg: Algebra, j: str, q_mod: Module) -> DiagramConflation:
-    """Dual presentation  stalk_j(Q) >--> j_*(Q) -->> M."""
-    cofree = right_kan_from_point(shape, alg, j, q_mod)
-    stalk = stalk_diagram(shape, alg, j, q_mod)
-    comps = {}
-    for o in shape.objects:
-        if o == j:
-            comps[o] = Mat.identity(alg.p, q_mod.dim)
-        else:
-            comps[o] = Mat.zeros(alg.p, cofree.at(o).dim, 0)
-    infl = DiagramMap(stalk, cofree, comps)
-    cok, proj = cokernel_diagram(infl)
-    return DiagramConflation(infl, proj)
+    """Dual presentation  stalk_j(Q) >--> j_*(Q) -->> M: the dual of the stalk
+    presentation of D(Q) over the opposite shape."""
+    return dual_conflation(stalk_presentation(opposite_category(shape), alg.opposite(), j, dual_module(q_mod)))
 
 
 # -- recognition ----------------------------------------------------------------
@@ -176,8 +165,8 @@ def is_gproj(x: Diagram) -> bool:
 
 
 def is_ginj(y: Diagram) -> bool:
-    """All matching maps are deflations."""
-    return all(matching(y, j).is_deflation for j in y.shape.objects)
+    """All matching maps are deflations, i.e. D(y) is Gorenstein projective."""
+    return is_gproj(dual_diagram(y))
 
 
 def is_wtriv(x: Diagram) -> bool:
@@ -230,9 +219,6 @@ def colim_gproj_data(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
         sigma = hstack([lat.cocone[o].mat for o in slice_objs])
         target = hstack([coconeJ[lat.pres.pairs[o][0]].mat for o in slice_objs])
         r = ModuleMap(lat.module, colimJ, factor_matrix_through_surjection(target, sigma))
-    C, leg_j, leg_J = (None, None, None)
-    from .modules import pushout
-
     C, leg_j, leg_J = pushout(lat.map, r)
     cocone = {j: leg_j}
     for o in sub_shape.objects:
@@ -302,31 +288,14 @@ def gproj_left_kan_data(u: CatFunctor, x: Diagram, verify: bool = True) -> Gproj
             raise VerificationError(f"restriction to the slice over {j} lost Gorenstein projectivity")
         colim, cocone = colim_gproj_data(rest)
         slices[j], cocones[j], modules[j] = pres, cocone, colim
-    mats = {}
-    for alpha in J.nonidentity_morphisms():
-        j, j2 = J.src(alpha), J.tgt(alpha)
-        pres, pres2 = slices[j], slices[j2]
-        src_objs = pres.cat.objects
-        if modules[j].dim == 0:
-            mats[alpha] = Mat.zeros(alg.p, modules[j2].dim, 0)
-            continue
-        sigma = hstack([cocones[j][o].mat for o in src_objs])
-        blocks = []
-        for o in src_objs:
-            i, f = pres.pairs[o]
-            f2 = J.compose(alpha, f)
-            o2 = next(n for n, pair in pres2.pairs.items() if pair == (i, f2))
-            blocks.append(cocones[j2][o2].mat)
-        mats[alpha] = factor_matrix_through_surjection(hstack(blocks), sigma)
+    mats = slice_transport(J, slices, cocones, modules)
     out = Diagram(J, alg, modules, mats)
     if verify and not is_gproj(out):
         raise VerificationError("left Kan extension output failed the latching check")
     unit_comps = {}
     for i in u.dom.objects:
         j = u.on_obj(i)
-        pres = slices[j]
-        o = next(n for n, pair in pres.pairs.items() if pair == (i, J.id_of(j)))
-        unit_comps[i] = cocones[j][o].mat
+        unit_comps[i] = cocones[j][slice_object(slices[j], i, J.id_of(j))].mat
     unit = DiagramMap(x, restrict(u, out), unit_comps)
     return GprojKan(out, slices, cocones, unit)
 
@@ -501,11 +470,7 @@ def approx_gproj(z: Diagram) -> ApproximationTriple:
 
 def hull_ginj(z: Diagram) -> ApproximationTriple:
     """Hull 0 -> z -> Y -> W -> 0 with Y Gorenstein injective, by duality."""
-    tr = approx_gproj(dual_diagram(z))
-    confl = tr.conflation
-    left = dual_diagram_map(confl.right)   # z -> D(G)
-    right = dual_diagram_map(confl.left)   # D(G) -> D(W)
-    out = DiagramConflation(left, right).validate()
+    out = dual_conflation(approx_gproj(dual_diagram(z)).conflation, z).validate()
     tags = {"ginj": is_ginj(out.middle), "wtriv": is_wtriv(out.quot)}
     if not (tags["ginj"] and tags["wtriv"]):
         raise VerificationError("hull tags failed verification")

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from derlab.cli import explain, main, run_scenario
 
@@ -199,3 +201,117 @@ def test_regression_reports_match_recorded_digests():
     for suite, expected in recorded.items():
         assert got[suite]["items"] == expected["items"], suite
         assert got[suite]["digest"] == expected["digest"], suite
+
+
+def _one_document_scenario(tmp_path, kind, doc):
+    """A validate-only scenario over the point and arrow shapes whose one
+    algebra, diagram or complex document is doc."""
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    scen = {
+        "algebra": str(SCENARIOS / "dual_numbers.json"),
+        "categories": {"point": str(SCENARIOS / "cat_point.json"), "arrow": str(SCENARIOS / "cat_arrow.json")},
+        "suites": ["validate"],
+    }
+    if kind == "algebra":
+        scen["algebra"] = "doc.json"
+    else:
+        scen["diagrams" if kind == "diagram" else "complexes"] = {"x": "doc.json"}
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(scen))
+    return path
+
+
+_FREE = {"dim": 2, "action": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]}
+_FREE_POINT = {"objects": {"*": _FREE}, "morphisms": {}}
+_NILPOTENT = [[0, 0], [1, 0]]
+
+
+def _point(dim, action):
+    return {"shape": "point", "objects": {"*": {"dim": dim, "action": action}}, "morphisms": {}}
+
+
+def _complex(policy, terms, diffs):
+    return {"shape": "point", "policy": policy, "terms": terms, "diffs": diffs}
+
+
+MALFORMED = {
+    "huge-action-entry": ("diagram", _point(1, [[[1]], [[2**70]]])),
+    "huge-diff-entry": ("complex", _complex("zero-tails", {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": [[2**70, 0], [0, 0]]}})),
+    "string-entry": ("diagram", _point(1, [[["a"]], [[0]]])),
+    "null-dim": ("diagram", _point(None, [[[1]], [[0]]])),
+    "action-not-a-list": ("diagram", _point(1, 5)),
+    "objects-not-a-mapping": ("diagram", {"shape": "point", "objects": [], "morphisms": {}}),
+    "period-zero": ("complex", _complex({"periodic": {"period": 0}}, {"0": _FREE_POINT}, {"0": {"*": _NILPOTENT}})),
+    "periodic-without-terms": ("complex", _complex({"periodic": {"period": 1}}, {}, {})),
+    "period-two-one-diff": ("complex", _complex({"periodic": {"period": 2}}, {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _NILPOTENT}})),
+    "degree-not-an-integer": ("complex", _complex("zero-tails", {"x": _FREE_POINT}, {})),
+    "dim-disagrees-with-action": ("diagram", _point(2, [[[1]], [[0]]])),
+    "negative-period": ("complex", _complex({"periodic": {"period": -1}}, {"0": _FREE_POINT}, {"0": {"*": _NILPOTENT}})),
+    "fractional-entry": ("diagram", _point(1, [[[1.5]], [[0]]])),
+    "fractional-algebra-unit": ("algebra", {**json.loads((SCENARIOS / "dual_numbers.json").read_text()), "unit": [1.5, 0]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_an_input_error(tmp_path, capsys, case):
+    kind, doc = MALFORMED[case]
+    scen = _one_document_scenario(tmp_path, kind, doc)
+    report, code = run_scenario(str(scen))
+    assert code == 2
+    assert report["items"] == [] and "malformed" in report["error"]
+    assert main(["run", str(scen)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_FUZZ_BASES = [
+    json.loads((SCENARIOS / name).read_text())
+    for name in ("diag_k_point.json", "diag_socle_arrow.json", "diag_stalk0_simple.json", "diag_free_at0.json")
+]
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**70, -(2**70), 1.5, "a", None, True, [], {}, [[1]], [[1, 0], [0, 1]]]).map(copy.deepcopy),
+)
+
+
+def _paths(node, prefix):
+    yield prefix
+    children = sorted(node.items()) if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else []
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_diagram_document(draw):
+    """A fixture diagram document with one to three nodes below its root
+    replaced, deleted or appended to."""
+    doc = {"root": copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))}
+    rnd = draw(st.randoms(use_true_random=False))  # uniform over nodes; sampled_from favours the first
+    for _ in range(draw(st.integers(1, 3))):
+        path = rnd.choice(list(_paths(doc["root"], ("root",)))[1:])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = draw(st.sampled_from(["replace", "delete", "append"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "append" and isinstance(parent[key], list):
+            parent[key].append(draw(_FUZZ_VALUES))
+        else:
+            parent[key] = draw(_FUZZ_VALUES)
+    return doc["root"]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_mutated_diagram_document())
+def test_loader_fuzz_always_reports(tmp_path, doc):
+    """Mutated diagram documents give a report and a documented exit code,
+    never an escaping exception."""
+    scen = _one_document_scenario(tmp_path, "diagram", doc)
+    data = json.loads(scen.read_text())
+    data["suites"] = ["validate", "gorenstein-report"]
+    scen.write_text(json.dumps(data))
+    report, code = run_scenario(str(scen))
+    assert code in (0, 1, 2, 3)
+    assert ("error" in report) == (code == 2)
+    assert isinstance(report["items"], list)

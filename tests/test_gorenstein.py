@@ -404,3 +404,56 @@ def test_wtriv_two_out_of_three(dn, simple, reg, arrow):
     # retract: direct summands of weakly trivials stay weakly trivial
     total = direct_sum_diagrams([p0, emb.middle])[0]
     assert is_wtriv(total)
+
+
+def _matching_by_limit(y, j):
+    """Independent oracle: the dimension of the limit of y over the punctured
+    slice above j, and the rank of the canonical map from y_j into it."""
+    from derlab.cats import punctured_slice
+    from derlab.diagrams import limit_of_diagram
+    from derlab.field import solve, vstack
+
+    pres = punctured_slice(y.shape, j, "over")
+    lim, cone = limit_of_diagram(restrict(pres.projection, y))
+    objs = pres.cat.objects
+    if not objs:
+        return lim.dim, 0
+    coords = solve(vstack([cone[o].mat for o in objs]), vstack([y.mat(pres.pairs[o][1]) for o in objs]))
+    assert coords is not None
+    return lim.dim, rank(coords)
+
+
+def test_derived_right_side_matches_direct_limits():
+    """matching, is_ginj and pointwise_right_kan go through duality; compare
+    them with limits computed directly on seeded random diagrams."""
+    import random
+
+    from derlab.cats import identity_functor, slice_category, span_category
+    from derlab.diagrams import limit_of_diagram, pointwise_right_kan
+    from derlab.samples import random_diagram
+
+    shapes = [arrow_category(), cospan_category(), span_category(), square_category()]
+    ginj_seen = set()
+    for p in (2, 3):
+        alg = dual_numbers(p)
+        for shape in shapes:
+            point = terminal_category()
+            to_point = CatFunctor(shape, point, {o: "*" for o in shape.objects}, {f: "1_*" for f in shape.morphisms})
+            inclusions = [full_subcategory(shape, [o for o in shape.objects if o != drop])[1] for drop in shape.objects]
+            for seed in range(5):
+                y = random_diagram(shape, alg, 2, random.Random(f"{p}/{shape.objects}/{seed}"))
+                onto = []
+                for j in shape.objects:
+                    md = matching(y, j)
+                    lim_dim, lim_rank = _matching_by_limit(y, j)
+                    assert (md.module.dim, rank(md.map.mat)) == (lim_dim, lim_rank)
+                    onto.append(lim_rank == lim_dim)
+                assert is_ginj(y) == all(onto)
+                ginj_seen.add(all(onto))
+                for u in [identity_functor(shape), to_point] + inclusions:
+                    x = y if u.dom is shape else restrict(u, y)
+                    r = pointwise_right_kan(u, x).validate()
+                    for j in u.cod.objects:
+                        pres = slice_category(u, j, "over")
+                        assert r.at(j).dim == limit_of_diagram(restrict(pres.projection, x))[0].dim
+    assert ginj_seen == {True, False}
