@@ -485,16 +485,30 @@ def square_category() -> DirectCategory:
 
 
 def category_from_dict(data: dict) -> DirectCategory:
-    objects = [str(o) for o in data["objects"]]
-    morphisms = {m["name"]: (m["src"], m["tgt"]) for m in data.get("morphisms", [])}
-    comp = {}
-    for key, h in data.get("comp", {}).items():
-        if "∘" not in key:
-            raise CategoryError(f"composition key {key!r} must be of the form 'g∘f'")
-        g, f = key.split("∘", 1)
-        comp[(g, f)] = h
-    return DirectCategory(objects, morphisms, comp)
+    """Load from the JSON document format; a malformed document is a
+    CategoryError."""
+    try:
+        objects = [str(o) for o in data["objects"]]
+        morphisms = {m["name"]: (m["src"], m["tgt"]) for m in data.get("morphisms", [])}
+        comp = {}
+        for key, h in data.get("comp", {}).items():
+            if "∘" not in key:
+                raise CategoryError(f"composition key {key!r} must be of the form 'g∘f'")
+            g, f = key.split("∘", 1)
+            comp[(g, f)] = h
+        return DirectCategory(objects, morphisms, comp)
+    except CategoryError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CategoryError(f"malformed category document: {exc}") from exc
 
 
 def functor_from_dict(data: dict, dom: DirectCategory, cod: DirectCategory) -> CatFunctor:
-    return CatFunctor(dom, cod, dict(data.get("objects", {})), dict(data.get("morphisms", {})))
+    """Load from the JSON document format; a malformed document is a
+    CategoryError."""
+    try:
+        return CatFunctor(dom, cod, dict(data.get("objects", {})), dict(data.get("morphisms", {})))
+    except CategoryError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CategoryError(f"malformed functor document: {exc}") from exc

@@ -77,13 +77,20 @@ class ScenarioError(ValueError):
     pass
 
 
+def _scenario_int(scenario: dict, key: str, default: int) -> int:
+    value = scenario.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"malformed scenario: {key} must be an integer, got {value!r}")
+    return value
+
+
 class Session:
     def __init__(self, scenario: dict, base: Path) -> None:
         self.scenario = scenario
         self.base = base
-        self.seed = int(scenario.get("seed", 0))
-        self.budget = int(scenario.get("budget", 4096))
-        self.margin = int(scenario.get("window_margin", 2))
+        self.seed = _scenario_int(scenario, "seed", 0)
+        self.budget = _scenario_int(scenario, "budget", 4096)
+        self.margin = _scenario_int(scenario, "window_margin", 2)
         self.alg = None
         self.categories: Dict[str, object] = {}
         self.functors: Dict[str, object] = {}
@@ -91,9 +98,20 @@ class Session:
         self.complexes: Dict[str, LazyComplex] = {}
 
     def _read(self, rel: str) -> dict:
-        path = self.base / rel
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        if not isinstance(rel, str):
+            raise ScenarioError(f"malformed scenario: document path {rel!r} is not a string")
+        try:
+            with open(self.base / rel, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ScenarioError(f"cannot read {rel}: {exc}") from exc
+
+    def _table(self, key: str) -> dict:
+        """The scenario's mapping of names to document paths under key."""
+        table = self.scenario.get(key, {})
+        if not isinstance(table, dict):
+            raise ScenarioError(f"malformed scenario: {key} must map names to document paths")
+        return table
 
     def load(self) -> None:
         if "algebra" not in self.scenario:
@@ -101,18 +119,18 @@ class Session:
         self.alg = algebra_from_dict(self._read(self.scenario["algebra"]))
         if not is_self_injective(self.alg):
             raise ScenarioError("algebra is not self-injective; session refused")
-        for name, rel in self.scenario.get("categories", {}).items():
+        for name, rel in self._table("categories").items():
             cat = category_from_dict(self._read(rel))
             if not cat.objects:
                 raise ScenarioError(f"category {name!r} is empty; sessions require non-empty shapes")
             self.categories[name] = cat
-        for name, rel in self.scenario.get("functors", {}).items():
+        for name, rel in self._table("functors").items():
             data = self._read(rel)
             self.functors[name] = functor_from_dict(data, self._category(data, "dom"), self._category(data, "cod"))
-        for name, rel in self.scenario.get("diagrams", {}).items():
+        for name, rel in self._table("diagrams").items():
             data = self._read(rel)
             self.diagrams[name] = diagram_from_dict(self._category(data, "shape"), self.alg, data)
-        for name, rel in self.scenario.get("complexes", {}).items():
+        for name, rel in self._table("complexes").items():
             data = self._read(rel)
             self.complexes[name] = self._complex_from_dict(self._category(data, "shape"), data)
 
@@ -418,12 +436,14 @@ def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = Non
     try:
         with open(scenario_path, "r", encoding="utf-8") as fh:
             scenario = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         return {"error": f"cannot read scenario: {exc}", "items": []}, 2
-    if seed is not None:
-        scenario["seed"] = seed
-    session = Session(scenario, base)
     try:
+        if not isinstance(scenario, dict):
+            raise ScenarioError(f"malformed scenario: expected a JSON object, got {type(scenario).__name__}")
+        if seed is not None:
+            scenario["seed"] = seed
+        session = Session(scenario, base)
         session.load()
     except (ScenarioError, AlgebraError, CategoryError, DiagramError, ModuleError, KeyError, OSError) as exc:
         return {
@@ -433,6 +453,8 @@ def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = Non
         }, 2
 
     suites = scenario.get("suites", [])
+    if not isinstance(suites, list):
+        return {"error": "malformed scenario: suites must be a list of suite names", "items": []}, 2
     for name in suites:
         if name not in KNOWN_SUITES:
             return {"error": f"unknown suite {name!r}", "items": []}, 2

@@ -34,7 +34,6 @@ from .modules import (
     class_reps,
     compose,
     direct_sum,
-    dual_map,
     dual_module,
     free_cover,
     identity_map,
@@ -275,14 +274,6 @@ def counit_from_point(x: Diagram, j: str, cover_map: Optional[ModuleMap] = None)
     return dom, DiagramMap(dom, x, comps)
 
 
-def unit_to_point(x: Diagram, j: str, env_map: Optional[ModuleMap] = None) -> Tuple[Diagram, DiagramMap]:
-    """The unit  x -> j_*(E)  where x_j embeds in E (default: E = x_j, id):
-    the dual of the counit at D(x) over the opposite shape."""
-    dom, eps = counit_from_point(dual_diagram(x), j, dual_map(env_map) if env_map is not None else None)
-    cod = dual_diagram(dom)
-    return cod, DiagramMap(x, cod, {o: c.T for o, c in eps.comps.items()})
-
-
 def restrict(u: CatFunctor, y: Diagram) -> Diagram:
     """(u^* y)_i = y_{u(i)}."""
     if not same_category(y.shape, u.cod):
@@ -352,19 +343,14 @@ def hom_space_diagrams(x: Diagram, y: Diagram) -> List[DiagramMap]:
         comps = {}
         for o in objs:
             s, t = x.at(o).dim, y.at(o).dim
-            seg = basis.a[offsets[o] : offsets[o] + t * s, jcol]
-            comps[o] = Mat(p, seg.reshape(t, s)) if t * s else Mat.zeros(p, t, s)
+            comps[o] = basis[offsets[o] : offsets[o] + t * s, jcol : jcol + 1].reshape(t, s)
         out.append(DiagramMap(x, y, comps))
     return out
 
 
 def vec_diagram_map(phi: DiagramMap) -> Mat:
-    parts = []
-    p = phi.src.alg.p
-    for o in phi.src.shape.objects:
-        parts.append(phi.comps[o].a.reshape(-1))
-    flat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return Mat(p, flat.reshape(-1, 1))
+    parts = [phi.comps[o].reshape(-1, 1) for o in phi.src.shape.objects]
+    return vstack(parts) if parts else Mat.zeros(phi.src.alg.p, 0, 1)
 
 
 def hom_dim_diagrams(x: Diagram, y: Diagram) -> int:
@@ -655,10 +641,6 @@ def dual_diagram(x: Diagram) -> Diagram:
     modules = {o: dual_module(x.at(o)) for o in x.shape.objects}
     mats = {f: x.mats[f].T for f in x.shape.nonidentity_morphisms()}
     return Diagram(op_shape, x.alg.opposite(), modules, mats)
-
-
-def dual_diagram_map(phi: DiagramMap) -> DiagramMap:
-    return DiagramMap(dual_diagram(phi.tgt), dual_diagram(phi.src), {o: phi.comps[o].T for o in phi.comps})
 
 
 # -- io ------------------------------------------------------------------------

@@ -7,10 +7,17 @@ are byte-reproducible across runs.
 
 Zero-dimensional matrices (0 x n, n x 0) are legal everywhere and stand
 for zero spaces.
+
+Every Mat holds a read-only int64 array with entries in [0, p), for a p
+checked once, where the data first enters.  Results built here from Mats
+(transpose, slices, reshape, products, stacks, blocks, Kronecker products,
+eliminations) are wrapped without checking p or reducing again; +, -,
+negation and scale reduce once.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,23 +49,38 @@ def _inv_mod(x: int, p: int) -> int:
     return pow(int(x), p - 2, p)
 
 
+def _checked_modulus(p: int) -> int:
+    if p < 2:
+        raise FieldError(f"modulus must be >= 2, got {p}")
+    if p >= MODULUS_BOUND:
+        raise FieldError(f"modulus {p} is not below MODULUS_BOUND = {MODULUS_BOUND}, which keeps int64 products exact")
+    return int(p)
+
+
 class Mat:
     """Immutable rows x cols matrix over F_p."""
 
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, data) -> None:
-        if p < 2:
-            raise FieldError(f"modulus must be >= 2, got {p}")
-        if p >= MODULUS_BOUND:
-            raise FieldError(f"modulus {p} is not below MODULUS_BOUND = {MODULUS_BOUND}, which keeps int64 products exact")
+        p = _checked_modulus(p)
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 2:
             raise FieldError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        reduced = np.mod(arr, int(p))
+        reduced = np.mod(arr, p)
         reduced.setflags(write=False)
-        super().__setattr__("p", int(p))
+        super().__setattr__("p", p)
         super().__setattr__("a", reduced)
+
+    @staticmethod
+    def _of(p: int, arr: np.ndarray) -> "Mat":
+        """Wrap arr, trusted to be a 2-d int64 array reduced mod the already
+        checked p, and make it read-only.  Nothing may write to arr later."""
+        m = object.__new__(Mat)
+        arr.setflags(False)  # write=False, passed by position: the keyword form costs 3x
+        object.__setattr__(m, "p", p)
+        object.__setattr__(m, "a", arr)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -67,11 +89,11 @@ class Mat:
 
     @staticmethod
     def zeros(p: int, rows: int, cols: int) -> "Mat":
-        return Mat(p, np.zeros((rows, cols), dtype=np.int64))
+        return Mat._of(_checked_modulus(p), np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
     def identity(p: int, n: int) -> "Mat":
-        return Mat(p, np.eye(n, dtype=np.int64))
+        return Mat._of(_checked_modulus(p), np.eye(n, dtype=np.int64))
 
     @staticmethod
     def column(p: int, entries: Sequence[int]) -> "Mat":
@@ -93,7 +115,7 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.p, self.a.T)
+        return Mat._of(self.p, self.a.T)
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -102,7 +124,20 @@ class Mat:
         return self.rows == self.cols and np.array_equal(self.a, np.eye(self.rows, dtype=np.int64))
 
     def col(self, j: int) -> "Mat":
-        return Mat(self.p, self.a[:, j : j + 1])
+        return Mat._of(self.p, self.a[:, j : j + 1])
+
+    def __getitem__(self, key) -> "Mat":
+        """The submatrix numpy indexing selects, e.g. m[1:3, :]; the key must
+        keep both axes."""
+        sub = self.a[key]
+        if sub.ndim != 2:
+            raise FieldError(f"index {key!r} does not keep both axes of a matrix")
+        return Mat._of(self.p, sub)
+
+    def reshape(self, rows: int, cols: int) -> "Mat":
+        """The same entries, row-major, as a rows x cols matrix (numpy's -1
+        stands for the size that fits)."""
+        return Mat._of(self.p, self.a.reshape(rows, cols))
 
     def to_list(self) -> List[List[int]]:
         return [[int(x) for x in row] for row in self.a]
@@ -117,21 +152,21 @@ class Mat:
         self._check(other)
         if self.cols != other.rows:
             raise FieldError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return Mat(self.p, (self.a @ other.a) % self.p)
+        return Mat._of(self.p, (self.a @ other.a) % self.p)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
-        return Mat(self.p, self.a + other.a)
+        return Mat._of(self.p, (self.a + other.a) % self.p)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check(other)
-        return Mat(self.p, self.a - other.a)
+        return Mat._of(self.p, (self.a - other.a) % self.p)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.p, -self.a)
+        return Mat._of(self.p, -self.a % self.p)
 
     def scale(self, c: int) -> "Mat":
-        return Mat(self.p, self.a * (c % self.p))
+        return Mat._of(self.p, (self.a * (c % self.p)) % self.p)
 
     def __eq__(self, other) -> bool:
         return (
@@ -179,24 +214,37 @@ def matrix_from_entries(p: int, data, rows: int, cols: int) -> Mat:
     return Mat(p, arr)
 
 
+def _common_modulus(mats: Sequence[Mat], p: Optional[int] = None) -> int:
+    """The modulus all of mats share (and p, when given)."""
+    if p is None:
+        p = mats[0].p
+    else:
+        p = _checked_modulus(p)
+    for m in mats:
+        if m.p != p:
+            raise FieldError(f"mixed moduli {p} and {m.p}")
+    return p
+
+
 def hstack(mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
     if not mats:
         raise FieldError("hstack of nothing")
-    p = mats[0].p
-    return Mat(p, np.hstack([m.a for m in mats]))
+    p = _common_modulus(mats)
+    return Mat._of(p, np.concatenate([m.a for m in mats], axis=1))
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
     if not mats:
         raise FieldError("vstack of nothing")
-    p = mats[0].p
-    return Mat(p, np.vstack([m.a for m in mats]))
+    p = _common_modulus(mats)
+    return Mat._of(p, np.concatenate([m.a for m in mats], axis=0))
 
 
 def block_diag(p: int, mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
+    p = _common_modulus(mats, p)
     r = sum(m.rows for m in mats)
     c = sum(m.cols for m in mats)
     out = np.zeros((r, c), dtype=np.int64)
@@ -205,11 +253,12 @@ def block_diag(p: int, mats: Sequence[Mat]) -> Mat:
         out[i : i + m.rows, j : j + m.cols] = m.a
         i += m.rows
         j += m.cols
-    return Mat(p, out)
+    return Mat._of(p, out)
 
 
 def block(p: int, grid: Sequence[Sequence[Optional[Mat]]], row_dims: Sequence[int], col_dims: Sequence[int]) -> Mat:
     """Assemble a block matrix; None blocks are zero."""
+    p = _common_modulus([blk for row in grid for blk in row if blk is not None], p)
     out = np.zeros((sum(row_dims), sum(col_dims)), dtype=np.int64)
     roff = 0
     for bi, rd in enumerate(row_dims):
@@ -222,17 +271,22 @@ def block(p: int, grid: Sequence[Sequence[Optional[Mat]]], row_dims: Sequence[in
                 out[roff : roff + rd, coff : coff + cd] = blk.a
             coff += cd
         roff += rd
-    return Mat(p, out)
+    return Mat._of(p, out)
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     a._check(b)
-    return Mat(a.p, np.kron(a.a, b.a) % a.p)
+    (ar, ac), (br, bc) = a.a.shape, b.a.shape
+    # np.kron for two matrices, without its generic n-d set-up
+    out = a.a[:, None, :, None] * b.a[None, :, None, :]
+    return Mat._of(a.p, out.reshape(ar * br, ac * bc) % a.p)
 
 
 def _rref_inplace(a: np.ndarray, p: int) -> Tuple[int, List[int]]:
     rows, cols = a.shape
     pivots: List[int] = []
+    if rows == 0 or cols == 0:
+        return 0, pivots
     r = 0
     for c in range(cols):
         if r == rows:
@@ -255,17 +309,50 @@ def _rref_inplace(a: np.ndarray, p: int) -> Tuple[int, List[int]]:
     return r, pivots
 
 
+# rref, rank and solve share a memo of eliminations keyed by content.  On the
+# three benchmark workloads (bench/workloads.py), 34-50% of the eliminations
+# of one item repeat the exact input of an earlier one of that item and have
+# at most 256 cells; 39-43% are empty and only 2-6% are larger.  So only
+# non-empty inputs of at most MEMO_MAX_CELLS cells are kept, at most
+# MEMO_MAX_ENTRIES of them, the oldest evicted first: under 5 MB when full,
+# where an unbounded memo grew past 200 MB.  Entries are immutable and keyed
+# by content, so sharing them between callers cannot change a result.
+MEMO_MAX_CELLS = 256
+MEMO_MAX_ENTRIES = 1024
+
+_Elimination = Tuple[np.ndarray, int, Tuple[int, ...]]
+_memo: dict[Tuple[int, Tuple[int, int], bytes], _Elimination] = {}
+_memo_lock = threading.Lock()
+
+
+def _eliminate(a: np.ndarray, p: int) -> _Elimination:
+    """The reduced row-echelon form of a (read-only), its rank and pivots."""
+    key = None
+    if 0 < a.size <= MEMO_MAX_CELLS:
+        key = (p, a.shape, a.tobytes())
+        hit = _memo.get(key)
+        if hit is not None:
+            return hit
+    work = a.copy()
+    r, pivots = _rref_inplace(work, p)
+    work.setflags(False)
+    result = (work, r, tuple(pivots))
+    if key is not None:
+        with _memo_lock:
+            if len(_memo) >= MEMO_MAX_ENTRIES:
+                del _memo[next(iter(_memo))]
+            _memo[key] = result
+    return result
+
+
 def rref(m: Mat) -> Tuple[Mat, int, List[int]]:
     """Reduced row-echelon form, rank and pivot columns (leftmost-first)."""
-    work = m.a.copy()
-    rank_, pivots = _rref_inplace(work, m.p)
-    return Mat(m.p, work), rank_, pivots
+    red, r, pivots = _eliminate(m.a, m.p)
+    return Mat._of(m.p, red), r, list(pivots)
 
 
 def rank(m: Mat) -> int:
-    work = m.a.copy()
-    r, _ = _rref_inplace(work, m.p)
-    return r
+    return _eliminate(m.a, m.p)[1]
 
 
 def solve(a: Mat, b: Mat) -> Optional[Mat]:
@@ -276,15 +363,12 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
     a._check(b)
     if a.rows != b.rows:
         raise FieldError(f"solve: {a.rows} rows vs {b.rows} rows")
-    aug = np.hstack([a.a, b.a])
-    r, pivots = _rref_inplace(aug, a.p)
-    for c in pivots:
-        if c >= a.cols:
-            return None  # pivot in the rhs: inconsistent
+    red, r, pivots = _eliminate(np.concatenate([a.a, b.a], axis=1), a.p)
+    if r and pivots[-1] >= a.cols:
+        return None  # pivot in the rhs: inconsistent
     x = np.zeros((a.cols, b.cols), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, a.cols :]
-    return Mat(a.p, x)
+    x[list(pivots)] = red[:r, a.cols :]
+    return Mat._of(a.p, x)
 
 
 def solve_left(a: Mat, b: Mat) -> Optional[Mat]:
@@ -296,21 +380,20 @@ def solve_left(a: Mat, b: Mat) -> Optional[Mat]:
 def kernel_basis(m: Mat) -> Mat:
     """Columns form the canonical null-space basis (one per free variable,
     ordered by column index)."""
-    red, r, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    out = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            out[pc, k] = (-red.a[i, fc]) % m.p
-    return Mat(m.p, out)
+    red, r, pivots = _eliminate(m.a, m.p)
+    free = np.ones(m.cols, dtype=bool)
+    free[list(pivots)] = False
+    free = np.flatnonzero(free)
+    out = np.zeros((m.cols, free.size), dtype=np.int64)
+    out[free, np.arange(free.size)] = 1
+    out[list(pivots)] = -red[:r, free] % m.p
+    return Mat._of(m.p, out)
 
 
 def column_space_basis(m: Mat) -> Mat:
     """Canonical basis of the column space (rref of the transpose)."""
-    red, r, _ = rref(m.T)
-    return Mat(m.p, red.a[:r].T)
+    red, r, _ = _eliminate(m.a.T, m.p)
+    return Mat._of(m.p, red[:r].T)
 
 
 def in_column_span(span: Mat, vectors: Mat) -> bool:

@@ -192,12 +192,12 @@ def direct_sum(mods: Sequence[Module]) -> Tuple[Module, List[ModuleMap], List[Mo
     p = alg.p
     total = Module(alg, [block_diag(p, [m.action[k] for m in mods]) for k in range(alg.dim)])
     injs, projs = [], []
+    eye = Mat.identity(p, total.dim)
     off = 0
     for m in mods:
-        inj = np.zeros((total.dim, m.dim), dtype=np.int64)
-        inj[off : off + m.dim] = np.eye(m.dim, dtype=np.int64)
-        injs.append(ModuleMap(m, total, Mat(p, inj)))
-        projs.append(ModuleMap(total, m, Mat(p, inj.T)))
+        inj = eye[:, off : off + m.dim]
+        injs.append(ModuleMap(m, total, inj))
+        projs.append(ModuleMap(total, m, inj.T))
         off += m.dim
     return total, injs, projs
 
@@ -243,7 +243,7 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     basis = kernel_basis(system)
     out = []
     for j in range(basis.cols):
-        out.append(ModuleMap(m, n, Mat(p, basis.a[:, j].reshape(t, s))))
+        out.append(ModuleMap(m, n, basis.col(j).reshape(t, s)))
     return out
 
 
@@ -443,7 +443,7 @@ def cosyzygy(m: Module) -> Module:
 
 def vec_module_map(f: ModuleMap) -> Mat:
     """The matrix of f as one column, row-major (the order of hom_space)."""
-    return Mat(f.mat.p, f.mat.a.reshape(-1, 1))
+    return f.mat.reshape(-1, 1)
 
 
 def combine(zero, basis: Sequence, coeffs):

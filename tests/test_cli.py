@@ -205,7 +205,9 @@ def test_regression_reports_match_recorded_digests():
 
 def _one_document_scenario(tmp_path, kind, doc):
     """A validate-only scenario over the point and arrow shapes whose one
-    algebra, diagram or complex document is doc."""
+    algebra, category, functor, diagram or complex document is doc; for
+    kind "scenario", doc is merged into the scenario, or replaces it if it
+    is not a mapping."""
     (tmp_path / "doc.json").write_text(json.dumps(doc))
     scen = {
         "algebra": str(SCENARIOS / "dual_numbers.json"),
@@ -214,6 +216,12 @@ def _one_document_scenario(tmp_path, kind, doc):
     }
     if kind == "algebra":
         scen["algebra"] = "doc.json"
+    elif kind == "category":
+        scen["categories"]["arrow"] = "doc.json"
+    elif kind == "functor":
+        scen["functors"] = {"f": "doc.json"}
+    elif kind == "scenario":
+        scen = {**scen, **doc} if isinstance(doc, dict) else doc
     else:
         scen["diagrams" if kind == "diagram" else "complexes"] = {"x": "doc.json"}
     path = tmp_path / "scen.json"
@@ -249,6 +257,15 @@ MALFORMED = {
     "negative-period": ("complex", _complex({"periodic": {"period": -1}}, {"0": _FREE_POINT}, {"0": {"*": _NILPOTENT}})),
     "fractional-entry": ("diagram", _point(1, [[[1.5]], [[0]]])),
     "fractional-algebra-unit": ("algebra", {**json.loads((SCENARIOS / "dual_numbers.json").read_text()), "unit": [1.5, 0]}),
+    "morphism-not-a-mapping": ("category", {"objects": ["0", "1"], "morphisms": [5]}),
+    "functor-objects-not-a-mapping": ("functor", {"dom": "point", "cod": "arrow", "objects": 5}),
+    "seed-not-an-integer": ("scenario", {"seed": "abc"}),
+    "budget-not-an-integer": ("scenario", {"budget": 1.5}),
+    "window-margin-not-an-integer": ("scenario", {"window_margin": None}),
+    "scenario-not-an-object": ("scenario", ["validate"]),
+    "categories-not-a-mapping": ("scenario", {"categories": []}),
+    "document-path-not-a-string": ("scenario", {"diagrams": {"x": 5}}),
+    "suites-not-a-list": ("scenario", {"suites": 5}),
 }
 
 
@@ -259,6 +276,19 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, case):
     report, code = run_scenario(str(scen))
     assert code == 2
     assert report["items"] == [] and "malformed" in report["error"]
+    assert main(["run", str(scen)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unreadable_document_is_an_input_error(tmp_path, capsys):
+    scen = _one_document_scenario(tmp_path, "diagram", {})
+    (tmp_path / "doc.json").write_text("{not json")
+    report, code = run_scenario(str(scen))
+    assert code == 2
+    assert report["items"] == [] and "doc.json" in report["error"]
+    assert main(["run", str(scen)]) == 2
+    scen.write_bytes(b"\xff\xfe")  # a scenario that is not UTF-8
+    assert run_scenario(str(scen))[1] == 2
     assert main(["run", str(scen)]) == 2
     assert "Traceback" not in capsys.readouterr().err
 

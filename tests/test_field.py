@@ -2,19 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derlab import field
 from derlab.field import (
     MODULUS_BOUND,
     FieldError,
     Mat,
+    block,
+    block_diag,
+    column_space_basis,
     hstack,
     in_column_span,
     invert,
     is_prime,
     kernel_basis,
+    kron,
     rank,
     rref,
     solve,
     subspaces_equal,
+    vstack,
 )
 
 
@@ -170,3 +176,158 @@ def test_modulus_at_or_above_the_bound_is_rejected():
     for p in (MODULUS_BOUND, NEXT_PRIME, 2**31 - 1):
         with pytest.raises(FieldError, match="MODULUS_BOUND"):
             Mat(p, [[1]])
+
+
+# -- the memoized kernel against a plain reference ---------------------------
+
+
+def _reference_rref(a, p):
+    """Leftmost-pivot Gauss-Jordan elimination on a fresh copy, with no memo:
+    the loop field.rref ran before eliminations were shared."""
+    a = np.array(a, dtype=np.int64)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r] = (a[r] * inv) % p
+        other = np.nonzero(a[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, r, pivots
+
+
+def _reference_solve(a, b, p):
+    aug, r, pivots = _reference_rref(np.hstack([a, b]), p)
+    if any(c >= a.shape[1] for c in pivots):
+        return None
+    x = np.zeros((a.shape[1], b.shape[1]), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = aug[i, a.shape[1] :]
+    return x
+
+
+def _reference_kernel(a, p):
+    red, r, pivots = _reference_rref(a, p)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    out = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        out[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            out[pc, k] = (-red[i, fc]) % p
+    return out
+
+
+def _oracle_inputs():
+    """(p, matrix) pairs: every 2x2 matrix over F_3 and 2x3 matrix over F_2,
+    then seeded random matrices over F_2, F_3 and F_5 of full and low rank,
+    zero-sized, all-zero, and of more than MEMO_MAX_CELLS cells."""
+    for p, (rows, cols) in ((3, (2, 2)), (2, (2, 3))):
+        for k in range(p ** (rows * cols)):
+            digits = [(k // p**i) % p for i in range(rows * cols)]
+            yield p, np.array(digits, dtype=np.int64).reshape(rows, cols)
+    rng = np.random.default_rng(20250)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (16, 16), (17, 16), (12, 30), (40, 9)]
+    for p in (2, 3, 5):
+        for rows, cols in shapes:
+            yield p, np.zeros((rows, cols), dtype=np.int64)
+            yield p, rng.integers(0, p, size=(rows, cols))
+            k = int(rng.integers(0, max(1, min(rows, cols)) + 1))
+            yield p, (rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))) % p
+        for _ in range(40):
+            rows, cols = (int(x) for x in rng.integers(1, 9, size=2))
+            yield p, rng.integers(0, p, size=(rows, cols))
+
+
+def test_elimination_matches_the_reference_also_on_memo_hits():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for p, a in _oracle_inputs():
+        m = Mat(p, a)
+        want_red, want_rank, want_piv = _reference_rref(a, p)
+        want_kernel = _reference_kernel(a, p)
+        b_consistent = (a @ rng.integers(0, p, size=(a.shape[1], 2))) % p
+        b_random = rng.integers(0, p, size=(a.shape[0], 1))
+        for _ in range(2):  # the second call may be answered by the memo
+            red, r, piv = rref(m)
+            assert red.a.tolist() == want_red.tolist() and r == want_rank and piv == want_piv
+            assert rank(m) == want_rank
+            assert kernel_basis(m).a.tolist() == want_kernel.tolist()
+            assert column_space_basis(m).a.tolist() == _reference_rref(a.T, p)[0][:want_rank].T.tolist()
+            for b in (b_consistent, b_random):
+                x, want_x = solve(m, Mat(p, b)), _reference_solve(a, b, p)
+                assert (x is None) == (want_x is None)
+                if x is not None:
+                    assert x.a.tolist() == want_x.tolist()
+        checked += 1
+    assert checked > 200
+
+
+def test_eliminations_hand_out_fresh_pivots_and_read_only_arrays():
+    m = Mat(3, [[0, 1, 2], [0, 2, 1], [1, 0, 0]])
+    red, r, piv = rref(m)
+    piv.append(5)
+    piv[0] = 9
+    assert rref(m)[2] == [0, 1]
+    results = [red.a, rref(m)[0].a, kernel_basis(m).a, column_space_basis(m).a, solve(m, Mat(3, [[1], [2], [0]])).a]
+    for arr in results:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert rref(m)[0] == red
+
+
+def test_elimination_memo_is_bounded():
+    field._memo.clear()
+    big = Mat(2, np.ones((17, 16), dtype=np.int64))
+    assert big.a.size > field.MEMO_MAX_CELLS
+    rref(big)
+    assert len(field._memo) == 0
+    rank(Mat.zeros(2, 0, 3))
+    assert len(field._memo) == 0
+    for k in range(5000):
+        digits = [(k // 5**i) % 5 for i in range(6)]
+        rank(Mat(5, [digits]))
+        assert len(field._memo) <= field.MEMO_MAX_ENTRIES
+    assert len(field._memo) == field.MEMO_MAX_ENTRIES
+
+
+def test_trusted_results_equal_checked_construction():
+    rng = np.random.default_rng(3)
+    p = 5
+    a, b = Mat(p, rng.integers(0, p, size=(3, 4))), Mat(p, rng.integers(0, p, size=(3, 4)))
+    assert a + b == Mat(p, a.a + b.a)
+    assert a - b == Mat(p, a.a - b.a)
+    assert -a == Mat(p, -a.a)
+    assert a.scale(-2) == Mat(p, -2 * a.a)
+    assert a @ b.T == Mat(p, a.a @ b.a.T)
+    assert kron(a, b) == Mat(p, np.kron(a.a, b.a))
+    assert hstack([a, b]) == Mat(p, np.hstack([a.a, b.a]))
+    assert a[1:3, :] == Mat(p, a.a[1:3, :]) and a[:, 2:3] == a.col(2)
+    assert a.reshape(-1, 1) == Mat(p, a.a.reshape(-1, 1))
+    with pytest.raises(FieldError):
+        a[0]
+
+
+def test_stacking_mixed_moduli_is_refused():
+    two, three = Mat(2, [[1]]), Mat(3, [[2]])
+    with pytest.raises(FieldError, match="mixed moduli"):
+        hstack([two, three])
+    with pytest.raises(FieldError, match="mixed moduli"):
+        vstack([two, three])
+    with pytest.raises(FieldError, match="mixed moduli"):
+        block_diag(2, [three])
+    with pytest.raises(FieldError, match="mixed moduli"):
+        block(2, [[None, three]], [1], [1, 1])
