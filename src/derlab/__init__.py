@@ -106,6 +106,7 @@ from .complexes import (
     LazyComplex,
     complete_resolution,
     cone,
+    dual_complex,
     is_termwise_contractible,
     shift,
     sod_decompose,

@@ -176,6 +176,11 @@ class Session:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"malformed complex document: {exc}") from exc
+        for k, d in diffs.items():
+            try:
+                d.validate()
+            except (DiagramError, ModuleError) as exc:
+                raise ScenarioError(f"malformed complex document: the diff at degree {k} is not a map of diagrams ({exc})") from exc
         if period:
             return LazyComplex.periodic(shape, self.alg, terms, diffs, period)
         return LazyComplex.bounded(shape, self.alg, terms, diffs)
@@ -492,6 +497,8 @@ def exit_code_for(summary: dict) -> int:
 
 
 def explain(report: dict, item_id: str) -> str:
+    if not isinstance(report, dict):
+        raise ValueError(f"not a report: expected a JSON object, got {type(report).__name__}")
     for it in report.get("items", []):
         if it["id"] == item_id:
             lines = [f"item: {it['id']}", f"suite: {it['suite']}", f"verdict: {it['verdict']}"]
@@ -529,12 +536,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(text)
         return code
     if args.command == "explain":
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
         try:
+            with open(args.report, "r", encoding="utf-8") as fh:
+                report = json.load(fh)
             print(explain(report, args.item))
-        except KeyError as exc:
-            print(str(exc), file=sys.stderr)
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON, not UTF-8, or not a report
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
     return 2

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import Algebra
-from .cats import CatFunctor, DirectCategory, full_subcategory, terminal_category
+from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_category, terminal_category
 from .field import Mat, block_diag, hstack, kernel_basis, rank, solve, vstack
 from .modules import submodule, is_projective, zero_module
 from .diagrams import (
@@ -29,6 +29,7 @@ from .diagrams import (
     compose_diagram_maps,
     counit_from_point,
     direct_sum_diagrams,
+    dual_diagram,
     factor_matrix_through_surjection,
     hom_space_diagrams,
     identity_diagram_map,
@@ -130,6 +131,22 @@ class LazyComplex:
             return diffs[fold(n)]
 
         return LazyComplex(shape, alg, term_fn, diff_fn, label)
+
+
+def dual_complex(c: LazyComplex) -> LazyComplex:
+    """The linear dual over the opposite shape and algebra: (D c)^n is
+    D(c^{-n}) and the differential at n is the transpose of c's at -n-1,
+    with no sign, so dual_complex is involutive like dual_diagram."""
+
+    def term_fn(n: int) -> Diagram:
+        return dual_diagram(c.term(-n))
+
+    def diff_fn(n: int) -> DiagramMap:
+        d = c.diff(-n - 1)
+        return DiagramMap(dc.term(n), dc.term(n + 1), {o: m.T for o, m in d.comps.items()})
+
+    dc = LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn, f"D({c.label})")
+    return dc
 
 
 def complete_resolution(x: Diagram) -> LazyComplex:

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .cats import CatFunctor, DirectCategory, arrow_category, opposite_functor, slice_category, terminal_category
+from .cats import CatFunctor, DirectCategory, arrow_category, identity_functor, opposite_functor, slice_category, terminal_category
 from .field import Mat, kernel_basis, rank, solve, vstack
 from .modules import Module, direct_sum, submodule, zero_module
 from .diagrams import (
@@ -30,6 +30,7 @@ from .diagrams import (
 from .complexes import (
     LazyComplex,
     complete_resolution,
+    dual_complex,
     restrict_complex,
     sod_decompose,
     z0,
@@ -66,16 +67,7 @@ class LeftKIModule:
 
     @staticmethod
     def representable(cat: DirectCategory, p: int, i: str) -> "LeftKIModule":
-        dims = {o: len(cat.hom(i, o)) for o in cat.objects}
-        mats = {}
-        for h in cat.nonidentity_morphisms():
-            a, b = cat.src(h), cat.tgt(h)
-            src_list, tgt_list = cat.hom(i, a), cat.hom(i, b)
-            m = np.zeros((len(tgt_list), len(src_list)), dtype=np.int64)
-            for col, f in enumerate(src_list):
-                m[tgt_list.index(cat.compose(h, f)), col] = 1
-            mats[h] = Mat(p, m)
-        return LeftKIModule(cat, p, dims, mats)
+        return restriction_weight(identity_functor(cat), i, p)
 
     @staticmethod
     def constant(cat: DirectCategory, p: int, dim: int = 1) -> "LeftKIModule":
@@ -192,6 +184,9 @@ class FreeResolution:
             mats.append(self.aug[a])
             # exactness of 0 -> W^lo(a) -> ... -> W^0(a) -> M(a) -> 0
             dims = [self.complex.value_dim(q, a) for q in range(lo, 1)] + [self.target.dims[a]]
+            for first, second in zip(mats, mats[1:]):
+                if not (second @ first).is_zero():
+                    raise VerificationError(f"augmented complex is not a complex at {a}")
             ranks = [rank(m) for m in mats]
             for idx in range(len(mats)):
                 ker_dim = dims[idx] - ranks[idx]
@@ -284,17 +279,15 @@ def bar_resolution(m: LeftKIModule) -> FreeResolution:
             for col, (arrows, midx) in enumerate(s.coeff_labels):
                 # arrows = (g_k, ..., g_1) with g_t: chain[t-1] -> chain[t]
                 g = arrows
-                # inner merges: drop chain[s_pos] for 1 <= s_pos <= k-1
+                # the face signs (-1)^i of d_i: i = 0 drops the top object,
+                # i = k - s_pos merges at chain[s_pos], i = k acts on the module
                 for s_pos in range(1, k):
                     merged = cat.compose(g[k - 1 - s_pos], g[k - s_pos])
                     new_arrows = g[: k - 1 - s_pos] + (merged,) + g[k + 1 - s_pos :]
                     new_chain = chain[:s_pos] + chain[s_pos + 1 :]
-                    sign = (-1) ** (s_pos - 1)
-                    add(new_chain, cat.id_of(chain[-1]), (new_arrows, midx), col, sign)
+                    add(new_chain, cat.id_of(chain[-1]), (new_arrows, midx), col, (-1) ** (s_pos + k))
                 # drop the top object: compose the free slot with g_k
-                new_chain = chain[:-1]
-                sign = (-1) ** (k - 1)
-                add(new_chain, g[0], (g[1:], midx), col, sign)
+                add(chain[:-1], g[0], (g[1:], midx), col, 1)
                 # act on the module element by the bottom arrow g_1
                 new_chain2 = chain[1:]
                 act = m.mat(g[-1])
@@ -368,59 +361,6 @@ def _weight_blocks(wc: FreeComplex) -> List[tuple]:
     ]
 
 
-def weighted_holim(w: Weight, f: LazyComplex) -> LazyComplex:
-    """Hom over the free category from the weight into the complex of
-    diagrams: by freeness each term collapses to finite sums of shifted
-    evaluations.  Output over the point."""
-    wc = w.complex
-    alg = f.alg
-    p = alg.p
-    e = terminal_category()
-    blocks = _weight_blocks(wc)
-
-    def term_fn(n: int) -> Diagram:
-        mods = [f.term(q + n).at(obj) for (q, s_idx, t, obj) in blocks]
-        total = direct_sum(mods)[0] if mods else zero_module(alg)
-        return Diagram(e, alg, {"*": total}, {})
-
-    def diff_fn(n: int) -> DiagramMap:
-        src_dims = [f.term(q + n).at(obj).dim for (q, s_idx, t, obj) in blocks]
-        tgt_dims = [f.term(q + n + 1).at(obj).dim for (q, s_idx, t, obj) in blocks]
-        src_off = np.concatenate([[0], np.cumsum(src_dims)]) if src_dims else np.array([0])
-        tgt_off = np.concatenate([[0], np.cumsum(tgt_dims)]) if tgt_dims else np.array([0])
-        out = np.zeros((int(tgt_off[-1]), int(src_off[-1])), dtype=np.int64)
-        tpos = {(q, s_idx, t): r for r, (q, s_idx, t, obj) in enumerate(blocks)}
-        sign = 1 if n % 2 == 0 else -1
-        for c_idx, (q, s_idx, t, obj) in enumerate(blocks):
-            # post-composition with d_F (source and target share the block order)
-            blk = f.diff(q + n).comps[obj]
-            out[tgt_off[c_idx] : tgt_off[c_idx] + blk.rows, src_off[c_idx] : src_off[c_idx] + blk.cols] = blk.a
-            # pre-composition with d_W: from blocks of degree q to blocks of degree q-1
-            comp = wc.diffs.get(q - 1, {})
-            for (t_idx2, s_idx2), arrows in comp.items():
-                if t_idx2 != s_idx:
-                    continue
-                for arrow, coeff in arrows.items():
-                    # component from W^{q-1} summand s_idx2 to W^q summand s_idx
-                    src_sum = wc.terms[q - 1][s_idx2]
-                    fmat = f.term(q + n).mat(arrow)  # F_{obj} -> F_{src_sum.obj}
-                    for t2 in range(src_sum.coeff_dim):
-                        cval = int(coeff.a[t, t2]) * (-sign)
-                        if cval % p == 0:
-                            continue
-                        key2 = (q - 1, s_idx2, t2)
-                        r_idx = tpos[key2]
-                        out[
-                            tgt_off[r_idx] : tgt_off[r_idx] + fmat.rows,
-                            src_off[c_idx] : src_off[c_idx] + fmat.cols,
-                        ] = (
-                            out[tgt_off[r_idx] : tgt_off[r_idx] + fmat.rows, src_off[c_idx] : src_off[c_idx] + fmat.cols]
-                            + cval * fmat.a
-                        ) % p
-        return DiagramMap(term_fn(n), term_fn(n + 1), {"*": Mat(p, out)})
-
-    return LazyComplex(e, alg, term_fn, diff_fn, "holim")
-
 
 def weighted_hocolim(w: Weight, f: LazyComplex) -> LazyComplex:
     """Tensor of the weight (a complex of free right modules, presented over
@@ -471,9 +411,45 @@ def weighted_hocolim(w: Weight, f: LazyComplex) -> LazyComplex:
                             out[tgt_off[r_idx] : tgt_off[r_idx] + fmat.rows, src_off[c_idx] : src_off[c_idx] + fmat.cols]
                             + cval * fmat.a
                         ) % p
-        return DiagramMap(term_fn(n), term_fn(n + 1), {"*": Mat(p, out)})
+        return DiagramMap(hc.term(n), hc.term(n + 1), {"*": Mat(p, out)})
 
-    return LazyComplex(e, alg, term_fn, diff_fn, "hocolim")
+    hc = LazyComplex(e, alg, term_fn, diff_fn, "hocolim")
+    return hc
+
+
+def _signed_dual(c: LazyComplex, wcs: Dict[str, FreeComplex], f: LazyComplex, label: str) -> LazyComplex:
+    """The collapsed Hom totalization of f from c, the collapsed tensor
+    totalization of D f over the same blocks: dual_complex(c) with its
+    differential at each object j conjugated by the diagonal sign sigma_n,
+    which is (-1)^(n q + q(q+1)/2) on the block (q, s, t, obj) of wcs[j],
+    the block holding f^{q+n}(obj).  That drops the (-1)^q of the d_F part
+    and puts (-1)^(n+1) on the d_W part."""
+    p = f.alg.p
+    dual = dual_complex(c)
+    blocks = {j: _weight_blocks(wc) for j, wc in wcs.items()}
+    sigmas: Dict[Tuple[str, int], np.ndarray] = {}
+
+    def sigma(j: str, n: int) -> np.ndarray:
+        if (j, n) not in sigmas:
+            q = np.array([b[0] for b in blocks[j]], dtype=np.int64)
+            dims = [f.term(b[0] + n).at(b[3]).dim for b in blocks[j]]
+            sigmas[(j, n)] = np.repeat(1 - 2 * ((n * q + q * (q + 1) // 2) % 2), dims)
+        return sigmas[(j, n)]
+
+    def diff_fn(n: int) -> DiagramMap:
+        d = dual.diff(n)
+        comps = {j: Mat(p, sigma(j, n + 1)[:, None] * d.comps[j].a * sigma(j, n)) for j in wcs}
+        return DiagramMap(d.src, d.tgt, comps)
+
+    return LazyComplex(dual.shape, dual.alg, dual.term, diff_fn, label)
+
+
+def weighted_holim(w: Weight, f: LazyComplex) -> LazyComplex:
+    """Hom over the free category from the weight into the complex of
+    diagrams, output over the point: by freeness each term collapses to
+    finite sums of shifted evaluations.  Computed as the signed dual of
+    weighted_hocolim(w, D f), whose blocks come in the same order."""
+    return _signed_dual(weighted_hocolim(w, dual_complex(f)), {"*": w.complex}, f, "holim")
 
 
 # -- homotopy Kan extensions over J ---------------------------------------------------
@@ -488,84 +464,45 @@ def _holim_labels(wc: FreeComplex) -> List[tuple]:
     return out
 
 
-def _block_offsets(labels: List[tuple], dim_of) -> Tuple[Dict[tuple, int], List[int], int]:
+def _block_offsets(labels: List[tuple], dim_of) -> Tuple[Dict[tuple, int], int]:
     offsets = {}
     off = 0
-    dims = []
     for lab in labels:
         offsets[lab[:3]] = off
-        d = dim_of(lab)
-        dims.append(d)
-        off += d
-    return offsets, dims, off
+        off += dim_of(lab)
+    return offsets, off
 
 
-@dataclass
-class HoKanExtension:
-    complex: LazyComplex
-    weights: Dict[str, "Weight"]
-    collapsed: Dict[str, LazyComplex]
-
-
-def ho_right_kan(u: CatFunctor, t: LazyComplex) -> HoKanExtension:
+def ho_right_kan(u: CatFunctor, t: LazyComplex) -> LazyComplex:
     """Pointwise weighted homotopy limits over the bar resolutions of the
-    restriction weights, assembled into a complex of J-diagrams."""
-    J = u.cod
-    alg = t.alg
-    p = alg.p
-    bars = {j: bar_resolution(restriction_weight(u, j, p)) for j in J.objects}
-    weights = {j: Weight.from_resolution(bars[j]) for j in J.objects}
-    hol = {j: weighted_holim(weights[j], t) for j in J.objects}
-
-    def structure_mat(alpha: str, n: int) -> Mat:
-        j, j2 = J.src(alpha), J.tgt(alpha)
-        wc_j, wc_j2 = weights[j].complex, weights[j2].complex
-        labs_j = _holim_labels(wc_j)
-        labs_j2 = _holim_labels(wc_j2)
-        off_j, dims_j, tot_j = _block_offsets(labs_j, lambda lab: t.term(lab[0] + n).at(lab[3]).dim)
-        off_j2, dims_j2, tot_j2 = _block_offsets(labs_j2, lambda lab: t.term(lab[0] + n).at(lab[3]).dim)
-        out = np.zeros((tot_j2, tot_j), dtype=np.int64)
-        for (q, key, lab, obj) in labs_j2:
-            arrows, midx = lab
-            i0 = key[0]
-            f2 = J.hom(j2, u.on_obj(i0))[midx]
-            f_pre = J.compose(f2, alpha)
-            midx_src = J.hom(j, u.on_obj(i0)).index(f_pre)
-            src_key = (q, key, (arrows, midx_src))
-            d = t.term(q + n).at(obj).dim
-            r = off_j2[(q, key, lab)]
-            c = off_j[src_key]
-            out[r : r + d, c : c + d] = np.eye(d, dtype=np.int64)
-        return Mat(p, out)
-
-    def term_fn(n: int) -> Diagram:
-        modules = {j: hol[j].term(n).at("*") for j in J.objects}
-        mats = {alpha: structure_mat(alpha, n) for alpha in J.nonidentity_morphisms()}
-        return Diagram(J, alg, modules, mats)
-
-    def diff_fn(n: int) -> DiagramMap:
-        return DiagramMap(term_fn(n), term_fn(n + 1), {j: hol[j].diff(n).comps["*"] for j in J.objects})
-
-    return HoKanExtension(LazyComplex(J, alg, term_fn, diff_fn, "ho-right-kan"), weights, hol)
+    restriction weights, assembled into a complex of J-diagrams: the
+    signed dual of ho_left_kan(u^op, D t), whose weight at j is the
+    same restriction_weight(u, j).  The structure maps join blocks of equal
+    degree only, so the signs leave them alone."""
+    wcs = {j: bar_resolution(restriction_weight(u, j, t.alg.p)).complex for j in u.cod.objects}
+    return _signed_dual(_ho_left_kan(opposite_functor(u), dual_complex(t), wcs), wcs, t, "ho-right-kan")
 
 
-def ho_left_kan(u: CatFunctor, t: LazyComplex) -> HoKanExtension:
+def ho_left_kan(u: CatFunctor, t: LazyComplex) -> LazyComplex:
     """Pointwise weighted homotopy colimits (tensor collapse) over the bar
     resolutions of the contravariant restriction weights."""
+    wcs = {j: bar_resolution(restriction_weight_right(u, j, t.alg.p)).complex for j in u.cod.objects}
+    return _ho_left_kan(u, t, wcs)
+
+
+def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> LazyComplex:
+    """ho_left_kan over the given weight complex at each object of J."""
     J = u.cod
     alg = t.alg
     p = alg.p
-    bars = {j: bar_resolution(restriction_weight_right(u, j, p)) for j in J.objects}
-    weights = {j: Weight.from_resolution(bars[j]) for j in J.objects}
-    hoc = {j: weighted_hocolim(weights[j], t) for j in J.objects}
+    hoc = {j: weighted_hocolim(Weight(wcs[j]), t) for j in J.objects}
 
     def structure_mat(alpha: str, n: int) -> Mat:
         j, j2 = J.src(alpha), J.tgt(alpha)
-        wc_j, wc_j2 = weights[j].complex, weights[j2].complex
-        labs_j = _holim_labels(wc_j)
-        labs_j2 = _holim_labels(wc_j2)
-        off_j, _, tot_j = _block_offsets(labs_j, lambda lab: t.term(n - lab[0]).at(lab[3]).dim)
-        off_j2, _, tot_j2 = _block_offsets(labs_j2, lambda lab: t.term(n - lab[0]).at(lab[3]).dim)
+        labs_j = _holim_labels(wcs[j])
+        labs_j2 = _holim_labels(wcs[j2])
+        off_j, tot_j = _block_offsets(labs_j, lambda lab: t.term(n - lab[0]).at(lab[3]).dim)
+        off_j2, tot_j2 = _block_offsets(labs_j2, lambda lab: t.term(n - lab[0]).at(lab[3]).dim)
         out = np.zeros((tot_j2, tot_j), dtype=np.int64)
         for (q, key, lab, obj) in labs_j:
             arrows, midx = lab
@@ -586,9 +523,10 @@ def ho_left_kan(u: CatFunctor, t: LazyComplex) -> HoKanExtension:
         return Diagram(J, alg, modules, mats)
 
     def diff_fn(n: int) -> DiagramMap:
-        return DiagramMap(term_fn(n), term_fn(n + 1), {j: hoc[j].diff(n).comps["*"] for j in J.objects})
+        return DiagramMap(kan.term(n), kan.term(n + 1), {j: hoc[j].diff(n).comps["*"] for j in J.objects})
 
-    return HoKanExtension(LazyComplex(J, alg, term_fn, diff_fn, "ho-left-kan"), weights, hoc)
+    kan = LazyComplex(J, alg, term_fn, diff_fn, "ho-left-kan")
+    return kan
 
 
 # -- the slice-square comparison ---------------------------------------------------------
@@ -710,8 +648,8 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
     derived_ok = True
     thetas: Dict[int, Mat] = {}
     for n in range(lo, hi + 2):
-        off_r, _, tot_r = _block_offsets(labs_r, lambda lab: t.term(lab[0] + n).at(lab[3]).dim)
-        off_l, _, tot_l = _block_offsets(
+        off_r, tot_r = _block_offsets(labs_r, lambda lab: t.term(lab[0] + n).at(lab[3]).dim)
+        off_l, tot_l = _block_offsets(
             labs_l, lambda lab: t.term(lab[0] + n).at(pres.pairs[lab[3]][0]).dim
         )
         out = np.zeros((tot_l, tot_r), dtype=np.int64)
@@ -755,8 +693,7 @@ def crosscheck_kan(
     if not is_gproj(x):
         raise VerificationError("left cross-check expects a Gorenstein-projective diagram")
     t = complete_resolution(x)
-    kan = ho_left_kan(u, t)
-    K = kan.complex
+    K = ho_left_kan(u, t)
     lo, hi = -(margin + 1), margin + 1
     if not K.is_acyclic_on(lo - 2, hi + 2):
         return Verdict(FALSE, reason=f"homotopy Kan output is not acyclic on [{lo - 2}, {hi + 2}]")

@@ -371,12 +371,6 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
     return Mat._of(a.p, x)
 
 
-def solve_left(a: Mat, b: Mat) -> Optional[Mat]:
-    """Canonical x with x @ a = b, or None."""
-    xt = solve(a.T, b.T)
-    return None if xt is None else xt.T
-
-
 def kernel_basis(m: Mat) -> Mat:
     """Columns form the canonical null-space basis (one per free variable,
     ordered by column index)."""

@@ -92,6 +92,20 @@ def test_main_explain(tmp_path, capsys):
     assert "derivator-axioms/der1" in captured.out
 
 
+def test_main_explain_missing_report_is_an_input_error(tmp_path, capsys):
+    assert main(["explain", str(tmp_path / "missing.json"), "derivator-axioms/der1"]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+def test_main_explain_report_not_an_object_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps([{"id": "derivator-axioms/der1"}]))
+    assert main(["explain", str(out), "derivator-axioms/der1"]) == 2
+    err = capsys.readouterr().err
+    assert "not a report" in err and "Traceback" not in err
+
+
 def test_budget_zero_reports_unknown_exit_three():
     report, code = run_scenario(str(SCENARIOS / "budget_zero.json"))
     assert code == 3
@@ -249,6 +263,7 @@ MALFORMED = {
     "null-dim": ("diagram", _point(None, [[[1]], [[0]]])),
     "action-not-a-list": ("diagram", _point(1, 5)),
     "objects-not-a-mapping": ("diagram", {"shape": "point", "objects": [], "morphisms": {}}),
+    "diff-not-a-module-map": ("complex", _complex({"periodic": {"period": 1}}, {"0": _FREE_POINT}, {"0": {"*": [[0, 1], [0, 0]]}})),
     "period-zero": ("complex", _complex({"periodic": {"period": 0}}, {"0": _FREE_POINT}, {"0": {"*": _NILPOTENT}})),
     "periodic-without-terms": ("complex", _complex({"periodic": {"period": 1}}, {}, {})),
     "period-two-one-diff": ("complex", _complex({"periodic": {"period": 2}}, {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _NILPOTENT}})),

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,26 @@ from derlab.algebra import dual_numbers
 from derlab.cats import (
     CatFunctor,
     arrow_category,
+    cospan_category,
     identity_functor,
     object_functor,
+    span_category,
+    square_category,
     terminal_category,
 )
-from derlab.field import Mat, rank
-from derlab.modules import regular_module
-from derlab.diagrams import Diagram, constant_diagram, stalk_diagram, zero_diagram
-from derlab.complexes import LazyComplex, ComplexMap, cone, complete_resolution, shift, z0
+from derlab.field import Mat, hstack, rank, vstack
+from derlab.modules import Module, regular_module
+from derlab.diagrams import (
+    Diagram,
+    DiagramMap,
+    constant_diagram,
+    limit_of_diagram,
+    pointwise_right_kan,
+    stalk_diagram,
+    zero_diagram,
+)
+from derlab.complexes import LazyComplex, ComplexMap, cone, complete_resolution, dual_complex, shift, z0
+from derlab.samples import random_diagram, random_gproj
 from derlab.gorenstein import is_gproj
 from derlab.dgkan import (
     Der4Report,
@@ -174,11 +188,38 @@ def test_holim_dd_zero_at_p3():
         hc.diff(k)
 
 
+def test_holim_signs_at_p3():
+    # at an odd prime the Hom totalization's signs show: the d_F part is
+    # unsigned and the d_W part carries -(-1)^k, so a shift weight gives
+    # d_F itself (the shift only up to the sign isomorphism) and the cone
+    # weight gives [[d^{k-1}, -(-1)^k f^k], [0, d^k]]
+    alg3 = dual_numbers(3)
+    simple3 = Module(alg3, [Mat.identity(3, 1), Mat.zeros(3, 1, 1)]).validate()
+    c = complete_resolution(constant_diagram(terminal_category(), alg3, simple3))
+    for n in (-1, 0, 1):
+        h = weighted_holim(Weight.shift(3, n), c)
+        for k in (-1, 0, 1):
+            assert h.diff(k).comps["*"] == c.diff(k + n).comps["*"]
+    f = {k: c.term(k).at("*").action[1].scale(2) for k in range(-3, 4)}
+    arrow = arrow_category()
+    fam = LazyComplex(
+        arrow,
+        alg3,
+        lambda k: Diagram(arrow, alg3, {"0": c.term(k).at("*"), "1": c.term(k).at("*")}, {"e0": f[k]}),
+        lambda k: DiagramMap(fam.term(k), fam.term(k + 1), {"0": c.diff(k).comps["*"], "1": c.diff(k).comps["*"]}),
+    )
+    h = weighted_holim(Weight.cone(3), fam)
+    for k in (-1, 0, 1):
+        d_prev, d = c.diff(k - 1).comps["*"], c.diff(k).comps["*"]
+        top = hstack([d_prev, f[k].scale(-1 if k % 2 == 0 else 1)])
+        bottom = hstack([Mat.zeros(3, d.rows, d_prev.cols), d])
+        assert h.diff(k).comps["*"] == vstack([top, bottom])
+
+
 def test_ho_left_kan_collapse_to_point(dn, socle_arrow, arrow):
     t = complete_resolution(socle_arrow)
     to_point = CatFunctor(arrow, terminal_category(), {"0": "*", "1": "*"}, {"e0": "1_*"})
-    kan = ho_left_kan(to_point, t)
-    K = kan.complex
+    K = ho_left_kan(to_point, t)
     assert K.is_acyclic_on(-3, 3)
     assert K.is_termwise_projective_on(-2, 2)
     # z0 of its projective part is stably trivial (colim = Lambda ~ 0)
@@ -194,8 +235,7 @@ def test_ho_left_kan_collapse_to_point(dn, socle_arrow, arrow):
 def test_ho_right_kan_sieve_extension_by_zero(dn, kres_point, arrow):
     # u: {0} -> [1] is a sieve: ho_right_kan is extension by zero on windows
     u = object_functor(arrow, "0")
-    kan = ho_right_kan(u, kres_point)
-    K = kan.complex
+    K = ho_right_kan(u, kres_point)
     for n in (-1, 0, 1):
         K.term(n).validate()
         assert K.term(n).at("1").dim == 0
@@ -207,8 +247,8 @@ def test_ho_kan_diagram_structure_valid(dn, socle_arrow, arrow):
     u = identity_functor(arrow)
     kan = ho_left_kan(u, t)
     for n in (-1, 0, 1):
-        kan.complex.term(n).validate()
-        kan.complex.diff(n).validate()
+        kan.term(n).validate()
+        kan.diff(n).validate()
 
 
 def test_der4_point_inclusion(dn, reg, arrow):
@@ -271,3 +311,79 @@ def test_der4_with_non_factoring_parallel_path(dn, reg):
     m = rw(u, "j", 2)
     sub, _ = hom_module_from_weight(m, x)
     assert sub.dim == reg.dim + reg.dim
+
+
+SHAPES = (arrow_category, cospan_category, span_category, square_category)
+
+
+def _to_point(cat):
+    return CatFunctor(cat, terminal_category(), {o: "*" for o in cat.objects}, {f: "1_*" for f in cat.morphisms})
+
+
+def _cohomology_dim(c, n, o):
+    return c.term(n).at(o).dim - rank(c.diff(n).comps[o]) - rank(c.diff(n - 1).comps[o])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("make_shape", SHAPES)
+def test_holim_of_constant_weight_is_the_limit(p, make_shape):
+    # the bar resolution's face signs must make d o d = 0 at odd p too:
+    # at the square (chains of two arrows) a wrong sign raised here
+    cat = make_shape()
+    alg = dual_numbers(p)
+    x = constant_diagram(cat, alg, regular_module(alg))
+    stalk = LazyComplex.bounded(cat, alg, {0: x}, {})
+    res = bar_resolution(LeftKIModule.constant(cat, p, 1))
+    h = weighted_holim(Weight.from_resolution(res), stalk)
+    assert _cohomology_dim(h, 0, "*") == limit_of_diagram(x)[0].dim
+    assert _cohomology_dim(h, 1, "*") == _cohomology_dim(h, 2, "*") == 0
+
+
+def test_dual_complex_is_an_involution(socle_arrow):
+    c = complete_resolution(socle_arrow)
+    dd = dual_complex(dual_complex(c))
+    assert dd.shape is c.shape and dd.alg is c.alg
+    for n in range(-2, 3):
+        for o in c.shape.objects:
+            assert dd.term(n).at(o).action == c.term(n).at(o).action
+            assert dd.diff(n).comps[o] == c.diff(n).comps[o]
+        for f in c.shape.nonidentity_morphisms():
+            assert dd.term(n).mat(f) == c.term(n).mat(f)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("make_shape", SHAPES)
+def test_ho_right_kan_h0_is_the_pointwise_right_kan(p, make_shape):
+    # H^0 of the derived right Kan extension of a stalk complex is the
+    # underived one, computed by direct limits over the slices j/u
+    cat = make_shape()
+    alg = dual_numbers(p)
+    rng = random.Random(p * 10 + len(cat.objects))
+    diagrams = [constant_diagram(cat, alg, regular_module(alg))] + [random_diagram(cat, alg, 2, rng) for _ in range(2)]
+    checked = 0
+    for d in diagrams:
+        cases = [(identity_functor(cat), d), (_to_point(cat), d)]
+        cases += [(object_functor(cat, o), constant_diagram(terminal_category(), alg, d.at(o))) for o in cat.objects]
+        for u, y in cases:
+            K = ho_right_kan(u, LazyComplex.bounded(u.dom, alg, {0: y}, {}))
+            direct = pointwise_right_kan(u, y)
+            for j in u.cod.objects:
+                assert _cohomology_dim(K, 0, j) == direct.at(j).dim
+                checked += 1
+    n = len(cat.objects)
+    assert checked == len(diagrams) * (n + 1 + n * n)
+
+
+def test_ho_right_kan_is_the_pointwise_holim():
+    # at each j the differential is that of weighted_holim over j's
+    # restriction weight, signs included (p = 3, square: chains of two arrows)
+    sq = square_category()
+    alg3 = dual_numbers(3)
+    t = complete_resolution(random_gproj(sq, alg3, 2, random.Random(4)))
+    for u in (identity_functor(sq), _to_point(sq)):
+        K = ho_right_kan(u, t)
+        for j in u.cod.objects:
+            h = weighted_holim(Weight.from_resolution(bar_resolution(restriction_weight(u, j, 3))), t)
+            for n in (-1, 0, 1):
+                assert K.term(n).at(j).action == h.term(n).at("*").action
+                assert K.diff(n).comps[j] == h.diff(n).comps["*"]
