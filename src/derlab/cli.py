@@ -182,8 +182,16 @@ class Session:
             except (DiagramError, ModuleError) as exc:
                 raise ScenarioError(f"malformed complex document: the diff at degree {k} is not a map of diagrams ({exc})") from exc
         if period:
-            return LazyComplex.periodic(shape, self.alg, terms, diffs, period)
-        return LazyComplex.bounded(shape, self.alg, terms, diffs)
+            c = LazyComplex.periodic(shape, self.alg, terms, diffs, period)
+        else:
+            c = LazyComplex.bounded(shape, self.alg, terms, diffs)
+        try:
+            for k in diffs:
+                c.diff(k)
+                c.diff(k + 1)  # materializing d^(k+1) beside d^k checks d o d = 0
+        except VerificationError as exc:
+            raise ScenarioError(f"malformed complex document: {exc}") from exc
+        return c
 
 
 def _item(item_id: str, suite: str, verdict: str, details: Optional[dict] = None) -> dict:

@@ -7,7 +7,9 @@ d_{C[n]} = (-1)^n d_C; the cone of f: X -> Y has terms Y^k (+) X^{k+1} with
 differential [[d_Y, f], [0, -d_X]].
 
 A LazyComplex memoizes terms and differentials and re-checks d o d = 0 on
-everything it materializes.  Memoization is not synchronized: hand a value
+everything it materializes.  Its diff_fn(n) returns the component matrices
+of d^n at each object; diff(n) alone wraps them as a map between the
+memoized terms n and n + 1.  Memoization is not synchronized: hand a value
 to at most one worker at a time.
 """
 
@@ -19,8 +21,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import Algebra
-from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_category, terminal_category
-from .field import Mat, block_diag, hstack, kernel_basis, rank, solve, vstack
+from .cats import CatFunctor, DirectCategory, full_subcategory, object_functor, opposite_category
+from .field import Mat, block, block_diag, hstack, kernel_basis, rank, solve
 from .modules import submodule, is_projective, zero_module
 from .diagrams import (
     Diagram,
@@ -50,7 +52,7 @@ class WindowError(ValueError):
 
 
 class LazyComplex:
-    def __init__(self, shape: DirectCategory, alg: Algebra, term_fn: Callable[[int], Diagram], diff_fn: Callable[[int], DiagramMap], label: str = "") -> None:
+    def __init__(self, shape: DirectCategory, alg: Algebra, term_fn: Callable[[int], Diagram], diff_fn: Callable[[int], Dict[str, Mat]], label: str = "") -> None:
         self.shape = shape
         self.alg = alg
         self._term_fn = term_fn
@@ -66,11 +68,7 @@ class LazyComplex:
 
     def diff(self, n: int) -> DiagramMap:
         if n not in self._diffs:
-            d = self._diff_fn(n)
-            for o in self.shape.objects:
-                if d.comps[o].rows != self.term(n + 1).at(o).dim or d.comps[o].cols != self.term(n).at(o).dim:
-                    raise VerificationError(f"differential at degree {n} has wrong shape at {o}")
-            self._diffs[n] = d
+            self._diffs[n] = DiagramMap(self.term(n), self.term(n + 1), self._diff_fn(n))
             for m in (n - 1, n + 1):
                 if m in self._diffs:
                     lo, hi = min(n, m), max(n, m)
@@ -99,7 +97,8 @@ class LazyComplex:
     @staticmethod
     def zero(shape: DirectCategory, alg: Algebra) -> "LazyComplex":
         z = zero_diagram(shape, alg)
-        return LazyComplex(shape, alg, lambda n: z, lambda n: zero_diagram_map(z, z), "zero")
+        zeros = {o: Mat.zeros(alg.p, 0, 0) for o in shape.objects}
+        return LazyComplex(shape, alg, lambda n: z, lambda n: zeros, "zero")
 
     @staticmethod
     def bounded(shape: DirectCategory, alg: Algebra, terms: Dict[int, Diagram], diffs: Dict[int, DiagramMap], label: str = "bounded") -> "LazyComplex":
@@ -110,10 +109,11 @@ class LazyComplex:
         def term_fn(n: int) -> Diagram:
             return terms.get(n, z)
 
-        def diff_fn(n: int) -> DiagramMap:
+        def diff_fn(n: int) -> Dict[str, Mat]:
             if n in diffs:
-                return diffs[n]
-            return zero_diagram_map(term_fn(n), term_fn(n + 1))
+                return diffs[n].comps
+            src, tgt = term_fn(n), term_fn(n + 1)
+            return {o: Mat.zeros(alg.p, tgt.at(o).dim, src.at(o).dim) for o in shape.objects}
 
         return LazyComplex(shape, alg, term_fn, diff_fn, label)
 
@@ -127,8 +127,8 @@ class LazyComplex:
         def term_fn(n: int) -> Diagram:
             return terms[fold(n)]
 
-        def diff_fn(n: int) -> DiagramMap:
-            return diffs[fold(n)]
+        def diff_fn(n: int) -> Dict[str, Mat]:
+            return diffs[fold(n)].comps
 
         return LazyComplex(shape, alg, term_fn, diff_fn, label)
 
@@ -141,12 +141,10 @@ def dual_complex(c: LazyComplex) -> LazyComplex:
     def term_fn(n: int) -> Diagram:
         return dual_diagram(c.term(-n))
 
-    def diff_fn(n: int) -> DiagramMap:
-        d = c.diff(-n - 1)
-        return DiagramMap(dc.term(n), dc.term(n + 1), {o: m.T for o, m in d.comps.items()})
+    def diff_fn(n: int) -> Dict[str, Mat]:
+        return {o: m.T for o, m in c.diff(-n - 1).comps.items()}
 
-    dc = LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn, f"D({c.label})")
-    return dc
+    return LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn, f"D({c.label})")
 
 
 def complete_resolution(x: Diagram) -> LazyComplex:
@@ -177,16 +175,17 @@ def complete_resolution(x: Diagram) -> LazyComplex:
             return pos_confl(n).middle
         return neg_confl(-n - 1).middle
 
-    def diff_fn(n: int) -> DiagramMap:
+    def diff_fn(n: int) -> Dict[str, Mat]:
         if n >= 0:
             # E_n ->> x_{n+1} >-> E_{n+1}
-            return compose_diagram_maps(pos_confl(n + 1).left, pos_confl(n).right)
-        if n == -1:
+            g, f = pos_confl(n + 1).left, pos_confl(n).right
+        elif n == -1:
             # P_0 ->> x >-> E_0
-            return compose_diagram_maps(pos_confl(0).left, neg_confl(0).right)
-        # P_{k+1} ->> syz_{k+1} >-> P_k with k = -n - 2
-        k = -n - 2
-        return compose_diagram_maps(neg_confl(k).left, neg_confl(k + 1).right)
+            g, f = pos_confl(0).left, neg_confl(0).right
+        else:
+            # P_{k+1} ->> syz_{k+1} >-> P_k with k = -n - 2
+            g, f = neg_confl(-n - 2).left, neg_confl(-n - 1).right
+        return {o: g.comps[o] @ f.comps[o] for o in shape.objects}
 
     c = LazyComplex(shape, alg, term_fn, diff_fn, "complete-resolution")
     # witnesses for z0_witness: the seed and its inflation into E_0
@@ -249,9 +248,9 @@ def shift(c: LazyComplex, n: int) -> LazyComplex:
     def term_fn(k: int) -> Diagram:
         return c.term(k + n)
 
-    def diff_fn(k: int) -> DiagramMap:
-        d = c.diff(k + n)
-        return d if sign == 1 else d.scale(-1)
+    def diff_fn(k: int) -> Dict[str, Mat]:
+        d = c.diff(k + n).comps
+        return d if sign == 1 else {o: -m for o, m in d.items()}
 
     return LazyComplex(c.shape, c.alg, term_fn, diff_fn, f"{c.label}[{n}]")
 
@@ -264,17 +263,12 @@ def cone(f: ComplexMap) -> LazyComplex:
     def term_fn(k: int) -> Diagram:
         return direct_sum_diagrams([Y.term(k), X.term(k + 1)])[0]
 
-    def diff_fn(k: int) -> DiagramMap:
-        src = term_fn(k)
-        tgt = term_fn(k + 1)
+    def diff_fn(k: int) -> Dict[str, Mat]:
         comps = {}
         for o in shape.objects:
-            ty, tx = Y.term(k).at(o).dim, X.term(k + 1).at(o).dim
-            ny, nx = Y.term(k + 1).at(o).dim, X.term(k + 2).at(o).dim
-            top = hstack([Y.diff(k).comps[o], f.comp(k + 1).comps[o]]) if ny else Mat.zeros(alg.p, 0, ty + tx)
-            bot = hstack([Mat.zeros(alg.p, nx, ty), (-X.diff(k + 1).comps[o]) if nx else Mat.zeros(alg.p, nx, tx)]) if nx else Mat.zeros(alg.p, 0, ty + tx)
-            comps[o] = vstack([top, bot]) if (ny or nx) else Mat.zeros(alg.p, 0, ty + tx)
-        return DiagramMap(src, tgt, comps)
+            dy, dx = Y.diff(k).comps[o], X.diff(k + 1).comps[o]
+            comps[o] = block(alg.p, [[dy, f.comp(k + 1).comps[o]], [None, -dx]], [dy.rows, dx.rows], [dy.cols, dx.cols])
+        return comps
 
     return LazyComplex(shape, alg, term_fn, diff_fn, f"cone({f.label})")
 
@@ -282,29 +276,15 @@ def cone(f: ComplexMap) -> LazyComplex:
 # -- contractibility -----------------------------------------------------------
 
 
-def restrict_complex_to_object(c: LazyComplex, o: str) -> LazyComplex:
-    """The component complex at one object, as a complex over the point."""
-    e = terminal_category()
-
-    def term_fn(n: int) -> Diagram:
-        return Diagram(e, c.alg, {"*": c.term(n).at(o)}, {})
-
-    def diff_fn(n: int) -> DiagramMap:
-        return DiagramMap(term_fn(n), term_fn(n + 1), {"*": c.diff(n).comps[o]})
-
-    return LazyComplex(e, c.alg, term_fn, diff_fn, f"{c.label}@{o}")
-
-
-def is_termwise_contractible(c: LazyComplex, lo: int, hi: int, oracle: str = "auto") -> bool:
+def is_termwise_contractible(c: LazyComplex, lo: int, hi: int) -> bool:
     """Are all component cocycle modules projective on the window?
 
     Valid for acyclic complexes of projectives over a self-injective
     algebra: the cocycle conflations split exactly when the cocycles are
     projective (= injective), and splitting everywhere is contractibility.
 
-    The independent oracle is a linear contraction solve per component;
-    with oracle="auto" it runs whenever the window is small enough to make
-    the joint solve cheap, with "always"/"never" forcing either way.
+    The independent oracle is a linear contraction solve per component; it
+    runs whenever the window is small enough to make the joint solve cheap.
     Disagreement between criterion and oracle is a hard error.
     """
     if not c.is_acyclic_on(lo, hi):
@@ -322,11 +302,10 @@ def is_termwise_contractible(c: LazyComplex, lo: int, hi: int, oracle: str = "au
         (c.term(k).at(o).dim for k in range(lo, hi + 1) for o in c.shape.objects),
         default=0,
     )
-    run_oracle = oracle == "always" or (oracle == "auto" and biggest <= 12)
     # the contraction solve places equations at lo..hi, which presumes
     # exactness there; skip the cross-check when the larger window is not
     # materializably acyclic
-    if run_oracle and c.is_acyclic_on(lo - 1, hi + 1):
+    if biggest <= 12 and c.is_acyclic_on(lo - 1, hi + 1):
         by_search = all(
             component_contraction_exists(c, o, lo - 1, hi + 1) for o in c.shape.objects
         )
@@ -378,7 +357,7 @@ def contraction_on_window(c: LazyComplex, lo: int, hi: int) -> Optional[Dict[int
 
 
 def component_contraction_exists(c: LazyComplex, o: str, lo: int, hi: int) -> bool:
-    return contraction_on_window(restrict_complex_to_object(c, o), lo, hi) is not None
+    return contraction_on_window(restrict_complex(object_functor(c.shape, o), c), lo, hi) is not None
 
 
 # -- cohomology ------------------------------------------------------------------
@@ -449,14 +428,9 @@ def _component_complex_at_min(c: LazyComplex, i: str) -> Tuple[LazyComplex, Comp
     def term_fn(k: int) -> Diagram:
         return left_kan_from_point(shape, alg, i, c.term(k).at(i))
 
-    def diff_fn(k: int) -> DiagramMap:
-        src, tgt = term_fn(k), term_fn(k + 1)
+    def diff_fn(k: int) -> Dict[str, Mat]:
         d_i = c.diff(k).comps[i]
-        comps = {}
-        for o in shape.objects:
-            n = len(shape.hom(i, o))
-            comps[o] = block_diag(alg.p, [d_i] * n) if n else Mat.zeros(alg.p, tgt.at(o).dim, src.at(o).dim)
-        return DiagramMap(src, tgt, comps)
+        return {o: block_diag(alg.p, [d_i] * len(shape.hom(i, o))) for o in shape.objects}
 
     A = LazyComplex(shape, alg, term_fn, diff_fn, f"{c.label}|{i}-part")
     comps_by_degree: Dict[int, DiagramMap] = {}
@@ -490,11 +464,10 @@ def _extend_by_zero_complex(sub_shape: DirectCategory, c: LazyComplex, full_shap
                 mats[f] = Mat.zeros(alg.p, modules[t].dim, modules[s].dim)
         return Diagram(full_shape, alg, modules, mats)
 
-    def diff_fn(k: int) -> DiagramMap:
-        base = c.diff(k)
-        comps = {o: base.comps[o] for o in sub_shape.objects}
+    def diff_fn(k: int) -> Dict[str, Mat]:
+        comps = dict(c.diff(k).comps)
         comps[missing] = Mat.zeros(alg.p, 0, 0)
-        return DiagramMap(term_fn(k), term_fn(k + 1), comps)
+        return comps
 
     return LazyComplex(full_shape, alg, term_fn, diff_fn, f"{c.label}-ext0")
 
@@ -532,67 +505,40 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
     # zeta = counit o k_!(theta): k_! is extension by zero since i is minimal
     B = _extend_by_zero_complex(sub_shape, inner.p_part, shape, i)
 
-    def zeta(k: int) -> DiagramMap:
-        theta_k = inner.map_p.comp(k)
-        comps = {o: theta_k.comps[o] for o in sub_shape.objects}
-        comps[i] = Mat.zeros(alg.p, X_ic.term(k).at(i).dim, 0)
-        return DiagramMap(B.term(k), X_ic.term(k), comps)
+    def zeta(k: int, o: str) -> Mat:
+        if o == i:
+            return Mat.zeros(alg.p, X_ic.term(k).at(i).dim, 0)
+        return inner.map_p.comp(k).comps[o]
 
     # split zeta into (f: B -> c, h: B -> A[1]) through the cone block structure
-    def f_of(k: int) -> DiagramMap:
-        zk = zeta(k)
-        comps = {}
-        for o in shape.objects:
-            ty = c.term(k).at(o).dim
-            comps[o] = Mat(alg.p, zk.comps[o].a[:ty, :]) if zk.comps[o].rows else Mat.zeros(alg.p, ty, zk.comps[o].cols)
-        return DiagramMap(B.term(k), c.term(k), comps)
+    def f_of(k: int, o: str) -> Mat:
+        return zeta(k, o)[: c.term(k).at(o).dim, :]
 
-    def h_of(k: int) -> DiagramMap:
-        zk = zeta(k)
-        comps = {}
-        for o in shape.objects:
-            ty = c.term(k).at(o).dim
-            ta = A.term(k + 1).at(o).dim
-            comps[o] = Mat(alg.p, zk.comps[o].a[ty : ty + ta, :]) if ta else Mat.zeros(alg.p, 0, zk.comps[o].cols)
-        return DiagramMap(B.term(k), A.term(k + 1), comps)
+    def h_of(k: int, o: str) -> Mat:
+        return zeta(k, o)[c.term(k).at(o).dim :, :]
 
     def p_term(k: int) -> Diagram:
         return direct_sum_diagrams([A.term(k), B.term(k)])[0]
 
-    def p_diff(k: int) -> DiagramMap:
-        src, tgt = p_term(k), p_term(k + 1)
-        hk = h_of(k)
+    def p_diff(k: int) -> Dict[str, Mat]:
         comps = {}
         for o in shape.objects:
-            ra, rb = A.term(k + 1).at(o).dim, B.term(k + 1).at(o).dim
-            ca, cb = A.term(k).at(o).dim, B.term(k).at(o).dim
-            top = hstack([A.diff(k).comps[o], -hk.comps[o]]) if ra else Mat.zeros(alg.p, 0, ca + cb)
-            bot = hstack([Mat.zeros(alg.p, rb, ca), B.diff(k).comps[o]]) if rb else Mat.zeros(alg.p, 0, ca + cb)
-            comps[o] = vstack([top, bot]) if (ra or rb) else Mat.zeros(alg.p, 0, ca + cb)
-        return DiagramMap(src, tgt, comps)
+            da, db = A.diff(k).comps[o], B.diff(k).comps[o]
+            comps[o] = block(alg.p, [[da, -h_of(k, o)], [None, db]], [da.rows, db.rows], [da.cols, db.cols])
+        return comps
 
     p_part = LazyComplex(shape, alg, p_term, p_diff, f"{c.label}-p")
 
     phi_comps: Dict[int, DiagramMap] = {}
     for k in range(lo - 1, hi + 2):
-        fk = f_of(k)
-        comps = {}
-        for o in shape.objects:
-            comps[o] = hstack([eps.comp(k).comps[o], fk.comps[o]])
+        comps = {o: hstack([eps.comp(k).comps[o], f_of(k, o)]) for o in shape.objects}
         phi_comps[k] = DiagramMap(p_part.term(k), c.term(k), comps)
     map_p = ComplexMap(p_part, c, phi_comps, "sod-p")
     tc_part = cone(map_p)
     inj_comps: Dict[int, DiagramMap] = {}
     for k in range(lo - 1, hi + 1):
-        src_t = c.term(k)
-        tgt_t = tc_part.term(k)
-        comps = {}
-        for o in shape.objects:
-            rows = tgt_t.at(o).dim
-            cy = src_t.at(o).dim
-            block = np.zeros((rows, cy), dtype=np.int64)
-            block[:cy, :] = np.eye(cy, dtype=np.int64)
-            comps[o] = Mat(alg.p, block)
+        src_t, tgt_t = c.term(k), tc_part.term(k)
+        comps = {o: Mat.identity(alg.p, tgt_t.at(o).dim)[:, : src_t.at(o).dim] for o in shape.objects}
         inj_comps[k] = DiagramMap(src_t, tgt_t, comps)
     map_tc = ComplexMap(c, tc_part, inj_comps, "sod-tc")
     return SodResult(p_part, tc_part, map_p, map_tc, (lo, hi))
@@ -602,8 +548,8 @@ def restrict_complex(u: CatFunctor, c: LazyComplex) -> LazyComplex:
     def term_fn(k: int) -> Diagram:
         return restrict(u, c.term(k))
 
-    def diff_fn(k: int) -> DiagramMap:
-        d = c.diff(k)
-        return DiagramMap(term_fn(k), term_fn(k + 1), {o: d.comps[u.on_obj(o)] for o in u.dom.objects})
+    def diff_fn(k: int) -> Dict[str, Mat]:
+        d = c.diff(k).comps
+        return {o: d[u.on_obj(o)] for o in u.dom.objects}
 
     return LazyComplex(u.dom, c.alg, term_fn, diff_fn, f"{c.label}|sub")

@@ -17,12 +17,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .cats import CatFunctor, DirectCategory, arrow_category, identity_functor, opposite_functor, slice_category, terminal_category
+from .cats import CatFunctor, DirectCategory, arrow_category, identity_functor, opposite_category, opposite_functor, slice_category, terminal_category
 from .field import Mat, kernel_basis, rank, solve, vstack
 from .modules import Module, direct_sum, submodule, zero_module
 from .diagrams import (
     Diagram,
-    DiagramMap,
     dual_diagram,
     limit_of_diagram,
     restrict,
@@ -337,7 +336,8 @@ class Weight:
     @staticmethod
     def cone(p: int) -> "Weight":
         """Over [1]: h^1 in degree -1 mapping to h^0 in degree 0 along e0;
-        the weighted holim computes cone(f)[-1]."""
+        the weighted holim computes cone(f)[-1] up to the sign isomorphism,
+        exactly at p = 2."""
         c = arrow_category()
         terms = {
             -1: [FreeSummand("1", ("1",), [((), 0)])],
@@ -376,7 +376,7 @@ def weighted_hocolim(w: Weight, f: LazyComplex) -> LazyComplex:
         total = direct_sum(mods)[0] if mods else zero_module(alg)
         return Diagram(e, alg, {"*": total}, {})
 
-    def diff_fn(n: int) -> DiagramMap:
+    def diff_fn(n: int) -> Dict[str, Mat]:
         src_dims = [f.term(n - q).at(obj).dim for (q, s_idx, t, obj) in blocks]
         tgt_dims = [f.term(n + 1 - q).at(obj).dim for (q, s_idx, t, obj) in blocks]
         src_off = np.concatenate([[0], np.cumsum(src_dims)]) if src_dims else np.array([0])
@@ -411,21 +411,19 @@ def weighted_hocolim(w: Weight, f: LazyComplex) -> LazyComplex:
                             out[tgt_off[r_idx] : tgt_off[r_idx] + fmat.rows, src_off[c_idx] : src_off[c_idx] + fmat.cols]
                             + cval * fmat.a
                         ) % p
-        return DiagramMap(hc.term(n), hc.term(n + 1), {"*": Mat(p, out)})
+        return {"*": Mat(p, out)}
 
-    hc = LazyComplex(e, alg, term_fn, diff_fn, "hocolim")
-    return hc
+    return LazyComplex(e, alg, term_fn, diff_fn, "hocolim")
 
 
 def _signed_dual(c: LazyComplex, wcs: Dict[str, FreeComplex], f: LazyComplex, label: str) -> LazyComplex:
     """The collapsed Hom totalization of f from c, the collapsed tensor
-    totalization of D f over the same blocks: dual_complex(c) with its
-    differential at each object j conjugated by the diagonal sign sigma_n,
-    which is (-1)^(n q + q(q+1)/2) on the block (q, s, t, obj) of wcs[j],
-    the block holding f^{q+n}(obj).  That drops the (-1)^q of the d_F part
-    and puts (-1)^(n+1) on the d_W part."""
+    totalization of D f over the same blocks: the terms of dual_complex(c),
+    with the transposed differential of c at each object j conjugated by the
+    diagonal sign sigma_n, which is (-1)^(n q + q(q+1)/2) on the block
+    (q, s, t, obj) of wcs[j], the block holding f^{q+n}(obj).  That drops
+    the (-1)^q of the d_F part and puts (-1)^(n+1) on the d_W part."""
     p = f.alg.p
-    dual = dual_complex(c)
     blocks = {j: _weight_blocks(wc) for j, wc in wcs.items()}
     sigmas: Dict[Tuple[str, int], np.ndarray] = {}
 
@@ -436,12 +434,14 @@ def _signed_dual(c: LazyComplex, wcs: Dict[str, FreeComplex], f: LazyComplex, la
             sigmas[(j, n)] = np.repeat(1 - 2 * ((n * q + q * (q + 1) // 2) % 2), dims)
         return sigmas[(j, n)]
 
-    def diff_fn(n: int) -> DiagramMap:
-        d = dual.diff(n)
-        comps = {j: Mat(p, sigma(j, n + 1)[:, None] * d.comps[j].a * sigma(j, n)) for j in wcs}
-        return DiagramMap(d.src, d.tgt, comps)
+    def term_fn(n: int) -> Diagram:
+        return dual_diagram(c.term(-n))
 
-    return LazyComplex(dual.shape, dual.alg, dual.term, diff_fn, label)
+    def diff_fn(n: int) -> Dict[str, Mat]:
+        d = c.diff(-n - 1).comps
+        return {j: Mat(p, sigma(j, n + 1)[:, None] * d[j].a.T * sigma(j, n)) for j in wcs}
+
+    return LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn, label)
 
 
 def weighted_holim(w: Weight, f: LazyComplex) -> LazyComplex:
@@ -522,11 +522,10 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
         mats = {alpha: structure_mat(alpha, n) for alpha in J.nonidentity_morphisms()}
         return Diagram(J, alg, modules, mats)
 
-    def diff_fn(n: int) -> DiagramMap:
-        return DiagramMap(kan.term(n), kan.term(n + 1), {j: hoc[j].diff(n).comps["*"] for j in J.objects})
+    def diff_fn(n: int) -> Dict[str, Mat]:
+        return {j: hoc[j].diff(n).comps["*"] for j in J.objects}
 
-    kan = LazyComplex(J, alg, term_fn, diff_fn, "ho-left-kan")
-    return kan
+    return LazyComplex(J, alg, term_fn, diff_fn, "ho-left-kan")
 
 
 # -- the slice-square comparison ---------------------------------------------------------

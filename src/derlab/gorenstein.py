@@ -275,8 +275,8 @@ class GprojKan:
     unit: DiagramMap                     # x -> u^*(u_! x)
 
 
-def gproj_left_kan_data(u: CatFunctor, x: Diagram, verify: bool = True) -> GprojKan:
-    if verify and not is_gproj(x):
+def gproj_left_kan_data(u: CatFunctor, x: Diagram) -> GprojKan:
+    if not is_gproj(x):
         raise PreconditionError("left Kan extension requires a Gorenstein-projective diagram")
     J = u.cod
     alg = x.alg
@@ -284,13 +284,13 @@ def gproj_left_kan_data(u: CatFunctor, x: Diagram, verify: bool = True) -> Gproj
     for j in J.objects:
         pres = slice_category(u, j, "under")
         rest = restrict(pres.projection, x)
-        if verify and not is_gproj(rest):
+        if not is_gproj(rest):
             raise VerificationError(f"restriction to the slice over {j} lost Gorenstein projectivity")
         colim, cocone = colim_gproj_data(rest)
         slices[j], cocones[j], modules[j] = pres, cocone, colim
     mats = slice_transport(J, slices, cocones, modules)
     out = Diagram(J, alg, modules, mats)
-    if verify and not is_gproj(out):
+    if not is_gproj(out):
         raise VerificationError("left Kan extension output failed the latching check")
     unit_comps = {}
     for i in u.dom.objects:

@@ -97,12 +97,10 @@ class _DiagramOps:
 _DIAGRAMS = _DiagramOps()
 
 
-def stable_hom_diagrams(x: Diagram, y: Diagram, check: bool = False) -> StableHomReport:
+def stable_hom_diagrams(x: Diagram, y: Diagram) -> StableHomReport:
     """Hom(x, y) modulo maps factoring through a projective diagram; the
     subspace is the image of composition with the projective-cover
     deflation of y."""
-    if check and not (is_gproj(x) and is_gproj(y)):
-        raise PreconditionError("stable homs are computed between Gorenstein projectives")
     return stable_hom_in(_DIAGRAMS, x, y)
 
 

@@ -264,6 +264,7 @@ MALFORMED = {
     "action-not-a-list": ("diagram", _point(1, 5)),
     "objects-not-a-mapping": ("diagram", {"shape": "point", "objects": [], "morphisms": {}}),
     "diff-not-a-module-map": ("complex", _complex({"periodic": {"period": 1}}, {"0": _FREE_POINT}, {"0": {"*": [[0, 1], [0, 0]]}})),
+    "diff-squares-to-nonzero": ("complex", _complex({"periodic": {"period": 1}}, {"0": _FREE_POINT}, {"0": {"*": [[1, 0], [0, 1]]}})),
     "period-zero": ("complex", _complex({"periodic": {"period": 0}}, {"0": _FREE_POINT}, {"0": {"*": _NILPOTENT}})),
     "periodic-without-terms": ("complex", _complex({"periodic": {"period": 1}}, {}, {})),
     "period-two-one-diff": ("complex", _complex({"periodic": {"period": 2}}, {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _NILPOTENT}})),

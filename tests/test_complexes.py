@@ -122,11 +122,7 @@ def test_sum_with_noncontractible_detected(dn, kres):
     def diff_fn(n):
         from derlab.field import block_diag
 
-        src, tgt = term_fn(n), term_fn(n + 1)
-        comps = {
-            "*": block_diag(2, [good.diff(n).comps["*"], kres.diff(n).comps["*"]])
-        }
-        return DiagramMap(src, tgt, comps)
+        return {"*": block_diag(2, [good.diff(n).comps["*"], kres.diff(n).comps["*"]])}
 
     mixed = LazyComplex(good.shape, dn, term_fn, diff_fn)
     assert not is_termwise_contractible(mixed, -1, 1)
@@ -190,3 +186,45 @@ def test_sod_mixed_input(dn, simple, reg):
     from derlab.gorenstein import is_gproj as gp
 
     assert gp(zker)
+
+
+def test_differentials_connect_the_memoized_terms(dn, simple, reg):
+    # every constructor's d^n runs from its own term n to its own term n + 1,
+    # not from a copy of either built again for the differential
+    from derlab.cats import CatFunctor, full_subcategory, object_functor
+    from derlab.complexes import dual_complex, restrict_complex
+    from derlab.dgkan import (
+        Weight,
+        bar_resolution,
+        ho_left_kan,
+        ho_right_kan,
+        restriction_weight_right,
+        weighted_hocolim,
+        weighted_holim,
+    )
+
+    arrow = arrow_category()
+    x = Diagram(arrow, dn, {"0": simple, "1": reg}, {"e0": Mat(2, [[0], [1]])}).validate()
+    c = complete_resolution(x)
+    to_point = CatFunctor(arrow, terminal_category(), {"0": "*", "1": "*"}, {"e0": "1_*"})
+    sod = sod_decompose(c, -2, 2)
+    cases = {
+        "cone": cone(ComplexMap(c, c, {k: identity_diagram_map(c.term(k)) for k in range(-4, 5)})),
+        "shift": shift(c, 1),
+        "dual_complex": dual_complex(c),
+        "restrict_complex": restrict_complex(full_subcategory(arrow, ["1"])[1], c),
+        "restrict_complex/object_functor": restrict_complex(object_functor(arrow, "0"), c),
+        "complete_resolution": c,
+        "sod p-part": sod.p_part,
+        "sod tc-part": sod.tc_part,
+        "weighted_hocolim": weighted_hocolim(
+            Weight.from_resolution(bar_resolution(restriction_weight_right(to_point, "*", 2))), c
+        ),
+        "weighted_holim": weighted_holim(Weight.representable(arrow, 2, "0"), c),
+        "ho_left_kan": ho_left_kan(to_point, c),
+        "ho_right_kan": ho_right_kan(to_point, c),
+    }
+    for name, cx in cases.items():
+        for n in range(-2, 3):
+            assert cx.diff(n).src is cx.term(n), name
+            assert cx.diff(n).tgt is cx.term(n + 1), name

@@ -142,9 +142,7 @@ def test_weight_cone_matches_cone(dn, simple, reg, kres_point):
 
     def diff_fn(n):
         d = kres_point.diff(n).comps["*"]
-        return __import__("derlab.diagrams", fromlist=["DiagramMap"]).DiagramMap(
-            term_fn(n), term_fn(n + 1), {"0": d, "1": d}
-        )
+        return {"0": d, "1": d}
 
     fam = LazyComplex(arrow, dn, term_fn, diff_fn)
     w = Weight.cone(2)
@@ -172,9 +170,7 @@ def test_holim_dd_zero_at_p3():
 
     def diff_fn(n):
         d = c.diff(n).comps["*"]
-        from derlab.diagrams import DiagramMap
-
-        return DiagramMap(term_fn(n), term_fn(n + 1), {"0": d, "1": d})
+        return {"0": d, "1": d}
 
     fam = LazyComplex(arrow, alg3, term_fn, diff_fn)
     to_point = CatFunctor(arrow, e, {"0": "*", "1": "*"}, {"e0": "1_*"})
@@ -206,7 +202,7 @@ def test_holim_signs_at_p3():
         arrow,
         alg3,
         lambda k: Diagram(arrow, alg3, {"0": c.term(k).at("*"), "1": c.term(k).at("*")}, {"e0": f[k]}),
-        lambda k: DiagramMap(fam.term(k), fam.term(k + 1), {"0": c.diff(k).comps["*"], "1": c.diff(k).comps["*"]}),
+        lambda k: {"0": c.diff(k).comps["*"], "1": c.diff(k).comps["*"]},
     )
     h = weighted_holim(Weight.cone(3), fam)
     for k in (-1, 0, 1):
