@@ -8,7 +8,7 @@ of projectives, weighted homotopy (co)limits over free linear categories,
 and cross-checks between the two models of homotopy Kan extensions.
 """
 
-from .field import Mat, rref, solve, kernel_basis, rank
+from .field import DerlabError, Mat, rref, solve, kernel_basis, rank
 from .algebra import (
     Algebra,
     AlgebraError,

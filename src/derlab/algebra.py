@@ -13,10 +13,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .field import MODULUS_BOUND, Mat, check_integer_entries, is_prime
+from .field import MODULUS_BOUND, DerlabError, Mat, check_integer_entries, is_prime
 
 
-class AlgebraError(ValueError):
+class AlgebraError(DerlabError, ValueError):
     pass
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .field import DerlabError
 
-class CategoryError(ValueError):
+
+class CategoryError(DerlabError, ValueError):
     pass
 
 

@@ -14,15 +14,13 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .algebra import AlgebraError, algebra_from_dict, is_self_injective
-from .cats import CategoryError, category_from_dict, disjoint_union, functor_from_dict
-from .field import matrix_from_entries
-from .modules import ModuleError
+from .algebra import algebra_from_dict, is_self_injective
+from .cats import category_from_dict, disjoint_union, functor_from_dict
+from .field import DerlabError, matrix_from_entries
 from .diagrams import (
     Diagram,
-    DiagramError,
     DiagramMap,
     diagram_from_dict,
     ext1,
@@ -36,8 +34,6 @@ from .diagrams import (
     zero_diagram_map,
 )
 from .gorenstein import (
-    PreconditionError,
-    VerificationError,
     approx_gproj,
     gproj_left_kan,
     gproj_witness_report,
@@ -51,7 +47,6 @@ from .gorenstein import (
 from .homotopy import der2_witness, is_weak_equivalence, lift_to_arrow_diagram
 from .complexes import (
     LazyComplex,
-    WindowError,
     complete_resolution,
     contraction_on_window,
     is_termwise_contractible,
@@ -73,7 +68,7 @@ KNOWN_SUITES = [
 ]
 
 
-class ScenarioError(ValueError):
+class ScenarioError(DerlabError, ValueError):
     pass
 
 
@@ -172,14 +167,12 @@ class Session:
                     rows, cols = tgt.at(o).dim, src.at(o).dim
                     mats[o] = matrix_from_entries(p, comps[o] if rows * cols else comps.get(o, []), rows, cols)
                 diffs[k] = DiagramMap(src, tgt, mats)
-        except (DiagramError, ModuleError):
-            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"malformed complex document: {exc}") from exc
         for k, d in diffs.items():
             try:
                 d.validate()
-            except (DiagramError, ModuleError) as exc:
+            except DerlabError as exc:
                 raise ScenarioError(f"malformed complex document: the diff at degree {k} is not a map of diagrams ({exc})") from exc
         if period:
             c = LazyComplex.periodic(shape, self.alg, terms, diffs, period)
@@ -189,168 +182,155 @@ class Session:
             for k in diffs:
                 c.diff(k)
                 c.diff(k + 1)  # materializing d^(k+1) beside d^k checks d o d = 0
-        except VerificationError as exc:
+        except DerlabError as exc:
             raise ScenarioError(f"malformed complex document: {exc}") from exc
         return c
 
 
-def _item(item_id: str, suite: str, verdict: str, details: Optional[dict] = None) -> dict:
-    return {"id": item_id, "suite": suite, "verdict": verdict, "details": details or {}}
+# A suite yields (item id, check) pairs; check() returns (verdict, details).
+Check = Callable[[], Tuple[str, dict]]
+Suite = Iterator[Tuple[str, Check]]
 
 
-def _guard(item_id: str, suite: str, fn: Callable[[], dict]) -> dict:
+def _run_item(item_id: str, suite: str, check: Check) -> dict:
+    """One report item; a library error inside check is a fail verdict."""
     try:
-        return fn()
-    except (VerificationError, PreconditionError, DiagramError, WindowError) as exc:
-        return _item(item_id, suite, "fail", {"error": str(exc)})
+        verdict, details = check()
+    except DerlabError as exc:
+        verdict, details = "fail", {"error": str(exc)}
+    return {"id": item_id, "suite": suite, "verdict": verdict, "details": details}
 
 
-def _suite_validate(s: Session) -> List[dict]:
-    items = [
-        _item("validate/algebra", "validate", "pass", {"dim": s.alg.dim, "p": s.alg.p, "self_injective": True})
-    ]
+def _dims(x: Diagram) -> Dict[str, int]:
+    return {o: x.at(o).dim for o in x.shape.objects}
+
+
+def _functor_diagram_pairs(s: Session) -> Iterator[Tuple[str, object, str, Diagram]]:
+    """Each loaded functor with each loaded diagram over its domain."""
+    for uname, u in s.functors.items():
+        for dname, d in s.diagrams.items():
+            if d.shape is u.dom:
+                yield uname, u, dname, d
+
+
+def _suite_validate(s: Session) -> Suite:
+    def algebra():
+        return "pass", {"dim": s.alg.dim, "p": s.alg.p, "self_injective": True}
+    yield "validate/algebra", algebra
     for name, cat in s.categories.items():
-        items.append(_item(f"validate/category/{name}", "validate", "pass", {"objects": len(cat.objects), "degrees": dict(sorted(cat.degree.items()))}))
+        def category(cat=cat):
+            return "pass", {"objects": len(cat.objects), "degrees": dict(sorted(cat.degree.items()))}
+        yield f"validate/category/{name}", category
     for name, d in s.diagrams.items():
-        def check(name=name, d=d):
+        def check(d=d):
             d.validate()
-            return _item(f"validate/diagram/{name}", "validate", "pass", {"dims": {o: d.at(o).dim for o in d.shape.objects}})
-        items.append(_guard(f"validate/diagram/{name}", "validate", check))
+            return "pass", {"dims": _dims(d)}
+        yield f"validate/diagram/{name}", check
     for name, c in s.complexes.items():
-        def check(name=name, c=c):
+        def complex_(c=c):
             ok = c.is_acyclic_on(-s.margin, s.margin)
-            return _item(f"validate/complex/{name}", "validate", "pass", {"acyclic_on_window": ok})
-        items.append(_guard(f"validate/complex/{name}", "validate", check))
-    return items
+            return "pass", {"acyclic_on_window": ok}
+        yield f"validate/complex/{name}", complex_
 
 
-def _suite_gorenstein(s: Session) -> List[dict]:
-    items = []
+def _suite_gorenstein(s: Session) -> Suite:
     reg = regular_module(s.alg)
     for name, d in s.diagrams.items():
-        def check(name=name, d=d):
+        def check(d=d):
             rep = gproj_witness_report(d)
             gp = is_gproj(d)
             oracle = all(
                 ext1(d, stalk_diagram(d.shape, s.alg, j, reg)).dim == 0 for j in d.shape.objects
             )
             verdict = "pass" if gp == oracle else "fail"
-            return _item(
-                f"gorenstein/{name}",
-                "gorenstein-report",
-                verdict,
-                {"is_gproj": gp, "ext_oracle": oracle, "is_ginj": is_ginj(d), "is_wtriv": is_wtriv(d), "witness": rep},
-            )
-        items.append(_guard(f"gorenstein/{name}", "gorenstein-report", check))
-    return items
+            return verdict, {"is_gproj": gp, "ext_oracle": oracle, "is_ginj": is_ginj(d), "is_wtriv": is_wtriv(d), "witness": rep}
+        yield f"gorenstein/{name}", check
 
 
-def _suite_kan(s: Session) -> List[dict]:
-    items = []
-    for uname, u in s.functors.items():
-        for dname, d in s.diagrams.items():
-            if d.shape is not u.dom:
-                continue
-            if is_gproj(d):
-                def check(uname=uname, dname=dname, u=u, d=d):
-                    y = gproj_left_kan(u, d)
-                    dims_ok = []
-                    for yname, ydiag in s.diagrams.items():
-                        if ydiag.shape is u.cod:
-                            lhs = len(hom_space_diagrams(y, ydiag))
-                            rhs = len(hom_space_diagrams(d, restrict(u, ydiag)))
-                            dims_ok.append(lhs == rhs)
-                    verdict = "pass" if all(dims_ok) else "fail"
-                    return _item(f"kan/left/{uname}/{dname}", "kan", verdict, {"adjunction_dims_checked": len(dims_ok)})
-                items.append(_guard(f"kan/left/{uname}/{dname}", "kan", check))
-            if is_ginj(d):
-                def check(uname=uname, dname=dname, u=u, d=d):
-                    y = ginj_right_kan(u, d)
-                    return _item(f"kan/right/{uname}/{dname}", "kan", "pass", {"target_dims": {o: y.at(o).dim for o in y.shape.objects}})
-                items.append(_guard(f"kan/right/{uname}/{dname}", "kan", check))
-    return items
+def _suite_kan(s: Session) -> Suite:
+    for uname, u, dname, d in _functor_diagram_pairs(s):
+        if is_gproj(d):
+            def left(u=u, d=d):
+                y = gproj_left_kan(u, d)
+                dims_ok = []
+                for ydiag in s.diagrams.values():
+                    if ydiag.shape is u.cod:
+                        lhs = len(hom_space_diagrams(y, ydiag))
+                        rhs = len(hom_space_diagrams(d, restrict(u, ydiag)))
+                        dims_ok.append(lhs == rhs)
+                verdict = "pass" if all(dims_ok) else "fail"
+                return verdict, {"adjunction_dims_checked": len(dims_ok)}
+            yield f"kan/left/{uname}/{dname}", left
+        if is_ginj(d):
+            def right(u=u, d=d):
+                y = ginj_right_kan(u, d)
+                return "pass", {"target_dims": _dims(y)}
+            yield f"kan/right/{uname}/{dname}", right
 
 
-def _suite_approx(s: Session) -> List[dict]:
-    items = []
+def _suite_approx(s: Session) -> Suite:
     for name, d in s.diagrams.items():
-        def check(name=name, d=d):
+        def check(d=d):
             tr = approx_gproj(d)
             hull = hull_ginj(d)
             ok = tr.tags["wtriv"] and tr.tags["gproj"] and hull.tags["ginj"] and hull.tags["wtriv"]
-            return _item(
-                f"approx/{name}",
-                "approx",
-                "pass" if ok else "fail",
-                {
-                    "cover_tags": tr.tags,
-                    "hull_tags": hull.tags,
-                    "cover_dims": {o: tr.conflation.middle.at(o).dim for o in d.shape.objects},
-                    "hull_dims": {o: hull.conflation.middle.at(o).dim for o in d.shape.objects},
-                },
-            )
-        items.append(_guard(f"approx/{name}", "approx", check))
-    return items
+            return ("pass" if ok else "fail"), {
+                "cover_tags": tr.tags,
+                "hull_tags": hull.tags,
+                "cover_dims": _dims(tr.conflation.middle),
+                "hull_dims": _dims(hull.conflation.middle),
+            }
+        yield f"approx/{name}", check
 
 
-def _suite_stable_equiv(s: Session) -> List[dict]:
-    items = []
+def _suite_stable_equiv(s: Session) -> Suite:
     for name, d in s.diagrams.items():
         if not is_gproj(d):
             continue
-        def check(name=name, d=d):
+        def check(d=d):
             psi, data = stable_roundtrip_witness(d)
             v = is_weak_equivalence(psi)
-            return _item(
-                f"stable-equiv/{name}",
-                "stable-equiv",
-                "pass" if v.is_true else "fail",
-                {"roundtrip_weak_equivalence": v.status, "hull_dims": {o: data.image.at(o).dim for o in d.shape.objects}},
-            )
-        items.append(_guard(f"stable-equiv/{name}", "stable-equiv", check))
-    return items
+            return ("pass" if v.is_true else "fail"), {"roundtrip_weak_equivalence": v.status, "hull_dims": _dims(data.image)}
+        yield f"stable-equiv/{name}", check
 
 
-def _suite_sod(s: Session) -> List[dict]:
-    items = []
-    fixtures: List[Tuple[str, LazyComplex]] = list(s.complexes.items())
+def _suite_sod(s: Session) -> Suite:
+    """Loaded complexes, and the complete resolution of each loaded
+    Gorenstein projective; a resolution's tc-part must also contract on
+    the window widened by one."""
+    m = s.margin
+
+    def check(c: LazyComplex, contract: bool):
+        res = sod_decompose(c, -m, m)
+        tc_ok = is_termwise_contractible(res.tc_part, -m, m)
+        p_ok = all(is_projective_diagram(res.p_part.term(k)) for k in range(-m, m + 1))
+        contracted = contraction_on_window(res.tc_part, -m - 1, m + 1) is not None if contract else None
+        verdict = "pass" if (tc_ok and p_ok and contracted is not False) else "fail"
+        return verdict, {"tc_termwise_contractible": tc_ok, "p_terms_projective": p_ok, "tc_null_on_window": contracted, "window": [-m, m]}
+
+    for name, c in s.complexes.items():
+        def loaded(c=c):
+            return check(c, contract=False)
+        yield f"sod/{name}", loaded
     for name, d in s.diagrams.items():
         if is_gproj(d):
-            fixtures.append((f"res({name})", complete_resolution(d)))
-    m = s.margin
-    for name, c in fixtures:
-        def check(name=name, c=c):
-            res = sod_decompose(c, -m, m)
-            tc_ok = is_termwise_contractible(res.tc_part, -m, m)
-            p_ok = all(is_projective_diagram(res.p_part.term(k)) for k in range(-m, m + 1))
-            contracted = contraction_on_window(res.tc_part, -m - 1, m + 1) is not None if getattr(c, "seed", None) is not None else None
-            verdict = "pass" if (tc_ok and p_ok and contracted is not False) else "fail"
-            return _item(
-                f"sod/{name}",
-                "sod",
-                verdict,
-                {"tc_termwise_contractible": tc_ok, "p_terms_projective": p_ok, "tc_null_on_window": contracted, "window": [-m, m]},
-            )
-        items.append(_guard(f"sod/{name}", "sod", check))
-    return items
+            def resolution(d=d):
+                return check(complete_resolution(d), contract=True)
+            yield f"sod/res({name})", resolution
 
 
-def _suite_crosscheck(s: Session) -> List[dict]:
-    items = []
-    for uname, u in s.functors.items():
-        for dname, d in s.diagrams.items():
-            if d.shape is not u.dom or not is_gproj(d):
-                continue
-            def check(uname=uname, dname=dname, u=u, d=d):
-                v = crosscheck_kan(u, d, budget=s.budget, seed=s.seed, margin=max(1, s.margin - 1))
-                verdict = {"true": "pass", "false": "fail", "unknown": "unknown"}[v.status]
-                return _item(f"crosscheck/{uname}/{dname}", "crosscheck", verdict, {"reason": v.reason})
-            items.append(_guard(f"crosscheck/{uname}/{dname}", "crosscheck", check))
-    return items
+def _suite_crosscheck(s: Session) -> Suite:
+    for uname, u, dname, d in _functor_diagram_pairs(s):
+        if not is_gproj(d):
+            continue
+        def check(u=u, d=d):
+            v = crosscheck_kan(u, d, budget=s.budget, seed=s.seed, margin=max(1, s.margin - 1))
+            verdict = {"true": "pass", "false": "fail", "unknown": "unknown"}[v.status]
+            return verdict, {"reason": v.reason}
+        yield f"crosscheck/{uname}/{dname}", check
 
 
-def _suite_derivator_axioms(s: Session) -> List[dict]:
-    items = []
+def _suite_derivator_axioms(s: Session) -> Suite:
     # Der1: constructions over a disjoint union decompose componentwise
     cats = list(s.categories.values())
     if cats:
@@ -358,7 +338,7 @@ def _suite_derivator_axioms(s: Session) -> List[dict]:
         def der1(c=c):
             union, i1, i2 = disjoint_union(c, c)
             ok = True
-            for name, d in s.diagrams.items():
+            for d in s.diagrams.values():
                 if d.shape is not c:
                     continue
                 both = Diagram(
@@ -373,57 +353,50 @@ def _suite_derivator_axioms(s: Session) -> List[dict]:
                 for o in c.objects:
                     ok = ok and cov_union.middle.at(i1.on_obj(o)).dim == cov.middle.at(o).dim
                     ok = ok and cov_union.middle.at(i2.on_obj(o)).dim == cov.middle.at(o).dim
-            return _item("derivator-axioms/der1", "derivator-axioms", "pass" if ok else "fail", {"union_objects": 2 * len(c.objects)})
-        items.append(_guard("derivator-axioms/der1", "derivator-axioms", der1))
+            return ("pass" if ok else "fail"), {"union_objects": 2 * len(c.objects)}
+        yield "derivator-axioms/der1", der1
     # Der2: witnesses on identity and zero maps of loaded Gorenstein projectives
     for name, d in s.diagrams.items():
         if not is_gproj(d):
             continue
-        def der2(name=name, d=d):
+        def der2(d=d):
             rep_id = der2_witness(identity_diagram_map(d))
             rep_zero = der2_witness(zero_diagram_map(d, d))
             ok = rep_id["agree"] and rep_zero["agree"]
-            return _item(f"derivator-axioms/der2/{name}", "derivator-axioms", "pass" if ok else "fail", {"identity": rep_id, "zero": rep_zero})
-        items.append(_guard(f"derivator-axioms/der2/{name}", "derivator-axioms", der2))
+            return ("pass" if ok else "fail"), {"identity": rep_id, "zero": rep_zero}
+        yield f"derivator-axioms/der2/{name}", der2
     # Der3: successful construction of both adjoints on fixtures
-    for uname, u in s.functors.items():
-        for dname, d in s.diagrams.items():
-            if d.shape is not u.dom:
-                continue
-            if is_gproj(d):
-                def der3(uname=uname, dname=dname, u=u, d=d):
-                    y = gproj_left_kan(u, d)
-                    return _item(f"derivator-axioms/der3/left/{uname}/{dname}", "derivator-axioms", "pass", {"dims": {o: y.at(o).dim for o in y.shape.objects}})
-                items.append(_guard(f"derivator-axioms/der3/left/{uname}/{dname}", "derivator-axioms", der3))
-            if is_ginj(d):
-                def der3r(uname=uname, dname=dname, u=u, d=d):
-                    y = ginj_right_kan(u, d)
-                    return _item(f"derivator-axioms/der3/right/{uname}/{dname}", "derivator-axioms", "pass", {"dims": {o: y.at(o).dim for o in y.shape.objects}})
-                items.append(_guard(f"derivator-axioms/der3/right/{uname}/{dname}", "derivator-axioms", der3r))
+    for uname, u, dname, d in _functor_diagram_pairs(s):
+        if is_gproj(d):
+            def der3(u=u, d=d):
+                y = gproj_left_kan(u, d)
+                return "pass", {"dims": _dims(y)}
+            yield f"derivator-axioms/der3/left/{uname}/{dname}", der3
+        if is_ginj(d):
+            def der3r(u=u, d=d):
+                y = ginj_right_kan(u, d)
+                return "pass", {"dims": _dims(y)}
+            yield f"derivator-axioms/der3/right/{uname}/{dname}", der3r
     # Der4: slice-square comparison on loaded functors with stalk complexes
-    for uname, u in s.functors.items():
-        for dname, d in s.diagrams.items():
-            if d.shape is not u.dom:
-                continue
-            def der4(uname=uname, dname=dname, u=u, d=d):
-                t = LazyComplex.bounded(u.dom, s.alg, {0: d}, {})
-                reports = {}
-                ok = True
-                for j in u.cod.objects:
-                    rep = der4_check(u, j, t, -1, 1)
-                    reports[j] = {"underived": rep.underived_ok, "derived": rep.derived_ok}
-                    ok = ok and rep.ok
-                return _item(f"derivator-axioms/der4/{uname}/{dname}", "derivator-axioms", "pass" if ok else "fail", reports)
-            items.append(_guard(f"derivator-axioms/der4/{uname}/{dname}", "derivator-axioms", der4))
+    for uname, u, dname, d in _functor_diagram_pairs(s):
+        def der4(u=u, d=d):
+            t = LazyComplex.bounded(u.dom, s.alg, {0: d}, {})
+            reports = {}
+            ok = True
+            for j in u.cod.objects:
+                rep = der4_check(u, j, t, -1, 1)
+                reports[j] = {"underived": rep.underived_ok, "derived": rep.derived_ok}
+                ok = ok and rep.ok
+            return ("pass" if ok else "fail"), reports
+        yield f"derivator-axioms/der4/{uname}/{dname}", der4
     # Der5: arrow lifts of identity classes
     for name, d in s.diagrams.items():
         if not is_gproj(d):
             continue
-        def der5(name=name, d=d):
+        def der5(d=d):
             z = lift_to_arrow_diagram(identity_diagram_map(d))
-            return _item(f"derivator-axioms/der5/{name}", "derivator-axioms", "pass", {"lift_dims": {o: z.at(o).dim for o in z.shape.objects}})
-        items.append(_guard(f"derivator-axioms/der5/{name}", "derivator-axioms", der5))
-    return items
+            return "pass", {"lift_dims": _dims(z)}
+        yield f"derivator-axioms/der5/{name}", der5
 
 
 SUITE_RUNNERS = {
@@ -458,7 +431,7 @@ def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = Non
             scenario["seed"] = seed
         session = Session(scenario, base)
         session.load()
-    except (ScenarioError, AlgebraError, CategoryError, DiagramError, ModuleError, KeyError, OSError) as exc:
+    except (DerlabError, KeyError, OSError) as exc:
         return {
             "error": str(exc),
             "items": [],
@@ -474,7 +447,7 @@ def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = Non
 
     items: List[dict] = []
     for name in suites:
-        items.extend(SUITE_RUNNERS[name](session))
+        items.extend(_run_item(item_id, name, check) for item_id, check in SUITE_RUNNERS[name](session))
     items.sort(key=lambda it: it["id"])
     summary = {
         "pass": sum(1 for it in items if it["verdict"] == "pass"),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import Algebra
 from .cats import CatFunctor, DirectCategory, full_subcategory, object_functor, opposite_category
-from .field import Mat, block, block_diag, hstack, kernel_basis, rank, solve
+from .field import DerlabError, Mat, block, block_diag, hstack, kernel_basis, rank, solve
 from .modules import submodule, is_projective, zero_module
 from .diagrams import (
     Diagram,
@@ -47,7 +47,7 @@ from .diagrams import (
 from .gorenstein import VerificationError, embed_gproj_into_proj, is_gproj
 
 
-class WindowError(ValueError):
+class WindowError(DerlabError, ValueError):
     """A question was asked outside the materializable window."""
 
 
@@ -476,7 +476,9 @@ def sod_decompose(c: LazyComplex, lo: int, hi: int) -> SodResult:
     """Split an acyclic complex with termwise-projective components into a
     projective-diagram part and a termwise-contractible part, by recursion
     over a minimal object; all three postconditions re-verified on the
-    window."""
+    window.  Over a shape with more than one object the parts are complexes
+    only near the window: the p-part raises WindowError for a differential
+    outside lo-1..hi+1 and the tc-part for one outside lo-2..hi."""
     if not c.is_acyclic_on(lo - 1, hi + 1):
         raise WindowError("semiorthogonal decomposition asks for an acyclic window")
     if not c.is_termwise_projective_on(lo, hi):
@@ -521,6 +523,8 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
         return direct_sum_diagrams([A.term(k), B.term(k)])[0]
 
     def p_diff(k: int) -> Dict[str, Mat]:
+        if not lo - 1 <= k <= hi + 1:  # zeta has components only there
+            raise WindowError(f"the p-part of a decomposition on {lo}..{hi} has differentials only at {lo - 1}..{hi + 1}")
         comps = {}
         for o in shape.objects:
             da, db = A.diff(k).comps[o], B.diff(k).comps[o]

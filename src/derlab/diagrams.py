@@ -25,7 +25,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import Mat, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, solve, vstack
+from .field import DerlabError, Mat, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, solve, vstack
 from .modules import (
     Conflation,
     Module,
@@ -44,7 +44,7 @@ from .modules import (
 )
 
 
-class DiagramError(ValueError):
+class DiagramError(DerlabError, ValueError):
     pass
 
 

@@ -23,7 +23,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 
-class FieldError(ValueError):
+class DerlabError(Exception):
+    """Base of every error the library raises on its own account.  A
+    scenario run turns one at load into exit code 2 and one inside a
+    suite item into that item's fail verdict."""
+
+
+class FieldError(DerlabError, ValueError):
     pass
 
 

@@ -25,7 +25,7 @@ from .cats import (
     punctured_slice,
     slice_category,
 )
-from .field import Mat, hstack, rank, vstack
+from .field import DerlabError, Mat, hstack, rank, vstack
 from .modules import (
     Module,
     ModuleMap,
@@ -70,11 +70,11 @@ from .diagrams import (
 )
 
 
-class VerificationError(RuntimeError):
+class VerificationError(DerlabError, RuntimeError):
     """A runtime postcondition of a Gorenstein construction failed."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(DerlabError, ValueError):
     """An input violates a stated precondition (e.g. a latching map is not
     an inflation where Gorenstein projectivity is required)."""
 

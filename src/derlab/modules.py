@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import Algebra
 from .field import (
+    DerlabError,
     Mat,
     block_diag,
     column_space_basis,
@@ -40,7 +41,7 @@ from .field import (
 from .verdict import FALSE, TRUE, UNKNOWN, Verdict
 
 
-class ModuleError(ValueError):
+class ModuleError(DerlabError, ValueError):
     pass
 
 
@@ -349,17 +350,10 @@ def generators(m: Module) -> Mat:
     if m.alg.radical is None or m.alg.radical.cols == 0:
         return Mat.identity(p, m.dim)
     rad = m.alg.radical
-    cols = [m.act(rad.a[:, j]) for j in range(rad.cols)]
-    mrad = column_space_basis(hstack([c for c in cols])) if cols else Mat.zeros(p, m.dim, 0)
-    # greedily extend a basis of m.rad by standard vectors; the complement lifts a basis of m/m.rad
-    chosen = []
-    current = mrad
-    for i in range(m.dim):
-        e = Mat.zeros(p, m.dim, 1) + Mat(p, np.eye(m.dim, dtype=np.int64)[:, i : i + 1])
-        if not in_column_span(current, e):
-            chosen.append(e)
-            current = hstack([current, e]) if current.cols else e
-    return hstack(chosen) if chosen else Mat.zeros(p, m.dim, 0)
+    mrad = column_space_basis(hstack([m.act(rad.a[:, j]) for j in range(rad.cols)]))
+    # the standard vectors completing a basis of m.rad lift a basis of m/m.rad
+    eye = Mat.identity(p, m.dim)
+    return eye[:, class_reps(range(m.dim), eye.col, mrad)]
 
 
 def free_cover(m: Module) -> Conflation:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import Algebra
 from .cats import CatFunctor, DirectCategory
-from .field import Mat
+from .field import DerlabError, Mat
 from .modules import Module, hom_space, zero_module
 from .diagrams import Diagram, projective_cover_diagram
 from .dgkan import LeftKIModule
@@ -44,7 +44,7 @@ def all_modules(alg: Algebra, max_dim: int) -> List[Module]:
             cand = Module(alg, action)
             try:
                 cand.validate()
-            except Exception:
+            except DerlabError:
                 continue
             out.append(cand)
     return out
@@ -93,7 +93,7 @@ def random_module(alg: Algebra, max_dim: int, rng: random.Random) -> Module:
         try:
             cand.validate()
             return cand
-        except Exception:
+        except DerlabError:
             continue
     return zero_module(alg)
 
@@ -198,7 +198,7 @@ def random_functor(rng: random.Random, dom: DirectCategory, cod: DirectCategory)
             continue
         try:
             return CatFunctor(dom, cod, obj_map, mor_map)
-        except Exception:
+        except DerlabError:
             continue
     return None
 
@@ -216,6 +216,6 @@ def random_left_module(cat: DirectCategory, p: int, max_dim: int, rng: random.Ra
         try:
             cand.validate()
             return cand
-        except Exception:
+        except DerlabError:
             continue
     raise RuntimeError("could not sample a left module")

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from derlab.cli import explain, main, run_scenario
+from derlab.cli import KNOWN_SUITES, Session, explain, main, run_scenario
+from derlab.field import DerlabError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -201,6 +202,47 @@ def test_sod_on_non_acyclic_complex_is_a_guarded_failure(tmp_path):
     assert "acyclic" in item["details"]["error"]
 
 
+def test_library_error_inside_a_suite_is_a_failed_item(tmp_path, monkeypatch, capsys):
+    from derlab import cli
+    from derlab.modules import ModuleError
+
+    def broken(d):
+        raise ModuleError("not a module map (probe)")
+
+    monkeypatch.setattr(cli, "approx_gproj", broken)
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "algebra": str(SCENARIOS / "dual_numbers.json"),
+        "categories": {"point": str(SCENARIOS / "cat_point.json")},
+        "diagrams": {"k": str(SCENARIOS / "diag_k_point.json")},
+        "suites": ["approx"],
+    }))
+    report, code = run_scenario(str(scen))
+    assert code == 1
+    assert report["items"] == [
+        {"id": "approx/k", "suite": "approx", "verdict": "fail", "details": {"error": "not a module map (probe)"}}
+    ]
+    assert main(["run", str(scen)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_every_library_error_is_a_derlab_error():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import derlab
+
+    defined = []
+    for info in pkgutil.iter_modules(derlab.__path__):
+        mod = importlib.import_module(f"derlab.{info.name}")
+        for cls in vars(mod).values():
+            if inspect.isclass(cls) and issubclass(cls, BaseException) and cls.__module__ == mod.__name__:
+                defined.append(cls)
+    assert len(defined) >= 10
+    assert [cls for cls in defined if not issubclass(cls, DerlabError)] == []
+
+
 def test_regression_reports_match_recorded_digests():
     """Scenario reports stay byte-identical to bench/regression_digests.json."""
     bench = SCENARIOS.parent / "bench"
@@ -319,33 +361,44 @@ _FUZZ_VALUES = st.one_of(
 )
 
 
-def _paths(node, prefix):
-    yield prefix
+def _paths(node, prefix, entries_only=False):
     children = sorted(node.items()) if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else []
+    if not entries_only or isinstance(node, int):
+        yield prefix
     for key, child in children:
-        yield from _paths(child, prefix + (key,))
+        yield from _paths(child, prefix + (key,), entries_only)
+
+
+def _mutate(draw, base, fewest=1, entries_only=False, values=_FUZZ_VALUES):
+    """base with fewest to three nodes below its root (only integer entries
+    when entries_only, and those only replaced) replaced by values, deleted
+    or appended to."""
+    doc = {"root": copy.deepcopy(base)}
+    rnd = draw(st.randoms(use_true_random=False))  # uniform over nodes; sampled_from favours the first
+    for _ in range(draw(st.integers(fewest, 3))):
+        paths = [q for q in _paths(doc["root"], ("root",), entries_only) if len(q) > 1]
+        if not paths:
+            break
+        path = rnd.choice(paths)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        op = draw(st.sampled_from(["replace"] if entries_only else ["replace", "delete", "append"]))
+        if op == "delete":
+            del parent[key]
+        elif op == "append" and isinstance(parent[key], list):
+            parent[key].append(draw(values))
+        else:
+            parent[key] = draw(values)
+    return doc["root"]
 
 
 @st.composite
 def _mutated_diagram_document(draw):
     """A fixture diagram document with one to three nodes below its root
     replaced, deleted or appended to."""
-    doc = {"root": copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))}
-    rnd = draw(st.randoms(use_true_random=False))  # uniform over nodes; sampled_from favours the first
-    for _ in range(draw(st.integers(1, 3))):
-        path = rnd.choice(list(_paths(doc["root"], ("root",)))[1:])
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
-        op = draw(st.sampled_from(["replace", "delete", "append"]))
-        if op == "delete":
-            del parent[key]
-        elif op == "append" and isinstance(parent[key], list):
-            parent[key].append(draw(_FUZZ_VALUES))
-        else:
-            parent[key] = draw(_FUZZ_VALUES)
-    return doc["root"]
+    return _mutate(draw, draw(st.sampled_from(_FUZZ_BASES)))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -361,3 +414,69 @@ def test_loader_fuzz_always_reports(tmp_path, doc):
     assert code in (0, 1, 2, 3)
     assert ("error" in report) == (code == 2)
     assert isinstance(report["items"], list)
+
+
+_FREE_ARROW = json.loads((SCENARIOS / "diag_free_at0.json").read_text())
+_IDENTITY = [[1, 0], [0, 1]]
+# each document kind with its base documents, and the fixtures a scenario
+# loads beside it so that every suite has something to run on it
+_SUITE_FUZZ = {
+    "diagram": (_FUZZ_BASES, {"functors": {"at0": "fun_at0.json", "to_point": "fun_to_point.json"}}),
+    "complex": (
+        [
+            json.loads((SCENARIOS / "cx_two_periodic.json").read_text()),
+            _complex("zero-tails", {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _IDENTITY}}),
+            {"shape": "arrow", "terms": {"0": _FREE_ARROW, "1": _FREE_ARROW}, "diffs": {"0": {"0": _IDENTITY, "1": _IDENTITY}}},
+        ],
+        {},
+    ),
+    "functor": (
+        [json.loads((SCENARIOS / f"fun_{name}.json").read_text()) for name in ("at0", "at1", "to_point")],
+        {"diagrams": {"k": "diag_k_point.json", "socle": "diag_socle_arrow.json"}},
+    ),
+}
+
+
+@st.composite
+def _mutated_document(draw):
+    """(kind, a diagram, complex or functor document with up to three nodes
+    mutated; half the time only integer entries, set to small integers, so
+    that the document keeps its structure and often still loads)."""
+    kind = draw(st.sampled_from(sorted(_SUITE_FUZZ)))
+    base = draw(st.sampled_from(_SUITE_FUZZ[kind][0]))
+    if draw(st.booleans()):
+        return kind, _mutate(draw, base, fewest=0, entries_only=True, values=st.integers(-3, 3))
+    return kind, _mutate(draw, base)
+
+
+def _validate_loaded_objects(scen):
+    """Raise unless every diagram and complex the scenario loads passes its
+    own validation (functors validate when they are built)."""
+    s = Session(json.loads(scen.read_text()), scen.parent)
+    s.load()
+    for d in s.diagrams.values():
+        d.validate()
+    for c in s.complexes.values():
+        for k in range(-s.margin - 1, s.margin + 2):
+            c.term(k).validate()
+            c.diff(k).validate()  # beside d^(k-1), also checks d o d = 0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mutated_document())
+def test_suite_fuzz_always_reports(tmp_path, case):
+    """Every suite over a mutated diagram, complex or functor document gives
+    a report and a documented exit code, and no pass item unless every
+    loaded object validates."""
+    kind, doc = case
+    scen = _one_document_scenario(tmp_path, kind, doc)
+    data = json.loads(scen.read_text())
+    for key, table in _SUITE_FUZZ[kind][1].items():
+        data[key] = {name: str(SCENARIOS / rel) for name, rel in table.items()}
+    data["suites"] = KNOWN_SUITES
+    scen.write_text(json.dumps(data))
+    report, code = run_scenario(str(scen))
+    assert code in (0, 1, 2, 3)
+    assert ("error" in report) == (code == 2)
+    if code != 2 and any(it["verdict"] == "pass" for it in report["items"]):
+        _validate_loaded_objects(scen)

@@ -167,6 +167,25 @@ def test_sod_over_arrow_complete_resolution(dn, simple, reg):
         assert is_projective_diagram(res.p_part.term(k))
 
 
+def test_sod_parts_refuse_degrees_outside_their_window(dn, simple, reg):
+    # the parts are complexes only near the window: a differential further
+    # out is a WindowError, asked first or after its neighbours
+    from derlab.complexes import WindowError
+
+    arrow = arrow_category()
+    x = Diagram(arrow, dn, {"0": simple, "1": reg}, {"e0": Mat(2, [[0], [1]])}).validate()
+    res = sod_decompose(complete_resolution(x), -1, 1)
+    for part, inside in ((res.p_part, range(-2, 3)), (res.tc_part, range(-3, 2))):
+        for k in (inside.start - 1, inside.stop):
+            with pytest.raises(WindowError):
+                part.diff(k)
+        for k in inside:
+            part.diff(k)
+        for k in (inside.start - 1, inside.stop):
+            with pytest.raises(WindowError):
+                part.diff(k)
+
+
 def test_sod_mixed_input(dn, simple, reg):
     # a complex whose terms are termwise projective but not projective diagrams
     arrow = arrow_category()
