@@ -66,8 +66,6 @@ from .diagrams import (
     ext1,
     hom_space_diagrams,
     injective_embed_diagram,
-    is_injective_diagram,
-    is_projective_diagram,
     pointwise_left_kan,
     pointwise_right_kan,
     projective_cover_diagram,
@@ -86,6 +84,8 @@ from .gorenstein import (
     hull_ginj,
     is_ginj,
     is_gproj,
+    is_injective_diagram,
+    is_projective_diagram,
     is_wtriv,
     latching,
     matching,

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .field import MODULUS_BOUND, DerlabError, Mat, check_integer_entries, is_prime
+from .field import MODULUS_BOUND, DerlabError, Mat, check_integer_entries, is_prime, rank
 
 
 class AlgebraError(DerlabError, ValueError):
@@ -65,6 +65,13 @@ class Algebra:
             if c:
                 out = out + action[k].scale(int(c))
         return out
+
+    def is_local(self) -> bool:
+        """Is Lambda local by its declared radical, i.e. has the radical
+        codimension 1?  validate_algebra has checked that it is a nilpotent
+        two-sided ideal, so it lies in the Jacobson radical; that is a proper
+        ideal, so the two agree and Lambda / rad = F_p."""
+        return self.radical is not None and self.dim - rank(self.radical) == 1
 
     def opposite(self) -> "Algebra":
         if self._op is None:

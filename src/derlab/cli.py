@@ -26,7 +26,6 @@ from .diagrams import (
     ext1,
     hom_space_diagrams,
     identity_diagram_map,
-    is_projective_diagram,
     projective_cover_diagram,
     restrict,
     stalk_diagram,
@@ -41,6 +40,7 @@ from .gorenstein import (
     hull_ginj,
     is_gproj,
     is_ginj,
+    is_projective_diagram,
     is_wtriv,
     stable_roundtrip_witness,
 )

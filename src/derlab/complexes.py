@@ -35,7 +35,6 @@ from .diagrams import (
     factor_matrix_through_surjection,
     hom_space_diagrams,
     identity_diagram_map,
-    is_projective_diagram,
     kernel_diagram,
     left_kan_from_point,
     projective_cover_diagram,
@@ -44,7 +43,7 @@ from .diagrams import (
     zero_diagram,
     zero_diagram_map,
 )
-from .gorenstein import VerificationError, embed_gproj_into_proj, is_gproj
+from .gorenstein import VerificationError, embed_gproj_into_proj, is_gproj, is_projective_diagram
 
 
 class WindowError(DerlabError, ValueError):

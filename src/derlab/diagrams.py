@@ -516,14 +516,6 @@ def injective_embed_diagram(x: Diagram) -> DiagramConflation:
     return dual_conflation(projective_cover_diagram(dual_diagram(x)), x)
 
 
-def is_projective_diagram(x: Diagram) -> bool:
-    return split_section_diagrams(projective_cover_diagram(x).right) is not None
-
-
-def is_injective_diagram(x: Diagram) -> bool:
-    return is_projective_diagram(dual_diagram(x))
-
-
 # -- Ext^1 ---------------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .cats import (
@@ -268,20 +269,25 @@ class LoopViaSquareResult:
     syzygy: Module
 
 
+@lru_cache(maxsize=None)
+def _corner_in_square() -> CatFunctor:
+    """The corner x -> z <- y (z terminal) included in the square.  Built
+    once, so that the hom-set, punctured-slice and opposite caches of both
+    shapes serve every call; no construction mutates a category."""
+    return CatFunctor(
+        cospan_category(),
+        square_category(),
+        {"x": "(0,1)", "y": "(1,0)", "z": "(1,1)"},
+        {"f": "(e0,1_1)", "g": "(1_1,e0)"},
+    )
+
+
 def loop_via_square(m: Module, budget: int = 4096, seed: int = 0) -> LoopViaSquareResult:
     """Extend by zero to the corner shape, replace by a Gorenstein-injective
     diagram, right-Kan along the corner inclusion into the square, evaluate
     at the initial vertex; compared against the syzygy."""
-    alg = m.alg
-    corner = cospan_category()          # x -> z <- y with z terminal
-    square = square_category()
-    incl = CatFunctor(
-        corner,
-        square,
-        {"x": "(0,1)", "y": "(1,0)", "z": "(1,1)"},
-        {"f": "(e0,1_1)", "g": "(1_1,e0)"},
-    )
-    x = stalk_diagram(corner, alg, "z", m)
+    incl = _corner_in_square()
+    x = stalk_diagram(incl.dom, m.alg, "z", m)
     if not is_gproj(x):
         raise VerificationError("corner stalk failed the latching check")
     hull = hull_ginj(x)

@@ -349,11 +349,15 @@ def generators(m: Module) -> Mat:
         return Mat.zeros(p, 0, 0)
     if m.alg.radical is None or m.alg.radical.cols == 0:
         return Mat.identity(p, m.dim)
-    rad = m.alg.radical
-    mrad = column_space_basis(hstack([m.act(rad.a[:, j]) for j in range(rad.cols)]))
     # the standard vectors completing a basis of m.rad lift a basis of m/m.rad
     eye = Mat.identity(p, m.dim)
-    return eye[:, class_reps(range(m.dim), eye.col, mrad)]
+    return eye[:, class_reps(range(m.dim), eye.col, _radical_layer(m))]
+
+
+def _radical_layer(m: Module) -> Mat:
+    """A column basis of m.rad, for an algebra that declares its radical."""
+    rad = m.alg.radical
+    return column_space_basis(hstack([m.act(rad.a[:, j]) for j in range(rad.cols)]))
 
 
 def free_cover(m: Module) -> Conflation:
@@ -393,9 +397,18 @@ def injective_embed(m: Module) -> Conflation:
 
 
 def is_projective(m: Module) -> bool:
-    """Does the free cover split?  Solved linearly in the hom space."""
-    cover = free_cover(m).right
-    return split_section(cover) is not None
+    """Is m projective?
+
+    Over a local algebra (a declared radical of codimension 1, so that
+    Lambda / rad = F_p) m is projective iff it is free on a minimal set of
+    generators, i.e. iff dim m = dim Lambda * dim(m / m.rad) (Nakayama's
+    lemma; Assem, Simson & Skowronski, Elements 1, I.5).  Over any other
+    algebra: does the free cover split?  Solved linearly in the hom space.
+    """
+    alg = m.alg
+    if alg.is_local():
+        return m.dim % alg.dim == 0 and m.dim == alg.dim * (m.dim - _radical_layer(m).cols)
+    return split_section(free_cover(m).right) is not None
 
 
 def split_section(defl: ModuleMap) -> Optional[ModuleMap]:

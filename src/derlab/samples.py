@@ -20,12 +20,17 @@ from .dgkan import LeftKIModule
 from .gorenstein import is_gproj
 
 
+_CHUNK = 4096  # candidates whose module axioms all_modules checks at once
+
+
 def all_modules(alg: Algebra, max_dim: int) -> List[Module]:
     """Every module structure on F_p^d for d <= max_dim, by brute force over
-    action tuples (unit acts as identity, module law holds).
+    action tuples (unit acts as identity, module law holds), in the order of
+    itertools.product over the entries.
 
     When the unit is a standard basis vector its action matrix is forced to
-    the identity, which cuts the enumeration by a factor of p^(d^2)."""
+    the identity, which cuts the enumeration by a factor of p^(d^2).  The
+    axioms of Module.validate are checked on a chunk of candidates at once."""
     out = [zero_module(alg)]
     p = alg.p
     unit_idx = None
@@ -34,20 +39,31 @@ def all_modules(alg: Algebra, max_dim: int) -> List[Module]:
         unit_idx = int(nz[0])
     free = [k for k in range(alg.dim) if k != unit_idx]
     for d in range(1, max_dim + 1):
-        entries = d * d
-        mats = [Mat(p, np.array(c, dtype=np.int64).reshape(d, d)) for c in itertools.product(range(p), repeat=entries)]
-        eye = Mat.identity(p, d)
-        for combo in itertools.product(range(len(mats)), repeat=len(free)):
-            action = [eye] * alg.dim
-            for k, i in zip(free, combo):
-                action[k] = mats[i]
-            cand = Module(alg, action)
-            try:
-                cand.validate()
-            except DerlabError:
-                continue
-            out.append(cand)
+        mats = _digits(np.arange(p ** (d * d)), p, d * d).reshape(-1, d, d)
+        total = len(mats) ** len(free)
+        for start in range(0, total, _CHUNK):
+            combos = _digits(np.arange(start, min(start + _CHUNK, total)), len(mats), len(free))
+            acts = np.broadcast_to(np.eye(d, dtype=np.int64), (len(combos), alg.dim, d, d)).copy()
+            acts[:, free] = mats[combos]
+            for action in acts[_module_axioms_hold(alg, acts)]:
+                out.append(Module(alg, [Mat(p, a) for a in action]))
     return out
+
+
+def _digits(n: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Base-`base` digits of each n, most significant first: row i is the
+    i-th tuple of itertools.product(range(base), repeat=width)."""
+    return n[:, None] // base ** np.arange(width - 1, -1, -1, dtype=np.int64) % base
+
+
+def _module_axioms_hold(alg: Algebra, acts: np.ndarray) -> np.ndarray:
+    """For acts[m] = (A_0 .. A_{n-1}): does the unit act as the identity and
+    sum_k c[i][j][k] A_k = A_j @ A_i hold for all i, j?"""
+    p, d = alg.p, acts.shape[-1]
+    unit = np.einsum("k,mkab->mab", alg.unit, acts) % p
+    law = np.einsum("ijk,mkab->mijab", alg.mul, acts) % p
+    prods = np.einsum("mjab,mibc->mijac", acts, acts) % p
+    return (unit == np.eye(d, dtype=np.int64)).all(axis=(1, 2)) & (law == prods).all(axis=(1, 2, 3, 4))
 
 
 def all_diagrams(shape: DirectCategory, alg: Algebra, max_dim: int, modules: Optional[List[Module]] = None) -> Iterator[Diagram]:

@@ -55,6 +55,7 @@ from derlab.gorenstein import (
     hull_ginj,
     is_gproj,
     is_ginj,
+    is_projective_diagram,
     is_wtriv,
     latching,
     stable_roundtrip_witness,
@@ -78,7 +79,7 @@ from derlab.dgkan import (
     restriction_weight,
     weighted_holim,
 )
-from derlab.diagrams import dual_diagram, ext1, is_projective_diagram
+from derlab.diagrams import dual_diagram, ext1
 from derlab.samples import (
     all_diagrams,
     all_modules,

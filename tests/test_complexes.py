@@ -10,12 +10,11 @@ from derlab.diagrams import (
     DiagramMap,
     constant_diagram,
     identity_diagram_map,
-    is_projective_diagram,
     left_kan_from_point,
     stalk_diagram,
     zero_diagram,
 )
-from derlab.gorenstein import is_gproj
+from derlab.gorenstein import is_gproj, is_projective_diagram
 from derlab.complexes import (
     ComplexMap,
     LazyComplex,

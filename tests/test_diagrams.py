@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,6 @@ from derlab.diagrams import (
     hom_dim_diagrams,
     hom_space_diagrams,
     injective_embed_diagram,
-    is_injective_diagram,
-    is_projective_diagram,
     kernel_diagram,
     left_kan_from_point,
     limit_of_diagram,
@@ -28,9 +28,11 @@ from derlab.diagrams import (
     projective_cover_diagram,
     restrict,
     right_kan_from_point,
+    split_section_diagrams,
     stalk_diagram,
     zero_diagram,
 )
+from derlab.gorenstein import is_injective_diagram, is_projective_diagram
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +176,6 @@ def test_projective_cover_splits_for_projectives(dn, reg, arrow):
     d = left_kan_from_point(arrow, dn, "0", reg)
     assert is_projective_diagram(d)
     c = projective_cover_diagram(d)
-    from derlab.diagrams import split_section_diagrams
-
     assert split_section_diagrams(c.right) is not None
 
 
@@ -200,6 +200,66 @@ def test_stalk_at_min_of_projective_not_projective_diagram(dn, reg, arrow):
     # termwise projective but not projective as a diagram
     x = stalk_diagram(arrow, dn, "0", reg)
     assert not is_projective_diagram(x)
+
+
+def _split_solve_projective(x):
+    """The oracle: does the projective cover of x split?"""
+    return split_section_diagrams(projective_cover_diagram(x).right) is not None
+
+
+def test_is_projective_diagram_matches_split_solve_oracle():
+    """The latching criterion agrees with splitting the projective cover on
+    a prefix of every diagram with components of dim <= 2 over the arrow,
+    cospan and span, and on seeded Gorenstein-projective squares (never
+    projective here) with their cover middles (always projective)."""
+    from itertools import islice
+
+    from derlab.cats import span_category
+    from derlab.algebra import group_algebra_c2
+    from derlab.samples import all_diagrams, all_modules, random_gproj
+
+    outcomes = []
+    for alg in (dual_numbers(2), dual_numbers(3)):
+        mods = all_modules(alg, 2)
+        for shape in (arrow_category(), cospan_category(), span_category()):
+            for x in islice(all_diagrams(shape, alg, 2, mods), 80):
+                expected = _split_solve_projective(x)
+                assert is_projective_diagram(x) == expected
+                outcomes.append(expected)
+    assert set(outcomes) == {True, False}
+    square = square_category()
+    for alg in (group_algebra_c2(2), dual_numbers(3)):
+        for seed in range(3):
+            g = random_gproj(square, alg, 1, random.Random(seed))
+            for x in (g, projective_cover_diagram(g).middle):
+                assert is_projective_diagram(x) == _split_solve_projective(x)
+
+
+def test_is_projective_diagram_builds_no_hom_system(monkeypatch):
+    """Over a local algebra the latching criterion decides a square with
+    hull-sized components, and its dual criterion a Gorenstein projective,
+    without a hom space of diagrams; the split solve on the hull below
+    built a 19108 x 7460 system (1.06 GiB)."""
+    import derlab.diagrams as diagrams
+    from derlab.algebra import group_algebra_c2
+    from derlab.gorenstein import hull_ginj
+    from derlab.samples import random_gproj
+
+    alg = group_algebra_c2(2)
+    g = random_gproj(square_category(), alg, 2, random.Random(4))
+    hull = hull_ginj(g).conflation.middle
+    cover = projective_cover_diagram(hull).middle
+    assert [hull.at(o).dim for o in hull.shape.objects] == [13, 8, 8, 6]
+    assert cover.total_dim() >= 30
+
+    def refuse(*args):
+        raise AssertionError("projectivity reached a hom solve of diagrams")
+
+    monkeypatch.setattr(diagrams, "hom_space_diagrams", refuse)
+    monkeypatch.setattr(diagrams, "split_section_diagrams", refuse)
+    assert not is_projective_diagram(hull)
+    assert is_projective_diagram(cover)
+    assert not is_injective_diagram(g)
 
 
 def test_ext1_projective_vanishes(dn, reg, arrow, socle_arrow):

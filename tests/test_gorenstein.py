@@ -21,7 +21,6 @@ from derlab.diagrams import (
     direct_sum_diagrams,
     ext1,
     hom_dim_diagrams,
-    is_projective_diagram,
     left_kan_from_point,
     projective_cover_diagram,
     restrict,
@@ -41,6 +40,7 @@ from derlab.gorenstein import (
     hull_ginj,
     is_gproj,
     is_ginj,
+    is_projective_diagram,
     is_wtriv,
     latching,
     matching,

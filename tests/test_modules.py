@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from derlab.algebra import dual_numbers, upper_triangular_2x2
+from derlab.algebra import dual_numbers, group_algebra_c2, upper_triangular_2x2
 from derlab.field import Mat, rank
 from derlab.modules import (
     Conflation,
@@ -25,8 +25,11 @@ from derlab.modules import (
     find_module_iso,
     pullback,
     pushout,
+    quotient_module,
     regular_module,
+    split_section,
     stable_hom,
+    submodule,
     syzygy,
     zero_map,
     zero_module,
@@ -238,6 +241,116 @@ def test_upper_triangular_modules():
     assert is_projective(reg)
     d = dual_module(reg).validate()
     assert not is_projective(d)  # this is exactly the self-injectivity failure
+
+
+def _all_modules_by_validate(alg, max_dim):
+    """The reference enumeration: every action tuple in itertools.product
+    order (the unit's matrix forced to the identity when the unit is a
+    basis vector), kept when Module.validate accepts it."""
+    import itertools
+
+    from derlab.field import DerlabError
+
+    out = [zero_module(alg)]
+    unit = [k for k in range(alg.dim) if alg.unit[k]]
+    fixed = unit[0] if len(unit) == 1 and alg.unit[unit[0]] == 1 else None
+    free = [k for k in range(alg.dim) if k != fixed]
+    for d in range(1, max_dim + 1):
+        mats = [Mat(alg.p, np.array(c).reshape(d, d)) for c in itertools.product(range(alg.p), repeat=d * d)]
+        for combo in itertools.product(mats, repeat=len(free)):
+            action = [Mat.identity(alg.p, d)] * alg.dim
+            for k, a in zip(free, combo):
+                action[k] = a
+            try:
+                out.append(Module(alg, action).validate())
+            except DerlabError:
+                pass
+    return out
+
+
+def test_all_modules_matches_validate_loop():
+    """The chunked enumeration keeps exactly the action tuples, in the same
+    order, that Module.validate accepts one at a time."""
+    from derlab.samples import all_modules
+
+    for alg, max_dim in ((dual_numbers(2), 3), (dual_numbers(3), 2), (group_algebra_c2(3), 2), (upper_triangular_2x2(2), 2)):
+        got = all_modules(alg, max_dim)
+        want = _all_modules_by_validate(alg, max_dim)
+        assert [[a.a.tolist() for a in m.action] for m in got] == [[a.a.tolist() for a in m.action] for m in want]
+
+
+def _split_solve_projective(m):
+    """The oracle: does the free cover of m split?"""
+    return split_section(free_cover(m).right) is not None
+
+
+def test_is_projective_matches_split_solve_oracle():
+    """Over the local algebras the Nakayama count decides projectivity; it
+    agrees with splitting the free cover on every module of dim <= 4 over
+    F_2[x]/(x^2) and of dim <= 3 over F_3[x]/(x^2) and F_2 C_2."""
+    from derlab.samples import all_modules
+
+    checked = 0
+    for alg, max_dim in ((dual_numbers(2), 4), (dual_numbers(3), 3), (group_algebra_c2(2), 3)):
+        assert alg.is_local()
+        outcomes = set()
+        for m in all_modules(alg, max_dim):
+            expected = _split_solve_projective(m)
+            assert is_projective(m) == expected
+            outcomes.add(expected)
+            checked += 1
+        assert outcomes == {True, False}
+    assert checked == 344 + 116 + 28
+
+
+@pytest.fixture
+def split_solves(monkeypatch):
+    """Counts the split solves is_projective falls back to."""
+    import derlab.modules as modules
+
+    calls = []
+    real = modules.split_section
+
+    def counted(defl):
+        calls.append(defl)
+        return real(defl)
+
+    monkeypatch.setattr(modules, "split_section", counted)
+    return calls
+
+
+def test_is_projective_falls_back_on_the_triangular_algebra(split_solves):
+    """Upper-triangular 2x2 matrices are not local (a radical of
+    codimension 2): the split solve decides.  P_1 = e11 Lambda and
+    P_2 = e22 Lambda are projective, the simple S_2 is P_2 and the simple
+    S_1 = P_1 / rad P_1 is not."""
+    alg = upper_triangular_2x2(2)  # basis e11, e22, e12
+    assert not alg.is_local()
+    reg = regular_module(alg)
+    p1, _ = submodule(reg, Mat(2, [[1, 0], [0, 0], [0, 1]]))
+    p2, _ = submodule(reg, Mat(2, [[0], [1], [0]]))
+    s1, _ = quotient_module(p1, Mat(2, [[0], [1]]))
+    assert (p1.dim, p2.dim, s1.dim) == (2, 1, 1)
+    assert is_projective(reg) and is_projective(p1) and is_projective(p2)
+    assert not is_projective(s1)
+    assert len(split_solves) == 4
+    from derlab.samples import all_modules
+
+    mods = all_modules(alg, 2)
+    assert {is_projective(m) for m in mods} == {True, False}
+    assert all(is_projective(m) == _split_solve_projective(m) for m in mods)
+
+
+def test_is_projective_falls_back_without_a_radical(split_solves):
+    """F_3 C_2 is semisimple and declares no radical: every module is
+    projective, decided by the split solve."""
+    from derlab.samples import all_modules
+
+    alg = group_algebra_c2(3)
+    assert alg.radical is None and not alg.is_local()
+    mods = all_modules(alg, 2)
+    assert all(is_projective(m) for m in mods)
+    assert len(split_solves) == len(mods)
 
 
 def test_is_stable_iso_unknown_under_budget(dn, simple, reg):
