@@ -43,7 +43,7 @@ from .diagrams import (
     zero_diagram,
     zero_diagram_map,
 )
-from .gorenstein import VerificationError, embed_gproj_into_proj, is_gproj, is_projective_diagram
+from .gorenstein import PreconditionError, VerificationError, embed_gproj_into_proj, is_gproj, is_projective_diagram
 
 
 class WindowError(DerlabError, ValueError):
@@ -275,43 +275,48 @@ def cone(f: ComplexMap) -> LazyComplex:
 # -- contractibility -----------------------------------------------------------
 
 
+def is_contractible_on(c: LazyComplex, lo: int, hi: int) -> bool:
+    """Does contraction_on_window(c, lo, hi) find h with d h + h d = id at
+    lo+1 .. hi-1?  Decided from the cocycles, with no hom space.
+
+    Such h exist exactly when c is exact there, the deflations
+    C^{k-1} ->> d(C^{k-1}) (lo < k <= hi) split, and so does the inflation
+    d(C^{hi-1}) >-> C^hi (Bühler, Exact categories, section 10).  For terms
+    lo..hi projective diagrams: each inner Z^k and coker d^{hi-1} are
+    projective.  The cokernel, since over more than one object a projective
+    subdiagram need not split off.  On an exact window, a term lo..hi that
+    is not a projective diagram is a PreconditionError.
+    """
+    if hi - lo < 2:
+        return True  # no equations: the empty contraction
+    if not c.is_acyclic_on(lo, hi):
+        return False
+    if not all(is_projective_diagram(c.term(k)) for k in range(lo, hi + 1)):
+        raise PreconditionError(f"contractibility on {lo}..{hi} is decided for complexes of projective diagrams")
+    cocycles = (kernel_diagram(c.diff(k))[0] for k in range(lo + 1, hi))
+    return all(map(is_projective_diagram, cocycles)) and is_projective_diagram(cokernel_diagram(c.diff(hi - 1))[0])
+
+
 def is_termwise_contractible(c: LazyComplex, lo: int, hi: int) -> bool:
-    """Are all component cocycle modules projective on the window?
+    """Are the component cocycle modules Z^lo .. Z^hi all projective?
 
-    Valid for acyclic complexes of projectives over a self-injective
-    algebra: the cocycle conflations split exactly when the cocycles are
-    projective (= injective), and splitting everywhere is contractibility.
-
-    The independent oracle is a linear contraction solve per component; it
-    runs whenever the window is small enough to make the joint solve cheap.
-    Disagreement between criterion and oracle is a hard error.
+    Over a self-injective algebra, for an acyclic complex of projectives,
+    that is the splitting of every cocycle conflation: contractibility.
+    contraction_on_window on each object's component complex cross-checks
+    it whenever the terms are small; disagreement is a hard error.
     """
     if not c.is_acyclic_on(lo, hi):
         raise WindowError("termwise contractibility asks for an acyclic window")
-    answer = True
-    for k in range(lo, hi + 1):
-        for o in c.shape.objects:
-            zmod, _ = submodule(c.term(k).at(o), kernel_basis(c.diff(k).comps[o]))
-            if not is_projective(zmod):
-                answer = False
-                break
-        if not answer:
-            break
-    biggest = max(
-        (c.term(k).at(o).dim for k in range(lo, hi + 1) for o in c.shape.objects),
-        default=0,
+    answer = all(
+        is_projective(submodule(c.term(k).at(o), kernel_basis(c.diff(k).comps[o]))[0])
+        for k in range(lo, hi + 1) for o in c.shape.objects
     )
-    # the contraction solve places equations at lo..hi, which presumes
-    # exactness there; skip the cross-check when the larger window is not
-    # materializably acyclic
+    biggest = max((c.term(k).at(o).dim for k in range(lo, hi + 1) for o in c.shape.objects), default=0)
+    # the solve's equations at lo..hi presume exactness there
     if biggest <= 12 and c.is_acyclic_on(lo - 1, hi + 1):
-        by_search = all(
-            component_contraction_exists(c, o, lo - 1, hi + 1) for o in c.shape.objects
-        )
-        if by_search != answer:
-            raise VerificationError(
-                "projective-cocycle criterion and contraction search disagree"
-            )
+        parts = [restrict_complex(object_functor(c.shape, o), c) for o in c.shape.objects]
+        if answer != all(contraction_on_window(part, lo - 1, hi + 1) is not None for part in parts):
+            raise VerificationError("projective-cocycle criterion and contraction search disagree")
     return answer
 
 
@@ -353,10 +358,6 @@ def contraction_on_window(c: LazyComplex, lo: int, hi: int) -> Optional[Dict[int
         if coeff:
             out[k] = out[k] + bases[k][idx].scale(coeff)
     return out
-
-
-def component_contraction_exists(c: LazyComplex, o: str, lo: int, hi: int) -> bool:
-    return contraction_on_window(restrict_complex(object_functor(c.shape, o), c), lo, hi) is not None
 
 
 # -- cohomology ------------------------------------------------------------------

@@ -259,6 +259,56 @@ def test_regression_reports_match_recorded_digests():
         assert got[suite]["digest"] == expected["digest"], suite
 
 
+def test_sod_of_a_loaded_complex_asks_no_projectivity_past_its_window(tmp_path):
+    """A zero-tails complex over the arrow whose one term, the simple module
+    at object 0 and zero at object 1 (not a projective diagram), sits two
+    degrees past the window -2..2.  Its tc-part carries that diagram in
+    degree 3, next to the window; sod still verifies the tc-part there."""
+    simple = json.loads((SCENARIOS / "diag_stalk0_simple.json").read_text())
+    (tmp_path / "far.json").write_text(json.dumps({"shape": "arrow", "policy": "zero-tails", "terms": {"4": simple}, "diffs": {}}))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "algebra": str(SCENARIOS / "dual_numbers.json"),
+        "categories": {"arrow": str(SCENARIOS / "cat_arrow.json")},
+        "complexes": {"far": "far.json"},
+        "window_margin": 2,
+        "suites": ["sod"],
+    }))
+    report, code = run_scenario(str(scen))
+    assert code == 0
+    [item] = report["items"]
+    assert item["id"] == "sod/far" and item["verdict"] == "pass", item
+    assert item["details"]["tc_termwise_contractible"] is True
+
+
+def test_sod_on_the_square_needs_no_joint_contraction_solve(tmp_path, monkeypatch):
+    """The complete resolution of the simple module at each vertex of the
+    square, with identity structure maps, passes the sod suite without the
+    contraction solve over the whole shape, which peaks at 1.09 GiB here."""
+    solve = sys.modules["derlab.complexes"].contraction_on_window
+
+    def refuse_joint_solve(c, lo, hi):
+        if len(c.shape.objects) > 1:
+            raise AssertionError("contraction solve over a shape with more than one object")
+        return solve(c, lo, hi)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("derlab") and getattr(mod, "contraction_on_window", None) is solve:
+            monkeypatch.setattr(mod, "contraction_on_window", refuse_joint_solve)
+    scen = tmp_path / "square.json"
+    scen.write_text(json.dumps({
+        "algebra": str(SCENARIOS / "dual_numbers.json"),
+        "categories": {"square": str(SCENARIOS / "cat_square.json")},
+        "diagrams": {"simple": str(SCENARIOS / "diag_square_simple.json")},
+        "suites": ["sod"],
+    }))
+    report, code = run_scenario(str(scen))
+    assert code == 0
+    [item] = report["items"]
+    assert item["id"] == "sod/res(simple)" and item["verdict"] == "pass"
+    assert item["details"]["tc_null_on_window"] is True
+
+
 def _one_document_scenario(tmp_path, kind, doc):
     """A validate-only scenario over the point and arrow shapes whose one
     algebra, category, functor, diagram or complex document is doc; for
@@ -288,6 +338,7 @@ def _one_document_scenario(tmp_path, kind, doc):
 _FREE = {"dim": 2, "action": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]}
 _FREE_POINT = {"objects": {"*": _FREE}, "morphisms": {}}
 _NILPOTENT = [[0, 0], [1, 0]]
+_IDENTITY = [[1, 0], [0, 1]]
 
 
 def _point(dim, action):
@@ -324,6 +375,8 @@ MALFORMED = {
     "categories-not-a-mapping": ("scenario", {"categories": []}),
     "document-path-not-a-string": ("scenario", {"diagrams": {"x": 5}}),
     "suites-not-a-list": ("scenario", {"suites": 5}),
+    "policy-not-a-policy": ("complex", _complex(5, {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _IDENTITY}})),
+    "policy-periodic-without-period": ("complex", _complex("periodic", {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _IDENTITY}})),
 }
 
 
@@ -417,11 +470,14 @@ def test_loader_fuzz_always_reports(tmp_path, doc):
 
 
 _FREE_ARROW = json.loads((SCENARIOS / "diag_free_at0.json").read_text())
-_IDENTITY = [[1, 0], [0, 1]]
 # each document kind with its base documents, and the fixtures a scenario
-# loads beside it so that every suite has something to run on it
+# loads beside it (added to its point and arrow shapes) so that every suite
+# has something to run on it
 _SUITE_FUZZ = {
-    "diagram": (_FUZZ_BASES, {"functors": {"at0": "fun_at0.json", "to_point": "fun_to_point.json"}}),
+    "diagram": (
+        _FUZZ_BASES + [json.loads((SCENARIOS / "diag_square_simple.json").read_text())],
+        {"categories": {"square": "cat_square.json"}, "functors": {"at0": "fun_at0.json", "to_point": "fun_to_point.json"}},
+    ),
     "complex": (
         [
             json.loads((SCENARIOS / "cx_two_periodic.json").read_text()),
@@ -472,7 +528,7 @@ def test_suite_fuzz_always_reports(tmp_path, case):
     scen = _one_document_scenario(tmp_path, kind, doc)
     data = json.loads(scen.read_text())
     for key, table in _SUITE_FUZZ[kind][1].items():
-        data[key] = {name: str(SCENARIOS / rel) for name, rel in table.items()}
+        data[key] = {**data.get(key, {}), **{name: str(SCENARIOS / rel) for name, rel in table.items()}}
     data["suites"] = KNOWN_SUITES
     scen.write_text(json.dumps(data))
     report, code = run_scenario(str(scen))

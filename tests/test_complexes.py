@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from derlab.algebra import dual_numbers
-from derlab.cats import arrow_category, terminal_category
+from derlab.cats import arrow_category, cospan_category, object_functor, span_category, square_category, terminal_category
 from derlab.field import Mat, rank
 from derlab.modules import Module, regular_module
 from derlab.diagrams import (
@@ -14,7 +16,8 @@ from derlab.diagrams import (
     stalk_diagram,
     zero_diagram,
 )
-from derlab.gorenstein import is_gproj, is_projective_diagram
+from derlab.gorenstein import PreconditionError, is_gproj, is_projective_diagram
+from derlab.samples import random_gproj
 from derlab.complexes import (
     ComplexMap,
     LazyComplex,
@@ -22,9 +25,10 @@ from derlab.complexes import (
     complete_resolution,
     cone,
     contraction_on_window,
-    component_contraction_exists,
+    is_contractible_on,
     is_quasi_iso_on,
     is_termwise_contractible,
+    restrict_complex,
     shift,
     sod_decompose,
     z0,
@@ -105,8 +109,50 @@ def test_contractibility_criterion_matches_oracle(dn, kres):
     # projective-cocycle criterion vs explicit contraction search
     idmap = ComplexMap(kres, kres, {k: identity_diagram_map(kres.term(k)) for k in range(-4, 5)})
     good = cone(idmap)
-    assert is_termwise_contractible(good, -1, 1) == component_contraction_exists(good, "*", -2, 2)
-    assert is_termwise_contractible(kres, -1, 1) == component_contraction_exists(kres, "*", -2, 2)
+    for c in (good, kres):
+        by_search = contraction_on_window(restrict_complex(object_functor(c.shape, "*"), c), -2, 2) is not None
+        assert is_termwise_contractible(c, -1, 1) == by_search
+
+
+def _contractibility_cases(dn, reg):
+    """(complex, lo, hi): complete resolutions of seeded Gorenstein
+    projectives and their smaller sod tc-parts, then a projective coboundary that
+    does not split off."""
+    for p in (2, 3):
+        alg = dual_numbers(p)
+        for shape in (arrow_category(), cospan_category(), span_category(), square_category()):
+            for seed in range(6):
+                c = complete_resolution(random_gproj(shape, alg, 2, random.Random(seed)))
+                for w in (1, 2, 3):
+                    yield c, -w, w
+                tc = sod_decompose(c, -2, 2).tc_part
+                # the joint solve over the four large square tc-parts (total
+                # dimension 376-396 on -2..2) takes 8-13 s and up to 1 GB
+                # each; the other eight square tc-parts stay
+                if sum(tc.term(k).at(o).dim for k in range(-2, 3) for o in shape.objects) <= 200:
+                    yield tc, -2, 2
+    # over the arrow, d^0: (0 -> Lambda) >-> (Lambda -> Lambda) is the inclusion
+    # of a projective with no retraction; the cokernel (Lambda -> 0) is not
+    # projective, so no contraction exists on -1..1
+    arrow = arrow_category()
+    p1, p0 = (left_kan_from_point(arrow, dn, o, reg) for o in ("1", "0"))
+    d0 = DiagramMap(p1, p0, {"0": Mat.zeros(2, 2, 0), "1": Mat.identity(2, 2)})
+    yield LazyComplex.bounded(arrow, dn, {0: p1, 1: p0}, {0: d0}), -1, 1
+
+
+def test_is_contractible_on_matches_contraction_solve(dn, reg):
+    outcomes = []
+    for c, lo, hi in _contractibility_cases(dn, reg):
+        rule = is_contractible_on(c, lo, hi)
+        assert rule == (contraction_on_window(c, lo, hi) is not None), (c.label, c.shape.objects, lo, hi)
+        outcomes.append(rule)
+    assert len(outcomes) == 189 and set(outcomes) == {True, False}
+    assert outcomes[-1] is False
+    # a term that is not a projective diagram, on an exact window
+    stalk = stalk_diagram(arrow_category(), dn, "0", reg)
+    two_term = LazyComplex.bounded(stalk.shape, dn, {0: stalk, 1: stalk}, {0: identity_diagram_map(stalk)})
+    with pytest.raises(PreconditionError):
+        is_contractible_on(two_term, -1, 2)
 
 
 def test_sum_with_noncontractible_detected(dn, kres):
