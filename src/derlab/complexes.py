@@ -22,8 +22,8 @@ import numpy as np
 
 from .algebra import Algebra
 from .cats import CatFunctor, DirectCategory, full_subcategory, object_functor, opposite_category
-from .field import DerlabError, Mat, block, block_diag, hstack, kernel_basis, rank, solve
-from .modules import submodule, is_projective, zero_module
+from .field import DerlabError, Mat, block, block_diag, hstack, invert, kernel_basis, rank, solve
+from .modules import Module, ModuleMap, dual_module, generators, is_projective, submodule, zero_module
 from .diagrams import (
     Diagram,
     DiagramMap,
@@ -302,22 +302,133 @@ def is_termwise_contractible(c: LazyComplex, lo: int, hi: int) -> bool:
 
     Over a self-injective algebra, for an acyclic complex of projectives,
     that is the splitting of every cocycle conflation: contractibility.
-    contraction_on_window on each object's component complex cross-checks
-    it whenever the terms are small; disagreement is a hard error.
+    On a window exact at lo..hi, a True answer is certified by a
+    contraction of each object's component complex built from generator
+    lifts (_termwise_contraction) and checked by products; a contraction
+    that fails its check is a VerificationError.  Where none can be built
+    (a cocycle not free on its generators, as over an algebra with no
+    declared radical) and on a False answer, contraction_on_window on each
+    component complex cross-checks the answer whenever the terms are
+    small; disagreement is a hard error.
     """
     if not c.is_acyclic_on(lo, hi):
         raise WindowError("termwise contractibility asks for an acyclic window")
-    answer = all(
-        is_projective(submodule(c.term(k).at(o), kernel_basis(c.diff(k).comps[o]))[0])
-        for k in range(lo, hi + 1) for o in c.shape.objects
-    )
+    cocycles = {o: {k: _cocycles(c, k, o) for k in range(lo, hi + 1)} for o in c.shape.objects}
+    answer = all(is_projective(z) for by_degree in cocycles.values() for z, _ in by_degree.values())
+    # a contraction, like the solve's equations, presumes exactness at lo..hi
+    exact = c.is_acyclic_on(lo - 1, hi + 1)
+    if answer and exact:
+        witness = _termwise_contraction(c, lo, hi, cocycles)
+        if witness is not None:
+            _verify_termwise_contraction(c, witness, lo, hi)
+            return True
     biggest = max((c.term(k).at(o).dim for k in range(lo, hi + 1) for o in c.shape.objects), default=0)
-    # the solve's equations at lo..hi presume exactness there
-    if biggest <= 12 and c.is_acyclic_on(lo - 1, hi + 1):
+    if biggest <= 12 and exact:
         parts = [restrict_complex(object_functor(c.shape, o), c) for o in c.shape.objects]
         if answer != all(contraction_on_window(part, lo - 1, hi + 1) is not None for part in parts):
             raise VerificationError("projective-cocycle criterion and contraction search disagree")
     return answer
+
+
+def _cocycles(c: LazyComplex, k: int, o: str) -> Tuple[Module, ModuleMap]:
+    """Z^k = ker d^k at object o, with its inclusion into C^k."""
+    return submodule(c.term(k).at(o), kernel_basis(c.diff(k).comps[o]))
+
+
+@dataclass
+class _ComponentContraction:
+    """A contraction of the component complex at obj on lo..hi.  incl[k] is
+    the inclusion of B^k = im d^{k-1} into C^k (lo <= k <= hi+1), sections[k]
+    a map s_k: B^{k+1} -> C^k with d^k s_k = incl[k+1] (lo-1 <= k <= hi), and
+    h[k] = s_{k-1} rho_k: C^k -> C^{k-1} (lo <= k <= hi+1), with rho_k a
+    retraction of incl[k]."""
+    obj: str
+    incl: Dict[int, Mat]
+    sections: Dict[int, Mat]
+    h: Dict[int, Mat]
+
+
+def _termwise_contraction(c: LazyComplex, lo: int, hi: int, cocycles: Optional[Dict[str, Dict[int, Tuple[Module, ModuleMap]]]] = None) -> Optional[List[_ComponentContraction]]:
+    """A contraction of each object's component complex on a window exact
+    at lo..hi with projective cocycles Z^lo .. Z^hi (Weibel, An
+    Introduction to Homological Algebra, 1.4: split exact is contractible),
+    or None where some B^k is not free on its generators.  Unverified: see
+    _verify_termwise_contraction.  cocycles[o][k] are the _cocycles(c, k, o),
+    built here if not given; on the exact window they are the B^k.
+
+    Each section s_k lifts the generators of B^{k+1} through d^k and extends
+    freely (_free_section); rho_k = id - s_k d^k in the coordinates of
+    B^k = Z^k for k <= hi.  d^{hi+1} need not exist, so rho_{hi+1} is the
+    transpose of the same section of D(incl): D(C^{hi+1}) ->> D(B^{hi+1}),
+    over the opposite algebra.  Then h^k = s_{k-1} rho_k.
+    """
+    p = c.alg.p
+    out = []
+    for o in c.shape.objects:
+        term = {k: c.term(k).at(o) for k in range(lo - 1, hi + 2)}
+        d = {k: c.diff(k).comps[o] for k in range(lo - 1, hi + 1)}
+        zs = cocycles[o] if cocycles is not None else {k: _cocycles(c, k, o) for k in range(lo, hi + 1)}
+        bounds = {k: (z, incl.mat) for k, (z, incl) in zs.items()}
+        top, top_incl = submodule(term[hi + 1], d[hi])
+        bounds[hi + 1] = (top, top_incl.mat)
+        sections = {}
+        for k in range(lo - 1, hi + 1):
+            s = _free_section(d[k], *bounds[k + 1], term[k])
+            if s is None:
+                return None
+            sections[k] = s
+        rho = {}
+        for k in range(lo, hi + 1):
+            dbar = _coordinates(bounds[k + 1][1], d[k])
+            rho[k] = _coordinates(bounds[k][1], Mat.identity(p, term[k].dim) - sections[k] @ dbar)
+        dual_section = _free_section(top_incl.mat.T, dual_module(top), Mat.identity(p, top.dim), dual_module(term[hi + 1]))
+        if dual_section is None:
+            return None
+        rho[hi + 1] = dual_section.T
+        h = {k: sections[k - 1] @ rho[k] for k in range(lo, hi + 2)}
+        out.append(_ComponentContraction(o, {k: incl for k, (_, incl) in bounds.items()}, sections, h))
+    return out
+
+
+def _free_section(d: Mat, b: Module, incl: Mat, src: Module) -> Optional[Mat]:
+    """s: b -> src with d s = incl, for b free on generators(b): lift the
+    generators in one solve, then extend freely, s = S F^-1 with
+    F = [b.action[j] g_i] and S = [src.action[j] x_i].  None when F is not
+    invertible (b is not free on those generators) or d misses incl."""
+    if b.dim == 0:
+        return Mat.zeros(b.alg.p, src.dim, 0)
+    gens = generators(b)
+    lifts = solve(d, incl @ gens)
+    if lifts is None:
+        return None
+    free = invert(hstack([a @ gens for a in b.action]))
+    if free is None:
+        return None
+    return hstack([a @ lifts for a in src.action]) @ free
+
+
+def _coordinates(incl: Mat, m: Mat) -> Mat:
+    x = solve(incl, m)
+    if x is None:
+        raise VerificationError("a contraction's map leaves the boundaries")
+    return x
+
+
+def _verify_termwise_contraction(c: LazyComplex, witness: List[_ComponentContraction], lo: int, hi: int) -> None:
+    """Check each component contraction by products: every h^k is a module
+    map, d^k s_k = incl on B^{k+1}, and d h + h d = id at lo..hi."""
+    for w in witness:
+        term = {k: c.term(k).at(w.obj) for k in range(lo - 1, hi + 2)}
+        d = {k: c.diff(k).comps[w.obj] for k in range(lo - 1, hi + 1)}
+        for k in range(lo, hi + 2):
+            if any(w.h[k] @ a != b @ w.h[k] for a, b in zip(term[k].action, term[k - 1].action)):
+                raise VerificationError(f"contraction at {w.obj} is not a module map in degree {k}")
+        for k in range(lo - 1, hi + 1):
+            if d[k] @ w.sections[k] != w.incl[k + 1]:
+                raise VerificationError(f"section at {w.obj} does not split d^{k}")
+        for k in range(lo, hi + 1):
+            if not (d[k - 1] @ w.h[k] + w.h[k + 1] @ d[k]).is_identity():
+                raise VerificationError(f"d h + h d != id at {w.obj} in degree {k}")
 
 
 def contraction_on_window(c: LazyComplex, lo: int, hi: int) -> Optional[Dict[int, DiagramMap]]:

@@ -309,6 +309,30 @@ def test_sod_on_the_square_needs_no_joint_contraction_solve(tmp_path, monkeypatc
     assert item["details"]["tc_null_on_window"] is True
 
 
+def test_regression_sod_and_crosscheck_need_no_contraction_solve(tmp_path, monkeypatch):
+    """Every termwise-contractibility answer in the regression sod and
+    crosscheck suites is True and certified by a contraction built from
+    generator lifts, so the contraction solve is never called."""
+    solve = sys.modules["derlab.complexes"].contraction_on_window
+
+    def refuse(c, lo, hi):
+        raise AssertionError("contraction solve called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("derlab") and getattr(mod, "contraction_on_window", None) is solve:
+            monkeypatch.setattr(mod, "contraction_on_window", refuse)
+    base = json.loads((SCENARIOS / "regression.json").read_text())
+    for suite in ("sod", "crosscheck"):
+        scen = dict(base, suites=[suite])
+        for key in ("algebra", "categories", "functors", "diagrams", "complexes"):
+            scen[key] = {k: str(SCENARIOS / v) for k, v in base[key].items()} if isinstance(base[key], dict) else str(SCENARIOS / base[key])
+        path = tmp_path / f"regression-{suite}.json"
+        path.write_text(json.dumps(scen))
+        report, code = run_scenario(str(path))
+        assert code == 0, report
+        assert report["items"] and all(it["verdict"] == "pass" for it in report["items"]), report["items"]
+
+
 def _one_document_scenario(tmp_path, kind, doc):
     """A validate-only scenario over the point and arrow shapes whose one
     algebra, category, functor, diagram or complex document is doc; for

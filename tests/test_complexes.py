@@ -1,16 +1,18 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from derlab.algebra import dual_numbers
+from derlab.algebra import dual_numbers, group_algebra_c2
 from derlab.cats import arrow_category, cospan_category, object_functor, span_category, square_category, terminal_category
-from derlab.field import Mat, rank
+from derlab.field import Mat, block_diag, rank
 from derlab.modules import Module, regular_module
 from derlab.diagrams import (
     Diagram,
     DiagramMap,
     constant_diagram,
+    direct_sum_diagrams,
     identity_diagram_map,
     left_kan_from_point,
     stalk_diagram,
@@ -22,6 +24,8 @@ from derlab.complexes import (
     ComplexMap,
     LazyComplex,
     VerificationError,
+    _termwise_contraction,
+    _verify_termwise_contraction,
     complete_resolution,
     cone,
     contraction_on_window,
@@ -114,35 +118,40 @@ def test_contractibility_criterion_matches_oracle(dn, kres):
         assert is_termwise_contractible(c, -1, 1) == by_search
 
 
+@pytest.fixture(scope="module")
+def contractibility_cases(dn, reg):
+    return list(_contractibility_cases(dn, reg))
+
+
 def _contractibility_cases(dn, reg):
-    """(complex, lo, hi): complete resolutions of seeded Gorenstein
-    projectives and their smaller sod tc-parts, then a projective coboundary that
-    does not split off."""
+    """(complex, lo, hi, small): complete resolutions of seeded Gorenstein
+    projectives and their sod tc-parts, then a projective coboundary that
+    does not split off.  small is False on the four large square tc-parts
+    (total dimension 376-396 on -2..2), where the joint solve takes 8-13 s
+    and up to 1 GB each."""
     for p in (2, 3):
         alg = dual_numbers(p)
         for shape in (arrow_category(), cospan_category(), span_category(), square_category()):
             for seed in range(6):
                 c = complete_resolution(random_gproj(shape, alg, 2, random.Random(seed)))
                 for w in (1, 2, 3):
-                    yield c, -w, w
+                    yield c, -w, w, True
                 tc = sod_decompose(c, -2, 2).tc_part
-                # the joint solve over the four large square tc-parts (total
-                # dimension 376-396 on -2..2) takes 8-13 s and up to 1 GB
-                # each; the other eight square tc-parts stay
-                if sum(tc.term(k).at(o).dim for k in range(-2, 3) for o in shape.objects) <= 200:
-                    yield tc, -2, 2
+                yield tc, -2, 2, sum(tc.term(k).at(o).dim for k in range(-2, 3) for o in shape.objects) <= 200
     # over the arrow, d^0: (0 -> Lambda) >-> (Lambda -> Lambda) is the inclusion
     # of a projective with no retraction; the cokernel (Lambda -> 0) is not
     # projective, so no contraction exists on -1..1
     arrow = arrow_category()
     p1, p0 = (left_kan_from_point(arrow, dn, o, reg) for o in ("1", "0"))
     d0 = DiagramMap(p1, p0, {"0": Mat.zeros(2, 2, 0), "1": Mat.identity(2, 2)})
-    yield LazyComplex.bounded(arrow, dn, {0: p1, 1: p0}, {0: d0}), -1, 1
+    yield LazyComplex.bounded(arrow, dn, {0: p1, 1: p0}, {0: d0}), -1, 1, True
 
 
-def test_is_contractible_on_matches_contraction_solve(dn, reg):
+def test_is_contractible_on_matches_contraction_solve(dn, reg, contractibility_cases):
     outcomes = []
-    for c, lo, hi in _contractibility_cases(dn, reg):
+    for c, lo, hi, small in contractibility_cases:
+        if not small:
+            continue
         rule = is_contractible_on(c, lo, hi)
         assert rule == (contraction_on_window(c, lo, hi) is not None), (c.label, c.shape.objects, lo, hi)
         outcomes.append(rule)
@@ -155,22 +164,91 @@ def test_is_contractible_on_matches_contraction_solve(dn, reg):
         is_contractible_on(two_term, -1, 2)
 
 
-def test_sum_with_noncontractible_detected(dn, kres):
+def test_termwise_contraction_certifies_every_true_answer(contractibility_cases):
+    # each True answer on an exact window has a contraction built from
+    # generator lifts that passes the product checks, the four large square
+    # tc-parts included
+    certified = large = 0
+    for c, lo, hi, small in contractibility_cases:
+        if not c.is_acyclic_on(lo - 1, hi + 1) or not is_termwise_contractible(c, lo, hi):
+            continue
+        witness = _termwise_contraction(c, lo, hi)
+        assert [w.obj for w in witness] == list(c.shape.objects)
+        _verify_termwise_contraction(c, witness, lo, hi)
+        certified += 1
+        large += not small
+    assert certified == 51 and large == 4
+
+
+def _flip(m, r, col):
+    a = m.a.copy()
+    a[r, col] = (a[r, col] + 1) % m.p
+    return Mat(m.p, a)
+
+
+def test_corrupted_contraction_is_refused(dn, kres):
+    idmap = ComplexMap(kres, kres, {k: identity_diagram_map(kres.term(k)) for k in range(-4, 5)})
+    c = cone(idmap)
+    [w] = _termwise_contraction(c, -2, 2)
+    _verify_termwise_contraction(c, [w], -2, 2)
+    # an entry of h^0 in a row that d^-1 does not kill breaks d h + h d = id
+    d = c.diff(-1).comps["*"]
+    r = next(r for r in range(d.cols) if not d.col(r).is_zero())
+    with pytest.raises(VerificationError):
+        _verify_termwise_contraction(c, [replace(w, h={**w.h, 0: _flip(w.h[0], r, 0)})], -2, 2)
+    # the zero map is a module map, but d h + h d != id
+    with pytest.raises(VerificationError, match="d h"):
+        _verify_termwise_contraction(c, [replace(w, h={**w.h, 0: w.h[0].scale(0)})], -2, 2)
+    # an entry of s_0 in a row that d^0 does not kill breaks d s = incl
+    d = c.diff(0).comps["*"]
+    r = next(r for r in range(d.cols) if not d.col(r).is_zero())
+    with pytest.raises(VerificationError):
+        _verify_termwise_contraction(c, [replace(w, sections={**w.sections, 0: _flip(w.sections[0], r, 0)})], -2, 2)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The windows of every contraction_on_window call made by complexes."""
+    import derlab.complexes as cx
+
+    calls = []
+    solve = cx.contraction_on_window
+
+    def counted(c, lo, hi):
+        calls.append((lo, hi))
+        return solve(c, lo, hi)
+
+    monkeypatch.setattr(cx, "contraction_on_window", counted)
+    return calls
+
+
+def test_no_radical_falls_back_to_the_contraction_solve(solve_calls):
+    # over F_3[C_2], which declares no radical, no image is free on its
+    # generators, so a True answer is cross-checked by the solve as before
+    alg = group_algebra_c2(3)
+    point = terminal_category()
+    lam = constant_diagram(point, alg, regular_module(alg))
+    one_term = LazyComplex.bounded(point, alg, {0: lam}, {})
+    c = cone(ComplexMap(one_term, one_term, {k: identity_diagram_map(one_term.term(k)) for k in range(-3, 3)}))
+    assert _termwise_contraction(c, -1, 0) is None
+    assert is_termwise_contractible(c, -1, 0)
+    assert solve_calls == [(-2, 1)]
+
+
+def test_sum_with_noncontractible_detected(dn, kres, solve_calls):
     idmap = ComplexMap(kres, kres, {k: identity_diagram_map(kres.term(k)) for k in range(-5, 6)})
     good = cone(idmap)
 
     def term_fn(n):
-        from derlab.diagrams import direct_sum_diagrams
-
         return direct_sum_diagrams([good.term(n), kres.term(n)])[0]
 
     def diff_fn(n):
-        from derlab.field import block_diag
-
         return {"*": block_diag(2, [good.diff(n).comps["*"], kres.diff(n).comps["*"]])}
 
     mixed = LazyComplex(good.shape, dn, term_fn, diff_fn)
     assert not is_termwise_contractible(mixed, -1, 1)
+    # a False answer keeps the solve's cross-check
+    assert solve_calls == [(-2, 2)]
 
 
 def test_dd_zero_enforced(dn, k_const, e_shape):
