@@ -163,6 +163,8 @@ class CatFunctor:
         self.cod = cod
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
+        self._slice_cache: Dict[Tuple[str, str], "SlicePresentation"] = {}
+        self._op: Optional["CatFunctor"] = None
         for o in dom.objects:
             if o not in self.obj_map:
                 raise CategoryError(f"functor misses object {o}")
@@ -224,12 +226,19 @@ class SlicePresentation:
 
 
 def slice_category(u: CatFunctor, j: str, side: str) -> SlicePresentation:
-    """u/j has pairs (i, f: u(i) -> j); j/u has pairs (i, f: j -> u(i))."""
+    """u/j has pairs (i, f: u(i) -> j); j/u has pairs (i, f: j -> u(i)).
+
+    Cached per functor, so that a functor used again gets the same slice
+    shapes and their hom-set, punctured-slice and opposite caches; the
+    arguments are checked on every call, before the cache is read."""
     I, J = u.dom, u.cod
     if j not in J.objects:
         raise CategoryError(f"unknown object {j}")
     if side not in ("under", "over"):
         raise CategoryError("side must be 'under' (u/j) or 'over' (j/u)")
+    hit = u._slice_cache.get((j, side))
+    if hit is not None:
+        return hit
     pair_objs: List[Tuple[str, str]] = []
     for i in I.objects:
         homs = J.hom(u.on_obj(i), j) if side == "under" else J.hom(j, u.on_obj(i))
@@ -276,7 +285,9 @@ def slice_category(u: CatFunctor, j: str, side: str) -> SlicePresentation:
         {name_of[p]: p[0] for p in pair_objs},
         {m: proj_mor[m] for m in morphisms},
     )
-    return SlicePresentation(cat, proj, {name_of[p]: p for p in pair_objs}, side, j)
+    out = SlicePresentation(cat, proj, {name_of[p]: p for p in pair_objs}, side, j)
+    u._slice_cache[(j, side)] = out
+    return out
 
 
 def punctured_slice(c: DirectCategory, i: str, side: str) -> SlicePresentation:
@@ -393,9 +404,14 @@ def opposite_category(c: DirectCategory) -> DirectCategory:
 
 
 def opposite_functor(u: CatFunctor) -> CatFunctor:
-    return CatFunctor(
-        opposite_category(u.dom), opposite_category(u.cod), dict(u.obj_map), dict(u.mor_map)
-    )
+    """u between the opposite categories; built once per functor, and op of
+    op is the original object."""
+    if u._op is not None:
+        return u._op
+    op = CatFunctor(opposite_category(u.dom), opposite_category(u.cod), u.obj_map, u.mor_map)
+    op._op = u
+    u._op = op
+    return op
 
 
 def product_category(c1: DirectCategory, c2: DirectCategory) -> DirectCategory:

@@ -5,6 +5,11 @@ with entries reduced mod p.  Elimination always picks the leftmost
 available pivot, so echelon forms, canonical solutions and kernel bases
 are byte-reproducible across runs.
 
+At p = 2 elimination runs on rows packed into Python ints, reduced by XOR;
+odd p keep a numpy loop over pivots.  Both give the reduced row-echelon
+form, which is unique for a given row space, so every rref, rank, solve
+and basis is the same whichever path computed it.
+
 Zero-dimensional matrices (0 x n, n x 0) are legal everywhere and stand
 for zero spaces.
 
@@ -18,7 +23,7 @@ negation and scale reduce once.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -288,11 +293,59 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat._of(a.p, out.reshape(ar * br, ac * bc) % a.p)
 
 
+def _rref_gf2_inplace(a: np.ndarray) -> Tuple[int, List[int]]:
+    """_rref_inplace for p = 2 on a non-empty a, by XOR on packed rows.
+
+    Each row becomes one Python int with column j at bit top - 1 - j, so a
+    row's leftmost nonzero column is read off its bit_length.  Rows are
+    inserted one at a time into a basis keyed by that bit_length, each
+    XOR-reduced against the rows already there; back-substitution then
+    clears every pivot column in all other rows.  The result is the reduced
+    row-echelon form of the row space, which is unique, so it equals what
+    the leftmost-pivot loop computes."""
+    rows, cols = a.shape
+    packed = np.packbits(a, axis=1)  # column 0 first, zero-padded to whole bytes
+    width = packed.shape[1]
+    top = 8 * width
+    data = packed.tobytes()
+    basis: Dict[int, int] = {}
+    for start in range(0, rows * width, width):
+        x = int.from_bytes(data[start : start + width], "big")
+        while x:
+            lead = x.bit_length()
+            row = basis.get(lead)
+            if row is None:
+                basis[lead] = x
+                break
+            x ^= row
+    # From the rightmost pivot leftwards: a row has no bits left of its own
+    # pivot, so XOR with the already reduced rows of the pivots right of it
+    # clears those columns without setting another pivot bit.
+    leads = sorted(basis)
+    done = 0
+    for lead in leads:
+        x = basis[lead]
+        hit = x & done
+        while hit:
+            x ^= basis[hit.bit_length()]
+            hit = x & done
+        basis[lead] = x
+        done |= 1 << (lead - 1)
+    leads.reverse()
+    r = len(leads)
+    reduced = b"".join([basis[lead].to_bytes(width, "big") for lead in leads])
+    a[:r] = np.unpackbits(np.frombuffer(reduced, dtype=np.uint8).reshape(r, width), axis=1, count=cols)
+    a[r:] = 0
+    return r, [top - lead for lead in leads]
+
+
 def _rref_inplace(a: np.ndarray, p: int) -> Tuple[int, List[int]]:
     rows, cols = a.shape
     pivots: List[int] = []
     if rows == 0 or cols == 0:
         return 0, pivots
+    if p == 2:
+        return _rref_gf2_inplace(a)
     r = 0
     for c in range(cols):
         if r == rows:

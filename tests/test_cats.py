@@ -131,6 +131,40 @@ def test_sieve_cosieve_opposites():
     assert is_sieve(incl0) == is_cosieve(opposite_functor(incl0))
 
 
+
+def test_slices_and_opposites_are_built_once_per_functor():
+    from derlab.cats import opposite_functor
+
+    sq = square_category()
+    u = CatFunctor(cospan_category(), sq, {"x": "(0,1)", "y": "(1,0)", "z": "(1,1)"}, {"f": "(e0,1_1)", "g": "(1_1,e0)"})
+    for j in sq.objects:
+        for side in ("under", "over"):
+            assert slice_category(u, j, side) is slice_category(u, j, side)
+    assert slice_category(u, "(0,0)", "under") is not slice_category(u, "(0,0)", "over")
+    op = opposite_functor(u)
+    assert opposite_functor(u) is op and opposite_functor(op) is u
+    assert op.dom is opposite_category(u.dom) and op.cod is opposite_category(sq)
+    assert op.obj_map == u.obj_map and op.mor_map == u.mor_map
+    # a fresh functor with the same data builds its own, equal slices
+    v = CatFunctor(u.dom, u.cod, u.obj_map, u.mor_map)
+    for side in ("under", "over"):
+        a, b = slice_category(u, "(0,0)", side), slice_category(v, "(0,0)", side)
+        assert a is not b
+        assert a.cat.objects == b.cat.objects and a.cat.morphisms == b.cat.morphisms and a.pairs == b.pairs
+
+
+def test_bad_slice_arguments_raise_on_every_call():
+    u = identity_functor(arrow_category())
+    for _ in range(3):
+        with pytest.raises(CategoryError, match="unknown object"):
+            slice_category(u, "2", "under")
+        with pytest.raises(CategoryError, match="side must be"):
+            slice_category(u, "1", "sideways")
+    assert slice_category(u, "1", "under").index_object == "1"
+    with pytest.raises(CategoryError, match="side must be"):
+        slice_category(u, "1", "sideways")
+
+
 def test_disjoint_union():
     u, i1, i2 = disjoint_union(arrow_category(), terminal_category())
     assert len(u.objects) == 3

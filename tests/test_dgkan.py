@@ -383,3 +383,28 @@ def test_ho_right_kan_is_the_pointwise_holim():
             for n in (-1, 0, 1):
                 assert K.term(n).at(j).action == h.term(n).at("*").action
                 assert K.diff(n).comps[j] == h.diff(n).comps["*"]
+
+
+def test_der4_reports_do_not_depend_on_the_slice_cache():
+    """der4_check on the der4 cases of the regression scenario, with the
+    functor's slices cached and with a fresh functor each call."""
+    import json
+    from pathlib import Path
+
+    from derlab import cli
+
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "regression.json"
+    s = cli.Session(json.loads(path.read_text()), path.parent)
+    s.load()
+    cases = list(cli._functor_diagram_pairs(s))
+    assert len(cases) == 5
+
+    def report(rep):
+        return rep.underived_ok, rep.derived_ok, rep.window, repr(sorted(rep.details.items()))
+
+    for _, u, _, d in cases:
+        t = LazyComplex.bounded(u.dom, s.alg, {0: d}, {})
+        for j in u.cod.objects:
+            fresh = report(der4_check(CatFunctor(u.dom, u.cod, u.obj_map, u.mor_map), j, t, -1, 1))
+            assert report(der4_check(u, j, t, -1, 1)) == fresh
+            assert report(der4_check(u, j, t, -1, 1)) == fresh

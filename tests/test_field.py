@@ -331,3 +331,113 @@ def test_stacking_mixed_moduli_is_refused():
         block_diag(2, [three])
     with pytest.raises(FieldError, match="mixed moduli"):
         block(2, [[None, three]], [1], [1, 1])
+
+
+# -- the packed GF(2) kernel against the same reference -----------------------
+
+
+def _seeded_module(alg, mods, dim, rng):
+    """A direct sum of seeded members of mods with total dimension dim."""
+    from derlab.modules import direct_sum
+
+    parts, left = [], dim
+    while left:
+        m = mods[int(rng.integers(len(mods)))]
+        if 0 < m.dim <= left:
+            parts.append(m)
+            left -= m.dim
+    return direct_sum(parts)[0]
+
+
+def _hom_space_systems():
+    """The p = 2 kron systems modules.hom_space eliminates for seeded
+    modules over the dual numbers, up to 960 x 480."""
+    from derlab.algebra import dual_numbers
+    from derlab.modules import hom_space
+    from derlab.samples import all_modules
+
+    alg = dual_numbers(2)
+    mods = all_modules(alg, 4)
+    rng = np.random.default_rng(12)
+    seen = []
+    original = field._rref_inplace
+
+    def record(a, p):
+        seen.append(a.copy())
+        return original(a, p)
+
+    field._rref_inplace = record
+    try:
+        for s, t in ((3, 5), (8, 12), (12, 20), (20, 24)):
+            hom_space(_seeded_module(alg, mods, s, rng), _seeded_module(alg, mods, t, rng))
+    finally:
+        field._rref_inplace = original
+    return seen
+
+
+def _gf2_inputs():
+    """Matrices over F_2 whose rows cross the packing boundaries, with zero
+    rows, duplicate rows and low rank, then real hom_space systems."""
+    rng = np.random.default_rng(2)
+    for cols in (*range(7, 10), *range(61, 67), *range(123, 130), 130, 131, 190, 257):
+        for rows in (1, 5, 40):
+            a = rng.integers(0, 2, size=(rows, cols))
+            yield a
+            low = (rng.integers(0, 2, size=(rows, 3)) @ rng.integers(0, 2, size=(3, cols))) % 2
+            low[::4] = 0
+            yield low
+            yield np.concatenate([a[: rows // 2 + 1], a[: rows // 2 + 1], np.zeros((2, cols), dtype=np.int64)])
+    yield np.ones((9, 70), dtype=np.int64)
+    yield np.eye(70, dtype=np.int64)[::-1]
+    for a in _hom_space_systems():
+        if a.size:
+            yield a
+
+
+def test_gf2_kernel_matches_the_reference_also_on_memo_hits():
+    rng = np.random.default_rng(22)
+    shapes = set()
+    for a in _gf2_inputs():
+        m = Mat(2, a)
+        want_red, want_rank, want_piv = _reference_rref(a, 2)
+        want_kernel = _reference_kernel(a, 2)
+        want_cols = _reference_rref(a.T, 2)[0][:want_rank].T
+        b_consistent = (a @ rng.integers(0, 2, size=(a.shape[1], 2))) % 2
+        b_random = rng.integers(0, 2, size=(a.shape[0], 1))
+        want_x = [_reference_solve(a, b, 2) for b in (b_consistent, b_random)]
+        for _ in range(2):  # the second call may be answered by the memo
+            red, r, piv = rref(m)
+            assert r == want_rank and piv == want_piv
+            assert np.array_equal(red.a, want_red)
+            assert rank(m) == want_rank
+            assert np.array_equal(kernel_basis(m).a, want_kernel)
+            assert np.array_equal(column_space_basis(m).a, want_cols)
+            for b, want in zip((b_consistent, b_random), want_x):
+                x = solve(m, Mat(2, b))
+                assert (x is None) == (want is None)
+                if x is not None:
+                    assert np.array_equal(x.a, want)
+        shapes.add(a.shape)
+    assert (960, 480) in shapes and max(c for _, c in shapes) > 130
+
+
+def test_odd_primes_never_enter_the_gf2_kernel(monkeypatch):
+    def refuse(a):
+        raise AssertionError("odd p reached the GF(2) kernel")
+
+    monkeypatch.setattr(field, "_rref_gf2_inplace", refuse)
+    monkeypatch.setattr(field, "_memo", {})
+    with pytest.raises(AssertionError, match="GF\\(2\\) kernel"):
+        rank(Mat(2, [[1, 1]]))  # p = 2 does go there
+    checked = 0
+    for p, a in _oracle_inputs():
+        if p == 2:
+            continue
+        m = Mat(p, a)
+        want_red, want_rank, want_piv = _reference_rref(a, p)
+        red, r, piv = rref(m)
+        assert red.a.tolist() == want_red.tolist() and r == want_rank and piv == want_piv
+        assert kernel_basis(m).a.tolist() == _reference_kernel(a, p).tolist()
+        assert column_space_basis(m).a.tolist() == _reference_rref(a.T, p)[0][:want_rank].T.tolist()
+        checked += 1
+    assert checked > 100
