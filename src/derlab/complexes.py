@@ -21,9 +21,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import Algebra
-from .cats import CatFunctor, DirectCategory, full_subcategory, object_functor, opposite_category
+from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_category
 from .field import DerlabError, Mat, block, block_diag, hstack, invert, kernel_basis, rank, solve
-from .modules import Module, ModuleMap, dual_module, generators, is_projective, submodule, zero_module
+from .modules import Module, ModuleMap, dual_module, generators, is_projective, split_section, submodule, zero_module
 from .diagrams import (
     Diagram,
     DiagramMap,
@@ -276,8 +276,8 @@ def cone(f: ComplexMap) -> LazyComplex:
 
 
 def is_contractible_on(c: LazyComplex, lo: int, hi: int) -> bool:
-    """Does contraction_on_window(c, lo, hi) find h with d h + h d = id at
-    lo+1 .. hi-1?  Decided from the cocycles, with no hom space.
+    """Does contraction_on_window find h with d h + h d = id at lo+1 .. hi-1
+    of c?  Decided from the cocycles, with no hom space.
 
     Such h exist exactly when c is exact there, the deflations
     C^{k-1} ->> d(C^{k-1}) (lo < k <= hi) split, and so does the inflation
@@ -298,36 +298,25 @@ def is_contractible_on(c: LazyComplex, lo: int, hi: int) -> bool:
 
 
 def is_termwise_contractible(c: LazyComplex, lo: int, hi: int) -> bool:
-    """Are the component cocycle modules Z^lo .. Z^hi all projective?
+    """Does each object's component complex have a contraction on lo..hi,
+    degree -1 module maps h with d h + h d = id there?  Asked of a window
+    exact at lo..hi; any other window is a WindowError.
 
-    Over a self-injective algebra, for an acyclic complex of projectives,
-    that is the splitting of every cocycle conflation: contractibility.
-    On a window exact at lo..hi, a True answer is certified by a
-    contraction of each object's component complex built from generator
-    lifts (_termwise_contraction) and checked by products; a contraction
-    that fails its check is a VerificationError.  Where none can be built
-    (a cocycle not free on its generators, as over an algebra with no
-    declared radical) and on a False answer, contraction_on_window on each
-    component complex cross-checks the answer whenever the terms are
-    small; disagreement is a hard error.
+    Decided by building one (_termwise_contraction): a True answer is
+    certified by a contraction checked by products, and one that fails its
+    check is a VerificationError.  False means a section or the top
+    retraction it needs does not exist, which any contraction would supply
+    (Weibel, An Introduction to Homological Algebra, 1.4).  For projective
+    terms over a self-injective algebra that is a cocycle Z^lo .. Z^hi that
+    is not projective.
     """
-    if not c.is_acyclic_on(lo, hi):
-        raise WindowError("termwise contractibility asks for an acyclic window")
-    cocycles = {o: {k: _cocycles(c, k, o) for k in range(lo, hi + 1)} for o in c.shape.objects}
-    answer = all(is_projective(z) for by_degree in cocycles.values() for z, _ in by_degree.values())
-    # a contraction, like the solve's equations, presumes exactness at lo..hi
-    exact = c.is_acyclic_on(lo - 1, hi + 1)
-    if answer and exact:
-        witness = _termwise_contraction(c, lo, hi, cocycles)
-        if witness is not None:
-            _verify_termwise_contraction(c, witness, lo, hi)
-            return True
-    biggest = max((c.term(k).at(o).dim for k in range(lo, hi + 1) for o in c.shape.objects), default=0)
-    if biggest <= 12 and exact:
-        parts = [restrict_complex(object_functor(c.shape, o), c) for o in c.shape.objects]
-        if answer != all(contraction_on_window(part, lo - 1, hi + 1) is not None for part in parts):
-            raise VerificationError("projective-cocycle criterion and contraction search disagree")
-    return answer
+    if not c.is_acyclic_on(lo - 1, hi + 1):
+        raise WindowError(f"termwise contractibility asks for a window exact at {lo}..{hi}")
+    witness = _termwise_contraction(c, lo, hi)
+    if witness is None:
+        return False
+    _verify_termwise_contraction(c, witness, lo, hi)
+    return True
 
 
 def _cocycles(c: LazyComplex, k: int, o: str) -> Tuple[Module, ModuleMap]:
@@ -348,61 +337,59 @@ class _ComponentContraction:
     h: Dict[int, Mat]
 
 
-def _termwise_contraction(c: LazyComplex, lo: int, hi: int, cocycles: Optional[Dict[str, Dict[int, Tuple[Module, ModuleMap]]]] = None) -> Optional[List[_ComponentContraction]]:
+def _termwise_contraction(c: LazyComplex, lo: int, hi: int) -> Optional[List[_ComponentContraction]]:
     """A contraction of each object's component complex on a window exact
-    at lo..hi with projective cocycles Z^lo .. Z^hi (Weibel, An
-    Introduction to Homological Algebra, 1.4: split exact is contractible),
-    or None where some B^k is not free on its generators.  Unverified: see
-    _verify_termwise_contraction.  cocycles[o][k] are the _cocycles(c, k, o),
-    built here if not given; on the exact window they are the B^k.
+    at lo..hi, or None where some C^k ->> B^{k+1} (lo-1 <= k <= hi) has no
+    section or B^{hi+1} >-> C^{hi+1} no retraction.  Unverified: see
+    _verify_termwise_contraction.  On the exact window B^k = Z^k for
+    lo <= k <= hi.
 
-    Each section s_k lifts the generators of B^{k+1} through d^k and extends
-    freely (_free_section); rho_k = id - s_k d^k in the coordinates of
-    B^k = Z^k for k <= hi.  d^{hi+1} need not exist, so rho_{hi+1} is the
-    transpose of the same section of D(incl): D(C^{hi+1}) ->> D(B^{hi+1}),
+    Each section s_k comes from _section; rho_k = id - s_k d^k in the
+    coordinates of B^k for k <= hi.  d^{hi+1} need not exist, so rho_{hi+1}
+    is the transpose of a section of D(incl): D(C^{hi+1}) ->> D(B^{hi+1}),
     over the opposite algebra.  Then h^k = s_{k-1} rho_k.
     """
     p = c.alg.p
     out = []
     for o in c.shape.objects:
         term = {k: c.term(k).at(o) for k in range(lo - 1, hi + 2)}
-        d = {k: c.diff(k).comps[o] for k in range(lo - 1, hi + 1)}
-        zs = cocycles[o] if cocycles is not None else {k: _cocycles(c, k, o) for k in range(lo, hi + 1)}
-        bounds = {k: (z, incl.mat) for k, (z, incl) in zs.items()}
-        top, top_incl = submodule(term[hi + 1], d[hi])
-        bounds[hi + 1] = (top, top_incl.mat)
-        sections = {}
+        bounds = {k: _cocycles(c, k, o) for k in range(lo, hi + 1)}
+        bounds[hi + 1] = submodule(term[hi + 1], c.diff(hi).comps[o])
+        sections, rho = {}, {}
         for k in range(lo - 1, hi + 1):
-            s = _free_section(d[k], *bounds[k + 1], term[k])
-            if s is None:
+            b, incl = bounds[k + 1]
+            dbar = _coordinates(incl.mat, c.diff(k).comps[o])
+            sections[k] = _section(dbar, b, term[k])
+            if sections[k] is None:
                 return None
-            sections[k] = s
-        rho = {}
-        for k in range(lo, hi + 1):
-            dbar = _coordinates(bounds[k + 1][1], d[k])
-            rho[k] = _coordinates(bounds[k][1], Mat.identity(p, term[k].dim) - sections[k] @ dbar)
-        dual_section = _free_section(top_incl.mat.T, dual_module(top), Mat.identity(p, top.dim), dual_module(term[hi + 1]))
+            if k >= lo:
+                rho[k] = _coordinates(bounds[k][1].mat, Mat.identity(p, term[k].dim) - sections[k] @ dbar)
+        top, top_incl = bounds[hi + 1]
+        dual_section = _section(top_incl.mat.T, dual_module(top), dual_module(term[hi + 1]))
         if dual_section is None:
             return None
         rho[hi + 1] = dual_section.T
         h = {k: sections[k - 1] @ rho[k] for k in range(lo, hi + 2)}
-        out.append(_ComponentContraction(o, {k: incl for k, (_, incl) in bounds.items()}, sections, h))
+        out.append(_ComponentContraction(o, {k: incl.mat for k, (_, incl) in bounds.items()}, sections, h))
     return out
 
 
-def _free_section(d: Mat, b: Module, incl: Mat, src: Module) -> Optional[Mat]:
-    """s: b -> src with d s = incl, for b free on generators(b): lift the
+def _section(dbar: Mat, b: Module, src: Module) -> Optional[Mat]:
+    """s: b -> src with dbar s = id for a module map dbar: src ->> b, or
+    None if there is none.  For b free on generators(b): lift the
     generators in one solve, then extend freely, s = S F^-1 with
-    F = [b.action[j] g_i] and S = [src.action[j] x_i].  None when F is not
-    invertible (b is not free on those generators) or d misses incl."""
+    F = [b.action[j] g_i] and S = [src.action[j] x_i].  Otherwise (b not
+    free on them, as over an algebra with no declared radical) the split
+    solve of modules.split_section."""
     if b.dim == 0:
         return Mat.zeros(b.alg.p, src.dim, 0)
     gens = generators(b)
-    lifts = solve(d, incl @ gens)
-    if lifts is None:
-        return None
     free = invert(hstack([a @ gens for a in b.action]))
     if free is None:
+        s = split_section(ModuleMap(src, b, dbar))
+        return None if s is None else s.mat
+    lifts = solve(dbar, gens)
+    if lifts is None:
         return None
     return hstack([a @ lifts for a in src.action]) @ free
 

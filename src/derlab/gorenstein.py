@@ -25,12 +25,11 @@ from .cats import (
     punctured_slice,
     slice_category,
 )
-from .field import DerlabError, Mat, hstack, rank, vstack
+from .field import DerlabError, Mat, hstack, rank
 from .modules import (
     Module,
     ModuleMap,
     compose,
-    direct_sum,
     dual_module,
     hom_space,
     identity_map,
@@ -334,17 +333,16 @@ def ginj_right_kan(u: CatFunctor, y: Diagram) -> Diagram:
 # -- embedding into a projective diagram ---------------------------------------------
 
 
-def embed_gproj_into_proj(g: Diagram, _enlarge: bool = False) -> DiagramConflation:
+def embed_gproj_into_proj(g: Diagram) -> DiagramConflation:
     """Conflation  g >--> Q -->> g'  with Q projective in the diagram
     category and g' Gorenstein projective.
 
-    Q = (+)_j j_!(Q_j) with Q_j an injective (= projective) module containing
+    Q = (+)_j j_!(Q_j) with Q_j the injective (= projective) envelope of
     coker(latching_j); the inflation is built object by object in increasing
     degree, extending the induced latching map along the latching inflation
     (a linear solve against an injective target) and embedding the fresh
-    cokernel part in the identity slot.  All postconditions are verified; on
-    failure the fresh parts are enlarged by envelopes of the components and
-    the construction retried once.
+    cokernel part in the identity slot.  Each postcondition that fails is a
+    VerificationError.
     """
     shape, alg = g.shape, g.alg
     p = alg.p
@@ -357,66 +355,53 @@ def embed_gproj_into_proj(g: Diagram, _enlarge: bool = False) -> DiagramConflati
             raise PreconditionError(f"latching map at {j} is not an inflation")
 
     fresh_maps: Dict[str, ModuleMap] = {}
-    piece_modules: Dict[str, Module] = {}
     for j in shape.objects:
         cok, proj = quotient_module(g.at(j), lats[j].map.mat)
-        env = injective_embed(cok).left
-        e_j = compose(env, proj)
-        if _enlarge:
-            extra = injective_embed(g.at(j)).left
-            total, injs, _ = direct_sum([env.tgt, extra.tgt])
-            e_j = ModuleMap(g.at(j), total, vstack([e_j.mat, extra.mat]))
-        piece_modules[j] = e_j.tgt
-        fresh_maps[j] = e_j
+        fresh_maps[j] = compose(injective_embed(cok).left, proj)
 
-    pieces = [left_kan_from_point(shape, alg, j, piece_modules[j]) for j in shape.objects]
+    pieces = [left_kan_from_point(shape, alg, j, fresh_maps[j].tgt) for j in shape.objects]
     Q, injs, _ = direct_sum_diagrams(pieces)
     piece_index = {j: k for k, j in enumerate(shape.objects)}
 
-    try:
-        latsQ = {j: latching(Q, j) for j in shape.objects}
-        eta_comps: Dict[str, Mat] = {}
-        for i in shape.objects_by_degree():
-            latg, latq = lats[i], latsQ[i]
-            if rank(latq.map.mat) != latq.module.dim:
-                raise VerificationError(f"latching map of Q at {i} is not an inflation")
-            # induced map on latching objects from the lower-degree components
-            objs = latg.pres.cat.objects
-            if latg.module.dim == 0:
-                l_eta = Mat.zeros(p, latq.module.dim, 0)
-            else:
-                sigma = hstack([latg.cocone[o].mat for o in objs])
-                target = hstack(
-                    [latq.cocone[o].mat @ eta_comps[latg.pres.pairs[o][0]] for o in objs]
-                )
-                l_eta = factor_matrix_through_surjection(target, sigma)
-            # extend along the latching inflation into the injective lower part
-            basis = hom_space(g.at(i), latq.module)
-            ext = solve_in_basis(
-                basis,
-                [vec_module_map(compose(b, latg.map)) for b in basis],
-                vec_module_map(ModuleMap(latg.module, latq.module, l_eta)),
-                zero_map(g.at(i), latq.module),
+    latsQ = {j: latching(Q, j) for j in shape.objects}
+    eta_comps: Dict[str, Mat] = {}
+    for i in shape.objects_by_degree():
+        latg, latq = lats[i], latsQ[i]
+        if rank(latq.map.mat) != latq.module.dim:
+            raise VerificationError(f"latching map of Q at {i} is not an inflation")
+        # induced map on latching objects from the lower-degree components
+        objs = latg.pres.cat.objects
+        if latg.module.dim == 0:
+            l_eta = Mat.zeros(p, latq.module.dim, 0)
+        else:
+            sigma = hstack([latg.cocone[o].mat for o in objs])
+            target = hstack(
+                [latq.cocone[o].mat @ eta_comps[latg.pres.pairs[o][0]] for o in objs]
             )
-            if ext is None:
-                raise VerificationError(f"latching extension failed at {i}")
-            fresh_incl = injs[piece_index[i]].comps[i]
-            eta_comps[i] = latq.map.mat @ ext.mat + fresh_incl @ fresh_maps[i].mat
-        eta = DiagramMap(g, Q, eta_comps).validate()
-        for i in shape.objects:
-            if rank(eta.comps[i]) != g.at(i).dim:
-                raise VerificationError(f"embedding is not an inflation at {i}")
-        gq, proj = cokernel_diagram(eta)
-        if not is_gproj(gq):
-            raise VerificationError("cokernel of the embedding is not Gorenstein projective")
-        for j in shape.objects:
-            if not is_projective(piece_modules[j]):
-                raise VerificationError("a fresh part is not projective")
-        return DiagramConflation(eta, proj)
-    except VerificationError:
-        if _enlarge:
-            raise
-        return embed_gproj_into_proj(g, _enlarge=True)
+            l_eta = factor_matrix_through_surjection(target, sigma)
+        # extend along the latching inflation into the injective lower part
+        basis = hom_space(g.at(i), latq.module)
+        ext = solve_in_basis(
+            basis,
+            [vec_module_map(compose(b, latg.map)) for b in basis],
+            vec_module_map(ModuleMap(latg.module, latq.module, l_eta)),
+            zero_map(g.at(i), latq.module),
+        )
+        if ext is None:
+            raise VerificationError(f"latching extension failed at {i}")
+        fresh_incl = injs[piece_index[i]].comps[i]
+        eta_comps[i] = latq.map.mat @ ext.mat + fresh_incl @ fresh_maps[i].mat
+    eta = DiagramMap(g, Q, eta_comps).validate()
+    for i in shape.objects:
+        if rank(eta.comps[i]) != g.at(i).dim:
+            raise VerificationError(f"embedding is not an inflation at {i}")
+    gq, proj = cokernel_diagram(eta)
+    if not is_gproj(gq):
+        raise VerificationError("cokernel of the embedding is not Gorenstein projective")
+    for j in shape.objects:
+        if not is_projective(fresh_maps[j].tgt):
+            raise VerificationError("a fresh part is not projective")
+    return DiagramConflation(eta, proj)
 
 
 # -- cotorsion approximations ----------------------------------------------------

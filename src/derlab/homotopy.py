@@ -302,10 +302,13 @@ def loop_via_square(m: Module, budget: int = 4096, seed: int = 0) -> LoopViaSqua
 # -- arrow-diagram lifts (strongness witnesses) ---------------------------------------------
 
 
-def lift_to_arrow_diagram(f: DiagramMap, budget: int = 3) -> Diagram:
+def lift_to_arrow_diagram(f: DiagramMap) -> Diagram:
     """A Gorenstein-projective diagram over [1] x I whose edge represents the
-    stable class of f; built from the padded representative (f, e) and
-    re-verified, enlarging the padding on failure."""
+    stable class of f: the edge (f, eta): f.src -> f.tgt (+) Q, with
+    eta: f.src >-> Q the embedding into a projective diagram
+    (embed_gproj_into_proj).  That edge is an inflation with a
+    Gorenstein-projective cokernel, so the arrow diagram is Gorenstein
+    projective; the edge's rank and the latching check are re-verified."""
     if not (is_gproj(f.src) and is_gproj(f.tgt)):
         raise PreconditionError("arrow lifts are built between Gorenstein projectives")
     I = f.src.shape
@@ -340,24 +343,13 @@ def lift_to_arrow_diagram(f: DiagramMap, budget: int = 3) -> Diagram:
             raise VerificationError("constant arrow diagram failed the latching check")
         return z
 
-    pad = injective_embed_diagram(f.src)
-    extra = [pad.middle]
-    for attempt in range(budget):
-        padded, _, _ = direct_sum_diagrams([f.tgt] + extra)
-        # edge (f, e, 0, ...): the unit into the first padding summand makes
-        # it a degreewise inflation; later summands only fatten the target
-        edge_comps = {}
-        for o in I.objects:
-            blocks = [f.comps[o], pad.left.comps[o]]
-            for ex in extra[1:]:
-                blocks.append(Mat.zeros(alg.p, ex.at(o).dim, f.src.at(o).dim))
-            edge_comps[o] = vstack(blocks)
-        edge = DiagramMap(f.src, padded, edge_comps)
-        for o in I.objects:
-            if rank(edge.comps[o]) != f.src.at(o).dim:
-                raise VerificationError("padded edge is not an inflation")
-        z = assemble(f.src, padded, edge)
-        if is_gproj(z):
-            return z
-        extra.append(injective_embed_diagram(padded).middle)
-    raise VerificationError(f"arrow lift padding budget ({budget}) exhausted")
+    pad = embed_gproj_into_proj(f.src)
+    padded, _, _ = direct_sum_diagrams([f.tgt, pad.middle])
+    edge = DiagramMap(f.src, padded, {o: vstack([f.comps[o], pad.left.comps[o]]) for o in I.objects})
+    for o in I.objects:
+        if rank(edge.comps[o]) != f.src.at(o).dim:
+            raise VerificationError("padded edge is not an inflation")
+    z = assemble(f.src, padded, edge)
+    if not is_gproj(z):
+        raise VerificationError("arrow lift failed the latching check")
+    return z

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+
+import derlab.complexes
 
 from derlab.algebra import dual_numbers
 from derlab.field import Mat
@@ -27,3 +31,18 @@ def reg(dn):
 @pytest.fixture(scope="session")
 def zero(dn):
     return zero_module(dn)
+
+
+@pytest.fixture
+def refuse_joint_solve(monkeypatch):
+    """Make a call of complexes.contraction_on_window from library code an
+    AssertionError.  The library decides contractibility without that joint
+    solve; tests keep it as an oracle under the name they imported."""
+    solve = derlab.complexes.contraction_on_window
+
+    def refuse(c, lo, hi):
+        raise AssertionError("library code called the contraction solve")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("derlab") and getattr(mod, "contraction_on_window", None) is solve:
+            monkeypatch.setattr(mod, "contraction_on_window", refuse)

@@ -432,6 +432,7 @@ def test_criterion_10_stability(alg):
     print(f"\n[criterion 10] loop-through-square ~ syzygy on all {count} modules of dim <= 4 in {elapsed:.1f}s: PASS")
 
 
+@pytest.mark.usefixtures("refuse_joint_solve")
 def test_criterion_11_sod(alg):
     simple = Module(alg, [Mat.identity(2, 1), Mat.zeros(2, 1, 1)])
     reg = regular_module(alg)

@@ -7,7 +7,7 @@ import pytest
 from derlab.algebra import dual_numbers, group_algebra_c2
 from derlab.cats import arrow_category, cospan_category, object_functor, span_category, square_category, terminal_category
 from derlab.field import Mat, block_diag, rank
-from derlab.modules import Module, regular_module
+from derlab.modules import Module, free_module, regular_module
 from derlab.diagrams import (
     Diagram,
     DiagramMap,
@@ -24,6 +24,7 @@ from derlab.complexes import (
     ComplexMap,
     LazyComplex,
     VerificationError,
+    WindowError,
     _termwise_contraction,
     _verify_termwise_contraction,
     complete_resolution,
@@ -38,6 +39,8 @@ from derlab.complexes import (
     z0,
     z0_witness,
 )
+
+pytestmark = pytest.mark.usefixtures("refuse_joint_solve")
 
 
 @pytest.fixture(scope="module")
@@ -165,19 +168,37 @@ def test_is_contractible_on_matches_contraction_solve(dn, reg, contractibility_c
 
 
 def test_termwise_contraction_certifies_every_true_answer(contractibility_cases):
-    # each True answer on an exact window has a contraction built from
-    # generator lifts that passes the product checks, the four large square
-    # tc-parts included
-    certified = large = 0
+    # each True answer carries a contraction that passes the product checks,
+    # the four large square tc-parts included; on the small windows every
+    # answer agrees with the joint solve on each object's component complex
+    answers = {True: 0, False: 0}
+    large = 0
     for c, lo, hi, small in contractibility_cases:
-        if not c.is_acyclic_on(lo - 1, hi + 1) or not is_termwise_contractible(c, lo, hi):
+        if not c.is_acyclic_on(lo - 1, hi + 1):
             continue
-        witness = _termwise_contraction(c, lo, hi)
-        assert [w.obj for w in witness] == list(c.shape.objects)
-        _verify_termwise_contraction(c, witness, lo, hi)
-        certified += 1
-        large += not small
-    assert certified == 51 and large == 4
+        answer = is_termwise_contractible(c, lo, hi)
+        answers[answer] += 1
+        if answer:
+            witness = _termwise_contraction(c, lo, hi)
+            assert [w.obj for w in witness] == list(c.shape.objects)
+            _verify_termwise_contraction(c, witness, lo, hi)
+            large += not small
+        if small:
+            parts = [restrict_complex(object_functor(c.shape, o), c) for o in c.shape.objects]
+            assert answer == all(contraction_on_window(part, lo - 1, hi + 1) is not None for part in parts), (c.label, lo, hi)
+    assert answers == {True: 51, False: 141} and large == 4
+
+
+def test_termwise_contractibility_asks_for_an_exact_window(dn):
+    # Lambda^n in degree 0 and zero elsewhere is not exact at 0 (Z^0 is
+    # Lambda^n, B^0 is 0), and no contraction exists there
+    point = terminal_category()
+    for n in (1, 6, 7):
+        lam = constant_diagram(point, dn, free_module(dn, n))
+        c = LazyComplex.bounded(point, dn, {0: lam}, {})
+        with pytest.raises(WindowError):
+            is_termwise_contractible(c, 0, 0)
+        assert contraction_on_window(c, -1, 1) is None
 
 
 def _flip(m, r, col):
@@ -206,36 +227,21 @@ def test_corrupted_contraction_is_refused(dn, kres):
         _verify_termwise_contraction(c, [replace(w, sections={**w.sections, 0: _flip(w.sections[0], r, 0)})], -2, 2)
 
 
-@pytest.fixture
-def solve_calls(monkeypatch):
-    """The windows of every contraction_on_window call made by complexes."""
-    import derlab.complexes as cx
-
-    calls = []
-    solve = cx.contraction_on_window
-
-    def counted(c, lo, hi):
-        calls.append((lo, hi))
-        return solve(c, lo, hi)
-
-    monkeypatch.setattr(cx, "contraction_on_window", counted)
-    return calls
-
-
-def test_no_radical_falls_back_to_the_contraction_solve(solve_calls):
+def test_no_radical_gets_a_product_checked_witness():
     # over F_3[C_2], which declares no radical, no image is free on its
-    # generators, so a True answer is cross-checked by the solve as before
+    # generators, so each section comes from the split solve on its own
+    # module pair, and the True answer is certified like any other
     alg = group_algebra_c2(3)
     point = terminal_category()
     lam = constant_diagram(point, alg, regular_module(alg))
     one_term = LazyComplex.bounded(point, alg, {0: lam}, {})
     c = cone(ComplexMap(one_term, one_term, {k: identity_diagram_map(one_term.term(k)) for k in range(-3, 3)}))
-    assert _termwise_contraction(c, -1, 0) is None
+    witness = _termwise_contraction(c, -1, 0)
+    _verify_termwise_contraction(c, witness, -1, 0)
     assert is_termwise_contractible(c, -1, 0)
-    assert solve_calls == [(-2, 1)]
 
 
-def test_sum_with_noncontractible_detected(dn, kres, solve_calls):
+def test_sum_with_noncontractible_detected(dn, kres):
     idmap = ComplexMap(kres, kres, {k: identity_diagram_map(kres.term(k)) for k in range(-5, 6)})
     good = cone(idmap)
 
@@ -247,8 +253,9 @@ def test_sum_with_noncontractible_detected(dn, kres, solve_calls):
 
     mixed = LazyComplex(good.shape, dn, term_fn, diff_fn)
     assert not is_termwise_contractible(mixed, -1, 1)
-    # a False answer keeps the solve's cross-check
-    assert solve_calls == [(-2, 2)]
+    assert _termwise_contraction(mixed, -1, 1) is None
+    # the oracle agrees: over the point, mixed is its own component complex
+    assert contraction_on_window(mixed, -2, 2) is None
 
 
 def test_dd_zero_enforced(dn, k_const, e_shape):

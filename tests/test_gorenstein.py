@@ -313,6 +313,25 @@ def test_embed_quotient_latchings(dn, socle_arrow, arrow):
         assert latching(emb.quot, j).is_inflation
 
 
+def test_embed_gproj_fails_after_one_construction(socle_arrow, monkeypatch):
+    # a failed postcondition is a VerificationError with nothing rebuilt:
+    # one injective envelope per object
+    import derlab.gorenstein as gor
+
+    envelopes = []
+    injective_embed = gor.injective_embed
+
+    def counted(m):
+        envelopes.append(m)
+        return injective_embed(m)
+
+    monkeypatch.setattr(gor, "injective_embed", counted)
+    monkeypatch.setattr(gor, "is_gproj", lambda x: False)
+    with pytest.raises(gor.VerificationError, match="cokernel"):
+        gor.embed_gproj_into_proj(socle_arrow)
+    assert len(envelopes) == len(socle_arrow.shape.objects)
+
+
 def test_approx_gproj_trivial(dn, socle_arrow):
     tr = approx_gproj(socle_arrow)
     assert tr.conflation.sub.total_dim() == 0

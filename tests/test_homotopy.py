@@ -204,6 +204,50 @@ def test_lift_socle_map_over_point(dn, simple, reg):
     assert z.at("(1,*)").dim >= reg.dim
 
 
+def test_lift_of_a_map_has_edge_f_plus_a_projective_part():
+    """Seeded maps between Gorenstein-projective diagrams: each lift is
+    Gorenstein projective, is f.src at (0, .), and its edge is (f, eta) into
+    f.tgt (+) Q with Q projective, so the edge's stable class is f."""
+    import random
+
+    from derlab.algebra import group_algebra_c2
+    from derlab.cats import CatFunctor, cospan_category, square_category
+    from derlab.diagrams import compose_diagram_maps, hom_space_diagrams, kernel_diagram, restrict
+    from derlab.gorenstein import is_projective_diagram
+    from derlab.samples import random_gproj
+
+    lifts = nonzero = 0
+    for alg in (dual_numbers(2), dual_numbers(3), group_algebra_c2(2)):
+        for shape in (arrow_category(), cospan_category(), square_category()):
+            for seed in range(3):
+                rng = random.Random(seed)
+                x, y = random_gproj(shape, alg, 2, rng), random_gproj(shape, alg, 2, rng)
+                basis = hom_space_diagrams(x, y)
+                for _ in range(3):
+                    f = zero_diagram_map(x, y)
+                    for b in basis:
+                        f = f + b.scale(rng.randrange(alg.p))
+                    z = lift_to_arrow_diagram(f)
+                    assert is_gproj(z)
+                    end0, end1 = (
+                        restrict(CatFunctor(shape, z.shape, {o: f"({a},{o})" for o in shape.objects}, {g: f"(1_{a},{g})" for g in shape.morphisms}), z)
+                        for a in (0, 1)
+                    )
+                    for o in shape.objects:
+                        assert end0.at(o).action == x.at(o).action
+                    assert all(end0.mat(g) == x.mat(g) for g in shape.nonidentity_morphisms())
+                    edge = DiagramMap(x, end1, {o: z.mat(f"(e0,{shape.id_of(o)})") for o in shape.objects}).validate()
+                    # end1 = y (+) Q: the first block's inclusion and projection are maps
+                    eye = {o: Mat.identity(alg.p, end1.at(o).dim) for o in shape.objects}
+                    DiagramMap(y, end1, {o: eye[o][:, : y.at(o).dim] for o in shape.objects}).validate()
+                    proj = DiagramMap(end1, y, {o: eye[o][: y.at(o).dim, :] for o in shape.objects}).validate()
+                    assert is_projective_diagram(kernel_diagram(proj)[0])
+                    assert all(compose_diagram_maps(proj, edge).comps[o] == f.comps[o] for o in shape.objects)
+                    lifts += 1
+                    nonzero += not f.is_zero()
+    assert lifts == 81 and nonzero > 40
+
+
 def test_module_and_point_diagram_stable_layers_agree(dn):
     """The shared stable layer gives the same answers, witnesses included,
     for a module and for its stalk diagram over the point."""
