@@ -25,7 +25,7 @@ from .cats import (
     punctured_slice,
     slice_category,
 )
-from .field import DerlabError, Mat, hstack, rank
+from .field import DerlabError, Mat, block, hstack, rank
 from .modules import (
     Module,
     ModuleMap,
@@ -94,7 +94,8 @@ class LatchingDatum:
 
     @property
     def is_projective_inflation(self) -> bool:
-        """An inflation with a projective cokernel."""
+        """An inflation with a projective cokernel, read off the built
+        L_j; the tests compare is_projective_diagram's ranks with it."""
         return self.is_inflation and is_projective(quotient_module(self.map.tgt, self.map.mat)[0])
 
 
@@ -134,15 +135,46 @@ def matching(y: Diagram, j: str) -> MatchingDatum:
     return MatchingDatum(j, M, ModuleMap(y.at(j), M, lat.map.mat.T))
 
 
+def _latching_ranks(x: Diagram, j: str) -> Tuple[int, int, Mat]:
+    """(dim L_j(x), rank lambda_j, T) without building L_j(x).
+
+    T = [x(f)]: (+) x_i -> x_j has one block per object (i, f) of the
+    punctured slice under j; R has one column block inj_b x(g) - inj_a per
+    non-identity slice morphism g: a -> b, the relations colimit_of_diagram
+    quotients by.  So L_j = coker R, and T = lambda_j sigma with sigma onto
+    L_j: dim L_j = n - rank R for n = sum dim x_i, and im lambda_j = im T.
+    Both rest on T R = 0, x's functoriality on the slice, which is checked
+    on every call: a failure is a VerificationError, never an answer."""
+    pres = punctured_slice(x.shape, j, "under")
+    p, objs = x.alg.p, pres.cat.objects
+    if not objs:
+        return 0, 0, Mat.zeros(p, x.at(j).dim, 0)
+    t = hstack([x.mat(pres.pairs[o][1]) for o in objs])
+    dims = [x.at(pres.pairs[o][0]).dim for o in objs]
+    at = {o: k for k, o in enumerate(objs)}
+    gens = pres.cat.nonidentity_morphisms()
+    grid = [[None] * len(gens) for _ in objs]
+    for c, g in enumerate(gens):
+        a, b = at[pres.cat.src(g)], at[pres.cat.tgt(g)]
+        grid[b][c] = x.mat(pres.projection.on_mor(g))
+        grid[a][c] = -Mat.identity(p, dims[a])
+    r = block(p, grid, dims, [dims[at[pres.cat.src(g)]] for g in gens])
+    if not (t @ r).is_zero():
+        raise VerificationError(f"latching relations at {j} do not commute: x is not functorial")
+    return sum(dims) - rank(r), rank(t), t
+
+
 def is_projective_diagram(x: Diagram) -> bool:
     """Is x projective in the diagram category?  Over a finite direct
     category, iff every latching map L_j(x) -> x_j is an inflation with a
     projective cokernel: the Reedy description of cofibrant objects (Hovey,
     Model Categories, 5.1-5.2), of which the latching recognition of
-    Gorenstein projectives is the relaxation.  Splitting the projective
-    cover (diagrams.split_section_diagrams) decides the same by a linear
-    solve; the tests keep it as the oracle."""
-    return all(latching(x, j).is_projective_inflation for j in x.shape.objects)
+    Gorenstein projectives is the relaxation.  The cokernel is x_j / im T
+    (_latching_ranks).  Splitting the projective cover
+    (diagrams.split_section_diagrams) decides the same by a linear solve;
+    the tests keep it as the oracle."""
+    ranks = ((j, *_latching_ranks(x, j)) for j in x.shape.objects)
+    return all(rk == dim and is_projective(quotient_module(x.at(j), t)[0]) for j, dim, rk, t in ranks)
 
 
 def is_injective_diagram(x: Diagram) -> bool:
@@ -178,8 +210,9 @@ def co_stalk_presentation(shape: DirectCategory, alg: Algebra, j: str, q_mod: Mo
 
 
 def is_gproj(x: Diagram) -> bool:
-    """All latching maps are inflations."""
-    return all(latching(x, j).is_inflation for j in x.shape.objects)
+    """All latching maps are inflations, decided by ranks (_latching_ranks)."""
+    ranks = (_latching_ranks(x, j) for j in x.shape.objects)
+    return all(rk == dim for dim, rk, _ in ranks)
 
 
 def is_ginj(y: Diagram) -> bool:
@@ -194,17 +227,19 @@ def is_wtriv(x: Diagram) -> bool:
 
 def gproj_witness_report(x: Diagram) -> Dict[str, dict]:
     """Per-object latching/matching ranks, for reports and explanations."""
+    dual = dual_diagram(x)
     out = {}
     for j in x.shape.objects:
-        lat = latching(x, j)
-        mat = matching(x, j)
+        lat_dim, lat_rank, _ = _latching_ranks(x, j)
+        # mu_j(x) is the transpose of lambda_j(D x)
+        mat_dim, mat_rank, _ = _latching_ranks(dual, j)
         out[j] = {
-            "latching_dim": lat.module.dim,
-            "latching_rank": rank(lat.map.mat),
-            "latching_inflation": lat.is_inflation,
-            "matching_dim": mat.module.dim,
-            "matching_rank": rank(mat.map.mat),
-            "matching_deflation": mat.is_deflation,
+            "latching_dim": lat_dim,
+            "latching_rank": lat_rank,
+            "latching_inflation": lat_rank == lat_dim,
+            "matching_dim": mat_dim,
+            "matching_rank": mat_rank,
+            "matching_deflation": mat_rank == mat_dim,
             "component_projective": is_projective(x.at(j)),
         }
     return out
@@ -346,10 +381,10 @@ def embed_gproj_into_proj(g: Diagram) -> DiagramConflation:
     """
     shape, alg = g.shape, g.alg
     p = alg.p
-    lats = {j: latching(g, j) for j in shape.objects}
-    if all(lat.is_projective_inflation for lat in lats.values()):  # g is projective
+    if is_projective_diagram(g):
         z = zero_diagram(shape, alg)
         return DiagramConflation(identity_diagram_map(g), zero_diagram_map(g, z))
+    lats = {j: latching(g, j) for j in shape.objects}
     for j, lat in lats.items():
         if not lat.is_inflation:
             raise PreconditionError(f"latching map at {j} is not an inflation")
@@ -428,10 +463,9 @@ def approx_gproj(z: Diagram) -> ApproximationTriple:
         zd = zero_diagram(shape, alg)
         confl = DiagramConflation(zero_diagram_map(zd, z), identity_diagram_map(z))
         return ApproximationTriple(confl, "gproj-cover", {"wtriv": True, "gproj": True})
-    covers: List[DiagramConflation] = []
-    current = z
-    bound = shape.max_degree() + 1
-    for _ in range(bound + 1):
+    covers: List[DiagramConflation] = [projective_cover_diagram(z)]
+    current = covers[0].sub
+    for _ in range(shape.max_degree() + 1):
         if is_gproj(current):
             break
         c = projective_cover_diagram(current)

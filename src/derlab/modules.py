@@ -277,20 +277,17 @@ def quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
     """Canonical quotient by the (invariant) span of the given columns."""
     p = amb.alg.p
     red, r, pivots = rref(span_cols.T)
-    nonpiv = [c for c in range(amb.dim) if c not in set(pivots)]
-    # reduce v by the canonical row basis, then restrict to non-pivot coords
-    redmat = np.eye(amb.dim, dtype=np.int64)
-    for t, pc in enumerate(pivots):
-        sel = np.zeros((1, amb.dim), dtype=np.int64)
-        sel[0, pc] = 1
-        redmat = redmat - red.a[t].reshape(-1, 1) @ sel
-    proj = Mat(p, redmat[nonpiv, :] if nonpiv else np.zeros((0, amb.dim), dtype=np.int64))
-    sect = np.zeros((amb.dim, len(nonpiv)), dtype=np.int64)
-    for j, c in enumerate(nonpiv):
-        sect[c, j] = 1
-    sect = Mat(p, sect)
-    action = [proj @ amb.action[k] @ sect for k in range(amb.alg.dim)]
-    quot = Module(amb.alg, action)
+    nonpiv = np.ones(amb.dim, dtype=bool)
+    nonpiv[pivots] = False
+    nonpiv = np.flatnonzero(nonpiv)
+    # reduce v by the canonical row basis, then keep the non-pivot coords:
+    # the identity there, minus the pivot rows' non-pivot entries
+    redmat = np.zeros((nonpiv.size, amb.dim), dtype=np.int64)
+    redmat[:, nonpiv] = np.eye(nonpiv.size, dtype=np.int64)
+    redmat[:, pivots] = -red.a[:r, nonpiv].T
+    proj = Mat(p, redmat)
+    # the non-pivot coords are a section of proj
+    quot = Module(amb.alg, [proj @ a[:, nonpiv] for a in amb.action])
     if not (proj @ column_space_basis(span_cols)).is_zero():
         raise ModuleError("quotient projection does not kill the span")
     return quot, ModuleMap(amb, quot, proj)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import derlab.complexes
+import derlab.diagrams
+import derlab.gorenstein
 
 from derlab.algebra import dual_numbers
 from derlab.field import Mat
@@ -33,16 +35,35 @@ def zero(dn):
     return zero_module(dn)
 
 
+def _refuse_library_calls(monkeypatch, fns, what):
+    """Rebind every derlab module's name for one of fns to a function that
+    raises AssertionError; test modules keep the originals they imported."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"library code called {what}")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("derlab"):
+            for attr, value in list(vars(mod).items()):
+                if any(value is fn for fn in fns):
+                    monkeypatch.setattr(mod, attr, refuse)
+
+
 @pytest.fixture
 def refuse_joint_solve(monkeypatch):
     """Make a call of complexes.contraction_on_window from library code an
     AssertionError.  The library decides contractibility without that joint
     solve; tests keep it as an oracle under the name they imported."""
-    solve = derlab.complexes.contraction_on_window
+    _refuse_library_calls(monkeypatch, [derlab.complexes.contraction_on_window], "the contraction solve")
 
-    def refuse(c, lo, hi):
-        raise AssertionError("library code called the contraction solve")
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("derlab") and getattr(mod, "contraction_on_window", None) is solve:
-            monkeypatch.setattr(mod, "contraction_on_window", refuse)
+@pytest.fixture
+def refuse_latching_colimit(monkeypatch):
+    """Make a call of gorenstein.latching or diagrams.colimit_of_diagram
+    from library code an AssertionError.  The recognition predicates decide
+    by ranks without building L_j(X); tests keep latching as the oracle."""
+    _refuse_library_calls(
+        monkeypatch,
+        [derlab.gorenstein.latching, derlab.diagrams.colimit_of_diagram],
+        "a latching colimit",
+    )

@@ -19,6 +19,7 @@ from derlab.diagrams import (
     compose_diagram_maps,
     constant_diagram,
     direct_sum_diagrams,
+    dual_diagram,
     ext1,
     hom_dim_diagrams,
     left_kan_from_point,
@@ -31,15 +32,18 @@ from derlab.diagrams import (
 from derlab.gorenstein import (
     ApproximationTriple,
     PreconditionError,
+    VerificationError,
     approx_gproj,
     colim_gproj,
     embed_gproj_into_proj,
     ginj_right_kan,
     gproj_left_kan,
     gproj_left_kan_data,
+    gproj_witness_report,
     hull_ginj,
     is_gproj,
     is_ginj,
+    is_injective_diagram,
     is_projective_diagram,
     is_wtriv,
     latching,
@@ -476,3 +480,106 @@ def test_derived_right_side_matches_direct_limits():
                         pres = slice_category(u, j, "over")
                         assert r.at(j).dim == limit_of_diagram(restrict(pres.projection, x))[0].dim
     assert ginj_seen == {True, False}
+
+
+def _latching_oracle(x):
+    """is_gproj, is_ginj, is_projective_diagram and the witness report's
+    latching/matching fields, from the LatchingDatum of x and of D x."""
+    lats = {j: latching(x, j) for j in x.shape.objects}
+    # matching(x, j) is the transpose of latching(D x, j)
+    duals = {j: latching(dual_diagram(x), j) for j in x.shape.objects}
+    fields = {
+        j: {
+            "latching_dim": lats[j].module.dim,
+            "latching_rank": rank(lats[j].map.mat),
+            "latching_inflation": lats[j].is_inflation,
+            "matching_dim": duals[j].module.dim,
+            "matching_rank": rank(duals[j].map.mat),
+            "matching_deflation": duals[j].is_inflation,
+        }
+        for j in x.shape.objects
+    }
+    return (
+        all(lat.is_inflation for lat in lats.values()),
+        all(lat.is_inflation for lat in duals.values()),
+        all(lat.is_projective_inflation for lat in lats.values()),
+        fields,
+    )
+
+
+def _rank_answers(x):
+    report = gproj_witness_report(x)
+    for row in report.values():
+        row.pop("component_projective")
+    return is_gproj(x), is_ginj(x), is_projective_diagram(x), report
+
+
+def test_rank_recognition_matches_the_latching_colimit():
+    """is_gproj, is_ginj, is_projective_diagram and gproj_witness_report
+    decide by two ranks; they agree with the LatchingDatum answers on
+    prefixes of every diagram of dim <= 2 over the arrow, cospan and span
+    and on seeded random and Gorenstein-projective squares, over
+    F_2[x]/(x^2), F_3[x]/(x^2) and F_2C_2, with both outcomes of each
+    predicate present for each algebra."""
+    import random
+    from itertools import islice
+
+    from derlab.algebra import group_algebra_c2
+    from derlab.cats import span_category
+    from derlab.samples import all_diagrams, all_modules, random_diagram, random_gproj
+
+    square = square_category()
+    for alg in (dual_numbers(2), dual_numbers(3), group_algebra_c2(2)):
+        seen = set()
+        mods = all_modules(alg, 2)
+        samples = [
+            x
+            for shape in (arrow_category(), cospan_category(), span_category())
+            for x in islice(all_diagrams(shape, alg, 2, mods), 60)
+        ]
+        for seed in range(4):
+            rng = random.Random(seed)
+            samples += [random_diagram(square, alg, 2, rng), random_gproj(square, alg, 1, rng)]
+        for x in samples:
+            oracle = _latching_oracle(x)
+            assert _rank_answers(x) == oracle
+            seen.update((k, oracle[k]) for k in range(3))
+        assert seen == {(k, b) for k in range(3) for b in (True, False)}
+
+
+def test_noncommuting_square_is_refused_not_answered(dn, reg):
+    """A square of identities on Lambda with a zero diagonal passes the
+    Diagram shape checks; every latching map before the terminal corner is
+    a projective inflation, and the T R = 0 check refuses the corner."""
+    square = square_category()
+    mats = {f: Mat.identity(2, 2) for f in square.nonidentity_morphisms()}
+    mats["(e0,e0)"] = Mat.zeros(2, 2, 2)
+    x = Diagram(square, dn, {o: reg for o in square.objects}, mats)
+    assert not x.is_functorial()
+    for decide in (is_gproj, is_ginj, is_projective_diagram, gproj_witness_report):
+        with pytest.raises(VerificationError, match="do not commute"):
+            decide(x)
+
+
+def test_recognition_builds_no_latching_colimit(request):
+    """Over the diagrams of the regression scenario and the square scenario
+    diagram, the recognition predicates and the witness report agree with
+    the LatchingDatum answers, taken first, and then never reach latching or
+    colimit_of_diagram."""
+    import json
+    from pathlib import Path
+
+    from derlab.cli import Session
+
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    doc = json.loads((scenarios / "regression.json").read_text())
+    doc["categories"]["square"] = "cat_square.json"
+    doc["diagrams"]["square_simple"] = "diag_square_simple.json"
+    s = Session(doc, scenarios)
+    s.load()
+    assert len(s.diagrams) == 5
+    oracles = [_latching_oracle(x) for x in s.diagrams.values()]
+    request.getfixturevalue("refuse_latching_colimit")
+    for x, oracle in zip(s.diagrams.values(), oracles):
+        assert _rank_answers(x) == oracle
+        assert is_injective_diagram(x) == is_projective_diagram(dual_diagram(x))

@@ -523,3 +523,54 @@ def test_stable_iso_map_rejects_another_pairs_data(dn, simple, reg):
     other = StableIsoPair(ks, simple, hom_space(simple, ks), stable_hom(ks, ks), stable_hom(simple, simple))
     with pytest.raises(ModuleError, match="per-pair data"):
         is_stable_iso_map(f, other)
+
+
+def _quotient_by_selector_products(amb, span_cols):
+    """The earlier quotient_module formula: subtract one pivot selector
+    product per pivot, then act through proj @ A_k @ sect."""
+    from derlab.field import rref
+
+    p = amb.alg.p
+    red, r, pivots = rref(span_cols.T)
+    nonpiv = [c for c in range(amb.dim) if c not in set(pivots)]
+    redmat = np.eye(amb.dim, dtype=np.int64)
+    for t, pc in enumerate(pivots):
+        sel = np.zeros((1, amb.dim), dtype=np.int64)
+        sel[0, pc] = 1
+        redmat = redmat - red.a[t].reshape(-1, 1) @ sel
+    proj = Mat(p, redmat[nonpiv, :] if nonpiv else np.zeros((0, amb.dim), dtype=np.int64))
+    sect = np.zeros((amb.dim, len(nonpiv)), dtype=np.int64)
+    for j, c in enumerate(nonpiv):
+        sect[c, j] = 1
+    sect = Mat(p, sect)
+    return proj, [proj @ a @ sect for a in amb.action]
+
+
+def test_quotient_module_matches_the_selector_formula():
+    """Projection and actions are byte-identical to the earlier formula on
+    seeded modules over three algebras, quotiented by submodules: zero,
+    proper and the whole module all occur."""
+    import random
+
+    from derlab.field import hstack
+    from derlab.samples import all_modules
+
+    rng = random.Random(14)
+    ranks = set()
+    for alg in (dual_numbers(2), dual_numbers(3), group_algebra_c2(2)):
+        mods = all_modules(alg, 3)
+        for _ in range(40):
+            m = rng.choice(mods)
+            k = rng.randrange(3)
+            vecs = Mat(alg.p, np.array([rng.randrange(alg.p) for _ in range(m.dim * k)], dtype=np.int64).reshape(m.dim, k))
+            # the submodule the vectors generate, or (the algebras being
+            # commutative) the image of one basis element's action
+            span = hstack([a @ vecs for a in m.action]) if k else rng.choice(m.action)
+            quot, proj = quotient_module(m, span)
+            old_proj, old_action = _quotient_by_selector_products(m, span)
+            assert proj.mat.a.tobytes() == old_proj.a.tobytes() and proj.mat.a.shape == old_proj.a.shape
+            assert [a.a.tobytes() for a in quot.action] == [a.a.tobytes() for a in old_action]
+            assert all(a.a.shape == b.a.shape for a, b in zip(quot.action, old_action))
+            quot.validate()
+            ranks.add((rank(span) == 0, rank(span) == m.dim))
+    assert ranks >= {(True, False), (False, False), (False, True)}
