@@ -54,6 +54,7 @@ class DirectCategory:
         self._validate()
         self.degree = self._grade()
         self._hom_cache: Dict[Tuple[str, str], List[str]] = {}
+        self._nonidentity = sorted(f for f in self.morphisms if not self.is_identity(f))
         self._op: Optional["DirectCategory"] = None
         self._punctured_cache: Dict[Tuple[str, str], "SlicePresentation"] = {}
 
@@ -86,7 +87,8 @@ class DirectCategory:
         return self._hom_cache[key]
 
     def nonidentity_morphisms(self) -> List[str]:
-        return sorted(f for f in self.morphisms if not self.is_identity(f))
+        """Sorted by name, built once: like hom, a list callers only read."""
+        return self._nonidentity
 
     def max_degree(self) -> int:
         return max(self.degree.values(), default=0)

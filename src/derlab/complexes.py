@@ -29,7 +29,6 @@ from .diagrams import (
     DiagramMap,
     cokernel_diagram,
     compose_diagram_maps,
-    counit_from_point,
     direct_sum_diagrams,
     dual_diagram,
     factor_matrix_through_surjection,
@@ -535,8 +534,9 @@ def _component_complex_at_min(c: LazyComplex, i: str) -> Tuple[LazyComplex, Comp
 
     def eps(k: int) -> DiagramMap:
         if k not in comps_by_degree:
-            _, e = counit_from_point(c.term(k), i)
-            comps_by_degree[k] = DiagramMap(A.term(k), c.term(k), e.comps)
+            x = c.term(k)
+            comps = {o: hstack([Mat.zeros(alg.p, x.at(o).dim, 0)] + [x.mat(f) for f in shape.hom(i, o)]) for o in shape.objects}
+            comps_by_degree[k] = DiagramMap(A.term(k), x, comps)
         return comps_by_degree[k]
 
     class _EpsMap(ComplexMap):

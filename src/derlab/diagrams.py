@@ -10,6 +10,7 @@ morphism (identities are implicit).  All block decompositions run over
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +37,6 @@ from .modules import (
     direct_sum,
     dual_module,
     free_cover,
-    identity_map,
     quotient_module,
     solve_in_basis,
     submodule,
@@ -232,46 +232,45 @@ def direct_sum_diagrams(xs: Sequence[Diagram]) -> Tuple[Diagram, List[DiagramMap
     return total_diag, injections, projections
 
 
-def left_kan_from_point(shape: DirectCategory, alg: Algebra, j: str, m: Module) -> Diagram:
-    """The free diagram on m at j: value at a is one copy of m per morphism
-    j -> a, structure maps relabel copies by composition."""
+def free_diagram(shape: DirectCategory, alg: Algebra, parts: Sequence[Tuple[str, Module]]) -> Diagram:
+    """(+)_k (j_k)_!(m_k) for parts [(j_k, m_k)], in one pass.  The value at
+    a holds one copy of m_k per morphism f: j_k -> a, ordered by k and then
+    by shape.hom(j_k, a); a structure map h: a -> b relabels the copy f as
+    the copy h o f.  So it equals the direct sum of the free diagrams
+    left_kan_from_point(shape, alg, j_k, m_k), block for block."""
     p = alg.p
+    copies = {a: [(k, f) for k, (j, _) in enumerate(parts) for f in shape.hom(j, a)] for a in shape.objects}
+    offsets: Dict[str, Dict[Tuple[int, str], int]] = {}
     modules = {}
-    copies = {a: shape.hom(j, a) for a in shape.objects}
     for a in shape.objects:
-        n = len(copies[a])
-        modules[a] = direct_sum([m] * n)[0] if n else zero_module(alg)
+        mods = [parts[k][1] for k, _ in copies[a]]
+        modules[a] = Module(alg, [block_diag(p, [m.action[e] for m in mods]) for e in range(alg.dim)])
+        offsets[a] = dict(zip(copies[a], accumulate([0] + [m.dim for m in mods])))
     mats = {}
     for h in shape.nonidentity_morphisms():
         a, b = shape.src(h), shape.tgt(h)
-        src_c, tgt_c = copies[a], copies[b]
-        out = np.zeros((len(tgt_c) * m.dim, len(src_c) * m.dim), dtype=np.int64)
-        for si, f in enumerate(src_c):
-            ti = tgt_c.index(shape.compose(h, f))
-            out[ti * m.dim : (ti + 1) * m.dim, si * m.dim : (si + 1) * m.dim] = np.eye(m.dim, dtype=np.int64)
-        mats[h] = Mat(p, out)
+        rows: List[int] = []
+        cols: List[int] = []
+        for (k, f), col in offsets[a].items():
+            row, d = offsets[b][(k, shape.compose(h, f))], parts[k][1].dim
+            rows.extend(range(row, row + d))
+            cols.extend(range(col, col + d))
+        out = np.zeros((modules[b].dim, modules[a].dim), dtype=np.int64)
+        out[rows, cols] = 1
+        mats[h] = Mat._of(p, out)
     return Diagram(shape, alg, modules, mats)
+
+
+def left_kan_from_point(shape: DirectCategory, alg: Algebra, j: str, m: Module) -> Diagram:
+    """The free diagram on m at j: value at a is one copy of m per morphism
+    j -> a, structure maps relabel copies by composition."""
+    return free_diagram(shape, alg, [(j, m)])
 
 
 def right_kan_from_point(shape: DirectCategory, alg: Algebra, j: str, m: Module) -> Diagram:
     """Value at a is one copy of m per morphism a -> j: the dual of the free
     diagram on D(m) at j over the opposite shape."""
     return dual_diagram(left_kan_from_point(opposite_category(shape), alg.opposite(), j, dual_module(m)))
-
-
-def counit_from_point(x: Diagram, j: str, cover_map: Optional[ModuleMap] = None) -> Tuple[Diagram, DiagramMap]:
-    """The counit  j_!(P) -> x  where P covers x_j (default: P = x_j, id)."""
-    shape, alg = x.shape, x.alg
-    base = cover_map if cover_map is not None else identity_map(x.at(j))
-    dom = left_kan_from_point(shape, alg, j, base.src)
-    comps = {}
-    for a in shape.objects:
-        fs = shape.hom(j, a)
-        if fs:
-            comps[a] = hstack([x.mat(f) @ base.mat for f in fs])
-        else:
-            comps[a] = Mat.zeros(alg.p, x.at(a).dim, 0)
-    return dom, DiagramMap(dom, x, comps)
 
 
 def restrict(u: CatFunctor, y: Diagram) -> Diagram:
@@ -481,20 +480,13 @@ def pushout_diagrams(f: DiagramMap, g: DiagramMap) -> Tuple[Diagram, DiagramMap,
 
 
 def projective_cover_diagram(x: Diagram) -> DiagramConflation:
-    """Deflation  (+)_j j_!(free cover of x_j) ->> x  assembled from counits,
-    with the syzygy diagram as kernel."""
-    shape, alg = x.shape, x.alg
-    pieces = []
-    counits = []
-    for j in shape.objects:
-        cover = free_cover(x.at(j)).right
-        dom, eps = counit_from_point(x, j, cover)
-        pieces.append(dom)
-        counits.append(eps)
-    middle, injs, _ = direct_sum_diagrams(pieces)
-    comps = {}
-    for o in shape.objects:
-        comps[o] = hstack([eps.comps[o] for eps in counits]) if counits else Mat.zeros(alg.p, x.at(o).dim, 0)
+    """Deflation  (+)_j j_!(free cover of x_j) ->> x, with the syzygy diagram
+    as kernel.  At o, the copy of the cover P_j ->> x_j for f: j -> o maps
+    to x_o through x(f): the counits of the free diagrams side by side."""
+    shape = x.shape
+    covers = [(j, free_cover(x.at(j)).right) for j in shape.objects]
+    middle = free_diagram(shape, x.alg, [(j, cover.src) for j, cover in covers])
+    comps = {o: hstack([x.mat(f) @ cover.mat for j, cover in covers for f in shape.hom(j, o)]) for o in shape.objects}
     defl = DiagramMap(middle, x, comps)
     ker, incl = kernel_diagram(defl)
     return DiagramConflation(incl, defl)

@@ -49,10 +49,10 @@ from .diagrams import (
     cokernel_diagram,
     colimit_of_diagram,
     compose_diagram_maps,
-    direct_sum_diagrams,
     dual_conflation,
     dual_diagram,
     factor_matrix_through_surjection,
+    free_diagram,
     identity_diagram_map,
     kernel_diagram,
     left_kan_from_point,
@@ -172,8 +172,9 @@ def is_projective_diagram(x: Diagram) -> bool:
     Gorenstein projectives is the relaxation.  The cokernel is x_j / im T
     (_latching_ranks).  Splitting the projective cover
     (diagrams.split_section_diagrams) decides the same by a linear solve;
-    the tests keep it as the oracle."""
-    ranks = ((j, *_latching_ranks(x, j)) for j in x.shape.objects)
+    the tests keep it as the oracle.  Every object's T R = 0 check runs
+    before the answer, so a non-functorial x is refused, never answered."""
+    ranks = [(j, *_latching_ranks(x, j)) for j in x.shape.objects]
     return all(rk == dim and is_projective(quotient_module(x.at(j), t)[0]) for j, dim, rk, t in ranks)
 
 
@@ -210,8 +211,9 @@ def co_stalk_presentation(shape: DirectCategory, alg: Algebra, j: str, q_mod: Mo
 
 
 def is_gproj(x: Diagram) -> bool:
-    """All latching maps are inflations, decided by ranks (_latching_ranks)."""
-    ranks = (_latching_ranks(x, j) for j in x.shape.objects)
+    """All latching maps are inflations, decided by ranks (_latching_ranks)
+    after the T R = 0 check at every object."""
+    ranks = [_latching_ranks(x, j) for j in x.shape.objects]
     return all(rk == dim for dim, rk, _ in ranks)
 
 
@@ -394,9 +396,7 @@ def embed_gproj_into_proj(g: Diagram) -> DiagramConflation:
         cok, proj = quotient_module(g.at(j), lats[j].map.mat)
         fresh_maps[j] = compose(injective_embed(cok).left, proj)
 
-    pieces = [left_kan_from_point(shape, alg, j, fresh_maps[j].tgt) for j in shape.objects]
-    Q, injs, _ = direct_sum_diagrams(pieces)
-    piece_index = {j: k for k, j in enumerate(shape.objects)}
+    Q = free_diagram(shape, alg, [(j, fresh_maps[j].tgt) for j in shape.objects])
 
     latsQ = {j: latching(Q, j) for j in shape.objects}
     eta_comps: Dict[str, Mat] = {}
@@ -424,8 +424,12 @@ def embed_gproj_into_proj(g: Diagram) -> DiagramConflation:
         )
         if ext is None:
             raise VerificationError(f"latching extension failed at {i}")
-        fresh_incl = injs[piece_index[i]].comps[i]
-        eta_comps[i] = latq.map.mat @ ext.mat + fresh_incl @ fresh_maps[i].mat
+        # fresh_i goes to the one copy of Q_i's own part (for 1_i), which
+        # follows the copies of the parts before i in shape.objects
+        off = sum(len(shape.hom(j, i)) * fresh_maps[j].tgt.dim for j in shape.objects[: shape.objects.index(i)])
+        d = fresh_maps[i].tgt.dim
+        fresh = block(p, [[None], [fresh_maps[i].mat], [None]], [off, d, Q.at(i).dim - off - d], [g.at(i).dim])
+        eta_comps[i] = latq.map.mat @ ext.mat + fresh
     eta = DiagramMap(g, Q, eta_comps).validate()
     for i in shape.objects:
         if rank(eta.comps[i]) != g.at(i).dim:

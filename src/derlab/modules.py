@@ -204,10 +204,10 @@ def direct_sum(mods: Sequence[Module]) -> Tuple[Module, List[ModuleMap], List[Mo
 
 
 def free_module(alg: Algebra, n: int) -> Module:
-    if n == 0:
-        return zero_module(alg)
-    total, _, _ = direct_sum([regular_module(alg)] * n)
-    return total
+    """Lambda^n: the direct sum of n regular modules, block_diag(R_k, ..., R_k)
+    = kron(I_n, R_k) for each basis element."""
+    eye = Mat.identity(alg.p, n)
+    return Module(alg, [kron(eye, r) for r in alg.right_regular_action()])
 
 
 def dual_module(m: Module) -> Module:
@@ -482,15 +482,12 @@ def solve_in_basis(basis: Sequence, images: Sequence[Mat], rhs: Mat, zero, extra
 
 def class_reps(basis: Sequence, vec: Callable[[object], Mat], sub: Mat) -> List:
     """Basis vectors completing the column span of sub, taken greedily in
-    basis order; their classes form a basis of span(basis) / span(sub)."""
-    reps = []
-    current = sub
-    for b in basis:
-        v = vec(b)
-        if not in_column_span(current, v):
-            reps.append(b)
-            current = hstack([current, v])
-    return reps
+    basis order; their classes form a basis of span(basis) / span(sub).
+
+    A vector is taken iff it is outside the span of sub and the vectors
+    before it, i.e. iff its column is a pivot of rref([sub | vec(b) ...])."""
+    _, _, pivots = rref(hstack([sub] + [vec(b) for b in basis]))
+    return [basis[c - sub.cols] for c in pivots if c >= sub.cols]
 
 
 def candidate_maps(basis: Sequence, zero, budget: int, seed: int) -> Tuple[bool, Iterator]:

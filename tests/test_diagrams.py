@@ -6,7 +6,7 @@ import pytest
 from derlab.algebra import dual_numbers
 from derlab.cats import arrow_category, cospan_category, object_functor, square_category, terminal_category, CatFunctor
 from derlab.field import Mat, rank
-from derlab.modules import Module, ModuleMap, identity_map, regular_module
+from derlab.modules import Module, ModuleMap, direct_sum, identity_map, regular_module, zero_module
 from derlab.diagrams import (
     Diagram,
     DiagramMap,
@@ -17,6 +17,7 @@ from derlab.diagrams import (
     direct_sum_diagrams,
     dual_diagram,
     ext1,
+    free_diagram,
     hom_dim_diagrams,
     hom_space_diagrams,
     injective_embed_diagram,
@@ -97,6 +98,54 @@ def test_left_kan_from_point_shapes(dn, reg, arrow):
     assert d.mat("e0").is_identity()
     d1 = left_kan_from_point(arrow, dn, "1", reg)
     assert d1.at("0").dim == 0 and d1.at("1").dim == 2
+
+
+def _free_diagram_by_sums(shape, alg, parts):
+    """(+)_k (j_k)_!(m_k) as direct_sum_diagrams of one free diagram per
+    part, each from direct_sum([m] * n) and identity blocks: the
+    construction free_diagram replaces, kept as its reference."""
+    pieces = []
+    for j, m in parts:
+        copies = {a: shape.hom(j, a) for a in shape.objects}
+        modules = {a: direct_sum([m] * len(copies[a]))[0] if copies[a] else zero_module(alg) for a in shape.objects}
+        mats = {}
+        for h in shape.nonidentity_morphisms():
+            a, b = shape.src(h), shape.tgt(h)
+            out = np.zeros((len(copies[b]) * m.dim, len(copies[a]) * m.dim), dtype=np.int64)
+            for si, f in enumerate(copies[a]):
+                ti = copies[b].index(shape.compose(h, f))
+                out[ti * m.dim : (ti + 1) * m.dim, si * m.dim : (si + 1) * m.dim] = np.eye(m.dim, dtype=np.int64)
+            mats[h] = Mat(alg.p, out)
+        pieces.append(Diagram(shape, alg, modules, mats))
+    return direct_sum_diagrams(pieces)[0]
+
+
+def test_free_diagram_equals_the_sum_of_point_extensions():
+    """free_diagram builds (+)_k (j_k)_!(m_k) array for array as the sum of
+    the per-part constructions, over four shapes and three algebras, with
+    zero-dimensional parts, repeated points and single parts."""
+    from derlab.algebra import group_algebra_c2
+    from derlab.cats import span_category
+    from derlab.samples import all_modules
+
+    shapes = (arrow_category(), cospan_category(), span_category(), square_category())
+    for alg in (dual_numbers(2), dual_numbers(3), group_algebra_c2(2)):
+        mods = all_modules(alg, 2)
+        rng = random.Random(alg.p)
+        for shape in shapes:
+            objs = shape.objects
+            cases = [[(j, m)] for j in objs for m in mods[:3]]
+            cases += [[(rng.choice(objs), rng.choice(mods)) for _ in range(rng.randrange(1, 5))] for _ in range(6)]
+            cases += [[(j, zero_module(alg)) for j in objs], [(objs[0], mods[-1]), (objs[0], zero_module(alg)), (objs[0], mods[-1])]]
+            for parts in cases:
+                got, want = free_diagram(shape, alg, parts), _free_diagram_by_sums(shape, alg, parts)
+                for o in objs:
+                    assert len(got.at(o).action) == len(want.at(o).action)
+                    for x, y in zip(got.at(o).action, want.at(o).action):
+                        assert x.a.shape == y.a.shape and np.array_equal(x.a, y.a)
+                for f in shape.nonidentity_morphisms():
+                    assert got.mats[f].a.shape == want.mats[f].a.shape and np.array_equal(got.mats[f].a, want.mats[f].a)
+            assert not free_diagram(shape, alg, []).total_dim()
 
 
 def test_right_kan_from_point_shapes(dn, reg, arrow):

@@ -441,3 +441,77 @@ def test_odd_primes_never_enter_the_gf2_kernel(monkeypatch):
         assert column_space_basis(m).a.tolist() == _reference_rref(a.T, p)[0][:want_rank].T.tolist()
         checked += 1
     assert checked > 100
+
+
+# -- the small odd-p list kernel against the same reference ---------------------
+
+
+def _small_odd_inputs():
+    """(p, matrix) pairs over F_3, F_5, F_7 and the largest allowed prime, on
+    both sides of SMALL_ODD_MAX_CELLS: random, low-rank, duplicate-row, tall
+    and wide, and entries next to p - 1."""
+    limit = field.SMALL_ODD_MAX_CELLS
+    shapes = [(1, 1), (2, 9), (9, 2), (16, 16), (40, 51), (32, limit // 32), (limit // 32 + 1, 32), (45, 46), (300, 4), (4, 600)]
+    rng = np.random.default_rng(35)
+    for p in (3, 5, 7, LARGEST_ALLOWED_PRIME):
+        for rows, cols in shapes:
+            yield p, rng.integers(0, p, size=(rows, cols))
+            k = int(rng.integers(1, min(rows, cols) + 1))
+            yield p, (rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))) % p
+            half = rng.integers(0, p, size=((rows + 1) // 2, cols))
+            yield p, np.concatenate([half, half])[:rows]
+        yield p, rng.integers(max(0, p - 4), p, size=(12, 20))
+
+
+def test_small_odd_kernel_matches_the_reference_also_on_memo_hits():
+    rng = np.random.default_rng(36)
+    sizes = set()
+    for p, a in _small_odd_inputs():
+        m = Mat(p, a)
+        want_red, want_rank, want_piv = _reference_rref(a, p)
+        want_kernel = _reference_kernel(a, p)
+        want_cols = _reference_rref(a.T, p)[0][:want_rank].T
+        b_consistent = (a @ rng.integers(0, p, size=(a.shape[1], 2))) % p
+        b_random = rng.integers(0, p, size=(a.shape[0], 1))
+        want_x = [_reference_solve(a, b, p) for b in (b_consistent, b_random)]
+        for _ in range(2):  # the second call may be answered by the memo
+            red, r, piv = rref(m)
+            assert r == want_rank and piv == want_piv
+            assert np.array_equal(red.a, want_red)
+            assert rank(m) == want_rank
+            assert np.array_equal(kernel_basis(m).a, want_kernel)
+            assert np.array_equal(column_space_basis(m).a, want_cols)
+            for b, want in zip((b_consistent, b_random), want_x):
+                x = solve(m, Mat(p, b))
+                assert (x is None) == (want is None)
+                if x is not None:
+                    assert np.array_equal(x.a, want)
+        sizes.add(a.size <= field.SMALL_ODD_MAX_CELLS)
+    assert sizes == {True, False}
+
+
+def test_small_odd_kernel_takes_only_small_odd_inputs(monkeypatch):
+    """p = 2 never reaches the list kernel, and odd-p matrices above
+    SMALL_ODD_MAX_CELLS still run the numpy loop."""
+
+    def refuse(*args):
+        raise AssertionError("the small odd-p kernel was reached")
+
+    monkeypatch.setattr(field, "_rref_small_inplace", refuse)
+    monkeypatch.setattr(field, "_memo", {})
+    with pytest.raises(AssertionError, match="small odd-p kernel"):
+        rank(Mat(3, [[1, 2]]))  # small odd p does go there
+    rng = np.random.default_rng(37)
+    for rows, cols in ((1, 1), (16, 16), (45, 46), (300, 30)):
+        a = rng.integers(0, 2, size=(rows, cols))
+        assert rref(Mat(2, a))[0].a.tolist() == _reference_rref(a, 2)[0].tolist()
+    monkeypatch.setattr(field, "_rref_gf2_inplace", refuse)
+    checked = 0
+    for p, a in _small_odd_inputs():
+        if a.size <= field.SMALL_ODD_MAX_CELLS:
+            continue
+        want_red, want_rank, want_piv = _reference_rref(a, p)
+        red, r, piv = rref(Mat(p, a))
+        assert np.array_equal(red.a, want_red) and r == want_rank and piv == want_piv
+        checked += 1
+    assert checked >= 30

@@ -305,6 +305,48 @@ def test_embed_gproj_example(dn, socle_arrow):
     assert is_gproj(emb.quot)
 
 
+def test_embed_gproj_places_fresh_parts_on_shapes_out_of_degree_order():
+    """Over the opposite square and cospan, whose object lists are not in
+    degree order, Q is the sum of the free diagrams of the fresh parts in
+    shape.objects order, and at each i the slot of Q_i's own part (1_i)
+    receives a map that kills exactly the image of the latching map at i."""
+    import random
+
+    from derlab.cats import opposite_category
+    from derlab.samples import random_gproj
+
+    seen = 0
+    for shape in (opposite_category(square_category()), opposite_category(cospan_category())):
+        assert shape.objects != shape.objects_by_degree()
+        for alg in (dual_numbers(2), dual_numbers(3)):
+            rng = random.Random(len(shape.objects) + alg.p)
+            for _ in range(8):
+                g = random_gproj(shape, alg, 2, rng)
+                if is_projective_diagram(g):
+                    continue
+                emb = embed_gproj_into_proj(g).validate()
+                q = emb.middle
+                # the fresh part at i fills what the parts of lower objects leave of Q_i
+                offset, fresh = {}, {}
+                for i in shape.objects_by_degree():
+                    k = shape.objects.index(i)
+                    lower = [(j, len(shape.hom(j, i))) for j in shape.objects if j != i and shape.hom(j, i)]
+                    offset[i] = sum(n * fresh[j].dim for j, n in lower if shape.objects.index(j) < k)
+                    end = q.at(i).dim - sum(n * fresh[j].dim for j, n in lower if shape.objects.index(j) > k)
+                    fresh[i] = Module(alg, [a[offset[i] : end, offset[i] : end] for a in q.at(i).action])
+                want = direct_sum_diagrams([left_kan_from_point(shape, alg, j, fresh[j]) for j in shape.objects])[0]
+                for o in shape.objects:
+                    assert all(np.array_equal(x.a, y.a) for x, y in zip(q.at(o).action, want.at(o).action))
+                assert all(np.array_equal(q.mats[f].a, want.mats[f].a) for f in shape.nonidentity_morphisms())
+                for i in shape.objects:
+                    lat = latching(g, i)
+                    own = emb.left.comps[i][offset[i] : offset[i] + fresh[i].dim, :]
+                    assert (own @ lat.map.mat).is_zero()
+                    assert rank(own) == g.at(i).dim - lat.module.dim
+                seen += 1
+    assert seen >= 24
+
+
 def test_embed_gproj_projective_shortcircuit(dn, reg, arrow):
     x = left_kan_from_point(arrow, dn, "0", reg)
     emb = embed_gproj_into_proj(x)
@@ -547,18 +589,22 @@ def test_rank_recognition_matches_the_latching_colimit():
         assert seen == {(k, b) for k in range(3) for b in (True, False)}
 
 
-def test_noncommuting_square_is_refused_not_answered(dn, reg):
-    """A square of identities on Lambda with a zero diagonal passes the
-    Diagram shape checks; every latching map before the terminal corner is
-    a projective inflation, and the T R = 0 check refuses the corner."""
+def test_noncommuting_square_is_refused_not_answered(dn, reg, simple):
+    """A square of identities with a zero diagonal passes the Diagram shape
+    checks.  On Lambda every latching map before the terminal corner is a
+    projective inflation; on the simple k the corner (0,0) already has a
+    non-projective cokernel, so a predicate that stopped at the first
+    failing object would answer False.  The T R = 0 check at the terminal
+    corner refuses both."""
     square = square_category()
-    mats = {f: Mat.identity(2, 2) for f in square.nonidentity_morphisms()}
-    mats["(e0,e0)"] = Mat.zeros(2, 2, 2)
-    x = Diagram(square, dn, {o: reg for o in square.objects}, mats)
-    assert not x.is_functorial()
-    for decide in (is_gproj, is_ginj, is_projective_diagram, gproj_witness_report):
-        with pytest.raises(VerificationError, match="do not commute"):
-            decide(x)
+    for m in (reg, simple):
+        mats = {f: Mat.identity(2, m.dim) for f in square.nonidentity_morphisms()}
+        mats["(e0,e0)"] = Mat.zeros(2, m.dim, m.dim)
+        x = Diagram(square, dn, {o: m for o in square.objects}, mats)
+        assert not x.is_functorial()
+        for decide in (is_gproj, is_ginj, is_projective_diagram, is_injective_diagram, gproj_witness_report):
+            with pytest.raises(VerificationError, match="do not commute"):
+                decide(x)
 
 
 def test_recognition_builds_no_latching_colimit(request):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from derlab.algebra import dual_numbers, group_algebra_c2, upper_triangular_2x2
-from derlab.field import Mat, rank
+from derlab.field import Mat, hstack, in_column_span, rank
 from derlab.modules import (
     Conflation,
+    class_reps,
     Module,
     ModuleMap,
     compose,
@@ -574,3 +575,40 @@ def test_quotient_module_matches_the_selector_formula():
             quot.validate()
             ranks.add((rank(span) == 0, rank(span) == m.dim))
     assert ranks >= {(True, False), (False, False), (False, True)}
+
+
+def _greedy_class_reps(basis, vec, sub):
+    """class_reps as one in_column_span test per basis vector: the loop
+    class_reps replaces, kept as its reference."""
+    reps, current = [], sub
+    for b in basis:
+        v = vec(b)
+        if not in_column_span(current, v):
+            reps.append(b)
+            current = hstack([current, v])
+    return reps
+
+
+def test_class_reps_equals_the_greedy_loop():
+    """One elimination of [sub | vec(b_1) ... vec(b_n)] picks the same basis
+    vectors as the greedy span test, on seeded inputs over F_2, F_3 and F_5
+    of full and low rank, with repeated vectors, an empty sub and an empty
+    basis among them."""
+    rng = np.random.default_rng(41)
+    cases = 0
+    for p in (2, 3, 5):
+        for _ in range(60):
+            d = int(rng.integers(0, 7))
+            n, k = (int(x) for x in rng.integers(0, 8, size=2))
+            low = int(rng.integers(0, d + 1))
+            vecs = [Mat(p, rng.integers(0, p, size=(d, 1))) for _ in range(n)]
+            if n and low < d:
+                mix = rng.integers(0, p, size=(d, low)) @ rng.integers(0, p, size=(low, n))
+                vecs = [Mat(p, mix[:, [c]]) for c in range(n)]
+            vecs += vecs[: int(rng.integers(0, n + 1))]
+            sub = Mat(p, rng.integers(0, p, size=(d, k)))
+            for s in (sub, Mat.zeros(p, d, 0)):
+                assert class_reps(range(len(vecs)), lambda i: vecs[i], s) == _greedy_class_reps(range(len(vecs)), lambda i: vecs[i], s)
+                assert class_reps([], lambda i: vecs[i], s) == []
+                cases += 1
+    assert cases == 360
