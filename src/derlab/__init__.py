@@ -14,6 +14,7 @@ from .algebra import (
     AlgebraError,
     algebra_from_dict,
     dual_numbers,
+    ground_field,
     group_algebra_c2,
     is_self_injective,
     require_self_injective,
@@ -113,7 +114,6 @@ from .complexes import (
     z0,
 )
 from .dgkan import (
-    LeftKIModule,
     Weight,
     bar_resolution,
     crosscheck_kan,

@@ -9,6 +9,7 @@ projectives and injectives coincide.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -208,6 +209,14 @@ def algebra_to_dict(alg: Algebra) -> dict:
     if alg.radical is not None:
         out["radical"] = [ [int(x) for x in alg.radical.a[:, j]] for j in range(alg.radical.cols) ]
     return out
+
+
+@lru_cache(maxsize=None)
+def ground_field(p: int) -> Algebra:
+    """F_p itself: basis {1}, radical 0, so it is local and every module is
+    free.  Weights of homotopy Kan extensions are diagrams over it.  One
+    instance per p, because hom_space compares algebras by identity."""
+    return validate_algebra(Algebra(p, ["1"], [1], [[[1]]], radical=[]))
 
 
 def dual_numbers(p: int = 2) -> Algebra:

@@ -1,7 +1,8 @@
-"""The dg-model route to homotopy Kan extensions: modules over free linear
-categories, the finite bar resolution, weighted homotopy (co)limits by the
-free-summand collapse, the slice-square comparison check, and the
-cross-check against the direct Gorenstein-model Kan extensions.
+"""The dg-model route to homotopy Kan extensions: weights as diagrams over
+k = ground_field(p), the finite bar resolution, weighted homotopy
+(co)limits by the free-summand collapse, the slice-square comparison
+check, and the cross-check against the direct Gorenstein-model Kan
+extensions.
 
 Weights are always carried together with explicit finite free resolutions,
 so every Hom/tensor totalization collapses degreewise to finite sums of
@@ -17,12 +18,15 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .cats import CatFunctor, DirectCategory, arrow_category, identity_functor, opposite_category, opposite_functor, slice_category, terminal_category
+from .algebra import ground_field
+from .cats import CatFunctor, DirectCategory, arrow_category, opposite_category, opposite_functor, slice_category, terminal_category
 from .field import Mat, kernel_basis, rank, solve, vstack
-from .modules import Module, direct_sum, submodule, zero_module
+from .modules import Module, direct_sum, regular_module, submodule, zero_module
 from .diagrams import (
     Diagram,
+    constant_diagram,
     dual_diagram,
+    left_kan_from_point,
     limit_of_diagram,
     restrict,
 )
@@ -39,59 +43,14 @@ from .homotopy import is_stable_iso_diagrams
 from .verdict import FALSE, Verdict
 
 
-class LeftKIModule:
-    """A functor from a finite direct category to finite-dimensional
-    k-vector spaces (a left module over the free linear category)."""
-
-    def __init__(self, cat: DirectCategory, p: int, dims: Dict[str, int], mats: Dict[str, Mat]) -> None:
-        self.cat = cat
-        self.p = p
-        self.dims = dict(dims)
-        self.mats = dict(mats)
-        for f in cat.nonidentity_morphisms():
-            m = self.mats[f]
-            if m.rows != self.dims[cat.tgt(f)] or m.cols != self.dims[cat.src(f)]:
-                raise VerificationError(f"weight matrix at {f} has the wrong shape")
-
-    def mat(self, f: str) -> Mat:
-        if self.cat.is_identity(f):
-            return Mat.identity(self.p, self.dims[self.cat.src(f)])
-        return self.mats[f]
-
-    def validate(self) -> "LeftKIModule":
-        for (g, f), h in self.cat.comp.items():
-            if self.mat(g) @ self.mat(f) != self.mat(h):
-                raise VerificationError(f"weight functoriality fails on ({g}, {f})")
-        return self
-
-    @staticmethod
-    def representable(cat: DirectCategory, p: int, i: str) -> "LeftKIModule":
-        return restriction_weight(identity_functor(cat), i, p)
-
-    @staticmethod
-    def constant(cat: DirectCategory, p: int, dim: int = 1) -> "LeftKIModule":
-        return LeftKIModule(
-            cat, p, {o: dim for o in cat.objects}, {f: Mat.identity(p, dim) for f in cat.nonidentity_morphisms()}
-        )
+def restriction_weight(u: CatFunctor, j: str, p: int) -> Diagram:
+    """The weight i |-> k.J(j, u(i)), maps by postcomposition: u^* of the
+    free diagram on k at j, a diagram over k = ground_field(p)."""
+    k = ground_field(p)
+    return restrict(u, left_kan_from_point(u.cod, k, j, regular_module(k)))
 
 
-def restriction_weight(u: CatFunctor, j: str, p: int) -> LeftKIModule:
-    """The left module i |-> k.J(j, u(i)), maps by postcomposition."""
-    I, J = u.dom, u.cod
-    dims = {i: len(J.hom(j, u.on_obj(i))) for i in I.objects}
-    mats = {}
-    for h in I.nonidentity_morphisms():
-        a, b = I.src(h), I.tgt(h)
-        src_list, tgt_list = J.hom(j, u.on_obj(a)), J.hom(j, u.on_obj(b))
-        m = np.zeros((len(tgt_list), len(src_list)), dtype=np.int64)
-        uh = u.on_mor(h)
-        for col, f in enumerate(src_list):
-            m[tgt_list.index(J.compose(uh, f)), col] = 1
-        mats[h] = Mat(p, m)
-    return LeftKIModule(I, p, dims, mats)
-
-
-def restriction_weight_right(u: CatFunctor, j: str, p: int) -> LeftKIModule:
+def restriction_weight_right(u: CatFunctor, j: str, p: int) -> Diagram:
     """The right module i |-> k.J(u(i), j) as a left module over the opposite."""
     return restriction_weight(opposite_functor(u), j, p)
 
@@ -165,7 +124,7 @@ class FreeResolution:
     exact everywhere (checked on construction)."""
 
     complex: FreeComplex
-    target: LeftKIModule
+    target: Diagram
     aug: Dict[str, Mat]      # per object: W^0(a) -> M(a)
 
     @property
@@ -182,7 +141,7 @@ class FreeResolution:
                 mats.append(self.complex.diff_matrix_at(q, a))
             mats.append(self.aug[a])
             # exactness of 0 -> W^lo(a) -> ... -> W^0(a) -> M(a) -> 0
-            dims = [self.complex.value_dim(q, a) for q in range(lo, 1)] + [self.target.dims[a]]
+            dims = [self.complex.value_dim(q, a) for q in range(lo, 1)] + [self.target.at(a).dim]
             for first, second in zip(mats, mats[1:]):
                 if not (second @ first).is_zero():
                     raise VerificationError(f"augmented complex is not a complex at {a}")
@@ -195,17 +154,17 @@ class FreeResolution:
                         raise VerificationError(f"augmented complex not exact at {a}, leftmost degree")
                 elif ker_dim != img_prev:
                     raise VerificationError(f"augmented complex not exact at {a}, degree {lo + idx}")
-            if ranks[-1] != self.target.dims[a]:
+            if ranks[-1] != self.target.at(a).dim:
                 raise VerificationError(f"augmentation is not surjective at {a}")
         return self
 
 
-def bar_resolution(m: LeftKIModule) -> FreeResolution:
+def bar_resolution(m: Diagram) -> FreeResolution:
     """The finite bar resolution: B_k sums corepresentables over chains of
     composable non-identity arrows (equivalently, chains of strictly
     increasing degree), with coefficient spaces built from the arrows and
     the module values."""
-    cat, p = m.cat, m.p
+    cat, p = m.shape, m.alg.p
     terms: Dict[int, List[FreeSummand]] = {}
     diffs: Dict[int, Dict[Tuple[int, int], Dict[str, Mat]]] = {}
 
@@ -215,14 +174,14 @@ def bar_resolution(m: LeftKIModule) -> FreeResolution:
             hom_lists.append(cat.hom(chain[t - 1], chain[t]))
         out = []
         for arrows in itertools.product(*hom_lists) if hom_lists else [()]:
-            for midx in range(m.dims[chain[0]]):
+            for midx in range(m.at(chain[0]).dim):
                 out.append((arrows, midx))
         return out
 
     # enumerate chains by length
     chains_by_len: Dict[int, List[Tuple[str, ...]]] = {0: []}
     for i0 in cat.objects:
-        if m.dims[i0]:
+        if m.at(i0).dim:
             chains_by_len[0].append((i0,))
     k = 0
     while chains_by_len.get(k):
@@ -300,7 +259,7 @@ def bar_resolution(m: LeftKIModule) -> FreeResolution:
     free = FreeComplex(cat, p, terms, diffs)
     for a in cat.objects:
         basis = free.value_basis(0, a)
-        mmat = np.zeros((m.dims[a], len(basis)), dtype=np.int64)
+        mmat = np.zeros((m.at(a).dim, len(basis)), dtype=np.int64)
         zero_summands = terms.get(0, [])
         for col, (s_idx, t, phi) in enumerate(basis):
             midx = zero_summands[s_idx].coeff_labels[t][1]
@@ -351,15 +310,28 @@ class Weight:
 
 
 def _weight_blocks(wc: FreeComplex) -> List[tuple]:
-    """(degree, summand, coefficient, object) for every coefficient of every
-    free summand: the block order of both collapsed totalizations."""
+    """(degree, summand, coefficient, object, label) for every coefficient of
+    every free summand, with label = (degree, chain, coefficient label): the
+    block order of both collapsed totalizations and of every relabelling
+    between them."""
     return [
-        (q, s_idx, t, s.obj)
+        (q, s_idx, t, s.obj, (q, s.key, lab))
         for q in wc.degrees()
         for s_idx, s in enumerate(wc.terms[q])
-        for t in range(s.coeff_dim)
+        for t, lab in enumerate(s.coeff_labels)
     ]
 
+
+def _relabelling(p: int, src: List[tuple], src_dims: List[int], tgt: List[tuple], tgt_dims: List[int], to_tgt) -> Mat:
+    """The 0/1 matrix from the blocks src to the blocks tgt (of sizes
+    src_dims and tgt_dims) that carries each source block by the identity
+    onto the target block labelled to_tgt(its label)."""
+    offsets = dict(zip((b[4] for b in tgt), itertools.accumulate([0] + tgt_dims)))
+    out = np.zeros((sum(tgt_dims), sum(src_dims)), dtype=np.int64)
+    for b, col, d in zip(src, itertools.accumulate([0] + src_dims), src_dims):
+        row = offsets[to_tgt(b[4])]
+        out[row : row + d, col : col + d] = np.eye(d, dtype=np.int64)
+    return Mat(p, out)
 
 
 def weighted_hocolim(w: Weight, f: LazyComplex) -> LazyComplex:
@@ -372,18 +344,18 @@ def weighted_hocolim(w: Weight, f: LazyComplex) -> LazyComplex:
     blocks = _weight_blocks(wc)
 
     def term_fn(n: int) -> Diagram:
-        mods = [f.term(n - q).at(obj) for (q, s_idx, t, obj) in blocks]
+        mods = [f.term(n - b[0]).at(b[3]) for b in blocks]
         total = direct_sum(mods)[0] if mods else zero_module(alg)
         return Diagram(e, alg, {"*": total}, {})
 
     def diff_fn(n: int) -> Dict[str, Mat]:
-        src_dims = [f.term(n - q).at(obj).dim for (q, s_idx, t, obj) in blocks]
-        tgt_dims = [f.term(n + 1 - q).at(obj).dim for (q, s_idx, t, obj) in blocks]
+        src_dims = [f.term(n - b[0]).at(b[3]).dim for b in blocks]
+        tgt_dims = [f.term(n + 1 - b[0]).at(b[3]).dim for b in blocks]
         src_off = np.concatenate([[0], np.cumsum(src_dims)]) if src_dims else np.array([0])
         tgt_off = np.concatenate([[0], np.cumsum(tgt_dims)]) if tgt_dims else np.array([0])
         out = np.zeros((int(tgt_off[-1]), int(src_off[-1])), dtype=np.int64)
-        tpos = {(q, s_idx, t): r for r, (q, s_idx, t, obj) in enumerate(blocks)}
-        for c_idx, (q, s_idx, t, obj) in enumerate(blocks):
+        tpos = {b[:3]: r for r, b in enumerate(blocks)}
+        for c_idx, (q, s_idx, t, obj, _) in enumerate(blocks):
             # (-1)^q id (x) d_F (source and target share the block order)
             blk = f.diff(n - q).comps[obj]
             val = blk.a if q % 2 == 0 else (-blk.a) % p
@@ -455,24 +427,6 @@ def weighted_holim(w: Weight, f: LazyComplex) -> LazyComplex:
 # -- homotopy Kan extensions over J ---------------------------------------------------
 
 
-def _holim_labels(wc: FreeComplex) -> List[tuple]:
-    out = []
-    for q in wc.degrees():
-        for s_idx, s in enumerate(wc.terms[q]):
-            for t, lab in enumerate(s.coeff_labels):
-                out.append((q, s.key, lab, s.obj))
-    return out
-
-
-def _block_offsets(labels: List[tuple], dim_of) -> Tuple[Dict[tuple, int], int]:
-    offsets = {}
-    off = 0
-    for lab in labels:
-        offsets[lab[:3]] = off
-        off += dim_of(lab)
-    return offsets, off
-
-
 def ho_right_kan(u: CatFunctor, t: LazyComplex) -> LazyComplex:
     """Pointwise weighted homotopy limits over the bar resolutions of the
     restriction weights, assembled into a complex of J-diagrams: the
@@ -496,26 +450,18 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
     alg = t.alg
     p = alg.p
     hoc = {j: weighted_hocolim(Weight(wcs[j]), t) for j in J.objects}
+    blocks = {j: _weight_blocks(wcs[j]) for j in J.objects}
 
     def structure_mat(alpha: str, n: int) -> Mat:
         j, j2 = J.src(alpha), J.tgt(alpha)
-        labs_j = _holim_labels(wcs[j])
-        labs_j2 = _holim_labels(wcs[j2])
-        off_j, tot_j = _block_offsets(labs_j, lambda lab: t.term(n - lab[0]).at(lab[3]).dim)
-        off_j2, tot_j2 = _block_offsets(labs_j2, lambda lab: t.term(n - lab[0]).at(lab[3]).dim)
-        out = np.zeros((tot_j2, tot_j), dtype=np.int64)
-        for (q, key, lab, obj) in labs_j:
-            arrows, midx = lab
-            i0 = key[0]
-            f = J.hom(u.on_obj(i0), j)[midx]
-            f_post = J.compose(alpha, f)
-            midx_tgt = J.hom(u.on_obj(i0), j2).index(f_post)
-            tgt_key = (q, key, (arrows, midx_tgt))
-            d = t.term(n - q).at(obj).dim
-            r = off_j2[tgt_key]
-            c = off_j[(q, key, lab)]
-            out[r : r + d, c : c + d] = np.eye(d, dtype=np.int64)
-        return Mat(p, out)
+
+        def postcompose(label: tuple) -> tuple:
+            q, key, (arrows, midx) = label
+            f = J.hom(u.on_obj(key[0]), j)[midx]
+            return (q, key, (arrows, J.hom(u.on_obj(key[0]), j2).index(J.compose(alpha, f))))
+
+        dims = {jj: [t.term(n - b[0]).at(b[3]).dim for b in blocks[jj]] for jj in (j, j2)}
+        return _relabelling(p, blocks[j], dims[j], blocks[j2], dims[j2], postcompose)
 
     def term_fn(n: int) -> Diagram:
         modules = {j: hoc[j].term(n).at("*") for j in J.objects}
@@ -531,10 +477,10 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
 # -- the slice-square comparison ---------------------------------------------------------
 
 
-def hom_module_from_weight(m: LeftKIModule, d: Diagram) -> Tuple[Module, Mat]:
+def hom_module_from_weight(m: Diagram, d: Diagram) -> Tuple[Module, Mat]:
     """Hom over the free category from the weight into a diagram, as a module:
     the naturality subspace of (+)_i Hom_k(M_i, D_i), with its inclusion."""
-    cat = m.cat
+    cat = m.shape
     alg = d.alg
     p = alg.p
     # ambient: per object i, M_i-indexed copies of D_i (copy-major)
@@ -543,7 +489,7 @@ def hom_module_from_weight(m: LeftKIModule, d: Diagram) -> Tuple[Module, Mat]:
     off = 0
     for i in cat.objects:
         offsets[i] = off
-        for t in range(m.dims[i]):
+        for t in range(m.at(i).dim):
             copies.append(d.at(i))
             off += d.at(i).dim
     amb = direct_sum(copies)[0] if copies else zero_module(alg)
@@ -555,9 +501,9 @@ def hom_module_from_weight(m: LeftKIModule, d: Diagram) -> Tuple[Module, Mat]:
         dh = d.mat(h)
         # naturality phi_b o M(h) = D(h) o phi_a, one block row per source
         # copy t:  sum_t2 mh[t2, t] phi_b^(t2)  -  D(h) phi_a^(t)  =  0
-        for t in range(m.dims[a]):
+        for t in range(m.at(a).dim):
             row = np.zeros((db, amb.dim), dtype=np.int64)
-            for t2 in range(m.dims[b]):
+            for t2 in range(m.at(b).dim):
                 c = int(mh.a[t2, t])
                 if c:
                     row[:, offsets[b] + t2 * db : offsets[b] + (t2 + 1) * db] += c * np.eye(db, dtype=np.int64)
@@ -625,40 +571,30 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
     # derived half: label-matched comparison of the two bar collapses
     bar_i = bar_resolution(m)
     r_side = weighted_holim(Weight.from_resolution(bar_i), t)
-    const = LeftKIModule.constant(pres.cat, p, 1)
-    bar_s = bar_resolution(const)
+    bar_s = bar_resolution(constant_diagram(pres.cat, m.alg, regular_module(m.alg)))
     l_side = weighted_holim(Weight.from_resolution(bar_s), restrict_complex(pres.projection, t))
 
     def translate(label: tuple) -> tuple:
-        q, key, lab, obj = label
-        arrows, _ = lab
+        q, key, (arrows, _) = label
         chain_i = tuple(pres.pairs[o][0] for o in key)
         f0 = pres.pairs[key[0]][1]
         midx = J.hom(j, u.on_obj(chain_i[0])).index(f0)
         arrows_i = tuple(pres.projection.mor_map[a] for a in arrows)
         return (q, chain_i, (arrows_i, midx))
 
-    labs_r = _holim_labels(bar_i.complex)
-    labs_l = _holim_labels(bar_s.complex)
-    translated = [translate(lab) for lab in labs_l]
-    if sorted(map(repr, translated)) != sorted(repr(lab[:3]) for lab in labs_r):
+    blocks_r = _weight_blocks(bar_i.complex)
+    blocks_l = _weight_blocks(bar_s.complex)
+    if sorted(repr(translate(b[4])) for b in blocks_l) != sorted(repr(b[4]) for b in blocks_r):
         return Der4Report(underived_ok, False, (lo, hi), {"label_mismatch": True, **details})
 
     derived_ok = True
     thetas: Dict[int, Mat] = {}
     for n in range(lo, hi + 2):
-        off_r, tot_r = _block_offsets(labs_r, lambda lab: t.term(lab[0] + n).at(lab[3]).dim)
-        off_l, tot_l = _block_offsets(
-            labs_l, lambda lab: t.term(lab[0] + n).at(pres.pairs[lab[3]][0]).dim
-        )
-        out = np.zeros((tot_l, tot_r), dtype=np.int64)
-        for lab_l, lab_tr in zip(labs_l, translated):
-            d = t.term(lab_l[0] + n).at(pres.pairs[lab_l[3]][0]).dim
-            r = off_l[lab_l[:3]]
-            c = off_r[lab_tr]
-            out[r : r + d, c : c + d] = np.eye(d, dtype=np.int64)
-        thetas[n] = Mat(p, out)
-        if tot_l != tot_r:
+        dims_r = [t.term(b[0] + n).at(b[3]).dim for b in blocks_r]
+        dims_l = [t.term(b[0] + n).at(pres.pairs[b[3]][0]).dim for b in blocks_l]
+        # theta_n has one identity block per slice block, at its translation
+        thetas[n] = _relabelling(p, blocks_l, dims_l, blocks_r, dims_r, translate).T
+        if sum(dims_l) != sum(dims_r):
             derived_ok = False
     for n in range(lo, hi + 1):
         lhs_mat = l_side.diff(n).comps["*"] @ thetas[n]

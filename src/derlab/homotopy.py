@@ -40,6 +40,7 @@ from .diagrams import (
     DiagramMap,
     compose_diagram_maps,
     direct_sum_diagrams,
+    factor_matrix_through_surjection,
     hom_space_diagrams,
     identity_diagram_map,
     injective_embed_diagram,
@@ -192,23 +193,23 @@ def loop(x: Diagram) -> Diagram:
 
 def suspension_on_map(f: DiagramMap) -> DiagramMap:
     """Induced map on suspensions, through an extension across the embeddings."""
-    from .diagrams import factor_matrix_through_surjection
-
     emb_x = embed_gproj_into_proj(f.src)
     emb_y = embed_gproj_into_proj(f.tgt)
-    phi = solve_in_hom(
-        emb_x.middle,
-        emb_y.middle,
-        [(emb_x.left, identity_diagram_map(emb_y.middle), compose_diagram_maps(emb_y.left, f))],
-    )
+    return _induced_on_quotients(emb_x, emb_y, compose_diagram_maps(emb_y.left, f), "suspension extension failed")
+
+
+def _induced_on_quotients(src: DiagramConflation, tgt: DiagramConflation, f: DiagramMap, failure: str) -> DiagramMap:
+    """The map src.quot -> tgt.quot induced by f: src.sub -> tgt.middle:
+    extend f along the inflation src.left to phi: src.middle -> tgt.middle,
+    then factor tgt.right o phi through src.right object by object."""
+    phi = solve_in_hom(src.middle, tgt.middle, [(src.left, identity_diagram_map(tgt.middle), f)])
     if phi is None:
-        raise VerificationError("suspension extension failed")
-    comps = {}
-    for o in f.src.shape.objects:
-        comps[o] = factor_matrix_through_surjection(
-            emb_y.right.comps[o] @ phi.comps[o], emb_x.right.comps[o]
-        )
-    return DiagramMap(emb_x.quot, emb_y.quot, comps)
+        raise VerificationError(failure)
+    comps = {
+        o: factor_matrix_through_surjection(tgt.right.comps[o] @ phi.comps[o], src.right.comps[o])
+        for o in src.sub.shape.objects
+    }
+    return DiagramMap(src.quot, tgt.quot, comps)
 
 
 # -- triangles --------------------------------------------------------------------------
@@ -225,23 +226,8 @@ class Triangle:
 
 def triangle_from_conflation(confl: DiagramConflation) -> Triangle:
     """The connecting map through an embedding of the subobject."""
-    a = confl.sub
-    emb = embed_gproj_into_proj(a)
-    phi = solve_in_hom(
-        confl.middle,
-        emb.middle,
-        [(confl.left, identity_diagram_map(emb.middle), emb.left)],
-    )
-    if phi is None:
-        raise VerificationError("triangle construction: extension failed")
-    from .diagrams import factor_matrix_through_surjection
-
-    comps = {}
-    for o in a.shape.objects:
-        comps[o] = factor_matrix_through_surjection(
-            emb.right.comps[o] @ phi.comps[o], confl.right.comps[o]
-        )
-    delta = DiagramMap(confl.quot, emb.quot, comps)
+    emb = embed_gproj_into_proj(confl.sub)
+    delta = _induced_on_quotients(confl, emb, emb.left, "triangle construction: extension failed")
     return Triangle(confl, confl.left, confl.right, delta, emb.quot)
 
 

@@ -354,6 +354,8 @@ def generators(m: Module) -> Mat:
 def _radical_layer(m: Module) -> Mat:
     """A column basis of m.rad, for an algebra that declares its radical."""
     rad = m.alg.radical
+    if rad.cols == 0:
+        return Mat.zeros(m.alg.p, m.dim, 0)
     return column_space_basis(hstack([m.act(rad.a[:, j]) for j in range(rad.cols)]))
 
 

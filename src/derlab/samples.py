@@ -11,12 +11,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, ground_field
 from .cats import CatFunctor, DirectCategory
 from .field import DerlabError, Mat
-from .modules import Module, hom_space, zero_module
+from .modules import Module, free_module, hom_space, zero_module
 from .diagrams import Diagram, projective_cover_diagram
-from .dgkan import LeftKIModule
 from .gorenstein import is_gproj
 
 
@@ -219,19 +218,19 @@ def random_functor(rng: random.Random, dom: DirectCategory, cod: DirectCategory)
     return None
 
 
-def random_left_module(cat: DirectCategory, p: int, max_dim: int, rng: random.Random) -> LeftKIModule:
-    """A random functor to vector spaces; exact on free shapes, rejection
-    otherwise."""
+def random_left_module(cat: DirectCategory, p: int, max_dim: int, rng: random.Random) -> Diagram:
+    """A random functor to vector spaces, a diagram over ground_field(p);
+    exact on free shapes, rejection otherwise."""
+    k = ground_field(p)
     for _ in range(300):
         dims = {o: rng.randrange(0, max_dim + 1) for o in cat.objects}
         mats = {}
         for f in cat.nonidentity_morphisms():
             r, c = dims[cat.tgt(f)], dims[cat.src(f)]
             mats[f] = Mat(p, [[rng.randrange(p) for _ in range(c)] for _ in range(r)]) if r * c else Mat.zeros(p, r, c)
-        cand = LeftKIModule(cat, p, dims, mats)
+        cand = Diagram(cat, k, {o: free_module(k, d) for o, d in dims.items()}, mats)
         try:
-            cand.validate()
-            return cand
+            return cand.validate()
         except DerlabError:
             continue
     raise RuntimeError("could not sample a left module")

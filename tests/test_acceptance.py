@@ -71,7 +71,6 @@ from derlab.complexes import (
     z0,
 )
 from derlab.dgkan import (
-    LeftKIModule,
     Weight,
     bar_resolution,
     crosscheck_kan,

@@ -7,6 +7,7 @@ from derlab.algebra import (
     algebra_from_dict,
     algebra_to_dict,
     dual_numbers,
+    ground_field,
     group_algebra_c2,
     is_self_injective,
     require_self_injective,
@@ -116,3 +117,18 @@ def test_roundtrip_dict():
     alg2 = algebra_from_dict(data)
     assert np.array_equal(alg2.mul, alg.mul)
     assert alg2.radical is not None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ground_field_is_local_self_injective_and_stably_zero(p):
+    # a zero radical once made _radical_layer hstack nothing
+    from derlab.modules import free_module, is_injective, is_projective, regular_module, stable_hom, zero_module
+
+    k = ground_field(p)
+    assert k is ground_field(p)
+    assert k.is_local() and is_self_injective(k)
+    mods = [zero_module(k), regular_module(k), free_module(k, 3)]
+    for m in mods:
+        assert is_projective(m) and is_injective(m)
+        for n in mods:
+            assert stable_hom(m, n).quotient_dim == 0

@@ -10,6 +10,11 @@ over a small seeded set of diagrams.  The SHA-256 was recorded before
 free diagrams, greedy bases and small odd-p eliminations were rewritten.
 A change that moves a canonical basis on purpose records a new digest
 here and says why.
+
+The second digest guards the dg-model route the same way: restriction
+weights, their bar resolutions, the homotopy Kan extensions' terms,
+structure maps and differentials, and der4_check's details.  It was
+recorded before the weights became diagrams over the ground field.
 """
 
 import hashlib
@@ -18,12 +23,17 @@ import random
 import numpy as np
 
 from derlab.algebra import dual_numbers, group_algebra_c2
-from derlab.cats import arrow_category, cospan_category, span_category, square_category
-from derlab.diagrams import Diagram, DiagramConflation, DiagramMap, ext1, projective_cover_diagram
+from derlab.cats import CatFunctor, DirectCategory, arrow_category, cospan_category, identity_functor, object_functor, span_category, square_category, terminal_category
+from derlab.complexes import LazyComplex, complete_resolution
+from derlab.dgkan import bar_resolution, der4_check, ho_left_kan, ho_right_kan, restriction_weight, restriction_weight_right
+from derlab.diagrams import Diagram, DiagramConflation, DiagramMap, constant_diagram, ext1, projective_cover_diagram
 from derlab.gorenstein import approx_gproj, hull_ginj
-from derlab.samples import random_diagram
+from derlab.homotopy import _corner_in_square
+from derlab.modules import regular_module
+from derlab.samples import random_diagram, random_gproj
 
 RECORDED_SHA256 = "337b84df8042ab879d9e6c57de62b44a290e238318d1a124127f07be5692e198"
+RECORDED_DGKAN_SHA256 = "023e8cc62102cd72de8c75a952a96b70f3184d5a5692b718939b8e7a3621975c"
 
 
 def _feed_array(h, a: np.ndarray) -> None:
@@ -74,3 +84,61 @@ def canonical_digest() -> str:
 
 def test_covers_and_approximations_keep_their_canonical_bytes():
     assert canonical_digest() == RECORDED_SHA256
+
+
+def _feed_weight(h, w) -> None:
+    _feed_array(h, np.array([w.at(o).dim for o in w.shape.objects]))
+    for f in w.shape.nonidentity_morphisms():
+        _feed_array(h, w.mat(f).a)
+
+
+def _feed_resolution(h, res) -> None:
+    cx = res.complex
+    for q in cx.degrees():
+        h.update(repr([(s.obj, s.key, s.coeff_labels) for s in cx.terms[q]]).encode())
+        for a in cx.cat.objects:
+            if q < 0:
+                _feed_array(h, cx.diff_matrix_at(q, a).a)
+    for a in cx.cat.objects:
+        _feed_array(h, res.aug[a].a)
+
+
+def _feed_complex(h, c, lo: int, hi: int) -> None:
+    for n in range(lo, hi + 1):
+        _feed(h, c.term(n))
+        for o in c.shape.objects:
+            _feed_array(h, c.diff(n).comps[o].a)
+
+
+def dgkan_digest() -> str:
+    """Along the identity, the map to the point, every object functor and
+    (on the square) the corner inclusion, over p = 2, 3: the complete
+    resolution of a seeded Gorenstein projective where the functor's domain
+    is the shape, the stalk of the regular module otherwise.  The last
+    shape has two arrows j -> B, so a weight's structure maps move blocks
+    to another index of a hom-set."""
+    h = hashlib.sha256()
+    parallel = DirectCategory(["j", "A", "B"], {"f": ("j", "A"), "g": ("A", "B"), "a": ("j", "B"), "gf": ("j", "B")}, {("g", "f"): "gf"})
+    shapes = ((arrow_category(), []), (cospan_category(), []), (square_category(), [_corner_in_square()]), (parallel, []))
+    for p in (2, 3):
+        alg = dual_numbers(p)
+        rng = random.Random(p)
+        for shape, more in shapes:
+            x = complete_resolution(random_gproj(shape, alg, 2, rng))
+            to_point = CatFunctor(shape, terminal_category(), {o: "*" for o in shape.objects}, {f: "1_*" for f in shape.morphisms})
+            for u in [identity_functor(shape), to_point] + [object_functor(shape, o) for o in shape.objects] + more:
+                for j in u.cod.objects:
+                    for w in (restriction_weight(u, j, p), restriction_weight_right(u, j, p)):
+                        _feed_weight(h, w)
+                        _feed_resolution(h, bar_resolution(w))
+                t = x if u.dom is shape else LazyComplex.bounded(u.dom, alg, {0: constant_diagram(u.dom, alg, regular_module(alg))}, {})
+                _feed_complex(h, ho_left_kan(u, t), -1, 1)
+                _feed_complex(h, ho_right_kan(u, t), -1, 1)
+                for j in u.cod.objects:
+                    rep = der4_check(u, j, t, -1, 1)
+                    h.update(repr((rep.underived_ok, rep.derived_ok, rep.window, sorted(rep.details.items()))).encode())
+    return h.hexdigest()
+
+
+def test_dg_model_kan_extensions_keep_their_canonical_bytes():
+    assert dgkan_digest() == RECORDED_DGKAN_SHA256

@@ -542,3 +542,27 @@ def test_suite_fuzz_always_reports(tmp_path, case):
     assert ("error" in report) == (code == 2)
     if code != 2 and any(it["verdict"] == "pass" for it in report["items"]):
         _validate_loaded_objects(scen)
+
+
+def test_the_ground_field_runs_every_suite(tmp_path):
+    # F_2 with its zero radical declared once failed the self-injectivity
+    # gate with "hstack of nothing"
+    (tmp_path / "alg.json").write_text(json.dumps({"p": 2, "basis": ["1"], "dim": 1, "unit": [1], "mul": [[[1]]], "radical": []}))
+    (tmp_path / "one.json").write_text(json.dumps({
+        "shape": "arrow",
+        "objects": {"0": {"dim": 1, "action": [[[1]]]}, "1": {"dim": 1, "action": [[[1]]]}},
+        "morphisms": {"e0": [[1]]},
+    }))
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "algebra": "alg.json",
+        "categories": {"arrow": str(SCENARIOS / "cat_arrow.json"), "point": str(SCENARIOS / "cat_point.json")},
+        "functors": {"to_point": str(SCENARIOS / "fun_to_point.json")},
+        "diagrams": {"one": "one.json"},
+        "suites": KNOWN_SUITES,
+    }))
+    report, code = run_scenario(str(scen))
+    assert code == 0, report.get("error")
+    assert report["summary"] == {"pass": 17, "fail": 0, "unknown": 0}
+    assert {it["suite"] for it in report["items"]} == set(KNOWN_SUITES)
+    assert main(["run", str(scen), "--report", str(tmp_path / "report.json")]) == 0

@@ -3,19 +3,21 @@ import random
 import numpy as np
 import pytest
 
-from derlab.algebra import dual_numbers
+from derlab.algebra import dual_numbers, ground_field
 from derlab.cats import (
     CatFunctor,
+    DirectCategory,
     arrow_category,
     cospan_category,
     identity_functor,
     object_functor,
+    opposite_functor,
     span_category,
     square_category,
     terminal_category,
 )
 from derlab.field import Mat, hstack, rank, vstack
-from derlab.modules import Module, regular_module
+from derlab.modules import Module, free_module, regular_module
 from derlab.diagrams import (
     Diagram,
     DiagramMap,
@@ -27,10 +29,12 @@ from derlab.diagrams import (
 )
 from derlab.complexes import LazyComplex, ComplexMap, cone, complete_resolution, dual_complex, shift, z0
 from derlab.samples import random_diagram, random_gproj
-from derlab.gorenstein import is_gproj
+from derlab.gorenstein import VerificationError, is_gproj
+from derlab.homotopy import _corner_in_square
 from derlab.dgkan import (
     Der4Report,
-    LeftKIModule,
+    FreeComplex,
+    FreeResolution,
     Weight,
     bar_resolution,
     crosscheck_kan,
@@ -62,14 +66,14 @@ def kres_point(dn, simple):
 
 def test_bar_over_point(dn):
     e = terminal_category()
-    m = LeftKIModule.constant(e, 2, 3)
+    m = constant_diagram(e, ground_field(2), free_module(ground_field(2), 3))
     res = bar_resolution(m)
     assert res.length == 0
     assert res.complex.value_dim(0, "*") == 3
 
 
 def test_bar_of_representable_over_arrow(dn, arrow):
-    m = LeftKIModule.representable(arrow, 2, "0")
+    m = restriction_weight(identity_functor(arrow), "0", 2)
     res = bar_resolution(m)
     # B_1 = h^1, B_0 = h^0 (+) h^1; per-object dimensions:
     assert res.complex.value_dim(-1, "0") == 0
@@ -83,7 +87,7 @@ def test_bar_length_bound(dn, arrow):
     from derlab.cats import square_category
 
     sq = square_category()
-    m = LeftKIModule.constant(sq, 2, 1)
+    m = constant_diagram(sq, ground_field(2), regular_module(ground_field(2)))
     res = bar_resolution(m)
     # longest strict chain in the square has two arrows
     assert res.length <= 2
@@ -92,13 +96,13 @@ def test_bar_length_bound(dn, arrow):
 def test_restriction_weight_examples(dn, arrow):
     u = identity_functor(arrow)
     w = restriction_weight(u, "0", 2)
-    assert w.dims == {"0": 1, "1": 1}  # the representable at 0
+    assert {o: w.at(o).dim for o in arrow.objects} == {"0": 1, "1": 1}  # the representable at 0
     v = object_functor(arrow, "1")
     w2 = restriction_weight(v, "0", 2)
-    assert w2.dims == {"*": 1}
+    assert w2.at("*").dim == 1
     to_point = CatFunctor(arrow, terminal_category(), {"0": "*", "1": "*"}, {"e0": "1_*"})
     w3 = restriction_weight(to_point, "*", 2)
-    assert w3.dims == {"0": 1, "1": 1}
+    assert {o: w3.at(o).dim for o in arrow.objects} == {"0": 1, "1": 1}
     w3.validate()
 
 
@@ -283,17 +287,22 @@ def test_crosscheck_cosieve_stalk(dn, simple, arrow):
     assert v.is_true
 
 
+def _parallel_path_category():
+    """A direct arrow j -> B next to the composite j -> A -> B; its name
+    sorts before the composite's, so postcomposing with g moves a weight
+    block to another index of J(j, B)."""
+    return DirectCategory(
+        ["j", "A", "B"],
+        {"f": ("j", "A"), "g": ("A", "B"), "a": ("j", "B"), "gf": ("j", "B")},
+        {("g", "f"): "gf"},
+    )
+
+
 def test_der4_with_non_factoring_parallel_path(dn, reg):
     # J has a direct arrow j -> B next to a composite j -> A -> B; the
     # restriction-weight map is then not surjective, which exercises the
     # naturality bookkeeping of the underived comparison
-    from derlab.cats import DirectCategory
-
-    J = DirectCategory(
-        ["j", "A", "B"],
-        {"f": ("j", "A"), "g": ("A", "B"), "h": ("j", "B"), "gf": ("j", "B")},
-        {("g", "f"): "gf"},
-    )
+    J = _parallel_path_category()
     I = arrow_category()
     u = CatFunctor(I, J, {"0": "A", "1": "B"}, {"e0": "g"})
     x = constant_diagram(I, dn, reg)
@@ -329,7 +338,7 @@ def test_holim_of_constant_weight_is_the_limit(p, make_shape):
     alg = dual_numbers(p)
     x = constant_diagram(cat, alg, regular_module(alg))
     stalk = LazyComplex.bounded(cat, alg, {0: x}, {})
-    res = bar_resolution(LeftKIModule.constant(cat, p, 1))
+    res = bar_resolution(constant_diagram(cat, ground_field(p), regular_module(ground_field(p))))
     h = weighted_holim(Weight.from_resolution(res), stalk)
     assert _cohomology_dim(h, 0, "*") == limit_of_diagram(x)[0].dim
     assert _cohomology_dim(h, 1, "*") == _cohomology_dim(h, 2, "*") == 0
@@ -408,3 +417,95 @@ def test_der4_reports_do_not_depend_on_the_slice_cache():
             fresh = report(der4_check(CatFunctor(u.dom, u.cod, u.obj_map, u.mor_map), j, t, -1, 1))
             assert report(der4_check(u, j, t, -1, 1)) == fresh
             assert report(der4_check(u, j, t, -1, 1)) == fresh
+
+
+def _hand_built_weight(u, j):
+    """The restriction weight i |-> k.J(j, u(i)) as dgkan once built it by
+    hand: dimensions and 0/1 postcomposition matrices."""
+    I, J = u.dom, u.cod
+    dims = {i: len(J.hom(j, u.on_obj(i))) for i in I.objects}
+    mats = {}
+    for h in I.nonidentity_morphisms():
+        src_list, tgt_list = J.hom(j, u.on_obj(I.src(h))), J.hom(j, u.on_obj(I.tgt(h)))
+        m = np.zeros((len(tgt_list), len(src_list)), dtype=np.int64)
+        for col, f in enumerate(src_list):
+            m[tgt_list.index(J.compose(u.on_mor(h), f)), col] = 1
+        mats[h] = m
+    return dims, mats
+
+
+def _weight_functors():
+    for make_shape in SHAPES:
+        cat = make_shape()
+        yield identity_functor(cat)
+        yield _to_point(cat)
+        for o in cat.objects:
+            yield object_functor(cat, o)
+    yield _corner_in_square()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_restriction_weights_are_the_hand_built_relabellings(p):
+    k = ground_field(p)
+    checked = 0
+    for u in _weight_functors():
+        for j in u.cod.objects:
+            for w, v in ((restriction_weight(u, j, p), u), (restriction_weight_right(u, j, p), opposite_functor(u))):
+                dims, mats = _hand_built_weight(v, j)
+                assert w.alg is k and w.shape is v.dom
+                assert {i: w.at(i).dim for i in v.dom.objects} == dims
+                assert all(w.at(i).action == [Mat.identity(p, d)] for i, d in dims.items())
+                for h, m in mats.items():
+                    assert w.mat(h).a.shape == m.shape and np.array_equal(w.mat(h).a, m)
+                w.validate()
+                checked += 1
+    assert checked == 2 * sum(len(u.cod.objects) for u in _weight_functors())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ho_kan_terms_are_functorial_on_shapes_with_composites(p):
+    # the square's composites make the structure maps compose relabellings,
+    # and the parallel path makes them move blocks within a hom-set
+    alg = dual_numbers(p)
+    rng = random.Random(p)
+    shapes = (cospan_category, square_category, _parallel_path_category)
+    functors = [f(make_shape()) for make_shape in shapes for f in (identity_functor, _to_point)]
+    for u in functors + [_corner_in_square()]:
+        t = complete_resolution(random_gproj(u.dom, alg, 2, rng))
+        for kan in (ho_left_kan(u, t), ho_right_kan(u, t)):
+            for n in range(-2, 3):
+                kan.term(n).validate()
+                kan.diff(n).validate()
+
+
+def test_verify_exactness_catches_every_flipped_entry():
+    # over F_2 a flipped entry of a bar differential's coefficient matrix or
+    # of the augmentation always breaks the augmented complex
+    k = ground_field(2)
+    checked = 0
+    for make_shape in SHAPES:
+        cat = make_shape()
+        weights = [constant_diagram(cat, k, regular_module(k))]
+        weights += [restriction_weight(identity_functor(cat), j, 2) for j in cat.objects]
+        for w in weights:
+            res = bar_resolution(w)
+            cx = res.complex
+            for q, comp in cx.diffs.items():
+                for key, arrows in comp.items():
+                    for arrow, coeff in arrows.items():
+                        for entry in np.ndindex(coeff.a.shape):
+                            a = coeff.a.copy()
+                            a[entry] ^= 1
+                            diffs = {qq: {kk: dict(v) for kk, v in cc.items()} for qq, cc in cx.diffs.items()}
+                            diffs[q][key][arrow] = Mat(2, a)
+                            with pytest.raises(VerificationError):
+                                FreeResolution(FreeComplex(cat, 2, cx.terms, diffs), w, res.aug).verify_exactness()
+                            checked += 1
+            for o, m in res.aug.items():
+                for entry in np.ndindex(m.a.shape):
+                    a = m.a.copy()
+                    a[entry] ^= 1
+                    with pytest.raises(VerificationError):
+                        FreeResolution(cx, w, {**res.aug, o: Mat(2, a)}).verify_exactness()
+                    checked += 1
+    assert checked == 112
