@@ -26,6 +26,7 @@ from .diagrams import (
     ext1,
     hom_space_diagrams,
     identity_diagram_map,
+    left_kan_from_point,
     projective_cover_diagram,
     restrict,
     stalk_diagram,
@@ -252,12 +253,12 @@ def _suite_kan(s: Session) -> Suite:
         if is_gproj(d):
             def left(u=u, d=d):
                 y = gproj_left_kan(u, d)
-                dims_ok = []
-                for ydiag in s.diagrams.values():
-                    if ydiag.shape is u.cod:
-                        lhs = len(hom_space_diagrams(y, ydiag))
-                        rhs = len(hom_space_diagrams(d, restrict(u, ydiag)))
-                        dims_ok.append(lhs == rhs)
+                # Hom(u_! d, t) = Hom(d, u^* t) against the loaded diagrams of
+                # shape u.cod, or against the free ones j_!(Lambda) if none is
+                targets = [t for t in s.diagrams.values() if t.shape is u.cod] or [
+                    left_kan_from_point(u.cod, s.alg, j, regular_module(s.alg)) for j in u.cod.objects
+                ]
+                dims_ok = [len(hom_space_diagrams(y, t)) == len(hom_space_diagrams(d, restrict(u, t))) for t in targets]
                 verdict = "pass" if all(dims_ok) else "fail"
                 return verdict, {"adjunction_dims_checked": len(dims_ok)}
             yield f"kan/left/{uname}/{dname}", left

@@ -36,7 +36,9 @@ from .modules import (
     compose,
     direct_sum,
     dual_module,
-    free_cover,
+    free_module,
+    generator_legs,
+    intertwining_elements,
     quotient_module,
     solve_in_basis,
     submodule,
@@ -206,30 +208,26 @@ def constant_diagram(shape: DirectCategory, alg: Algebra, m: Module) -> Diagram:
     return Diagram(shape, alg, {o: m for o in shape.objects}, mats)
 
 
+def block_sum_diagram(xs: Sequence[Diagram]) -> Diagram:
+    """The direct sum of the diagrams, their blocks in the given order."""
+    shape, alg, p = xs[0].shape, xs[0].alg, xs[0].alg.p
+    modules = {o: Module(alg, [block_diag(p, acts) for acts in zip(*(x.at(o).action for x in xs))]) for o in shape.objects}
+    return Diagram(shape, alg, modules, {f: block_diag(p, [x.mat(f) for x in xs]) for f in shape.nonidentity_morphisms()})
+
+
 def direct_sum_diagrams(xs: Sequence[Diagram]) -> Tuple[Diagram, List[DiagramMap], List[DiagramMap]]:
     xs = list(xs)
     if not xs:
         raise DiagramError("empty direct sum needs a shape; use zero_diagram")
-    shape, alg = xs[0].shape, xs[0].alg
-    modules = {}
-    injs_by_obj: Dict[str, List[ModuleMap]] = {}
-    projs_by_obj: Dict[str, List[ModuleMap]] = {}
-    for o in shape.objects:
-        total, injs, projs = direct_sum([x.at(o) for x in xs])
-        modules[o] = total
-        injs_by_obj[o] = injs
-        projs_by_obj[o] = projs
-    mats = {}
-    for f in shape.nonidentity_morphisms():
-        mats[f] = block_diag(alg.p, [x.mat(f) for x in xs])
-    total_diag = Diagram(shape, alg, modules, mats)
+    total = block_sum_diagram(xs)
+    objs = total.shape.objects
+    eyes = {o: Mat.identity(total.alg.p, total.at(o).dim) for o in objs}
+    offsets = {o: list(accumulate([0] + [x.at(o).dim for x in xs])) for o in objs}
     injections = [
-        DiagramMap(x, total_diag, {o: injs_by_obj[o][k].mat for o in shape.objects}) for k, x in enumerate(xs)
+        DiagramMap(x, total, {o: eyes[o][:, offsets[o][k] : offsets[o][k + 1]] for o in objs}) for k, x in enumerate(xs)
     ]
-    projections = [
-        DiagramMap(total_diag, x, {o: projs_by_obj[o][k].mat for o in shape.objects}) for k, x in enumerate(xs)
-    ]
-    return total_diag, injections, projections
+    projections = [DiagramMap(total, x, {o: c.T for o, c in inj.comps.items()}) for x, inj in zip(xs, injections)]
+    return total, injections, projections
 
 
 def free_diagram(shape: DirectCategory, alg: Algebra, parts: Sequence[Tuple[str, Module]]) -> Diagram:
@@ -297,7 +295,7 @@ def hom_space_diagrams(x: Diagram, y: Diagram) -> List[DiagramMap]:
     and naturality constraints, vectorized object by object."""
     if not same_category(x.shape, y.shape):
         raise DiagramError("hom of diagrams over different shapes")
-    alg, p = x.alg, x.alg.p
+    p = x.alg.p
     objs = x.shape.objects
     sizes = [y.at(o).dim * x.at(o).dim for o in objs]
     offsets = {}
@@ -315,7 +313,7 @@ def hom_space_diagrams(x: Diagram, y: Diagram) -> List[DiagramMap]:
             continue
         eye_t = Mat.identity(p, t)
         eye_s = Mat.identity(p, s)
-        for k in range(alg.dim):
+        for k in intertwining_elements(x.at(o), y.at(o)):
             piece = kron(eye_t, x.at(o).action[k].T) - kron(y.at(o).action[k], eye_s)
             big = np.zeros((piece.rows, total), dtype=np.int64)
             big[:, offsets[o] : offsets[o] + piece.cols] = piece.a
@@ -466,27 +464,36 @@ def pushout_diagrams(f: DiagramMap, g: DiagramMap) -> Tuple[Diagram, DiagramMap,
     """Pushout of x <-f- z -g-> y in the diagram category (componentwise)."""
     if f.src is not g.src:
         raise DiagramError("pushout needs a shared source diagram")
-    total, injs, _ = direct_sum_diagrams([f.tgt, g.tgt])
-    combined = DiagramMap(
-        f.src,
-        total,
-        {o: vstack([f.comps[o], -g.comps[o] if g.comps[o].rows else g.comps[o]]) for o in f.src.shape.objects},
-    )
+    x, y = f.tgt, g.tgt
+    total = block_sum_diagram([x, y])
+    combined = DiagramMap(f.src, total, {o: vstack([f.comps[o], -g.comps[o]]) for o in x.shape.objects})
     po, proj = cokernel_diagram(combined)
-    return po, compose_diagram_maps(proj, injs[0]), compose_diagram_maps(proj, injs[1])
+    # the legs are the cokernel projection on the two summands: column slices
+    dims = {o: x.at(o).dim for o in x.shape.objects}
+    return (
+        po,
+        DiagramMap(x, po, {o: c[:, : dims[o]] for o, c in proj.comps.items()}),
+        DiagramMap(y, po, {o: c[:, dims[o] :] for o, c in proj.comps.items()}),
+    )
 
 
 # -- covers and envelopes ------------------------------------------------------
+
+
+def free_legs_at(x: Diagram, j: str, legs: Sequence[Mat], o: str) -> Mat:
+    """At o, the map j_!(Lambda^n) -> x adjunct to n legs Lambda -> x_j:
+    the copy of Lambda^n for f: j -> o goes to x_o by x(f) o legs."""
+    return hstack([Mat.zeros(x.alg.p, x.at(o).dim, 0)] + [x.mat(f) @ leg for f in x.shape.hom(j, o) for leg in legs])
 
 
 def projective_cover_diagram(x: Diagram) -> DiagramConflation:
     """Deflation  (+)_j j_!(free cover of x_j) ->> x, with the syzygy diagram
     as kernel.  At o, the copy of the cover P_j ->> x_j for f: j -> o maps
     to x_o through x(f): the counits of the free diagrams side by side."""
-    shape = x.shape
-    covers = [(j, free_cover(x.at(j)).right) for j in shape.objects]
-    middle = free_diagram(shape, x.alg, [(j, cover.src) for j, cover in covers])
-    comps = {o: hstack([x.mat(f) @ cover.mat for j, cover in covers for f in shape.hom(j, o)]) for o in shape.objects}
+    shape, alg = x.shape, x.alg
+    legs = {j: generator_legs(x.at(j)) for j in shape.objects}
+    middle = free_diagram(shape, alg, [(j, free_module(alg, len(legs[j]))) for j in shape.objects])
+    comps = {o: hstack([free_legs_at(x, j, legs[j], o) for j in shape.objects]) for o in shape.objects}
     defl = DiagramMap(middle, x, comps)
     ker, incl = kernel_diagram(defl)
     return DiagramConflation(incl, defl)

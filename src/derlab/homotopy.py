@@ -27,6 +27,8 @@ from .modules import (
     Module,
     StableHomReport,
     StableIsoPair,
+    generator_legs,
+    regular_module,
     stable_hom_in,
     stable_iso_map_in,
     stable_iso_pair_in,
@@ -41,9 +43,11 @@ from .diagrams import (
     compose_diagram_maps,
     direct_sum_diagrams,
     factor_matrix_through_surjection,
+    free_legs_at,
     hom_space_diagrams,
     identity_diagram_map,
     injective_embed_diagram,
+    left_kan_from_point,
     projective_cover_diagram,
     solve_in_hom,
     stalk_diagram,
@@ -86,8 +90,20 @@ class _DiagramOps:
     def zero(self, a: Diagram, b: Diagram) -> DiagramMap:
         return zero_diagram_map(a, b)
 
-    def cover(self, b: Diagram) -> DiagramMap:
-        return projective_cover_diagram(b).right
+    def free_blocks(self, x: Diagram) -> List[Tuple[Diagram, List[DiagramMap]]]:
+        """j_!(Lambda) for each object j where x has generators, with one leg
+        per generator g of x_j: at o, the copy of Lambda for f: j -> o goes
+        to x_o by x(f) o (1 |-> g)."""
+        shape, alg = x.shape, x.alg
+        blocks = []
+        for j in shape.objects:
+            legs = generator_legs(x.at(j))
+            if not legs:
+                continue
+            free = left_kan_from_point(shape, alg, j, regular_module(alg))
+            maps = [DiagramMap(free, x, {o: free_legs_at(x, j, [leg], o) for o in shape.objects}) for leg in legs]
+            blocks.append((free, maps))
+        return blocks
 
     def stable_hom(self, a: Diagram, b: Diagram) -> StableHomReport:
         return stable_hom_diagrams(a, b)
@@ -101,8 +117,8 @@ _DIAGRAMS = _DiagramOps()
 
 def stable_hom_diagrams(x: Diagram, y: Diagram) -> StableHomReport:
     """Hom(x, y) modulo maps factoring through a projective diagram; the
-    subspace is the image of composition with the projective-cover
-    deflation of y."""
+    subspace is spanned by the maps x -> j_!(Lambda) composed with the
+    generator legs j_!(Lambda) -> y."""
     return stable_hom_in(_DIAGRAMS, x, y)
 
 

@@ -234,10 +234,10 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     s, t = m.dim, n.dim
     if s == 0 or t == 0:
         return []
-    blocks = []
+    blocks = [Mat.zeros(p, 0, t * s)]
     eye_t = Mat.identity(p, t)
     eye_s = Mat.identity(p, s)
-    for k in range(m.alg.dim):
+    for k in intertwining_elements(m, n):
         # X @ S_k - T_k @ X = 0, row-major vec: kron(I, S_k^T) - kron(T_k, I)
         blocks.append(kron(eye_t, m.action[k].T) - kron(n.action[k], eye_s))
     system = vstack(blocks)
@@ -246,6 +246,17 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     for j in range(basis.cols):
         out.append(ModuleMap(m, n, basis.col(j).reshape(t, s)))
     return out
+
+
+def intertwining_elements(m: Module, n: Module) -> List[int]:
+    """The basis elements e_k whose equations X S_k = T_k X a hom from m to
+    n must satisfy: all of them but a unit basis vector that acts as the
+    identity on both, whose equations X = X are rows of zeros."""
+    unit, every = m.alg.unit, range(m.alg.dim)
+    u = int(unit.argmax())
+    if np.count_nonzero(unit) == 1 and unit[u] == 1 and m.action[u].is_identity() and n.action[u].is_identity():
+        return [k for k in every if k != u]
+    return list(every)
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -260,16 +271,12 @@ def submodule(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
 
     Raises if the span is not invariant under the action.
     """
-    basis = column_space_basis(span_cols)
-    incl = basis  # amb.dim x r
-    action = []
-    for k in range(amb.alg.dim):
-        moved = amb.action[k] @ incl
-        coords = solve(incl, moved)
-        if coords is None:
-            raise ModuleError("span is not action-invariant")
-        action.append(coords)
-    sub = Module(amb.alg, action)
+    incl = column_space_basis(span_cols)  # amb.dim x r
+    r = incl.cols
+    coords = solve(incl, hstack([a @ incl for a in amb.action]))
+    if coords is None:
+        raise ModuleError("span is not action-invariant")
+    sub = Module(amb.alg, [coords[:, k * r : (k + 1) * r] for k in range(amb.alg.dim)])
     return sub, ModuleMap(sub, amb, incl)
 
 
@@ -359,24 +366,23 @@ def _radical_layer(m: Module) -> Mat:
     return column_space_basis(hstack([m.act(rad.a[:, j]) for j in range(rad.cols)]))
 
 
+def generator_legs(m: Module) -> List[Mat]:
+    """For each generator g of m, the matrix of the map Lambda -> m with
+    1 |-> g, which sends e_k to g . e_k = A_k @ g.  Side by side they are
+    the free cover's deflation, checked to be onto."""
+    p = m.alg.p
+    gens = generators(m)
+    acted = np.stack([a.a @ gens.a for a in m.action], axis=2) % p  # [:, i, k] = A_k @ g_i
+    if rank(Mat._of(p, acted.reshape(m.dim, gens.cols * m.alg.dim))) != m.dim:
+        raise ModuleError("chosen generators do not generate")
+    return [Mat._of(p, acted[:, i, :]) for i in range(gens.cols)]
+
+
 def free_cover(m: Module) -> Conflation:
     """Conflation  syzygy >--> Lambda^g -->> m  from chosen generators."""
-    alg = m.alg
-    p = alg.p
-    gens = generators(m)
-    g = gens.cols
-    middle = free_module(alg, g)
-    if g == 0:
-        cover = ModuleMap(middle, m, Mat.zeros(p, m.dim, 0))
-    else:
-        cols = []
-        for i in range(g):
-            gen = gens.col(i)
-            for k in range(alg.dim):
-                cols.append(m.action[k] @ gen)
-        cover = ModuleMap(middle, m, hstack(cols))
-    if rank(cover.mat) != m.dim:
-        raise ModuleError("chosen generators do not generate")
+    legs = generator_legs(m)
+    middle = free_module(m.alg, len(legs))
+    cover = ModuleMap(middle, m, hstack([Mat.zeros(m.alg.p, m.dim, 0)] + legs))
     ker_mod, ker_incl = submodule(middle, kernel_basis(cover.mat))
     return Conflation(ModuleMap(ker_mod, middle, ker_incl.mat), cover)
 
@@ -441,8 +447,9 @@ def cosyzygy(m: Module) -> Module:
 # A stable Hom is Hom modulo the maps that factor through a projective.  The
 # functions below are written once over a small set of operations of the
 # exact category (an "ops" object, see _ModuleOps): hom basis, vectorize,
-# compose, identity, zero map and projective-cover deflation, plus the
-# category's own stable_hom / is_stable_iso_map entry points.  Ops objects
+# compose, identity, zero map and the free blocks of a projective cover of b
+# (free objects F with their generator legs F -> b), plus the category's own
+# stable_hom / is_stable_iso_map entry points.  Ops objects
 # reach those through module-level names at call time, so rebinding a name
 # (as bench/tracer.py does) is seen by the shared code too.
 
@@ -524,12 +531,14 @@ def stable_hom_in(ops, a, b) -> StableHomReport:
     quotient dimension.
 
     Any factorization through a projective lifts through the cover
-    deflation P(b) ->> b, so the subspace is the image of composition
-    Hom(a, P(b)) -> Hom(a, b).
+    deflation P(b) ->> b.  P(b) is a sum of copies of free objects F, one
+    per generator of b, and the deflation is the sum of the generator legs
+    F -> b, so the subspace is spanned by leg o h for h in Hom(a, F): one
+    small Hom per free object instead of Hom(a, P(b)).
     """
     basis = ops.hom(a, b)
-    cover = ops.cover(b)
-    cols = [ops.vec(ops.compose(cover, h)) for h in ops.hom(a, cover.src)]
+    blocks = ops.free_blocks(b)
+    cols = [ops.vec(ops.compose(leg, h)) for free, legs in blocks for h in ops.hom(a, free) for leg in legs]
     if cols:
         sub = column_space_basis(hstack(cols))
     else:
@@ -622,8 +631,10 @@ class _ModuleOps:
     def zero(self, a: Module, b: Module) -> ModuleMap:
         return zero_map(a, b)
 
-    def cover(self, b: Module) -> ModuleMap:
-        return free_cover(b).right
+    def free_blocks(self, b: Module) -> List[Tuple[Module, List[ModuleMap]]]:
+        legs = generator_legs(b)
+        free = regular_module(b.alg)
+        return [(free, [ModuleMap(free, b, leg) for leg in legs])] if legs else []
 
     def stable_hom(self, a: Module, b: Module) -> StableHomReport:
         return stable_hom(a, b)

@@ -565,4 +565,7 @@ def test_the_ground_field_runs_every_suite(tmp_path):
     assert code == 0, report.get("error")
     assert report["summary"] == {"pass": 17, "fail": 0, "unknown": 0}
     assert {it["suite"] for it in report["items"]} == set(KNOWN_SUITES)
+    # no point-shaped diagram is loaded, so kan/left checks against j_!(Lambda)
+    kan_left = [it for it in report["items"] if it["id"].startswith("kan/left/")]
+    assert kan_left and all(it["details"]["adjunction_dims_checked"] >= 1 for it in kan_left)
     assert main(["run", str(scen), "--report", str(tmp_path / "report.json")]) == 0
