@@ -40,6 +40,7 @@ from .modules import (
     generator_legs,
     intertwining_elements,
     quotient_module,
+    same_module,
     solve_in_basis,
     submodule,
     zero_module,
@@ -51,13 +52,18 @@ class DiagramError(DerlabError, ValueError):
 
 
 class Diagram:
-    __slots__ = ("shape", "alg", "modules", "mats")
+    """A diagram is a value: nothing changes its modules or matrices once
+    it is built.  So what depends only on its content may be computed once
+    and kept on it, as projective_cover_diagram keeps the cover."""
+
+    __slots__ = ("shape", "alg", "modules", "mats", "_cover")
 
     def __init__(self, shape: DirectCategory, alg: Algebra, modules: Dict[str, Module], mats: Dict[str, Mat]) -> None:
         self.shape = shape
         self.alg = alg
         self.modules = dict(modules)
         self.mats = dict(mats)
+        self._cover = None
         for o in shape.objects:
             if o not in self.modules:
                 raise DiagramError(f"diagram misses object {o}")
@@ -106,6 +112,17 @@ class Diagram:
     def __repr__(self) -> str:
         dims = {o: self.modules[o].dim for o in self.shape.objects}
         return f"Diagram({dims})"
+
+
+def same_diagram(x: Diagram, y: Diagram) -> bool:
+    """Equality of content: the same shape and algebra instance, the same
+    modules and the same structure matrices."""
+    return x is y or (
+        same_category(x.shape, y.shape)
+        and x.alg is y.alg
+        and all(same_module(x.modules[o], y.modules[o]) for o in x.shape.objects)
+        and all(x.mats[f] == y.mats[f] for f in x.shape.nonidentity_morphisms())
+    )
 
 
 class DiagramMap:
@@ -340,7 +357,7 @@ def hom_space_diagrams(x: Diagram, y: Diagram) -> List[DiagramMap]:
         comps = {}
         for o in objs:
             s, t = x.at(o).dim, y.at(o).dim
-            comps[o] = basis[offsets[o] : offsets[o] + t * s, jcol : jcol + 1].reshape(t, s)
+            comps[o] = Mat._of(p, basis.a[offsets[o] : offsets[o] + t * s, jcol].reshape(t, s))
         out.append(DiagramMap(x, y, comps))
     return out
 
@@ -489,14 +506,19 @@ def free_legs_at(x: Diagram, j: str, legs: Sequence[Mat], o: str) -> Mat:
 def projective_cover_diagram(x: Diagram) -> DiagramConflation:
     """Deflation  (+)_j j_!(free cover of x_j) ->> x, with the syzygy diagram
     as kernel.  At o, the copy of the cover P_j ->> x_j for f: j -> o maps
-    to x_o through x(f): the counits of the free diagrams side by side."""
-    shape, alg = x.shape, x.alg
-    legs = {j: generator_legs(x.at(j)) for j in shape.objects}
-    middle = free_diagram(shape, alg, [(j, free_module(alg, len(legs[j]))) for j in shape.objects])
-    comps = {o: hstack([free_legs_at(x, j, legs[j], o) for j in shape.objects]) for o in shape.objects}
-    defl = DiagramMap(middle, x, comps)
-    ker, incl = kernel_diagram(defl)
-    return DiagramConflation(incl, defl)
+    to x_o through x(f): the counits of the free diagrams side by side.
+
+    Built once per diagram: x is a value, so the conflation is kept on x
+    and later calls return that same object."""
+    if x._cover is None:
+        shape, alg = x.shape, x.alg
+        legs = {j: generator_legs(x.at(j)) for j in shape.objects}
+        middle = free_diagram(shape, alg, [(j, free_module(alg, len(legs[j]))) for j in shape.objects])
+        comps = {o: hstack([free_legs_at(x, j, legs[j], o) for j in shape.objects]) for o in shape.objects}
+        defl = DiagramMap(middle, x, comps)
+        ker, incl = kernel_diagram(defl)
+        x._cover = DiagramConflation(incl, defl)
+    return x._cover
 
 
 def dual_conflation(c: DiagramConflation, sub: Optional[Diagram] = None) -> DiagramConflation:
@@ -544,7 +566,8 @@ def ext1(x: Diagram, y: Diagram) -> Ext1Result:
     dim = len(from_k) - sub.cols
     # representatives: greedy completion of the image to all of Hom(K, y)
     reps = class_reps(from_k, vec_diagram_map, sub)
-    assert len(reps) == dim
+    if len(reps) != dim:
+        raise DiagramError(f"Ext^1 has dimension {dim} but {len(reps)} class representatives")
     return Ext1Result(dim, reps, K, incl, cover)
 
 

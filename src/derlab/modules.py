@@ -244,7 +244,7 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     basis = kernel_basis(system)
     out = []
     for j in range(basis.cols):
-        out.append(ModuleMap(m, n, basis.col(j).reshape(t, s)))
+        out.append(ModuleMap(m, n, Mat._of(p, basis.a[:, j].reshape(t, s))))
     return out
 
 
@@ -295,7 +295,8 @@ def quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
     proj = Mat(p, redmat)
     # the non-pivot coords are a section of proj
     quot = Module(amb.alg, [proj @ a[:, nonpiv] for a in amb.action])
-    if not (proj @ column_space_basis(span_cols)).is_zero():
+    # the kill check against the span's canonical basis, the rows of red
+    if not (proj @ Mat._of(p, red.a[:r].T)).is_zero():
         raise ModuleError("quotient projection does not kill the span")
     return quot, ModuleMap(amb, quot, proj)
 

@@ -226,6 +226,27 @@ def test_library_error_inside_a_suite_is_a_failed_item(tmp_path, monkeypatch, ca
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_short_ext1_basis_is_a_failed_item(tmp_path, monkeypatch):
+    """ext1 checks its class representatives with a DiagramError, not an
+    assert, so the check holds under python -O and reaches the report."""
+    from derlab import diagrams
+
+    class_reps = diagrams.class_reps
+    monkeypatch.setattr(diagrams, "class_reps", lambda *args: class_reps(*args)[:-1])
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "algebra": str(SCENARIOS / "dual_numbers.json"),
+        "categories": {"arrow": str(SCENARIOS / "cat_arrow.json")},
+        "diagrams": {"simple": str(SCENARIOS / "diag_stalk0_simple.json")},
+        "suites": ["gorenstein-report"],
+    }))
+    report, code = run_scenario(str(scen))
+    assert code == 1
+    [item] = report["items"]
+    assert item["id"] == "gorenstein/simple" and item["verdict"] == "fail"
+    assert "class representatives" in item["details"]["error"]
+
+
 def test_every_library_error_is_a_derlab_error():
     import importlib
     import inspect

@@ -323,6 +323,19 @@ def test_ext1_stalk_example(dn, simple, arrow):
     assert res.dim == 1
 
 
+def test_ext1_refuses_too_few_class_representatives(dn, simple, arrow, monkeypatch):
+    """A basis of Ext^1 short of one class is a DiagramError, also under
+    python -O."""
+    from derlab import diagrams
+
+    x = stalk_diagram(arrow, dn, "0", simple)
+    y = stalk_diagram(arrow, dn, "1", simple)
+    class_reps = diagrams.class_reps
+    monkeypatch.setattr(diagrams, "class_reps", lambda *args: class_reps(*args)[:-1])
+    with pytest.raises(diagrams.DiagramError, match="class representatives"):
+        ext1(x, y)
+
+
 def test_ext1_into_injective_vanishes(dn, simple, reg, arrow):
     x = stalk_diagram(arrow, dn, "0", simple)
     for j in ("0", "1"):
