@@ -9,8 +9,9 @@ projectives and injectives coincide.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class Algebra:
             self.radical = Mat(self.p, np.asarray([list(v) for v in radical], dtype=np.int64).T) if len(radical) else Mat.zeros(self.p, self.dim, 0)
         self._op: Optional["Algebra"] = None
         self._regular_action: Optional[List[Mat]] = None
+        self._memos: Dict[str, dict] = {}
+        _LIVE.add(self)
 
     # -- derived data ---------------------------------------------------
 
@@ -66,6 +69,12 @@ class Algebra:
             if c:
                 out = out + action[k].scale(int(c))
         return out
+
+    def memo(self, name: str) -> dict:
+        """The content-keyed memo `name` of this instance, filled through
+        field.remember.  Memos live and die with their algebra, so a hit
+        never returns a module over another instance."""
+        return self._memos.setdefault(name, {})
 
     def is_local(self) -> bool:
         """Is Lambda local by its declared radical, i.e. has the radical
@@ -90,6 +99,16 @@ class Algebra:
 
     def __repr__(self) -> str:
         return f"Algebra(p={self.p}, dim={self.dim}, basis={self.basis_labels})"
+
+
+_LIVE: "weakref.WeakSet[Algebra]" = weakref.WeakSet()
+
+
+def clear_memos() -> None:
+    """Empty the memos of every live algebra: what follows is computed from
+    cold memos."""
+    for alg in list(_LIVE):
+        alg._memos.clear()
 
 
 def validate_algebra(alg: Algebra) -> Algebra:

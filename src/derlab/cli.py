@@ -85,6 +85,8 @@ class Session:
         self.seed = _scenario_int(scenario, "seed", 0)
         self.budget = _scenario_int(scenario, "budget", 4096)
         self.margin = _scenario_int(scenario, "window_margin", 2)
+        if self.margin < 0:
+            raise ScenarioError(f"malformed scenario: window_margin must be non-negative, got {self.margin}")
         self.alg = None
         self.categories: Dict[str, object] = {}
         self.functors: Dict[str, object] = {}
@@ -505,8 +507,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         report, code = run_scenario(args.scenario, workers=args.workers, seed=args.seed)
         text = json.dumps(report, sort_keys=True, indent=2)
         if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.report, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"error: cannot write report: {exc}", file=sys.stderr)
+                return 2
         if "error" in report:
             print(f"error: {report['error']}", file=sys.stderr)
         else:

@@ -27,9 +27,9 @@ from .modules import Module, ModuleMap, dual_module, generators, is_projective, 
 from .diagrams import (
     Diagram,
     DiagramMap,
+    block_sum_diagram,
     cokernel_diagram,
     compose_diagram_maps,
-    direct_sum_diagrams,
     dual_diagram,
     factor_matrix_through_surjection,
     hom_space_diagrams,
@@ -268,7 +268,7 @@ def cone(f: ComplexMap) -> LazyComplex:
     shape, alg = X.shape, X.alg
 
     def term_fn(k: int) -> Diagram:
-        return direct_sum_diagrams([Y.term(k), X.term(k + 1)])[0]
+        return block_sum_diagram([Y.term(k), X.term(k + 1)])
 
     def diff_fn(k: int) -> Dict[str, Mat]:
         comps = {}
@@ -586,6 +586,8 @@ def sod_decompose(c: LazyComplex, lo: int, hi: int) -> SodResult:
     window.  Over a shape with more than one object the parts are complexes
     only near the window: the p-part raises WindowError for a differential
     outside lo-1..hi+1 and the tc-part for one outside lo-2..hi."""
+    if lo > hi:
+        raise WindowError(f"the window {lo}..{hi} is empty")
     if not c.is_acyclic_on(lo - 1, hi + 1):
         raise WindowError("semiorthogonal decomposition asks for an acyclic window")
     if not c.is_termwise_projective_on(lo, hi):
@@ -627,7 +629,7 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
         return zeta(k, o)[c.term(k).at(o).dim :, :]
 
     def p_term(k: int) -> Diagram:
-        return direct_sum_diagrams([A.term(k), B.term(k)])[0]
+        return block_sum_diagram([A.term(k), B.term(k)])
 
     def p_diff(k: int) -> Dict[str, Mat]:
         if not lo - 1 <= k <= hi + 1:  # zeta has components only there

@@ -39,6 +39,7 @@ from .modules import (
     free_module,
     generator_legs,
     intertwining_elements,
+    module_key,
     quotient_module,
     same_module,
     solve_in_basis,
@@ -122,6 +123,16 @@ def same_diagram(x: Diagram, y: Diagram) -> bool:
         and x.alg is y.alg
         and all(same_module(x.modules[o], y.modules[o]) for o in x.shape.objects)
         and all(x.mats[f] == y.mats[f] for f in x.shape.nonidentity_morphisms())
+    )
+
+
+def diagram_key(x: Diagram) -> tuple:
+    """The content of x as a memo key: its shape (by identity), then the
+    module_key of each object and the bytes of every structure matrix."""
+    return (
+        x.shape,
+        tuple(module_key(x.modules[o]) for o in x.shape.objects),
+        b"".join([x.mats[f].a.tobytes() for f in x.shape.nonidentity_morphisms()]),
     )
 
 
@@ -544,8 +555,6 @@ def injective_embed_diagram(x: Diagram) -> DiagramConflation:
 class Ext1Result:
     dim: int
     reps: List[DiagramMap]        # maps K -> y representing a basis of classes
-    syzygy: Diagram               # K
-    syzygy_incl: DiagramMap       # K -> P
     cover: DiagramConflation      # K >-> P ->> x
 
 
@@ -557,7 +566,7 @@ def ext1(x: Diagram, y: Diagram) -> Ext1Result:
     from_p = hom_space_diagrams(cover.middle, y)
     from_k = hom_space_diagrams(K, y)
     if not from_k:
-        return Ext1Result(0, [], K, incl, cover)
+        return Ext1Result(0, [], cover)
     img = [vec_diagram_map(compose_diagram_maps(h, incl)) for h in from_p]
     if img:
         sub = column_space_basis(hstack(img))
@@ -568,7 +577,7 @@ def ext1(x: Diagram, y: Diagram) -> Ext1Result:
     reps = class_reps(from_k, vec_diagram_map, sub)
     if len(reps) != dim:
         raise DiagramError(f"Ext^1 has dimension {dim} but {len(reps)} class representatives")
-    return Ext1Result(dim, reps, K, incl, cover)
+    return Ext1Result(dim, reps, cover)
 
 
 # -- pointwise Kan extensions ----------------------------------------------------

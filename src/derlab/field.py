@@ -430,6 +430,19 @@ _memo: dict[Tuple[int, Tuple[int, int], bytes], _Elimination] = {}
 _memo_lock = threading.Lock()
 
 
+def remember(memo: dict, key, value, max_entries: int):
+    """Keep value under key in memo, a dict of at most max_entries entries,
+    the oldest evicted first, and return value.  Inserts hold one lock, so
+    threads sharing a memo never push it past its bound.  Every memo of the
+    library is content-keyed and holds immutable values: a hit returns the
+    bytes the call would have computed."""
+    with _memo_lock:
+        if len(memo) >= max_entries:
+            del memo[next(iter(memo))]
+        memo[key] = value
+    return value
+
+
 def _eliminate(a: np.ndarray, p: int) -> _Elimination:
     """The reduced row-echelon form of a (read-only), its rank and pivots."""
     key = None
@@ -443,10 +456,7 @@ def _eliminate(a: np.ndarray, p: int) -> _Elimination:
     work.setflags(False)
     result = (work, r, tuple(pivots))
     if key is not None:
-        with _memo_lock:
-            if len(_memo) >= MEMO_MAX_ENTRIES:
-                del _memo[next(iter(_memo))]
-            _memo[key] = result
+        remember(_memo, key, result, MEMO_MAX_ENTRIES)
     return result
 
 

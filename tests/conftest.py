@@ -7,9 +7,17 @@ import derlab.complexes
 import derlab.diagrams
 import derlab.gorenstein
 
-from derlab.algebra import dual_numbers
+from derlab.algebra import clear_memos, dual_numbers
 from derlab.field import Mat
 from derlab.modules import Module, regular_module, zero_module
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts from empty per-algebra memos, so what one test
+    built is never a hit in the next, and counts of constructions measure
+    the test's own calls."""
+    clear_memos()
 
 
 @pytest.fixture(scope="session")

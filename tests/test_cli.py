@@ -83,6 +83,27 @@ def test_main_entrypoint(tmp_path):
     assert data["summary"]["pass"] == 0
 
 
+def test_main_report_to_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run", str(SCENARIOS / "empty.json"), "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write report" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("margin", [-1, -3])
+def test_negative_window_margin_is_an_input_error(tmp_path, capsys, margin):
+    # -1 gave the sod items the empty window 1..-1 and a pass; -3 escaped
+    # as KeyError: -2 from the termwise contraction
+    scen = _one_document_scenario(tmp_path, "scenario", {"window_margin": margin, "suites": ["sod"]})
+    report, code = run_scenario(str(scen))
+    assert code == 2 and report["items"] == []
+    assert "window_margin must be non-negative" in report["error"]
+    assert main(["run", str(scen)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_main_explain(tmp_path, capsys):
     out = tmp_path / "report.json"
     main(["run", str(SCENARIOS / "regression.json"), "--report", str(out)])
@@ -398,6 +419,7 @@ MALFORMED = {
     "seed-not-an-integer": ("scenario", {"seed": "abc"}),
     "budget-not-an-integer": ("scenario", {"budget": 1.5}),
     "window-margin-not-an-integer": ("scenario", {"window_margin": None}),
+    "window-margin-negative": ("scenario", {"window_margin": -1}),
     "scenario-not-an-object": ("scenario", ["validate"]),
     "categories-not-a-mapping": ("scenario", {"categories": []}),
     "document-path-not-a-string": ("scenario", {"diagrams": {"x": 5}}),

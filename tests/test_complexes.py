@@ -297,6 +297,16 @@ def test_sod_over_arrow_complete_resolution(dn, simple, reg):
         assert is_projective_diagram(res.p_part.term(k))
 
 
+def test_sod_refuses_an_empty_window(dn, simple, reg):
+    # 1..-1 once passed, and 3..-3 raised KeyError: -2 from the contraction
+    arrow = arrow_category()
+    x = Diagram(arrow, dn, {"0": simple, "1": reg}, {"e0": Mat(2, [[0], [1]])}).validate()
+    c = complete_resolution(x)
+    for lo, hi in ((1, -1), (3, -3), (1, 0)):
+        with pytest.raises(WindowError, match="empty"):
+            sod_decompose(c, lo, hi)
+
+
 def test_sod_parts_refuse_degrees_outside_their_window(dn, simple, reg):
     # the parts are complexes only near the window: a differential further
     # out is a WindowError, asked first or after its neighbours

@@ -489,6 +489,7 @@ def test_iso_search_builds_per_pair_data_once(dn, simple, monkeypatch):
     from collections import Counter
 
     import derlab.modules as modules
+    from derlab.algebra import clear_memos
     from derlab.homotopy import loop_via_square
 
     res = loop_via_square(direct_sum([simple] * 3)[0])
@@ -502,6 +503,7 @@ def test_iso_search_builds_per_pair_data_once(dn, simple, monkeypatch):
 
     def search(budget):
         counts.clear()
+        clear_memos()  # on warm memos both searches would build nothing
         verdict = is_stable_iso(res.module, res.syzygy, budget=budget)
         return verdict, dict(counts)
 
