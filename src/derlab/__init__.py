@@ -114,13 +114,15 @@ from .complexes import (
     z0,
 )
 from .dgkan import (
-    Weight,
     bar_resolution,
+    cone_weight,
     crosscheck_kan,
     der4_check,
     ho_left_kan,
     ho_right_kan,
+    representable_weight,
     restriction_weight,
+    shift_weight,
     weighted_hocolim,
     weighted_holim,
 )

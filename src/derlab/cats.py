@@ -489,8 +489,7 @@ def arrow_category() -> DirectCategory:
 
 
 def cospan_category() -> DirectCategory:
-    """b <- is wrong; this is (b <-f- a -g-> c) read as a -> b, a -> c reversed:
-    the cospan x -> z <- y."""
+    """The cospan x -> z <- y."""
     return DirectCategory(["x", "y", "z"], {"f": ("x", "z"), "g": ("y", "z")}, {})
 
 

@@ -75,6 +75,8 @@ def _scenario_int(scenario: dict, key: str, default: int) -> int:
     value = scenario.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"malformed scenario: {key} must be an integer, got {value!r}")
+    if value < 0:
+        raise ScenarioError(f"malformed scenario: {key} must be non-negative, got {value}")
     return value
 
 
@@ -85,8 +87,6 @@ class Session:
         self.seed = _scenario_int(scenario, "seed", 0)
         self.budget = _scenario_int(scenario, "budget", 4096)
         self.margin = _scenario_int(scenario, "window_margin", 2)
-        if self.margin < 0:
-            raise ScenarioError(f"malformed scenario: window_margin must be non-negative, got {self.margin}")
         self.alg = None
         self.categories: Dict[str, object] = {}
         self.functors: Dict[str, object] = {}
@@ -445,6 +445,8 @@ def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = Non
     for name in suites:
         if name not in KNOWN_SUITES:
             return {"error": f"unknown suite {name!r}", "items": []}, 2
+        if suites.count(name) > 1:
+            return {"error": f"malformed scenario: suite {name!r} is listed twice", "items": []}, 2
 
     items: List[dict] = []
     for name in suites:

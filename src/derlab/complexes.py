@@ -38,7 +38,6 @@ from .diagrams import (
     left_kan_from_point,
     projective_cover_diagram,
     restrict,
-    same_diagram,
     vec_diagram_map,
     zero_diagram,
     zero_diagram_map,
@@ -153,11 +152,9 @@ def complete_resolution(x: Diagram) -> LazyComplex:
     iterated embeddings into projectives; the splice sits between degrees
     -1 and 0, so ker(d^0) recovers x.
 
-    Both steps depend only on the content of the diagram they start from.
-    So a cosyzygy (syzygy) equal by content to one already embedded
-    (covered) reuses that step's conflation, and from there the side
-    repeats with its period: Omega k = k over the dual numbers, say.  The
-    terms and differentials are the bytes the fresh steps would give.
+    Both steps are kept by content (diagrams.by_content), so a side closes
+    on its period through memo hits, with the bytes fresh steps would give:
+    Omega k = k over the dual numbers, say.
     """
     if not is_gproj(x):
         raise VerificationError("complete resolutions are defined for Gorenstein projectives")
@@ -167,14 +164,12 @@ def complete_resolution(x: Diagram) -> LazyComplex:
 
     def pos_confl(k: int):
         while len(pos) <= k:
-            g = pos[-1].quot
-            pos.append(next((c for c in pos if same_diagram(c.sub, g)), None) or embed_gproj_into_proj(g))
+            pos.append(embed_gproj_into_proj(pos[-1].quot))
         return pos[k]
 
     def neg_confl(k: int):
         while len(neg) <= k:
-            z = neg[-1].sub
-            neg.append(next((c for c in neg if same_diagram(c.quot, z)), None) or projective_cover_diagram(z))
+            neg.append(projective_cover_diagram(neg[-1].sub))
         return neg[k]
 
     def term_fn(n: int) -> Diagram:

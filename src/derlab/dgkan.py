@@ -272,38 +272,27 @@ def bar_resolution(m: Diagram) -> FreeResolution:
 # -- weights ---------------------------------------------------------------------
 
 
-@dataclass
-class Weight:
-    """A free complex used as a weight (an object of the pretriangulated
-    hull of left modules, presented by free terms)."""
+def representable_weight(cat: DirectCategory, p: int, i: str) -> FreeComplex:
+    """The representable weight on i, a free complex in degree 0."""
+    return FreeComplex(cat, p, {0: [FreeSummand(i, (i,), [((), 0)])]}, {})
 
-    complex: FreeComplex
 
-    @staticmethod
-    def from_resolution(res: FreeResolution) -> "Weight":
-        return Weight(res.complex)
+def shift_weight(p: int, n: int) -> FreeComplex:
+    """One free summand on the point, in degree n: its weighted holim is
+    the shift of the complex by n."""
+    return FreeComplex(terminal_category(), p, {n: [FreeSummand("*", ("*",), [((), 0)])]}, {})
 
-    @staticmethod
-    def representable(cat: DirectCategory, p: int, i: str) -> "Weight":
-        return Weight(FreeComplex(cat, p, {0: [FreeSummand(i, (i,), [((), 0)])]}, {}))
 
-    @staticmethod
-    def shift(p: int, n: int) -> "Weight":
-        e = terminal_category()
-        return Weight(FreeComplex(e, p, {n: [FreeSummand("*", ("*",), [((), 0)])]}, {}))
-
-    @staticmethod
-    def cone(p: int) -> "Weight":
-        """Over [1]: h^1 in degree -1 mapping to h^0 in degree 0 along e0;
-        the weighted holim computes cone(f)[-1] up to the sign isomorphism,
-        exactly at p = 2."""
-        c = arrow_category()
-        terms = {
-            -1: [FreeSummand("1", ("1",), [((), 0)])],
-            0: [FreeSummand("0", ("0",), [((), 0)])],
-        }
-        diffs = {-1: {(0, 0): {"e0": Mat.identity(p, 1)}}}
-        return Weight(FreeComplex(c, p, terms, diffs))
+def cone_weight(p: int) -> FreeComplex:
+    """Over [1]: h^1 in degree -1 mapping to h^0 in degree 0 along e0; the
+    weighted holim computes cone(f)[-1] up to the sign isomorphism, exactly
+    at p = 2."""
+    terms = {
+        -1: [FreeSummand("1", ("1",), [((), 0)])],
+        0: [FreeSummand("0", ("0",), [((), 0)])],
+    }
+    diffs = {-1: {(0, 0): {"e0": Mat.identity(p, 1)}}}
+    return FreeComplex(arrow_category(), p, terms, diffs)
 
 
 # -- collapsed Hom and tensor totalizations ------------------------------------------
@@ -334,10 +323,9 @@ def _relabelling(p: int, src: List[tuple], src_dims: List[int], tgt: List[tuple]
     return Mat(p, out)
 
 
-def weighted_hocolim(w: Weight, f: LazyComplex) -> LazyComplex:
-    """Tensor of the weight (a complex of free right modules, presented over
-    the opposite category) with the complex of diagrams."""
-    wc = w.complex
+def weighted_hocolim(wc: FreeComplex, f: LazyComplex) -> LazyComplex:
+    """Tensor of the weight wc (a complex of free right modules, presented
+    over the opposite category) with the complex of diagrams."""
     alg = f.alg
     p = alg.p
     e = terminal_category()
@@ -416,12 +404,12 @@ def _signed_dual(c: LazyComplex, wcs: Dict[str, FreeComplex], f: LazyComplex, la
     return LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn, label)
 
 
-def weighted_holim(w: Weight, f: LazyComplex) -> LazyComplex:
-    """Hom over the free category from the weight into the complex of
+def weighted_holim(wc: FreeComplex, f: LazyComplex) -> LazyComplex:
+    """Hom over the free category from the weight wc into the complex of
     diagrams, output over the point: by freeness each term collapses to
     finite sums of shifted evaluations.  Computed as the signed dual of
-    weighted_hocolim(w, D f), whose blocks come in the same order."""
-    return _signed_dual(weighted_hocolim(w, dual_complex(f)), {"*": w.complex}, f, "holim")
+    weighted_hocolim(wc, D f), whose blocks come in the same order."""
+    return _signed_dual(weighted_hocolim(wc, dual_complex(f)), {"*": wc}, f, "holim")
 
 
 # -- homotopy Kan extensions over J ---------------------------------------------------
@@ -449,7 +437,7 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
     J = u.cod
     alg = t.alg
     p = alg.p
-    hoc = {j: weighted_hocolim(Weight(wcs[j]), t) for j in J.objects}
+    hoc = {j: weighted_hocolim(wcs[j], t) for j in J.objects}
     blocks = {j: _weight_blocks(wcs[j]) for j in J.objects}
 
     def structure_mat(alpha: str, n: int) -> Mat:
@@ -570,9 +558,9 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
 
     # derived half: label-matched comparison of the two bar collapses
     bar_i = bar_resolution(m)
-    r_side = weighted_holim(Weight.from_resolution(bar_i), t)
+    r_side = weighted_holim(bar_i.complex, t)
     bar_s = bar_resolution(constant_diagram(pres.cat, m.alg, regular_module(m.alg)))
-    l_side = weighted_holim(Weight.from_resolution(bar_s), restrict_complex(pres.projection, t))
+    l_side = weighted_holim(bar_s.complex, restrict_complex(pres.projection, t))
 
     def translate(label: tuple) -> tuple:
         q, key, (arrows, _) = label

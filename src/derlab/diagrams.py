@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import DerlabError, Mat, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, solve, vstack
+from .field import DerlabError, Mat, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, remember, solve, vstack
 from .modules import (
     Conflation,
     Module,
@@ -41,7 +41,6 @@ from .modules import (
     intertwining_elements,
     module_key,
     quotient_module,
-    same_module,
     solve_in_basis,
     submodule,
     zero_module,
@@ -55,16 +54,15 @@ class DiagramError(DerlabError, ValueError):
 class Diagram:
     """A diagram is a value: nothing changes its modules or matrices once
     it is built.  So what depends only on its content may be computed once
-    and kept on it, as projective_cover_diagram keeps the cover."""
+    and kept by content (by_content)."""
 
-    __slots__ = ("shape", "alg", "modules", "mats", "_cover")
+    __slots__ = ("shape", "alg", "modules", "mats")
 
     def __init__(self, shape: DirectCategory, alg: Algebra, modules: Dict[str, Module], mats: Dict[str, Mat]) -> None:
         self.shape = shape
         self.alg = alg
         self.modules = dict(modules)
         self.mats = dict(mats)
-        self._cover = None
         for o in shape.objects:
             if o not in self.modules:
                 raise DiagramError(f"diagram misses object {o}")
@@ -115,17 +113,6 @@ class Diagram:
         return f"Diagram({dims})"
 
 
-def same_diagram(x: Diagram, y: Diagram) -> bool:
-    """Equality of content: the same shape and algebra instance, the same
-    modules and the same structure matrices."""
-    return x is y or (
-        same_category(x.shape, y.shape)
-        and x.alg is y.alg
-        and all(same_module(x.modules[o], y.modules[o]) for o in x.shape.objects)
-        and all(x.mats[f] == y.mats[f] for f in x.shape.nonidentity_morphisms())
-    )
-
-
 def diagram_key(x: Diagram) -> tuple:
     """The content of x as a memo key: its shape (by identity), then the
     module_key of each object and the bytes of every structure matrix."""
@@ -134,6 +121,34 @@ def diagram_key(x: Diagram) -> tuple:
         tuple(module_key(x.modules[o]) for o in x.shape.objects),
         b"".join([x.mats[f].a.tobytes() for f in x.shape.nonidentity_morphisms()]),
     )
+
+
+# Covers, embeddings into projective diagrams and Gorenstein Kan extensions
+# are kept per algebra, keyed by content (diagram_key) and, for a Kan
+# extension, the functor.  One stability-p2 pass over its 344 modules makes
+# 343 embedding and 344 Kan calls on 16 and 17 distinct inputs.
+# recognition-p3 inputs recur across items: in 150 batches (720 embedding
+# calls), memos of 8, 32, 64, 128 and 1024 entries build 603, 440, 343, 292
+# and 283 embeddings, and its peak RSS (seed 903, 2-vCPU host) is 40.4 MB
+# without memos, 41.5 MB with 64 entries and 43.0 MB with 128.  Only inputs
+# of total dim at most MEMO_MAX_TOTAL_DIM are looked up and kept, which
+# bounds an entry; on the benchmark workloads the largest cover input has
+# total dim 12 and the largest embedding input 29, and stability-p2 leaves
+# out two Kan inputs (total dim 33 and 44).
+MEMO_MAX_ENTRIES = 64
+MEMO_MAX_TOTAL_DIM = 32
+_MISS = object()
+
+
+def by_content(name: str, x: Diagram, build: Callable[[], object], *extra):
+    """build(), kept under (*extra, diagram_key(x)) in x.alg.memo(name) and
+    handed out again on a later call with that key.  An x of total dim
+    above MEMO_MAX_TOTAL_DIM is built and not kept."""
+    if x.total_dim() > MEMO_MAX_TOTAL_DIM:
+        return build()
+    memo, key = x.alg.memo(name), (*extra, diagram_key(x))
+    hit = memo.get(key, _MISS)
+    return remember(memo, key, build(), MEMO_MAX_ENTRIES) if hit is _MISS else hit
 
 
 class DiagramMap:
@@ -519,17 +534,20 @@ def projective_cover_diagram(x: Diagram) -> DiagramConflation:
     as kernel.  At o, the copy of the cover P_j ->> x_j for f: j -> o maps
     to x_o through x(f): the counits of the free diagrams side by side.
 
-    Built once per diagram: x is a value, so the conflation is kept on x
-    and later calls return that same object."""
-    if x._cover is None:
-        shape, alg = x.shape, x.alg
-        legs = {j: generator_legs(x.at(j)) for j in shape.objects}
-        middle = free_diagram(shape, alg, [(j, free_module(alg, len(legs[j]))) for j in shape.objects])
-        comps = {o: hstack([free_legs_at(x, j, legs[j], o) for j in shape.objects]) for o in shape.objects}
-        defl = DiagramMap(middle, x, comps)
-        ker, incl = kernel_diagram(defl)
-        x._cover = DiagramConflation(incl, defl)
-    return x._cover
+    Built once per content of x and algebra (by_content): the memo keeps
+    K >-> P and the components of the deflation, and each call wraps the
+    components as a map onto its own x."""
+    incl, comps = by_content("projective_cover_diagram", x, lambda: _cover(x))
+    return DiagramConflation(incl, DiagramMap(incl.tgt, x, comps))
+
+
+def _cover(x: Diagram) -> Tuple[DiagramMap, Dict[str, Mat]]:
+    """(K >-> P, the components of P ->> x) for projective_cover_diagram."""
+    shape, alg = x.shape, x.alg
+    legs = {j: generator_legs(x.at(j)) for j in shape.objects}
+    middle = free_diagram(shape, alg, [(j, free_module(alg, len(legs[j]))) for j in shape.objects])
+    comps = {o: hstack([free_legs_at(x, j, legs[j], o) for j in shape.objects]) for o in shape.objects}
+    return kernel_diagram(DiagramMap(middle, x, comps))[1], comps
 
 
 def dual_conflation(c: DiagramConflation, sub: Optional[Diagram] = None) -> DiagramConflation:

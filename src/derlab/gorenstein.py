@@ -25,7 +25,7 @@ from .cats import (
     punctured_slice,
     slice_category,
 )
-from .field import DerlabError, Mat, block, hstack, rank, remember
+from .field import DerlabError, Mat, block, hstack, rank
 from .modules import (
     Module,
     ModuleMap,
@@ -46,10 +46,10 @@ from .diagrams import (
     Diagram,
     DiagramConflation,
     DiagramMap,
+    by_content,
     cokernel_diagram,
     colimit_of_diagram,
     compose_diagram_maps,
-    diagram_key,
     dual_conflation,
     dual_diagram,
     factor_matrix_through_surjection,
@@ -356,37 +356,10 @@ def gproj_left_kan_data(u: CatFunctor, x: Diagram) -> GprojKan:
     return GprojKan(out, slices, cocones, unit)
 
 
-# Embeddings and Kan extensions are kept per algebra, keyed by content
-# (diagrams.diagram_key) and, for a Kan extension, the functor.  One
-# stability-p2 pass over its 344 modules makes 343 embedding and 344 Kan
-# calls on 16 and 17 distinct inputs.  recognition-p3 inputs recur across
-# items: in 150 batches (720 embedding calls), memos of 8, 32, 64, 128 and
-# 1024 entries build 603, 440, 343, 292 and 283 embeddings, and its peak
-# RSS (seed 903, 2-vCPU host) is 40.4 MB without memos, 41.5 MB with 64
-# entries and 43.0 MB with 128.  Only inputs of total dim at most
-# MEMO_MAX_TOTAL_DIM are looked up and kept, which bounds an entry; in
-# stability-p2 that leaves out two Kan inputs (total dim 33 and 44).
-MEMO_MAX_ENTRIES = 64
-MEMO_MAX_TOTAL_DIM = 32
-_MISS = object()
-
-
-def _memo_key(x: Diagram, *extra):
-    """The memo key of x (with extra in front), or None if x is too large
-    to be kept."""
-    return (*extra, diagram_key(x)) if x.total_dim() <= MEMO_MAX_TOTAL_DIM else None
-
-
 def gproj_left_kan(u: CatFunctor, x: Diagram) -> Diagram:
     """The output diagram of gproj_left_kan_data, built once per (u, content
-    of x) and algebra."""
-    memo, key = x.alg.memo("gproj_left_kan"), _memo_key(x, u)
-    out = memo.get(key) if key is not None else None
-    if out is None:
-        out = gproj_left_kan_data(u, x).diagram
-        if key is not None:
-            remember(memo, key, out, MEMO_MAX_ENTRIES)
-    return out
+    of x) and algebra (by_content)."""
+    return by_content("gproj_left_kan", x, lambda: gproj_left_kan_data(u, x).diagram, u)
 
 
 def ginj_right_kan(u: CatFunctor, y: Diagram) -> Diagram:
@@ -411,16 +384,11 @@ def embed_gproj_into_proj(g: Diagram) -> DiagramConflation:
     cokernel part in the identity slot.  Each postcondition that fails is a
     VerificationError.
 
-    Built once per content of g and algebra: the memo keeps Q, the
-    components of the inflation and Q ->> g', and each call wraps the
-    components as a map from its own g.
+    Built once per content of g and algebra (by_content): the memo keeps
+    Q, the components of the inflation and Q ->> g', and each call wraps
+    the components as a map from its own g.
     """
-    memo, key = g.alg.memo("embed_gproj_into_proj"), _memo_key(g)
-    hit = memo.get(key, _MISS) if key is not None else _MISS
-    if hit is _MISS:
-        hit = _embedding(g)
-        if key is not None:
-            remember(memo, key, hit, MEMO_MAX_ENTRIES)
+    hit = by_content("embed_gproj_into_proj", g, lambda: _embedding(g))
     if hit is None:  # g is projective
         z = zero_diagram(g.shape, g.alg)
         return DiagramConflation(identity_diagram_map(g), zero_diagram_map(g, z))

@@ -71,11 +71,13 @@ from derlab.complexes import (
     z0,
 )
 from derlab.dgkan import (
-    Weight,
     bar_resolution,
+    cone_weight,
     crosscheck_kan,
     der4_check,
+    representable_weight,
     restriction_weight,
+    shift_weight,
     weighted_holim,
 )
 from derlab.diagrams import dual_diagram, ext1
@@ -308,13 +310,13 @@ def test_criterion_07_weighted_holim_sanity(alg):
     x = Diagram(arrow, alg, {"0": simple, "1": regular_module(alg)}, {"e0": Mat(2, [[0], [1]])})
     cx = complete_resolution(x)
     for i in ("0", "1"):
-        h = weighted_holim(Weight.representable(arrow, 2, i), cx)
+        h = weighted_holim(representable_weight(arrow, 2, i), cx)
         for n in (-1, 0, 1):
             assert h.term(n).at("*").dim == cx.term(n).at(i).dim
             assert h.diff(n).comps["*"] == cx.diff(n).comps[i]
     # shift weight => shift
     for n in (1, -1, 2):
-        h = weighted_holim(Weight.shift(2, n), c)
+        h = weighted_holim(shift_weight(2, n), c)
         s = shift(c, n)
         for k in (-1, 0, 1):
             assert h.term(k).at("*").dim == s.term(k).at("*").dim
@@ -336,7 +338,7 @@ def test_criterion_07_weighted_holim_sanity(alg):
         return {"0": d, "1": d}
 
     fam = LazyComplex(arrow, alg, term_fn, diff_fn)
-    h = weighted_holim(Weight.cone(2), fam)
+    h = weighted_holim(cone_weight(2), fam)
     cf = cone(f)
     for k in (-1, 0, 1):
         assert h.term(k).at("*").dim == cf.term(k - 1).at("*").dim

@@ -104,6 +104,13 @@ def test_negative_window_margin_is_an_input_error(tmp_path, capsys, margin):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_negative_seed_on_the_command_line_is_an_input_error(capsys):
+    # a search that samples used to die in np.random.default_rng(-3)
+    assert main(["run", str(SCENARIOS / "budget_zero.json"), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be non-negative" in err and "Traceback" not in err
+
+
 def test_main_explain(tmp_path, capsys):
     out = tmp_path / "report.json"
     main(["run", str(SCENARIOS / "regression.json"), "--report", str(out)])
@@ -420,6 +427,9 @@ MALFORMED = {
     "budget-not-an-integer": ("scenario", {"budget": 1.5}),
     "window-margin-not-an-integer": ("scenario", {"window_margin": None}),
     "window-margin-negative": ("scenario", {"window_margin": -1}),
+    "seed-negative": ("scenario", {"seed": -1}),
+    "budget-negative": ("scenario", {"budget": -1}),
+    "suite-listed-twice": ("scenario", {"suites": ["validate", "validate"]}),
     "scenario-not-an-object": ("scenario", ["validate"]),
     "categories-not-a-mapping": ("scenario", {"categories": []}),
     "document-path-not-a-string": ("scenario", {"diagrams": {"x": 5}}),

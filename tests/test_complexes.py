@@ -353,10 +353,10 @@ def test_differentials_connect_the_memoized_terms(dn, simple, reg):
     from derlab.cats import CatFunctor, full_subcategory, object_functor
     from derlab.complexes import dual_complex, restrict_complex
     from derlab.dgkan import (
-        Weight,
         bar_resolution,
         ho_left_kan,
         ho_right_kan,
+        representable_weight,
         restriction_weight_right,
         weighted_hocolim,
         weighted_holim,
@@ -377,9 +377,9 @@ def test_differentials_connect_the_memoized_terms(dn, simple, reg):
         "sod p-part": sod.p_part,
         "sod tc-part": sod.tc_part,
         "weighted_hocolim": weighted_hocolim(
-            Weight.from_resolution(bar_resolution(restriction_weight_right(to_point, "*", 2))), c
+            bar_resolution(restriction_weight_right(to_point, "*", 2)).complex, c
         ),
-        "weighted_holim": weighted_holim(Weight.representable(arrow, 2, "0"), c),
+        "weighted_holim": weighted_holim(representable_weight(arrow, 2, "0"), c),
         "ho_left_kan": ho_left_kan(to_point, c),
         "ho_right_kan": ho_right_kan(to_point, c),
     }

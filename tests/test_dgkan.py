@@ -35,14 +35,16 @@ from derlab.dgkan import (
     Der4Report,
     FreeComplex,
     FreeResolution,
-    Weight,
     bar_resolution,
+    cone_weight,
     crosscheck_kan,
     der4_check,
     ho_left_kan,
     ho_right_kan,
+    representable_weight,
     restriction_weight,
     restriction_weight_right,
+    shift_weight,
     weighted_hocolim,
     weighted_holim,
 )
@@ -109,7 +111,7 @@ def test_restriction_weight_examples(dn, arrow):
 def test_weighted_holim_representable_is_evaluation(dn, socle_arrow, arrow):
     c = complete_resolution(socle_arrow)
     for i in ("0", "1"):
-        w = Weight.representable(arrow, 2, i)
+        w = representable_weight(arrow, 2, i)
         h = weighted_holim(w, c)
         for n in (-2, -1, 0, 1, 2):
             assert h.term(n).at("*").dim == c.term(n).at(i).dim
@@ -118,7 +120,7 @@ def test_weighted_holim_representable_is_evaluation(dn, socle_arrow, arrow):
 
 def test_weight_shift_gives_shift(dn, kres_point):
     for n in (0, 1, -2):
-        w = Weight.shift(2, n)
+        w = shift_weight(2, n)
         h = weighted_holim(w, kres_point)
         s = shift(kres_point, n)
         for k in (-1, 0, 1):
@@ -149,7 +151,7 @@ def test_weight_cone_matches_cone(dn, simple, reg, kres_point):
         return {"0": d, "1": d}
 
     fam = LazyComplex(arrow, dn, term_fn, diff_fn)
-    w = Weight.cone(2)
+    w = cone_weight(2)
     h = weighted_holim(w, fam)
     cf = cone(f)
     for k in (-1, 0, 1):
@@ -180,10 +182,10 @@ def test_holim_dd_zero_at_p3():
     to_point = CatFunctor(arrow, e, {"0": "*", "1": "*"}, {"e0": "1_*"})
     m = restriction_weight(to_point, "*", 3)
     res = bar_resolution(m)
-    h = weighted_holim(Weight.from_resolution(res), fam)
+    h = weighted_holim(res.complex, fam)
     for k in (-2, -1, 0, 1):
         h.diff(k)  # the d o d = 0 check runs inside
-    hc = weighted_hocolim(Weight.from_resolution(bar_resolution(restriction_weight_right(to_point, "*", 3))), fam)
+    hc = weighted_hocolim(bar_resolution(restriction_weight_right(to_point, "*", 3)).complex, fam)
     for k in (-2, -1, 0, 1):
         hc.diff(k)
 
@@ -197,7 +199,7 @@ def test_holim_signs_at_p3():
     simple3 = Module(alg3, [Mat.identity(3, 1), Mat.zeros(3, 1, 1)]).validate()
     c = complete_resolution(constant_diagram(terminal_category(), alg3, simple3))
     for n in (-1, 0, 1):
-        h = weighted_holim(Weight.shift(3, n), c)
+        h = weighted_holim(shift_weight(3, n), c)
         for k in (-1, 0, 1):
             assert h.diff(k).comps["*"] == c.diff(k + n).comps["*"]
     f = {k: c.term(k).at("*").action[1].scale(2) for k in range(-3, 4)}
@@ -208,7 +210,7 @@ def test_holim_signs_at_p3():
         lambda k: Diagram(arrow, alg3, {"0": c.term(k).at("*"), "1": c.term(k).at("*")}, {"e0": f[k]}),
         lambda k: {"0": c.diff(k).comps["*"], "1": c.diff(k).comps["*"]},
     )
-    h = weighted_holim(Weight.cone(3), fam)
+    h = weighted_holim(cone_weight(3), fam)
     for k in (-1, 0, 1):
         d_prev, d = c.diff(k - 1).comps["*"], c.diff(k).comps["*"]
         top = hstack([d_prev, f[k].scale(-1 if k % 2 == 0 else 1)])
@@ -339,7 +341,7 @@ def test_holim_of_constant_weight_is_the_limit(p, make_shape):
     x = constant_diagram(cat, alg, regular_module(alg))
     stalk = LazyComplex.bounded(cat, alg, {0: x}, {})
     res = bar_resolution(constant_diagram(cat, ground_field(p), regular_module(ground_field(p))))
-    h = weighted_holim(Weight.from_resolution(res), stalk)
+    h = weighted_holim(res.complex, stalk)
     assert _cohomology_dim(h, 0, "*") == limit_of_diagram(x)[0].dim
     assert _cohomology_dim(h, 1, "*") == _cohomology_dim(h, 2, "*") == 0
 
@@ -388,7 +390,7 @@ def test_ho_right_kan_is_the_pointwise_holim():
     for u in (identity_functor(sq), _to_point(sq)):
         K = ho_right_kan(u, t)
         for j in u.cod.objects:
-            h = weighted_holim(Weight.from_resolution(bar_resolution(restriction_weight(u, j, 3))), t)
+            h = weighted_holim(bar_resolution(restriction_weight(u, j, 3)).complex, t)
             for n in (-1, 0, 1):
                 assert K.term(n).at(j).action == h.term(n).at("*").action
                 assert K.diff(n).comps[j] == h.diff(n).comps["*"]

@@ -1,5 +1,5 @@
-"""Embeddings, Gorenstein Kan extensions and stable Homs are kept per
-algebra, keyed by content.
+"""Projective covers, embeddings, Gorenstein Kan extensions and stable Homs
+are kept per algebra, keyed by content.
 
 A hit must give the bytes a cold build gives, wrap the caller's own
 objects, stay within the memo's bounds and never cross algebra instances.
@@ -12,11 +12,12 @@ from collections import Counter
 
 import pytest
 
+import derlab.diagrams as diagrams
 import derlab.gorenstein as gorenstein
 import derlab.modules as modules
 from derlab.algebra import clear_memos, dual_numbers
 from derlab.cats import arrow_category, cospan_category, square_category
-from derlab.diagrams import Diagram, constant_diagram, diagram_key, identity_diagram_map, pushout_diagrams
+from derlab.diagrams import Diagram, constant_diagram, diagram_key, identity_diagram_map, projective_cover_diagram, pushout_diagrams
 from derlab.field import Mat, rank, remember
 from derlab.gorenstein import approx_gproj, embed_gproj_into_proj, hull_ginj, is_gproj
 from derlab.homotopy import loop_via_square
@@ -81,15 +82,16 @@ def _approx_bytes(x):
 
 
 def _record_builds(monkeypatch):
-    """The input diagram of every embedding and Kan extension built from
-    now on, by builder name."""
-    built = {"_embedding": [], "gproj_left_kan_data": []}
+    """The input diagram of every cover, embedding and Kan extension built
+    from now on, by builder name."""
+    builders = {"_cover": diagrams, "_embedding": gorenstein, "gproj_left_kan_data": gorenstein}
+    built = {name: [] for name in builders}
     for name, inputs in built.items():
-        def recording(*args, _inputs=inputs, _original=getattr(gorenstein, name)):
+        def recording(*args, _inputs=inputs, _original=getattr(builders[name], name)):
             _inputs.append(args[-1])
             return _original(*args)
 
-        monkeypatch.setattr(gorenstein, name, recording)
+        monkeypatch.setattr(builders[name], name, recording)
     return built
 
 
@@ -108,7 +110,7 @@ def test_warm_memos_give_the_bytes_of_cold_ones(dn, monkeypatch, case):
     warm = [digest(x) for x in inputs]
     assert filling == cold and warm == cold
     # the warm pass built only what is too large to be kept
-    assert all(x.total_dim() > gorenstein.MEMO_MAX_TOTAL_DIM for xs in built.values() for x in xs)
+    assert all(x.total_dim() > diagrams.MEMO_MAX_TOTAL_DIM for xs in built.values() for x in xs)
 
 
 def test_a_hit_wraps_the_callers_diagram(dn, simple, reg, monkeypatch):
@@ -125,6 +127,21 @@ def test_a_hit_wraps_the_callers_diagram(dn, simple, reg, monkeypatch):
     assert all(second.left.comps[o] == first.left.comps[o] for o in arrow.objects)
     # the shared-source check of a pushout holds for the caller's g2
     pushout_diagrams(second.left, identity_diagram_map(g2))
+    second.validate()
+
+
+def test_a_cover_hit_deflates_onto_the_callers_diagram(dn, simple, reg, monkeypatch):
+    arrow = arrow_category()
+    x = Diagram(arrow, dn, {"0": reg, "1": simple}, {"e0": Mat(2, [[1, 0]])}).validate()
+    copy = lambda m: Module(dn, [Mat(2, a.a.copy()) for a in m.action])
+    x2 = Diagram(arrow, dn, {o: copy(x.at(o)) for o in arrow.objects}, {f: Mat(2, a.a.copy()) for f, a in x.mats.items()})
+    assert x2 is not x and diagram_key(x2) == diagram_key(x)
+    built = _record_builds(monkeypatch)
+    first, second = projective_cover_diagram(x), projective_cover_diagram(x2)
+    assert built["_cover"] == [x]
+    assert first.right.tgt is x and second.right.tgt is x2
+    assert second.middle is first.middle and second.sub is first.sub
+    assert all(second.right.comps[o] == first.right.comps[o] for o in arrow.objects)
     second.validate()
 
 
@@ -162,24 +179,30 @@ def test_memos_stay_within_their_bounds(dn, monkeypatch):
     assert modules._stable_hom_cells(big, big, entry) > modules.STABLE_HOM_MEMO_MAX_CELLS
     assert dn.memo("stable_hom") == {}
 
-    monkeypatch.setattr(gorenstein, "MEMO_MAX_ENTRIES", 3)
+    monkeypatch.setattr(diagrams, "MEMO_MAX_ENTRIES", 3)
+    built = _record_builds(monkeypatch)
     for x in _seeded_f3_diagrams():
         approx_gproj(x)
         hull_ginj(x)
         for alg in (x.alg, x.alg.opposite()):
             assert len(alg.memo("embed_gproj_into_proj")) <= 3
+            assert len(alg.memo("projective_cover_diagram")) <= 3
+    assert len(built["_cover"]) > 6  # both cover memos were full
     # a diagram above the size cap is neither looked up nor kept
     big_x = constant_diagram(arrow_category(), dn, free_module(dn, 9))
-    assert big_x.total_dim() > gorenstein.MEMO_MAX_TOTAL_DIM and gorenstein._memo_key(big_x) is None
+    assert big_x.total_dim() > diagrams.MEMO_MAX_TOTAL_DIM
     embed_gproj_into_proj(big_x)
-    assert dn.memo("embed_gproj_into_proj") == {}
+    projective_cover_diagram(big_x)
+    assert dn.memo("embed_gproj_into_proj") == {} and dn.memo("projective_cover_diagram") == {}
 
 
 def test_a_fresh_algebra_starts_with_empty_memos(dn, simple):
     m = direct_sum([simple, simple])[0]
     stable_hom(m, m)
     loop_via_square(simple)
-    assert dn.memo("stable_hom") and dn.opposite().memo("gproj_left_kan")
+    zero = Module(dn, [Mat.zeros(2, 0, 0)] * 2)
+    old_cover = projective_cover_diagram(Diagram(arrow_category(), dn, {"0": simple, "1": zero}, {"e0": Mat.zeros(2, 0, 1)}))
+    assert dn.memo("stable_hom") and dn.opposite().memo("gproj_left_kan") and dn.memo("projective_cover_diagram")
     fresh = dual_numbers(2)
     assert fresh is not dn and not fresh._memos and not fresh.opposite()._memos
     simple2 = Module(fresh, [Mat.identity(2, 1), Mat.zeros(2, 1, 1)])
@@ -190,9 +213,9 @@ def test_a_fresh_algebra_starts_with_empty_memos(dn, simple):
     assert res.module.alg is fresh and res.syzygy.alg is fresh
     assert res.versus_syzygy.is_true
     stalk = Diagram(arrow_category(), fresh, {"0": simple2, "1": Module(fresh, [Mat.zeros(2, 0, 0)] * 2)}, {"e0": Mat.zeros(2, 0, 1)})
-    for tr in (approx_gproj(stalk), hull_ginj(stalk)):
-        c = tr.conflation
+    for c in (projective_cover_diagram(stalk), approx_gproj(stalk).conflation, hull_ginj(stalk).conflation):
         assert all(d.alg is fresh for d in (c.sub, c.middle, c.quot))
+    assert projective_cover_diagram(stalk).middle is not old_cover.middle
 
 
 def test_one_loop_pass_builds_few_embeddings_and_kan_extensions(dn, monkeypatch):
