@@ -412,11 +412,16 @@ SUITE_RUNNERS = {
 }
 
 
-def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = None) -> Tuple[dict, int]:
+def _error_report(message: str, t0: float) -> Tuple[dict, int]:
+    """The report of a run refused before any suite ran, and exit code 2."""
+    return {"error": message, "items": [], "meta": {"wall_time_ms": int(1000 * (time.time() - t0))}}, 2
+
+
+def run_scenario(scenario_path: str, seed: Optional[int] = None) -> Tuple[dict, int]:
     """Run every suite of a scenario file; returns (report, exit code).
 
     Suites run one after another: they share the session's unsynchronized
-    caches.  workers is accepted for compatibility and ignored.
+    caches.
     """
     t0 = time.time()
     base = Path(scenario_path).resolve().parent
@@ -424,29 +429,24 @@ def run_scenario(scenario_path: str, workers: int = 1, seed: Optional[int] = Non
         with open(scenario_path, "r", encoding="utf-8") as fh:
             scenario = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        return {"error": f"cannot read scenario: {exc}", "items": []}, 2
+        return _error_report(f"cannot read scenario: {exc}", t0)
     try:
         if not isinstance(scenario, dict):
             raise ScenarioError(f"malformed scenario: expected a JSON object, got {type(scenario).__name__}")
+        suites = scenario.get("suites", [])
+        if not isinstance(suites, list):
+            raise ScenarioError("malformed scenario: suites must be a list of suite names")
+        for name in suites:
+            if name not in KNOWN_SUITES:
+                raise ScenarioError(f"unknown suite {name!r}")
+            if suites.count(name) > 1:
+                raise ScenarioError(f"malformed scenario: suite {name!r} is listed twice")
         if seed is not None:
             scenario["seed"] = seed
         session = Session(scenario, base)
         session.load()
     except (DerlabError, KeyError, OSError) as exc:
-        return {
-            "error": str(exc),
-            "items": [],
-            "meta": {"wall_time_ms": int(1000 * (time.time() - t0))},
-        }, 2
-
-    suites = scenario.get("suites", [])
-    if not isinstance(suites, list):
-        return {"error": "malformed scenario: suites must be a list of suite names", "items": []}, 2
-    for name in suites:
-        if name not in KNOWN_SUITES:
-            return {"error": f"unknown suite {name!r}", "items": []}, 2
-        if suites.count(name) > 1:
-            return {"error": f"malformed scenario: suite {name!r} is listed twice", "items": []}, 2
+        return _error_report(str(exc), t0)
 
     items: List[dict] = []
     for name in suites:
@@ -497,7 +497,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a scenario file")
     runp.add_argument("scenario")
-    runp.add_argument("--workers", type=int, default=1, help="accepted and ignored: suites run serially")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--report", default=None, help="write the JSON report here")
     exp = sub.add_parser("explain", help="render one report item")
@@ -506,7 +505,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        report, code = run_scenario(args.scenario, workers=args.workers, seed=args.seed)
+        report, code = run_scenario(args.scenario, seed=args.seed)
         text = json.dumps(report, sort_keys=True, indent=2)
         if args.report:
             try:

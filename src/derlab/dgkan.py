@@ -59,62 +59,43 @@ def restriction_weight_right(u: CatFunctor, j: str, p: int) -> Diagram:
 
 
 @dataclass
-class FreeSummand:
-    obj: str                 # corepresented object
-    key: tuple               # identification key (e.g. the object chain)
-    coeff_labels: list       # deterministic coefficient basis labels
-
-    @property
-    def coeff_dim(self) -> int:
-        return len(self.coeff_labels)
-
-
 class FreeComplex:
-    """A finite complex of formal sums of corepresentables h^i (x) k^c.
+    """A finite complex of sums of corepresentables h^obj, one per block.
 
-    diffs[q][(t_idx, s_idx)][arrow] is the coefficient matrix (c_tgt x c_src)
-    of the component from summand s_idx of degree q to summand t_idx of
-    degree q+1 along the arrow tgt_obj -> src_obj (maps of corepresentables
-    are contravariant in the object)."""
+    blocks lists (q, obj, label) in ascending degree q, in the order given:
+    the collapsed totalizations and every relabelling between them keep it,
+    and the indices in coeffs point into it.  label is (q, key, coefficient
+    label), with key the summand (e.g. the object chain) the block belongs
+    to.  coeffs[(t, s, arrow)] is the coefficient mod p from block s of
+    degree q to block t of degree q+1 along arrow: obj_t -> obj_s (maps of
+    corepresentables are contravariant in the object)."""
 
-    def __init__(self, cat: DirectCategory, p: int, terms: Dict[int, List[FreeSummand]], diffs: Dict[int, Dict[Tuple[int, int], Dict[str, Mat]]]) -> None:
-        self.cat = cat
-        self.p = p
-        self.terms = {q: list(v) for q, v in terms.items() if v}
-        self.diffs = diffs
+    cat: DirectCategory
+    p: int
+    blocks: List[tuple]
+    coeffs: Dict[Tuple[int, int, str], int]
 
     def degrees(self) -> List[int]:
-        return sorted(self.terms)
-
-    def value_dim(self, q: int, a: str) -> int:
-        return sum(len(self.cat.hom(s.obj, a)) * s.coeff_dim for s in self.terms.get(q, []))
+        return sorted({q for q, _, _ in self.blocks})
 
     def value_basis(self, q: int, a: str) -> List[tuple]:
-        out = []
-        for s_idx, s in enumerate(self.terms.get(q, [])):
-            for t in range(s.coeff_dim):
-                for phi in self.cat.hom(s.obj, a):
-                    out.append((s_idx, t, phi))
-        return out
+        """(block, phi: obj -> a) for every block of degree q."""
+        return [(b, phi) for b, (qb, obj, _) in enumerate(self.blocks) if qb == q for phi in self.cat.hom(obj, a)]
+
+    def value_dim(self, q: int, a: str) -> int:
+        return len(self.value_basis(q, a))
 
     def diff_matrix_at(self, q: int, a: str) -> Mat:
         """The materialized differential W^q(a) -> W^{q+1}(a)."""
         src_basis = self.value_basis(q, a)
-        tgt_basis = self.value_basis(q + 1, a)
-        tgt_pos = {lab: r for r, lab in enumerate(tgt_basis)}
-        m = np.zeros((len(tgt_basis), len(src_basis)), dtype=np.int64)
-        comp_map = self.diffs.get(q, {})
-        for (t_idx, s_idx), arrows in comp_map.items():
-            for arrow, coeff in arrows.items():
-                for col, (si, t, phi) in enumerate(src_basis):
-                    if si != s_idx:
-                        continue
-                    psi = self.cat.compose(phi, arrow)
-                    for tprime in range(coeff.rows):
-                        c = int(coeff.a[tprime, t])
-                        if c:
-                            r = tgt_pos[(t_idx, tprime, psi)]
-                            m[r, col] += c
+        tgt_pos = {lab: r for r, lab in enumerate(self.value_basis(q + 1, a))}
+        cols: Dict[int, List[Tuple[int, str]]] = {}
+        for col, (s, phi) in enumerate(src_basis):
+            cols.setdefault(s, []).append((col, phi))
+        m = np.zeros((len(tgt_pos), len(src_basis)), dtype=np.int64)
+        for (t, s, arrow), c in self.coeffs.items():
+            for col, phi in cols.get(s, ()):
+                m[tgt_pos[(t, self.cat.compose(phi, arrow))], col] += c
         return Mat(self.p, m)
 
 
@@ -163,108 +144,56 @@ def bar_resolution(m: Diagram) -> FreeResolution:
     """The finite bar resolution: B_k sums corepresentables over chains of
     composable non-identity arrows (equivalently, chains of strictly
     increasing degree), with coefficient spaces built from the arrows and
-    the module values."""
+    the module values.  Blocks come by degree -k ascending, then by sorted
+    chain, then by the arrows (g_k, ..., g_1) with g_t: chain[t-1] ->
+    chain[t], then by the index midx of a basis vector of m at chain[0];
+    each block is labelled (-k, chain, (arrows, midx))."""
     cat, p = m.shape, m.alg.p
-    terms: Dict[int, List[FreeSummand]] = {}
-    diffs: Dict[int, Dict[Tuple[int, int], Dict[str, Mat]]] = {}
+    chains = [[(o,) for o in cat.objects if m.at(o).dim]]
+    while chains[-1]:
+        chains.append(
+            [c + (o,) for c in chains[-1] for o in cat.objects if cat.degree[o] > cat.degree[c[-1]] and cat.hom(c[-1], o)]
+        )
+    blocks: List[tuple] = []
+    for k in range(len(chains) - 1, -1, -1):
+        for chain in sorted(chains[k]):
+            homs = [cat.hom(chain[t - 1], chain[t]) for t in range(len(chain) - 1, 0, -1)]
+            for arrows in itertools.product(*homs):
+                for midx in range(m.at(chain[0]).dim):
+                    blocks.append((-k, chain[-1], (-k, chain, (arrows, midx))))
+    index = {label: b for b, (_, _, label) in enumerate(blocks)}
 
-    def chain_labels(chain: Tuple[str, ...]) -> list:
-        hom_lists = []
-        for t in range(len(chain) - 1, 0, -1):
-            hom_lists.append(cat.hom(chain[t - 1], chain[t]))
-        out = []
-        for arrows in itertools.product(*hom_lists) if hom_lists else [()]:
-            for midx in range(m.at(chain[0]).dim):
-                out.append((arrows, midx))
-        return out
-
-    # enumerate chains by length
-    chains_by_len: Dict[int, List[Tuple[str, ...]]] = {0: []}
-    for i0 in cat.objects:
-        if m.at(i0).dim:
-            chains_by_len[0].append((i0,))
-    k = 0
-    while chains_by_len.get(k):
-        nxt = []
-        for chain in chains_by_len[k]:
-            last = chain[-1]
-            for o in cat.objects:
-                if cat.degree[o] > cat.degree[last] and cat.hom(last, o):
-                    nxt.append(chain + (o,))
-        if nxt:
-            chains_by_len[k + 1] = nxt
-        k += 1
-
-    summand_index: Dict[int, Dict[tuple, int]] = {}
-    for k, chains in chains_by_len.items():
-        lst = []
-        idx = {}
-        for chain in sorted(chains):
-            labels = chain_labels(chain)
-            if labels:
-                idx[chain] = len(lst)
-                lst.append(FreeSummand(chain[-1], chain, labels))
-        if lst:
-            terms[-k] = lst
-            summand_index[k] = idx
-
-    for k in sorted(summand_index):
-        if k == 0 or (k - 1) not in summand_index:
+    coeffs: Dict[Tuple[int, int, str], int] = {}
+    for s, (q, _, (_, chain, (g, midx))) in enumerate(blocks):
+        k = -q
+        if k == 0:
             continue
-        comp: Dict[Tuple[int, int], Dict[str, Mat]] = {}
-        src_summands = terms[-k]
-        tgt_summands = terms[-(k - 1)]
-        tgt_idx_of = summand_index[k - 1]
-        for s_idx, s in enumerate(src_summands):
-            chain = s.key
-            src_labels = {lab: c for c, lab in enumerate(s.coeff_labels)}
+        top = cat.id_of(chain[-1])
+        # the faces d_i with signs (-1)^i, as (chain, arrow, coefficient
+        # label, coefficient): i = k - s_pos merges at chain[s_pos] ...
+        faces = []
+        for s_pos in range(1, k):
+            merged = g[: k - 1 - s_pos] + (cat.compose(g[k - 1 - s_pos], g[k - s_pos]),) + g[k + 1 - s_pos :]
+            faces.append((chain[:s_pos] + chain[s_pos + 1 :], top, (merged, midx), (-1) ** (s_pos + k)))
+        # ... i = 0 drops the top object, composing the free slot with g_k ...
+        faces.append((chain[:-1], g[0], (g[1:], midx), 1))
+        # ... and i = k acts on the module element by the bottom arrow g_1
+        act = m.mat(g[-1]).a[:, midx]
+        faces += [(chain[1:], top, (g[:-1], mprime), (-1) ** k * int(c)) for mprime, c in enumerate(act) if c]
+        for face_chain, arrow, coeff_label, c in faces:
+            t = index.get((q + 1, face_chain, coeff_label))
+            if t is None:
+                raise VerificationError("bar face hit a missing chain")
+            coeffs[(t, s, arrow)] = (coeffs.get((t, s, arrow), 0) + c) % p
 
-            def add(t_chain, arrow, row_label, col, sign):
-                if t_chain not in tgt_idx_of:
-                    raise VerificationError("bar face hit a missing chain")
-                t_idx = tgt_idx_of[t_chain]
-                tgt = tgt_summands[t_idx]
-                key = (t_idx, s_idx)
-                if key not in comp:
-                    comp[key] = {}
-                if arrow not in comp[key]:
-                    comp[key][arrow] = Mat.zeros(p, tgt.coeff_dim, s.coeff_dim)
-                row = tgt.coeff_labels.index(row_label)
-                base = comp[key][arrow].a.copy()
-                base[row, col] = (base[row, col] + sign) % p
-                comp[key][arrow] = Mat(p, base)
-
-            for col, (arrows, midx) in enumerate(s.coeff_labels):
-                # arrows = (g_k, ..., g_1) with g_t: chain[t-1] -> chain[t]
-                g = arrows
-                # the face signs (-1)^i of d_i: i = 0 drops the top object,
-                # i = k - s_pos merges at chain[s_pos], i = k acts on the module
-                for s_pos in range(1, k):
-                    merged = cat.compose(g[k - 1 - s_pos], g[k - s_pos])
-                    new_arrows = g[: k - 1 - s_pos] + (merged,) + g[k + 1 - s_pos :]
-                    new_chain = chain[:s_pos] + chain[s_pos + 1 :]
-                    add(new_chain, cat.id_of(chain[-1]), (new_arrows, midx), col, (-1) ** (s_pos + k))
-                # drop the top object: compose the free slot with g_k
-                add(chain[:-1], g[0], (g[1:], midx), col, 1)
-                # act on the module element by the bottom arrow g_1
-                new_chain2 = chain[1:]
-                act = m.mat(g[-1])
-                for mprime in range(act.rows):
-                    c = int(act.a[mprime, midx])
-                    if c:
-                        add(new_chain2, cat.id_of(chain[-1]), (g[:-1], mprime), col, ((-1) ** k) * c)
-        diffs[-k] = comp
-
+    free = FreeComplex(cat, p, blocks, coeffs)
     aug = {}
-    free = FreeComplex(cat, p, terms, diffs)
     for a in cat.objects:
         basis = free.value_basis(0, a)
         mmat = np.zeros((m.at(a).dim, len(basis)), dtype=np.int64)
-        zero_summands = terms.get(0, [])
-        for col, (s_idx, t, phi) in enumerate(basis):
-            midx = zero_summands[s_idx].coeff_labels[t][1]
-            action = m.mat(phi)
-            mmat[:, col] = action.a[:, midx]
+        for col, (b, phi) in enumerate(basis):
+            midx = blocks[b][2][2][1]
+            mmat[:, col] = m.mat(phi).a[:, midx]
         aug[a] = Mat(p, mmat)
     return FreeResolution(free, m, aug).verify_exactness()
 
@@ -272,53 +201,40 @@ def bar_resolution(m: Diagram) -> FreeResolution:
 # -- weights ---------------------------------------------------------------------
 
 
+def _unit_block(q: int, obj: str) -> tuple:
+    """One block h^obj (x) k in degree q, its own summand."""
+    return (q, obj, (q, (obj,), ((), 0)))
+
+
 def representable_weight(cat: DirectCategory, p: int, i: str) -> FreeComplex:
     """The representable weight on i, a free complex in degree 0."""
-    return FreeComplex(cat, p, {0: [FreeSummand(i, (i,), [((), 0)])]}, {})
+    return FreeComplex(cat, p, [_unit_block(0, i)], {})
 
 
 def shift_weight(p: int, n: int) -> FreeComplex:
-    """One free summand on the point, in degree n: its weighted holim is
+    """One free block on the point, in degree n: its weighted holim is
     the shift of the complex by n."""
-    return FreeComplex(terminal_category(), p, {n: [FreeSummand("*", ("*",), [((), 0)])]}, {})
+    return FreeComplex(terminal_category(), p, [_unit_block(n, "*")], {})
 
 
 def cone_weight(p: int) -> FreeComplex:
     """Over [1]: h^1 in degree -1 mapping to h^0 in degree 0 along e0; the
     weighted holim computes cone(f)[-1] up to the sign isomorphism, exactly
     at p = 2."""
-    terms = {
-        -1: [FreeSummand("1", ("1",), [((), 0)])],
-        0: [FreeSummand("0", ("0",), [((), 0)])],
-    }
-    diffs = {-1: {(0, 0): {"e0": Mat.identity(p, 1)}}}
-    return FreeComplex(arrow_category(), p, terms, diffs)
+    return FreeComplex(arrow_category(), p, [_unit_block(-1, "1"), _unit_block(0, "0")], {(1, 0, "e0"): 1})
 
 
 # -- collapsed Hom and tensor totalizations ------------------------------------------
-
-
-def _weight_blocks(wc: FreeComplex) -> List[tuple]:
-    """(degree, summand, coefficient, object, label) for every coefficient of
-    every free summand, with label = (degree, chain, coefficient label): the
-    block order of both collapsed totalizations and of every relabelling
-    between them."""
-    return [
-        (q, s_idx, t, s.obj, (q, s.key, lab))
-        for q in wc.degrees()
-        for s_idx, s in enumerate(wc.terms[q])
-        for t, lab in enumerate(s.coeff_labels)
-    ]
 
 
 def _relabelling(p: int, src: List[tuple], src_dims: List[int], tgt: List[tuple], tgt_dims: List[int], to_tgt) -> Mat:
     """The 0/1 matrix from the blocks src to the blocks tgt (of sizes
     src_dims and tgt_dims) that carries each source block by the identity
     onto the target block labelled to_tgt(its label)."""
-    offsets = dict(zip((b[4] for b in tgt), itertools.accumulate([0] + tgt_dims)))
+    offsets = dict(zip((label for _, _, label in tgt), itertools.accumulate([0] + tgt_dims)))
     out = np.zeros((sum(tgt_dims), sum(src_dims)), dtype=np.int64)
-    for b, col, d in zip(src, itertools.accumulate([0] + src_dims), src_dims):
-        row = offsets[to_tgt(b[4])]
+    for (_, _, label), col, d in zip(src, itertools.accumulate([0] + src_dims), src_dims):
+        row = offsets[to_tgt(label)]
         out[row : row + d, col : col + d] = np.eye(d, dtype=np.int64)
     return Mat(p, out)
 
@@ -329,48 +245,25 @@ def weighted_hocolim(wc: FreeComplex, f: LazyComplex) -> LazyComplex:
     alg = f.alg
     p = alg.p
     e = terminal_category()
-    blocks = _weight_blocks(wc)
+    blocks = wc.blocks
 
     def term_fn(n: int) -> Diagram:
-        mods = [f.term(n - b[0]).at(b[3]) for b in blocks]
+        mods = [f.term(n - q).at(obj) for q, obj, _ in blocks]
         total = direct_sum(mods)[0] if mods else zero_module(alg)
         return Diagram(e, alg, {"*": total}, {})
 
     def diff_fn(n: int) -> Dict[str, Mat]:
-        src_dims = [f.term(n - b[0]).at(b[3]).dim for b in blocks]
-        tgt_dims = [f.term(n + 1 - b[0]).at(b[3]).dim for b in blocks]
-        src_off = np.concatenate([[0], np.cumsum(src_dims)]) if src_dims else np.array([0])
-        tgt_off = np.concatenate([[0], np.cumsum(tgt_dims)]) if tgt_dims else np.array([0])
-        out = np.zeros((int(tgt_off[-1]), int(src_off[-1])), dtype=np.int64)
-        tpos = {b[:3]: r for r, b in enumerate(blocks)}
-        for c_idx, (q, s_idx, t, obj, _) in enumerate(blocks):
+        src_off = list(itertools.accumulate((f.term(n - q).at(obj).dim for q, obj, _ in blocks), initial=0))
+        tgt_off = list(itertools.accumulate((f.term(n + 1 - q).at(obj).dim for q, obj, _ in blocks), initial=0))
+        out = np.zeros((tgt_off[-1], src_off[-1]), dtype=np.int64)
+        for b, (q, obj, _) in enumerate(blocks):
             # (-1)^q id (x) d_F (source and target share the block order)
-            blk = f.diff(n - q).comps[obj]
-            val = blk.a if q % 2 == 0 else (-blk.a) % p
-            out[tgt_off[c_idx] : tgt_off[c_idx] + blk.rows, src_off[c_idx] : src_off[c_idx] + blk.cols] = val
-            # d_W (x) id: from degree q to q+1
-            comp = wc.diffs.get(q, {})
-            for (t_idx2, s_idx2), arrows in comp.items():
-                if s_idx2 != s_idx:
-                    continue
-                tgt_sum = wc.terms[q + 1][t_idx2]
-                for arrow, coeff in arrows.items():
-                    # arrow: tgt_sum.obj -> obj in the opposite category,
-                    # i.e. obj -> tgt_sum.obj in the base category of f
-                    fmat = f.term(n - q).mat(arrow)
-                    for tprime in range(tgt_sum.coeff_dim):
-                        cval = int(coeff.a[tprime, t])
-                        if cval % p == 0:
-                            continue
-                        key2 = (q + 1, t_idx2, tprime)
-                        r_idx = tpos[key2]
-                        out[
-                            tgt_off[r_idx] : tgt_off[r_idx] + fmat.rows,
-                            src_off[c_idx] : src_off[c_idx] + fmat.cols,
-                        ] = (
-                            out[tgt_off[r_idx] : tgt_off[r_idx] + fmat.rows, src_off[c_idx] : src_off[c_idx] + fmat.cols]
-                            + cval * fmat.a
-                        ) % p
+            d = f.diff(n - q).comps[obj].a
+            out[tgt_off[b] : tgt_off[b + 1], src_off[b] : src_off[b + 1]] = d if q % 2 == 0 else -d
+        for (t, s, arrow), c in wc.coeffs.items():
+            # d_W (x) id: arrow is obj_t -> obj_s in the opposite category,
+            # i.e. obj_s -> obj_t in the base category of f
+            out[tgt_off[t] : tgt_off[t + 1], src_off[s] : src_off[s + 1]] += c * f.term(n - blocks[s][0]).mat(arrow).a
         return {"*": Mat(p, out)}
 
     return LazyComplex(e, alg, term_fn, diff_fn, "hocolim")
@@ -381,16 +274,15 @@ def _signed_dual(c: LazyComplex, wcs: Dict[str, FreeComplex], f: LazyComplex, la
     totalization of D f over the same blocks: the terms of dual_complex(c),
     with the transposed differential of c at each object j conjugated by the
     diagonal sign sigma_n, which is (-1)^(n q + q(q+1)/2) on the block
-    (q, s, t, obj) of wcs[j], the block holding f^{q+n}(obj).  That drops
+    (q, obj, label) of wcs[j], the block holding f^{q+n}(obj).  That drops
     the (-1)^q of the d_F part and puts (-1)^(n+1) on the d_W part."""
     p = f.alg.p
-    blocks = {j: _weight_blocks(wc) for j, wc in wcs.items()}
     sigmas: Dict[Tuple[str, int], np.ndarray] = {}
 
     def sigma(j: str, n: int) -> np.ndarray:
         if (j, n) not in sigmas:
-            q = np.array([b[0] for b in blocks[j]], dtype=np.int64)
-            dims = [f.term(b[0] + n).at(b[3]).dim for b in blocks[j]]
+            q = np.array([qb for qb, _, _ in wcs[j].blocks], dtype=np.int64)
+            dims = [f.term(qb + n).at(obj).dim for qb, obj, _ in wcs[j].blocks]
             sigmas[(j, n)] = np.repeat(1 - 2 * ((n * q + q * (q + 1) // 2) % 2), dims)
         return sigmas[(j, n)]
 
@@ -438,7 +330,6 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
     alg = t.alg
     p = alg.p
     hoc = {j: weighted_hocolim(wcs[j], t) for j in J.objects}
-    blocks = {j: _weight_blocks(wcs[j]) for j in J.objects}
 
     def structure_mat(alpha: str, n: int) -> Mat:
         j, j2 = J.src(alpha), J.tgt(alpha)
@@ -448,8 +339,8 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
             f = J.hom(u.on_obj(key[0]), j)[midx]
             return (q, key, (arrows, J.hom(u.on_obj(key[0]), j2).index(J.compose(alpha, f))))
 
-        dims = {jj: [t.term(n - b[0]).at(b[3]).dim for b in blocks[jj]] for jj in (j, j2)}
-        return _relabelling(p, blocks[j], dims[j], blocks[j2], dims[j2], postcompose)
+        dims = {jj: [t.term(n - q).at(obj).dim for q, obj, _ in wcs[jj].blocks] for jj in (j, j2)}
+        return _relabelling(p, wcs[j].blocks, dims[j], wcs[j2].blocks, dims[j2], postcompose)
 
     def term_fn(n: int) -> Diagram:
         modules = {j: hoc[j].term(n).at("*") for j in J.objects}
@@ -570,16 +461,16 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
         arrows_i = tuple(pres.projection.mor_map[a] for a in arrows)
         return (q, chain_i, (arrows_i, midx))
 
-    blocks_r = _weight_blocks(bar_i.complex)
-    blocks_l = _weight_blocks(bar_s.complex)
-    if sorted(repr(translate(b[4])) for b in blocks_l) != sorted(repr(b[4]) for b in blocks_r):
+    blocks_r = bar_i.complex.blocks
+    blocks_l = bar_s.complex.blocks
+    if sorted(repr(translate(label)) for _, _, label in blocks_l) != sorted(repr(label) for _, _, label in blocks_r):
         return Der4Report(underived_ok, False, (lo, hi), {"label_mismatch": True, **details})
 
     derived_ok = True
     thetas: Dict[int, Mat] = {}
     for n in range(lo, hi + 2):
-        dims_r = [t.term(b[0] + n).at(b[3]).dim for b in blocks_r]
-        dims_l = [t.term(b[0] + n).at(pres.pairs[b[3]][0]).dim for b in blocks_l]
+        dims_r = [t.term(q + n).at(obj).dim for q, obj, _ in blocks_r]
+        dims_l = [t.term(q + n).at(pres.pairs[obj][0]).dim for q, obj, _ in blocks_l]
         # theta_n has one identity block per slice block, at its translation
         thetas[n] = _relabelling(p, blocks_l, dims_l, blocks_r, dims_r, translate).T
         if sum(dims_l) != sum(dims_r):

@@ -275,13 +275,15 @@ def test_criterion_05_stable_equivalence_round_trip(alg):
     print(f"\n[criterion 5] round trip stably trivial on {count} fixtures, no unknowns: PASS")
 
 
-def test_criterion_06_bar_resolution(alg):
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_criterion_06_bar_resolution(alg, p):
+    # at odd p the module-action faces carry coefficients other than 0 and 1
     t0 = time.time()
     rng = random.Random(6)
     checked = 0
     while checked < 30:
         cat = random_direct_category(rng)
-        m = random_left_module(cat, 2, 3, rng)
+        m = random_left_module(cat, p, 3, rng)
         res = bar_resolution(m)  # verifies augmented exactness internally
         res.verify_exactness()
         # longest chain of composable non-identity arrows
@@ -298,7 +300,7 @@ def test_criterion_06_bar_resolution(alg):
         checked += 1
     elapsed = time.time() - t0
     assert elapsed < 120
-    print(f"\n[criterion 6] bar exactness + length bound on {checked} random weights in {elapsed:.1f}s: PASS")
+    print(f"\n[criterion 6] bar exactness + length bound on {checked} random weights at p = {p} in {elapsed:.1f}s: PASS")
 
 
 def test_criterion_07_weighted_holim_sanity(alg):

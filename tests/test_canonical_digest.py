@@ -18,6 +18,7 @@ recorded before the weights became diagrams over the ground field.
 """
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -95,7 +96,9 @@ def _feed_weight(h, w) -> None:
 def _feed_resolution(h, res) -> None:
     cx = res.complex
     for q in cx.degrees():
-        h.update(repr([(s.obj, s.key, s.coeff_labels) for s in cx.terms[q]]).encode())
+        # one (obj, chain, coefficient labels) per summand, a run of blocks
+        runs = itertools.groupby((b for b in cx.blocks if b[0] == q), key=lambda b: (b[1], b[2][1]))
+        h.update(repr([(obj, key, [label[2] for _, _, label in run]) for (obj, key), run in runs]).encode())
         for a in cx.cat.objects:
             if q < 0:
                 _feed_array(h, cx.diff_matrix_at(q, a).a)

@@ -39,6 +39,15 @@ def test_unknown_suite_exit_two(tmp_path):
     assert code == 2
 
 
+def test_unknown_suite_is_reported_before_the_documents_load(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"algebra": "no_such_algebra.json", "suites": ["nope"]}))
+    report, code = run_scenario(str(bad))
+    assert code == 2 and report["items"] == []
+    assert report["error"] == "unknown suite 'nope'"
+    assert "wall_time_ms" in report["meta"]
+
+
 def test_regression_scenario_passes():
     report, code = run_scenario(str(SCENARIOS / "regression.json"))
     assert code == 0, json.dumps(report.get("summary"), indent=2)
@@ -56,14 +65,6 @@ def test_report_reproducible():
     rep1.pop("meta")
     rep2.pop("meta")
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
-
-
-def test_workers_flag_same_items():
-    rep1, code1 = run_scenario(str(SCENARIOS / "regression.json"))
-    rep2, code2 = run_scenario(str(SCENARIOS / "regression.json"), workers=3)
-    assert code1 == code2 == 0
-    assert [it["id"] for it in rep1["items"]] == [it["id"] for it in rep2["items"]]
-    assert [it["verdict"] for it in rep1["items"]] == [it["verdict"] for it in rep2["items"]]
 
 
 def test_explain_known_and_unknown_item(tmp_path):
@@ -446,6 +447,7 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, case):
     report, code = run_scenario(str(scen))
     assert code == 2
     assert report["items"] == [] and "malformed" in report["error"]
+    assert "wall_time_ms" in report["meta"]
     assert main(["run", str(scen)]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -456,9 +458,12 @@ def test_unreadable_document_is_an_input_error(tmp_path, capsys):
     report, code = run_scenario(str(scen))
     assert code == 2
     assert report["items"] == [] and "doc.json" in report["error"]
+    assert "wall_time_ms" in report["meta"]
     assert main(["run", str(scen)]) == 2
     scen.write_bytes(b"\xff\xfe")  # a scenario that is not UTF-8
-    assert run_scenario(str(scen))[1] == 2
+    report, code = run_scenario(str(scen))
+    assert code == 2 and "cannot read scenario" in report["error"]
+    assert "wall_time_ms" in report["meta"]
     assert main(["run", str(scen)]) == 2
     assert "Traceback" not in capsys.readouterr().err
 

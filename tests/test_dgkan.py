@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -481,8 +482,10 @@ def test_ho_kan_terms_are_functorial_on_shapes_with_composites(p):
 
 
 def test_verify_exactness_catches_every_flipped_entry():
-    # over F_2 a flipped entry of a bar differential's coefficient matrix or
-    # of the augmentation always breaks the augmented complex
+    # over F_2 a flipped entry of a bar differential or of the augmentation
+    # always breaks the augmented complex.  The entries flipped are those of
+    # every (target summand, source summand, arrow) the differential touches,
+    # zeros included, with a summand the (degree, chain) of its blocks
     k = ground_field(2)
     checked = 0
     for make_shape in SHAPES:
@@ -492,17 +495,16 @@ def test_verify_exactness_catches_every_flipped_entry():
         for w in weights:
             res = bar_resolution(w)
             cx = res.complex
-            for q, comp in cx.diffs.items():
-                for key, arrows in comp.items():
-                    for arrow, coeff in arrows.items():
-                        for entry in np.ndindex(coeff.a.shape):
-                            a = coeff.a.copy()
-                            a[entry] ^= 1
-                            diffs = {qq: {kk: dict(v) for kk, v in cc.items()} for qq, cc in cx.diffs.items()}
-                            diffs[q][key][arrow] = Mat(2, a)
-                            with pytest.raises(VerificationError):
-                                FreeResolution(FreeComplex(cat, 2, cx.terms, diffs), w, res.aug).verify_exactness()
-                            checked += 1
+            summands = {}
+            for b, (_, _, label) in enumerate(cx.blocks):
+                summands.setdefault(label[:2], []).append(b)
+            touched = {(cx.blocks[t][2][:2], cx.blocks[s][2][:2], arrow) for t, s, arrow in cx.coeffs}
+            for tgt, src, arrow in touched:
+                for t, s in itertools.product(summands[tgt], summands[src]):
+                    coeffs = {**cx.coeffs, (t, s, arrow): cx.coeffs.get((t, s, arrow), 0) ^ 1}
+                    with pytest.raises(VerificationError):
+                        FreeResolution(FreeComplex(cat, 2, cx.blocks, coeffs), w, res.aug).verify_exactness()
+                    checked += 1
             for o, m in res.aug.items():
                 for entry in np.ndindex(m.a.shape):
                     a = m.a.copy()
