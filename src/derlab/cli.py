@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .algebra import algebra_from_dict, is_self_injective
+from .algebra import algebra_from_dict, require_self_injective
 from .cats import category_from_dict, disjoint_union, functor_from_dict
 from .field import DerlabError, matrix_from_entries
 from .diagrams import (
@@ -112,9 +112,7 @@ class Session:
     def load(self) -> None:
         if "algebra" not in self.scenario:
             raise ScenarioError("scenario has no algebra")
-        self.alg = algebra_from_dict(self._read(self.scenario["algebra"]))
-        if not is_self_injective(self.alg):
-            raise ScenarioError("algebra is not self-injective; session refused")
+        self.alg = require_self_injective(algebra_from_dict(self._read(self.scenario["algebra"])))
         for name, rel in self._table("categories").items():
             cat = category_from_dict(self._read(rel))
             if not cat.objects:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, require_self_injective
 from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_category
 from .field import DerlabError, Mat, block, block_diag, hstack, invert, kernel_basis, rank, solve
 from .modules import Module, ModuleMap, dual_module, generators, is_projective, split_section, submodule, zero_module
@@ -580,7 +580,9 @@ def sod_decompose(c: LazyComplex, lo: int, hi: int) -> SodResult:
     over a minimal object; all three postconditions re-verified on the
     window.  Over a shape with more than one object the parts are complexes
     only near the window: the p-part raises WindowError for a differential
-    outside lo-1..hi+1 and the tc-part for one outside lo-2..hi."""
+    outside lo-1..hi+1 and the tc-part for one outside lo-2..hi.  Raises
+    AlgebraError over an algebra that is not self-injective."""
+    require_self_injective(c.alg)
     if lo > hi:
         raise WindowError(f"the window {lo}..{hi} is empty")
     if not c.is_acyclic_on(lo - 1, hi + 1):

@@ -26,7 +26,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import DerlabError, Mat, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, remember, solve, vstack
+from .field import DerlabError, Mat, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, solve, vstack
 from .modules import (
     Conflation,
     Module,
@@ -123,32 +123,10 @@ def diagram_key(x: Diagram) -> tuple:
     )
 
 
-# Covers, embeddings into projective diagrams and Gorenstein Kan extensions
-# are kept per algebra, keyed by content (diagram_key) and, for a Kan
-# extension, the functor.  One stability-p2 pass over its 344 modules makes
-# 343 embedding and 344 Kan calls on 16 and 17 distinct inputs.
-# recognition-p3 inputs recur across items: in 150 batches (720 embedding
-# calls), memos of 8, 32, 64, 128 and 1024 entries build 603, 440, 343, 292
-# and 283 embeddings, and its peak RSS (seed 903, 2-vCPU host) is 40.4 MB
-# without memos, 41.5 MB with 64 entries and 43.0 MB with 128.  Only inputs
-# of total dim at most MEMO_MAX_TOTAL_DIM are looked up and kept, which
-# bounds an entry; on the benchmark workloads the largest cover input has
-# total dim 12 and the largest embedding input 29, and stability-p2 leaves
-# out two Kan inputs (total dim 33 and 44).
-MEMO_MAX_ENTRIES = 64
-MEMO_MAX_TOTAL_DIM = 32
-_MISS = object()
-
-
 def by_content(name: str, x: Diagram, build: Callable[[], object], *extra):
-    """build(), kept under (*extra, diagram_key(x)) in x.alg.memo(name) and
-    handed out again on a later call with that key.  An x of total dim
-    above MEMO_MAX_TOTAL_DIM is built and not kept."""
-    if x.total_dim() > MEMO_MAX_TOTAL_DIM:
-        return build()
-    memo, key = x.alg.memo(name), (*extra, diagram_key(x))
-    hit = memo.get(key, _MISS)
-    return remember(memo, key, build(), MEMO_MAX_ENTRIES) if hit is _MISS else hit
+    """build(), kept under (*extra, diagram_key(x)) by x's algebra
+    (Algebra.kept)."""
+    return x.alg.kept(name, (*extra, diagram_key(x)), x.total_dim(), build)
 
 
 class DiagramMap:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Algebra
+from .algebra import Algebra, require_self_injective
 from .cats import (
     CatFunctor,
     DirectCategory,
@@ -213,7 +213,9 @@ def co_stalk_presentation(shape: DirectCategory, alg: Algebra, j: str, q_mod: Mo
 
 def is_gproj(x: Diagram) -> bool:
     """All latching maps are inflations, decided by ranks (_latching_ranks)
-    after the T R = 0 check at every object."""
+    after the T R = 0 check at every object.  Raises AlgebraError over an
+    algebra that is not self-injective."""
+    require_self_injective(x.alg)
     ranks = [_latching_ranks(x, j) for j in x.shape.objects]
     return all(rk == dim for dim, rk, _ in ranks)
 

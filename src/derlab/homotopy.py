@@ -125,7 +125,7 @@ def stable_hom_diagrams(x: Diagram, y: Diagram) -> StableHomReport:
 def is_stable_iso_map_diagrams(
     f: DiagramMap, pair: Optional[StableIsoPair] = None
 ) -> Tuple[bool, Optional[DiagramMap]]:
-    """Exact two-sided stable invertibility of a given map (two solves);
+    """Exact two-sided stable invertibility of a given map (one solve);
     pair as for modules.is_stable_iso_map."""
     return stable_iso_map_in(_DIAGRAMS, f, pair or stable_iso_pair_in(_DIAGRAMS, f.src, f.tgt))
 

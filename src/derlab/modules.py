@@ -22,7 +22,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, require_self_injective
 from .field import (
     DerlabError,
     Mat,
@@ -34,7 +34,6 @@ from .field import (
     kernel_basis,
     kron,
     rank,
-    remember,
     rref,
     solve,
     vstack,
@@ -547,8 +546,10 @@ def stable_hom_in(ops, a, b) -> StableHomReport:
     deflation P(b) ->> b.  P(b) is a sum of copies of free objects F, one
     per generator of b, and the deflation is the sum of the generator legs
     F -> b, so the subspace is spanned by leg o h for h in Hom(a, F): one
-    small Hom per free object instead of Hom(a, P(b)).
+    small Hom per free object instead of Hom(a, P(b)).  Raises AlgebraError
+    over an algebra that is not self-injective.
     """
+    require_self_injective(a.alg)
     basis = ops.hom(a, b)
     blocks = ops.free_blocks(b)
     cols = [ops.vec(ops.compose(leg, h)) for free, legs in blocks for h in ops.hom(a, free) for leg in legs]
@@ -579,9 +580,10 @@ def stable_iso_pair_in(ops, a, b) -> StableIsoPair:
 
 
 def stable_iso_map_in(ops, f, pair: StableIsoPair) -> Tuple[bool, Optional[object]]:
-    """Is f invertible in the stable category?  Exact, no budget: a left
-    stable inverse g (g o f = id modulo projectives) and the existence of a
-    right one make g two-sided.  Returns (verdict, g when true).
+    """Is f invertible in the stable category?  Exact, no budget, one solve:
+    the canonical g with g o f = id modulo projectives, then f o g = id
+    modulo projectives.  That test is exact: if f has a stable inverse h,
+    then g = g o f o h = h stably.  Returns (verdict, g when true).
 
     pair must be the per-pair data of f's own source and target."""
     if pair.src is not f.src or pair.tgt is not f.tgt:
@@ -590,13 +592,8 @@ def stable_iso_map_in(ops, f, pair: StableIsoPair) -> Tuple[bool, Optional[objec
     zero = ops.zero(f.tgt, f.src)
     left = [ops.vec(ops.compose(b, f)) for b in back]
     g = solve_in_basis(back, left, ops.vec(ops.identity(f.src)), zero, pair.end_src.proj_subspace)
-    if g is None:
+    if g is None or not pair.end_tgt.in_proj_subspace(ops.compose(f, g) - ops.identity(f.tgt)):
         return False, None
-    right = [ops.vec(ops.compose(f, b)) for b in back]
-    if solve_in_basis(back, right, ops.vec(ops.identity(f.tgt)), zero, pair.end_tgt.proj_subspace) is None:
-        return False, None
-    if not pair.end_tgt.in_proj_subspace(ops.compose(f, g) - ops.identity(f.tgt)):
-        raise ops.error("stable inverse check is inconsistent")
     return True, g
 
 
@@ -659,35 +656,19 @@ class _ModuleOps:
 _MODULES = _ModuleOps()
 
 
-# A stable Hom is kept per algebra, keyed by the content of (m, n): its basis
-# matrices and projective subspace, rewrapped as maps m -> n on every call.
-# One stability-p2 pass over its 344 modules makes 1376 stable_hom calls on
-# 53 distinct pairs.  Entries of more than STABLE_HOM_MEMO_MAX_CELLS cells,
-# key included, are not kept: that leaves 151 builds, at a peak RSS (seed
-# 903, 2-vCPU host) of 41.4 MB against 40.9 MB without memos.  A cap of
-# 24576 cells, which keeps the seven 12 x 12 pairs too, reached 43.2 MB.
-STABLE_HOM_MEMO_MAX_ENTRIES = 128
-STABLE_HOM_MEMO_MAX_CELLS = 4096
-
-
 def stable_hom(m: Module, n: Module) -> StableHomReport:
-    """Hom(m, n) with its projective subspace and stable quotient dimension."""
-    memo, key = m.alg.memo("stable_hom"), (module_key(m), module_key(n))
-    hit = memo.get(key) if m.alg is n.alg else None
-    if hit is None:
+    """Hom(m, n) with its projective subspace and stable quotient dimension.
+    Kept per algebra by the content of (m, n) (Algebra.kept): the memo holds
+    the basis matrices and the subspace, rewrapped as maps m -> n."""
+    if m.alg is not n.alg:
+        raise ModuleError("stable_hom requires a shared algebra instance")
+
+    def build():
         rep = stable_hom_in(_MODULES, m, n)
-        hit = (tuple(f.mat for f in rep.basis), rep.proj_subspace)
-        if _stable_hom_cells(m, n, hit) <= STABLE_HOM_MEMO_MAX_CELLS:
-            remember(memo, key, hit, STABLE_HOM_MEMO_MAX_ENTRIES)
-        return rep
-    mats, sub = hit
+        return tuple(f.mat for f in rep.basis), rep.proj_subspace
+
+    mats, sub = m.alg.kept("stable_hom", (module_key(m), module_key(n)), m.dim + n.dim, build)
     return StableHomReport([ModuleMap(m, n, a) for a in mats], sub, len(mats) - sub.cols, _MODULES.vec)
-
-
-def _stable_hom_cells(m: Module, n: Module, entry) -> int:
-    """The matrix cells a stable-Hom memo entry holds, its key included."""
-    mats, sub = entry
-    return m.alg.dim * (m.dim**2 + n.dim**2) + (len(mats) + sub.cols) * m.dim * n.dim
 
 
 def is_stable_iso_map(f: ModuleMap, pair: Optional[StableIsoPair] = None) -> Tuple[bool, Optional[ModuleMap]]:
@@ -704,7 +685,7 @@ def is_stable_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Ve
     """Search for a stable isomorphism m ~ n.
 
     Cheap dimension obstructions certify "false"; then candidates range
-    over stable classes of Hom(m, n), each a pair of linear solves.
+    over stable classes of Hom(m, n), each one linear solve.
     """
     end_m = stable_hom(m, m)
     end_n = stable_hom(n, n)

@@ -111,6 +111,44 @@ def test_gate():
         require_self_injective(upper_triangular_2x2(2))
 
 
+def test_frobenius_entry_points_refuse_a_non_self_injective_algebra():
+    """Each library entry point that presupposes a Frobenius category, called
+    on the stalk at 0 of the simple S_1 over the triangular algebra (not
+    projective, so Gorenstein projective only by a silent wrong answer)."""
+    from derlab import complexes, dgkan, gorenstein, homotopy, modules
+    from derlab.cats import CatFunctor, arrow_category, terminal_category
+    from derlab.diagrams import stalk_diagram, zero_diagram
+    from derlab.field import Mat
+
+    alg = upper_triangular_2x2(2)
+    s1 = modules.Module(alg, [Mat.identity(2, 1), Mat.zeros(2, 1, 1), Mat.zeros(2, 1, 1)]).validate()
+    assert not modules.is_projective(s1)
+    arrow = arrow_category()
+    x = stalk_diagram(arrow, alg, "0", s1)
+    to_point = CatFunctor(arrow, terminal_category(), {"0": "*", "1": "*"}, {"e0": "1_*"})
+    zero = complexes.LazyComplex(arrow, alg, lambda k: zero_diagram(arrow, alg), lambda k: {o: Mat.zeros(2, 0, 0) for o in arrow.objects})
+    calls = {
+        "is_gproj": lambda: gorenstein.is_gproj(x),
+        "is_ginj": lambda: gorenstein.is_ginj(x),
+        "approx_gproj": lambda: gorenstein.approx_gproj(x),
+        "hull_ginj": lambda: gorenstein.hull_ginj(x),
+        "complete_resolution": lambda: complexes.complete_resolution(x),
+        "gproj_left_kan": lambda: gorenstein.gproj_left_kan(to_point, x),
+        "ginj_right_kan": lambda: gorenstein.ginj_right_kan(to_point, x),
+        "crosscheck_kan": lambda: dgkan.crosscheck_kan(to_point, x, margin=1),
+        "sod_decompose": lambda: complexes.sod_decompose(zero, -1, 1),
+        "stable_hom": lambda: modules.stable_hom(s1, s1),
+        "is_stable_iso": lambda: modules.is_stable_iso(s1, s1),
+        "is_stable_iso_map": lambda: modules.is_stable_iso_map(modules.identity_map(s1)),
+        "stable_hom_diagrams": lambda: homotopy.stable_hom_diagrams(x, x),
+        "is_stable_iso_diagrams": lambda: homotopy.is_stable_iso_diagrams(x, x),
+    }
+    for name, call in calls.items():
+        with pytest.raises(AlgebraError, match="self-injective"):
+            call()
+            pytest.fail(f"{name} answered over a non-self-injective algebra")
+
+
 def test_roundtrip_dict():
     alg = dual_numbers(2)
     data = algebra_to_dict(alg)

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import derlab.algebra as algebra
 import derlab.diagrams as diagrams
 import derlab.gorenstein as gorenstein
 import derlab.modules as modules
@@ -21,7 +22,7 @@ from derlab.diagrams import Diagram, constant_diagram, diagram_key, identity_dia
 from derlab.field import Mat, rank, remember
 from derlab.gorenstein import approx_gproj, embed_gproj_into_proj, hull_ginj, is_gproj
 from derlab.homotopy import loop_via_square
-from derlab.modules import Module, direct_sum, free_module, hom_space, module_key, stable_hom
+from derlab.modules import Module, ModuleError, direct_sum, free_module, hom_space, module_key, stable_hom
 from derlab.samples import all_modules
 
 # One loop_via_square pass over the 344 modules of dim <= 4 over
@@ -110,7 +111,7 @@ def test_warm_memos_give_the_bytes_of_cold_ones(dn, monkeypatch, case):
     warm = [digest(x) for x in inputs]
     assert filling == cold and warm == cold
     # the warm pass built only what is too large to be kept
-    assert all(x.total_dim() > diagrams.MEMO_MAX_TOTAL_DIM for xs in built.values() for x in xs)
+    assert all(x.total_dim() > algebra.MEMO_MAX_TOTAL_DIM for xs in built.values() for x in xs)
 
 
 def test_a_hit_wraps_the_callers_diagram(dn, simple, reg, monkeypatch):
@@ -164,36 +165,72 @@ def test_remember_evicts_the_oldest_first():
 
 def test_memos_stay_within_their_bounds(dn, monkeypatch):
     mods = all_modules(dn, 3)
-    memo = dn.memo("stable_hom")
-    pairs = [(m, n) for m in mods for n in mods][: modules.STABLE_HOM_MEMO_MAX_ENTRIES + 20]
+    pairs = [(m, n) for m in mods for n in mods][: algebra.MEMO_MAX_ENTRIES + 20]
     for m, n in pairs:
         stable_hom(m, n)
-        assert len(memo) <= modules.STABLE_HOM_MEMO_MAX_ENTRIES
-    assert len(memo) == modules.STABLE_HOM_MEMO_MAX_ENTRIES
+        assert len(dn._memos["stable_hom"]) <= algebra.MEMO_MAX_ENTRIES
+    memo = dn._memos["stable_hom"]
+    assert len(memo) == algebra.MEMO_MAX_ENTRIES
     assert (module_key(pairs[0][0]), module_key(pairs[0][1])) not in memo  # the oldest went first
-    # an entry above the cell cap is not kept
+    # a pair above the dim bound is not kept
     clear_memos()
-    big = direct_sum(mods[-1:] * 3)[0]
-    rep = stable_hom(big, big)
-    entry = (tuple(f.mat for f in rep.basis), rep.proj_subspace)
-    assert modules._stable_hom_cells(big, big, entry) > modules.STABLE_HOM_MEMO_MAX_CELLS
-    assert dn.memo("stable_hom") == {}
+    big = direct_sum(mods[-1:] * 6)[0]
+    assert 2 * big.dim > algebra.MEMO_MAX_TOTAL_DIM
+    stable_hom(big, big)
+    assert dn._memos.get("stable_hom", {}) == {}
 
-    monkeypatch.setattr(diagrams, "MEMO_MAX_ENTRIES", 3)
+    monkeypatch.setattr(algebra, "MEMO_MAX_ENTRIES", 3)
     built = _record_builds(monkeypatch)
     for x in _seeded_f3_diagrams():
         approx_gproj(x)
         hull_ginj(x)
         for alg in (x.alg, x.alg.opposite()):
-            assert len(alg.memo("embed_gproj_into_proj")) <= 3
-            assert len(alg.memo("projective_cover_diagram")) <= 3
+            assert len(alg._memos.get("embed_gproj_into_proj", {})) <= 3
+            assert len(alg._memos.get("projective_cover_diagram", {})) <= 3
     assert len(built["_cover"]) > 6  # both cover memos were full
     # a diagram above the size cap is neither looked up nor kept
     big_x = constant_diagram(arrow_category(), dn, free_module(dn, 9))
-    assert big_x.total_dim() > diagrams.MEMO_MAX_TOTAL_DIM
+    assert big_x.total_dim() > algebra.MEMO_MAX_TOTAL_DIM
     embed_gproj_into_proj(big_x)
     projective_cover_diagram(big_x)
-    assert dn.memo("embed_gproj_into_proj") == {} and dn.memo("projective_cover_diagram") == {}
+    assert dn._memos.get("embed_gproj_into_proj", {}) == {} and dn._memos.get("projective_cover_diagram", {}) == {}
+
+
+def _record_stable_hom_builds(monkeypatch):
+    """The (module_key, module_key) pair of every stable Hom of modules
+    built from now on."""
+    built = []
+
+    def recording(ops, a, b, _original=modules.stable_hom_in):
+        if ops is modules._MODULES:
+            built.append((module_key(a), module_key(b)))
+        return _original(ops, a, b)
+
+    monkeypatch.setattr(modules, "stable_hom_in", recording)
+    return built
+
+
+def test_a_stable_hom_of_many_cells_is_built_once(dn, monkeypatch):
+    # an entry of more than 4096 cells, key included, within the dim bound
+    big = direct_sum(all_modules(dn, 3)[-1:] * 3)[0]
+    assert 2 * big.dim <= algebra.MEMO_MAX_TOTAL_DIM
+    built = _record_stable_hom_builds(monkeypatch)
+    first, second = stable_hom(big, big), stable_hom(big, big)
+    cells = dn.dim * 2 * big.dim**2 + (len(first.basis) + first.proj_subspace.cols) * big.dim**2
+    assert cells > 4096
+    assert len(built) == 1
+    assert [f.mat for f in second.basis] == [f.mat for f in first.basis]
+    assert second.proj_subspace == first.proj_subspace and second.quotient_dim == first.quotient_dim
+
+
+def test_a_stable_hom_across_instances_is_refused_and_not_kept(dn, simple):
+    other = dual_numbers(2)
+    simple2 = Module(other, list(simple.action))
+    assert other is not dn and module_key(simple2) == module_key(simple)
+    for m, n in ((simple, simple2), (simple2, simple)):
+        with pytest.raises(ModuleError):
+            stable_hom(m, n)
+    assert not dn._memos and not other._memos
 
 
 def test_a_fresh_algebra_starts_with_empty_memos(dn, simple):
@@ -202,7 +239,7 @@ def test_a_fresh_algebra_starts_with_empty_memos(dn, simple):
     loop_via_square(simple)
     zero = Module(dn, [Mat.zeros(2, 0, 0)] * 2)
     old_cover = projective_cover_diagram(Diagram(arrow_category(), dn, {"0": simple, "1": zero}, {"e0": Mat.zeros(2, 0, 1)}))
-    assert dn.memo("stable_hom") and dn.opposite().memo("gproj_left_kan") and dn.memo("projective_cover_diagram")
+    assert dn._memos.get("stable_hom") and dn.opposite()._memos.get("gproj_left_kan") and dn._memos.get("projective_cover_diagram")
     fresh = dual_numbers(2)
     assert fresh is not dn and not fresh._memos and not fresh.opposite()._memos
     simple2 = Module(fresh, [Mat.identity(2, 1), Mat.zeros(2, 1, 1)])
@@ -222,6 +259,7 @@ def test_one_loop_pass_builds_few_embeddings_and_kan_extensions(dn, monkeypatch)
     mods = all_modules(dn, 4)
     assert len(mods) == 344
     built = _record_builds(monkeypatch)
+    stable_built = _record_stable_hom_builds(monkeypatch)
     calls = Counter()
     for name in ("embed_gproj_into_proj", "gproj_left_kan"):
         def counting(*args, _name=name, _original=getattr(gorenstein, name)):
@@ -234,3 +272,5 @@ def test_one_loop_pass_builds_few_embeddings_and_kan_extensions(dn, monkeypatch)
     assert calls["embed_gproj_into_proj"] >= 300 and calls["gproj_left_kan"] == 344
     assert len(built["_embedding"]) <= LOOP_BUILDS
     assert len(built["gproj_left_kan_data"]) <= LOOP_BUILDS
+    # every stable Hom of the pass is kept: each distinct pair is built once
+    assert stable_built and set(Counter(stable_built).values()) == {1}
