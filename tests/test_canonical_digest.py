@@ -15,6 +15,11 @@ The second digest guards the dg-model route the same way: restriction
 weights, their bar resolutions, the homotopy Kan extensions' terms,
 structure maps and differentials, and der4_check's details.  It was
 recorded before the weights became diagrams over the ground field.
+
+The third digest guards the slice-colimit layer: every punctured slice of
+four shapes, latching and matching data, embeddings into projectives,
+pushout-inductive colimits and the four Kan extension routes.  It was
+recorded before both left Kan routes were put through one slice loop.
 """
 
 import hashlib
@@ -24,17 +29,49 @@ import random
 import numpy as np
 
 from derlab.algebra import dual_numbers, group_algebra_c2
-from derlab.cats import CatFunctor, DirectCategory, arrow_category, cospan_category, identity_functor, object_functor, span_category, square_category, terminal_category
+from derlab.cats import (
+    CatFunctor,
+    DirectCategory,
+    arrow_category,
+    cospan_category,
+    identity_functor,
+    object_functor,
+    opposite_category,
+    punctured_slice,
+    span_category,
+    square_category,
+    terminal_category,
+)
 from derlab.complexes import LazyComplex, complete_resolution
 from derlab.dgkan import bar_resolution, der4_check, ho_left_kan, ho_right_kan, restriction_weight, restriction_weight_right
-from derlab.diagrams import Diagram, DiagramConflation, DiagramMap, constant_diagram, ext1, projective_cover_diagram
-from derlab.gorenstein import approx_gproj, hull_ginj
+from derlab.diagrams import (
+    Diagram,
+    DiagramConflation,
+    DiagramMap,
+    constant_diagram,
+    dual_diagram,
+    ext1,
+    pointwise_left_kan,
+    pointwise_right_kan,
+    projective_cover_diagram,
+)
+from derlab.gorenstein import (
+    approx_gproj,
+    colim_gproj,
+    embed_gproj_into_proj,
+    ginj_right_kan,
+    gproj_left_kan_data,
+    hull_ginj,
+    latching,
+    matching,
+)
 from derlab.homotopy import _corner_in_square
 from derlab.modules import regular_module
 from derlab.samples import random_diagram, random_gproj
 
 RECORDED_SHA256 = "337b84df8042ab879d9e6c57de62b44a290e238318d1a124127f07be5692e198"
 RECORDED_DGKAN_SHA256 = "023e8cc62102cd72de8c75a952a96b70f3184d5a5692b718939b8e7a3621975c"
+RECORDED_SLICE_COLIMIT_SHA256 = "f54dff432bcf04f4450ec615c241237fbd1ce4c05c96a04cf869948288d3d491"
 
 
 def _feed_array(h, a: np.ndarray) -> None:
@@ -145,3 +182,56 @@ def dgkan_digest() -> str:
 
 def test_dg_model_kan_extensions_keep_their_canonical_bytes():
     assert dgkan_digest() == RECORDED_DGKAN_SHA256
+
+
+def _feed_module(h, m) -> None:
+    _feed_array(h, np.array([m.dim]))
+    for act in m.action:
+        _feed_array(h, act.a)
+
+
+def _feed_slice(h, pres) -> None:
+    """The slice category with its dict orders, its projection and pairs."""
+    cat, proj = pres.cat, pres.projection
+    parts = (cat.objects, cat.morphisms, cat.comp, cat.identities, proj.obj_map, proj.mor_map, pres.pairs)
+    h.update(repr([list(x.items()) if isinstance(x, dict) else x for x in parts] + [pres.side, pres.index_object]).encode())
+
+
+def slice_colimit_digest() -> str:
+    """Every punctured slice of the arrow, cospan, span and square, then,
+    over p = 2, 3 and F_2C_2, seeded Gorenstein projectives x and
+    Gorenstein injectives y (duals of Gorenstein projectives over the
+    opposite shape and algebra): latching data of x with their cocones,
+    matching data of y, x's embedding into a projective and its
+    pushout-inductive colimit, and along the identity and the map to the
+    point the Gorenstein left Kan extension with its unit, both pointwise
+    Kan extensions and the Gorenstein right Kan extension."""
+    h = hashlib.sha256()
+    shapes = (arrow_category(), cospan_category(), span_category(), square_category())
+    for shape in shapes:
+        for j in shape.objects:
+            for side in ("under", "over"):
+                _feed_slice(h, punctured_slice(shape, j, side))
+    for alg in (dual_numbers(2), dual_numbers(3), group_algebra_c2(2)):
+        for shape in shapes:
+            to_point = CatFunctor(shape, terminal_category(), {o: "*" for o in shape.objects}, {f: "1_*" for f in shape.morphisms})
+            for seed in range(5):
+                x = random_gproj(shape, alg, 2, random.Random(seed))
+                y = dual_diagram(random_gproj(opposite_category(shape), alg.opposite(), 2, random.Random(seed)))
+                for j in shape.objects:
+                    lat, mat = latching(x, j), matching(y, j)
+                    for m in (lat.module, mat.module):
+                        _feed_module(h, m)
+                    for leg in [lat.map, mat.map] + [lat.cocone[o] for o in lat.pres.cat.objects]:
+                        _feed_array(h, leg.mat.a)
+                _feed(h, embed_gproj_into_proj(x))
+                _feed_module(h, colim_gproj(x))
+                for u in (identity_functor(shape), to_point):
+                    data = gproj_left_kan_data(u, x)
+                    for out in (data.diagram, data.unit, pointwise_left_kan(u, x), pointwise_right_kan(u, y), ginj_right_kan(u, y)):
+                        _feed(h, out)
+    return h.hexdigest()
+
+
+def test_slice_colimits_and_kan_extensions_keep_their_canonical_bytes():
+    assert slice_colimit_digest() == RECORDED_SLICE_COLIMIT_SHA256
