@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .field import MODULUS_BOUND, DerlabError, Mat, check_integer_entries, is_prime, rank, remember
+from .field import MODULUS_BOUND, DerlabError, Mat, check_integer_entries, column_space_basis, hstack, in_column_span, is_prime, rank, remember
 
 
 class AlgebraError(DerlabError, ValueError):
@@ -187,8 +187,6 @@ def validate_algebra(alg: Algebra) -> Algebra:
 
 
 def _validate_radical(alg: Algebra) -> None:
-    from .field import column_space_basis, hstack, in_column_span
-
     rad = alg.radical
     if rad.rows != alg.dim:
         raise AlgebraError("radical vectors have the wrong length")

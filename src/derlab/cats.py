@@ -294,37 +294,18 @@ def slice_category(u: CatFunctor, j: str, side: str) -> SlicePresentation:
 
 def punctured_slice(c: DirectCategory, i: str, side: str) -> SlicePresentation:
     """The slice of the identity functor at i with the (co)terminal identity
-    pair removed; the index shape for latching (side 'under', all arrows
-    into i) and matching (side 'over', all arrows out of i) objects.
+    pair removed: its full subcategory on the other pairs.  The index shape
+    for latching (side 'under', all arrows into i) and matching (side
+    'over', all arrows out of i) objects.
 
     Cached per category: latching/matching computations hit this heavily."""
     if (i, side) in c._punctured_cache:
         return c._punctured_cache[(i, side)]
     pres = slice_category(identity_functor(c), i, side)
-    drop = None
-    for name, (k, f) in pres.pairs.items():
-        if k == i and c.is_identity(f):
-            drop = name
-    assert drop is not None
-    keep = [o for o in pres.cat.objects if o != drop]
-    morphisms = {
-        m: st for m, st in pres.cat.morphisms.items() if st[0] != drop and st[1] != drop
-    }
-    comp = {
-        pair: h
-        for pair, h in pres.cat.comp.items()
-        if pair[0] in morphisms and pair[1] in morphisms
-    }
-    identities = {o: pres.cat.identities[o] for o in keep}
-    sub = DirectCategory(keep, morphisms, comp, identities)
-    proj = CatFunctor(
-        sub,
-        c,
-        {o: pres.projection.obj_map[o] for o in keep},
-        {m: pres.projection.mor_map[m] for m in morphisms},
-    )
-    pairs = {o: pres.pairs[o] for o in keep}
-    out = SlicePresentation(sub, proj, pairs, side, i)
+    keep = [o for o, pair in pres.pairs.items() if pair != (i, c.id_of(i))]
+    sub, _ = full_subcategory(pres.cat, keep)
+    proj = CatFunctor(sub, c, {o: pres.projection.obj_map[o] for o in keep}, {m: pres.projection.mor_map[m] for m in sub.morphisms})
+    out = SlicePresentation(sub, proj, {o: pres.pairs[o] for o in keep}, side, i)
     c._punctured_cache[(i, side)] = out
     return out
 

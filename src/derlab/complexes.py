@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .algebra import Algebra, require_self_injective
 from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_category
 from .field import DerlabError, Mat, block, block_diag, hstack, invert, kernel_basis, rank, solve
@@ -32,13 +30,11 @@ from .diagrams import (
     compose_diagram_maps,
     dual_diagram,
     factor_matrix_through_surjection,
-    hom_space_diagrams,
     identity_diagram_map,
     kernel_diagram,
     left_kan_from_point,
     projective_cover_diagram,
     restrict,
-    vec_diagram_map,
     zero_diagram,
     zero_diagram_map,
 )
@@ -279,8 +275,9 @@ def cone(f: ComplexMap) -> LazyComplex:
 
 
 def is_contractible_on(c: LazyComplex, lo: int, hi: int) -> bool:
-    """Does contraction_on_window find h with d h + h d = id at lo+1 .. hi-1
-    of c?  Decided from the cocycles, with no hom space.
+    """Is there h of degree -1 with d h + h d = id at lo+1 .. hi-1 of c?
+    Decided from the cocycles, with no hom space; the tests compare it with
+    one joint solve for h (tests/oracles.py).
 
     Such h exist exactly when c is exact there, the deflations
     C^{k-1} ->> d(C^{k-1}) (lo < k <= hi) split, and so does the inflation
@@ -419,46 +416,6 @@ def _verify_termwise_contraction(c: LazyComplex, witness: List[_ComponentContrac
         for k in range(lo, hi + 1):
             if not (d[k - 1] @ w.h[k] + w.h[k + 1] @ d[k]).is_identity():
                 raise VerificationError(f"d h + h d != id at {w.obj} in degree {k}")
-
-
-def contraction_on_window(c: LazyComplex, lo: int, hi: int) -> Optional[Dict[int, DiagramMap]]:
-    """Degree -1 maps h with d h + h d = id at the inner degrees, or None.
-
-    One joint linear solve over the hom spaces Hom(C^k, C^{k-1}).
-    """
-    p = c.alg.p
-    degrees = list(range(lo + 1, hi + 1))   # h^k: C^k -> C^{k-1}
-    inner = list(range(lo + 1, hi))         # equations at these degrees
-    bases = {k: hom_space_diagrams(c.term(k), c.term(k - 1)) for k in degrees}
-    cols = []
-    col_meta = []
-    for k in degrees:
-        for idx, b in enumerate(bases[k]):
-            parts = []
-            for m in inner:
-                contrib = None
-                if m == k:
-                    contrib = compose_diagram_maps(c.diff(m - 1), b)
-                elif m == k - 1:
-                    contrib = compose_diagram_maps(b, c.diff(m))
-                if contrib is None:
-                    contrib = zero_diagram_map(c.term(m), c.term(m))
-                parts.append(vec_diagram_map(contrib).a.reshape(-1))
-            cols.append(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
-            col_meta.append((k, idx))
-    target_parts = [vec_diagram_map(identity_diagram_map(c.term(m))).a.reshape(-1) for m in inner]
-    target = np.concatenate(target_parts) if target_parts else np.zeros(0, dtype=np.int64)
-    if not cols:
-        return {} if not target.any() else None
-    sol = solve(Mat(p, np.stack(cols, axis=1)), Mat(p, target.reshape(-1, 1)))
-    if sol is None:
-        return None
-    out: Dict[int, DiagramMap] = {k: zero_diagram_map(c.term(k), c.term(k - 1)) for k in degrees}
-    for pos_idx, (k, idx) in enumerate(col_meta):
-        coeff = int(sol.a[pos_idx, 0])
-        if coeff:
-            out[k] = out[k] + bases[k][idx].scale(coeff)
-    return out
 
 
 # -- cohomology ------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .complexes import (
     sod_decompose,
     z0,
 )
-from .gorenstein import VerificationError, gproj_left_kan, is_gproj, is_ginj
+from .gorenstein import PreconditionError, VerificationError, gproj_left_kan, is_gproj, is_ginj
 from .homotopy import is_stable_iso_diagrams
 from .verdict import FALSE, Verdict
 
@@ -497,7 +497,10 @@ def crosscheck_kan(
     margin: int = 2,
 ) -> Verdict:
     """Complete-resolution route vs the direct Gorenstein route for the same
-    Kan extension, compared by a stable-isomorphism search on the cocycles."""
+    Kan extension, compared by a stable-isomorphism search on the cocycles.
+    direction is "left" or "right"; any other value is a PreconditionError."""
+    if direction not in ("left", "right"):
+        raise PreconditionError(f"direction must be 'left' or 'right', not {direction!r}")
     if direction == "right":
         if not is_ginj(x):
             raise VerificationError("right cross-check expects a Gorenstein-injective diagram")

@@ -316,6 +316,8 @@ def hom_space_diagrams(x: Diagram, y: Diagram) -> List[DiagramMap]:
     and naturality constraints, vectorized object by object."""
     if not same_category(x.shape, y.shape):
         raise DiagramError("hom of diagrams over different shapes")
+    if x.alg is not y.alg:
+        raise DiagramError("hom of diagrams over different algebras")
     p = x.alg.p
     objs = x.shape.objects
     sizes = [y.at(o).dim * x.at(o).dim for o in objs]
@@ -391,11 +393,6 @@ def solve_in_hom(x: Diagram, y: Diagram, constraints: List[Tuple[DiagramMap, Dia
     ]
     rhs = stacked(rhs_map for _, _, rhs_map in constraints)
     return solve_in_basis(basis, images, rhs, zero_diagram_map(x, y))
-
-
-def split_section_diagrams(defl: DiagramMap) -> Optional[DiagramMap]:
-    x = defl.tgt
-    return solve_in_hom(x, defl.src, [(identity_diagram_map(x), defl, identity_diagram_map(x))])
 
 
 # -- kernels, cokernels, (co)limits ------------------------------------------
@@ -584,65 +581,57 @@ def slice_object(pres: SlicePresentation, i: str, f: str) -> str:
     for name, pair in pres.pairs.items():
         if pair == (i, f):
             return name
-    raise DiagramError("slice transport failed")
+    raise DiagramError(f"no slice object for the pair ({i}, {f})")
 
 
-def slice_transport(
-    J: DirectCategory,
-    slices: Dict[str, SlicePresentation],
-    cocones: Dict[str, Dict[str, ModuleMap]],
-    modules: Dict[str, Module],
-) -> Dict[str, Mat]:
-    """Structure maps of a left Kan extension built from colimits over the
-    slices u/j: alpha: j -> j2 sends the pair (i, f) to (i, alpha o f), and
-    the cocone at j2 read along that relabelling factors through the
-    (jointly surjective) cocone at j."""
+def from_colimit(colim: Module, cocone: Dict[str, ModuleMap], legs: Dict[str, Mat], rows: int) -> Mat:
+    """The matrix of the map out of colim whose composite with each cocone
+    leg cocone[o] is legs[o]; rows is the dim of the target.  The cocone
+    is jointly onto, so the map is unique and the order of the legs does
+    not matter.  Legs that do not factor are a DiagramError."""
+    if not cocone:
+        return Mat.zeros(colim.alg.p, rows, colim.dim)
+    return factor_matrix_through_surjection(hstack([legs[o] for o in cocone]), hstack([c.mat for c in cocone.values()]))
+
+
+def left_kan_by_slices(
+    u: CatFunctor, x: Diagram, colimit: Callable[[Diagram], Tuple[Module, Dict[str, ModuleMap]]]
+) -> Tuple[Diagram, Dict[str, SlicePresentation], Dict[str, Dict[str, ModuleMap]]]:
+    """(u_! x, the slices u/j, the cocones): at j the colimit of x over u/j,
+    taken by `colimit`.  alpha: j -> j2 sends the pair (i, f) to
+    (i, alpha o f), and the structure map is the map out of the colimit at
+    j that the cocone at j2 gives along that relabelling (from_colimit)."""
+    J = u.cod
+    slices = {j: slice_category(u, j, "under") for j in J.objects}
+    colims = {j: colimit(restrict(pres.projection, x)) for j, pres in slices.items()}
     mats = {}
     for alpha in J.nonidentity_morphisms():
         j, j2 = J.src(alpha), J.tgt(alpha)
-        if modules[j].dim == 0:
-            mats[alpha] = Mat.zeros(modules[j2].alg.p, modules[j2].dim, 0)
-            continue
-        pres, pres2 = slices[j], slices[j2]
-        src_objs = pres.cat.objects
-        sigma = hstack([cocones[j][o].mat for o in src_objs])
-        target = hstack(
-            [cocones[j2][slice_object(pres2, pres.pairs[o][0], J.compose(alpha, pres.pairs[o][1]))].mat for o in src_objs]
-        )
-        mats[alpha] = factor_matrix_through_surjection(target, sigma)
-    return mats
+        (L2, cocone2), pres2 = colims[j2], slices[j2]
+        legs = {o: cocone2[slice_object(pres2, i, J.compose(alpha, f))].mat for o, (i, f) in slices[j].pairs.items()}
+        mats[alpha] = from_colimit(*colims[j], legs, L2.dim)
+    modules = {j: L for j, (L, _) in colims.items()}
+    return Diagram(J, x.alg, modules, mats), slices, {j: cocone for j, (_, cocone) in colims.items()}
 
 
 def pointwise_left_kan(u: CatFunctor, x: Diagram) -> Diagram:
-    """Pointwise colimits over the slices u/j, each certified by the
-    terminal-component coproduct formula where it applies."""
-    J = u.cod
-    slices: Dict[str, SlicePresentation] = {}
-    cocones: Dict[str, Dict[str, ModuleMap]] = {}
-    modules: Dict[str, Module] = {}
-    for j in J.objects:
-        pres = slice_category(u, j, "under")
-        rest = restrict(pres.projection, x)
-        colim, cocone = colimit_of_diagram(rest)
-        slices[j] = pres
-        cocones[j] = cocone
-        modules[j] = colim
-        _certify_coproduct_formula(pres, rest, colim, cocone)
-    return Diagram(J, x.alg, modules, slice_transport(J, slices, cocones, modules))
+    """Pointwise colimits over the slices u/j (left_kan_by_slices), each
+    certified by the terminal-component coproduct formula where it applies."""
+    return left_kan_by_slices(u, x, _certified_colimit)[0]
 
 
-def _certify_coproduct_formula(pres: SlicePresentation, rest: Diagram, colim: Module, cocone: Dict[str, ModuleMap]) -> None:
-    comps = analyze_components(pres.cat)
-    if not comps:
-        if colim.dim != 0:
-            raise DiagramError("empty slice with nonzero colimit")
-        return
-    if not all(c.terminal for c in comps):
-        return
-    legs = [cocone[c.terminal].mat for c in comps]
-    cmp = hstack(legs)
-    if cmp.rows != cmp.cols or rank(cmp) != cmp.rows:
-        raise DiagramError("terminal-component coproduct formula failed certification")
+def _certified_colimit(rest: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
+    """colimit_of_diagram, certified over a shape whose components all have
+    a terminal object: the legs at those objects form an isomorphism."""
+    colim, cocone = colimit_of_diagram(rest)
+    comps = analyze_components(rest.shape)
+    if not comps and colim.dim != 0:
+        raise DiagramError("empty slice with nonzero colimit")
+    if comps and all(c.terminal for c in comps):
+        cmp = hstack([cocone[c.terminal].mat for c in comps])
+        if cmp.rows != cmp.cols or rank(cmp) != cmp.rows:
+            raise DiagramError("terminal-component coproduct formula failed certification")
+    return colim, cocone
 
 
 def pointwise_right_kan(u: CatFunctor, y: Diagram) -> Diagram:

@@ -23,7 +23,6 @@ from .cats import (
     opposite_category,
     opposite_functor,
     punctured_slice,
-    slice_category,
 )
 from .field import DerlabError, Mat, block, hstack, rank
 from .modules import (
@@ -52,16 +51,16 @@ from .diagrams import (
     compose_diagram_maps,
     dual_conflation,
     dual_diagram,
-    factor_matrix_through_surjection,
     free_diagram,
+    from_colimit,
     identity_diagram_map,
     kernel_diagram,
+    left_kan_by_slices,
     left_kan_from_point,
     projective_cover_diagram,
     pushout_diagrams,
     restrict,
     slice_object,
-    slice_transport,
     solve_in_hom,
     stalk_diagram,
     zero_diagram,
@@ -93,12 +92,6 @@ class LatchingDatum:
     def is_inflation(self) -> bool:
         return rank(self.map.mat) == self.module.dim
 
-    @property
-    def is_projective_inflation(self) -> bool:
-        """An inflation with a projective cokernel, read off the built
-        L_j; the tests compare is_projective_diagram's ranks with it."""
-        return self.is_inflation and is_projective(quotient_module(self.map.tgt, self.map.mat)[0])
-
 
 @dataclass
 class MatchingDatum:
@@ -106,26 +99,13 @@ class MatchingDatum:
     module: Module                      # M_j(Y)
     map: ModuleMap                      # mu_j(Y): Y_j -> M_j(Y)
 
-    @property
-    def is_deflation(self) -> bool:
-        return rank(self.map.mat) == self.module.dim
-
 
 def latching(x: Diagram, j: str) -> LatchingDatum:
     """Colimit over the punctured slice below j, with the canonical map to x_j."""
     pres = punctured_slice(x.shape, j, "under")
-    rest = restrict(pres.projection, x)
-    L, cocone = colimit_of_diagram(rest)
-    xj = x.at(j)
-    objs = pres.cat.objects
-    if not objs:
-        lam = zero_map(L, xj)
-    else:
-        sigma = hstack([cocone[o].mat for o in objs])
-        target = hstack([x.mat(pres.pairs[o][1]) for o in objs])
-        lam_mat = factor_matrix_through_surjection(target, sigma)
-        lam = ModuleMap(L, xj, lam_mat)
-    return LatchingDatum(j, L, lam, pres, cocone)
+    L, cocone = colimit_of_diagram(restrict(pres.projection, x))
+    lam = from_colimit(L, cocone, {o: x.mat(f) for o, (_, f) in pres.pairs.items()}, x.at(j).dim)
+    return LatchingDatum(j, L, ModuleMap(L, x.at(j), lam), pres, cocone)
 
 
 def matching(y: Diagram, j: str) -> MatchingDatum:
@@ -171,10 +151,10 @@ def is_projective_diagram(x: Diagram) -> bool:
     projective cokernel: the Reedy description of cofibrant objects (Hovey,
     Model Categories, 5.1-5.2), of which the latching recognition of
     Gorenstein projectives is the relaxation.  The cokernel is x_j / im T
-    (_latching_ranks).  Splitting the projective cover
-    (diagrams.split_section_diagrams) decides the same by a linear solve;
-    the tests keep it as the oracle.  Every object's T R = 0 check runs
-    before the answer, so a non-functorial x is refused, never answered."""
+    (_latching_ranks).  Splitting the projective cover by a linear solve
+    decides the same; the tests keep that as the oracle (tests/oracles.py).
+    Every object's T R = 0 check runs before the answer, so a
+    non-functorial x is refused, never answered."""
     ranks = [(j, *_latching_ranks(x, j)) for j in x.shape.objects]
     return all(rk == dim and is_projective(quotient_module(x.at(j), t)[0]) for j, dim, rk, t in ranks)
 
@@ -270,13 +250,8 @@ def colim_gproj_data(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
     sub_shape, incl = full_subcategory(shape, [o for o in objs if o != j])
     xJ = restrict(incl, x)
     colimJ, coconeJ = colim_gproj_data(xJ)
-    slice_objs = lat.pres.cat.objects
-    if lat.module.dim == 0:
-        r = zero_map(lat.module, colimJ)
-    else:
-        sigma = hstack([lat.cocone[o].mat for o in slice_objs])
-        target = hstack([coconeJ[lat.pres.pairs[o][0]].mat for o in slice_objs])
-        r = ModuleMap(lat.module, colimJ, factor_matrix_through_surjection(target, sigma))
+    legs = {o: coconeJ[i].mat for o, (i, _) in lat.pres.pairs.items()}
+    r = ModuleMap(lat.module, colimJ, from_colimit(lat.module, lat.cocone, legs, colimJ.dim))
     C, leg_j, leg_J = pushout(lat.map, r)
     cocone = {j: leg_j}
     for o in sub_shape.objects:
@@ -299,8 +274,8 @@ def colim_gproj(x: Diagram) -> Module:
     sigma2 = hstack([cocone2[o].mat for o in objs])
     if rank(sigma1) != C.dim or rank(sigma2) != C2.dim:
         raise VerificationError("colimit cocone is not jointly surjective")
-    phi = factor_matrix_through_surjection(sigma2, sigma1)
-    psi = factor_matrix_through_surjection(sigma1, sigma2)
+    phi = from_colimit(C, cocone, {o: cocone2[o].mat for o in objs}, C2.dim)
+    psi = from_colimit(C2, cocone2, {o: cocone[o].mat for o in objs}, C.dim)
     if not (phi @ psi).is_identity() or not (psi @ phi).is_identity():
         raise VerificationError("pushout-inductive colimit disagrees with the pointwise colimit")
     return C
@@ -314,12 +289,8 @@ def colim_gproj_on_map(
     """The induced map between pushout-inductive colimits."""
     src_colim, src_cocone = src_data
     tgt_colim, tgt_cocone = tgt_data
-    objs = phi.src.shape.objects
-    if src_colim.dim == 0:
-        return zero_map(src_colim, tgt_colim)
-    sigma = hstack([src_cocone[o].mat for o in objs])
-    target = hstack([tgt_cocone[o].mat @ phi.comps[o] for o in objs])
-    return ModuleMap(src_colim, tgt_colim, factor_matrix_through_surjection(target, sigma))
+    legs = {o: tgt_cocone[o].mat @ phi.comps[o] for o in phi.src.shape.objects}
+    return ModuleMap(src_colim, tgt_colim, from_colimit(src_colim, src_cocone, legs, tgt_colim.dim))
 
 
 # -- partial Kan extensions --------------------------------------------------------
@@ -328,34 +299,29 @@ def colim_gproj_on_map(
 @dataclass
 class GprojKan:
     diagram: Diagram
-    slices: Dict[str, SlicePresentation]
-    cocones: Dict[str, Dict[str, ModuleMap]]
     unit: DiagramMap                     # x -> u^*(u_! x)
 
 
 def gproj_left_kan_data(u: CatFunctor, x: Diagram) -> GprojKan:
+    """u_! x by left_kan_by_slices with the pushout-inductive colimit over
+    each slice u/j, on which x must stay Gorenstein projective."""
     if not is_gproj(x):
         raise PreconditionError("left Kan extension requires a Gorenstein-projective diagram")
-    J = u.cod
-    alg = x.alg
-    slices, cocones, modules = {}, {}, {}
-    for j in J.objects:
-        pres = slice_category(u, j, "under")
-        rest = restrict(pres.projection, x)
+
+    def colimit(rest: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
         if not is_gproj(rest):
-            raise VerificationError(f"restriction to the slice over {j} lost Gorenstein projectivity")
-        colim, cocone = colim_gproj_data(rest)
-        slices[j], cocones[j], modules[j] = pres, cocone, colim
-    mats = slice_transport(J, slices, cocones, modules)
-    out = Diagram(J, alg, modules, mats)
+            raise VerificationError("restriction to a slice lost Gorenstein projectivity")
+        return colim_gproj_data(rest)
+
+    out, slices, cocones = left_kan_by_slices(u, x, colimit)
     if not is_gproj(out):
         raise VerificationError("left Kan extension output failed the latching check")
+    J = u.cod
     unit_comps = {}
     for i in u.dom.objects:
         j = u.on_obj(i)
         unit_comps[i] = cocones[j][slice_object(slices[j], i, J.id_of(j))].mat
-    unit = DiagramMap(x, restrict(u, out), unit_comps)
-    return GprojKan(out, slices, cocones, unit)
+    return GprojKan(out, DiagramMap(x, restrict(u, out), unit_comps))
 
 
 def gproj_left_kan(u: CatFunctor, x: Diagram) -> Diagram:
@@ -424,15 +390,8 @@ def _embedding(g: Diagram) -> Optional[Tuple[Diagram, Dict[str, Mat], DiagramMap
         if rank(latq.map.mat) != latq.module.dim:
             raise VerificationError(f"latching map of Q at {i} is not an inflation")
         # induced map on latching objects from the lower-degree components
-        objs = latg.pres.cat.objects
-        if latg.module.dim == 0:
-            l_eta = Mat.zeros(p, latq.module.dim, 0)
-        else:
-            sigma = hstack([latg.cocone[o].mat for o in objs])
-            target = hstack(
-                [latq.cocone[o].mat @ eta_comps[latg.pres.pairs[o][0]] for o in objs]
-            )
-            l_eta = factor_matrix_through_surjection(target, sigma)
+        legs = {o: latq.cocone[o].mat @ eta_comps[j] for o, (j, _) in latg.pres.pairs.items()}
+        l_eta = from_colimit(latg.module, latg.cocone, legs, latq.module.dim)
         # extend along the latching inflation into the injective lower part
         basis = hom_space(g.at(i), latq.module)
         ext = solve_in_basis(
@@ -508,13 +467,13 @@ def approx_gproj(z: Diagram) -> ApproximationTriple:
             if rank(h_infl.comps[o]) != pi.tgt.at(o).dim:
                 raise VerificationError("hull inflation failed a rank check")
         U, from_H, from_P = pushout_diagrams(h_infl, c.left)
-        tau = {
-            o: hstack([Mat.zeros(alg.p, c.quot.at(o).dim, H.at(o).dim), c.right.comps[o]])
-            for o in shape.objects
-        }
+        # the map out of the pushout U that is 0 on H and c.right on P
         new_pi_comps = {
-            o: factor_matrix_through_surjection(
-                tau[o], hstack([from_H.comps[o], from_P.comps[o]])
+            o: from_colimit(
+                U.at(o),
+                {"H": from_H.at(o), "P": from_P.at(o)},
+                {"H": Mat.zeros(alg.p, c.quot.at(o).dim, H.at(o).dim), "P": c.right.comps[o]},
+                c.quot.at(o).dim,
             )
             for o in shape.objects
         }

@@ -28,6 +28,7 @@ from .modules import (
     StableHomReport,
     StableIsoPair,
     generator_legs,
+    is_stable_iso_map,
     regular_module,
     stable_hom_in,
     stable_iso_map_in,
@@ -40,6 +41,7 @@ from .diagrams import (
     Diagram,
     DiagramConflation,
     DiagramMap,
+    cokernel_diagram,
     compose_diagram_maps,
     direct_sum_diagrams,
     factor_matrix_through_surjection,
@@ -147,8 +149,6 @@ def is_stable_iso_diagrams(x: Diagram, y: Diagram, budget: int = 4096, seed: int
 
 def is_weak_equivalence(f: DiagramMap) -> Verdict:
     """Degreewise stable isomorphism, decided exactly componentwise."""
-    from .modules import is_stable_iso_map
-
     for o in f.src.shape.objects:
         ok, _ = is_stable_iso_map(f.at(o))
         if not ok:
@@ -169,8 +169,6 @@ def factor_weak_equivalence(f: DiagramMap) -> Tuple[DiagramMap, DiagramMap]:
     for o in x.shape.objects:
         if rank(w_i.comps[o]) != x.at(o).dim:
             raise VerificationError("factorization first leg is not an inflation")
-    from .diagrams import cokernel_diagram
-
     cok, _ = cokernel_diagram(w_i)
     if not is_wtriv(cok):
         raise VerificationError("cokernel of the inflation leg is not weakly trivial: not a weak equivalence")

@@ -3,7 +3,6 @@ import sys
 import numpy as np
 import pytest
 
-import derlab.complexes
 import derlab.diagrams
 import derlab.gorenstein
 
@@ -55,14 +54,6 @@ def _refuse_library_calls(monkeypatch, fns, what):
             for attr, value in list(vars(mod).items()):
                 if any(value is fn for fn in fns):
                     monkeypatch.setattr(mod, attr, refuse)
-
-
-@pytest.fixture
-def refuse_joint_solve(monkeypatch):
-    """Make a call of complexes.contraction_on_window from library code an
-    AssertionError.  The library decides contractibility without that joint
-    solve; tests keep it as an oracle under the name they imported."""
-    _refuse_library_calls(monkeypatch, [derlab.complexes.contraction_on_window], "the contraction solve")
 
 
 @pytest.fixture

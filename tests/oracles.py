@@ -1,0 +1,89 @@
+"""Reference answers that only the tests use.
+
+Each oracle decides by a different route what the library decides by
+ranks or by a certified construction, and the tests compare the two:
+
+- contraction_on_window: one joint linear solve over the hom spaces,
+  against complexes.is_contractible_on and the termwise contractions;
+- split_section_diagrams: splitting a deflation by a linear solve, against
+  gorenstein.is_projective_diagram on projective covers;
+- is_projective_inflation and is_deflation: read off the built latching
+  and matching data, against the rank predicates.
+
+The library must not call them: the tests assert that it has no
+contraction_on_window and no split_section_diagrams.
+"""
+
+from typing import Dict, Optional
+
+import numpy as np
+
+from derlab.complexes import LazyComplex
+from derlab.diagrams import (
+    DiagramMap,
+    compose_diagram_maps,
+    hom_space_diagrams,
+    identity_diagram_map,
+    solve_in_hom,
+    vec_diagram_map,
+    zero_diagram_map,
+)
+from derlab.field import Mat, rank, solve
+from derlab.gorenstein import LatchingDatum, MatchingDatum
+from derlab.modules import is_projective, quotient_module
+
+
+def contraction_on_window(c: LazyComplex, lo: int, hi: int) -> Optional[Dict[int, DiagramMap]]:
+    """Degree -1 maps h with d h + h d = id at the inner degrees, or None.
+
+    One joint linear solve over the hom spaces Hom(C^k, C^{k-1}).
+    """
+    p = c.alg.p
+    degrees = list(range(lo + 1, hi + 1))   # h^k: C^k -> C^{k-1}
+    inner = list(range(lo + 1, hi))         # equations at these degrees
+    bases = {k: hom_space_diagrams(c.term(k), c.term(k - 1)) for k in degrees}
+    cols = []
+    col_meta = []
+    for k in degrees:
+        for idx, b in enumerate(bases[k]):
+            parts = []
+            for m in inner:
+                contrib = None
+                if m == k:
+                    contrib = compose_diagram_maps(c.diff(m - 1), b)
+                elif m == k - 1:
+                    contrib = compose_diagram_maps(b, c.diff(m))
+                if contrib is None:
+                    contrib = zero_diagram_map(c.term(m), c.term(m))
+                parts.append(vec_diagram_map(contrib).a.reshape(-1))
+            cols.append(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
+            col_meta.append((k, idx))
+    target_parts = [vec_diagram_map(identity_diagram_map(c.term(m))).a.reshape(-1) for m in inner]
+    target = np.concatenate(target_parts) if target_parts else np.zeros(0, dtype=np.int64)
+    if not cols:
+        return {} if not target.any() else None
+    sol = solve(Mat(p, np.stack(cols, axis=1)), Mat(p, target.reshape(-1, 1)))
+    if sol is None:
+        return None
+    out: Dict[int, DiagramMap] = {k: zero_diagram_map(c.term(k), c.term(k - 1)) for k in degrees}
+    for pos_idx, (k, idx) in enumerate(col_meta):
+        coeff = int(sol.a[pos_idx, 0])
+        if coeff:
+            out[k] = out[k] + bases[k][idx].scale(coeff)
+    return out
+
+
+def split_section_diagrams(defl: DiagramMap) -> Optional[DiagramMap]:
+    """A section s with defl o s = id, or None."""
+    x = defl.tgt
+    return solve_in_hom(x, defl.src, [(identity_diagram_map(x), defl, identity_diagram_map(x))])
+
+
+def is_projective_inflation(lat: LatchingDatum) -> bool:
+    """An inflation with a projective cokernel, read off the built L_j; the
+    tests compare is_projective_diagram's ranks with it."""
+    return lat.is_inflation and is_projective(quotient_module(lat.map.tgt, lat.map.mat)[0])
+
+
+def is_deflation(mat: MatchingDatum) -> bool:
+    return rank(mat.map.mat) == mat.module.dim

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import derlab.complexes
 from derlab.cli import KNOWN_SUITES, Session, explain, main, run_scenario
 from derlab.field import DerlabError
 
@@ -331,10 +332,11 @@ def test_sod_of_a_loaded_complex_asks_no_projectivity_past_its_window(tmp_path):
     assert item["details"]["tc_termwise_contractible"] is True
 
 
-def test_sod_on_the_square_needs_no_joint_contraction_solve(tmp_path, refuse_joint_solve):
+def test_sod_on_the_square_needs_no_joint_contraction_solve(tmp_path):
     """The complete resolution of the simple module at each vertex of the
     square, with identity structure maps, passes the sod suite without the
     contraction solve over the whole shape, which peaks at 1.09 GiB here."""
+    assert not hasattr(derlab.complexes, "contraction_on_window")
     scen = tmp_path / "square.json"
     scen.write_text(json.dumps({
         "algebra": str(SCENARIOS / "dual_numbers.json"),
@@ -349,10 +351,11 @@ def test_sod_on_the_square_needs_no_joint_contraction_solve(tmp_path, refuse_joi
     assert item["details"]["tc_null_on_window"] is True
 
 
-def test_regression_sod_and_crosscheck_need_no_contraction_solve(tmp_path, refuse_joint_solve):
+def test_regression_sod_and_crosscheck_need_no_contraction_solve(tmp_path):
     """Every termwise-contractibility answer in the regression sod and
     crosscheck suites is True and certified by a contraction built from
     generator lifts, so the contraction solve is never called."""
+    assert not hasattr(derlab.complexes, "contraction_on_window")
     base = json.loads((SCENARIOS / "regression.json").read_text())
     for suite in ("sod", "crosscheck"):
         scen = dict(base, suites=[suite])

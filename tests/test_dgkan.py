@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from derlab.algebra import dual_numbers, ground_field
+from derlab.algebra import dual_numbers, ground_field, group_algebra_c2
 from derlab.cats import (
     CatFunctor,
     DirectCategory,
@@ -21,8 +21,10 @@ from derlab.field import Mat, hstack, rank, vstack
 from derlab.modules import Module, free_module, regular_module
 from derlab.diagrams import (
     Diagram,
+    DiagramError,
     DiagramMap,
     constant_diagram,
+    hom_space_diagrams,
     limit_of_diagram,
     pointwise_right_kan,
     stalk_diagram,
@@ -30,8 +32,8 @@ from derlab.diagrams import (
 )
 from derlab.complexes import LazyComplex, ComplexMap, cone, complete_resolution, dual_complex, shift, z0
 from derlab.samples import random_diagram, random_gproj
-from derlab.gorenstein import VerificationError, is_gproj
-from derlab.homotopy import _corner_in_square
+from derlab.gorenstein import PreconditionError, VerificationError, is_gproj
+from derlab.homotopy import _corner_in_square, stable_hom_diagrams
 from derlab.dgkan import (
     Der4Report,
     FreeComplex,
@@ -288,6 +290,29 @@ def test_crosscheck_cosieve_stalk(dn, simple, arrow):
     x = constant_diagram(e, dn, simple)
     v = crosscheck_kan(u, x, margin=1)
     assert v.is_true
+
+
+def test_homs_across_algebras_and_unknown_cross_check_directions_are_refused(dn, simple, socle_arrow, arrow):
+    """Diagrams over two algebra instances have no hom space, as modules
+    have none (hom_space), even where their dims would give an answer; and
+    a cross-check direction is "left" or "right", nothing else."""
+    e = terminal_category()
+    c2 = group_algebra_c2(2)
+    trivial = Module(c2, [Mat.identity(2, 1), Mat.identity(2, 1)]).validate()
+    twin = dual_numbers(2)
+    assert twin is not dn
+    pairs = [
+        (constant_diagram(e, dn, simple), constant_diagram(e, c2, trivial)),
+        (constant_diagram(e, dn, regular_module(dn)), constant_diagram(e, twin, regular_module(twin))),
+    ]
+    for x, y in pairs:
+        with pytest.raises(DiagramError):
+            hom_space_diagrams(x, y)
+        with pytest.raises(DiagramError):
+            stable_hom_diagrams(x, y)
+    for direction in ("Left", "up", ""):
+        with pytest.raises(PreconditionError):
+            crosscheck_kan(identity_functor(arrow), socle_arrow, direction=direction, margin=1)
 
 
 def _parallel_path_category():

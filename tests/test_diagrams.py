@@ -9,6 +9,7 @@ from derlab.field import Mat, rank
 from derlab.modules import Module, ModuleMap, direct_sum, identity_map, regular_module, zero_module
 from derlab.diagrams import (
     Diagram,
+    DiagramError,
     DiagramMap,
     colimit_of_diagram,
     constant_diagram,
@@ -18,6 +19,7 @@ from derlab.diagrams import (
     dual_diagram,
     ext1,
     free_diagram,
+    from_colimit,
     hom_dim_diagrams,
     hom_space_diagrams,
     injective_embed_diagram,
@@ -29,11 +31,11 @@ from derlab.diagrams import (
     projective_cover_diagram,
     restrict,
     right_kan_from_point,
-    split_section_diagrams,
     stalk_diagram,
     zero_diagram,
 )
 from derlab.gorenstein import is_injective_diagram, is_projective_diagram
+from oracles import split_section_diagrams
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +212,22 @@ def test_colimit_limit_of_diagram(dn, socle_arrow):
     assert (cocone["1"].mat @ socle_arrow.mat("e0")) == cocone["0"].mat
 
 
+def test_from_colimit_refuses_legs_that_do_not_factor(dn, simple, arrow):
+    """A map out of a colimit needs legs that agree along the diagram: over
+    k -1-> k, legs (1, 0) and, where the colimit is zero, a nonzero leg
+    factor through no map and are a DiagramError; legs (1, 1) give 1."""
+    one, zero = Mat.identity(2, 1), Mat.zeros(2, 1, 1)
+    colim, cocone = colimit_of_diagram(constant_diagram(arrow, dn, simple))
+    assert from_colimit(colim, cocone, {"0": one, "1": one}, 1) == one
+    with pytest.raises(DiagramError):
+        from_colimit(colim, cocone, {"0": one, "1": zero}, 1)
+    colim, cocone = colimit_of_diagram(stalk_diagram(arrow, dn, "0", simple))
+    assert colim.dim == 0
+    assert from_colimit(colim, cocone, {"0": zero, "1": Mat.zeros(2, 1, 0)}, 1) == Mat.zeros(2, 1, 0)
+    with pytest.raises(DiagramError):
+        from_colimit(colim, cocone, {"0": one, "1": Mat.zeros(2, 1, 0)}, 1)
+
+
 def test_projective_cover_diagram(dn, simple, arrow):
     x = stalk_diagram(arrow, dn, "0", simple)
     c = projective_cover_diagram(x)
@@ -305,7 +323,7 @@ def test_is_projective_diagram_builds_no_hom_system(monkeypatch):
         raise AssertionError("projectivity reached a hom solve of diagrams")
 
     monkeypatch.setattr(diagrams, "hom_space_diagrams", refuse)
-    monkeypatch.setattr(diagrams, "split_section_diagrams", refuse)
+    assert not hasattr(diagrams, "split_section_diagrams")
     assert not is_projective_diagram(hull)
     assert is_projective_diagram(cover)
     assert not is_injective_diagram(g)

@@ -54,6 +54,7 @@ from derlab.gorenstein import (
     stalk_presentation,
     co_stalk_presentation,
 )
+from oracles import is_deflation, is_projective_inflation
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +94,7 @@ def test_latching_square_pushout(dn, simple, reg):
 def test_matching_over_arrow(dn, proj_to_simple):
     mat = matching(proj_to_simple, "0")
     assert mat.module.dim == 1    # M_0(Y) = Y_1
-    assert mat.is_deflation       # Lambda ->> k
+    assert is_deflation(mat)      # Lambda ->> k
     mat1 = matching(proj_to_simple, "1")
     assert mat1.module.dim == 0   # empty limit at a maximal object
 
@@ -544,7 +545,7 @@ def _latching_oracle(x):
     return (
         all(lat.is_inflation for lat in lats.values()),
         all(lat.is_inflation for lat in duals.values()),
-        all(lat.is_projective_inflation for lat in lats.values()),
+        all(is_projective_inflation(lat) for lat in lats.values()),
         fields,
     )
 
