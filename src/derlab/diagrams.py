@@ -232,6 +232,8 @@ def constant_diagram(shape: DirectCategory, alg: Algebra, m: Module) -> Diagram:
 def block_sum_diagram(xs: Sequence[Diagram]) -> Diagram:
     """The direct sum of the diagrams, their blocks in the given order."""
     shape, alg, p = xs[0].shape, xs[0].alg, xs[0].alg.p
+    if any(x.alg is not alg for x in xs):
+        raise DiagramError("a direct sum of diagrams requires a shared algebra instance")
     modules = {o: Module(alg, [block_diag(p, acts) for acts in zip(*(x.at(o).action for x in xs))]) for o in shape.objects}
     return Diagram(shape, alg, modules, {f: block_diag(p, [x.mat(f) for x in xs]) for f in shape.nonidentity_morphisms()})
 

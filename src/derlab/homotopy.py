@@ -107,6 +107,12 @@ class _DiagramOps:
             blocks.append((free, maps))
         return blocks
 
+    def cone(self, a: Diagram, b: Diagram) -> Tuple[None, None]:
+        """No cone data: diagrams over Lambda are not a Frobenius category,
+        and an inflation into a projective exists only for Gorenstein
+        projective sources, so every map goes to the solve."""
+        return None, None
+
     def stable_hom(self, a: Diagram, b: Diagram) -> StableHomReport:
         return stable_hom_diagrams(a, b)
 

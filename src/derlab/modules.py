@@ -201,6 +201,8 @@ def direct_sum(mods: Sequence[Module]) -> Tuple[Module, List[ModuleMap], List[Mo
     if not mods:
         raise ModuleError("direct_sum of nothing needs an algebra; use zero_module")
     alg = mods[0].alg
+    if any(m.alg is not alg for m in mods):
+        raise ModuleError("direct_sum requires a shared algebra instance")
     p = alg.p
     total = Module(alg, [block_diag(p, [m.action[k] for m in mods]) for k in range(alg.dim)])
     injs, projs = [], []
@@ -459,11 +461,12 @@ def cosyzygy(m: Module) -> Module:
 # A stable Hom is Hom modulo the maps that factor through a projective.  The
 # functions below are written once over a small set of operations of the
 # exact category (an "ops" object, see _ModuleOps): hom basis, vectorize,
-# compose, identity, zero map and the free blocks of a projective cover of b
-# (free objects F with their generator legs F -> b), plus the category's own
-# stable_hom / is_stable_iso_map entry points.  Ops objects
-# reach those through module-level names at call time, so rebinding a name
-# (as bench/tracer.py does) is seen by the shared code too.
+# compose, identity, zero map, the free blocks of a projective cover of b
+# (free objects F with their generator legs F -> b) and the cone data of a
+# source ((None, None) where the cone does not decide), plus the category's
+# own stable_hom / is_stable_iso_map entry points.  Ops objects reach those
+# through module-level names at call time, so rebinding a name (as
+# bench/tracer.py does) is seen by the shared code too.
 
 
 def vec_module_map(f: ModuleMap) -> Mat:
@@ -564,35 +567,60 @@ def stable_hom_in(ops, a, b) -> StableHomReport:
 class StableIsoPair:
     """What the stable-inverse check of any map src -> tgt needs that
     depends only on the pair (src, tgt): the canonical basis of
-    Hom(tgt, src) and the stable endomorphism reports of src and tgt.  A
-    search builds it once and hands it to the check of every candidate."""
+    Hom(tgt, src), the stable endomorphism reports of src and tgt, and for
+    modules the cone data of src, an inflation src -> I(src) into an
+    injective and the module tgt (+) I(src).  A search builds it once and
+    hands it to the check of every candidate."""
 
     src: object
     tgt: object
     back: List
     end_src: StableHomReport
     end_tgt: StableHomReport
+    inflation: Optional[Mat] = None
+    cone_sum: Optional[Module] = None
 
 
-def stable_iso_pair_in(ops, a, b) -> StableIsoPair:
-    """The per-pair data for checking maps a -> b."""
-    return StableIsoPair(a, b, ops.hom(b, a), ops.stable_hom(a, a), ops.stable_hom(b, b))
+def stable_iso_pair_in(
+    ops, a, b, back: Optional[List] = None, end_src: Optional[StableHomReport] = None, end_tgt: Optional[StableHomReport] = None
+) -> StableIsoPair:
+    """The per-pair data for checking maps a -> b, from the parts the
+    caller already holds and the rest built here.  The cone data comes from
+    ops.cone, and only when stable End(a) != 0: otherwise a is projective,
+    there is one candidate, and the solve decides it alone."""
+    back = ops.hom(b, a) if back is None else back
+    end_src = ops.stable_hom(a, a) if end_src is None else end_src
+    end_tgt = ops.stable_hom(b, b) if end_tgt is None else end_tgt
+    inflation, cone_sum = ops.cone(a, b) if end_src.quotient_dim else (None, None)
+    return StableIsoPair(a, b, back, end_src, end_tgt, inflation, cone_sum)
 
 
 def stable_iso_map_in(ops, f, pair: StableIsoPair) -> Tuple[bool, Optional[object]]:
-    """Is f invertible in the stable category?  Exact, no budget, one solve:
-    the canonical g with g o f = id modulo projectives, then f o g = id
-    modulo projectives.  That test is exact: if f has a stable inverse h,
-    then g = g o f o h = h stably.  Returns (verdict, g when true).
+    """Is f invertible in the stable category?  Exact, no budget.  Returns
+    (verdict, g when true).
+
+    With cone data (modules), f: m -> n is decided by its cone: f is a
+    stable isomorphism iff coker([f; iota]: m -> n (+) I(m)) is projective
+    (Happel, LMS LN 119, I.2), one cokernel and one projectivity count.  A
+    "no" ends there.  A "yes", and every map without cone data, goes to one
+    solve: the canonical g with g o f = id modulo projectives, then
+    f o g = id modulo projectives.  That test is exact: if f has a stable
+    inverse h, then g = g o f o h = h stably.  So the solve builds the
+    inverse of a "yes" and certifies it; a "yes" it cannot certify raises.
 
     pair must be the per-pair data of f's own source and target."""
     if pair.src is not f.src or pair.tgt is not f.tgt:
         raise ops.error("per-pair data belongs to another source or target")
+    coned = pair.cone_sum is not None
+    if coned and not is_projective(quotient_module(pair.cone_sum, vstack([f.mat, pair.inflation]))[0]):
+        return False, None
     back = pair.back
     zero = ops.zero(f.tgt, f.src)
     left = [ops.vec(ops.compose(b, f)) for b in back]
     g = solve_in_basis(back, left, ops.vec(ops.identity(f.src)), zero, pair.end_src.proj_subspace)
     if g is None or not pair.end_tgt.in_proj_subspace(ops.compose(f, g) - ops.identity(f.tgt)):
+        if coned:
+            raise ops.error("the cone of the map is projective, yet no stable inverse solves")
         return False, None
     return True, g
 
@@ -646,6 +674,13 @@ class _ModuleOps:
         free = regular_module(b.alg)
         return [(free, [ModuleMap(free, b, leg) for leg in legs])] if legs else []
 
+    def cone(self, a: Module, b: Module) -> Tuple[Mat, Module]:
+        """iota: a -> I(a), the transpose of the generator legs of D(a) into
+        I(a) = D(free), and the module b (+) I(a)."""
+        legs = generator_legs(dual_module(a))
+        injective = dual_module(free_module(a.alg.opposite(), len(legs)))
+        return hstack(legs).T, direct_sum([b, injective])[0]
+
     def stable_hom(self, a: Module, b: Module) -> StableHomReport:
         return stable_hom(a, b)
 
@@ -697,7 +732,7 @@ def is_stable_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Ve
         return Verdict(FALSE, reason="stable Hom(m, n) = 0 but stable endomorphisms are nonzero")
     if bwd.quotient_dim == 0 and (end_m.quotient_dim or end_n.quotient_dim):
         return Verdict(FALSE, reason="stable Hom(n, m) = 0 but stable endomorphisms are nonzero")
-    pair = StableIsoPair(m, n, bwd.basis, end_m, end_n)
+    pair = stable_iso_pair_in(_MODULES, m, n, bwd.basis, end_m, end_n)
     return stable_iso_search(_MODULES, m, n, fwd, budget, seed, pair)
 
 

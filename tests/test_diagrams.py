@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from derlab.algebra import dual_numbers
+from derlab.algebra import dual_numbers, group_algebra_c2
 from derlab.cats import arrow_category, cospan_category, object_functor, square_category, terminal_category, CatFunctor
 from derlab.field import Mat, rank
 from derlab.modules import Module, ModuleMap, direct_sum, identity_map, regular_module, zero_module
@@ -261,6 +261,13 @@ def test_is_projective_examples(dn, simple, reg, arrow):
     s1, s2 = left_kan_from_point(arrow, dn, "0", reg), left_kan_from_point(arrow, dn, "1", reg)
     total = direct_sum_diagrams([s1, s2])[0]
     assert is_projective_diagram(total)
+
+
+def test_direct_sum_diagrams_refuses_two_algebra_instances(dn, arrow):
+    c2 = group_algebra_c2(2)
+    xs = [left_kan_from_point(arrow, alg, "0", regular_module(alg)) for alg in (dn, c2)]
+    with pytest.raises(DiagramError, match="shared algebra instance"):
+        direct_sum_diagrams(xs)
 
 
 def test_stalk_at_min_of_projective_not_projective_diagram(dn, reg, arrow):

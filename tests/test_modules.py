@@ -5,6 +5,7 @@ from derlab.algebra import dual_numbers, group_algebra_c2, upper_triangular_2x2
 from derlab.field import Mat, hstack, in_column_span, rank
 from derlab.modules import (
     Conflation,
+    ModuleError,
     class_reps,
     Module,
     ModuleMap,
@@ -156,6 +157,11 @@ def test_is_projective(dn, simple, reg, zero):
     assert is_projective(zero)
     assert is_injective(reg)
     assert not is_injective(simple)
+
+
+def test_direct_sum_refuses_two_algebra_instances(dn):
+    with pytest.raises(ModuleError, match="shared algebra instance"):
+        direct_sum([regular_module(dn), regular_module(group_algebra_c2(2))])
 
 
 def test_stable_hom_examples(dn, simple, reg):
