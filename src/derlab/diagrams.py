@@ -71,7 +71,7 @@ class Diagram:
                 raise DiagramError(f"diagram misses morphism {f}")
             m = self.mats[f]
             s, t = shape.src(f), shape.tgt(f)
-            if m.rows != self.modules[t].dim or m.cols != self.modules[s].dim:
+            if m.a.shape != (self.modules[t].dim, self.modules[s].dim):
                 raise DiagramError(f"matrix for {f} has shape {m.rows}x{m.cols}")
 
     def at(self, o: str) -> Module:
@@ -138,7 +138,7 @@ class DiagramMap:
         self.comps = dict(comps)
         for o in src.shape.objects:
             c = self.comps[o]
-            if c.rows != tgt.at(o).dim or c.cols != src.at(o).dim:
+            if c.a.shape != (tgt.at(o).dim, src.at(o).dim):
                 raise DiagramError(f"component at {o} has shape {c.rows}x{c.cols}")
 
     def at(self, o: str) -> ModuleMap:
@@ -656,19 +656,24 @@ def dual_diagram(x: Diagram) -> Diagram:
 # -- io ------------------------------------------------------------------------
 
 
-def module_from_dict(alg: Algebra, data: dict) -> Module:
-    """A module from its document; a malformed one is a DiagramError and a
-    broken module law a ModuleError."""
+def _parse_module(alg: Algebra, data: dict) -> Module:
+    """The module a document gives, its module law not yet checked; a
+    malformed document is a DiagramError."""
     try:
         dim = data["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
             raise TypeError(f"dim {dim!r} is not a non-negative integer")
         if not isinstance(data["action"], list):
             raise TypeError("action is not a list of matrices")
-        m = Module(alg, [matrix_from_entries(alg.p, a, dim, dim) for a in data["action"]])
+        return Module(alg, [matrix_from_entries(alg.p, a, dim, dim) for a in data["action"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DiagramError(f"malformed module document: {exc}") from exc
-    return m.validate()
+
+
+def module_from_dict(alg: Algebra, data: dict) -> Module:
+    """A module from its document; a malformed one is a DiagramError and a
+    broken module law a ModuleError."""
+    return _parse_module(alg, data).validate()
 
 
 def module_to_dict(m: Module) -> dict:
@@ -680,7 +685,8 @@ def diagram_from_dict(shape: DirectCategory, alg: Algebra, data: dict) -> Diagra
         objects, morphisms = data["objects"], data.get("morphisms", {})
         if not isinstance(objects, dict) or not isinstance(morphisms, dict):
             raise TypeError("objects and morphisms must be mappings")
-        modules = {o: module_from_dict(alg, objects[o]) for o in shape.objects}
+        # parsed unchecked: Diagram.validate checks each module law once
+        modules = {o: _parse_module(alg, objects[o]) for o in shape.objects}
         mats = {}
         for f in shape.nonidentity_morphisms():
             rows, cols = modules[shape.tgt(f)].dim, modules[shape.src(f)].dim

@@ -57,10 +57,10 @@ class Module:
         self.action = list(action)
         if len(self.action) != alg.dim:
             raise ModuleError(f"need {alg.dim} action matrices, got {len(self.action)}")
-        dims = {(m.rows, m.cols) for m in self.action} or {(0, 0)}
-        if len(dims) != 1 or len({d for pair in dims for d in pair}) > 1:
+        shapes = {m.a.shape for m in self.action} or {(0, 0)}
+        if len(shapes) != 1 or len({d for shape in shapes for d in shape}) > 1:
             raise ModuleError("action matrices must be square of equal size")
-        self.dim = self.action[0].rows if self.action else 0
+        self.dim = shapes.pop()[0]
 
     def act(self, coeffs) -> Mat:
         out = Mat.zeros(self.alg.p, self.dim, self.dim)
@@ -94,7 +94,7 @@ class ModuleMap:
     __slots__ = ("src", "tgt", "mat")
 
     def __init__(self, src: Module, tgt: Module, mat: Mat) -> None:
-        if mat.rows != tgt.dim or mat.cols != src.dim:
+        if mat.a.shape != (tgt.dim, src.dim):
             raise ModuleError(f"map matrix is {mat.rows}x{mat.cols}, expected {tgt.dim}x{src.dim}")
         self.src = src
         self.tgt = tgt
@@ -303,9 +303,9 @@ def quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
     # reduce v by the canonical row basis, then keep the non-pivot coords:
     # the identity there, minus the pivot rows' non-pivot entries
     redmat = np.zeros((nonpiv.size, amb.dim), dtype=np.int64)
-    redmat[:, nonpiv] = np.eye(nonpiv.size, dtype=np.int64)
-    redmat[:, pivots] = -red.a[:r, nonpiv].T
-    proj = Mat(p, redmat)
+    redmat[np.arange(nonpiv.size), nonpiv] = 1
+    redmat[:, pivots] = -red.a[:r, nonpiv].T % p
+    proj = Mat._of(p, redmat)
     # the non-pivot coords are a section of proj
     quot = Module(amb.alg, [proj @ a[:, nonpiv] for a in amb.action])
     # the kill check against the span's canonical basis, the rows of red

@@ -6,7 +6,7 @@ import pytest
 from derlab.algebra import dual_numbers, group_algebra_c2
 from derlab.cats import arrow_category, cospan_category, object_functor, square_category, terminal_category, CatFunctor
 from derlab.field import Mat, rank
-from derlab.modules import Module, ModuleMap, direct_sum, identity_map, regular_module, zero_module
+from derlab.modules import Module, ModuleError, ModuleMap, direct_sum, identity_map, regular_module, zero_module
 from derlab.diagrams import (
     Diagram,
     DiagramError,
@@ -26,6 +26,8 @@ from derlab.diagrams import (
     kernel_diagram,
     left_kan_from_point,
     limit_of_diagram,
+    module_from_dict,
+    module_to_dict,
     pointwise_left_kan,
     pointwise_right_kan,
     projective_cover_diagram,
@@ -417,3 +419,15 @@ def test_diagram_dict_roundtrip(dn, socle_arrow):
     d = diagram_to_dict(socle_arrow, "arrow")
     x = diagram_from_dict(socle_arrow.shape, dn, d)
     assert x.at("0").dim == 1 and x.mat("e0") == socle_arrow.mat("e0")
+
+
+def test_documents_check_each_module_law_once(dn, socle_arrow, monkeypatch):
+    m = module_from_dict(dn, module_to_dict(socle_arrow.at("1")))
+    assert m.action == socle_arrow.at("1").action
+    with pytest.raises(ModuleError, match="module law"):
+        module_from_dict(dn, {"dim": 1, "action": [[[1]], [[1]]]})
+    checked = []
+    real_validate = Module.validate
+    monkeypatch.setattr(Module, "validate", lambda self: checked.append(self) or real_validate(self))
+    diagram_from_dict(socle_arrow.shape, dn, diagram_to_dict(socle_arrow, "arrow"))
+    assert len(checked) == len(socle_arrow.shape.objects)

@@ -331,6 +331,51 @@ def test_stacking_mixed_moduli_is_refused():
         block_diag(2, [three])
     with pytest.raises(FieldError, match="mixed moduli"):
         block(2, [[None, three]], [1], [1, 1])
+    for op in (lambda a, b: a @ b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(FieldError, match="mixed moduli 2 and 3"):
+            op(two, three)
+    with pytest.raises(FieldError, match="cannot multiply 1x2 by 1x1"):
+        Mat(2, [[1, 0]]) @ two
+    for stack in (hstack, vstack):
+        with pytest.raises(FieldError, match="of nothing"):
+            stack([])
+    assert hstack(m for m in [two, two]) == Mat(2, [[1, 1]])
+
+
+def test_constructor_refuses_non_integer_entries():
+    for data in ([[1.5, 2.7]], np.array([[1.9]]), [[1.0]], [[True, False]], np.array([[1 + 0j]])):
+        with pytest.raises(FieldError, match="integers"):
+            Mat(3, data)
+    assert Mat(3, np.array([[4]], dtype=np.uint8)) == Mat(3, [[1]])
+    for empty in (np.zeros((0, 3)), np.zeros((2, 0), dtype=bool), [[]]):
+        assert Mat(3, empty).a.dtype == np.int64
+    with pytest.raises(OverflowError):
+        Mat(3, [[2**70]])
+
+
+def test_mat_attributes_cannot_be_reassigned():
+    a = Mat(3, [[1, 2], [0, 1]])
+    results = [Mat._of(3, np.zeros((1, 1), dtype=np.int64)), a.T, a @ a, a + a, hstack([a, a]), Mat.identity(3, 2)]
+    for m in results:
+        with pytest.raises(AttributeError):
+            m.p = 5
+        with pytest.raises(AttributeError):
+            m.a = np.zeros((1, 1), dtype=np.int64)
+        assert m.p == 3 and not m.a.flags.writeable
+
+
+def test_identity_matches_numpy_eye_in_bytes():
+    for n in range(6):
+        ident = Mat.identity(3, n).a
+        eye = np.eye(n, dtype=np.int64)
+        assert ident.dtype == eye.dtype and ident.shape == eye.shape and ident.tobytes() == eye.tobytes()
+
+
+def test_equality_needs_modulus_shape_and_entries():
+    assert Mat(2, [[1, 0]]) != Mat(3, [[1, 0]])
+    row, col = Mat.zeros(3, 1, 2), Mat.zeros(3, 2, 1)
+    assert row.a.tobytes() == col.a.tobytes() and row != col
+    assert (Mat(3, [[1, 2]]) == Mat(3, [[1, 2]])) is True
 
 
 # -- the packed GF(2) kernel against the same reference -----------------------
