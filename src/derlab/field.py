@@ -70,18 +70,34 @@ def _checked_modulus(p: int) -> int:
     return int(p)
 
 
+def _refuse_non_integers(arr: np.ndarray) -> None:
+    """Raise FieldError unless the non-empty, not signed-integer arr holds
+    integers int64 reads as themselves: unsigned ones up to int64's max, or
+    Python ints (not bools) in an object array.  Strings, bytes, floats,
+    bools and complex numbers are refused, not parsed or truncated; a Python
+    int past int64 is left for the int64 conversion to refuse with
+    OverflowError."""
+    kind = arr.dtype.kind
+    if kind == "u":
+        if int(arr.max()) > np.iinfo(np.int64).max:
+            raise FieldError(f"matrix entry {int(arr.max())} does not fit in int64")
+    elif kind != "O" or not all(isinstance(x, int) and not isinstance(x, bool) for x in arr.flat):
+        raise FieldError(f"matrix entries must be integers, got dtype {arr.dtype}")
+
+
 class Mat:
     """Immutable rows x cols matrix over F_p.  Mat(p, data) is the checked
-    entry point: it refuses float, bool and complex entries (empty data of
-    any dtype is legal) and reduces the rest mod p."""
+    entry point: it refuses any entry int64 would not read as itself
+    (_refuse_non_integers; empty data of any dtype is legal) and reduces
+    the rest mod p."""
 
     __slots__ = ("p", "a")
 
     def __init__(self, p: int, data) -> None:
         p = _checked_modulus(p)
         arr = np.asarray(data)
-        if arr.dtype.kind in "fbc" and arr.size:
-            raise FieldError(f"matrix entries must be integers, got dtype {arr.dtype}")
+        if arr.dtype.kind != "i" and arr.size:
+            _refuse_non_integers(arr)
         arr = np.asarray(arr, dtype=np.int64)
         if arr.ndim != 2:
             raise FieldError(f"matrix data must be 2-dimensional, got shape {arr.shape}")

@@ -279,22 +279,38 @@ def hom_dim(m: Module, n: Module) -> int:
 # -- sub/quotient machinery ----------------------------------------------
 
 
+def _span_key(amb: Module, span_cols: Mat):
+    return module_key(amb), span_cols.p, span_cols.a.shape, span_cols.a.tobytes()
+
+
 def submodule(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
-    """Canonical submodule on the span of the given columns.
+    """Canonical submodule on the span of the given columns, kept by
+    content (`Algebra.kept`); the inclusion goes into the caller's amb.
 
     Raises if the span is not invariant under the action.
     """
+    sub, incl = amb.alg.kept("submodule", _span_key(amb, span_cols), amb.dim, lambda: _submodule(amb, span_cols))
+    return sub, ModuleMap(sub, amb, incl)
+
+
+def _submodule(amb: Module, span_cols: Mat) -> Tuple[Module, Mat]:
     incl = column_space_basis(span_cols)  # amb.dim x r
     r = incl.cols
     coords = solve(incl, hstack([a @ incl for a in amb.action]))
     if coords is None:
         raise ModuleError("span is not action-invariant")
-    sub = Module(amb.alg, [coords[:, k * r : (k + 1) * r] for k in range(amb.alg.dim)])
-    return sub, ModuleMap(sub, amb, incl)
+    return Module(amb.alg, [coords[:, k * r : (k + 1) * r] for k in range(amb.alg.dim)]), incl
 
 
 def quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
-    """Canonical quotient by the (invariant) span of the given columns."""
+    """Canonical quotient by the (invariant) span of the given columns,
+    kept by content (`Algebra.kept`); the projection leaves the caller's
+    amb."""
+    quot, proj = amb.alg.kept("quotient_module", _span_key(amb, span_cols), amb.dim, lambda: _quotient_module(amb, span_cols))
+    return quot, ModuleMap(amb, quot, proj)
+
+
+def _quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, Mat]:
     p = amb.alg.p
     red, r, pivots = rref(span_cols.T)
     nonpiv = np.ones(amb.dim, dtype=bool)
@@ -311,7 +327,7 @@ def quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
     # the kill check against the span's canonical basis, the rows of red
     if not (proj @ Mat._of(p, red.a[:r].T)).is_zero():
         raise ModuleError("quotient projection does not kill the span")
-    return quot, ModuleMap(amb, quot, proj)
+    return quot, proj
 
 
 @dataclass
@@ -383,7 +399,12 @@ def _radical_layer(m: Module) -> Mat:
 def generator_legs(m: Module) -> List[Mat]:
     """For each generator g of m, the matrix of the map Lambda -> m with
     1 |-> g, which sends e_k to g . e_k = A_k @ g.  Side by side they are
-    the free cover's deflation, checked to be onto."""
+    the free cover's deflation, checked to be onto.  Kept by content
+    (`Algebra.kept`); each call gets its own list."""
+    return list(m.alg.kept("generator_legs", module_key(m), m.dim, lambda: _generator_legs(m)))
+
+
+def _generator_legs(m: Module) -> List[Mat]:
     p = m.alg.p
     gens = generators(m)
     acted = np.stack([a.a @ gens.a for a in m.action], axis=2) % p  # [:, i, k] = A_k @ g_i
@@ -423,7 +444,12 @@ def is_projective(m: Module) -> bool:
     generators, i.e. iff dim m = dim Lambda * dim(m / m.rad) (Nakayama's
     lemma; Assem, Simson & Skowronski, Elements 1, I.5).  Over any other
     algebra: does the free cover split?  Solved linearly in the hom space.
+    Kept by content (`Algebra.kept`).
     """
+    return m.alg.kept("is_projective", module_key(m), m.dim, lambda: _is_projective(m))
+
+
+def _is_projective(m: Module) -> bool:
     alg = m.alg
     if alg.is_local():
         return m.dim % alg.dim == 0 and m.dim == alg.dim * (m.dim - _radical_layer(m).cols)

@@ -346,8 +346,17 @@ def test_constructor_refuses_non_integer_entries():
     for data in ([[1.5, 2.7]], np.array([[1.9]]), [[1.0]], [[True, False]], np.array([[1 + 0j]])):
         with pytest.raises(FieldError, match="integers"):
             Mat(3, data)
-    assert Mat(3, np.array([[4]], dtype=np.uint8)) == Mat(3, [[1]])
-    for empty in (np.zeros((0, 3)), np.zeros((2, 0), dtype=bool), [[]]):
+    # strings and bytes are not parsed, object entries not truncated
+    for data in ([["1", "2"]], [[b"1"]], np.array([[1.5]], dtype=object), np.array([[1, True]], dtype=object), [[1, None]]):
+        with pytest.raises(FieldError, match="integers"):
+            Mat(3, data)
+    # 2**64 - 1 is 0 mod 3; read as int64 it would wrap to -1
+    with pytest.raises(FieldError, match="int64"):
+        Mat(3, np.array([[2**64 - 1]], dtype=np.uint64))
+    assert Mat(3, np.array([[4, 2**63 - 1]], dtype=np.uint64)) == Mat(3, [[1, (2**63 - 1) % 3]])
+    assert Mat(3, np.array([[4, 5]], dtype=np.uint8)) == Mat(3, [[1, 2]])
+    assert Mat(3, np.array([[4, -1]], dtype=object)) == Mat(3, [[1, 2]])
+    for empty in (np.zeros((0, 3)), np.zeros((2, 0), dtype=bool), [[]], np.zeros((0, 2), dtype="U3"), np.zeros((1, 0), dtype=object)):
         assert Mat(3, empty).a.dtype == np.int64
     with pytest.raises(OverflowError):
         Mat(3, [[2**70]])
