@@ -272,3 +272,53 @@ def test_module_and_point_diagram_stable_layers_agree(dn):
             assert [h.comps["*"] for h in w.witness] == [h.mat for h in v.witness]
         statuses.add(v.status)
     assert statuses == {"true", "false"}
+
+
+RECORDED_LIFT_SHA256 = "bf493a135ca0f00ebc4c56def67e6e03987225c66a5a9a09ea68fda21281f13e"
+
+
+def lift_digest() -> str:
+    """Every module action and structure map of lift_to_arrow_diagram's
+    output, for identity, zero and seeded maps between seeded Gorenstein
+    projectives over the arrow, cospan and square, at p = 2 and 3."""
+    import hashlib
+    import random
+
+    from derlab.cats import cospan_category, square_category
+    from derlab.diagrams import hom_space_diagrams
+    from derlab.samples import random_gproj
+
+    h = hashlib.sha256()
+
+    def feed(a: np.ndarray) -> None:
+        h.update(np.asarray(a.shape, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+
+    for p in (2, 3):
+        alg = dual_numbers(p)
+        for shape in (arrow_category(), cospan_category(), square_category()):
+            for seed in range(2):
+                rng = random.Random(seed)
+                x, y = random_gproj(shape, alg, 2, rng), random_gproj(shape, alg, 2, rng)
+                maps = [identity_diagram_map(x), zero_diagram_map(x, y)]
+                basis = hom_space_diagrams(x, y)
+                for _ in range(2):
+                    f = zero_diagram_map(x, y)
+                    for b in basis:
+                        f = f + b.scale(rng.randrange(p))
+                    maps.append(f)
+                for f in maps:
+                    z = lift_to_arrow_diagram(f)
+                    h.update(repr(z.shape.objects).encode())
+                    for o in z.shape.objects:
+                        for act in z.at(o).action:
+                            feed(act.a)
+                    for g in z.shape.nonidentity_morphisms():
+                        h.update(g.encode())
+                        feed(z.mat(g).a)
+    return h.hexdigest()
+
+
+def test_arrow_lifts_keep_their_bytes():
+    """Recorded before the lift stopped cutting product morphism names."""
+    assert lift_digest() == RECORDED_LIFT_SHA256
