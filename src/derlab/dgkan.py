@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import ground_field
 from .cats import CatFunctor, DirectCategory, arrow_category, opposite_category, opposite_functor, slice_category, terminal_category
-from .field import Mat, kernel_basis, rank, solve, vstack
+from .field import Mat, block, kernel_basis, kron, rank, solve, vstack
 from .modules import Module, direct_sum, regular_module, submodule, zero_module
 from .diagrams import (
     Diagram,
@@ -28,6 +28,7 @@ from .diagrams import (
     dual_diagram,
     left_kan_from_point,
     limit_of_diagram,
+    relabelling,
     restrict,
 )
 from .complexes import (
@@ -227,18 +228,6 @@ def cone_weight(p: int) -> FreeComplex:
 # -- collapsed Hom and tensor totalizations ------------------------------------------
 
 
-def _relabelling(p: int, src: List[tuple], src_dims: List[int], tgt: List[tuple], tgt_dims: List[int], to_tgt) -> Mat:
-    """The 0/1 matrix from the blocks src to the blocks tgt (of sizes
-    src_dims and tgt_dims) that carries each source block by the identity
-    onto the target block labelled to_tgt(its label)."""
-    offsets = dict(zip((label for _, _, label in tgt), itertools.accumulate([0] + tgt_dims)))
-    out = np.zeros((sum(tgt_dims), sum(src_dims)), dtype=np.int64)
-    for (_, _, label), col, d in zip(src, itertools.accumulate([0] + src_dims), src_dims):
-        row = offsets[to_tgt(label)]
-        out[row : row + d, col : col + d] = np.eye(d, dtype=np.int64)
-    return Mat(p, out)
-
-
 def weighted_hocolim(wc: FreeComplex, f: LazyComplex) -> LazyComplex:
     """Tensor of the weight wc (a complex of free right modules, presented
     over the opposite category) with the complex of diagrams."""
@@ -339,8 +328,9 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
             f = J.hom(u.on_obj(key[0]), j)[midx]
             return (q, key, (arrows, J.hom(u.on_obj(key[0]), j2).index(J.compose(alpha, f))))
 
+        labels = {jj: [label for _, _, label in wcs[jj].blocks] for jj in (j, j2)}
         dims = {jj: [t.term(n - q).at(obj).dim for q, obj, _ in wcs[jj].blocks] for jj in (j, j2)}
-        return _relabelling(p, wcs[j].blocks, dims[j], wcs[j2].blocks, dims[j2], postcompose)
+        return relabelling(p, labels[j], dims[j], labels[j2], dims[j2], postcompose)
 
     def term_fn(n: int) -> Diagram:
         modules = {j: hoc[j].term(n).at("*") for j in J.objects}
@@ -358,41 +348,22 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
 
 def hom_module_from_weight(m: Diagram, d: Diagram) -> Tuple[Module, Mat]:
     """Hom over the free category from the weight into a diagram, as a module:
-    the naturality subspace of (+)_i Hom_k(M_i, D_i), with its inclusion."""
+    the naturality subspace of (+)_i Hom_k(M_i, D_i), M_i-indexed copies of
+    D_i (copy-major), with its inclusion.  phi_b o M(h) = D(h) o phi_a is
+    the block row kron(M(h)^T, I) at b, -kron(I, D(h)) at a."""
     cat = m.shape
     alg = d.alg
     p = alg.p
-    # ambient: per object i, M_i-indexed copies of D_i (copy-major)
-    copies = []
-    offsets = {}
-    off = 0
-    for i in cat.objects:
-        offsets[i] = off
-        for t in range(m.at(i).dim):
-            copies.append(d.at(i))
-            off += d.at(i).dim
+    copies = [d.at(i) for i in cat.objects for _ in range(m.at(i).dim)]
     amb = direct_sum(copies)[0] if copies else zero_module(alg)
-    rows = []
+    grid, row_dims = [], []
     for h in cat.nonidentity_morphisms():
         a, b = cat.src(h), cat.tgt(h)
-        da, db = d.at(a).dim, d.at(b).dim
-        mh = m.mat(h)
-        dh = d.mat(h)
-        # naturality phi_b o M(h) = D(h) o phi_a, one block row per source
-        # copy t:  sum_t2 mh[t2, t] phi_b^(t2)  -  D(h) phi_a^(t)  =  0
-        for t in range(m.at(a).dim):
-            row = np.zeros((db, amb.dim), dtype=np.int64)
-            for t2 in range(m.at(b).dim):
-                c = int(mh.a[t2, t])
-                if c:
-                    row[:, offsets[b] + t2 * db : offsets[b] + (t2 + 1) * db] += c * np.eye(db, dtype=np.int64)
-            row[:, offsets[a] + t * da : offsets[a] + (t + 1) * da] -= dh.a
-            rows.append(row % p)
-    if rows:
-        system = Mat(p, np.vstack(rows))
-        sub, incl = submodule(amb, kernel_basis(system))
-    else:
-        sub, incl = submodule(amb, Mat.identity(p, amb.dim))
+        row = {b: kron(m.mat(h).T, Mat.identity(p, d.at(b).dim)), a: -kron(Mat.identity(p, m.at(a).dim), d.mat(h))}
+        grid.append([row.get(i) for i in cat.objects])
+        row_dims.append(m.at(a).dim * d.at(b).dim)
+    system = block(p, grid, row_dims, [m.at(i).dim * d.at(i).dim for i in cat.objects])
+    sub, incl = submodule(amb, kernel_basis(system))
     return sub, incl.mat
 
 
@@ -461,18 +432,18 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
         arrows_i = tuple(pres.projection.mor_map[a] for a in arrows)
         return (q, chain_i, (arrows_i, midx))
 
-    blocks_r = bar_i.complex.blocks
-    blocks_l = bar_s.complex.blocks
-    if sorted(repr(translate(label)) for _, _, label in blocks_l) != sorted(repr(label) for _, _, label in blocks_r):
+    labels_r = [label for _, _, label in bar_i.complex.blocks]
+    labels_l = [label for _, _, label in bar_s.complex.blocks]
+    if sorted(repr(translate(label)) for label in labels_l) != sorted(repr(label) for label in labels_r):
         return Der4Report(underived_ok, False, (lo, hi), {"label_mismatch": True, **details})
 
     derived_ok = True
     thetas: Dict[int, Mat] = {}
     for n in range(lo, hi + 2):
-        dims_r = [t.term(q + n).at(obj).dim for q, obj, _ in blocks_r]
-        dims_l = [t.term(q + n).at(pres.pairs[obj][0]).dim for q, obj, _ in blocks_l]
+        dims_r = [t.term(q + n).at(obj).dim for q, obj, _ in bar_i.complex.blocks]
+        dims_l = [t.term(q + n).at(pres.pairs[obj][0]).dim for q, obj, _ in bar_s.complex.blocks]
         # theta_n has one identity block per slice block, at its translation
-        thetas[n] = _relabelling(p, blocks_l, dims_l, blocks_r, dims_r, translate).T
+        thetas[n] = relabelling(p, labels_l, dims_l, labels_r, dims_r, translate).T
         if sum(dims_l) != sum(dims_r):
             derived_ok = False
     for n in range(lo, hi + 1):

@@ -26,7 +26,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import DerlabError, Mat, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, solve, vstack
+from .field import DerlabError, Mat, block, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, solve, vstack
 from .modules import (
     Conflation,
     Module,
@@ -38,7 +38,7 @@ from .modules import (
     dual_module,
     free_module,
     generator_legs,
-    intertwining_elements,
+    hom_equations,
     module_key,
     quotient_module,
     solve_in_basis,
@@ -261,25 +261,31 @@ def free_diagram(shape: DirectCategory, alg: Algebra, parts: Sequence[Tuple[str,
     left_kan_from_point(shape, alg, j_k, m_k), block for block."""
     p = alg.p
     copies = {a: [(k, f) for k, (j, _) in enumerate(parts) for f in shape.hom(j, a)] for a in shape.objects}
-    offsets: Dict[str, Dict[Tuple[int, str], int]] = {}
-    modules = {}
-    for a in shape.objects:
-        mods = [parts[k][1] for k, _ in copies[a]]
-        modules[a] = Module(alg, [block_diag(p, [m.action[e] for m in mods]) for e in range(alg.dim)])
-        offsets[a] = dict(zip(copies[a], accumulate([0] + [m.dim for m in mods])))
+    dims = {a: [parts[k][1].dim for k, _ in copies[a]] for a in shape.objects}
+    modules = {
+        a: Module(alg, [block_diag(p, [parts[k][1].action[e] for k, _ in copies[a]]) for e in range(alg.dim)]) for a in shape.objects
+    }
     mats = {}
     for h in shape.nonidentity_morphisms():
         a, b = shape.src(h), shape.tgt(h)
-        rows: List[int] = []
-        cols: List[int] = []
-        for (k, f), col in offsets[a].items():
-            row, d = offsets[b][(k, shape.compose(h, f))], parts[k][1].dim
-            rows.extend(range(row, row + d))
-            cols.extend(range(col, col + d))
-        out = np.zeros((modules[b].dim, modules[a].dim), dtype=np.int64)
-        out[rows, cols] = 1
-        mats[h] = Mat._of(p, out)
+        mats[h] = relabelling(p, copies[a], dims[a], copies[b], dims[b], lambda kf: (kf[0], shape.compose(h, kf[1])))
     return Diagram(shape, alg, modules, mats)
+
+
+def relabelling(p: int, src_labels: Sequence, src_dims: Sequence[int], tgt_labels: Sequence, tgt_dims: Sequence[int], to_tgt) -> Mat:
+    """The 0/1 matrix from blocks labelled src_labels (of sizes src_dims)
+    to blocks labelled tgt_labels (of sizes tgt_dims) that carries each
+    source block by the identity onto the target block labelled
+    to_tgt(its label)."""
+    offsets = dict(zip(tgt_labels, accumulate([0] + list(tgt_dims))))
+    rows, cols = [], []
+    for label, col, d in zip(src_labels, accumulate([0] + list(src_dims)), src_dims):
+        row = offsets[to_tgt(label)]
+        rows.extend(range(row, row + d))
+        cols.extend(range(col, col + d))
+    out = np.zeros((sum(tgt_dims), sum(src_dims)), dtype=np.int64)
+    out[rows, cols] = 1
+    return Mat._of(p, out)
 
 
 def left_kan_from_point(shape: DirectCategory, alg: Algebra, j: str, m: Module) -> Diagram:
@@ -314,60 +320,43 @@ def restrict_map(u: CatFunctor, phi: DiagramMap) -> DiagramMap:
 
 
 def hom_space_diagrams(x: Diagram, y: Diagram) -> List[DiagramMap]:
-    """Canonical basis of Hom_{F^I}(x, y): solution space of the module-map
-    and naturality constraints, vectorized object by object."""
+    """Canonical basis of Hom_{F^I}(x, y), the end of Hom(x_i, y_i): the
+    kernel of hom_equations(x_o, y_o) per object o and vec(comp_b x(f)) -
+    vec(y(f) comp_a) per f: a -> b, leaving out blocks of size zero."""
     if not same_category(x.shape, y.shape):
         raise DiagramError("hom of diagrams over different shapes")
     if x.alg is not y.alg:
         raise DiagramError("hom of diagrams over different algebras")
     p = x.alg.p
     objs = x.shape.objects
-    sizes = [y.at(o).dim * x.at(o).dim for o in objs]
-    offsets = {}
-    off = 0
-    for o, sz in zip(objs, sizes):
-        offsets[o] = off
-        off += sz
-    total = off
-    if total == 0:
+    size = {o: y.at(o).dim * x.at(o).dim for o in objs}
+    if not any(size.values()):
         return []
-    rows: List[np.ndarray] = []
+    grid, row_dims = [], []
     for o in objs:
-        s, t = x.at(o).dim, y.at(o).dim
-        if s == 0 or t == 0:
-            continue
-        eye_t = Mat.identity(p, t)
-        eye_s = Mat.identity(p, s)
-        for k in intertwining_elements(x.at(o), y.at(o)):
-            piece = kron(eye_t, x.at(o).action[k].T) - kron(y.at(o).action[k], eye_s)
-            big = np.zeros((piece.rows, total), dtype=np.int64)
-            big[:, offsets[o] : offsets[o] + piece.cols] = piece.a
-            rows.append(big)
+        if size[o]:
+            eqs = hom_equations(x.at(o), y.at(o))
+            grid.append([eqs if i == o else None for i in objs])
+            row_dims.append(eqs.rows)
     for f in x.shape.nonidentity_morphisms():
         a, b = x.shape.src(f), x.shape.tgt(f)
-        sa, ta = x.at(a).dim, y.at(a).dim
-        sb, tb = x.at(b).dim, y.at(b).dim
-        nrows = tb * sa
-        if nrows == 0:
+        sa, tb = x.at(a).dim, y.at(b).dim
+        if tb * sa == 0:
             continue
-        big = np.zeros((nrows, total), dtype=np.int64)
-        if sb * tb:
-            piece = kron(Mat.identity(p, tb), x.mat(f).T)  # vec(comp_b @ x_f)
-            big[:, offsets[b] : offsets[b] + tb * sb] = piece.a
-        if sa * ta:
-            piece = kron(y.mat(f), Mat.identity(p, sa))  # vec(y_f @ comp_a)
-            big[:, offsets[a] : offsets[a] + ta * sa] = (big[:, offsets[a] : offsets[a] + ta * sa] - piece.a) % p
-        rows.append(big)
-    system = Mat(p, np.vstack(rows)) if rows else Mat.zeros(p, 0, total)
-    basis = kernel_basis(system)
-    out = []
-    for jcol in range(basis.cols):
-        comps = {}
-        for o in objs:
-            s, t = x.at(o).dim, y.at(o).dim
-            comps[o] = Mat._of(p, basis.a[offsets[o] : offsets[o] + t * s, jcol].reshape(t, s))
-        out.append(DiagramMap(x, y, comps))
-    return out
+        row = {}
+        if size[b]:
+            row[b] = kron(Mat.identity(p, tb), x.mat(f).T)
+        if size[a]:
+            row[a] = -kron(y.mat(f), Mat.identity(p, sa))
+        grid.append([row.get(i) for i in objs])
+        row_dims.append(tb * sa)
+    sizes = [size[o] for o in objs]
+    basis = kernel_basis(block(p, grid, row_dims, sizes))
+    offsets = list(accumulate([0] + sizes))
+    return [
+        DiagramMap(x, y, {o: Mat._of(p, basis.a[offsets[c] : offsets[c + 1], j].reshape(y.at(o).dim, x.at(o).dim)) for c, o in enumerate(objs)})
+        for j in range(basis.cols)
+    ]
 
 
 def vec_diagram_map(phi: DiagramMap) -> Mat:

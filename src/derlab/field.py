@@ -136,11 +136,11 @@ class Mat:
 
     @staticmethod
     def column(p: int, entries: Sequence[int]) -> "Mat":
-        return Mat(p, np.asarray(list(entries), dtype=np.int64).reshape(-1, 1))
+        return Mat(p, np.asarray(list(entries)).reshape(-1, 1))
 
     @staticmethod
     def row(p: int, entries: Sequence[int]) -> "Mat":
-        return Mat(p, np.asarray(list(entries), dtype=np.int64).reshape(1, -1))
+        return Mat(p, np.asarray(list(entries)).reshape(1, -1))
 
     # -- basic structure ----------------------------------------------
 

@@ -11,6 +11,7 @@ hand.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -318,44 +319,24 @@ def lift_to_arrow_diagram(f: DiagramMap) -> Diagram:
     if not (is_gproj(f.src) and is_gproj(f.tgt)):
         raise PreconditionError("arrow lifts are built between Gorenstein projectives")
     I = f.src.shape
-    alg = f.src.alg
     arrow = arrow_category()
-    prod = product_category(arrow, I)
-
-    def assemble(x: Diagram, y2: Diagram, edge: DiagramMap) -> Diagram:
-        modules = {}
-        for o in I.objects:
-            modules[f"(0,{o})"] = x.at(o)
-            modules[f"(1,{o})"] = y2.at(o)
-        mats = {}
-        for mor in prod.nonidentity_morphisms():
-            inner = mor[1:-1]
-            for cut in range(len(inner)):
-                am, im = inner[:cut], inner[cut + 1 :]
-                if am in arrow.morphisms and im in I.morphisms:
-                    break
-            src_i = I.src(im)
-            if am == "1_0":
-                mats[mor] = x.mat(im)
-            elif am == "1_1":
-                mats[mor] = y2.mat(im)
-            else:  # am == "e0": the edge block composed with the structure map
-                mats[mor] = y2.mat(im) @ edge.comps[src_i]
-        return Diagram(prod, alg, modules, mats)
-
     if f.src is f.tgt and all(f.comps[o].is_identity() for o in I.objects):
-        z = assemble(f.src, f.tgt, f)
-        if not is_gproj(z):
-            raise VerificationError("constant arrow diagram failed the latching check")
-        return z
-
-    pad = embed_gproj_into_proj(f.src)
-    padded, _, _ = direct_sum_diagrams([f.tgt, pad.middle])
-    edge = DiagramMap(f.src, padded, {o: vstack([f.comps[o], pad.left.comps[o]]) for o in I.objects})
-    for o in I.objects:
-        if rank(edge.comps[o]) != f.src.at(o).dim:
-            raise VerificationError("padded edge is not an inflation")
-    z = assemble(f.src, padded, edge)
+        y2, edge = f.tgt, f
+    else:
+        pad = embed_gproj_into_proj(f.src)
+        y2 = direct_sum_diagrams([f.tgt, pad.middle])[0]
+        edge = DiagramMap(f.src, y2, {o: vstack([f.comps[o], pad.left.comps[o]]) for o in I.objects})
+        for o in I.objects:
+            if rank(edge.comps[o]) != f.src.at(o).dim:
+                raise VerificationError("padded edge is not an inflation")
+    modules = {f"({a},{o})": end.at(o) for a, end in (("0", f.src), ("1", y2)) for o in I.objects}
+    mats = {}
+    for am, im in itertools.product(arrow.morphisms, I.morphisms):
+        if am == "e0":  # the edge block composed with the structure map
+            mats[f"({am},{im})"] = y2.mat(im) @ edge.comps[I.src(im)]
+        elif not I.is_identity(im):
+            mats[f"({am},{im})"] = (f.src if am == "1_0" else y2).mat(im)
+    z = Diagram(product_category(arrow, I), f.src.alg, modules, mats)
     if not is_gproj(z):
         raise VerificationError("arrow lift failed the latching check")
     return z

@@ -75,12 +75,7 @@ class Module:
             raise ModuleError("unit does not act as the identity")
         for i in range(alg.dim):
             for j in range(alg.dim):
-                lhs = Mat.zeros(alg.p, self.dim, self.dim)
-                for k in range(alg.dim):
-                    c = int(alg.mul[i, j, k])
-                    if c:
-                        lhs = lhs + self.action[k].scale(c)
-                if lhs != self.action[j] @ self.action[i]:
+                if self.act(alg.mul[i, j]) != self.action[j] @ self.action[i]:
                     raise ModuleError(
                         f"module law fails on ({alg.basis_labels[i]}, {alg.basis_labels[j]})"
                     )
@@ -236,40 +231,30 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 
 
 def hom_space(m: Module, n: Module) -> List[ModuleMap]:
-    """Canonical basis of Hom(m, n), via the intertwining equations.
-
-    Matrices are vectorized row-major; the kernel basis of the stacked
-    constraints gives a deterministic ordering.
-    """
+    """Canonical basis of Hom(m, n): the kernel of hom_equations, each
+    basis column read back row-major."""
     if m.alg is not n.alg:
         raise ModuleError("hom_space requires a shared algebra instance")
-    p = m.alg.p
     s, t = m.dim, n.dim
     if s == 0 or t == 0:
         return []
-    blocks = [Mat.zeros(p, 0, t * s)]
-    eye_t = Mat.identity(p, t)
-    eye_s = Mat.identity(p, s)
-    for k in intertwining_elements(m, n):
-        # X @ S_k - T_k @ X = 0, row-major vec: kron(I, S_k^T) - kron(T_k, I)
-        blocks.append(kron(eye_t, m.action[k].T) - kron(n.action[k], eye_s))
-    system = vstack(blocks)
-    basis = kernel_basis(system)
-    out = []
-    for j in range(basis.cols):
-        out.append(ModuleMap(m, n, Mat._of(p, basis.a[:, j].reshape(t, s))))
-    return out
+    basis = kernel_basis(hom_equations(m, n))
+    return [ModuleMap(m, n, Mat._of(m.alg.p, basis.a[:, j].reshape(t, s))) for j in range(basis.cols)]
 
 
-def intertwining_elements(m: Module, n: Module) -> List[int]:
-    """The basis elements e_k whose equations X S_k = T_k X a hom from m to
-    n must satisfy: all of them but a unit basis vector that acts as the
-    identity on both, whose equations X = X are rows of zeros."""
+def hom_equations(m: Module, n: Module) -> Mat:
+    """The equations X S_k = T_k X of a hom X from m to n on its row-major
+    vec(X), kron(I_t, S_k^T) - kron(T_k, I_s), stacked by k.  A unit basis
+    vector that acts as the identity on both is left out: its equations
+    X = X are rows of zeros."""
+    p, s, t = m.alg.p, m.dim, n.dim
     unit, every = m.alg.unit, range(m.alg.dim)
     u = int(unit.argmax())
     if np.count_nonzero(unit) == 1 and unit[u] == 1 and m.action[u].is_identity() and n.action[u].is_identity():
-        return [k for k in every if k != u]
-    return list(every)
+        every = [k for k in every if k != u]
+    eye_t, eye_s = Mat.identity(p, t), Mat.identity(p, s)
+    eqs = [kron(eye_t, m.action[k].T) - kron(n.action[k], eye_s) for k in every]
+    return vstack(eqs) if eqs else Mat.zeros(p, 0, t * s)
 
 
 def hom_dim(m: Module, n: Module) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import Algebra, ground_field
 from .cats import CatFunctor, DirectCategory
 from .field import DerlabError, Mat
-from .modules import Module, free_module, hom_space, zero_module
+from .modules import Module, combine, free_module, hom_space, zero_module
 from .diagrams import Diagram, projective_cover_diagram
 from .gorenstein import is_gproj
 
@@ -81,15 +81,9 @@ def all_diagrams(shape: DirectCategory, alg: Algebra, max_dim: int, modules: Opt
         for picks in itertools.product(*space):
             mats = {}
             for f, pick in zip(gens, picks):
-                basis = hom_bases[f]
-                m = Mat.zeros(p, by_obj[shape.tgt(f)].dim, by_obj[shape.src(f)].dim)
-                rem = pick
-                for b in basis:
-                    c = rem % p
-                    rem //= p
-                    if c:
-                        m = m + b.mat.scale(c)
-                mats[f] = m
+                zero = Mat.zeros(p, by_obj[shape.tgt(f)].dim, by_obj[shape.src(f)].dim)
+                digits = [pick // p ** i % p for i in range(len(hom_bases[f]))]
+                mats[f] = combine(zero, [b.mat for b in hom_bases[f]], digits)
             cand = Diagram(shape, alg, by_obj, mats)
             if cand.is_functorial():
                 yield cand
@@ -120,15 +114,10 @@ def random_diagram(shape: DirectCategory, alg: Algebra, max_dim: int, rng: rando
     for _ in range(300):
         by_obj = {o: random_module(alg, max_dim, rng) for o in shape.objects}
         mats = {}
-        ok = True
         for f in shape.nonidentity_morphisms():
             basis = hom_space(by_obj[shape.src(f)], by_obj[shape.tgt(f)])
-            m = Mat.zeros(p, by_obj[shape.tgt(f)].dim, by_obj[shape.src(f)].dim)
-            for b in basis:
-                c = rng.randrange(p)
-                if c:
-                    m = m + b.mat.scale(c)
-            mats[f] = m
+            zero = Mat.zeros(p, by_obj[shape.tgt(f)].dim, by_obj[shape.src(f)].dim)
+            mats[f] = combine(zero, [b.mat for b in basis], [rng.randrange(p) for _ in basis])
         cand = Diagram(shape, alg, by_obj, mats)
         if cand.is_functorial():
             return cand

@@ -431,3 +431,22 @@ def test_documents_check_each_module_law_once(dn, socle_arrow, monkeypatch):
     monkeypatch.setattr(Module, "validate", lambda self: checked.append(self) or real_validate(self))
     diagram_from_dict(socle_arrow.shape, dn, diagram_to_dict(socle_arrow, "arrow"))
     assert len(checked) == len(socle_arrow.shape.objects)
+
+
+@pytest.mark.parametrize("alg", [dual_numbers(2), dual_numbers(3), group_algebra_c2(3)], ids=["dn2", "dn3", "c2_3"])
+def test_module_hom_is_the_diagram_hom_of_stalks(alg):
+    """Hom(m, n) is Hom of the stalks of m and n over the point, matrix for
+    matrix, and over the arrow for stalks at one object, where the other
+    object, its rows and the naturality rows are all of size zero."""
+    from derlab.modules import hom_space
+    from derlab.samples import all_modules
+
+    mods = all_modules(alg, 2)
+    cases = [(terminal_category(), "*"), (arrow_category(), "0"), (arrow_category(), "1")]
+    for m in mods:
+        for n in mods:
+            expected = [h.mat for h in hom_space(m, n)]
+            for shape, j in cases:
+                basis = hom_space_diagrams(stalk_diagram(shape, alg, j, m), stalk_diagram(shape, alg, j, n))
+                assert [phi.comps[j] for phi in basis] == expected
+                assert all(phi.comps[o].a.size == 0 for phi in basis for o in shape.objects if o != j)

@@ -362,6 +362,15 @@ def test_constructor_refuses_non_integer_entries():
         Mat(3, [[2**70]])
 
 
+def test_column_and_row_refuse_what_the_constructor_refuses():
+    for make in (Mat.column, Mat.row):
+        for entries in ([1.5, 2.7], ["2", 1], [True, False], [1, None]):
+            with pytest.raises(FieldError, match="integers"):
+                make(3, entries)
+        assert make(3, iter([4, -1])).to_list() in ([[1], [2]], [[1, 2]])
+    assert Mat.column(3, []).a.shape == (0, 1) and Mat.row(3, []).a.shape == (1, 0)
+    assert Mat.column(3, np.array([5], dtype=np.uint8)) == Mat(3, [[2]])
+
 def test_mat_attributes_cannot_be_reassigned():
     a = Mat(3, [[1, 2], [0, 1]])
     results = [Mat._of(3, np.zeros((1, 1), dtype=np.int64)), a.T, a @ a, a + a, hstack([a, a]), Mat.identity(3, 2)]
