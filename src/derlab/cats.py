@@ -55,6 +55,8 @@ class DirectCategory:
         self.degree = self._grade()
         self._hom_cache: Dict[Tuple[str, str], List[str]] = {}
         self._nonidentity = sorted(f for f in self.morphisms if not self.is_identity(f))
+        # (g, f, g o f) in table order, bar the unit laws (pairs with an identity)
+        self.composites = [(g, f, h) for (g, f), h in self.comp.items() if not (self.is_identity(g) or self.is_identity(f))]
         self._op: Optional["DirectCategory"] = None
         self._punctured_cache: Dict[Tuple[str, str], "SlicePresentation"] = {}
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import ground_field
 from .cats import CatFunctor, DirectCategory, arrow_category, opposite_category, opposite_functor, slice_category, terminal_category
-from .field import Mat, block, kernel_basis, kron, rank, solve, vstack
+from .field import Mat, block, kernel_basis, kron, product_defect, rank, solve, vstack
 from .modules import Module, direct_sum, regular_module, submodule, zero_module
 from .diagrams import (
     Diagram,
@@ -125,7 +125,7 @@ class FreeResolution:
             # exactness of 0 -> W^lo(a) -> ... -> W^0(a) -> M(a) -> 0
             dims = [self.complex.value_dim(q, a) for q in range(lo, 1)] + [self.target.at(a).dim]
             for first, second in zip(mats, mats[1:]):
-                if not (second @ first).is_zero():
+                if product_defect(p, (second.a, first.a)):
                     raise VerificationError(f"augmented complex is not a complex at {a}")
             ranks = [rank(m) for m in mats]
             for idx in range(len(mats)):
@@ -447,9 +447,7 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
         if sum(dims_l) != sum(dims_r):
             derived_ok = False
     for n in range(lo, hi + 1):
-        lhs_mat = l_side.diff(n).comps["*"] @ thetas[n]
-        rhs_mat = thetas[n + 1] @ r_side.diff(n).comps["*"]
-        if lhs_mat != rhs_mat:
+        if product_defect(p, (l_side.diff(n).comps["*"].a, thetas[n].a), c=thetas[n + 1].a @ r_side.diff(n).comps["*"].a):
             derived_ok = False
             details[f"derived_square_fails_deg{n}"] = True
     details["derived_is_chain_iso"] = derived_ok

@@ -26,7 +26,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import DerlabError, Mat, block, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, rank, solve, vstack
+from .field import DerlabError, FieldError, Mat, block, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, solve, vstack
 from .modules import (
     Conflation,
     Module,
@@ -73,6 +73,8 @@ class Diagram:
             s, t = shape.src(f), shape.tgt(f)
             if m.a.shape != (self.modules[t].dim, self.modules[s].dim):
                 raise DiagramError(f"matrix for {f} has shape {m.rows}x{m.cols}")
+            if m.p != alg.p:
+                raise FieldError(f"mixed moduli {m.p} and {alg.p}")
 
     def at(self, o: str) -> Module:
         return self.modules[o]
@@ -94,19 +96,23 @@ class Diagram:
             self.modules[o].validate()
         for f in self.shape.nonidentity_morphisms():
             self.map_for(f).validate()
-        for (g, f), h in self.shape.comp.items():
-            if self.mat(g) @ self.mat(f) != self.mat(h):
-                raise DiagramError(f"functoriality fails on ({g}, {f})")
+        self._check_composites()
         return self
 
     def is_functorial(self) -> bool:
         try:
-            for (g, f), h in self.shape.comp.items():
-                if self.mat(g) @ self.mat(f) != self.mat(h):
-                    return False
+            self._check_composites()
         except (KeyError, ValueError):
             return False
         return True
+
+    def _check_composites(self) -> None:
+        """x(g) x(f) = x(g f) over the composition table, bar the pairs with
+        an identity factor: mat builds x(1) itself, so those always hold."""
+        p, mats = self.alg.p, self.mats
+        for g, f, h in self.shape.composites:
+            if product_defect(p, (mats[g].a, mats[f].a), c=mats[h].a):
+                raise DiagramError(f"functoriality fails on ({g}, {f})")
 
     def __repr__(self) -> str:
         dims = {o: self.modules[o].dim for o in self.shape.objects}
@@ -140,6 +146,8 @@ class DiagramMap:
             c = self.comps[o]
             if c.a.shape != (tgt.at(o).dim, src.at(o).dim):
                 raise DiagramError(f"component at {o} has shape {c.rows}x{c.cols}")
+            if c.p != src.alg.p:
+                raise FieldError(f"mixed moduli {c.p} and {src.alg.p}")
 
     def at(self, o: str) -> ModuleMap:
         return ModuleMap(self.src.at(o), self.tgt.at(o), self.comps[o])
@@ -149,7 +157,7 @@ class DiagramMap:
             self.at(o).validate()
         for f in self.src.shape.nonidentity_morphisms():
             s, t = self.src.shape.src(f), self.src.shape.tgt(f)
-            if self.comps[t] @ self.src.mat(f) != self.tgt.mat(f) @ self.comps[s]:
+            if product_defect(self.src.alg.p, (self.comps[t].a, self.src.mats[f].a), c=self.tgt.mats[f].a @ self.comps[s].a):
                 raise DiagramError(f"naturality fails at {f}")
         return self
 
@@ -431,7 +439,7 @@ def factor_matrix_through_surjection(t: Mat, sigma: Mat) -> Mat:
     if phi_t is None:
         raise DiagramError("map does not factor through the surjection")
     phi = phi_t.T
-    if phi @ sigma != t:
+    if product_defect(t.p, (phi.a, sigma.a), c=t.a):
         raise DiagramError("factorization verification failed")
     return phi
 

@@ -63,11 +63,16 @@ def _inv_mod(x: int, p: int) -> int:
 
 
 def _checked_modulus(p: int) -> int:
+    """p as a Python int; a float, string or bool is refused, not read."""
+    if type(p) is not int:
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+            raise FieldError(f"modulus must be an integer, got {p!r}")
+        p = int(p)
     if p < 2:
         raise FieldError(f"modulus must be >= 2, got {p}")
     if p >= MODULUS_BOUND:
         raise FieldError(f"modulus {p} is not below MODULUS_BOUND = {MODULUS_BOUND}, which keeps int64 products exact")
-    return int(p)
+    return p
 
 
 def _refuse_non_integers(arr: np.ndarray) -> None:
@@ -238,6 +243,19 @@ _set_p = Mat.__dict__["p"].__set__
 _set_a = Mat.__dict__["a"].__set__
 
 
+def product_defect(p: int, *terms: Tuple[np.ndarray, np.ndarray], c=0):
+    """How many entries of sum a @ b over the pairs (a, b), minus c, are
+    nonzero mod p: 0 iff sum a b = c over F_p.  Every check is written so,
+    on raw int64 arrays, building no Mat: signs ride on the arrays, c is an
+    array or 0, and a stack of matrices gets one count per matrix."""
+    (a, b), *rest = terms
+    d = a @ b - c
+    for a, b in rest:
+        d += a @ b
+    d %= p
+    return np.count_nonzero(d, axis=(-2, -1)) if d.ndim > 2 else np.count_nonzero(d)
+
+
 def check_integer_entries(data) -> None:
     """Raise TypeError unless every leaf of a nested list is an integer;
     a document's 1.5, "1", true or null is refused, not truncated."""
@@ -269,7 +287,7 @@ def matrix_from_entries(p: int, data, rows: int, cols: int) -> Mat:
     return Mat(p, arr)
 
 
-def _common_modulus(mats: Sequence[Mat], p: int) -> int:
+def common_modulus(mats: Sequence[Mat], p: int) -> int:
     """p, checked, when every one of mats has that modulus."""
     p = _checked_modulus(p)
     for m in mats:
@@ -302,7 +320,7 @@ def vstack(mats: Iterable[Mat]) -> Mat:
 
 def block_diag(p: int, mats: Sequence[Mat]) -> Mat:
     mats = list(mats)
-    p = _common_modulus(mats, p)
+    p = common_modulus(mats, p)
     shapes = [m.a.shape for m in mats]
     out = np.zeros((sum(r for r, _ in shapes), sum(c for _, c in shapes)), dtype=np.int64)
     i = j = 0
@@ -315,7 +333,7 @@ def block_diag(p: int, mats: Sequence[Mat]) -> Mat:
 
 def block(p: int, grid: Sequence[Sequence[Optional[Mat]]], row_dims: Sequence[int], col_dims: Sequence[int]) -> Mat:
     """Assemble a block matrix; None blocks are zero."""
-    p = _common_modulus([blk for row in grid for blk in row if blk is not None], p)
+    p = common_modulus([blk for row in grid for blk in row if blk is not None], p)
     out = np.zeros((sum(row_dims), sum(col_dims)), dtype=np.int64)
     roff = 0
     for bi, rd in enumerate(row_dims):
@@ -568,6 +586,6 @@ def invert(m: Mat) -> Optional[Mat]:
     if m.rows != m.cols:
         return None
     x = solve(m, Mat.identity(m.p, m.rows))
-    if x is None or not (m @ x).is_identity() or not (x @ m).is_identity():
+    if x is None or any(product_defect(m.p, pair, c=np.identity(m.rows, dtype=np.int64)) for pair in ((m.a, x.a), (x.a, m.a))):
         return None
     return x

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .algebra import Algebra, require_self_injective
 from .cats import (
     CatFunctor,
@@ -24,7 +26,7 @@ from .cats import (
     opposite_functor,
     punctured_slice,
 )
-from .field import DerlabError, Mat, block, hstack, rank
+from .field import DerlabError, Mat, block, hstack, product_defect, rank
 from .modules import (
     Module,
     ModuleMap,
@@ -125,22 +127,27 @@ def _latching_ranks(x: Diagram, j: str) -> Tuple[int, int, Mat]:
     quotients by.  So L_j = coker R, and T = lambda_j sigma with sigma onto
     L_j: dim L_j = n - rank R for n = sum dim x_i, and im lambda_j = im T.
     Both rest on T R = 0, x's functoriality on the slice, which is checked
-    on every call: a failure is a VerificationError, never an answer."""
+    on every call: a failure is a VerificationError, never an answer.  A
+    discrete slice (at every object of the arrow, cospan and span, and at
+    three of the square's four) has no relations: R has no columns, so
+    rank R = 0 and T R = 0 hold vacuously, and neither is formed."""
     pres = punctured_slice(x.shape, j, "under")
     p, objs = x.alg.p, pres.cat.objects
     if not objs:
         return 0, 0, Mat.zeros(p, x.at(j).dim, 0)
     t = hstack([x.mat(pres.pairs[o][1]) for o in objs])
     dims = [x.at(pres.pairs[o][0]).dim for o in objs]
-    at = {o: k for k, o in enumerate(objs)}
     gens = pres.cat.nonidentity_morphisms()
+    if not gens:
+        return sum(dims), rank(t), t
+    at = {o: k for k, o in enumerate(objs)}
     grid = [[None] * len(gens) for _ in objs]
     for c, g in enumerate(gens):
         a, b = at[pres.cat.src(g)], at[pres.cat.tgt(g)]
         grid[b][c] = x.mat(pres.projection.on_mor(g))
         grid[a][c] = -Mat.identity(p, dims[a])
     r = block(p, grid, dims, [dims[at[pres.cat.src(g)]] for g in gens])
-    if not (t @ r).is_zero():
+    if product_defect(p, (t.a, r.a)):
         raise VerificationError(f"latching relations at {j} do not commute: x is not functorial")
     return sum(dims) - rank(r), rank(t), t
 
@@ -276,7 +283,7 @@ def colim_gproj(x: Diagram) -> Module:
         raise VerificationError("colimit cocone is not jointly surjective")
     phi = from_colimit(C, cocone, {o: cocone2[o].mat for o in objs}, C2.dim)
     psi = from_colimit(C2, cocone2, {o: cocone[o].mat for o in objs}, C.dim)
-    if not (phi @ psi).is_identity() or not (psi @ phi).is_identity():
+    if any(product_defect(x.alg.p, (a.a, b.a), c=np.identity(a.rows, dtype=np.int64)) for a, b in ((phi, psi), (psi, phi))):
         raise VerificationError("pushout-inductive colimit disagrees with the pointwise colimit")
     return C
 

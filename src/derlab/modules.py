@@ -25,14 +25,17 @@ import numpy as np
 from .algebra import Algebra, require_self_injective
 from .field import (
     DerlabError,
+    FieldError,
     Mat,
     block_diag,
     column_space_basis,
+    common_modulus,
     hstack,
     in_column_span,
     invert,
     kernel_basis,
     kron,
+    product_defect,
     rank,
     rref,
     solve,
@@ -60,25 +63,20 @@ class Module:
         shapes = {m.a.shape for m in self.action} or {(0, 0)}
         if len(shapes) != 1 or len({d for shape in shapes for d in shape}) > 1:
             raise ModuleError("action matrices must be square of equal size")
+        common_modulus(self.action, alg.p)
         self.dim = shapes.pop()[0]
 
-    def act(self, coeffs) -> Mat:
-        out = Mat.zeros(self.alg.p, self.dim, self.dim)
-        for k, c in enumerate(np.asarray(coeffs, dtype=np.int64) % self.alg.p):
-            if c:
-                out = out + self.action[k].scale(int(c))
-        return out
-
     def validate(self) -> "Module":
-        alg = self.alg
-        if not self.act(alg.unit).is_identity():
+        """The unit law, then the module law for all (i, j) at once: at
+        (i, j), action[j] action[i] = sum_k c[i][j][k] action[k]."""
+        alg, d = self.alg, self.dim
+        acts = np.array([m.a for m in self.action])
+        if product_defect(alg.p, (alg.unit, acts.reshape(alg.dim, d * d)), c=np.identity(d, dtype=np.int64).ravel()):
             raise ModuleError("unit does not act as the identity")
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                if self.act(alg.mul[i, j]) != self.action[j] @ self.action[i]:
-                    raise ModuleError(
-                        f"module law fails on ({alg.basis_labels[i]}, {alg.basis_labels[j]})"
-                    )
+        bad = np.argwhere(product_defect(alg.p, (acts[None], acts[:, None]), c=np.tensordot(alg.mul, acts, 1)))
+        if len(bad):
+            i, j = bad[0]
+            raise ModuleError(f"module law fails on ({alg.basis_labels[i]}, {alg.basis_labels[j]})")
         return self
 
     def __repr__(self) -> str:
@@ -91,13 +89,16 @@ class ModuleMap:
     def __init__(self, src: Module, tgt: Module, mat: Mat) -> None:
         if mat.a.shape != (tgt.dim, src.dim):
             raise ModuleError(f"map matrix is {mat.rows}x{mat.cols}, expected {tgt.dim}x{src.dim}")
+        if mat.p != src.alg.p:
+            raise FieldError(f"mixed moduli {mat.p} and {src.alg.p}")
         self.src = src
         self.tgt = tgt
         self.mat = mat
 
     def validate(self) -> "ModuleMap":
-        for k in range(self.src.alg.dim):
-            if self.mat @ self.src.action[k] != self.tgt.action[k] @ self.mat:
+        f, p = self.mat.a, self.src.alg.p
+        for k, (s, t) in enumerate(zip(self.src.action, self.tgt.action)):
+            if product_defect(p, (f, s.a), c=t.a @ f):
                 raise ModuleError(f"not a module map (fails at basis element {k})")
         return self
 
@@ -166,7 +167,7 @@ class Conflation:
     def validate(self) -> "Conflation":
         if self.left.tgt.dim != self.right.src.dim:
             raise ModuleError("conflation middle mismatch")
-        if not (self.right.mat @ self.left.mat).is_zero():
+        if product_defect(self.sub.alg.p, (self.right.mat.a, self.left.mat.a)):
             raise ModuleError("conflation composite is nonzero")
         rl = rank(self.left.mat)
         rr = rank(self.right.mat)
@@ -310,7 +311,7 @@ def _quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, Mat]:
     # the non-pivot coords are a section of proj
     quot = Module(amb.alg, [proj @ a[:, nonpiv] for a in amb.action])
     # the kill check against the span's canonical basis, the rows of red
-    if not (proj @ Mat._of(p, red.a[:r].T)).is_zero():
+    if product_defect(p, (redmat, red.a[:r].T)):
         raise ModuleError("quotient projection does not kill the span")
     return quot, proj
 
@@ -374,11 +375,11 @@ def generators(m: Module) -> Mat:
 
 
 def _radical_layer(m: Module) -> Mat:
-    """A column basis of m.rad, for an algebra that declares its radical."""
-    rad = m.alg.radical
-    if rad.cols == 0:
-        return Mat.zeros(m.alg.p, m.dim, 0)
-    return column_space_basis(hstack([m.act(rad.a[:, j]) for j in range(rad.cols)]))
+    """A column basis of m.rad, for an algebra that declares its radical:
+    the actions sum_k r_k A_k of its radical vectors r, side by side."""
+    rad, p, d = m.alg.radical, m.alg.p, m.dim
+    acts = np.tensordot(rad.a.T, np.array([a.a for a in m.action]), 1) % p
+    return column_space_basis(Mat._of(p, acts.transpose(1, 0, 2).reshape(d, rad.cols * d)))
 
 
 def generator_legs(m: Module) -> List[Mat]:

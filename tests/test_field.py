@@ -178,6 +178,24 @@ def test_modulus_at_or_above_the_bound_is_rejected():
             Mat(p, [[1]])
 
 
+def test_non_integer_moduli_are_refused_not_truncated():
+    # Mat(2.5, [[1, 2]]) was once read as a matrix over F_2, [[1, 0]]
+    builders = (
+        lambda p: Mat(p, [[1, 2]]),
+        lambda p: Mat.zeros(p, 1, 2),
+        lambda p: Mat.identity(p, 2),
+        lambda p: block_diag(p, []),
+    )
+    for make in builders:
+        for p in (2.5, 3.0, np.float64(3.0), "3", b"3", True, np.bool_(True), None):
+            with pytest.raises(FieldError, match="modulus must be an integer"):
+                make(p)
+    for p in (3, np.int64(3), np.int32(3), np.uint16(3)):
+        m = Mat(p, [[4, 5]])
+        assert type(m.p) is int and m == Mat(3, [[1, 2]])
+        assert type(Mat.zeros(p, 1, 1).p) is int and type(Mat.identity(p, 1).p) is int
+
+
 # -- the memoized kernel against a plain reference ---------------------------
 
 
