@@ -27,7 +27,6 @@ from .modules import (
     ModuleMap,
     cosyzygy,
     dual_module,
-    factorize,
     free_cover,
     hom_space,
     injective_embed,
@@ -51,6 +50,7 @@ from .cats import (
     disjoint_union,
     is_cosieve,
     is_sieve,
+    object_functor,
     opposite_category,
     product_category,
     punctured_slice,
@@ -71,6 +71,7 @@ from .diagrams import (
     pointwise_right_kan,
     projective_cover_diagram,
     restrict,
+    restrict_map,
     stalk_diagram,
 )
 from .gorenstein import (
@@ -79,6 +80,7 @@ from .gorenstein import (
     VerificationError,
     approx_gproj,
     colim_gproj,
+    colim_gproj_on_map,
     embed_gproj_into_proj,
     ginj_right_kan,
     gproj_left_kan,
@@ -90,6 +92,7 @@ from .gorenstein import (
     is_wtriv,
     latching,
     matching,
+    stable_equiv_on_map,
     stalk_presentation,
 )
 from .homotopy import (
@@ -100,6 +103,7 @@ from .homotopy import (
     loop_via_square,
     stable_hom_diagrams,
     suspension,
+    suspension_on_map,
     triangle_from_conflation,
 )
 from .complexes import (
@@ -108,6 +112,7 @@ from .complexes import (
     complete_resolution,
     cone,
     dual_complex,
+    is_quasi_iso_on,
     is_termwise_contractible,
     shift,
     sod_decompose,

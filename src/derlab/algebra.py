@@ -246,6 +246,10 @@ def algebra_from_dict(data: dict) -> Algebra:
     any other entry (1.5, "1", null) is refused."""
     try:
         check_integer_entries([data["p"], data["unit"], data["mul"], data.get("radical") or []])
+        if not isinstance(data["basis"], list):
+            raise TypeError("basis must be a list of labels")
+        if "dim" in data and (isinstance(data["dim"], bool) or data["dim"] != len(data["basis"])):
+            raise ValueError(f"dim {data['dim']!r} is not the number of basis labels, {len(data['basis'])}")
         alg = Algebra(
             data["p"],
             data["basis"],
@@ -257,19 +261,6 @@ def algebra_from_dict(data: dict) -> Algebra:
         # OverflowError: an integer (p included) too large for int64
         raise AlgebraError(f"malformed algebra document: {exc}") from exc
     return validate_algebra(alg)
-
-
-def algebra_to_dict(alg: Algebra) -> dict:
-    out = {
-        "p": alg.p,
-        "dim": alg.dim,
-        "basis": list(alg.basis_labels),
-        "unit": [int(x) for x in alg.unit],
-        "mul": alg.mul.tolist(),
-    }
-    if alg.radical is not None:
-        out["radical"] = [ [int(x) for x in alg.radical.a[:, j]] for j in range(alg.radical.cols) ]
-    return out
 
 
 @lru_cache(maxsize=None)

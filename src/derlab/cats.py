@@ -490,6 +490,8 @@ def category_from_dict(data: dict) -> DirectCategory:
     """Load from the JSON document format; a malformed document is a
     CategoryError."""
     try:
+        if not isinstance(data["objects"], list):
+            raise TypeError("objects must be a list of names")
         objects = [str(o) for o in data["objects"]]
         morphisms = {m["name"]: (m["src"], m["tgt"]) for m in data.get("morphisms", [])}
         comp = {}

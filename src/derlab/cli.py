@@ -55,18 +55,6 @@ from .dgkan import crosscheck_kan, der4_check
 from .modules import regular_module
 
 
-KNOWN_SUITES = [
-    "validate",
-    "gorenstein-report",
-    "kan",
-    "approx",
-    "stable-equiv",
-    "sod",
-    "crosscheck",
-    "derivator-axioms",
-]
-
-
 class ScenarioError(DerlabError, ValueError):
     pass
 
@@ -78,6 +66,14 @@ def _scenario_int(scenario: dict, key: str, default: int) -> int:
     if value < 0:
         raise ScenarioError(f"malformed scenario: {key} must be non-negative, got {value}")
     return value
+
+
+def _degree(key: str) -> int:
+    """A complex document's degree key, which must be a canonical decimal
+    integer ("-1", "0", "12"), so no two keys name one degree."""
+    if str(int(key)) != key:
+        raise ValueError(f"degree key {key!r} is not a canonical decimal integer")
+    return int(key)
 
 
 class Session:
@@ -143,8 +139,8 @@ class Session:
             term_docs, diff_docs = data.get("terms", {}), data.get("diffs", {})
             if not isinstance(term_docs, dict) or not isinstance(diff_docs, dict) or not all(isinstance(c, dict) for c in diff_docs.values()):
                 raise TypeError("terms, diffs and each diff must be mappings")
-            terms = {int(deg): diagram_from_dict(shape, self.alg, d) for deg, d in term_docs.items()}
-            diff_docs = {int(deg): comps for deg, comps in diff_docs.items()}
+            terms = {_degree(deg): diagram_from_dict(shape, self.alg, d) for deg, d in term_docs.items()}
+            diff_docs = {_degree(deg): comps for deg, comps in diff_docs.items()}
             policy = data.get("policy", "zero-tails")
             period = policy["periodic"]["period"] if isinstance(policy, dict) and "periodic" in policy else None
             if policy != ("zero-tails" if period is None else {"periodic": {"period": period}}):
@@ -289,9 +285,9 @@ def _suite_stable_equiv(s: Session) -> Suite:
         if not is_gproj(d):
             continue
         def check(d=d):
-            psi, data = stable_roundtrip_witness(d)
+            psi, hull = stable_roundtrip_witness(d)
             v = is_weak_equivalence(psi)
-            return ("pass" if v.is_true else "fail"), {"roundtrip_weak_equivalence": v.status, "hull_dims": _dims(data.image)}
+            return ("pass" if v.is_true else "fail"), {"roundtrip_weak_equivalence": v.status, "hull_dims": _dims(hull.conflation.middle)}
         yield f"stable-equiv/{name}", check
 
 
@@ -435,7 +431,7 @@ def run_scenario(scenario_path: str, seed: Optional[int] = None) -> Tuple[dict, 
         if not isinstance(suites, list):
             raise ScenarioError("malformed scenario: suites must be a list of suite names")
         for name in suites:
-            if name not in KNOWN_SUITES:
+            if name not in SUITE_RUNNERS:
                 raise ScenarioError(f"unknown suite {name!r}")
             if suites.count(name) > 1:
                 raise ScenarioError(f"malformed scenario: suite {name!r} is listed twice")

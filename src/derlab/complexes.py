@@ -47,12 +47,11 @@ class WindowError(DerlabError, ValueError):
 
 
 class LazyComplex:
-    def __init__(self, shape: DirectCategory, alg: Algebra, term_fn: Callable[[int], Diagram], diff_fn: Callable[[int], Dict[str, Mat]], label: str = "") -> None:
+    def __init__(self, shape: DirectCategory, alg: Algebra, term_fn: Callable[[int], Diagram], diff_fn: Callable[[int], Dict[str, Mat]]) -> None:
         self.shape = shape
         self.alg = alg
         self._term_fn = term_fn
         self._diff_fn = diff_fn
-        self.label = label
         self._terms: Dict[int, Diagram] = {}
         self._diffs: Dict[int, DiagramMap] = {}
 
@@ -90,13 +89,7 @@ class LazyComplex:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def zero(shape: DirectCategory, alg: Algebra) -> "LazyComplex":
-        z = zero_diagram(shape, alg)
-        zeros = {o: Mat.zeros(alg.p, 0, 0) for o in shape.objects}
-        return LazyComplex(shape, alg, lambda n: z, lambda n: zeros, "zero")
-
-    @staticmethod
-    def bounded(shape: DirectCategory, alg: Algebra, terms: Dict[int, Diagram], diffs: Dict[int, DiagramMap], label: str = "bounded") -> "LazyComplex":
+    def bounded(shape: DirectCategory, alg: Algebra, terms: Dict[int, Diagram], diffs: Dict[int, DiagramMap]) -> "LazyComplex":
         terms = dict(terms)
         diffs = dict(diffs)
         z = zero_diagram(shape, alg)
@@ -110,10 +103,10 @@ class LazyComplex:
             src, tgt = term_fn(n), term_fn(n + 1)
             return {o: Mat.zeros(alg.p, tgt.at(o).dim, src.at(o).dim) for o in shape.objects}
 
-        return LazyComplex(shape, alg, term_fn, diff_fn, label)
+        return LazyComplex(shape, alg, term_fn, diff_fn)
 
     @staticmethod
-    def periodic(shape: DirectCategory, alg: Algebra, terms: Dict[int, Diagram], diffs: Dict[int, DiagramMap], period: int, label: str = "periodic") -> "LazyComplex":
+    def periodic(shape: DirectCategory, alg: Algebra, terms: Dict[int, Diagram], diffs: Dict[int, DiagramMap], period: int) -> "LazyComplex":
         lo = min(terms)
 
         def fold(n: int) -> int:
@@ -125,7 +118,7 @@ class LazyComplex:
         def diff_fn(n: int) -> Dict[str, Mat]:
             return diffs[fold(n)].comps
 
-        return LazyComplex(shape, alg, term_fn, diff_fn, label)
+        return LazyComplex(shape, alg, term_fn, diff_fn)
 
 
 def dual_complex(c: LazyComplex) -> LazyComplex:
@@ -139,7 +132,7 @@ def dual_complex(c: LazyComplex) -> LazyComplex:
     def diff_fn(n: int) -> Dict[str, Mat]:
         return {o: m.T for o, m in c.diff(-n - 1).comps.items()}
 
-    return LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn, f"D({c.label})")
+    return LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn)
 
 
 def complete_resolution(x: Diagram) -> LazyComplex:
@@ -186,11 +179,7 @@ def complete_resolution(x: Diagram) -> LazyComplex:
             g, f = neg_confl(-n - 2).left, neg_confl(-n - 1).right
         return {o: g.comps[o] @ f.comps[o] for o in shape.objects}
 
-    c = LazyComplex(shape, alg, term_fn, diff_fn, "complete-resolution")
-    # witnesses for z0_witness: the seed and its inflation into E_0
-    c.seed = x
-    c.unit = pos[0].left
-    return c
+    return LazyComplex(shape, alg, term_fn, diff_fn)
 
 
 def z0(c: LazyComplex) -> Tuple[Diagram, DiagramMap]:
@@ -199,33 +188,11 @@ def z0(c: LazyComplex) -> Tuple[Diagram, DiagramMap]:
     return ker, incl
 
 
-def z0_witness(c: LazyComplex) -> Tuple[Diagram, DiagramMap]:
-    """For a complete resolution: the canonical isomorphism seed -> Z^0."""
-    if not hasattr(c, "seed"):
-        raise WindowError("witness is only available for complete resolutions")
-    x = c.seed
-    ker, incl = z0(c)
-    # solve w with incl o w = eta where eta: x -> E_0 is the embed inflation
-    eta = c.unit
-    comps = {}
-    for o in c.shape.objects:
-        sol = solve(incl.comps[o], eta.comps[o])
-        if sol is None:
-            raise VerificationError("seed does not land in the degree-0 cocycles")
-        comps[o] = sol
-    w = DiagramMap(x, ker, comps)
-    for o in c.shape.objects:
-        if rank(w.comps[o]) != ker.at(o).dim or ker.at(o).dim != x.at(o).dim:
-            raise VerificationError("z0 witness is not an isomorphism")
-    return ker, w
-
-
 class ComplexMap:
-    def __init__(self, src: LazyComplex, tgt: LazyComplex, comps: Dict[int, DiagramMap], label: str = "") -> None:
+    def __init__(self, src: LazyComplex, tgt: LazyComplex, comps: Dict[int, DiagramMap]) -> None:
         self.src = src
         self.tgt = tgt
         self.comps = dict(comps)
-        self.label = label
 
     def comp(self, n: int) -> DiagramMap:
         if n in self.comps:
@@ -250,7 +217,7 @@ def shift(c: LazyComplex, n: int) -> LazyComplex:
         d = c.diff(k + n).comps
         return d if sign == 1 else {o: -m for o, m in d.items()}
 
-    return LazyComplex(c.shape, c.alg, term_fn, diff_fn, f"{c.label}[{n}]")
+    return LazyComplex(c.shape, c.alg, term_fn, diff_fn)
 
 
 def cone(f: ComplexMap) -> LazyComplex:
@@ -268,7 +235,7 @@ def cone(f: ComplexMap) -> LazyComplex:
             comps[o] = block(alg.p, [[dy, f.comp(k + 1).comps[o]], [None, -dx]], [dy.rows, dx.rows], [dy.cols, dx.cols])
         return comps
 
-    return LazyComplex(shape, alg, term_fn, diff_fn, f"cone({f.label})")
+    return LazyComplex(shape, alg, term_fn, diff_fn)
 
 
 # -- contractibility -----------------------------------------------------------
@@ -491,7 +458,7 @@ def _component_complex_at_min(c: LazyComplex, i: str) -> Tuple[LazyComplex, Comp
         d_i = c.diff(k).comps[i]
         return {o: block_diag(alg.p, [d_i] * len(shape.hom(i, o))) for o in shape.objects}
 
-    A = LazyComplex(shape, alg, term_fn, diff_fn, f"{c.label}|{i}-part")
+    A = LazyComplex(shape, alg, term_fn, diff_fn)
     comps_by_degree: Dict[int, DiagramMap] = {}
 
     def eps(k: int) -> DiagramMap:
@@ -505,7 +472,7 @@ def _component_complex_at_min(c: LazyComplex, i: str) -> Tuple[LazyComplex, Comp
         def comp(self, n: int) -> DiagramMap:
             return eps(n)
 
-    return A, _EpsMap(A, c, {}, label="counit")
+    return A, _EpsMap(A, c, {})
 
 
 def _extend_by_zero_complex(sub_shape: DirectCategory, c: LazyComplex, full_shape: DirectCategory, missing: str) -> LazyComplex:
@@ -529,7 +496,7 @@ def _extend_by_zero_complex(sub_shape: DirectCategory, c: LazyComplex, full_shap
         comps[missing] = Mat.zeros(alg.p, 0, 0)
         return comps
 
-    return LazyComplex(full_shape, alg, term_fn, diff_fn, f"{c.label}-ext0")
+    return LazyComplex(full_shape, alg, term_fn, diff_fn)
 
 
 def sod_decompose(c: LazyComplex, lo: int, hi: int) -> SodResult:
@@ -561,7 +528,8 @@ def sod_decompose(c: LazyComplex, lo: int, hi: int) -> SodResult:
 def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
     shape, alg = c.shape, c.alg
     if len(shape.objects) <= 1:
-        return SodResult(c, LazyComplex.zero(shape, alg), ComplexMap(c, c, {k: identity_diagram_map(c.term(k)) for k in range(lo - 1, hi + 2)}, "id"), ComplexMap(c, LazyComplex.zero(shape, alg), {}, "0"), (lo, hi))
+        zero = LazyComplex.bounded(shape, alg, {}, {})
+        return SodResult(c, zero, ComplexMap(c, c, {k: identity_diagram_map(c.term(k)) for k in range(lo - 1, hi + 2)}), ComplexMap(c, zero, {}), (lo, hi))
     i = shape.minimal_objects()[0]
     A, eps = _component_complex_at_min(c, i)
     X_ic = cone(eps)  # the i-contractible remainder
@@ -595,20 +563,20 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
             comps[o] = block(alg.p, [[da, -h_of(k, o)], [None, db]], [da.rows, db.rows], [da.cols, db.cols])
         return comps
 
-    p_part = LazyComplex(shape, alg, p_term, p_diff, f"{c.label}-p")
+    p_part = LazyComplex(shape, alg, p_term, p_diff)
 
     phi_comps: Dict[int, DiagramMap] = {}
     for k in range(lo - 1, hi + 2):
         comps = {o: hstack([eps.comp(k).comps[o], f_of(k, o)]) for o in shape.objects}
         phi_comps[k] = DiagramMap(p_part.term(k), c.term(k), comps)
-    map_p = ComplexMap(p_part, c, phi_comps, "sod-p")
+    map_p = ComplexMap(p_part, c, phi_comps)
     tc_part = cone(map_p)
     inj_comps: Dict[int, DiagramMap] = {}
     for k in range(lo - 1, hi + 1):
         src_t, tgt_t = c.term(k), tc_part.term(k)
         comps = {o: Mat.identity(alg.p, tgt_t.at(o).dim)[:, : src_t.at(o).dim] for o in shape.objects}
         inj_comps[k] = DiagramMap(src_t, tgt_t, comps)
-    map_tc = ComplexMap(c, tc_part, inj_comps, "sod-tc")
+    map_tc = ComplexMap(c, tc_part, inj_comps)
     return SodResult(p_part, tc_part, map_p, map_tc, (lo, hi))
 
 
@@ -620,4 +588,4 @@ def restrict_complex(u: CatFunctor, c: LazyComplex) -> LazyComplex:
         d = c.diff(k).comps
         return {o: d[u.on_obj(o)] for o in u.dom.objects}
 
-    return LazyComplex(u.dom, c.alg, term_fn, diff_fn, f"{c.label}|sub")
+    return LazyComplex(u.dom, c.alg, term_fn, diff_fn)

@@ -255,10 +255,10 @@ def weighted_hocolim(wc: FreeComplex, f: LazyComplex) -> LazyComplex:
             out[tgt_off[t] : tgt_off[t + 1], src_off[s] : src_off[s + 1]] += c * f.term(n - blocks[s][0]).mat(arrow).a
         return {"*": Mat(p, out)}
 
-    return LazyComplex(e, alg, term_fn, diff_fn, "hocolim")
+    return LazyComplex(e, alg, term_fn, diff_fn)
 
 
-def _signed_dual(c: LazyComplex, wcs: Dict[str, FreeComplex], f: LazyComplex, label: str) -> LazyComplex:
+def _signed_dual(c: LazyComplex, wcs: Dict[str, FreeComplex], f: LazyComplex) -> LazyComplex:
     """The collapsed Hom totalization of f from c, the collapsed tensor
     totalization of D f over the same blocks: the terms of dual_complex(c),
     with the transposed differential of c at each object j conjugated by the
@@ -282,7 +282,7 @@ def _signed_dual(c: LazyComplex, wcs: Dict[str, FreeComplex], f: LazyComplex, la
         d = c.diff(-n - 1).comps
         return {j: Mat(p, sigma(j, n + 1)[:, None] * d[j].a.T * sigma(j, n)) for j in wcs}
 
-    return LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn, label)
+    return LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn)
 
 
 def weighted_holim(wc: FreeComplex, f: LazyComplex) -> LazyComplex:
@@ -290,7 +290,7 @@ def weighted_holim(wc: FreeComplex, f: LazyComplex) -> LazyComplex:
     diagrams, output over the point: by freeness each term collapses to
     finite sums of shifted evaluations.  Computed as the signed dual of
     weighted_hocolim(wc, D f), whose blocks come in the same order."""
-    return _signed_dual(weighted_hocolim(wc, dual_complex(f)), {"*": wc}, f, "holim")
+    return _signed_dual(weighted_hocolim(wc, dual_complex(f)), {"*": wc}, f)
 
 
 # -- homotopy Kan extensions over J ---------------------------------------------------
@@ -303,7 +303,7 @@ def ho_right_kan(u: CatFunctor, t: LazyComplex) -> LazyComplex:
     same restriction_weight(u, j).  The structure maps join blocks of equal
     degree only, so the signs leave them alone."""
     wcs = {j: bar_resolution(restriction_weight(u, j, t.alg.p)).complex for j in u.cod.objects}
-    return _signed_dual(_ho_left_kan(opposite_functor(u), dual_complex(t), wcs), wcs, t, "ho-right-kan")
+    return _signed_dual(_ho_left_kan(opposite_functor(u), dual_complex(t), wcs), wcs, t)
 
 
 def ho_left_kan(u: CatFunctor, t: LazyComplex) -> LazyComplex:
@@ -340,7 +340,7 @@ def _ho_left_kan(u: CatFunctor, t: LazyComplex, wcs: Dict[str, FreeComplex]) -> 
     def diff_fn(n: int) -> Dict[str, Mat]:
         return {j: hoc[j].diff(n).comps["*"] for j in J.objects}
 
-    return LazyComplex(J, alg, term_fn, diff_fn, "ho-left-kan")
+    return LazyComplex(J, alg, term_fn, diff_fn)
 
 
 # -- the slice-square comparison ---------------------------------------------------------

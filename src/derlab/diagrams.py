@@ -372,10 +372,6 @@ def vec_diagram_map(phi: DiagramMap) -> Mat:
     return vstack(parts) if parts else Mat.zeros(phi.src.alg.p, 0, 1)
 
 
-def hom_dim_diagrams(x: Diagram, y: Diagram) -> int:
-    return len(hom_space_diagrams(x, y))
-
-
 def solve_in_hom(x: Diagram, y: Diagram, constraints: List[Tuple[DiagramMap, DiagramMap, DiagramMap]]) -> Optional[DiagramMap]:
     """Find phi in Hom(x, y) with post @ phi @ pre = rhs for each constraint.
 
@@ -667,16 +663,6 @@ def _parse_module(alg: Algebra, data: dict) -> Module:
         raise DiagramError(f"malformed module document: {exc}") from exc
 
 
-def module_from_dict(alg: Algebra, data: dict) -> Module:
-    """A module from its document; a malformed one is a DiagramError and a
-    broken module law a ModuleError."""
-    return _parse_module(alg, data).validate()
-
-
-def module_to_dict(m: Module) -> dict:
-    return {"dim": m.dim, "action": [a.to_list() for a in m.action]}
-
-
 def diagram_from_dict(shape: DirectCategory, alg: Algebra, data: dict) -> Diagram:
     try:
         objects, morphisms = data["objects"], data.get("morphisms", {})
@@ -693,11 +679,3 @@ def diagram_from_dict(shape: DirectCategory, alg: Algebra, data: dict) -> Diagra
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from exc
     return Diagram(shape, alg, modules, mats).validate()
-
-
-def diagram_to_dict(x: Diagram, shape_name: str = "") -> dict:
-    return {
-        "shape": shape_name,
-        "objects": {o: module_to_dict(x.at(o)) for o in x.shape.objects},
-        "morphisms": {f: x.mats[f].to_list() for f in x.shape.nonidentity_morphisms()},
-    }

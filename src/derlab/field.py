@@ -139,14 +139,6 @@ class Mat:
         out.flat[:: n + 1] = 1
         return Mat._of(_checked_modulus(p), out)
 
-    @staticmethod
-    def column(p: int, entries: Sequence[int]) -> "Mat":
-        return Mat(p, np.asarray(list(entries)).reshape(-1, 1))
-
-    @staticmethod
-    def row(p: int, entries: Sequence[int]) -> "Mat":
-        return Mat(p, np.asarray(list(entries)).reshape(1, -1))
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -569,17 +561,6 @@ def column_space_basis(m: Mat) -> Mat:
 
 def in_column_span(span: Mat, vectors: Mat) -> bool:
     return solve(span, vectors) is not None
-
-
-def subspaces_equal(a: Mat, b: Mat) -> bool:
-    """Do the columns of a and b span the same subspace?"""
-    if a.rows != b.rows:
-        return False
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
-        return False
-    return rank(hstack([a, b])) == ra
 
 
 def invert(m: Mat) -> Optional[Mat]:

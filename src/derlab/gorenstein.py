@@ -506,52 +506,31 @@ def hull_ginj(z: Diagram) -> ApproximationTriple:
 # -- the stable equivalence GProj ~ GInj -------------------------------------------
 
 
-@dataclass
-class StableEquivData:
-    unit: DiagramMap          # g -> F(g), an inflation with weakly trivial cokernel
-    triple: ApproximationTriple
-
-    @property
-    def image(self) -> Diagram:
-        return self.unit.tgt
-
-
-def stable_ginj_replacement(g: Diagram) -> StableEquivData:
-    """F(g): the middle of the Gorenstein-injective hull of g."""
+def stable_ginj_replacement(g: Diagram) -> ApproximationTriple:
+    """The Gorenstein-injective hull g >-> F(g) ->> W: its conflation's left
+    leg is the unit g -> F(g), an inflation with weakly trivial cokernel,
+    and its middle is F(g)."""
     if not is_gproj(g):
         raise PreconditionError("the equivalence is defined on Gorenstein projectives")
-    tr = hull_ginj(g)
-    return StableEquivData(tr.conflation.left, tr)
+    return hull_ginj(g)
 
 
-def stable_equiv_on_map(src: StableEquivData, tgt: StableEquivData, f: DiagramMap) -> DiagramMap:
+def stable_equiv_on_map(src: ApproximationTriple, tgt: ApproximationTriple, f: DiagramMap) -> DiagramMap:
     """F on morphisms: any solution of F(f) o unit_src = unit_tgt o f."""
-    phi = solve_in_hom(
-        src.image,
-        tgt.image,
-        [(src.unit, identity_diagram_map(tgt.image), compose_diagram_maps(tgt.unit, f))],
-    )
+    s, t = src.conflation, tgt.conflation
+    phi = solve_in_hom(s.middle, t.middle, [(s.left, identity_diagram_map(t.middle), compose_diagram_maps(t.left, f))])
     if phi is None:
         raise VerificationError("morphism extension across the hulls failed")
     return phi
 
 
-def gproj_replacement(h: Diagram) -> Tuple[DiagramMap, ApproximationTriple]:
-    """The counit G ->> h of the Gorenstein-projective cover."""
-    tr = approx_gproj(h)
-    return tr.conflation.right, tr
-
-
-def stable_roundtrip_witness(g: Diagram) -> Tuple[DiagramMap, StableEquivData]:
-    """A map g -> F^{-1}(F(g)) lifting the hull unit through the cover counit;
-    it is a degreewise stable isomorphism whenever the theory says it must be."""
-    data = stable_ginj_replacement(g)
-    counit, cover_tr = gproj_replacement(data.image)
-    psi = solve_in_hom(
-        g,
-        counit.src,
-        [(identity_diagram_map(g), counit, data.unit)],
-    )
+def stable_roundtrip_witness(g: Diagram) -> Tuple[DiagramMap, ApproximationTriple]:
+    """A map g -> F^{-1}(F(g)) lifting the hull unit through the counit
+    G ->> F(g) of the Gorenstein-projective cover; it is a degreewise stable
+    isomorphism whenever the theory says it must be."""
+    hull = stable_ginj_replacement(g)
+    counit = approx_gproj(hull.conflation.middle).conflation.right
+    psi = solve_in_hom(g, counit.src, [(identity_diagram_map(g), counit, hull.conflation.left)])
     if psi is None:
         raise VerificationError("round-trip lift failed")
-    return psi, data
+    return psi, hull

@@ -42,14 +42,12 @@ from .diagrams import (
     Diagram,
     DiagramConflation,
     DiagramMap,
-    cokernel_diagram,
     compose_diagram_maps,
     direct_sum_diagrams,
     factor_matrix_through_surjection,
     free_legs_at,
     hom_space_diagrams,
     identity_diagram_map,
-    injective_embed_diagram,
     left_kan_from_point,
     projective_cover_diagram,
     solve_in_hom,
@@ -64,7 +62,6 @@ from .gorenstein import (
     ginj_right_kan,
     hull_ginj,
     is_gproj,
-    is_wtriv,
 )
 from .verdict import FALSE, TRUE, Verdict
 
@@ -163,27 +160,6 @@ def is_weak_equivalence(f: DiagramMap) -> Verdict:
     return Verdict(TRUE, reason="all components are stable isomorphisms")
 
 
-def factor_weak_equivalence(f: DiagramMap) -> Tuple[DiagramMap, DiagramMap]:
-    """f = w_d o w_i with w_i an inflation and w_d a deflation, both with
-    weakly trivial co/kernel; the cokernel check certifies that f really
-    was a weak equivalence."""
-    x, y = f.src, f.tgt
-    emb = injective_embed_diagram(x)
-    e = emb.left
-    total, injs, projs = direct_sum_diagrams([y, emb.middle])
-    w_i = DiagramMap(x, total, {o: vstack([f.comps[o], e.comps[o]]) for o in x.shape.objects})
-    w_d = projs[0]
-    for o in x.shape.objects:
-        if rank(w_i.comps[o]) != x.at(o).dim:
-            raise VerificationError("factorization first leg is not an inflation")
-    cok, _ = cokernel_diagram(w_i)
-    if not is_wtriv(cok):
-        raise VerificationError("cokernel of the inflation leg is not weakly trivial: not a weak equivalence")
-    if not is_wtriv(emb.middle):
-        raise VerificationError("deflation kernel is not weakly trivial")
-    return w_i, w_d
-
-
 def der2_witness(f: DiagramMap) -> Dict[str, object]:
     """Both directions of the pointwise-detection axiom for one map."""
     componentwise = is_weak_equivalence(f)
@@ -250,20 +226,6 @@ def triangle_from_conflation(confl: DiagramConflation) -> Triangle:
     emb = embed_gproj_into_proj(confl.sub)
     delta = _induced_on_quotients(confl, emb, emb.left, "triangle construction: extension failed")
     return Triangle(confl, confl.left, confl.right, delta, emb.quot)
-
-
-def triangle_composites_vanish_stably(tri: Triangle) -> bool:
-    one = compose_diagram_maps(tri.g, tri.f)
-    if not one.is_zero():
-        return False
-    two = compose_diagram_maps(tri.delta, tri.g)
-    rep = stable_hom_diagrams(tri.g.src, tri.delta.tgt)
-    if not rep.in_proj_subspace(two):
-        return False
-    sus_f = suspension_on_map(tri.f)
-    three = compose_diagram_maps(sus_f, tri.delta)
-    rep3 = stable_hom_diagrams(tri.delta.src, sus_f.tgt)
-    return rep3.in_proj_subspace(three)
 
 
 # -- the loop functor through the square --------------------------------------------------

@@ -224,10 +224,6 @@ def dual_module(m: Module) -> Module:
     return Module(m.alg.opposite(), [a.T for a in m.action])
 
 
-def dual_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(dual_module(f.tgt), dual_module(f.src), f.mat.T)
-
-
 # -- hom spaces ----------------------------------------------------------
 
 
@@ -256,10 +252,6 @@ def hom_equations(m: Module, n: Module) -> Mat:
     eye_t, eye_s = Mat.identity(p, t), Mat.identity(p, s)
     eqs = [kron(eye_t, m.action[k].T) - kron(n.action[k], eye_s) for k in every]
     return vstack(eqs) if eqs else Mat.zeros(p, 0, t * s)
-
-
-def hom_dim(m: Module, n: Module) -> int:
-    return len(hom_space(m, n))
 
 
 # -- sub/quotient machinery ----------------------------------------------
@@ -314,22 +306,6 @@ def _quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, Mat]:
     if product_defect(p, (redmat, red.a[:r].T)):
         raise ModuleError("quotient projection does not kill the span")
     return quot, proj
-
-
-@dataclass
-class Factorization:
-    kernel: ModuleMap  # inflation into the source
-    image: Module
-    cokernel: ModuleMap  # deflation out of the target
-    image_in_target: ModuleMap
-
-
-def factorize(f: ModuleMap) -> Factorization:
-    ker_cols = kernel_basis(f.mat)
-    kernel_mod, kernel_incl = submodule(f.src, ker_cols)
-    image_mod, image_incl = submodule(f.tgt, f.mat)
-    coker_mod, coker_proj = quotient_module(f.tgt, f.mat)
-    return Factorization(kernel_incl, image_mod, coker_proj, image_incl)
 
 
 def pushout(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:

@@ -8,7 +8,10 @@ ranks or by a certified construction, and the tests compare the two:
 - split_section_diagrams: splitting a deflation by a linear solve, against
   gorenstein.is_projective_diagram on projective covers;
 - is_projective_inflation and is_deflation: read off the built latching
-  and matching data, against the rank predicates.
+  and matching data, against the rank predicates;
+- triangle_composites_vanish_stably: the three composites of a triangle
+  from a conflation vanish in the stable category, by the stable hom
+  spaces.
 
 The library must not call them: the tests assert that it has no
 contraction_on_window and no split_section_diagrams.
@@ -30,6 +33,7 @@ from derlab.diagrams import (
 )
 from derlab.field import Mat, rank, solve
 from derlab.gorenstein import LatchingDatum, MatchingDatum
+from derlab.homotopy import Triangle, stable_hom_diagrams, suspension_on_map
 from derlab.modules import is_projective, quotient_module
 
 
@@ -87,3 +91,17 @@ def is_projective_inflation(lat: LatchingDatum) -> bool:
 
 def is_deflation(mat: MatchingDatum) -> bool:
     return rank(mat.map.mat) == mat.module.dim
+
+
+def triangle_composites_vanish_stably(tri: Triangle) -> bool:
+    one = compose_diagram_maps(tri.g, tri.f)
+    if not one.is_zero():
+        return False
+    two = compose_diagram_maps(tri.delta, tri.g)
+    rep = stable_hom_diagrams(tri.g.src, tri.delta.tgt)
+    if not rep.in_proj_subspace(two):
+        return False
+    sus_f = suspension_on_map(tri.f)
+    three = compose_diagram_maps(sus_f, tri.delta)
+    rep3 = stable_hom_diagrams(tri.delta.src, sus_f.tgt)
+    return rep3.in_proj_subspace(three)

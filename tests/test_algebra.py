@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from derlab.algebra import (
     Algebra,
     AlgebraError,
     algebra_from_dict,
-    algebra_to_dict,
     dual_numbers,
     ground_field,
     group_algebra_c2,
@@ -149,12 +151,31 @@ def test_frobenius_entry_points_refuse_a_non_self_injective_algebra():
             pytest.fail(f"{name} answered over a non-self-injective algebra")
 
 
+DUAL_NUMBERS_DOC = Path(__file__).resolve().parent.parent / "scenarios" / "dual_numbers.json"
+
+
 def test_roundtrip_dict():
-    alg = dual_numbers(2)
-    data = algebra_to_dict(alg)
-    alg2 = algebra_from_dict(data)
-    assert np.array_equal(alg2.mul, alg.mul)
-    assert alg2.radical is not None
+    alg, loaded = dual_numbers(2), algebra_from_dict(json.loads(DUAL_NUMBERS_DOC.read_text()))
+    assert (loaded.p, loaded.basis_labels) == (alg.p, alg.basis_labels)
+    assert np.array_equal(loaded.unit, alg.unit) and np.array_equal(loaded.mul, alg.mul)
+    assert loaded.radical == alg.radical
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"basis": "1x"}, "basis must be a list"),
+        ({"dim": 7}, "dim 7 is not the number of basis labels, 2"),
+        ({"dim": True}, "dim True is not the number of basis labels"),
+    ],
+    ids=["basis-string", "dim-too-large", "dim-bool"],
+)
+def test_a_malformed_basis_or_dim_is_refused(change, message):
+    doc = json.loads(DUAL_NUMBERS_DOC.read_text())
+    assert algebra_from_dict(doc).dim == doc["dim"] == 2
+    doc.update(change)
+    with pytest.raises(AlgebraError, match=message):
+        algebra_from_dict(doc)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -185,3 +185,12 @@ def test_category_from_dict_comp_key():
     c = category_from_dict(data)
     assert c.compose("g", "f") == "h"
     assert c.degree == {"a": 0, "b": 1, "c": 2}
+
+
+def test_category_objects_must_be_a_list():
+    # a string would be read character by character: "01" as the arrow
+    arrow = {"objects": ["0", "1"], "morphisms": [{"name": "e0", "src": "0", "tgt": "1"}]}
+    assert category_from_dict(arrow).objects == ["0", "1"]
+    for objects in ("01", {"0": 0, "1": 1}):
+        with pytest.raises(CategoryError, match="objects must be a list"):
+            category_from_dict({**arrow, "objects": objects})

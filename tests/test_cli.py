@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import derlab.complexes
-from derlab.cli import KNOWN_SUITES, Session, explain, main, run_scenario
+from derlab.cli import SUITE_RUNNERS, Session, explain, main, run_scenario
 from derlab.field import DerlabError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -440,6 +440,12 @@ MALFORMED = {
     "suites-not-a-list": ("scenario", {"suites": 5}),
     "policy-not-a-policy": ("complex", _complex(5, {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _IDENTITY}})),
     "policy-periodic-without-period": ("complex", _complex("periodic", {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _IDENTITY}})),
+    "category-objects-a-string": ("category", {"objects": "01", "morphisms": [{"name": "e0", "src": "0", "tgt": "1"}]}),
+    "algebra-basis-a-string": ("algebra", {**json.loads((SCENARIOS / "dual_numbers.json").read_text()), "basis": "1x"}),
+    "algebra-dim-not-the-basis-size": ("algebra", {**json.loads((SCENARIOS / "dual_numbers.json").read_text()), "dim": 7}),
+    "degree-key-with-leading-zero": ("complex", _complex("zero-tails", {"0": _FREE_POINT, "00": _FREE_POINT}, {})),
+    "degree-key-with-underscore": ("complex", _complex("zero-tails", {"1_0": _FREE_POINT}, {})),
+    "diff-degree-key-with-sign": ("complex", _complex("zero-tails", {"0": _FREE_POINT, "1": _FREE_POINT}, {"+0": {"*": _NILPOTENT}})),
 }
 
 
@@ -596,7 +602,7 @@ def test_suite_fuzz_always_reports(tmp_path, case):
     data = json.loads(scen.read_text())
     for key, table in _SUITE_FUZZ[kind][1].items():
         data[key] = {**data.get(key, {}), **{name: str(SCENARIOS / rel) for name, rel in table.items()}}
-    data["suites"] = KNOWN_SUITES
+    data["suites"] = list(SUITE_RUNNERS)
     scen.write_text(json.dumps(data))
     report, code = run_scenario(str(scen))
     assert code in (0, 1, 2, 3)
@@ -620,12 +626,12 @@ def test_the_ground_field_runs_every_suite(tmp_path):
         "categories": {"arrow": str(SCENARIOS / "cat_arrow.json"), "point": str(SCENARIOS / "cat_point.json")},
         "functors": {"to_point": str(SCENARIOS / "fun_to_point.json")},
         "diagrams": {"one": "one.json"},
-        "suites": KNOWN_SUITES,
+        "suites": list(SUITE_RUNNERS),
     }))
     report, code = run_scenario(str(scen))
     assert code == 0, report.get("error")
     assert report["summary"] == {"pass": 17, "fail": 0, "unknown": 0}
-    assert {it["suite"] for it in report["items"]} == set(KNOWN_SUITES)
+    assert {it["suite"] for it in report["items"]} == set(SUITE_RUNNERS)
     # no point-shaped diagram is loaded, so kan/left checks against j_!(Lambda)
     kan_left = [it for it in report["items"] if it["id"].startswith("kan/left/")]
     assert kan_left and all(it["details"]["adjunction_dims_checked"] >= 1 for it in kan_left)

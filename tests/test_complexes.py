@@ -8,7 +8,7 @@ import derlab.complexes
 
 from derlab.algebra import dual_numbers, group_algebra_c2
 from derlab.cats import arrow_category, cospan_category, object_functor, span_category, square_category, terminal_category
-from derlab.field import Mat, block_diag, rank
+from derlab.field import Mat, block_diag, rank, solve
 from derlab.modules import Module, free_module, regular_module
 from derlab.diagrams import (
     Diagram,
@@ -20,7 +20,7 @@ from derlab.diagrams import (
     stalk_diagram,
     zero_diagram,
 )
-from derlab.gorenstein import PreconditionError, is_gproj, is_projective_diagram
+from derlab.gorenstein import PreconditionError, embed_gproj_into_proj, is_gproj, is_projective_diagram
 from derlab.samples import random_gproj
 from derlab.complexes import (
     ComplexMap,
@@ -38,7 +38,6 @@ from derlab.complexes import (
     shift,
     sod_decompose,
     z0,
-    z0_witness,
 )
 from oracles import contraction_on_window
 
@@ -79,10 +78,12 @@ def test_complete_resolution_acyclic(dn, kres):
 
 
 def test_z0_recovers_seed(dn, kres, k_const):
-    ker, w = z0_witness(kres)
-    assert ker.at("*").dim == 1
-    for o in ("*",):
-        assert rank(w.comps[o]) == 1
+    # the seed's inflation into the degree-0 term factors through Z^0 by an
+    # isomorphism
+    ker, incl = z0(kres)
+    eta = embed_gproj_into_proj(k_const).left
+    w = DiagramMap(k_const, ker, {o: solve(incl.comps[o], eta.comps[o]) for o in k_const.shape.objects}).validate()
+    assert ker.at("*").dim == k_const.at("*").dim == rank(w.comps["*"]) == 1
 
 
 def test_z0_of_shifted(dn, kres):
@@ -158,11 +159,11 @@ def _contractibility_cases(dn, reg):
 
 def test_is_contractible_on_matches_contraction_solve(dn, reg, contractibility_cases):
     outcomes = []
-    for c, lo, hi, small in contractibility_cases:
+    for case, (c, lo, hi, small) in enumerate(contractibility_cases):
         if not small:
             continue
         rule = is_contractible_on(c, lo, hi)
-        assert rule == (contraction_on_window(c, lo, hi) is not None), (c.label, c.shape.objects, lo, hi)
+        assert rule == (contraction_on_window(c, lo, hi) is not None), (case, c.shape.objects, lo, hi)
         outcomes.append(rule)
     assert len(outcomes) == 189 and set(outcomes) == {True, False}
     assert outcomes[-1] is False
@@ -179,7 +180,7 @@ def test_termwise_contraction_certifies_every_true_answer(contractibility_cases)
     # answer agrees with the joint solve on each object's component complex
     answers = {True: 0, False: 0}
     large = 0
-    for c, lo, hi, small in contractibility_cases:
+    for case, (c, lo, hi, small) in enumerate(contractibility_cases):
         if not c.is_acyclic_on(lo - 1, hi + 1):
             continue
         answer = is_termwise_contractible(c, lo, hi)
@@ -191,7 +192,7 @@ def test_termwise_contraction_certifies_every_true_answer(contractibility_cases)
             large += not small
         if small:
             parts = [restrict_complex(object_functor(c.shape, o), c) for o in c.shape.objects]
-            assert answer == all(contraction_on_window(part, lo - 1, hi + 1) is not None for part in parts), (c.label, lo, hi)
+            assert answer == all(contraction_on_window(part, lo - 1, hi + 1) is not None for part in parts), (case, lo, hi)
     assert answers == {True: 51, False: 141} and large == 4
 
 

@@ -19,7 +19,6 @@ from derlab.field import (
     rank,
     rref,
     solve,
-    subspaces_equal,
     vstack,
 )
 
@@ -138,7 +137,7 @@ def test_subspace_helpers():
     s = Mat(2, [[1, 0], [0, 1], [1, 1]])
     v = Mat(2, [[1], [1], [0]])
     assert in_column_span(s, v)
-    assert subspaces_equal(s, hstack([s, v]))
+    assert rank(hstack([s, v])) == rank(s)
 
 
 LARGEST_ALLOWED_PRIME = 1048573  # the largest prime below MODULUS_BOUND = 2**20
@@ -379,15 +378,6 @@ def test_constructor_refuses_non_integer_entries():
     with pytest.raises(OverflowError):
         Mat(3, [[2**70]])
 
-
-def test_column_and_row_refuse_what_the_constructor_refuses():
-    for make in (Mat.column, Mat.row):
-        for entries in ([1.5, 2.7], ["2", 1], [True, False], [1, None]):
-            with pytest.raises(FieldError, match="integers"):
-                make(3, entries)
-        assert make(3, iter([4, -1])).to_list() in ([[1], [2]], [[1, 2]])
-    assert Mat.column(3, []).a.shape == (0, 1) and Mat.row(3, []).a.shape == (1, 0)
-    assert Mat.column(3, np.array([5], dtype=np.uint8)) == Mat(3, [[2]])
 
 def test_mat_attributes_cannot_be_reassigned():
     a = Mat(3, [[1, 2], [0, 1]])

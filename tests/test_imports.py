@@ -1,16 +1,25 @@
-"""Lint: every name imported into a library module is used there.
+"""Two lints on the library's names.
 
-`__init__.py` is skipped, since its imports are the package's re-exports,
-and so is `from __future__ import annotations`.  A name counts as used when
-it is read anywhere in the module, in a quoted annotation too.
+Every name imported into a library module is used there.  `__init__.py` is
+skipped, since its imports are the package's re-exports, and so is
+`from __future__ import annotations`.  A name counts as used when it is
+read anywhere in the module, in a quoted annotation too.
+
+Every public top-level def or class of a library module is read somewhere
+in `src/derlab` outside its own definition, re-exported by `__init__.py`,
+or named in README.md.  `samples.py` is exempt: it holds the fixtures of
+the tests and the benchmark.  Reads are counted on the syntax tree, so a
+docstring or comment that names a function does not keep it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "derlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "derlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -27,6 +36,15 @@ def _annotations(tree: ast.AST):
             yield node.annotation
 
 
+def _with_quoted_annotations(tree: ast.AST):
+    """tree, then each quoted annotation in it, parsed."""
+    yield tree
+    for ann in _annotations(tree):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                yield ast.parse(const.value, mode="eval")
+
+
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
     imported = {}
@@ -36,12 +54,7 @@ def unused_imports(source: str) -> list:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    trees = [tree]
-    for ann in _annotations(tree):
-        for const in ast.walk(ann):
-            if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                trees.append(ast.parse(const.value, mode="eval"))
-    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    used = {n.id for t in _with_quoted_annotations(tree) for n in ast.walk(t) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -53,3 +66,83 @@ def test_every_imported_name_is_used(path):
 def test_the_lint_sees_unused_and_quoted_names():
     source = "from typing import Dict, List\nimport numpy as np\nfrom .cats import slice_category\n\ndef f(x: 'Dict[str, int]') -> None:\n    return np.zeros(1)\n"
     assert unused_imports(source) == [(1, "List"), (3, "slice_category")]
+
+
+def unreferenced_names(sources: dict, readme: str) -> list:
+    """"module.name" for each public top-level def or class of sources (file
+    name -> text) that no other top-level statement reads, that
+    `__init__.py` does not import and that readme does not name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    init = trees.get("__init__.py", ast.Module(body=[], type_ignores=[]))
+    exported = {alias.asname or alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    reads = [
+        (stmt, {n.id if isinstance(n, ast.Name) else n.attr for t in _with_quoted_annotations(stmt) for n in ast.walk(t) if isinstance(n, (ast.Name, ast.Attribute))})
+        for tree in trees.values()
+        for stmt in tree.body
+    ]
+    out = []
+    for module, tree in trees.items():
+        if module in ("__init__.py", "samples.py"):
+            continue
+        for stmt in tree.body:
+            name = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "_"
+            if name.startswith("_") or name in exported or re.search(rf"\b{name}\b", readme):
+                continue
+            if not any(name in read for other, read in reads if other is not stmt):
+                out.append(f"{module[:-3]}.{name}")
+    return sorted(out)
+
+
+def test_every_public_name_is_used_exported_or_documented():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_names(sources, (ROOT / "README.md").read_text()) == []
+
+
+SURFACE_A = '''
+def unused():
+    return unused()
+
+
+def exported():
+    pass
+
+
+def documented():
+    pass
+
+
+def called():
+    pass
+
+
+def in_prose_only():
+    pass
+
+
+def _private():
+    pass
+'''
+
+SURFACE_B = '''
+from . import a
+
+
+def caller() -> "Annotated":
+    """Calls in_prose_only() in its docstring only."""
+    return a.called()
+
+
+class Annotated:
+    pass
+'''
+
+
+def test_the_surface_lint_sees_unreferenced_names():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": SURFACE_A,
+        "b.py": SURFACE_B,
+        "samples.py": "def fixture():\n    pass\n",
+    }
+    readme = "`documented` is described here; `undocumented_name` is not in the code"
+    assert unreferenced_names(sources, readme) == ["a.in_prose_only", "a.unused", "b.caller"]

@@ -94,7 +94,7 @@ def solve_calls(monkeypatch):
 
 
 def test_a_cone_no_runs_no_solve(dn, simple, reg, solve_calls):
-    socle = ModuleMap(simple, reg, Mat.column(2, [0, 1])).validate()
+    socle = ModuleMap(simple, reg, Mat(2, [[0], [1]])).validate()
     for f, verdict, solves in (
         (zero_map(simple, simple), False, 0),
         (socle, False, 0),
