@@ -96,15 +96,6 @@ class Algebra:
             self._regular_action = [Mat(self.p, self.mul[:, k, :].T) for k in range(self.dim)]
         return self._regular_action
 
-    def act(self, coeffs) -> Mat:
-        """Matrix of right multiplication by the element with given coordinates."""
-        action = self.right_regular_action()
-        out = Mat.zeros(self.p, self.dim, self.dim)
-        for k, c in enumerate(np.asarray(coeffs, dtype=np.int64) % self.p):
-            if c:
-                out = out + action[k].scale(int(c))
-        return out
-
     def kept(self, name: str, key, dim: int, build: Callable[[], object]):
         """build(), kept under key in this instance's memo `name` and handed
         out again on a later call with that key.  An input of total dim
@@ -197,29 +188,23 @@ def validate_algebra(alg: Algebra) -> Algebra:
 
 
 def _validate_radical(alg: Algebra) -> None:
-    rad = alg.radical
+    p, rad = alg.p, alg.radical
     if rad.rows != alg.dim:
         raise AlgebraError("radical vectors have the wrong length")
     span = column_space_basis(rad)
-    # two-sided ideal: e_i * r and r * e_i stay in the span
-    for k in range(alg.dim):
-        right_mult = alg.right_regular_action()[k] @ span  # r * e_k
-        # e_k * r: (e_k * e_i)_j = mul[k][i][j], columns indexed by i
-        left_mat = Mat(alg.p, alg.mul[k, :, :].T)
-        left_mult = left_mat @ span
-        if not in_column_span(span, right_mult) or not in_column_span(span, left_mult):
-            raise AlgebraError(f"declared radical is not a two-sided ideal (fails at basis element {alg.basis_labels[k]})")
-    # nilpotency: powers of the ideal must hit zero
+    # two-sided ideal: r * e_k and e_k * r stay in the span, i.e. the span is
+    # invariant under the right regular actions of Lambda and its opposite
+    sides = alg.right_regular_action() + alg.opposite().right_regular_action()
+    if not in_column_span(span, hstack([a @ span for a in sides])):
+        raise AlgebraError("declared radical is not a two-sided ideal")
+    # nilpotency: x -> x * r for r in the span, stacked; the powers of the
+    # ideal must reach zero
+    acts = np.tensordot(span.a.T, np.array([a.a for a in alg.right_regular_action()]), 1) % p
     power = span
     for _ in range(alg.dim + 1):
-        if power.cols == 0 or power.is_zero():
+        if power.cols == 0:
             return
-        cols = []
-        for i in range(power.cols):
-            x = power.col(i)
-            for j in range(span.cols):
-                cols.append(alg.act(span.a[:, j]) @ x)  # x * r_j
-        power = column_space_basis(hstack(cols)) if cols else Mat.zeros(alg.p, alg.dim, 0)
+        power = column_space_basis(Mat._of(p, (acts @ power.a % p).transpose(1, 0, 2).reshape(alg.dim, -1)))
     raise AlgebraError("declared radical is not nilpotent")
 
 

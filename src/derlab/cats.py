@@ -116,33 +116,21 @@ class DirectCategory:
                         raise CategoryError(f"associativity fails on ({g}, {f}, {e})")
 
     def _grade(self) -> Dict[str, int]:
-        """Longest-path layering; raises on cycles / non-identity endomorphisms."""
-        for f in self.morphisms:
-            if not self.is_identity(f) and self.src(f) == self.tgt(f):
+        """Longest-path degrees, by relaxation over the non-identity arrows;
+        raises on a non-identity endomorphism or a cycle."""
+        arrows = [(f, s, t) for f, (s, t) in self.morphisms.items() if not self.is_identity(f)]
+        for f, s, t in arrows:
+            if s == t:
                 raise CategoryError(f"non-identity endomorphism {f}: not a direct category")
-        succ = {o: set() for o in self.objects}
-        for f in self.morphisms:
-            if not self.is_identity(f):
-                succ[self.src(f)].add(self.tgt(f))
-        indeg = {o: 0 for o in self.objects}
-        for o, outs in succ.items():
-            for t in outs:
-                indeg[t] += 1
-        order = [o for o in self.objects if indeg[o] == 0]
-        degree = {o: 0 for o in order}
-        queue = list(order)
-        seen = set(order)
-        while queue:
-            o = queue.pop(0)
-            for t in sorted(succ[o]):
-                degree[t] = max(degree.get(t, 0), degree[o] + 1)
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    queue.append(t)
-                    seen.add(t)
-        if len(seen) != len(self.objects):
-            raise CategoryError("cycle detected: not a direct category")
-        return degree
+        degree = dict.fromkeys(self.objects, 0)
+        for _ in range(len(self.objects) + 1):  # a path has fewer arrows than there are objects
+            stable = True
+            for _, s, t in arrows:
+                if degree[t] <= degree[s]:
+                    degree[t], stable = degree[s] + 1, False
+            if stable:
+                return degree
+        raise CategoryError("cycle detected: not a direct category")
 
     def objects_by_degree(self) -> List[str]:
         return sorted(self.objects, key=lambda o: (self.degree[o], self.objects.index(o)))
@@ -251,8 +239,7 @@ def slice_category(u: CatFunctor, j: str, side: str) -> SlicePresentation:
     name_of = {pair: f"({pair[0]}|{pair[1]})" for pair in pair_objs}
     morphisms: Dict[str, Tuple[str, str]] = {}
     identities: Dict[str, str] = {}
-    mor_of = {}
-    proj_mor: Dict[str, str] = {}
+    mor_of: Dict[str, str] = {}
     for (i, f) in pair_objs:
         for (i2, f2) in pair_objs:
             for g in I.hom(i, i2):
@@ -271,7 +258,6 @@ def slice_category(u: CatFunctor, j: str, side: str) -> SlicePresentation:
                     mname = f"{g}:{a}->{b}"
                 morphisms[mname] = (a, b)
                 mor_of[mname] = g
-                proj_mor[mname] = g
     comp: Dict[Tuple[str, str], str] = {}
     by_under: Dict[Tuple[str, str, str], str] = {}
     for mname, (a, b) in morphisms.items():
@@ -283,12 +269,7 @@ def slice_category(u: CatFunctor, j: str, side: str) -> SlicePresentation:
             g = I.compose(mor_of[m2], mor_of[m1])
             comp[(m2, m1)] = by_under[(a1, c2, g)]
     cat = DirectCategory([name_of[p] for p in pair_objs], morphisms, comp, identities)
-    proj = CatFunctor(
-        cat,
-        I,
-        {name_of[p]: p[0] for p in pair_objs},
-        {m: proj_mor[m] for m in morphisms},
-    )
+    proj = CatFunctor(cat, I, {name_of[p]: p[0] for p in pair_objs}, mor_of)
     out = SlicePresentation(cat, proj, {name_of[p]: p for p in pair_objs}, side, j)
     u._slice_cache[(j, side)] = out
     return out
@@ -434,28 +415,15 @@ def full_subcategory(c: DirectCategory, objects: Sequence[str]) -> Tuple[DirectC
 
 
 def disjoint_union(c1: DirectCategory, c2: DirectCategory) -> Tuple[DirectCategory, CatFunctor, CatFunctor]:
-    def tag(prefix, x):
-        return f"{prefix}.{x}"
-
-    objects = [tag("L", o) for o in c1.objects] + [tag("R", o) for o in c2.objects]
-    morphisms = {}
-    identities = {}
-    for f, (s, t) in c1.morphisms.items():
-        morphisms[tag("L", f)] = (tag("L", s), tag("L", t))
-    for f, (s, t) in c2.morphisms.items():
-        morphisms[tag("R", f)] = (tag("R", s), tag("R", t))
-    for o in c1.objects:
-        identities[tag("L", o)] = tag("L", c1.id_of(o))
-    for o in c2.objects:
-        identities[tag("R", o)] = tag("R", c2.id_of(o))
-    comp = {}
-    for (g, f), h in c1.comp.items():
-        comp[(tag("L", g), tag("L", f))] = tag("L", h)
-    for (g, f), h in c2.comp.items():
-        comp[(tag("R", g), tag("R", f))] = tag("R", h)
+    """c1 and c2 side by side, their names tagged "L." and "R.", with the
+    two inclusions."""
+    parts = (("L", c1), ("R", c2))
+    objects = [f"{t}.{o}" for t, c in parts for o in c.objects]
+    morphisms = {f"{t}.{f}": (f"{t}.{a}", f"{t}.{b}") for t, c in parts for f, (a, b) in c.morphisms.items()}
+    identities = {f"{t}.{o}": f"{t}.{c.id_of(o)}" for t, c in parts for o in c.objects}
+    comp = {(f"{t}.{g}", f"{t}.{f}"): f"{t}.{h}" for t, c in parts for (g, f), h in c.comp.items()}
     cat = DirectCategory(objects, morphisms, comp, identities)
-    i1 = CatFunctor(c1, cat, {o: tag("L", o) for o in c1.objects}, {f: tag("L", f) for f in c1.morphisms})
-    i2 = CatFunctor(c2, cat, {o: tag("R", o) for o in c2.objects}, {f: tag("R", f) for f in c2.morphisms})
+    i1, i2 = (CatFunctor(c, cat, {o: f"{t}.{o}" for o in c.objects}, {f: f"{t}.{f}" for f in c.morphisms}) for t, c in parts)
     return cat, i1, i2
 
 
@@ -511,7 +479,10 @@ def functor_from_dict(data: dict, dom: DirectCategory, cod: DirectCategory) -> C
     """Load from the JSON document format; a malformed document is a
     CategoryError."""
     try:
-        return CatFunctor(dom, cod, dict(data.get("objects", {})), dict(data.get("morphisms", {})))
+        maps = [data.get(key, {}) for key in ("objects", "morphisms")]
+        if not all(isinstance(m, dict) for m in maps):
+            raise CategoryError("malformed functor document: objects and morphisms must map names to names")
+        return CatFunctor(dom, cod, *maps)
     except CategoryError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .algebra import algebra_from_dict, require_self_injective
-from .cats import category_from_dict, disjoint_union, functor_from_dict
+from .cats import CatFunctor, category_from_dict, disjoint_union, functor_from_dict
 from .field import DerlabError, matrix_from_entries
 from .diagrams import (
     Diagram,
@@ -68,6 +68,16 @@ def _scenario_int(scenario: dict, key: str, default: int) -> int:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object_pairs_hook of every JSON read: a key repeated in one
+    object is an error, where json.load alone keeps the last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return out
+
+
 def _degree(key: str) -> int:
     """A complex document's degree key, which must be a canonical decimal
     integer ("-1", "0", "12"), so no two keys name one degree."""
@@ -94,7 +104,7 @@ class Session:
             raise ScenarioError(f"malformed scenario: document path {rel!r} is not a string")
         try:
             with open(self.base / rel, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                return json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ScenarioError(f"cannot read {rel}: {exc}") from exc
 
@@ -332,16 +342,13 @@ def _suite_derivator_axioms(s: Session) -> Suite:
         c = cats[0]
         def der1(c=c):
             union, i1, i2 = disjoint_union(c, c)
+            # the fold c ⊔ c -> c, which restricts d to d on both copies
+            fold = CatFunctor(union, c, {t: o for i in (i1, i2) for o, t in i.obj_map.items()}, {t: f for i in (i1, i2) for f, t in i.mor_map.items()})
             ok = True
             for d in s.diagrams.values():
                 if d.shape is not c:
                     continue
-                both = Diagram(
-                    union,
-                    s.alg,
-                    {**{i1.on_obj(o): d.at(o) for o in c.objects}, **{i2.on_obj(o): d.at(o) for o in c.objects}},
-                    {**{i1.on_mor(f): d.mat(f) for f in c.nonidentity_morphisms()}, **{i2.on_mor(f): d.mat(f) for f in c.nonidentity_morphisms()}},
-                )
+                both = restrict(fold, d)
                 ok = ok and (is_gproj(both) == is_gproj(d))
                 cov_union = projective_cover_diagram(both)
                 cov = projective_cover_diagram(d)
@@ -421,7 +428,7 @@ def run_scenario(scenario_path: str, seed: Optional[int] = None) -> Tuple[dict, 
     base = Path(scenario_path).resolve().parent
     try:
         with open(scenario_path, "r", encoding="utf-8") as fh:
-            scenario = json.load(fh)
+            scenario = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         return _error_report(f"cannot read scenario: {exc}", t0)
     try:
@@ -519,7 +526,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "explain":
         try:
             with open(args.report, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
+                report = json.load(fh, object_pairs_hook=_unique_keys)
             print(explain(report, args.item))
         except (OSError, ValueError, KeyError, TypeError) as exc:  # ValueError: not JSON, not UTF-8, or not a report
             print(f"error: {exc}", file=sys.stderr)

@@ -184,8 +184,7 @@ def complete_resolution(x: Diagram) -> LazyComplex:
 
 def z0(c: LazyComplex) -> Tuple[Diagram, DiagramMap]:
     """Degree-0 cocycles with their inclusion into the degree-0 term."""
-    ker, incl = kernel_diagram(c.diff(0))
-    return ker, incl
+    return kernel_diagram(c.diff(0))
 
 
 class ComplexMap:
@@ -389,16 +388,8 @@ def _verify_termwise_contraction(c: LazyComplex, witness: List[_ComponentContrac
 # -- cohomology ------------------------------------------------------------------
 
 
-@dataclass
-class CohomologyData:
-    degree: int
-    cocycles: Diagram
-    incl: DiagramMap       # Z^k -> C^k
-    homology: Diagram
-    proj: DiagramMap       # Z^k -> H^k
-
-
-def cohomology_at(c: LazyComplex, k: int) -> CohomologyData:
+def cohomology_at(c: LazyComplex, k: int) -> Tuple[DiagramMap, DiagramMap]:
+    """The cocycles' inclusion Z^k >-> C^k and the projection Z^k ->> H^k."""
     Z, incl = kernel_diagram(c.diff(k))
     prev = c.diff(k - 1)
     comps = {}
@@ -407,22 +398,18 @@ def cohomology_at(c: LazyComplex, k: int) -> CohomologyData:
         if sol is None:
             raise VerificationError("boundaries do not land in the cocycles")
         comps[o] = sol
-    beta = DiagramMap(c.term(k - 1), Z, comps)
-    H, proj = cokernel_diagram(beta)
-    return CohomologyData(k, Z, incl, H, proj)
+    return incl, cokernel_diagram(DiagramMap(c.term(k - 1), Z, comps))[1]
 
 
-def induced_on_cohomology(f: ComplexMap, k: int, src_data: Optional[CohomologyData] = None, tgt_data: Optional[CohomologyData] = None) -> DiagramMap:
-    a = src_data or cohomology_at(f.src, k)
-    b = tgt_data or cohomology_at(f.tgt, k)
+def induced_on_cohomology(f: ComplexMap, k: int) -> DiagramMap:
+    (a_incl, a_proj), (b_incl, b_proj) = cohomology_at(f.src, k), cohomology_at(f.tgt, k)
     comps = {}
     for o in f.src.shape.objects:
-        moved = f.comp(k).comps[o] @ a.incl.comps[o]
-        zeta = solve(b.incl.comps[o], moved)
+        zeta = solve(b_incl.comps[o], f.comp(k).comps[o] @ a_incl.comps[o])
         if zeta is None:
             raise VerificationError("cocycles are not preserved")
-        comps[o] = factor_matrix_through_surjection(b.proj.comps[o] @ zeta, a.proj.comps[o])
-    return DiagramMap(a.homology, b.homology, comps)
+        comps[o] = factor_matrix_through_surjection(b_proj.comps[o] @ zeta, a_proj.comps[o])
+    return DiagramMap(a_proj.tgt, b_proj.tgt, comps)
 
 
 def is_quasi_iso_on(f: ComplexMap, lo: int, hi: int) -> bool:

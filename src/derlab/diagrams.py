@@ -218,8 +218,7 @@ class DiagramConflation:
 
 
 def zero_diagram(shape: DirectCategory, alg: Algebra) -> Diagram:
-    z = zero_module(alg)
-    return Diagram(shape, alg, {o: z for o in shape.objects}, {f: Mat.zeros(alg.p, 0, 0) for f in shape.nonidentity_morphisms()})
+    return constant_diagram(shape, alg, zero_module(alg))
 
 
 def stalk_diagram(shape: DirectCategory, alg: Algebra, j: str, m: Module) -> Diagram:
@@ -494,8 +493,8 @@ def pushout_diagrams(f: DiagramMap, g: DiagramMap) -> Tuple[Diagram, DiagramMap,
 
 
 def free_legs_at(x: Diagram, j: str, legs: Sequence[Mat], o: str) -> Mat:
-    """At o, the map j_!(Lambda^n) -> x adjunct to n legs Lambda -> x_j:
-    the copy of Lambda^n for f: j -> o goes to x_o by x(f) o legs."""
+    """At o, the map j_!(P^n) -> x adjunct to n legs P -> x_j: the copy
+    of P^n for f: j -> o goes to x_o by x(f) o legs."""
     return hstack([Mat.zeros(x.alg.p, x.at(o).dim, 0)] + [x.mat(f) @ leg for f in x.shape.hom(j, o) for leg in legs])
 
 

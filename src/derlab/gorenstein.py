@@ -54,6 +54,7 @@ from .diagrams import (
     dual_conflation,
     dual_diagram,
     free_diagram,
+    free_legs_at,
     from_colimit,
     identity_diagram_map,
     kernel_diagram,
@@ -84,7 +85,6 @@ class PreconditionError(DerlabError, ValueError):
 
 @dataclass
 class LatchingDatum:
-    index: str
     module: Module                      # L_j(X)
     map: ModuleMap                      # lambda_j(X): L_j(X) -> X_j
     pres: SlicePresentation             # boundary (I/j)
@@ -97,7 +97,6 @@ class LatchingDatum:
 
 @dataclass
 class MatchingDatum:
-    index: str
     module: Module                      # M_j(Y)
     map: ModuleMap                      # mu_j(Y): Y_j -> M_j(Y)
 
@@ -107,7 +106,7 @@ def latching(x: Diagram, j: str) -> LatchingDatum:
     pres = punctured_slice(x.shape, j, "under")
     L, cocone = colimit_of_diagram(restrict(pres.projection, x))
     lam = from_colimit(L, cocone, {o: x.mat(f) for o, (_, f) in pres.pairs.items()}, x.at(j).dim)
-    return LatchingDatum(j, L, ModuleMap(L, x.at(j), lam), pres, cocone)
+    return LatchingDatum(L, ModuleMap(L, x.at(j), lam), pres, cocone)
 
 
 def matching(y: Diagram, j: str) -> MatchingDatum:
@@ -115,7 +114,7 @@ def matching(y: Diagram, j: str) -> MatchingDatum:
     y_j: the dual of the latching datum of D(y) over the opposite shape."""
     lat = latching(dual_diagram(y), j)
     M = dual_module(lat.module)
-    return MatchingDatum(j, M, ModuleMap(y.at(j), M, lat.map.mat.T))
+    return MatchingDatum(M, ModuleMap(y.at(j), M, lat.map.mat.T))
 
 
 def _latching_ranks(x: Diagram, j: str) -> Tuple[int, int, Mat]:
@@ -176,17 +175,10 @@ def is_injective_diagram(x: Diagram) -> bool:
 def stalk_presentation(shape: DirectCategory, alg: Algebra, j: str, p_mod: Module) -> DiagramConflation:
     """Degreewise split conflation  K >--> j_!(P) -->> stalk_j(P)  where K
     vanishes at j and agrees with j_!(P) elsewhere."""
-    free = left_kan_from_point(shape, alg, j, p_mod)
     stalk = stalk_diagram(shape, alg, j, p_mod)
-    comps = {}
-    for o in shape.objects:
-        if o == j:
-            comps[o] = Mat.identity(alg.p, p_mod.dim)
-        else:
-            comps[o] = Mat.zeros(alg.p, 0, free.at(o).dim)
-    defl = DiagramMap(free, stalk, comps)
-    ker, incl = kernel_diagram(defl)
-    return DiagramConflation(incl, defl)
+    eye = [Mat.identity(alg.p, p_mod.dim)]  # the deflation is adjunct to 1_P
+    defl = DiagramMap(left_kan_from_point(shape, alg, j, p_mod), stalk, {o: free_legs_at(stalk, j, eye, o) for o in shape.objects})
+    return DiagramConflation(kernel_diagram(defl)[1], defl)
 
 
 def co_stalk_presentation(shape: DirectCategory, alg: Algebra, j: str, q_mod: Module) -> DiagramConflation:

@@ -32,7 +32,6 @@ from .field import (
     common_modulus,
     hstack,
     in_column_span,
-    invert,
     kernel_basis,
     kron,
     product_defect,
@@ -313,12 +312,9 @@ def pushout(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
     if not same_module(f.src, g.src):
         raise ModuleError("pushout needs a common source")
     x, y = f.tgt, g.tgt
-    sum_mod, injs, _ = direct_sum([x, y])
     combined = vstack([f.mat, -g.mat if g.mat.rows else g.mat])
-    po, proj = quotient_module(sum_mod, combined)
-    ix = compose(proj, injs[0])
-    iy = compose(proj, injs[1])
-    return po, ix, iy
+    po, proj = quotient_module(direct_sum([x, y])[0], combined)
+    return po, ModuleMap(x, po, proj.mat[:, : x.dim]), ModuleMap(y, po, proj.mat[:, x.dim :])
 
 
 def pullback(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
@@ -326,12 +322,9 @@ def pullback(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
     if not same_module(f.tgt, g.tgt):
         raise ModuleError("pullback needs a common target")
     x, y = f.src, g.src
-    sum_mod, _, projs = direct_sum([x, y])
     combined = hstack([f.mat, -g.mat if g.mat.cols else g.mat])
-    pb, incl = submodule(sum_mod, kernel_basis(combined))
-    px = compose(projs[0], incl)
-    py = compose(projs[1], incl)
-    return pb, px, py
+    pb, incl = submodule(direct_sum([x, y])[0], kernel_basis(combined))
+    return pb, ModuleMap(pb, x, incl.mat[: x.dim, :]), ModuleMap(pb, y, incl.mat[x.dim :, :])
 
 
 # -- covers, envelopes, syzygies ------------------------------------------
@@ -722,13 +715,3 @@ def is_stable_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Ve
         return Verdict(FALSE, reason="stable Hom(n, m) = 0 but stable endomorphisms are nonzero")
     pair = stable_iso_pair_in(_MODULES, m, n, bwd.basis, end_m, end_n)
     return stable_iso_search(_MODULES, m, n, fwd, budget, seed, pair)
-
-
-def find_module_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Optional[ModuleMap]:
-    """An actual isomorphism m -> n, by search over Hom; None if not found."""
-    if m.dim != n.dim:
-        return None
-    if m.dim == 0:
-        return zero_map(m, n)
-    _, candidates = candidate_maps(hom_space(m, n), zero_map(m, n), budget, seed)
-    return next((f for f in candidates if invert(f.mat) is not None), None)

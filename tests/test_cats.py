@@ -9,6 +9,7 @@ from derlab.cats import (
     category_from_dict,
     cospan_category,
     disjoint_union,
+    functor_from_dict,
     identity_functor,
     is_cosieve,
     is_sieve,
@@ -194,3 +195,14 @@ def test_category_objects_must_be_a_list():
     for objects in ("01", {"0": 0, "1": 1}):
         with pytest.raises(CategoryError, match="objects must be a list"):
             category_from_dict({**arrow, "objects": objects})
+
+
+def test_functor_objects_and_morphisms_must_be_mappings():
+    # dict() would read a list of two-character names as pairs: the list
+    # ["0*", "1*"] as the arrow's functor to the point
+    arrow, point = arrow_category(), terminal_category()
+    doc = {"objects": {"0": "*", "1": "*"}, "morphisms": {"e0": "1_*"}}
+    assert functor_from_dict(doc, arrow, point).obj_map == {"0": "*", "1": "*"}
+    for key, value in (("objects", ["0*", "1*"]), ("morphisms", ["e0"]), ("morphisms", [["e0", "1_*"]])):
+        with pytest.raises(CategoryError, match="objects and morphisms must map names to names"):
+            functor_from_dict({**doc, key: value}, arrow, point)

@@ -427,6 +427,7 @@ MALFORMED = {
     "fractional-algebra-unit": ("algebra", {**json.loads((SCENARIOS / "dual_numbers.json").read_text()), "unit": [1.5, 0]}),
     "morphism-not-a-mapping": ("category", {"objects": ["0", "1"], "morphisms": [5]}),
     "functor-objects-not-a-mapping": ("functor", {"dom": "point", "cod": "arrow", "objects": 5}),
+    "functor-objects-a-list-of-pairs": ("functor", {"dom": "arrow", "cod": "point", "objects": ["0*", "1*"], "morphisms": {"e0": "1_*"}}),
     "seed-not-an-integer": ("scenario", {"seed": "abc"}),
     "budget-not-an-integer": ("scenario", {"budget": 1.5}),
     "window-margin-not-an-integer": ("scenario", {"window_margin": None}),
@@ -459,6 +460,38 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, case):
     assert "wall_time_ms" in report["meta"]
     assert main(["run", str(scen)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _repeat_key(text, key, first):
+    """text with key given the value first just before its own entry."""
+    return text.replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1)
+
+
+@pytest.mark.parametrize("kind", ["algebra", "complex", "scenario"])
+def test_a_repeated_key_is_an_input_error(tmp_path, capsys, kind):
+    """json.load alone keeps the last of two equal keys: the algebra would
+    load as F_2, the complex with one term, the scenario with seed 0."""
+    free = json.dumps(_FREE_POINT)
+    doc = {"complex": _complex("zero-tails", {}, {})}.get(kind, {})
+    scen = _one_document_scenario(tmp_path, kind, doc)
+    if kind == "algebra":
+        (tmp_path / "doc.json").write_text(_repeat_key((SCENARIOS / "dual_numbers.json").read_text(), "p", 3))
+    elif kind == "complex":
+        (tmp_path / "doc.json").write_text(json.dumps(doc).replace('"terms": {}', f'"terms": {{"0": {free}, "0": {free}}}'))
+    else:
+        scen.write_text(_repeat_key(scen.read_text(), "suites", '["validate", "sod"]'))
+    report, code = run_scenario(str(scen))
+    assert code == 2 and report["items"] == []
+    assert "duplicate key" in report["error"]
+    assert main(["run", str(scen)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_explain_refuses_a_report_with_a_repeated_key(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text('{"items": [], "items": [{"id": "a", "suite": "validate", "verdict": "pass"}]}')
+    assert main(["explain", str(out), "a"]) == 2
+    assert "duplicate key 'items'" in capsys.readouterr().err
 
 
 def test_unreadable_document_is_an_input_error(tmp_path, capsys):

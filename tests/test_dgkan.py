@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -18,13 +19,15 @@ from derlab.cats import (
     terminal_category,
 )
 from derlab.field import Mat, hstack, rank, vstack
-from derlab.modules import Module, free_module, regular_module
+from derlab import dgkan
+from derlab.modules import Module, direct_sum, free_module, regular_module
 from derlab.diagrams import (
     Diagram,
     DiagramError,
     DiagramMap,
     constant_diagram,
     hom_space_diagrams,
+    identity_diagram_map,
     limit_of_diagram,
     pointwise_right_kan,
     stalk_diagram,
@@ -344,6 +347,88 @@ def test_der4_with_non_factoring_parallel_path(dn, reg):
     m = rw(u, "j", 2)
     sub, _ = hom_module_from_weight(m, x)
     assert sub.dim == reg.dim + reg.dim
+
+
+def _socle_to_point(p):
+    """The arrow diagram k -> Lambda over F_p[x]/(x^2), its complete
+    resolution and the functor to the point: der4_check passes on them."""
+    alg = dual_numbers(p)
+    simple = Module(alg, [Mat.identity(p, 1), Mat.zeros(p, 1, 1)])
+    x = Diagram(arrow_category(), alg, {"0": simple, "1": regular_module(alg)}, {"e0": Mat(p, [[0], [1]])}).validate()
+    return _to_point(x.shape), complete_resolution(x)
+
+
+def _hom_module_mutant(monkeypatch, mutate):
+    real = dgkan.hom_module_from_weight
+    monkeypatch.setattr(dgkan, "hom_module_from_weight", lambda m, d: mutate(*real(m, d)))
+
+
+def test_der4_names_an_underived_side_of_the_wrong_dim(monkeypatch):
+    u, t = _socle_to_point(2)
+    assert der4_check(u, "*", t, -1, 1).ok
+    _hom_module_mutant(monkeypatch, lambda sub, incl: (direct_sum([sub, regular_module(sub.alg)])[0], incl))
+    rep = der4_check(u, "*", t, -1, 1)
+    assert not rep.ok and not rep.underived_ok and rep.derived_ok
+    assert rep.details["underived_dim_mismatch_deg0"] == (4, 2)
+    assert "underived_iso_deg0" not in rep.details
+
+
+def test_der4_names_an_underived_side_that_is_not_isomorphic(monkeypatch):
+    u, t = _socle_to_point(2)
+    # the inclusion loses its first column: the solve has rank dim - 1
+    _hom_module_mutant(monkeypatch, lambda sub, incl: (sub, hstack([incl[:, 1:], Mat.zeros(2, incl.rows, 1)])))
+    rep = der4_check(u, "*", t, -1, 1)
+    assert not rep.ok and not rep.underived_ok and rep.derived_ok
+    assert rep.details["underived_not_iso_deg0"] is True
+
+
+def test_der4_names_bar_labels_that_do_not_match(monkeypatch):
+    u, t = _socle_to_point(2)
+    real = dgkan.bar_resolution
+
+    def short(m):
+        res = real(m)
+        if m.shape is u.dom:  # the weight side keeps its bar resolution
+            return res
+        last = len(res.complex.blocks) - 1
+        coeffs = {key: c for key, c in res.complex.coeffs.items() if last not in key[:2]}
+        return dataclasses.replace(res, complex=dataclasses.replace(res.complex, blocks=res.complex.blocks[:-1], coeffs=coeffs))
+
+    monkeypatch.setattr(dgkan, "bar_resolution", short)
+    rep = der4_check(u, "*", t, -1, 1)
+    assert not rep.ok and rep.underived_ok and not rep.derived_ok
+    assert rep.details["label_mismatch"] is True
+    assert "derived_is_chain_iso" not in rep.details
+
+
+def test_der4_names_each_degree_whose_derived_square_fails(monkeypatch):
+    # over F_3 negating the slice side's differentials changes them, so
+    # the label-matched identity blocks are no chain map in any degree
+    u, t = _socle_to_point(3)
+    assert der4_check(u, "*", t, -1, 1).ok
+    real = dgkan.restrict_complex
+
+    def negated(v, c):
+        r = real(v, c)
+        return LazyComplex(r.shape, r.alg, r.term, lambda n: {o: -m for o, m in r.diff(n).comps.items()})
+
+    monkeypatch.setattr(dgkan, "restrict_complex", negated)
+    rep = der4_check(u, "*", t, -1, 1)
+    assert not rep.ok and rep.underived_ok and not rep.derived_ok
+    assert [key for key in rep.details if key.startswith("derived_square_fails")] == [f"derived_square_fails_deg{n}" for n in (-1, 0, 1)]
+    assert rep.details["derived_is_chain_iso"] is False
+
+
+@pytest.mark.parametrize("case", ["not-acyclic", "not-projective"])
+def test_crosscheck_says_false_for_a_kan_output_outside_its_window(monkeypatch, socle_arrow, arrow, case):
+    """A homotopy Kan extension that is not acyclic, or not termwise
+    projective, on the window is a FALSE verdict, not an error."""
+    cone_of_identity = {0: socle_arrow, 1: socle_arrow}, {0: identity_diagram_map(socle_arrow)}
+    terms, diffs = ({0: socle_arrow}, {}) if case == "not-acyclic" else cone_of_identity
+    monkeypatch.setattr(dgkan, "ho_left_kan", lambda u, t: LazyComplex.bounded(arrow, socle_arrow.alg, terms, diffs))
+    v = crosscheck_kan(identity_functor(arrow), socle_arrow, margin=1)
+    assert v.status == "false"
+    assert v.reason == ("homotopy Kan output is not acyclic on [-4, 4]" if case == "not-acyclic" else "homotopy Kan output is not termwise projective")
 
 
 SHAPES = (arrow_category, cospan_category, span_category, square_category)

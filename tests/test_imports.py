@@ -1,4 +1,4 @@
-"""Two lints on the library's names.
+"""Three lints on the library's names.
 
 Every name imported into a library module is used there.  `__init__.py` is
 skipped, since its imports are the package's re-exports, and so is
@@ -10,6 +10,10 @@ in `src/derlab` outside its own definition, re-exported by `__init__.py`,
 or named in README.md.  `samples.py` is exempt: it holds the fixtures of
 the tests and the benchmark.  Reads are counted on the syntax tree, so a
 docstring or comment that names a function does not keep it.
+
+No library module reads another module's private name (one leading
+underscore), neither by `from .modules import _x` nor as `modules._x`: what
+a module keeps private is reached through its public functions.
 """
 
 import ast
@@ -146,3 +150,53 @@ def test_the_surface_lint_sees_unreferenced_names():
     }
     readme = "`documented` is described here; `undocumented_name` is not in the code"
     assert unreferenced_names(sources, readme) == ["a.in_prose_only", "a.unused", "b.caller"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(sources: dict) -> list:
+    """"module: owner.name" for each private name of a library module that
+    a module of sources (file name -> text) imports, or reads as an
+    attribute of an imported library module."""
+    out = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        library = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "derlab")]
+        # `from . import modules` and `from derlab import modules` bind modules
+        modules = {alias.asname or alias.name for node in library if node.module in (None, "derlab") for alias in node.names}
+        for node in library:
+            out += [f"{module[:-3]}: {node.module}.{alias.name}" for alias in node.names if node.module not in (None, "derlab") and _is_private(alias.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules and _is_private(node.attr):
+                out.append(f"{module[:-3]}: {node.value.id}.{node.attr}")
+    return sorted(out)
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+PRIVATE_READER = '''
+from . import modules
+from . import field as f
+from .modules import _submodule, submodule
+from derlab.cats import _grade
+
+
+def reader(alg, m):
+    alg._memos.clear()
+    modules.__name__
+    modules.submodule(m, m)
+    return f._eliminate(m), modules._radical_layer(m), m._private
+'''
+
+
+def test_the_private_lint_sees_imports_and_module_attributes():
+    assert private_reads({"reader.py": PRIVATE_READER}) == [
+        "reader: derlab.cats._grade",
+        "reader: f._eliminate",
+        "reader: modules._radical_layer",
+        "reader: modules._submodule",
+    ]

@@ -21,7 +21,6 @@ from derlab.modules import (
     is_projective,
     is_stable_iso,
     is_stable_iso_map,
-    find_module_iso,
     pullback,
     pushout,
     quotient_module,
@@ -228,12 +227,6 @@ def test_full_basis_covers_without_radical():
     c.validate()
     assert c.middle.dim == 4  # full-basis cover: one generator per basis vector
     assert is_projective(reg)
-
-
-def test_find_module_iso(dn, simple):
-    s2 = Module(dn, [Mat.identity(2, 1), Mat.zeros(2, 1, 1)])
-    f = find_module_iso(simple, s2)
-    assert f is not None
 
 
 def test_upper_triangular_modules():
