@@ -10,6 +10,7 @@ through `require_self_injective`, and so does a session at setup.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
@@ -24,9 +25,10 @@ class AlgebraError(DerlabError, ValueError):
 
 
 # Covers, embeddings into projective diagrams, Gorenstein Kan extensions,
-# stable Homs, quotients, submodules, generator legs and projectivity are
-# kept per algebra, keyed by content (diagram_key, module_key, span bytes)
-# and, for a Kan extension, the functor.  One stability-p2 pass
+# stable Homs, quotients, submodules, generator legs, projectivity and
+# injective envelopes are kept per algebra, keyed by content (diagram_key,
+# module_key, span bytes) and, for a Kan extension, the functor; free
+# diagrams and their latching data by name (diagrams.free_name).  One stability-p2 pass
 # over its 344 modules makes 343 embedding and 344 Kan calls on 16 and 17
 # distinct inputs, and 1376 stable_hom calls on 53 distinct pairs: all but
 # one (total dim 40, called once) are kept, so it builds each pair once, at
@@ -101,11 +103,13 @@ class Algebra:
         out again on a later call with that key.  An input of total dim
         above MEMO_MAX_TOTAL_DIM is built and not kept.  Memos live and die
         with their algebra, so a hit never returns a module over another
-        instance."""
+        instance.  Every call is counted (memo_counts)."""
         if dim > MEMO_MAX_TOTAL_DIM:
+            _count(name, 3)
             return build()
         memo = self._memos.setdefault(name, {})
         hit = memo.get(key, _MISS)
+        _count(name, 0, 2 if hit is _MISS else 1)
         return remember(memo, key, build(), MEMO_MAX_ENTRIES) if hit is _MISS else hit
 
     def is_local(self) -> bool:
@@ -134,13 +138,36 @@ class Algebra:
 
 
 _LIVE: "weakref.WeakSet[Algebra]" = weakref.WeakSet()
+# Per memo name, over every algebra: [lookups, hits, builds, not kept].
+# Module-level, because a scenario run's algebra dies with the run.
+_COUNTS: Dict[str, List[int]] = {}
+_COUNTS_LOCK = threading.Lock()
+
+
+def _count(name: str, *fields: int) -> None:
+    with _COUNTS_LOCK:
+        counts = _COUNTS.setdefault(name, [0, 0, 0, 0])
+        for i in fields:
+            counts[i] += 1
 
 
 def clear_memos() -> None:
-    """Empty the memos of every live algebra: what follows is computed from
-    cold memos."""
+    """Empty the memos of every live algebra and reset memo_counts(): what
+    follows is computed from cold memos."""
     for alg in list(_LIVE):
         alg._memos.clear()
+    with _COUNTS_LOCK:
+        _COUNTS.clear()
+
+
+def memo_counts() -> Dict[str, Dict[str, int]]:
+    """Per memo name, summed over every algebra since the last clear_memos():
+    inputs looked up, hits, builds after a miss, and inputs built but not
+    kept because they are above MEMO_MAX_TOTAL_DIM.  Tooling only: no
+    report reads them."""
+    fields = ("lookups", "hits", "builds", "not_kept")
+    with _COUNTS_LOCK:
+        return {name: dict(zip(fields, counts)) for name, counts in sorted(_COUNTS.items())}
 
 
 def validate_algebra(alg: Algebra) -> Algebra:

@@ -260,14 +260,44 @@ def direct_sum_diagrams(xs: Sequence[Diagram]) -> Tuple[Diagram, List[DiagramMap
     return total, injections, projections
 
 
+def free_copies(shape: DirectCategory, parts: Sequence[Tuple[str, int]]) -> Dict[str, List[Tuple[int, str, int]]]:
+    """At each object a, the copies that make up the value at a of the free
+    diagram on parts [(j_k, dim_k)]: (k, f, offset) for each k and each
+    f: j_k -> a, ordered by k and then by shape.hom(j_k, a), where offset
+    is the copy's first coordinate."""
+    out = {}
+    for a in shape.objects:
+        out[a], off = [], 0
+        for k, (j, d) in enumerate(parts):
+            for f in shape.hom(j, a):
+                out[a].append((k, f, off))
+                off += d
+    return out
+
+
+def free_name(shape: DirectCategory, parts: Sequence[Tuple[str, Module]]) -> Tuple[tuple, int]:
+    """(key, size) of the free diagram on parts: the shape by identity and
+    (j_k, module_key(m_k)) of each part, and the parts' total dim."""
+    return (shape, tuple((j, module_key(m)) for j, m in parts)), sum(m.dim for _, m in parts)
+
+
 def free_diagram(shape: DirectCategory, alg: Algebra, parts: Sequence[Tuple[str, Module]]) -> Diagram:
     """(+)_k (j_k)_!(m_k) for parts [(j_k, m_k)], in one pass.  The value at
     a holds one copy of m_k per morphism f: j_k -> a, ordered by k and then
-    by shape.hom(j_k, a); a structure map h: a -> b relabels the copy f as
-    the copy h o f.  So it equals the direct sum of the free diagrams
-    left_kan_from_point(shape, alg, j_k, m_k), block for block."""
+    by shape.hom(j_k, a) (free_copies); a structure map h: a -> b relabels
+    the copy f as the copy h o f.  So it equals the direct sum of the free
+    diagrams left_kan_from_point(shape, alg, j_k, m_k), block for block.
+
+    Kept per algebra by its name (free_name), sized by the parts' total
+    dim: the name of a free diagram recurs far more often than the content
+    of the diagrams around it."""
+    key, size = free_name(shape, parts)
+    return alg.kept("free_diagram", key, size, lambda: _free_diagram(shape, alg, parts))
+
+
+def _free_diagram(shape: DirectCategory, alg: Algebra, parts: Sequence[Tuple[str, Module]]) -> Diagram:
     p = alg.p
-    copies = {a: [(k, f) for k, (j, _) in enumerate(parts) for f in shape.hom(j, a)] for a in shape.objects}
+    copies = {a: [(k, f) for k, f, _ in cs] for a, cs in free_copies(shape, [(j, m.dim) for j, m in parts]).items()}
     dims = {a: [parts[k][1].dim for k, _ in copies[a]] for a in shape.objects}
     modules = {
         a: Module(alg, [block_diag(p, [parts[k][1].action[e] for k, _ in copies[a]]) for e in range(alg.dim)]) for a in shape.objects
@@ -546,25 +576,55 @@ class Ext1Result:
 
 
 def ext1(x: Diagram, y: Diagram) -> Ext1Result:
-    """Ext^1(x, y) from one projective presentation:
-    coker( Hom(P, y) -> Hom(K, y) )."""
+    """Ext^1(x, y) from one projective presentation K >-> P ->> x:
+    coker( Hom(P, y) -> Hom(K, y) ).  The image of Hom(P, y) comes from the
+    adjunction (_free_image); Hom(P, y) itself is never solved for."""
     cover = projective_cover_diagram(x)
-    K, incl = cover.sub, cover.left
-    from_p = hom_space_diagrams(cover.middle, y)
-    from_k = hom_space_diagrams(K, y)
+    from_k = hom_space_diagrams(cover.sub, y)
     if not from_k:
         return Ext1Result(0, [], cover)
-    img = [vec_diagram_map(compose_diagram_maps(h, incl)) for h in from_p]
-    if img:
-        sub = column_space_basis(hstack(img))
-    else:
-        sub = Mat.zeros(x.alg.p, vec_diagram_map(from_k[0]).rows, 0)
+    slots = {j: len(generator_legs(x.at(j))) for j in x.shape.objects}
+    sub = column_space_basis(Mat._of(x.alg.p, _free_image(cover, slots, y).T))
     dim = len(from_k) - sub.cols
     # representatives: greedy completion of the image to all of Hom(K, y)
     reps = class_reps(from_k, vec_diagram_map, sub)
     if len(reps) != dim:
         raise DiagramError(f"Ext^1 has dimension {dim} but {len(reps)} class representatives")
     return Ext1Result(dim, reps, cover)
+
+
+def _free_image(cover: DiagramConflation, slots: Dict[str, int], y: Diagram) -> np.ndarray:
+    """Rows spanning the image of Hom(P, y) in Hom(K, y), for the cover
+    K >-> P of the free diagram P on slots[j] copies of Lambda at each j.
+
+    By the adjunction Hom(j_!(M), y) = Hom(M, y_j), a basis of Hom(P, y)
+    is one phi per (j, slot s, basis vector v of y_j): on the copy
+    (j, f: j -> a) of Lambda^slots[j], phi is y(f) o (lambda |-> v . lambda)
+    on slot s and zero on the other slots and copies.  Each row is
+    vec(phi o incl), built for all (s, v) of a part at once."""
+    shape, p, d = y.shape, y.alg.p, y.alg.dim
+    middle, sub, incl = cover.middle, cover.sub, cover.left.comps
+    sizes = [slots[j] * d for j in shape.objects]
+    copies = free_copies(shape, list(zip(shape.objects, sizes)))
+    if any(sum(sizes[k] for k, _, _ in copies[o]) != middle.at(o).dim for o in shape.objects):
+        raise DiagramError("the cover's middle is not the free diagram on the generator slots")
+    rows = [np.zeros((0, sum(y.at(o).dim * sub.at(o).dim for o in shape.objects)), dtype=np.int64)]
+    for k, j in enumerate(shape.objects):
+        n, m = slots[j], y.at(j).dim
+        if n * m == 0:
+            continue
+        # legs[v] = [A_0 v, ..., A_{d-1} v], the matrix of lambda |-> v . lambda
+        legs = np.array([a.a for a in y.at(j).action]).transpose(2, 1, 0)
+        blocks = []
+        for o in shape.objects:
+            out = np.zeros((n, m, y.at(o).dim, sub.at(o).dim), dtype=np.int64)
+            for c, f, off in copies[o]:
+                if c == k:
+                    moved = y.mat(f).a @ legs % p
+                    out += moved[None] @ incl[o].a[off : off + n * d].reshape(n, 1, d, sub.at(o).dim)
+            blocks.append(out.reshape(n * m, -1) % p)
+        rows.append(np.concatenate(blocks, axis=1))
+    return np.concatenate(rows)
 
 
 # -- pointwise Kan extensions ----------------------------------------------------

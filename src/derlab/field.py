@@ -24,7 +24,9 @@ negation and scale reduce once.
 
 from __future__ import annotations
 
+import operator
 import threading
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -135,9 +137,11 @@ class Mat:
 
     @staticmethod
     def identity(p: int, n: int) -> "Mat":
-        out = np.zeros((n, n), dtype=np.int64)
-        out.flat[:: n + 1] = 1
-        return Mat._of(_checked_modulus(p), out)
+        """The n x n identity.  Up to IDENTITY_MAX_CACHED, one read-only
+        instance per (p, n) is handed out again; p and n are checked first,
+        since a float p or n hashes like the integer it equals."""
+        p, n = _checked_modulus(p), operator.index(n)
+        return _identity(p, n) if n <= IDENTITY_MAX_CACHED else _new_identity(p, n)
 
     # -- basic structure ----------------------------------------------
 
@@ -233,6 +237,18 @@ class Mat:
 _new = object.__new__
 _set_p = Mat.__dict__["p"].__set__
 _set_a = Mat.__dict__["a"].__set__
+
+
+def _new_identity(p: int, n: int) -> Mat:
+    out = np.zeros((n, n), dtype=np.int64)
+    out.flat[:: n + 1] = 1
+    return Mat._of(p, out)
+
+
+# Identities of at most this size are shared, at most 256 of them (under
+# 8.5 MB when full).  Diagram.mat alone asks for one per identity morphism.
+IDENTITY_MAX_CACHED = 64
+_identity = lru_cache(maxsize=256)(_new_identity)
 
 
 def product_defect(p: int, *terms: Tuple[np.ndarray, np.ndarray], c=0):

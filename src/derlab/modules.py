@@ -381,14 +381,17 @@ def injective_embed(m: Module) -> Conflation:
     """Conflation  m >--> E -->> cosyzygy  with E injective.
 
     Built as the linear dual of a free cover over the opposite algebra;
-    over a self-injective algebra E is projective as well.
+    over a self-injective algebra E is projective as well.  Kept by content
+    (`Algebra.kept`); the inflation leaves the caller's m.
     """
-    dm = dual_module(m)
-    op_cover = free_cover(dm)
+    emb, out_map = m.alg.kept("injective_embed", module_key(m), m.dim, lambda: _injective_embed(m))
+    return Conflation(ModuleMap(m, emb.tgt, emb.mat), out_map)
+
+
+def _injective_embed(m: Module) -> Tuple[ModuleMap, ModuleMap]:
+    op_cover = free_cover(dual_module(m))
     emb = ModuleMap(m, dual_module(op_cover.middle), op_cover.right.mat.T)
-    cosyz = dual_module(op_cover.sub)
-    out_map = ModuleMap(emb.tgt, cosyz, op_cover.left.mat.T)
-    return Conflation(emb, out_map)
+    return emb, ModuleMap(emb.tgt, dual_module(op_cover.sub), op_cover.left.mat.T)
 
 
 def is_projective(m: Module) -> bool:

@@ -11,30 +11,35 @@ ranks or by a certified construction, and the tests compare the two:
   and matching data, against the rank predicates;
 - triangle_composites_vanish_stably: the three composites of a triangle
   from a conflation vanish in the stable category, by the stable hom
-  spaces.
+  spaces;
+- ext1_by_kernel: Ext^1 with the image of Hom(P, y) from the kernel of
+  its equations, against diagrams.ext1, which takes it from the
+  adjunction.
 
 The library must not call them: the tests assert that it has no
 contraction_on_window and no split_section_diagrams.
 """
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from derlab.complexes import LazyComplex
 from derlab.diagrams import (
+    Diagram,
     DiagramMap,
     compose_diagram_maps,
     hom_space_diagrams,
     identity_diagram_map,
+    projective_cover_diagram,
     solve_in_hom,
     vec_diagram_map,
     zero_diagram_map,
 )
-from derlab.field import Mat, rank, solve
+from derlab.field import Mat, column_space_basis, hstack, rank, solve
 from derlab.gorenstein import LatchingDatum, MatchingDatum
 from derlab.homotopy import Triangle, stable_hom_diagrams, suspension_on_map
-from derlab.modules import is_projective, quotient_module
+from derlab.modules import class_reps, is_projective, quotient_module
 
 
 def contraction_on_window(c: LazyComplex, lo: int, hi: int) -> Optional[Dict[int, DiagramMap]]:
@@ -105,3 +110,18 @@ def triangle_composites_vanish_stably(tri: Triangle) -> bool:
     three = compose_diagram_maps(sus_f, tri.delta)
     rep3 = stable_hom_diagrams(tri.delta.src, sus_f.tgt)
     return rep3.in_proj_subspace(three)
+
+
+def ext1_by_kernel(x: Diagram, y: Diagram) -> Tuple[int, Mat, List[DiagramMap]]:
+    """(dim, image of Hom(P, y) in Hom(K, y), class representatives) of
+    Ext^1(x, y) over the cover K >-> P ->> x, with Hom(P, y) solved for
+    as a kernel and composed with the inclusion."""
+    cover = projective_cover_diagram(x)
+    incl = cover.left
+    from_p = hom_space_diagrams(cover.middle, y)
+    from_k = hom_space_diagrams(cover.sub, y)
+    if not from_k:
+        return 0, Mat.zeros(x.alg.p, 0, 0), []
+    img = [vec_diagram_map(compose_diagram_maps(h, incl)) for h in from_p]
+    sub = column_space_basis(hstack(img)) if img else Mat.zeros(x.alg.p, vec_diagram_map(from_k[0]).rows, 0)
+    return len(from_k) - sub.cols, sub, class_reps(from_k, vec_diagram_map, sub)

@@ -195,6 +195,29 @@ def test_non_integer_moduli_are_refused_not_truncated():
         assert type(Mat.zeros(p, 1, 1).p) is int and type(Mat.identity(p, 1).p) is int
 
 
+def test_identities_are_shared_read_only_and_bounded():
+    eye = Mat.identity(3, 4)
+    assert Mat.identity(3, 4) is eye and Mat.identity(np.int64(3), np.int64(4)) is eye
+    assert Mat.identity(5, 4) is not eye and Mat.identity(3, 5) is not eye
+    assert eye.a.tolist() == np.identity(4, dtype=np.int64).tolist() and not eye.a.flags.writeable
+    big = field.IDENTITY_MAX_CACHED + 1
+    assert Mat.identity(3, big) is not Mat.identity(3, big) and Mat.identity(3, big) == Mat.identity(3, big)
+    assert field._identity.cache_info().maxsize == 256
+
+
+def test_a_float_modulus_or_size_is_refused_after_the_identity_is_cached():
+    # 2.0 == 2 and hash(2.0) == hash(2): a cache read before the check would
+    # hand out the F_2 identity for a float modulus
+    Mat.identity(2, 3)
+    Mat.identity(3, 2)
+    for p in (2.0, np.float64(2.0), True):
+        with pytest.raises(FieldError, match="modulus must be an integer"):
+            Mat.identity(p, 3)
+    for n in (2.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            Mat.identity(3, n)
+
+
 # -- the memoized kernel against a plain reference ---------------------------
 
 

@@ -1,6 +1,7 @@
 """Projective covers, embeddings, Gorenstein Kan extensions, stable Homs,
-quotients, submodules, generator legs and projectivity are kept per
-algebra, keyed by content.
+quotients, submodules, generator legs, projectivity and injective
+envelopes are kept per algebra, keyed by content; free diagrams and the
+latching data of a free diagram are kept by their name (free_name).
 
 A hit must give the bytes a cold build gives, wrap the caller's own
 objects, stay within the memo's bounds and never cross algebra instances.
@@ -8,8 +9,13 @@ The autouse `cold_memos` fixture (conftest.py) empties the memos before
 every test.
 """
 
+import json
 import random
+import re
+import sys
+import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +23,12 @@ import derlab.algebra as algebra
 import derlab.diagrams as diagrams
 import derlab.gorenstein as gorenstein
 import derlab.modules as modules
+from derlab import cli
 from derlab.algebra import clear_memos, dual_numbers
 from derlab.cats import arrow_category, cospan_category, square_category
-from derlab.diagrams import Diagram, constant_diagram, diagram_key, identity_diagram_map, projective_cover_diagram, pushout_diagrams
+from derlab.diagrams import Diagram, constant_diagram, diagram_key, free_diagram, free_name, identity_diagram_map, projective_cover_diagram, pushout_diagrams
 from derlab.field import Mat, rank, remember
-from derlab.gorenstein import approx_gproj, embed_gproj_into_proj, hull_ginj, is_gproj
+from derlab.gorenstein import approx_gproj, embed_gproj_into_proj, free_latching, hull_ginj, is_gproj, latching
 from derlab.homotopy import loop_via_square
 from derlab.modules import (
     Module,
@@ -30,6 +37,7 @@ from derlab.modules import (
     free_module,
     generator_legs,
     hom_space,
+    injective_embed,
     is_projective,
     module_key,
     quotient_module,
@@ -38,11 +46,22 @@ from derlab.modules import (
 )
 from derlab.samples import all_modules
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 # One loop_via_square pass over the 344 modules of dim <= 4 over
 # F_2[x]/(x^2) builds at most this many embeddings and Kan extensions (16
 # and 17 when this was written, for 343 and 344 calls).
 LOOP_BUILDS = 20
-MODULE_MEMOS = ("quotient_module", "submodule", "generator_legs", "is_projective")
+MODULE_MEMOS = ("quotient_module", "submodule", "generator_legs", "is_projective", "injective_embed")
+# the memo each recorded builder fills
+BUILDER_MEMOS = {
+    "_cover": "projective_cover_diagram",
+    "_embedding": "embed_gproj_into_proj",
+    "gproj_left_kan_data": "gproj_left_kan",
+    "_free_diagram": "free_diagram",
+    "_free_latching": "free_latching",
+    **{"_" + name: name for name in MODULE_MEMOS},
+}
 
 
 def _one_of_each_type(alg):
@@ -53,14 +72,14 @@ def _one_of_each_type(alg):
     return [firsts[t] for t in sorted(firsts)]
 
 
-def _seeded_f3_diagrams():
-    """Two functorial, not Gorenstein-projective diagrams over each of the
-    arrow, cospan and square, of nonzero F_3[x]/(x^2)-modules of dim <= 2
-    and random maps."""
+def _seeded_f3_diagrams(seeds=(1, 2)):
+    """One functorial, not Gorenstein-projective diagram per seed over each
+    of the arrow, cospan and square, of nonzero F_3[x]/(x^2)-modules of dim
+    <= 2 and random maps."""
     alg = dual_numbers(3)
     mods = [m for m in all_modules(alg, 2) if m.dim]
     out = []
-    for seed in (1, 2):
+    for seed in seeds:
         rng = random.Random(seed)
         for shape in (arrow_category(), cospan_category(), square_category()):
             while True:
@@ -98,9 +117,10 @@ def _approx_bytes(x):
 
 def _record_builds(monkeypatch):
     """The input of every construction built from now on, by builder name:
-    the diagram of a cover, embedding or Kan extension, the module of a
-    quotient, submodule, set of generator legs or projectivity test."""
-    builders = {"_cover": diagrams, "_embedding": gorenstein, "gproj_left_kan_data": gorenstein}
+    the diagram of a cover, embedding, Kan extension or free latching data,
+    the parts of a free diagram, the module of a quotient, submodule, set
+    of generator legs, projectivity test or injective envelope."""
+    builders = {"_cover": diagrams, "_free_diagram": diagrams, "_embedding": gorenstein, "gproj_left_kan_data": gorenstein, "_free_latching": gorenstein}
     builders.update({"_" + name: modules for name in MODULE_MEMOS})
     built = {name: [] for name in builders}
     for name, inputs in built.items():
@@ -114,9 +134,10 @@ def _record_builds(monkeypatch):
     return built
 
 
-def _size(x):
-    """What Algebra.kept compares with MEMO_MAX_TOTAL_DIM."""
-    return x.dim if isinstance(x, Module) else x.total_dim()
+def _counts_since(before):
+    """memo_counts() minus the counts before, by memo name."""
+    zero = dict.fromkeys(("lookups", "hits", "builds", "not_kept"), 0)
+    return {name: {k: v - before.get(name, zero)[k] for k, v in c.items()} for name, c in algebra.memo_counts().items()}
 
 
 @pytest.mark.parametrize("case", ["stability-types", "f3-diagrams"])
@@ -127,24 +148,31 @@ def test_warm_memos_give_the_bytes_of_cold_ones(dn, monkeypatch, case):
     for x in inputs:
         clear_memos()
         cold.append(digest(x))
-    filling_builds = _record_builds(monkeypatch)
+    before = algebra.memo_counts()
     filling = [digest(x) for x in inputs]  # later inputs hit what earlier ones kept
     alg = inputs[0].alg
     assert sum(len(memo) for a in (alg, alg.opposite()) for memo in a._memos.values()) > 0
-    keepable = lambda xs: [x for x in xs if _size(x) <= algebra.MEMO_MAX_TOTAL_DIM]
-    filled = {name: len(keepable(xs)) for name, xs in filling_builds.items()}
+    filled = _counts_since(before)
+    before = algebra.memo_counts()
     built = _record_builds(monkeypatch)
     warm = [digest(x) for x in inputs]
     assert filling == cold and warm == cold
+    counts = _counts_since(before)
+    assert {"free_diagram", "free_latching", "injective_embed"} <= set(counts)
     # the warm pass built only what is too large to be kept, but for the
     # quotients of stability-types: its iso searches try 108 distinct cones
     # (85 for k^3 alone), once each, more than MEMO_MAX_ENTRIES, so that memo
     # has evicted each cone before the next pass asks for it
-    for name, xs in built.items():
-        if case == "stability-types" and name == "_quotient_module":
-            assert 0 < len(keepable(xs)) <= filled[name]
+    for name, c in counts.items():
+        assert c["lookups"] == c["hits"] + c["builds"]
+        if case == "stability-types" and name == "quotient_module":
+            assert 0 < c["builds"] <= filled[name]["builds"]
         else:
-            assert not keepable(xs)
+            assert c["builds"] == 0
+    # every recorded build is a miss or an input too large to keep
+    none = {"builds": 0, "not_kept": 0}
+    for builder, name in BUILDER_MEMOS.items():
+        assert len(built[builder]) == counts.get(name, none)["builds"] + counts.get(name, none)["not_kept"]
 
 
 def test_a_hit_wraps_the_callers_diagram(dn, simple, reg, monkeypatch):
@@ -203,7 +231,14 @@ def test_a_module_construction_hit_wraps_the_callers_module(dn, simple, reg, mon
     legs, legs2 = generator_legs(m), generator_legs(c)
     assert legs2 == legs and legs2 is not legs  # each call gets its own list
     assert is_projective(m) is is_projective(c) is False
-    assert all(built["_" + name] == [m] for name in MODULE_MEMOS)  # the copy c hit every memo
+    # an envelope is built from the dual module, whose constructions are
+    # recorded too: so it comes last
+    env, env2 = injective_embed(m), injective_embed(c)
+    assert env.left.src is m and env2.left.src is c and env2.middle is env.middle and env2.right is env.right
+    assert env2.left.mat == env.left.mat
+    env2.validate()
+    assert all(built["_" + name][:1] == [m] for name in MODULE_MEMOS)
+    assert all(x.alg is not dn for name in MODULE_MEMOS for x in built["_" + name][1:])  # the copy c hit every memo
 
 
 def test_a_span_that_is_not_invariant_is_refused_and_not_kept(dn, reg, monkeypatch):
@@ -247,6 +282,7 @@ def test_memos_stay_within_their_bounds(dn, monkeypatch):
     submodule(huge, huge.action[1])
     generator_legs(huge)
     is_projective(huge)
+    injective_embed(huge)
     assert not any(dn._memos.get(name) for name in MODULE_MEMOS)
 
     monkeypatch.setattr(algebra, "MEMO_MAX_ENTRIES", 3)
@@ -255,9 +291,10 @@ def test_memos_stay_within_their_bounds(dn, monkeypatch):
         approx_gproj(x)
         hull_ginj(x)
         for alg in (x.alg, x.alg.opposite()):
-            for name in ("embed_gproj_into_proj", "projective_cover_diagram") + MODULE_MEMOS:
+            for name in ("embed_gproj_into_proj", "projective_cover_diagram", "free_diagram", "free_latching") + MODULE_MEMOS:
                 assert len(alg._memos.get(name, {})) <= 3
     assert len(built["_cover"]) > 6  # both cover memos were full
+    assert len(built["_free_diagram"]) > 6 and len(built["_free_latching"]) > 6  # and so were the free ones
     assert all(len(built["_" + name]) > 6 for name in MODULE_MEMOS)  # and so were the module memos
     # a diagram above the size cap is neither looked up nor kept
     big_x = constant_diagram(arrow_category(), dn, free_module(dn, 9))
@@ -345,3 +382,100 @@ def test_one_loop_pass_builds_few_embeddings_and_kan_extensions(dn, monkeypatch)
     assert len(built["gproj_left_kan_data"]) <= LOOP_BUILDS
     # every stable Hom of the pass is kept: each distinct pair is built once
     assert stable_built and set(Counter(stable_built).values()) == {1}
+
+
+def test_a_free_diagram_is_kept_by_its_name_and_sized_by_its_parts(dn, simple, reg, monkeypatch):
+    square = square_category()
+    parts = [("(0,0)", direct_sum([reg] * 5)[0]), ("(1,1)", simple)]
+    q = free_diagram(square, dn, parts)
+    assert q.total_dim() > algebra.MEMO_MAX_TOTAL_DIM >= free_name(square, parts)[1] == 11
+    copies = [(j, Module(dn, [Mat(2, a.a.copy()) for a in m.action])) for j, m in parts]
+    built = _record_builds(monkeypatch)
+    assert free_diagram(square, dn, copies) is q and built["_free_diagram"] == []
+    # a name over the opposite algebra is kept by the opposite, never handed to dn
+    op = dn.opposite()
+    op_parts = [(j, Module(op, list(m.action))) for j, m in parts]
+    assert free_name(square, op_parts) == free_name(square, parts)
+    q_op = free_diagram(square, op, op_parts)
+    assert q_op is not q and q_op.alg is op and all(q_op.at(o).alg is op for o in square.objects)
+    assert free_diagram(square, dn, parts) is q and free_diagram(square, op, op_parts) is q_op
+    # parts above the dim bound are built on every call and not kept
+    big = [("(0,0)", free_module(dn, 17))]
+    assert free_name(square, big)[1] > algebra.MEMO_MAX_TOTAL_DIM
+    assert free_diagram(square, dn, big) is not free_diagram(square, dn, big)
+    assert len(built["_free_diagram"]) == 3 and list(dn._memos["free_diagram"]) == [free_name(square, parts)[0]]
+    assert algebra.memo_counts()["free_diagram"]["not_kept"] == 2
+
+
+def test_a_free_latching_hit_wraps_the_callers_diagram(dn, simple, reg, monkeypatch):
+    square = square_category()
+    parts = [("(0,0)", reg), ("(0,1)", simple)]
+    q = free_diagram(square, dn, parts)
+    q2 = diagrams._free_diagram(square, dn, parts)  # the same name, another object
+    assert q2 is not q and diagram_key(q2) == diagram_key(q)
+    built = _record_builds(monkeypatch)
+    first, second = free_latching(q, parts), free_latching(q2, parts)
+    assert built["_free_latching"] == [q]
+    for j in square.objects:
+        cold = latching(q2, j)
+        lat = second[j]
+        assert lat.map.tgt is q2.at(j) and lat.module is first[j].module and lat.pres is cold.pres
+        assert lat.map.mat == cold.map.mat and lat.module.dim == cold.module.dim
+        assert all(leg.src is q2.at(lat.pres.pairs[o][0]) and leg.mat == cold.cocone[o].mat for o, leg in lat.cocone.items())
+        lat.map.validate()
+
+
+def test_each_free_diagram_is_built_once_per_name(monkeypatch):
+    xs = _seeded_f3_diagrams(range(1, 11))
+    assert len(xs) == 30
+    names = []
+
+    def recording(shape, alg, parts, _original=diagrams._free_diagram):
+        names.append((alg, free_name(shape, parts)[0]))
+        return _original(shape, alg, parts)
+
+    monkeypatch.setattr(diagrams, "_free_diagram", recording)
+    for x in xs:
+        approx_gproj(x)
+        hull_ginj(x)
+    assert len(names) > 30 and set(Counter(names).values()) == {1}
+    counts = algebra.memo_counts()["free_diagram"]
+    assert counts["builds"] + counts["not_kept"] == len(names) and counts["lookups"] == counts["hits"] + counts["builds"]
+
+
+def test_memo_counts_count_lookups_hits_builds_and_inputs_not_kept(dn, simple):
+    assert algebra.memo_counts() == {}
+    m = direct_sum([simple, simple])[0]
+    for _ in range(3):
+        is_projective(m)
+    is_projective(free_module(dn, 17))
+    assert algebra.memo_counts()["is_projective"] == {"lookups": 3, "hits": 2, "builds": 1, "not_kept": 1}
+    clear_memos()
+    assert algebra.memo_counts() == {}
+    # a scenario run counts, and its report carries none of it
+    report, code = cli.run_scenario(str(SCENARIOS / "regression.json"))
+    assert code == 0 and algebra.memo_counts()
+    assert not re.search(r"lookups|not_kept|memo", json.dumps(report))
+
+
+def test_memo_counts_lose_no_update_under_threads(dn, simple):
+    m = direct_sum([simple, simple])[0]
+    is_projective(m)
+    calls = 2000
+
+    def work():
+        for _ in range(calls):
+            is_projective(m)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert algebra.memo_counts()["is_projective"] == {"lookups": 1 + 4 * calls, "hits": 4 * calls, "builds": 1, "not_kept": 0}
