@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import Algebra, require_self_injective
 from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_category
-from .field import DerlabError, Mat, block, block_diag, hstack, invert, kernel_basis, product_defect, rank, solve
+from .field import DerlabError, Mat, block, block_diag, hstack, invert, kernel_basis, product_defect, rank, solve, solve_by_pivots
 from .modules import Module, ModuleMap, dual_module, generators, is_projective, split_section, submodule, zero_module
 from .diagrams import (
     Diagram,
@@ -30,7 +30,7 @@ from .diagrams import (
     block_sum_diagram,
     cokernel_diagram,
     dual_diagram,
-    factor_matrix_through_surjection,
+    factor_by_section,
     identity_diagram_map,
     kernel_diagram,
     left_kan_from_point,
@@ -324,12 +324,12 @@ def _termwise_contraction(c: LazyComplex, lo: int, hi: int) -> Optional[List[_Co
         sections, rho = {}, {}
         for k in range(lo - 1, hi + 1):
             b, incl = bounds[k + 1]
-            dbar = _coordinates(incl.mat, c.diff(k).comps[o])
+            dbar = _coordinates(incl, c.diff(k).comps[o])
             sections[k] = _section(dbar, b, term[k])
             if sections[k] is None:
                 return None
             if k >= lo:
-                rho[k] = _coordinates(bounds[k][1].mat, Mat.identity(p, term[k].dim) - sections[k] @ dbar)
+                rho[k] = _coordinates(bounds[k][1], Mat.identity(p, term[k].dim) - sections[k] @ dbar)
         top, top_incl = bounds[hi + 1]
         dual_section = _section(top_incl.mat.T, dual_module(top), dual_module(term[hi + 1]))
         if dual_section is None:
@@ -360,8 +360,9 @@ def _section(dbar: Mat, b: Module, src: Module) -> Optional[Mat]:
     return hstack([a @ lifts for a in src.action]) @ free
 
 
-def _coordinates(incl: Mat, m: Mat) -> Mat:
-    x = solve(incl, m)
+def _coordinates(incl: ModuleMap, m: Mat) -> Mat:
+    """The c with incl c = m, read off the inclusion's pivot rows."""
+    x = solve_by_pivots(incl.mat, incl.pivots, m)
     if x is None:
         raise VerificationError("a contraction's map leaves the boundaries")
     return x
@@ -408,7 +409,7 @@ def induced_on_cohomology(f: ComplexMap, k: int) -> DiagramMap:
         zeta = solve(b_incl.comps[o], f.comp(k).comps[o] @ a_incl.comps[o])
         if zeta is None:
             raise VerificationError("cocycles are not preserved")
-        comps[o] = factor_matrix_through_surjection(b_proj.comps[o] @ zeta, a_proj.comps[o])
+        comps[o] = factor_by_section(b_proj.comps[o] @ zeta, a_proj.comps[o], a_proj.sections[o])
     return DiagramMap(a_proj.tgt, b_proj.tgt, comps)
 
 

@@ -26,7 +26,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import DerlabError, FieldError, Mat, block, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, solve, vstack
+from .field import DerlabError, FieldError, Mat, block, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, solve, solve_by_pivots, vstack
 from .modules import (
     Conflation,
     Module,
@@ -43,6 +43,7 @@ from .modules import (
     quotient_module,
     solve_in_basis,
     submodule,
+    sum_module,
     zero_module,
 )
 
@@ -136,12 +137,17 @@ def by_content(name: str, x: Diagram, build: Callable[[], object], *extra):
 
 
 class DiagramMap:
-    __slots__ = ("src", "tgt", "comps")
+    """A map of diagrams by its components.  A cokernel projection and the
+    legs of a pushout carry a section per object (ModuleMap.section), which
+    at(o) hands on; sections is None elsewhere."""
 
-    def __init__(self, src: Diagram, tgt: Diagram, comps: Dict[str, Mat]) -> None:
+    __slots__ = ("src", "tgt", "comps", "sections")
+
+    def __init__(self, src: Diagram, tgt: Diagram, comps: Dict[str, Mat], sections: Optional[Dict[str, np.ndarray]] = None) -> None:
         self.src = src
         self.tgt = tgt
         self.comps = dict(comps)
+        self.sections = sections
         for o in src.shape.objects:
             c = self.comps[o]
             if c.a.shape != (tgt.at(o).dim, src.at(o).dim):
@@ -150,7 +156,7 @@ class DiagramMap:
                 raise FieldError(f"mixed moduli {c.p} and {src.alg.p}")
 
     def at(self, o: str) -> ModuleMap:
-        return ModuleMap(self.src.at(o), self.tgt.at(o), self.comps[o])
+        return ModuleMap(self.src.at(o), self.tgt.at(o), self.comps[o], None if self.sections is None else self.sections[o])
 
     def validate(self) -> "DiagramMap":
         for o in self.src.shape.objects:
@@ -241,7 +247,7 @@ def block_sum_diagram(xs: Sequence[Diagram]) -> Diagram:
     shape, alg, p = xs[0].shape, xs[0].alg, xs[0].alg.p
     if any(x.alg is not alg for x in xs):
         raise DiagramError("a direct sum of diagrams requires a shared algebra instance")
-    modules = {o: Module(alg, [block_diag(p, acts) for acts in zip(*(x.at(o).action for x in xs))]) for o in shape.objects}
+    modules = {o: sum_module([x.at(o) for x in xs]) for o in shape.objects}
     return Diagram(shape, alg, modules, {f: block_diag(p, [x.mat(f) for x in xs]) for f in shape.nonidentity_morphisms()})
 
 
@@ -423,18 +429,18 @@ def solve_in_hom(x: Diagram, y: Diagram, constraints: List[Tuple[DiagramMap, Dia
 
 
 def kernel_diagram(phi: DiagramMap) -> Tuple[Diagram, DiagramMap]:
+    """The kernel of phi, object by object.  A structure map f: a -> b is
+    read off the pivot rows of the inclusion at b: (x(f) incl_a)[pivots_b],
+    certified by one product (solve_by_pivots)."""
     shape, alg = phi.src.shape, phi.src.alg
     kmods: Dict[str, Module] = {}
     incls: Dict[str, ModuleMap] = {}
     for o in shape.objects:
-        kmod, kincl = submodule(phi.src.at(o), kernel_basis(phi.comps[o]))
-        kmods[o] = kmod
-        incls[o] = kincl
+        kmods[o], incls[o] = submodule(phi.src.at(o), kernel_basis(phi.comps[o]))
     mats = {}
     for f in shape.nonidentity_morphisms():
         a, b = shape.src(f), shape.tgt(f)
-        moved = phi.src.mat(f) @ incls[a].mat
-        coords = solve(incls[b].mat, moved)
+        coords = solve_by_pivots(incls[b].mat, incls[b].pivots, phi.src.mats[f] @ incls[a].mat)
         if coords is None:
             raise DiagramError("kernel is not preserved by the structure maps")
         mats[f] = coords
@@ -443,23 +449,38 @@ def kernel_diagram(phi: DiagramMap) -> Tuple[Diagram, DiagramMap]:
 
 
 def cokernel_diagram(phi: DiagramMap) -> Tuple[Diagram, DiagramMap]:
+    """The cokernel of phi, object by object, its projection carrying its
+    sections.  A structure map f: a -> b is read off the section of the
+    projection at a: (proj_b x(f))[:, section_a] (factor_by_section)."""
     shape, alg = phi.src.shape, phi.src.alg
     qmods: Dict[str, Module] = {}
     projs: Dict[str, ModuleMap] = {}
     for o in shape.objects:
-        qmod, qproj = quotient_module(phi.tgt.at(o), phi.comps[o])
-        qmods[o] = qmod
-        projs[o] = qproj
+        qmods[o], projs[o] = quotient_module(phi.tgt.at(o), phi.comps[o])
     mats = {}
     for f in shape.nonidentity_morphisms():
         a, b = shape.src(f), shape.tgt(f)
-        mats[f] = factor_matrix_through_surjection(projs[b].mat @ phi.tgt.mat(f), projs[a].mat)
+        mats[f] = factor_by_section(projs[b].mat @ phi.tgt.mats[f], projs[a].mat, projs[a].section)
     quot = Diagram(shape, alg, qmods, mats)
-    return quot, DiagramMap(phi.tgt, quot, {o: projs[o].mat for o in shape.objects})
+    return quot, DiagramMap(phi.tgt, quot, {o: projs[o].mat for o in shape.objects}, {o: projs[o].section for o in shape.objects})
+
+
+def factor_by_section(t: Mat, sigma: Mat, section: np.ndarray) -> Mat:
+    """phi with phi @ sigma = t for a sigma that is the identity on its
+    columns section, as a quotient projection is on its non-pivot ones:
+    phi = t[:, section], certified by one product (the transpose of
+    field.solve_by_pivots).  sigma is onto, so phi is the one
+    factor_matrix_through_surjection solves for, and a t that does not
+    factor raises its DiagramError."""
+    phi = t.a[:, section]
+    if product_defect(t.p, (phi, sigma.a), c=t.a):
+        raise DiagramError("map does not factor through the surjection")
+    return Mat._of(t.p, phi)
 
 
 def factor_matrix_through_surjection(t: Mat, sigma: Mat) -> Mat:
-    """phi with phi @ sigma = t, given that t kills ker(sigma); verified."""
+    """phi with phi @ sigma = t, given that t kills ker(sigma); verified.
+    By a solve, for a surjection that carries no section."""
     phi_t = solve(sigma.T, t.T)
     if phi_t is None:
         raise DiagramError("map does not factor through the surjection")
@@ -469,8 +490,17 @@ def factor_matrix_through_surjection(t: Mat, sigma: Mat) -> Mat:
     return phi
 
 
+def _section_shares(section: np.ndarray, dims: Sequence[int]) -> List[np.ndarray]:
+    """A section of a map out of a direct sum, cut into the shares of the
+    summands of the given dims, each in its summand's own columns."""
+    offsets = list(accumulate([0] + list(dims)))
+    cuts = np.searchsorted(section, offsets)
+    return [section[cuts[k] : cuts[k + 1]] - offsets[k] for k in range(len(dims))]
+
+
 def colimit_of_diagram(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
-    """Pointwise colimit: coker of the standard difference map, plus the cocone."""
+    """Pointwise colimit: coker of the standard difference map, plus the
+    cocone, whose legs carry their shares of the projection's section."""
     shape, alg = x.shape, x.alg
     p = alg.p
     objs = shape.objects
@@ -482,7 +512,10 @@ def colimit_of_diagram(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
         cols.append(inj_of[b].mat @ x.mat(f) - inj_of[a].mat)
     span = hstack(cols) if cols else Mat.zeros(p, sum_mod.dim, 0)
     colim, proj = quotient_module(sum_mod, span)
-    cocone = {o: compose(proj, inj_of[o]) for o in objs}
+    dims = [x.at(o).dim for o in objs]
+    offsets = accumulate([0] + dims)
+    shares = _section_shares(proj.section, dims)
+    cocone = {o: ModuleMap(x.at(o), colim, proj.mat[:, off : off + d], share) for o, off, d, share in zip(objs, offsets, dims, shares)}
     return colim, cocone
 
 
@@ -503,19 +536,36 @@ def limit_of_diagram(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
 
 
 def pushout_diagrams(f: DiagramMap, g: DiagramMap) -> Tuple[Diagram, DiagramMap, DiagramMap]:
-    """Pushout of x <-f- z -g-> y in the diagram category (componentwise)."""
+    """Pushout of x <-f- z -g-> y in the diagram category: at each object
+    the cokernel of (f, -g) on x_o (+) y_o.  A structure map h: a -> b is
+    read off the section of the projection at a, blockwise, building no
+    block-sum diagram: (proj_b (x(h) (+) y(h)))[:, section_a]
+    (factor_by_section).  The legs are the projection's two column blocks,
+    each carrying its share of the section."""
     if f.src is not g.src:
         raise DiagramError("pushout needs a shared source diagram")
     x, y = f.tgt, g.tgt
-    total = block_sum_diagram([x, y])
-    combined = DiagramMap(f.src, total, {o: vstack([f.comps[o], -g.comps[o]]) for o in x.shape.objects})
-    po, proj = cokernel_diagram(combined)
-    # the legs are the cokernel projection on the two summands: column slices
-    dims = {o: x.at(o).dim for o in x.shape.objects}
+    if x.alg is not y.alg:
+        raise DiagramError("a direct sum of diagrams requires a shared algebra instance")
+    shape, p = x.shape, x.alg.p
+    mods, projs, sections = {}, {}, {}
+    for o in shape.objects:
+        span = Mat._of(p, np.concatenate([f.comps[o].a, -g.comps[o].a % p]))
+        mods[o], proj = quotient_module(sum_module([x.at(o), y.at(o)]), span)
+        projs[o], sections[o] = proj.mat, proj.section
+    dims = {o: x.at(o).dim for o in shape.objects}
+    mats = {}
+    for h in shape.nonidentity_morphisms():
+        a, b = shape.src(h), shape.tgt(h)
+        proj, d = projs[b].a, dims[b]
+        moved = np.concatenate([proj[:, :d] @ x.mats[h].a, proj[:, d:] @ y.mats[h].a], axis=1) % p
+        mats[h] = factor_by_section(Mat._of(p, moved), projs[a], sections[a])
+    po = Diagram(shape, x.alg, mods, mats)
+    shares = {o: _section_shares(sections[o], [dims[o], y.at(o).dim]) for o in shape.objects}
     return (
         po,
-        DiagramMap(x, po, {o: c[:, : dims[o]] for o, c in proj.comps.items()}),
-        DiagramMap(y, po, {o: c[:, dims[o] :] for o, c in proj.comps.items()}),
+        DiagramMap(x, po, {o: c[:, : dims[o]] for o, c in projs.items()}, {o: s[0] for o, s in shares.items()}),
+        DiagramMap(y, po, {o: c[:, dims[o] :] for o, c in projs.items()}, {o: s[1] for o, s in shares.items()}),
     )
 
 
@@ -642,10 +692,20 @@ def from_colimit(colim: Module, cocone: Dict[str, ModuleMap], legs: Dict[str, Ma
     """The matrix of the map out of colim whose composite with each cocone
     leg cocone[o] is legs[o]; rows is the dim of the target.  The cocone
     is jointly onto, so the map is unique and the order of the legs does
-    not matter.  Legs that do not factor are a DiagramError."""
+    not matter.  Legs that do not factor are a DiagramError.
+
+    When every leg carries its share of a section of the cocone, in the
+    order the cocone was built (colimit_of_diagram's cocones, the legs of
+    pushout_diagrams), the map is read off that section (factor_by_section);
+    otherwise it is solved for (factor_matrix_through_surjection)."""
     if not cocone:
         return Mat.zeros(colim.alg.p, rows, colim.dim)
-    return factor_matrix_through_surjection(hstack([legs[o] for o in cocone]), hstack([c.mat for c in cocone.values()]))
+    t = hstack([legs[o] for o in cocone])
+    sigma = hstack([c.mat for c in cocone.values()])
+    if any(c.section is None for c in cocone.values()):
+        return factor_matrix_through_surjection(t, sigma)
+    offsets = accumulate([0] + [c.src.dim for c in cocone.values()])
+    return factor_by_section(t, sigma, np.concatenate([c.section + off for c, off in zip(cocone.values(), offsets)]))
 
 
 def left_kan_by_slices(

@@ -556,6 +556,17 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
     return Mat._of(a.p, x)
 
 
+def solve_by_pivots(a: Mat, pivots: np.ndarray, b: Mat) -> Optional[Mat]:
+    """x with a @ x = b for an a that is the identity on its rows pivots,
+    as a canonical column basis is on its pivot rows: x = b[pivots],
+    certified by one product, or None when b leaves the span of a.  a has
+    full column rank, so x is the x solve gives; rows that are not pivots
+    read off numbers that fail the product, or that x.  The transpose
+    reads a map out of a quotient off its section (diagrams.factor_by_section)."""
+    x = b.a[pivots]
+    return None if product_defect(a.p, (a.a, x), c=b.a) else Mat._of(a.p, x)
+
+
 def kernel_basis(m: Mat) -> Mat:
     """Columns form the canonical null-space basis (one per free variable,
     ordered by column index)."""

@@ -113,19 +113,19 @@ def latching(x: Diagram, j: str) -> LatchingDatum:
 def free_latching(q: Diagram, parts: List[Tuple[str, Module]]) -> Dict[str, LatchingDatum]:
     """latching(q, j) at every j, for q the free diagram on parts.  Kept
     per algebra by free_name(parts) and sized by the parts' total dim: the
-    matrices of each lambda_j and cocone, wrapped on every call around the
-    caller's q.  A memo over every latching call would be flooded, but the
-    names of free diagrams recur."""
+    matrices of each lambda_j and cocone, with the cocone's section,
+    wrapped on every call around the caller's q.  A memo over every
+    latching call would be flooded, but the names of free diagrams recur."""
     key, size = free_name(q.shape, parts)
     return {
-        j: LatchingDatum(L, ModuleMap(L, q.at(j), lam), pres, {o: ModuleMap(q.at(pres.pairs[o][0]), L, leg) for o, leg in legs.items()})
+        j: LatchingDatum(L, ModuleMap(L, q.at(j), lam), pres, {o: ModuleMap(q.at(pres.pairs[o][0]), L, *leg) for o, leg in legs.items()})
         for j, (L, lam, pres, legs) in q.alg.kept("free_latching", key, size, lambda: _free_latching(q)).items()
     }
 
 
 def _free_latching(q: Diagram) -> Dict[str, tuple]:
     lats = {j: latching(q, j) for j in q.shape.objects}
-    return {j: (lat.module, lat.map.mat, lat.pres, {o: leg.mat for o, leg in lat.cocone.items()}) for j, lat in lats.items()}
+    return {j: (lat.module, lat.map.mat, lat.pres, {o: (leg.mat, leg.section) for o, leg in lat.cocone.items()}) for j, lat in lats.items()}
 
 
 def matching(y: Diagram, j: str) -> MatchingDatum:

@@ -27,7 +27,6 @@ from .field import (
     DerlabError,
     FieldError,
     Mat,
-    block_diag,
     column_space_basis,
     common_modulus,
     hstack,
@@ -38,6 +37,7 @@ from .field import (
     rank,
     rref,
     solve,
+    solve_by_pivots,
     vstack,
 )
 from .verdict import FALSE, TRUE, UNKNOWN, Verdict
@@ -83,9 +83,17 @@ class Module:
 
 
 class ModuleMap:
-    __slots__ = ("src", "tgt", "mat")
+    """A module map src -> tgt by its matrix.  A map built as a canonical
+    projection or inclusion carries where its matrix is an identity block,
+    so a map out of its target or into its source is read off, not solved
+    for: section, the source columns on which a quotient projection is the
+    identity (for a leg of a colimit cocone, its share of the cocone's
+    section, see diagrams.from_colimit), and pivots, the target rows on
+    which a submodule inclusion is the identity.  Both are None elsewhere."""
 
-    def __init__(self, src: Module, tgt: Module, mat: Mat) -> None:
+    __slots__ = ("src", "tgt", "mat", "section", "pivots")
+
+    def __init__(self, src: Module, tgt: Module, mat: Mat, section: Optional[np.ndarray] = None, pivots: Optional[np.ndarray] = None) -> None:
         if mat.a.shape != (tgt.dim, src.dim):
             raise ModuleError(f"map matrix is {mat.rows}x{mat.cols}, expected {tgt.dim}x{src.dim}")
         if mat.p != src.alg.p:
@@ -93,6 +101,8 @@ class ModuleMap:
         self.src = src
         self.tgt = tgt
         self.mat = mat
+        self.section = section
+        self.pivots = pivots
 
     def validate(self) -> "ModuleMap":
         f, p = self.mat.a, self.src.alg.p
@@ -196,12 +206,9 @@ def direct_sum(mods: Sequence[Module]) -> Tuple[Module, List[ModuleMap], List[Mo
     if not mods:
         raise ModuleError("direct_sum of nothing needs an algebra; use zero_module")
     alg = mods[0].alg
-    if any(m.alg is not alg for m in mods):
-        raise ModuleError("direct_sum requires a shared algebra instance")
-    p = alg.p
-    total = Module(alg, [block_diag(p, [m.action[k] for m in mods]) for k in range(alg.dim)])
+    total = sum_module(mods)
     injs, projs = [], []
-    eye = Mat.identity(p, total.dim)
+    eye = Mat.identity(alg.p, total.dim)
     off = 0
     for m in mods:
         inj = eye[:, off : off + m.dim]
@@ -209,6 +216,22 @@ def direct_sum(mods: Sequence[Module]) -> Tuple[Module, List[ModuleMap], List[Mo
         projs.append(ModuleMap(total, m, inj.T))
         off += m.dim
     return total, injs, projs
+
+
+def sum_module(mods: Sequence[Module]) -> Module:
+    """The direct sum of the non-empty mods, their actions block_diag: the
+    module of direct_sum without its injections and projections."""
+    alg = mods[0].alg
+    if any(m.alg is not alg for m in mods):
+        raise ModuleError("direct_sum requires a shared algebra instance")
+    n = sum(m.dim for m in mods)
+    acts = np.zeros((alg.dim, n, n), dtype=np.int64)
+    off = 0
+    for m in mods:
+        for k, a in enumerate(m.action):
+            acts[k, off : off + m.dim, off : off + m.dim] = a.a
+        off += m.dim
+    return Module(alg, [Mat._of(alg.p, a) for a in acts])
 
 
 def free_module(alg: Algebra, n: int) -> Module:
@@ -262,37 +285,48 @@ def _span_key(amb: Module, span_cols: Mat):
 
 def submodule(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
     """Canonical submodule on the span of the given columns, kept by
-    content (`Algebra.kept`); the inclusion goes into the caller's amb.
+    content (`Algebra.kept`) with the pivot rows of its inclusion; the
+    inclusion goes into the caller's amb.
 
     Raises if the span is not invariant under the action.
     """
-    sub, incl = amb.alg.kept("submodule", _span_key(amb, span_cols), amb.dim, lambda: _submodule(amb, span_cols))
-    return sub, ModuleMap(sub, amb, incl)
+    sub, incl, pivots = amb.alg.kept("submodule", _span_key(amb, span_cols), amb.dim, lambda: _submodule(amb, span_cols))
+    return sub, ModuleMap(sub, amb, incl, pivots=pivots)
 
 
-def _submodule(amb: Module, span_cols: Mat) -> Tuple[Module, Mat]:
-    incl = column_space_basis(span_cols)  # amb.dim x r
-    r = incl.cols
-    coords = solve(incl, hstack([a @ incl for a in amb.action]))
+def _submodule(amb: Module, span_cols: Mat) -> Tuple[Module, Mat, np.ndarray]:
+    # the canonical column basis is the identity on its pivot rows, so the
+    # action's coordinates are those rows of A_k incl (solve_by_pivots)
+    red, r, pivots = rref(span_cols.T)
+    incl = red[:r].T  # amb.dim x r
+    pivots = _frozen(pivots)
+    coords = solve_by_pivots(incl, pivots, hstack([a @ incl for a in amb.action]))
     if coords is None:
         raise ModuleError("span is not action-invariant")
-    return Module(amb.alg, [coords[:, k * r : (k + 1) * r] for k in range(amb.alg.dim)]), incl
+    return Module(amb.alg, [coords[:, k * r : (k + 1) * r] for k in range(amb.alg.dim)]), incl, pivots
+
+
+def _frozen(indices) -> np.ndarray:
+    """indices as a read-only index array, safe to keep in a memo."""
+    out = np.array(indices, dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 def quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, ModuleMap]:
     """Canonical quotient by the (invariant) span of the given columns,
-    kept by content (`Algebra.kept`); the projection leaves the caller's
-    amb."""
-    quot, proj = amb.alg.kept("quotient_module", _span_key(amb, span_cols), amb.dim, lambda: _quotient_module(amb, span_cols))
-    return quot, ModuleMap(amb, quot, proj)
+    kept by content (`Algebra.kept`) with the section of its projection;
+    the projection leaves the caller's amb."""
+    quot, proj, section = amb.alg.kept("quotient_module", _span_key(amb, span_cols), amb.dim, lambda: _quotient_module(amb, span_cols))
+    return quot, ModuleMap(amb, quot, proj, section)
 
 
-def _quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, Mat]:
+def _quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, Mat, np.ndarray]:
     p = amb.alg.p
     red, r, pivots = rref(span_cols.T)
     nonpiv = np.ones(amb.dim, dtype=bool)
     nonpiv[pivots] = False
-    nonpiv = np.flatnonzero(nonpiv)
+    nonpiv = _frozen(np.flatnonzero(nonpiv))
     # reduce v by the canonical row basis, then keep the non-pivot coords:
     # the identity there, minus the pivot rows' non-pivot entries
     redmat = np.zeros((nonpiv.size, amb.dim), dtype=np.int64)
@@ -304,7 +338,7 @@ def _quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, Mat]:
     # the kill check against the span's canonical basis, the rows of red
     if product_defect(p, (redmat, red.a[:r].T)):
         raise ModuleError("quotient projection does not kill the span")
-    return quot, proj
+    return quot, proj, nonpiv
 
 
 def pushout(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:

@@ -14,7 +14,11 @@ ranks or by a certified construction, and the tests compare the two:
   spaces;
 - ext1_by_kernel: Ext^1 with the image of Hom(P, y) from the kernel of
   its equations, against diagrams.ext1, which takes it from the
-  adjunction.
+  adjunction;
+- factor_by_solve and coordinates_by_solve: maps out of a quotient and
+  into a submodule by a solve, the routes diagrams.factor_by_section and
+  field.solve_by_pivots replaced.  They take the same arguments, so a
+  test can put them in their place and rebuild every construction.
 
 The library must not call them: the tests assert that it has no
 contraction_on_window and no split_section_diagrams.
@@ -27,6 +31,7 @@ import numpy as np
 from derlab.complexes import LazyComplex
 from derlab.diagrams import (
     Diagram,
+    DiagramError,
     DiagramMap,
     compose_diagram_maps,
     hom_space_diagrams,
@@ -125,3 +130,21 @@ def ext1_by_kernel(x: Diagram, y: Diagram) -> Tuple[int, Mat, List[DiagramMap]]:
     img = [vec_diagram_map(compose_diagram_maps(h, incl)) for h in from_p]
     sub = column_space_basis(hstack(img)) if img else Mat.zeros(x.alg.p, vec_diagram_map(from_k[0]).rows, 0)
     return len(from_k) - sub.cols, sub, class_reps(from_k, vec_diagram_map, sub)
+
+
+def factor_by_solve(t: Mat, sigma: Mat, section=None) -> Mat:
+    """phi with phi @ sigma = t by a solve; the section is not read.  The
+    canonical solution, checked by a product; a t that does not factor
+    raises the DiagramError of diagrams.factor_by_section."""
+    phi_t = solve(sigma.T, t.T)
+    if phi_t is None:
+        raise DiagramError("map does not factor through the surjection")
+    assert phi_t.T @ sigma == t
+    return phi_t.T
+
+
+def coordinates_by_solve(a: Mat, pivots, b: Mat) -> Optional[Mat]:
+    """x with a @ x = b by a solve, or None; the pivots are not read."""
+    x = solve(a, b)
+    assert x is None or a @ x == b
+    return x

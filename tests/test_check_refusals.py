@@ -10,10 +10,19 @@ import pytest
 from derlab.algebra import Algebra, dual_numbers, validate_algebra
 from derlab.cats import arrow_category, square_category, terminal_category
 from derlab.complexes import ComplexMap, LazyComplex
-from derlab.diagrams import Diagram, DiagramError, DiagramMap, factor_matrix_through_surjection
+from derlab.diagrams import (
+    Diagram,
+    DiagramError,
+    DiagramMap,
+    cokernel_diagram,
+    colimit_of_diagram,
+    factor_matrix_through_surjection,
+    from_colimit,
+    kernel_diagram,
+)
 from derlab.field import FieldError, Mat
 from derlab.gorenstein import VerificationError, _latching_ranks, is_gproj
-from derlab.modules import Module, ModuleError, ModuleMap, hom_space, regular_module
+from derlab.modules import Module, ModuleError, ModuleMap, hom_space, regular_module, submodule
 from derlab.samples import random_gproj
 
 
@@ -139,3 +148,40 @@ def test_matrices_over_another_modulus_are_refused(f3):
     x = Diagram(shape, f3, {"0": reg, "1": reg}, {"e0": Mat.identity(3, 2)})
     with pytest.raises(FieldError, match=r"^mixed moduli 5 and 3$"):
         DiagramMap(x, x, {"0": Mat.identity(5, 2), "1": Mat.identity(5, 2)}).validate()
+
+
+def _identity_arrow(f3):
+    reg = regular_module(f3)
+    return Diagram(arrow_category(), f3, {"0": reg, "1": reg}, {"e0": Mat.identity(3, 2)})
+
+
+def test_the_kernel_of_a_non_natural_map_is_refused(f3):
+    # ker at 0 is everything, at 1 nothing: e0 cannot carry the one into the other
+    x = _identity_arrow(f3)
+    phi = DiagramMap(x, x, {"0": Mat.zeros(3, 2, 2), "1": Mat.identity(3, 2)})
+    with pytest.raises(DiagramError, match=r"^kernel is not preserved by the structure maps$"):
+        kernel_diagram(phi)
+
+
+def test_the_cokernel_of_a_non_natural_map_is_refused(f3):
+    # coker at 0 is nothing, at 1 everything: e0 has no map to induce
+    x = _identity_arrow(f3)
+    phi = DiagramMap(x, x, {"0": Mat.identity(3, 2), "1": Mat.zeros(3, 2, 2)})
+    with pytest.raises(DiagramError, match=r"^map does not factor through the surjection$"):
+        cokernel_diagram(phi)
+
+
+def test_legs_that_disagree_along_the_diagram_do_not_leave_the_colimit(f3):
+    x = _identity_arrow(f3)
+    colim, cocone = colimit_of_diagram(x)
+    assert from_colimit(colim, cocone, {"0": Mat.identity(3, 2), "1": Mat.identity(3, 2)}, 2).is_identity()
+    with pytest.raises(DiagramError, match=r"^map does not factor through the surjection$"):
+        from_colimit(colim, cocone, {"0": Mat.identity(3, 2), "1": Mat.zeros(3, 2, 2)}, 2)
+
+
+def test_a_span_that_is_not_invariant_is_not_a_submodule(f3):
+    # the span of the unit 1 of F_3[x]/(x^2) misses 1 . x = x
+    reg = regular_module(f3)
+    assert submodule(reg, Mat(3, [[0], [1]]))[0].dim == 1
+    with pytest.raises(ModuleError, match=r"^span is not action-invariant$"):
+        submodule(reg, Mat(3, [[1], [0]]))
