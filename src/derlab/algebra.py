@@ -25,34 +25,28 @@ class AlgebraError(DerlabError, ValueError):
 
 
 # Covers, embeddings into projective diagrams, Gorenstein Kan extensions,
-# stable Homs, quotients, submodules, generator legs, projectivity and
+# the deepest walk-back step of approx_gproj, stable Homs, stable-iso
+# verdicts, quotients, submodules, generator legs, projectivity and
 # injective envelopes are kept per algebra, keyed by content (diagram_key,
-# module_key, span bytes) and, for a Kan extension, the functor; free
-# diagrams and their latching data by name (diagrams.free_name).  One stability-p2 pass
-# over its 344 modules makes 343 embedding and 344 Kan calls on 16 and 17
-# distinct inputs, and 1376 stable_hom calls on 53 distinct pairs: all but
-# one (total dim 40, called once) are kept, so it builds each pair once, at
-# a peak RSS (2-vCPU host, seeds 71-80) of 44.0 MB against 42.0 MB when
-# only stable Homs of at most 4096 cells are kept (151 builds).
-# recognition-p3 inputs recur across items: in 150 batches (720 embedding
-# calls), memos of 8, 32, 64, 128 and 1024 entries build 603, 440, 343, 292
-# and 283 embeddings, and its peak RSS (seed 903, 2-vCPU host) is 40.4 MB
-# without memos, 41.5 MB with 64 entries and 43.0 MB with 128.  Only inputs
-# of total dim at most MEMO_MAX_TOTAL_DIM are looked up and kept, which
-# bounds an entry; on the benchmark workloads the largest cover input has
+# module_key, span and map bytes) and, for a Kan extension, the functor; an
+# iso verdict also by budget and seed; free diagrams and their latching
+# data by name (diagrams.free_name).  Hit rates per memo are in the README.
+# Inputs recur because canonical bases collapse them: one stability-p2 pass
+# over its 344 modules asks 17 Kan extensions, 16 walk-back steps and 17
+# iso searches for 344, 343 and 344 calls.  recognition-p3 inputs recur
+# less: in 150 batches, memos of 8, 32, 64, 128 and 1024 entries build 603,
+# 440, 343, 292 and 283 of 720 embeddings, at a peak RSS (seed 903, 2-vCPU
+# host) of 40.4 MB without memos, 41.5 MB with 64 entries and 43.0 MB with
+# 128.  Only inputs of total dim at most MEMO_MAX_TOTAL_DIM are looked up
+# and kept, which bounds an entry: the largest stable-Hom entry it admits,
+# two modules of dim 16, is 256 basis matrices of 16 x 16 and a 256 x 256
+# subspace, 1 MiB.  On the benchmark workloads the largest cover input has
 # total dim 12 and the largest embedding input 29, and stability-p2 leaves
-# out two Kan inputs (total dim 33 and 44).  The largest stable-Hom entry
-# the bound admits is that of two modules of dim 16: at most 256 basis
-# matrices of 16 x 16 and a 256 x 256 subspace, 131072 cells or 1 MiB.
-# The module constructions are the busiest memos (seed 5; calls, builds):
-# one stability-p2 pass asks 3258 and 318 quotients, 1415 and 37
-# submodules, 1598 and 765 generator-leg lists and 3001 and 82
-# projectivity tests; 150 recognition-p3 batches 9107 and 2910, 3489 and
-# 798, 3489 and 169, 5145 and 604.  No input of theirs is above the dim
-# bound.  The iso search of k^3 alone tries 85 distinct cones, each once, so
-# its quotients are gone from the memo by the next pass.  Keeping these four
-# raised peak RSS by 0.8-1.0 MB on each workload (medians of 10 runs,
-# 2-vCPU host): stability-p2 44.3 -> 45.2 MB, recognition-p3 42.4 -> 43.4.
+# out two Kan inputs and two walk-back steps.  Measured peak RSS (2-vCPU
+# host, medians of 10 runs): keeping every stable Hom, 44.0 against 42.0 MB
+# when only those of at most 4096 cells were kept; keeping the four module
+# constructions, +0.8-1.0 MB on each workload; keeping walk-back steps and
+# iso verdicts, +0.2 MB on stability-p2 and +1.8 MB on recognition-p3.
 MEMO_MAX_ENTRIES = 64
 MEMO_MAX_TOTAL_DIM = 32
 _MISS = object()

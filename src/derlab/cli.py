@@ -438,6 +438,8 @@ def run_scenario(scenario_path: str, seed: Optional[int] = None) -> Tuple[dict, 
         if not isinstance(suites, list):
             raise ScenarioError("malformed scenario: suites must be a list of suite names")
         for name in suites:
+            if not isinstance(name, str):
+                raise ScenarioError(f"malformed scenario: suite name {name!r} is not a string")
             if name not in SUITE_RUNNERS:
                 raise ScenarioError(f"unknown suite {name!r}")
             if suites.count(name) > 1:

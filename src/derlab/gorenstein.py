@@ -51,6 +51,7 @@ from .diagrams import (
     cokernel_diagram,
     colimit_of_diagram,
     compose_diagram_maps,
+    diagram_key,
     dual_conflation,
     dual_diagram,
     free_diagram,
@@ -473,18 +474,13 @@ def approx_gproj(z: Diagram) -> ApproximationTriple:
         current = c.sub
     else:
         raise VerificationError("syzygy iteration exceeded the Gorenstein bound")
-    # trivial triple for the last syzygy
-    G = current
-    pi = identity_diagram_map(G)
-    w_incl = zero_diagram_map(zero_diagram(shape, alg), G)
+    # the deepest step pushes out along pi = 1 on the last syzygy, so it
+    # depends only on that cover's inflation and is kept (_deepest_step)
+    pi: Optional[DiagramMap] = None
     for c in reversed(covers):
         # c: 0 -> Z' >-iota-> P -rho->> Z -> 0 with Z' the current target of pi
-        emb = embed_gproj_into_proj(G)
-        H, from_Q, h_infl = pushout_diagrams(emb.left, pi)
-        for o in shape.objects:
-            if rank(h_infl.comps[o]) != pi.tgt.at(o).dim:
-                raise VerificationError("hull inflation failed a rank check")
-        U, from_H, from_P = pushout_diagrams(h_infl, c.left)
+        from_H, from_P = _deepest_step(c.left) if pi is None else _walk_back(G, pi, c.left)
+        U, H = from_H.tgt, from_H.src
         # the map out of the pushout U that is 0 on H and c.right on P
         new_pi_comps = {
             o: from_colimit(
@@ -503,6 +499,37 @@ def approx_gproj(z: Diagram) -> ApproximationTriple:
     if not (tags["wtriv"] and tags["gproj"]):
         raise VerificationError("approximation tags failed verification")
     return ApproximationTriple(confl, "gproj-cover", tags)
+
+
+def _walk_back(G: Diagram, pi: DiagramMap, infl: DiagramMap) -> Tuple[DiagramMap, DiagramMap]:
+    """One step of the walk-back: given pi: G ->> Z' and a cover
+    Z' >-infl-> P ->> Z, the legs H >-> U <- P of U = H (+)_{Z'} P, where
+    H = Q (+)_G Z' pushes pi out along the embedding G >-> Q."""
+    emb = embed_gproj_into_proj(G)
+    _, _, h_infl = pushout_diagrams(emb.left, pi)
+    for o in G.shape.objects:
+        if rank(h_infl.comps[o]) != pi.tgt.at(o).dim:
+            raise VerificationError("hull inflation failed a rank check")
+    _, from_H, from_P = pushout_diagrams(h_infl, infl)
+    return from_H, from_P
+
+
+def _deepest_step(infl: DiagramMap) -> Tuple[DiagramMap, DiagramMap]:
+    """_walk_back for pi = 1_K on K = infl.src: it depends only on the
+    content of infl: K >-> P.  Kept per algebra under the diagram keys of K
+    and P and the bytes of infl, sized by their total dim: the memo keeps
+    from_H whole and the components of from_P with their sections, wrapped
+    on every call around the caller's P."""
+    K, P = infl.src, infl.tgt
+    key = (diagram_key(K), diagram_key(P), b"".join([infl.comps[o].a.tobytes() for o in K.shape.objects]))
+    from_H, comps, sections = K.alg.kept("approx_walk_back", key, K.total_dim() + P.total_dim(), lambda: _first_walk_back(infl))
+    return from_H, DiagramMap(P, from_H.tgt, comps, sections)
+
+
+def _first_walk_back(infl: DiagramMap) -> Tuple[DiagramMap, Dict[str, Mat], Optional[Dict[str, np.ndarray]]]:
+    """(from_H, the components of from_P, their sections) for _deepest_step."""
+    from_H, from_P = _walk_back(infl.src, identity_diagram_map(infl.src), infl)
+    return from_H, from_P.comps, from_P.sections
 
 
 def hull_ginj(z: Diagram) -> ApproximationTriple:

@@ -738,8 +738,37 @@ def is_stable_iso(m: Module, n: Module, budget: int = 4096, seed: int = 0) -> Ve
     """Search for a stable isomorphism m ~ n.
 
     Cheap dimension obstructions certify "false"; then candidates range
-    over stable classes of Hom(m, n), each one linear solve.
+    over stable classes of Hom(m, n), each decided by its cone and a "yes"
+    certified by one solve (stable_iso_map_in).
+
+    Kept per algebra by the content of (m, n), budget and seed
+    (Algebra.kept): the memo holds the status, the reason and the witness
+    matrices.  A hit rewraps the witness as maps m -> n and n -> m and
+    checks again, through the stable End reports, that both composites are
+    the identity modulo projectives; a witness that fails is a ModuleError,
+    never a verdict.
     """
+    if m.alg is not n.alg:
+        raise ModuleError("is_stable_iso requires a shared algebra instance")
+    built: List[Verdict] = []
+
+    def build():
+        built.append(_is_stable_iso(m, n, budget, seed))
+        return built[0].status, built[0].reason, built[0].witness and tuple(h.mat for h in built[0].witness)
+
+    status, reason, mats = m.alg.kept("is_stable_iso", (module_key(m), module_key(n), budget, seed), m.dim + n.dim, build)
+    if built:  # a miss, or a pair too large to keep: certified by the search
+        return built[0]
+    if mats is None:
+        return Verdict(status, reason)
+    f, g = ModuleMap(m, n, mats[0]), ModuleMap(n, m, mats[1])
+    for end, h in ((stable_hom(m, m), compose(g, f)), (stable_hom(n, n), compose(f, g))):
+        if not end.in_proj_subspace(h - identity_map(h.src)):
+            raise ModuleError("a kept stable-iso witness is not a stable inverse pair")
+    return Verdict(status, reason, witness=(f, g))
+
+
+def _is_stable_iso(m: Module, n: Module, budget: int, seed: int) -> Verdict:
     end_m = stable_hom(m, m)
     end_n = stable_hom(n, n)
     if end_m.quotient_dim != end_n.quotient_dim:

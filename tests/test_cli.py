@@ -439,6 +439,8 @@ MALFORMED = {
     "categories-not-a-mapping": ("scenario", {"categories": []}),
     "document-path-not-a-string": ("scenario", {"diagrams": {"x": 5}}),
     "suites-not-a-list": ("scenario", {"suites": 5}),
+    "suite-name-a-list": ("scenario", {"suites": [["kan"]]}),
+    "suite-name-an-object": ("scenario", {"suites": [{"kan": 1}]}),
     "policy-not-a-policy": ("complex", _complex(5, {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _IDENTITY}})),
     "policy-periodic-without-period": ("complex", _complex("periodic", {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _IDENTITY}})),
     "category-objects-a-string": ("category", {"objects": "01", "morphisms": [{"name": "e0", "src": "0", "tgt": "1"}]}),
