@@ -119,12 +119,12 @@ from .complexes import (
     z0,
 )
 from .dgkan import (
-    bar_resolution,
     cone_weight,
     crosscheck_kan,
     der4_check,
     ho_left_kan,
     ho_right_kan,
+    minimal_resolution,
     representable_weight,
     restriction_weight,
     shift_weight,

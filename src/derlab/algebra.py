@@ -25,10 +25,11 @@ class AlgebraError(DerlabError, ValueError):
 
 
 # Covers, embeddings into projective diagrams, Gorenstein Kan extensions,
-# the deepest walk-back step of approx_gproj, stable Homs, stable-iso
-# verdicts, quotients, submodules, generator legs, projectivity and
-# injective envelopes are kept per algebra, keyed by content (diagram_key,
-# module_key, span and map bytes) and, for a Kan extension, the functor; an
+# minimal resolutions of weights, the deepest walk-back step of approx_gproj,
+# stable Homs, stable-iso verdicts, quotients, submodules, generator legs,
+# projectivity and injective envelopes are kept per algebra, keyed by
+# content (diagram_key, module_key, span and map bytes) and, for a Kan
+# extension, the functor; an
 # iso verdict also by budget and seed; free diagrams and their latching
 # data by name (diagrams.free_name).  Hit rates per memo are in the README.
 # Inputs recur because canonical bases collapse them: one stability-p2 pass

@@ -452,8 +452,11 @@ def run_scenario(scenario_path: str, seed: Optional[int] = None) -> Tuple[dict, 
         return _error_report(str(exc), t0)
 
     items: List[dict] = []
+    suite_ms: Dict[str, float] = {}
     for name in suites:
+        t_suite = time.perf_counter()
         items.extend(_run_item(item_id, name, check) for item_id, check in SUITE_RUNNERS[name](session))
+        suite_ms[name] = round(1000 * (time.perf_counter() - t_suite), 1)
     items.sort(key=lambda it: it["id"])
     summary = {
         "pass": sum(1 for it in items if it["verdict"] == "pass"),
@@ -469,7 +472,7 @@ def run_scenario(scenario_path: str, seed: Optional[int] = None) -> Tuple[dict, 
         "suites": suites,
         "items": items,
         "summary": summary,
-        "meta": {"wall_time_ms": int(1000 * (time.time() - t0))},
+        "meta": {"wall_time_ms": int(1000 * (time.time() - t0)), "suite_ms": suite_ms},
     }
     return report, code
 

@@ -26,7 +26,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import DerlabError, FieldError, Mat, block, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, solve, solve_by_pivots, vstack
+from .field import DerlabError, FieldError, Mat, block, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, solve_by_pivots, vstack
 from .modules import (
     Conflation,
     Module,
@@ -39,8 +39,10 @@ from .modules import (
     free_module,
     generator_legs,
     hom_equations,
+    joint_section,
     module_key,
     quotient_module,
+    section_shares,
     solve_in_basis,
     submodule,
     sum_module,
@@ -469,33 +471,12 @@ def factor_by_section(t: Mat, sigma: Mat, section: np.ndarray) -> Mat:
     """phi with phi @ sigma = t for a sigma that is the identity on its
     columns section, as a quotient projection is on its non-pivot ones:
     phi = t[:, section], certified by one product (the transpose of
-    field.solve_by_pivots).  sigma is onto, so phi is the one
-    factor_matrix_through_surjection solves for, and a t that does not
-    factor raises its DiagramError."""
+    field.solve_by_pivots).  sigma is onto, so phi is the only solution,
+    and a t that does not factor is a DiagramError."""
     phi = t.a[:, section]
     if product_defect(t.p, (phi, sigma.a), c=t.a):
         raise DiagramError("map does not factor through the surjection")
     return Mat._of(t.p, phi)
-
-
-def factor_matrix_through_surjection(t: Mat, sigma: Mat) -> Mat:
-    """phi with phi @ sigma = t, given that t kills ker(sigma); verified.
-    By a solve, for a surjection that carries no section."""
-    phi_t = solve(sigma.T, t.T)
-    if phi_t is None:
-        raise DiagramError("map does not factor through the surjection")
-    phi = phi_t.T
-    if product_defect(t.p, (phi.a, sigma.a), c=t.a):
-        raise DiagramError("factorization verification failed")
-    return phi
-
-
-def _section_shares(section: np.ndarray, dims: Sequence[int]) -> List[np.ndarray]:
-    """A section of a map out of a direct sum, cut into the shares of the
-    summands of the given dims, each in its summand's own columns."""
-    offsets = list(accumulate([0] + list(dims)))
-    cuts = np.searchsorted(section, offsets)
-    return [section[cuts[k] : cuts[k + 1]] - offsets[k] for k in range(len(dims))]
 
 
 def colimit_of_diagram(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
@@ -514,7 +495,7 @@ def colimit_of_diagram(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
     colim, proj = quotient_module(sum_mod, span)
     dims = [x.at(o).dim for o in objs]
     offsets = accumulate([0] + dims)
-    shares = _section_shares(proj.section, dims)
+    shares = section_shares(proj.section, dims)
     cocone = {o: ModuleMap(x.at(o), colim, proj.mat[:, off : off + d], share) for o, off, d, share in zip(objs, offsets, dims, shares)}
     return colim, cocone
 
@@ -561,7 +542,7 @@ def pushout_diagrams(f: DiagramMap, g: DiagramMap) -> Tuple[Diagram, DiagramMap,
         moved = np.concatenate([proj[:, :d] @ x.mats[h].a, proj[:, d:] @ y.mats[h].a], axis=1) % p
         mats[h] = factor_by_section(Mat._of(p, moved), projs[a], sections[a])
     po = Diagram(shape, x.alg, mods, mats)
-    shares = {o: _section_shares(sections[o], [dims[o], y.at(o).dim]) for o in shape.objects}
+    shares = {o: section_shares(sections[o], [dims[o], y.at(o).dim]) for o in shape.objects}
     return (
         po,
         DiagramMap(x, po, {o: c[:, : dims[o]] for o, c in projs.items()}, {o: s[0] for o, s in shares.items()}),
@@ -694,18 +675,15 @@ def from_colimit(colim: Module, cocone: Dict[str, ModuleMap], legs: Dict[str, Ma
     is jointly onto, so the map is unique and the order of the legs does
     not matter.  Legs that do not factor are a DiagramError.
 
-    When every leg carries its share of a section of the cocone, in the
-    order the cocone was built (colimit_of_diagram's cocones, the legs of
-    pushout_diagrams), the map is read off that section (factor_by_section);
-    otherwise it is solved for (factor_matrix_through_surjection)."""
+    Every leg carries its share of a section of the cocone, in the order
+    the cocone was built (colimit_of_diagram's and colim_gproj_data's
+    cocones, the legs of pushout_diagrams), so the map is read off that
+    section (factor_by_section)."""
     if not cocone:
         return Mat.zeros(colim.alg.p, rows, colim.dim)
     t = hstack([legs[o] for o in cocone])
     sigma = hstack([c.mat for c in cocone.values()])
-    if any(c.section is None for c in cocone.values()):
-        return factor_matrix_through_surjection(t, sigma)
-    offsets = accumulate([0] + [c.src.dim for c in cocone.values()])
-    return factor_by_section(t, sigma, np.concatenate([c.section + off for c, off in zip(cocone.values(), offsets)]))
+    return factor_by_section(t, sigma, joint_section(list(cocone.values())))
 
 
 def left_kan_by_slices(

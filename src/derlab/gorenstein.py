@@ -33,11 +33,12 @@ from .modules import (
     compose,
     dual_module,
     hom_space,
-    identity_map,
     injective_embed,
     is_projective,
+    joint_section,
     pushout,
     quotient_module,
+    section_shares,
     solve_in_basis,
     vec_module_map,
     zero_map,
@@ -254,27 +255,32 @@ def gproj_witness_report(x: Diagram) -> Dict[str, dict]:
 
 def colim_gproj_data(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
     """Colimit of a Gorenstein-projective diagram by stripping a maximal
-    object and pushing the latching map out against the sub-colimit."""
+    object and pushing the latching map out against the sub-colimit.  Legs
+    carry their shares of the cocone's section, in its order (from_colimit):
+    the sub-cocone's read at the share of the pushout leg it goes through."""
     shape, alg = x.shape, x.alg
     objs = shape.objects
     if not objs:
         return zero_module(alg), {}
     if len(objs) == 1:
         o = objs[0]
-        return x.at(o), {o: identity_map(x.at(o))}
+        d = x.at(o).dim
+        return x.at(o), {o: ModuleMap(x.at(o), x.at(o), Mat.identity(alg.p, d), np.arange(d))}
     j = shape.objects_by_degree()[-1]  # a maximal object
     lat = latching(x, j)
     if not lat.is_inflation:
         raise PreconditionError(f"latching map at {j} is not an inflation")
-    sub_shape, incl = full_subcategory(shape, [o for o in objs if o != j])
+    _, incl = full_subcategory(shape, [o for o in objs if o != j])
     xJ = restrict(incl, x)
     colimJ, coconeJ = colim_gproj_data(xJ)
     legs = {o: coconeJ[i].mat for o, (i, _) in lat.pres.pairs.items()}
     r = ModuleMap(lat.module, colimJ, from_colimit(lat.module, lat.cocone, legs, colimJ.dim))
     C, leg_j, leg_J = pushout(lat.map, r)
+    sub = list(coconeJ.values())
+    shares = section_shares(joint_section(sub)[leg_J.section], [leg.src.dim for leg in sub])
     cocone = {j: leg_j}
-    for o in sub_shape.objects:
-        cocone[o] = compose(leg_J, coconeJ[o])
+    for (o, leg), share in zip(coconeJ.items(), shares):
+        cocone[o] = ModuleMap(leg.src, C, leg_J.mat @ leg.mat, share)
     return C, cocone
 
 

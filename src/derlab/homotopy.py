@@ -3,10 +3,12 @@ suspension/loop, triangles from conflations, the loop-functor pipeline
 through the square shape, and arrow-diagram lifts.
 
 A map between Gorenstein-projective diagrams is invertible in the stable
-quotient iff it is a degreewise stable isomorphism; for a *given* map both
-sides are decided by linear solves, with no search budget.  Budgets enter
-only when asking whether two diagrams are stably isomorphic with no map in
-hand.
+quotient iff it is a degreewise stable isomorphism.  For a *given* map both
+sides are decided exactly, with no search budget: each component, a module
+map, by its cone (a "no" needs nothing more, a "yes" is certified by one
+solve for its stable inverse), the diagram map by one such solve
+(modules.stable_iso_map_in).  Budgets enter only when asking whether two
+diagrams are stably isomorphic with no map in hand.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .diagrams import (
     DiagramMap,
     compose_diagram_maps,
     direct_sum_diagrams,
-    factor_matrix_through_surjection,
     free_legs_at,
     hom_space_diagrams,
     identity_diagram_map,
@@ -198,15 +199,15 @@ def suspension_on_map(f: DiagramMap) -> DiagramMap:
 def _induced_on_quotients(src: DiagramConflation, tgt: DiagramConflation, f: DiagramMap, failure: str) -> DiagramMap:
     """The map src.quot -> tgt.quot induced by f: src.sub -> tgt.middle:
     extend f along the inflation src.left to phi: src.middle -> tgt.middle,
-    then factor tgt.right o phi through src.right object by object."""
+    then psi with psi o src.right = tgt.right o phi, unique because
+    src.right is onto."""
     phi = solve_in_hom(src.middle, tgt.middle, [(src.left, identity_diagram_map(tgt.middle), f)])
     if phi is None:
         raise VerificationError(failure)
-    comps = {
-        o: factor_matrix_through_surjection(tgt.right.comps[o] @ phi.comps[o], src.right.comps[o])
-        for o in src.sub.shape.objects
-    }
-    return DiagramMap(src.quot, tgt.quot, comps)
+    psi = solve_in_hom(src.quot, tgt.quot, [(src.right, identity_diagram_map(tgt.quot), compose_diagram_maps(tgt.right, phi))])
+    if psi is None:
+        raise VerificationError(failure)
+    return psi
 
 
 # -- triangles --------------------------------------------------------------------------

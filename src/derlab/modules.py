@@ -341,14 +341,29 @@ def _quotient_module(amb: Module, span_cols: Mat) -> Tuple[Module, Mat, np.ndarr
     return quot, proj, nonpiv
 
 
+def section_shares(section: np.ndarray, dims: Sequence[int]) -> List[np.ndarray]:
+    """A section of a map out of a direct sum, cut into the shares of the
+    summands of the given dims, each in its summand's own columns."""
+    offsets = list(itertools.accumulate([0] + list(dims)))
+    cuts = np.searchsorted(section, offsets)
+    return [section[cuts[k] : cuts[k + 1]] - offsets[k] for k in range(len(dims))]
+
+
+def joint_section(legs: Sequence[ModuleMap]) -> np.ndarray:
+    """The section of the legs side by side, from their shares."""
+    return np.concatenate([leg.section + off for leg, off in zip(legs, itertools.accumulate([0] + [leg.src.dim for leg in legs]))])
+
+
 def pushout(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
-    """Pushout of X <-f- Z -g-> Y: coker of (f, -g) with its two legs."""
+    """Pushout of X <-f- Z -g-> Y: coker of (f, -g) with its two legs, each
+    carrying its share of the projection's section."""
     if not same_module(f.src, g.src):
         raise ModuleError("pushout needs a common source")
     x, y = f.tgt, g.tgt
     combined = vstack([f.mat, -g.mat if g.mat.rows else g.mat])
     po, proj = quotient_module(direct_sum([x, y])[0], combined)
-    return po, ModuleMap(x, po, proj.mat[:, : x.dim]), ModuleMap(y, po, proj.mat[:, x.dim :])
+    share_x, share_y = section_shares(proj.section, [x.dim, y.dim])
+    return po, ModuleMap(x, po, proj.mat[:, : x.dim], share_x), ModuleMap(y, po, proj.mat[:, x.dim :], share_y)
 
 
 def pullback(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:

@@ -38,7 +38,9 @@ from derlab.diagrams import (
     DiagramMap,
     compose_diagram_maps,
     constant_diagram,
+    free_diagram,
     hom_space_diagrams,
+    kernel_diagram,
     projective_cover_diagram,
     restrict,
     restrict_map,
@@ -47,6 +49,7 @@ from derlab.diagrams import (
     zero_diagram,
 )
 from derlab.gorenstein import (
+    _latching_ranks,
     approx_gproj,
     ginj_right_kan,
     colim_gproj_data,
@@ -71,11 +74,12 @@ from derlab.complexes import (
     sod_decompose,
     z0,
 )
+from derlab import dgkan
 from derlab.dgkan import (
-    bar_resolution,
     cone_weight,
     crosscheck_kan,
     der4_check,
+    minimal_resolution,
     representable_weight,
     restriction_weight,
     shift_weight,
@@ -278,16 +282,16 @@ def test_criterion_05_stable_equivalence_round_trip(alg):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_criterion_06_bar_resolution(alg, p):
-    # at odd p the module-action faces carry coefficients other than 0 and 1
+def test_criterion_06_minimal_resolution(alg, p):
+    # at odd p the differentials carry coefficients other than 0 and 1
     t0 = time.time()
     rng = random.Random(6)
     checked = 0
     while checked < 30:
         cat = random_direct_category(rng)
         m = random_left_module(cat, p, 3, rng)
-        res = bar_resolution(m)  # verifies augmented exactness internally
-        res.verify_exactness()
+        cx = minimal_resolution(m)  # verifies augmented exactness internally
+        dgkan._check_resolution(cx, m)
         # longest chain of composable non-identity arrows
         longest = 0
         for o in cat.objects:
@@ -298,11 +302,24 @@ def test_criterion_06_bar_resolution(alg, p):
                 for o2 in cat.objects:
                     if cat.degree[o2] > cat.degree[cur] and cat.hom(cur, o2):
                         stack.append((o2, depth + 1))
-        assert res.length <= longest
+        assert -min(cx.degrees(), default=0) <= longest
+        # minimal: degree q has dim x_j - rank lambda_j blocks at j, for x
+        # the diagram it covers (m, then the kernel of the map one degree
+        # up), by the latching ranks; below the last degree nothing is left
+        k = m.alg
+        x, target, down = m, m, cx.aug
+        for q in range(0, min(cx.degrees(), default=0) - 2, -1):
+            for j in cat.objects:
+                blocks = sum(1 for qb, obj, _ in cx.blocks if (qb, obj) == (q, j))
+                assert blocks == x.at(j).dim - _latching_ranks(x, j)[1]
+            term = free_diagram(cat, k, [(obj, regular_module(k)) for qb, obj, _ in cx.blocks if qb == q])
+            x = kernel_diagram(DiagramMap(term, target, down))[0]
+            target, down = term, {a: cx.diff_matrix_at(q - 1, a) for a in cat.objects}
+        assert all(x.at(j).dim == 0 for j in cat.objects)
         checked += 1
     elapsed = time.time() - t0
     assert elapsed < 120
-    print(f"\n[criterion 6] bar exactness + length bound on {checked} random weights at p = {p} in {elapsed:.1f}s: PASS")
+    print(f"\n[criterion 6] minimal resolution: exact, length bound, minimal, on {checked} random weights at p = {p} in {elapsed:.1f}s: PASS")
 
 
 def test_criterion_07_weighted_holim_sanity(alg):

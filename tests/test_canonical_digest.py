@@ -12,9 +12,11 @@ A change that moves a canonical basis on purpose records a new digest
 here and says why.
 
 The second digest guards the dg-model route the same way: restriction
-weights, their bar resolutions, the homotopy Kan extensions' terms,
-structure maps and differentials, and der4_check's details.  It was
-recorded before the weights became diagrams over the ground field.
+weights, their minimal resolutions, the homotopy Kan extensions' terms,
+structure maps and differentials, and der4_check's details.  It moved
+when minimal resolutions replaced the bar construction: the Kan
+complexes shrink, and tests/test_dgkan.py checks that their cohomology
+did not change.
 
 The third digest guards the slice-colimit layer: every punctured slice of
 four shapes, latching and matching data, embeddings into projectives,
@@ -43,7 +45,7 @@ from derlab.cats import (
     terminal_category,
 )
 from derlab.complexes import LazyComplex, complete_resolution
-from derlab.dgkan import bar_resolution, der4_check, ho_left_kan, ho_right_kan, restriction_weight, restriction_weight_right
+from derlab.dgkan import der4_check, ho_left_kan, ho_right_kan, minimal_resolution, restriction_weight, restriction_weight_right
 from derlab.diagrams import (
     Diagram,
     DiagramConflation,
@@ -70,7 +72,7 @@ from derlab.modules import regular_module
 from derlab.samples import random_diagram, random_gproj
 
 RECORDED_SHA256 = "337b84df8042ab879d9e6c57de62b44a290e238318d1a124127f07be5692e198"
-RECORDED_DGKAN_SHA256 = "023e8cc62102cd72de8c75a952a96b70f3184d5a5692b718939b8e7a3621975c"
+RECORDED_DGKAN_SHA256 = "5e9ebb15a63ce3d2967fcb2bf59e435c009e783c59af2aadb79a87ffb57ffe62"
 RECORDED_SLICE_COLIMIT_SHA256 = "f54dff432bcf04f4450ec615c241237fbd1ce4c05c96a04cf869948288d3d491"
 
 
@@ -130,17 +132,16 @@ def _feed_weight(h, w) -> None:
         _feed_array(h, w.mat(f).a)
 
 
-def _feed_resolution(h, res) -> None:
-    cx = res.complex
+def _feed_resolution(h, cx) -> None:
     for q in cx.degrees():
-        # one (obj, chain, coefficient labels) per summand, a run of blocks
+        # one (obj, key, coefficient labels) per summand, a run of blocks
         runs = itertools.groupby((b for b in cx.blocks if b[0] == q), key=lambda b: (b[1], b[2][1]))
         h.update(repr([(obj, key, [label[2] for _, _, label in run]) for (obj, key), run in runs]).encode())
         for a in cx.cat.objects:
             if q < 0:
                 _feed_array(h, cx.diff_matrix_at(q, a).a)
     for a in cx.cat.objects:
-        _feed_array(h, res.aug[a].a)
+        _feed_array(h, cx.aug[a].a)
 
 
 def _feed_complex(h, c, lo: int, hi: int) -> None:
@@ -170,7 +171,7 @@ def dgkan_digest() -> str:
                 for j in u.cod.objects:
                     for w in (restriction_weight(u, j, p), restriction_weight_right(u, j, p)):
                         _feed_weight(h, w)
-                        _feed_resolution(h, bar_resolution(w))
+                        _feed_resolution(h, minimal_resolution(w))
                 t = x if u.dom is shape else LazyComplex.bounded(u.dom, alg, {0: constant_diagram(u.dom, alg, regular_module(alg))}, {})
                 _feed_complex(h, ho_left_kan(u, t), -1, 1)
                 _feed_complex(h, ho_right_kan(u, t), -1, 1)

@@ -16,7 +16,7 @@ from derlab.diagrams import (
     DiagramMap,
     cokernel_diagram,
     colimit_of_diagram,
-    factor_matrix_through_surjection,
+    factor_by_section,
     from_colimit,
     kernel_diagram,
 )
@@ -129,10 +129,11 @@ def test_a_chain_map_whose_square_fails_is_refused(f3):
 
 
 def test_a_failed_factorization_is_refused():
-    sigma = Mat(3, [[1, 0]])
-    assert factor_matrix_through_surjection(Mat(3, [[2, 0], [1, 0]]), sigma) == Mat(3, [[2], [1]])
+    # sigma is the identity on its column 0, its section
+    sigma, section = Mat(3, [[1, 0]]), np.array([0])
+    assert factor_by_section(Mat(3, [[2, 0], [1, 0]]), sigma, section) == Mat(3, [[2], [1]])
     with pytest.raises(DiagramError, match=r"^map does not factor through the surjection$"):
-        factor_matrix_through_surjection(Mat(3, [[0, 1]]), sigma)
+        factor_by_section(Mat(3, [[0, 1]]), sigma, section)
 
 
 def test_matrices_over_another_modulus_are_refused(f3):

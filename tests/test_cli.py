@@ -53,6 +53,9 @@ def test_regression_scenario_passes():
     report, code = run_scenario(str(SCENARIOS / "regression.json"))
     assert code == 0, json.dumps(report.get("summary"), indent=2)
     assert report["summary"]["fail"] == 0
+    # meta holds the wall time of the run and of each suite, in suite order
+    assert list(report["meta"]["suite_ms"]) == report["suites"]
+    assert all(ms >= 0 for ms in report["meta"]["suite_ms"].values())
     assert report["summary"]["unknown"] == 0
     assert report["summary"]["pass"] >= 50
     # gorenstein items carry witness dimensions

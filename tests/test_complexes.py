@@ -360,9 +360,9 @@ def test_differentials_connect_the_memoized_terms(dn, simple, reg):
     from derlab.cats import CatFunctor, full_subcategory, object_functor
     from derlab.complexes import dual_complex, restrict_complex
     from derlab.dgkan import (
-        bar_resolution,
         ho_left_kan,
         ho_right_kan,
+        minimal_resolution,
         representable_weight,
         restriction_weight_right,
         weighted_hocolim,
@@ -383,9 +383,7 @@ def test_differentials_connect_the_memoized_terms(dn, simple, reg):
         "complete_resolution": c,
         "sod p-part": sod.p_part,
         "sod tc-part": sod.tc_part,
-        "weighted_hocolim": weighted_hocolim(
-            bar_resolution(restriction_weight_right(to_point, "*", 2)).complex, c
-        ),
+        "weighted_hocolim": weighted_hocolim(minimal_resolution(restriction_weight_right(to_point, "*", 2)), c),
         "weighted_holim": weighted_holim(representable_weight(arrow, 2, "0"), c),
         "ho_left_kan": ho_left_kan(to_point, c),
         "ho_right_kan": ho_right_kan(to_point, c),

@@ -1,7 +1,8 @@
-"""Projective covers, embeddings, Gorenstein Kan extensions, stable Homs,
-quotients, submodules, generator legs, projectivity and injective
-envelopes are kept per algebra, keyed by content; free diagrams and the
-latching data of a free diagram are kept by their name (free_name).
+"""Projective covers, embeddings, Gorenstein Kan extensions, minimal
+resolutions of weights, stable Homs, quotients, submodules, generator
+legs, projectivity and injective envelopes are kept per algebra, keyed by
+content; free diagrams and the latching data of a free diagram are kept
+by their name (free_name).
 
 A hit must give the bytes a cold build gives, wrap the caller's own
 objects, stay within the memo's bounds and never cross algebra instances.
@@ -21,17 +22,18 @@ import numpy as np
 import pytest
 
 import derlab.algebra as algebra
+import derlab.dgkan as dgkan
 import derlab.diagrams as diagrams
 import derlab.gorenstein as gorenstein
 import derlab.homotopy as homotopy
 import derlab.modules as modules
 from derlab import cli
 from derlab.algebra import clear_memos, dual_numbers
-from derlab.cats import arrow_category, cospan_category, square_category
+from derlab.cats import arrow_category, cospan_category, identity_functor, opposite_functor, square_category
 from derlab.diagrams import Diagram, constant_diagram, diagram_key, free_diagram, free_name, identity_diagram_map, projective_cover_diagram, pushout_diagrams, stalk_diagram
 from derlab.field import Mat, rank, remember
 from derlab.gorenstein import approx_gproj, embed_gproj_into_proj, free_latching, hull_ginj, is_gproj, latching
-from derlab.homotopy import loop_via_square
+from derlab.homotopy import _corner_in_square, loop_via_square
 from derlab.modules import (
     Module,
     ModuleError,
@@ -66,6 +68,7 @@ BUILDER_MEMOS = {
     "_free_latching": "free_latching",
     "_first_walk_back": "approx_walk_back",
     "_is_stable_iso": "is_stable_iso",
+    "_minimal_resolution": "minimal_resolution",
     **{"_" + name: name for name in MODULE_MEMOS},
 }
 
@@ -127,8 +130,8 @@ def _record_builds(monkeypatch):
     the parts of a free diagram, the module of a quotient, submodule, set
     of generator legs, projectivity test or injective envelope, the
     inflation of a deepest walk-back step and the first module of a
-    stable-iso search."""
-    builders = {"_cover": diagrams, "_free_diagram": diagrams, "_embedding": gorenstein, "gproj_left_kan_data": gorenstein, "_free_latching": gorenstein, "_first_walk_back": gorenstein}
+    stable-iso search, and the weight of a minimal resolution."""
+    builders = {"_cover": diagrams, "_free_diagram": diagrams, "_embedding": gorenstein, "gproj_left_kan_data": gorenstein, "_free_latching": gorenstein, "_first_walk_back": gorenstein, "_minimal_resolution": dgkan}
     builders.update({"_" + name: modules for name in MODULE_MEMOS + ("is_stable_iso",)})
     built = {name: [] for name in builders}
     for name, inputs in built.items():
@@ -580,3 +583,40 @@ def test_memo_counts_lose_no_update_under_threads(dn, simple):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert algebra.memo_counts()["is_projective"] == {"lookups": 1 + 4 * calls, "hits": 4 * calls, "builds": 1, "not_kept": 0}
+
+
+def _resolution_bytes(cx):
+    return cx.blocks, sorted(cx.coeffs.items()), [(a, m.a.tobytes()) for a, m in sorted(cx.aug.items())]
+
+
+def test_warm_minimal_resolutions_give_the_bytes_of_cold_ones_and_are_copies(monkeypatch):
+    # the restriction weights of the dg route over the square at p = 2, 3,
+    # including the non-free ones along the corner inclusion
+    corner = _corner_in_square()
+    functors = [identity_functor(square_category()), corner, opposite_functor(corner)]
+    weights = [dgkan.restriction_weight_right(u, j, p) for p in (2, 3) for u in functors for j in u.cod.objects]
+    cold = []
+    for w in weights:
+        clear_memos()
+        cold.append(_resolution_bytes(dgkan.minimal_resolution(w)))
+    filling = [_resolution_bytes(dgkan.minimal_resolution(w)) for w in weights]
+    before = algebra.memo_counts()
+    built = _record_builds(monkeypatch)
+    warm = [dgkan.minimal_resolution(w) for w in weights]
+    assert filling == cold and [_resolution_bytes(cx) for cx in warm] == cold
+    assert not built["_minimal_resolution"] and _counts_since(before)["minimal_resolution"]["hits"] == len(weights)
+    # a hit is a copy: changing it leaves the kept complex alone
+    warm[0].blocks.clear(), warm[0].coeffs.clear(), warm[0].aug.clear()
+    assert _resolution_bytes(dgkan.minimal_resolution(weights[0])) == cold[0]
+
+
+def test_two_sided_weights_keep_nothing(monkeypatch):
+    # the two-sided weight lives over a product category built per call,
+    # so it is resolved without the memo: only the weights at the objects
+    # of J, resolved to decide the route, are looked up
+    u = opposite_functor(_corner_in_square())
+    before = algebra.memo_counts()
+    built = _record_builds(monkeypatch)
+    dgkan._kan_weights(u, 2)
+    assert _counts_since(before)["minimal_resolution"]["lookups"] == len(u.cod.objects)
+    assert len(built["_minimal_resolution"]) == len(u.cod.objects) + 1
