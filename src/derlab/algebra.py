@@ -96,9 +96,11 @@ class Algebra:
     def kept(self, name: str, key, dim: int, build: Callable[[], object]):
         """build(), kept under key in this instance's memo `name` and handed
         out again on a later call with that key.  An input of total dim
-        above MEMO_MAX_TOTAL_DIM is built and not kept.  Memos live and die
-        with their algebra, so a hit never returns a module over another
-        instance.  Every call is counted (memo_counts)."""
+        above MEMO_MAX_TOTAL_DIM is built and not kept.  Memos belong to
+        their algebra, so a hit never returns a module over another
+        instance, and last as long as it does: for an algebra a scenario
+        loads, as long as cli keeps it, across runs.  Every call is counted
+        (memo_counts)."""
         if dim > MEMO_MAX_TOTAL_DIM:
             _count(name, 3)
             return build()
@@ -134,7 +136,8 @@ class Algebra:
 
 _LIVE: "weakref.WeakSet[Algebra]" = weakref.WeakSet()
 # Per memo name, over every algebra: [lookups, hits, builds, not kept].
-# Module-level, because a scenario run's algebra dies with the run.
+# Module-level, because an algebra can die before its counts are read (a
+# caller's own instance, or one cli's session loaders evicted).
 _COUNTS: Dict[str, List[int]] = {}
 _COUNTS_LOCK = threading.Lock()
 

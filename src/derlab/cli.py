@@ -13,11 +13,12 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .algebra import algebra_from_dict, require_self_injective
-from .cats import CatFunctor, category_from_dict, disjoint_union, functor_from_dict
+from .algebra import Algebra, algebra_from_dict, require_self_injective
+from .cats import CatFunctor, DirectCategory, category_from_dict, disjoint_union, functor_from_dict
 from .field import DerlabError, matrix_from_entries
 from .diagrams import (
     Diagram,
@@ -86,6 +87,30 @@ def _degree(key: str) -> int:
     return int(key)
 
 
+# What sessions load, kept by the text of its document (a functor also by
+# its dom and cod instances), so a later session in the same process over
+# the same documents gets the same algebra, shapes and functors back and
+# the memos keyed on them carry from one run to the next.  A document that
+# fails validation or the self-injectivity gate raises and is not kept.
+# The text keeps key order, which a category's composites follow.
+LOADED_MAX_ENTRIES = 64
+
+
+@lru_cache(maxsize=LOADED_MAX_ENTRIES)
+def _algebra(text: str) -> Algebra:
+    return require_self_injective(algebra_from_dict(json.loads(text)))
+
+
+@lru_cache(maxsize=LOADED_MAX_ENTRIES)
+def _shape(text: str) -> DirectCategory:
+    return category_from_dict(json.loads(text))
+
+
+@lru_cache(maxsize=LOADED_MAX_ENTRIES)
+def _functor(text: str, dom: DirectCategory, cod: DirectCategory) -> CatFunctor:
+    return functor_from_dict(json.loads(text), dom, cod)
+
+
 class Session:
     def __init__(self, scenario: dict, base: Path) -> None:
         self.scenario = scenario
@@ -118,15 +143,15 @@ class Session:
     def load(self) -> None:
         if "algebra" not in self.scenario:
             raise ScenarioError("scenario has no algebra")
-        self.alg = require_self_injective(algebra_from_dict(self._read(self.scenario["algebra"])))
+        self.alg = _algebra(json.dumps(self._read(self.scenario["algebra"])))
         for name, rel in self._table("categories").items():
-            cat = category_from_dict(self._read(rel))
+            cat = _shape(json.dumps(self._read(rel)))
             if not cat.objects:
                 raise ScenarioError(f"category {name!r} is empty; sessions require non-empty shapes")
             self.categories[name] = cat
         for name, rel in self._table("functors").items():
             data = self._read(rel)
-            self.functors[name] = functor_from_dict(data, self._category(data, "dom"), self._category(data, "cod"))
+            self.functors[name] = _functor(json.dumps(data), self._category(data, "dom"), self._category(data, "cod"))
         for name, rel in self._table("diagrams").items():
             data = self._read(rel)
             self.diagrams[name] = diagram_from_dict(self._category(data, "shape"), self.alg, data)
@@ -335,15 +360,24 @@ def _suite_crosscheck(s: Session) -> Suite:
         yield f"crosscheck/{uname}/{dname}", check
 
 
+@lru_cache(maxsize=16)
+def _fold(c: DirectCategory) -> Tuple[CatFunctor, CatFunctor, CatFunctor]:
+    """The inclusions of c into c ⊔ c and the fold c ⊔ c -> c, which
+    restricts d to d on both copies.  Built once per shape instance, like
+    homotopy._corner_in_square, so the memos keyed on the union serve every
+    der1 check."""
+    union, i1, i2 = disjoint_union(c, c)
+    fold = CatFunctor(union, c, {t: o for i in (i1, i2) for o, t in i.obj_map.items()}, {t: f for i in (i1, i2) for f, t in i.mor_map.items()})
+    return i1, i2, fold
+
+
 def _suite_derivator_axioms(s: Session) -> Suite:
     # Der1: constructions over a disjoint union decompose componentwise
     cats = list(s.categories.values())
     if cats:
         c = cats[0]
         def der1(c=c):
-            union, i1, i2 = disjoint_union(c, c)
-            # the fold c ⊔ c -> c, which restricts d to d on both copies
-            fold = CatFunctor(union, c, {t: o for i in (i1, i2) for o, t in i.obj_map.items()}, {t: f for i in (i1, i2) for f, t in i.mor_map.items()})
+            i1, i2, fold = _fold(c)
             ok = True
             for d in s.diagrams.values():
                 if d.shape is not c:

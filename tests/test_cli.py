@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import derlab.complexes
+from derlab import cli
+from derlab.algebra import memo_counts
 from derlab.cli import SUITE_RUNNERS, Session, explain, main, run_scenario
 from derlab.field import DerlabError
 
@@ -168,6 +170,104 @@ def test_empty_shape_rejected(tmp_path):
     report, code = run_scenario(str(scen))
     assert code == 2
     assert "empty" in report["error"]
+
+
+def _loaded(scen: Path) -> Session:
+    session = Session(json.loads(scen.read_text()), scen.parent)
+    session.load()
+    return session
+
+
+def _builds() -> int:
+    return sum(c["builds"] for c in memo_counts().values())
+
+
+def test_sessions_keep_what_they_load_by_content_never_by_path(tmp_path):
+    f2 = json.loads((SCENARIOS / "dual_numbers.json").read_text())
+    (tmp_path / "f2.json").write_text(json.dumps(f2))
+    (tmp_path / "f3.json").write_text(json.dumps({**f2, "p": 3}))
+    (tmp_path / "copy").mkdir()
+    (tmp_path / "copy" / "alg.json").write_text(json.dumps(f2))
+
+    def scenario(name, alg):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "algebra": alg,
+            "categories": {"point": str(SCENARIOS / "cat_point.json")},
+            "diagrams": {"k": str(SCENARIOS / "diag_k_point.json")},
+            "suites": ["validate", "gorenstein-report"],
+        }))
+        return path
+
+    s2, s3, copied = scenario("s2.json", "f2.json"), scenario("s3.json", "f3.json"), scenario("copied.json", "copy/alg.json")
+    # documents that differ give distinct algebras; the shape document they
+    # share gives one shape; diagrams are read on every load
+    a2, a3 = _loaded(s2), _loaded(s3)
+    assert a2.alg is not a3.alg and (a2.alg.p, a3.alg.p) == (2, 3)
+    assert a2.categories["point"] is a3.categories["point"] is _loaded(s2).categories["point"]
+    assert a2.diagrams["k"] is not _loaded(s2).diagrams["k"]
+    # their memos stay apart: the F_3 run builds, and F_2 runs around it
+    # find their own entries
+    assert run_scenario(str(s2))[1] == 0
+    builds = _builds()
+    assert run_scenario(str(s3))[1] == 0 and _builds() > builds
+    builds = _builds()
+    assert run_scenario(str(s2))[1] == 0 and _builds() == builds
+    # the same document at another path hits
+    assert _loaded(copied).alg is a2.alg
+    # new content at the same path is loaded
+    (tmp_path / "f2.json").write_text(json.dumps({**f2, "p": 3}))
+    assert _loaded(s2).alg is a3.alg
+    # the text keeps key order, which a category's composites follow
+    square = json.loads((SCENARIOS / "cat_square.json").read_text())
+    (tmp_path / "sq.json").write_text(json.dumps(square))
+    (tmp_path / "qs.json").write_text(json.dumps({**square, "comp": dict(reversed(square["comp"].items()))}))
+    path = tmp_path / "squares.json"
+    path.write_text(json.dumps({"algebra": "f3.json", "categories": {"a": "sq.json", "b": "qs.json", "c": "sq.json"}}))
+    shapes = _loaded(path).categories
+    assert shapes["a"] is shapes["c"] and shapes["a"].composites == shapes["b"].composites[::-1]
+
+
+def test_the_sessions_table_stays_within_its_bound(tmp_path):
+    names = [f"c{i}" for i in range(cli.LOADED_MAX_ENTRIES + 2)]
+
+    def scenario(names):
+        for name in names:
+            (tmp_path / f"{name}.json").write_text(json.dumps({"objects": [name], "morphisms": [], "comp": {}}))
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps({"algebra": str(SCENARIOS / "dual_numbers.json"), "categories": {n: f"{n}.json" for n in names}}))
+        return _loaded(path).categories
+
+    first = scenario(names)
+    assert cli._shape.cache_info().currsize == cli.LOADED_MAX_ENTRIES
+    # the least recently used shapes are evicted: the last shape loaded
+    # hits, the first is built anew
+    assert scenario([names[-1]])[names[-1]] is first[names[-1]] and scenario([names[0]])[names[0]] is not first[names[0]]
+    assert cli._shape.cache_info().currsize == cli.LOADED_MAX_ENTRIES
+
+
+def test_a_refused_document_is_never_kept(tmp_path):
+    kept = cli._algebra.cache_info()
+    for _ in range(2):
+        report, code = run_scenario(str(SCENARIOS / "gate_failure.json"))
+        assert code == 2 and "not self-injective" in report["error"]
+    # both loads built the algebra, and neither kept it
+    assert cli._algebra.cache_info().misses == kept.misses + 2
+    assert cli._algebra.cache_info().currsize == kept.currsize
+    # a diagram over a kept shape is read and validated on every load
+    (tmp_path / "d.json").write_text((SCENARIOS / "diag_k_point.json").read_text())
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({
+        "algebra": str(SCENARIOS / "dual_numbers.json"),
+        "categories": {"point": str(SCENARIOS / "cat_point.json")},
+        "diagrams": {"d": "d.json"},
+        "suites": ["validate"],
+    }))
+    assert run_scenario(str(scen))[1] == 0
+    (tmp_path / "d.json").write_text(json.dumps({"shape": "point", "objects": {"*": {"dim": 1, "action": [[[1]], [[1]]]}}, "morphisms": {}}))
+    for _ in range(2):
+        report, code = run_scenario(str(scen))
+        assert code == 2 and "module law" in report["error"]
 
 
 def test_module_law_violation_is_an_input_error(tmp_path):

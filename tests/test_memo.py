@@ -562,6 +562,33 @@ def test_memo_counts_count_lookups_hits_builds_and_inputs_not_kept(dn, simple):
     assert not re.search(r"lookups|not_kept|memo", json.dumps(report))
 
 
+def test_a_second_regression_run_reuses_the_first_and_builds_nothing(monkeypatch):
+    sessions = []
+    load = cli.Session.load
+
+    def recording(self):
+        load(self)
+        sessions.append(self)
+
+    monkeypatch.setattr(cli.Session, "load", recording)
+    first, code = cli.run_scenario(str(SCENARIOS / "regression.json"))
+    assert code == 0
+    before = algebra.memo_counts()
+    second, code = cli.run_scenario(str(SCENARIOS / "regression.json"))
+    assert code == 0
+    assert {k: v for k, v in second.items() if k != "meta"} == {k: v for k, v in first.items() if k != "meta"}
+    # the second session gets the first one's algebra, shapes and functors
+    # back, and reads its diagrams and complexes anew
+    old, new = sessions
+    assert new.alg is old.alg
+    assert all(new.categories[n] is c for n, c in old.categories.items()) and all(new.functors[n] is u for n, u in old.functors.items())
+    assert not any(new.diagrams[n] is d for n, d in old.diagrams.items())
+    counts = _counts_since(before)
+    assert {"minimal_resolution", "projective_cover_diagram", "free_diagram"} <= set(counts)
+    for name, c in counts.items():
+        assert c["builds"] == 0 and c["lookups"] == c["hits"], name
+
+
 def test_memo_counts_lose_no_update_under_threads(dn, simple):
     m = direct_sum([simple, simple])[0]
     is_projective(m)
