@@ -25,13 +25,13 @@ class AlgebraError(DerlabError, ValueError):
 
 
 # Covers, embeddings into projective diagrams, Gorenstein Kan extensions,
-# minimal resolutions of weights, the deepest walk-back step of approx_gproj,
-# stable Homs, stable-iso verdicts, quotients, submodules, generator legs,
-# projectivity and injective envelopes are kept per algebra, keyed by
-# content (diagram_key, module_key, span and map bytes) and, for a Kan
-# extension, the functor; an
-# iso verdict also by budget and seed; free diagrams and their latching
-# data by name (diagrams.free_name).  Hit rates per memo are in the README.
+# the deepest walk-back step of approx_gproj, stable Homs, stable-iso
+# verdicts, quotients, submodules, generator legs, projectivity and
+# injective envelopes are kept per algebra, keyed by content (diagram_key,
+# module_key, span and map bytes) and, for a Kan extension, the functor; an
+# iso verdict also by budget and seed; free diagrams by name
+# (diagrams.free_name).  The README gives each memo's hit rate and what
+# removing it costs; a memo that costs nothing to remove is not kept.
 # Inputs recur because canonical bases collapse them: one stability-p2 pass
 # over its 344 modules asks 17 Kan extensions, 16 walk-back steps and 17
 # iso searches for 344, 343 and 344 calls.  recognition-p3 inputs recur

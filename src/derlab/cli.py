@@ -193,6 +193,9 @@ class Session:
 
             diffs = {}
             for k, comps in diff_docs.items():
+                unknown = sorted(set(comps) - set(shape.objects))
+                if unknown:
+                    raise ValueError(f"the diff at degree {k} names {unknown}, no object of the shape")
                 src, tgt = term_at(k), term_at(k + 1)
                 mats = {}
                 for o in shape.objects:

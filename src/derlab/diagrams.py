@@ -765,6 +765,9 @@ def diagram_from_dict(shape: DirectCategory, alg: Algebra, data: dict) -> Diagra
         objects, morphisms = data["objects"], data.get("morphisms", {})
         if not isinstance(objects, dict) or not isinstance(morphisms, dict):
             raise TypeError("objects and morphisms must be mappings")
+        unknown = sorted(set(objects) - set(shape.objects)) + sorted(set(morphisms) - set(shape.nonidentity_morphisms()))
+        if unknown:
+            raise ValueError(f"{unknown} name no object or non-identity morphism of the shape")
         # parsed unchecked: Diagram.validate checks each module law once
         modules = {o: _parse_module(alg, objects[o]) for o in shape.objects}
         mats = {}

@@ -57,7 +57,6 @@ from .diagrams import (
     dual_diagram,
     free_diagram,
     free_legs_at,
-    free_name,
     from_colimit,
     identity_diagram_map,
     kernel_diagram,
@@ -110,24 +109,6 @@ def latching(x: Diagram, j: str) -> LatchingDatum:
     L, cocone = colimit_of_diagram(restrict(pres.projection, x))
     lam = from_colimit(L, cocone, {o: x.mat(f) for o, (_, f) in pres.pairs.items()}, x.at(j).dim)
     return LatchingDatum(L, ModuleMap(L, x.at(j), lam), pres, cocone)
-
-
-def free_latching(q: Diagram, parts: List[Tuple[str, Module]]) -> Dict[str, LatchingDatum]:
-    """latching(q, j) at every j, for q the free diagram on parts.  Kept
-    per algebra by free_name(parts) and sized by the parts' total dim: the
-    matrices of each lambda_j and cocone, with the cocone's section,
-    wrapped on every call around the caller's q.  A memo over every
-    latching call would be flooded, but the names of free diagrams recur."""
-    key, size = free_name(q.shape, parts)
-    return {
-        j: LatchingDatum(L, ModuleMap(L, q.at(j), lam), pres, {o: ModuleMap(q.at(pres.pairs[o][0]), L, *leg) for o, leg in legs.items()})
-        for j, (L, lam, pres, legs) in q.alg.kept("free_latching", key, size, lambda: _free_latching(q)).items()
-    }
-
-
-def _free_latching(q: Diagram) -> Dict[str, tuple]:
-    lats = {j: latching(q, j) for j in q.shape.objects}
-    return {j: (lat.module, lat.map.mat, lat.pres, {o: (leg.mat, leg.section) for o, leg in lat.cocone.items()}) for j, lat in lats.items()}
 
 
 def matching(y: Diagram, j: str) -> MatchingDatum:
@@ -408,10 +389,9 @@ def _embedding(g: Diagram) -> Optional[Tuple[Diagram, Dict[str, Mat], DiagramMap
 
     parts = [(j, fresh_maps[j].tgt) for j in shape.objects]
     Q = free_diagram(shape, alg, parts)
-    latsQ = free_latching(Q, parts)
     eta_comps: Dict[str, Mat] = {}
     for i in shape.objects_by_degree():
-        latg, latq = lats[i], latsQ[i]
+        latg, latq = lats[i], latching(Q, i)
         if rank(latq.map.mat) != latq.module.dim:
             raise VerificationError(f"latching map of Q at {i} is not an inflation")
         # induced map on latching objects from the lower-degree components

@@ -552,6 +552,10 @@ MALFORMED = {
     "degree-key-with-leading-zero": ("complex", _complex("zero-tails", {"0": _FREE_POINT, "00": _FREE_POINT}, {})),
     "degree-key-with-underscore": ("complex", _complex("zero-tails", {"1_0": _FREE_POINT}, {})),
     "diff-degree-key-with-sign": ("complex", _complex("zero-tails", {"0": _FREE_POINT, "1": _FREE_POINT}, {"+0": {"*": _NILPOTENT}})),
+    "diagram-unknown-morphism": ("diagram", {**_point(1, [[[1]], [[0]]]), "morphisms": {"e_0": [[1]]}}),
+    "diagram-unknown-object": ("diagram", {**_point(1, [[[1]], [[0]]]), "objects": {"*": {"dim": 1, "action": [[[1]], [[0]]]}, "0": {"dim": 0, "action": [[], []]}}}),
+    "diagram-identity-morphism": ("diagram", {**_point(1, [[[1]], [[0]]]), "morphisms": {"1_*": [[0]]}}),
+    "diff-unknown-object": ("complex", _complex("zero-tails", {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _NILPOTENT, "0": [[1]]}})),
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,17 +27,19 @@ from derlab.diagrams import (
     DiagramError,
     DiagramMap,
     constant_diagram,
+    direct_sum_diagrams,
     hom_space_diagrams,
+    left_kan_from_point,
     identity_diagram_map,
     limit_of_diagram,
     pointwise_right_kan,
     stalk_diagram,
     zero_diagram,
 )
-from derlab.complexes import LazyComplex, ComplexMap, cone, complete_resolution, dual_complex, shift, z0
+from derlab.complexes import LazyComplex, ComplexMap, cone, complete_resolution, dual_complex, shift, sod_decompose, z0
 from derlab.samples import random_diagram, random_gproj
-from derlab.gorenstein import PreconditionError, VerificationError, is_gproj
-from derlab.homotopy import _corner_in_square, stable_hom_diagrams
+from derlab.gorenstein import PreconditionError, VerificationError, gproj_left_kan, is_gproj
+from derlab.homotopy import _corner_in_square, is_stable_iso_diagrams, stable_hom_diagrams
 from derlab.dgkan import (
     Der4Report,
     cone_weight,
@@ -729,3 +732,31 @@ def test_kan_cohomology_and_crosschecks_keep_their_recorded_values():
                 got[f"{p}/{name}/{fname}"] = tuple(dims)
                 assert crosscheck_kan(u, x, margin=1).is_true
     assert got == RECORDED_KAN_COHOMOLOGY
+
+
+def test_the_cross_check_reads_the_cocycles_the_split_would():
+    """crosscheck_kan takes Z^0 of the homotopy Kan output K, not Z^0 of the
+    projective part of K's semiorthogonal split.  The split's map from that
+    part to K is objectwise a homotopy equivalence of acyclic complexes of
+    projectives, so it is a stable isomorphism on Z^0 (Buchweitz, 1986).
+    Both routes must give the same verdict on seeded inputs: true against
+    the Gorenstein Kan extension of x, and false against that of
+    x (+) j_!(k), which differs by a non-projective summand."""
+    seen = Counter()
+    for p in (2, 3):
+        alg = dual_numbers(p)
+        simple = Module(alg, [Mat.identity(p, 1), Mat.zeros(p, 1, 1)])
+        for make in SHAPES:
+            cat = make()
+            for u in (identity_functor(cat), _to_point(cat)):
+                for seed in (0, 1):
+                    x = random_gproj(cat, alg, 2, random.Random(seed))
+                    k_out = ho_left_kan(u, complete_resolution(x))
+                    split, direct = z0(sod_decompose(k_out, -2, 2).p_part)[0], z0(k_out)[0]
+                    assert is_gproj(direct)
+                    other = direct_sum_diagrams([x, left_kan_from_point(cat, alg, cat.objects[0], simple)])[0]
+                    for y, want in ((gproj_left_kan(u, x), "true"), (gproj_left_kan(u, other), "false")):
+                        assert [is_stable_iso_diagrams(z, y).status for z in (split, direct)] == [want, want]
+                        seen[want] += 1
+                    assert crosscheck_kan(u, x, margin=1).is_true
+    assert seen == {"true": 32, "false": 32}

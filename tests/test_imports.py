@@ -1,4 +1,4 @@
-"""Three lints on the library's names.
+"""Four lints on the library's names.
 
 Every name imported into a library module is used there.  `__init__.py` is
 skipped, since its imports are the package's re-exports, and so is
@@ -14,6 +14,11 @@ docstring or comment that names a function does not keep it.
 No library module reads another module's private name (one leading
 underscore), neither by `from .modules import _x` nor as `modules._x`: what
 a module keeps private is reached through its public functions.
+
+The memos the library keeps are the memos README.md documents: the names
+passed to `Algebra.kept(...)` and `by_content(...)` are the rows of the
+table in README's "Memos keyed by content" section.  A name that is not a
+string literal counts as undocumented.
 """
 
 import ast
@@ -200,3 +205,47 @@ def test_the_private_lint_sees_imports_and_module_attributes():
         "reader: modules._radical_layer",
         "reader: modules._submodule",
     ]
+
+
+def _outside_by_content(tree: ast.AST):
+    """The nodes of tree, bar the body of `by_content`, which hands its own
+    name on to `kept`."""
+    for node in ast.iter_child_nodes(tree):
+        if not (isinstance(node, ast.FunctionDef) and node.name == "by_content"):
+            yield node
+            yield from _outside_by_content(node)
+
+
+def kept_memo_names(sources: list) -> set:
+    """The first argument of every `x.kept(...)` and `by_content(...)` call
+    in sources, or "<not a literal>" where it is not a string literal."""
+    names = set()
+    for text in sources:
+        for node in _outside_by_content(ast.parse(text)):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "kept") or (isinstance(f, ast.Name) and f.id == "by_content"):
+                first = node.args[0]
+                names.add(first.value if isinstance(first, ast.Constant) and isinstance(first.value, str) else "<not a literal>")
+    return names
+
+
+def documented_memo_names(readme: str) -> set:
+    """The memo named in the first cell of each table row of README's
+    "Memos keyed by content" section."""
+    section = readme.split("### Memos keyed by content", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+
+
+def test_every_kept_memo_is_documented_and_every_documented_memo_is_kept():
+    sources = [p.read_text() for p in SRC.glob("*.py")]
+    documented = documented_memo_names((ROOT / "README.md").read_text())
+    assert documented and kept_memo_names(sources) == documented
+
+
+def test_the_memo_lint_sees_kept_and_by_content_names():
+    source = 'def by_content(name, x, f):\n    return x.alg.kept(name, 1, 1, f)\n\n\ndef f(alg, x, name):\n    alg.kept("a", 1, 1, f)\n    by_content("b", x, f)\n    alg.kept(name, 1, 1, f)\n    kept("c")\n'
+    assert kept_memo_names([source]) == {"a", "b", "<not a literal>"}
+    readme = "### Memos keyed by content\n\n| Memo | rate |\n|---|---|\n| `a` | 0.5 |\n| `b` | 0.1 |\n\n### Next\n\n| `c` | 0 |\n"
+    assert documented_memo_names(readme) == {"a", "b"}

@@ -1,8 +1,9 @@
-"""Projective covers, embeddings, Gorenstein Kan extensions, minimal
-resolutions of weights, stable Homs, quotients, submodules, generator
-legs, projectivity and injective envelopes are kept per algebra, keyed by
-content; free diagrams and the latching data of a free diagram are kept
-by their name (free_name).
+"""Projective covers, embeddings, Gorenstein Kan extensions, the deepest
+walk-back step of approx_gproj, stable Homs, stable-iso verdicts,
+quotients, submodules, generator legs, projectivity and injective
+envelopes are kept per algebra, keyed by content; free diagrams are kept
+by their name (free_name).  Minimal resolutions of weights and the
+latching data of free diagrams are built on every call.
 
 A hit must give the bytes a cold build gives, wrap the caller's own
 objects, stay within the memo's bounds and never cross algebra instances.
@@ -32,7 +33,7 @@ from derlab.algebra import clear_memos, dual_numbers
 from derlab.cats import arrow_category, cospan_category, identity_functor, opposite_functor, square_category
 from derlab.diagrams import Diagram, constant_diagram, diagram_key, free_diagram, free_name, identity_diagram_map, projective_cover_diagram, pushout_diagrams, stalk_diagram
 from derlab.field import Mat, rank, remember
-from derlab.gorenstein import approx_gproj, embed_gproj_into_proj, free_latching, hull_ginj, is_gproj, latching
+from derlab.gorenstein import approx_gproj, embed_gproj_into_proj, hull_ginj, is_gproj
 from derlab.homotopy import _corner_in_square, loop_via_square
 from derlab.modules import (
     Module,
@@ -65,10 +66,8 @@ BUILDER_MEMOS = {
     "_embedding": "embed_gproj_into_proj",
     "gproj_left_kan_data": "gproj_left_kan",
     "_free_diagram": "free_diagram",
-    "_free_latching": "free_latching",
     "_first_walk_back": "approx_walk_back",
     "_is_stable_iso": "is_stable_iso",
-    "_minimal_resolution": "minimal_resolution",
     **{"_" + name: name for name in MODULE_MEMOS},
 }
 
@@ -126,12 +125,11 @@ def _approx_bytes(x):
 
 def _record_builds(monkeypatch):
     """The input of every construction built from now on, by builder name:
-    the diagram of a cover, embedding, Kan extension or free latching data,
-    the parts of a free diagram, the module of a quotient, submodule, set
-    of generator legs, projectivity test or injective envelope, the
-    inflation of a deepest walk-back step and the first module of a
-    stable-iso search, and the weight of a minimal resolution."""
-    builders = {"_cover": diagrams, "_free_diagram": diagrams, "_embedding": gorenstein, "gproj_left_kan_data": gorenstein, "_free_latching": gorenstein, "_first_walk_back": gorenstein, "_minimal_resolution": dgkan}
+    the diagram of a cover, embedding or Kan extension, the parts of a free
+    diagram, the module of a quotient, submodule, set of generator legs,
+    projectivity test or injective envelope, the inflation of a deepest
+    walk-back step and the first module of a stable-iso search."""
+    builders = {"_cover": diagrams, "_free_diagram": diagrams, "_embedding": gorenstein, "gproj_left_kan_data": gorenstein, "_first_walk_back": gorenstein}
     builders.update({"_" + name: modules for name in MODULE_MEMOS + ("is_stable_iso",)})
     built = {name: [] for name in builders}
     for name, inputs in built.items():
@@ -167,7 +165,7 @@ def test_warm_memos_give_the_bytes_of_cold_ones(dn, monkeypatch, case):
     warm = [digest(x) for x in inputs]
     assert filling == cold and warm == cold
     counts = _counts_since(before)
-    assert {"free_diagram", "free_latching", "injective_embed"} <= set(counts)
+    assert {"free_diagram", "embed_gproj_into_proj", "injective_embed"} <= set(counts)
     # the warm pass built only what is too large to be kept: the iso
     # searches of stability-types, whose 108 distinct cones evict each other
     # from the quotient memo, are kept whole and not run again
@@ -297,10 +295,10 @@ def test_memos_stay_within_their_bounds(dn, monkeypatch):
         approx_gproj(x)
         hull_ginj(x)
         for alg in (x.alg, x.alg.opposite()):
-            for name in ("embed_gproj_into_proj", "projective_cover_diagram", "free_diagram", "free_latching") + MODULE_MEMOS:
+            for name in ("embed_gproj_into_proj", "projective_cover_diagram", "free_diagram") + MODULE_MEMOS:
                 assert len(alg._memos.get(name, {})) <= 3
     assert len(built["_cover"]) > 6  # both cover memos were full
-    assert len(built["_free_diagram"]) > 6 and len(built["_free_latching"]) > 6  # and so were the free ones
+    assert len(built["_free_diagram"]) > 6  # and so was the free one
     assert all(len(built["_" + name]) > 6 for name in MODULE_MEMOS)  # and so were the module memos
     # a diagram above the size cap is neither looked up nor kept
     big_x = constant_diagram(arrow_category(), dn, free_module(dn, 9))
@@ -511,24 +509,6 @@ def test_a_free_diagram_is_kept_by_its_name_and_sized_by_its_parts(dn, simple, r
     assert algebra.memo_counts()["free_diagram"]["not_kept"] == 2
 
 
-def test_a_free_latching_hit_wraps_the_callers_diagram(dn, simple, reg, monkeypatch):
-    square = square_category()
-    parts = [("(0,0)", reg), ("(0,1)", simple)]
-    q = free_diagram(square, dn, parts)
-    q2 = diagrams._free_diagram(square, dn, parts)  # the same name, another object
-    assert q2 is not q and diagram_key(q2) == diagram_key(q)
-    built = _record_builds(monkeypatch)
-    first, second = free_latching(q, parts), free_latching(q2, parts)
-    assert built["_free_latching"] == [q]
-    for j in square.objects:
-        cold = latching(q2, j)
-        lat = second[j]
-        assert lat.map.tgt is q2.at(j) and lat.module is first[j].module and lat.pres is cold.pres
-        assert lat.map.mat == cold.map.mat and lat.module.dim == cold.module.dim
-        assert all(leg.src is q2.at(lat.pres.pairs[o][0]) and leg.mat == cold.cocone[o].mat for o, leg in lat.cocone.items())
-        lat.map.validate()
-
-
 def test_each_free_diagram_is_built_once_per_name(monkeypatch):
     xs = _seeded_f3_diagrams(range(1, 11))
     assert len(xs) == 30
@@ -584,7 +564,7 @@ def test_a_second_regression_run_reuses_the_first_and_builds_nothing(monkeypatch
     assert all(new.categories[n] is c for n, c in old.categories.items()) and all(new.functors[n] is u for n, u in old.functors.items())
     assert not any(new.diagrams[n] is d for n, d in old.diagrams.items())
     counts = _counts_since(before)
-    assert {"minimal_resolution", "projective_cover_diagram", "free_diagram"} <= set(counts)
+    assert {"projective_cover_diagram", "free_diagram", "gproj_left_kan"} <= set(counts)
     for name, c in counts.items():
         assert c["builds"] == 0 and c["lookups"] == c["hits"], name
 
@@ -616,9 +596,10 @@ def _resolution_bytes(cx):
     return cx.blocks, sorted(cx.coeffs.items()), [(a, m.a.tobytes()) for a, m in sorted(cx.aug.items())]
 
 
-def test_warm_minimal_resolutions_give_the_bytes_of_cold_ones_and_are_copies(monkeypatch):
+def test_minimal_resolutions_give_the_same_bytes_on_every_call():
     # the restriction weights of the dg route over the square at p = 2, 3,
-    # including the non-free ones along the corner inclusion
+    # including the non-free ones along the corner inclusion; resolutions
+    # are not kept, so each call builds its own complex
     corner = _corner_in_square()
     functors = [identity_functor(square_category()), corner, opposite_functor(corner)]
     weights = [dgkan.restriction_weight_right(u, j, p) for p in (2, 3) for u in functors for j in u.cod.objects]
@@ -626,24 +607,8 @@ def test_warm_minimal_resolutions_give_the_bytes_of_cold_ones_and_are_copies(mon
     for w in weights:
         clear_memos()
         cold.append(_resolution_bytes(dgkan.minimal_resolution(w)))
-    filling = [_resolution_bytes(dgkan.minimal_resolution(w)) for w in weights]
-    before = algebra.memo_counts()
-    built = _record_builds(monkeypatch)
     warm = [dgkan.minimal_resolution(w) for w in weights]
-    assert filling == cold and [_resolution_bytes(cx) for cx in warm] == cold
-    assert not built["_minimal_resolution"] and _counts_since(before)["minimal_resolution"]["hits"] == len(weights)
-    # a hit is a copy: changing it leaves the kept complex alone
+    assert [_resolution_bytes(cx) for cx in warm] == cold
+    assert "minimal_resolution" not in algebra.memo_counts()
     warm[0].blocks.clear(), warm[0].coeffs.clear(), warm[0].aug.clear()
     assert _resolution_bytes(dgkan.minimal_resolution(weights[0])) == cold[0]
-
-
-def test_two_sided_weights_keep_nothing(monkeypatch):
-    # the two-sided weight lives over a product category built per call,
-    # so it is resolved without the memo: only the weights at the objects
-    # of J, resolved to decide the route, are looked up
-    u = opposite_functor(_corner_in_square())
-    before = algebra.memo_counts()
-    built = _record_builds(monkeypatch)
-    dgkan._kan_weights(u, 2)
-    assert _counts_since(before)["minimal_resolution"]["lookups"] == len(u.cod.objects)
-    assert len(built["_minimal_resolution"]) == len(u.cod.objects) + 1
