@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .field import MODULUS_BOUND, DerlabError, Mat, check_integer_entries, column_space_basis, hstack, in_column_span, is_prime, rank, remember
+from .field import MODULUS_BOUND, DerlabError, Mat, check_integer_entries, check_keys, column_space_basis, hstack, in_column_span, is_prime, rank, remember
 
 
 class AlgebraError(DerlabError, ValueError):
@@ -255,6 +255,7 @@ def algebra_from_dict(data: dict) -> Algebra:
     """Load from the JSON document format; integers are reduced mod p, and
     any other entry (1.5, "1", null) is refused."""
     try:
+        check_keys(data, ("p", "basis", "unit", "mul", "radical", "dim"))
         check_integer_entries([data["p"], data["unit"], data["mul"], data.get("radical") or []])
         if not isinstance(data["basis"], list):
             raise TypeError("basis must be a list of labels")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .field import DerlabError
+from .field import DerlabError, check_keys
 
 
 class CategoryError(DerlabError, ValueError):
@@ -458,9 +458,12 @@ def category_from_dict(data: dict) -> DirectCategory:
     """Load from the JSON document format; a malformed document is a
     CategoryError."""
     try:
+        check_keys(data, ("objects", "morphisms", "comp"))
         if not isinstance(data["objects"], list):
             raise TypeError("objects must be a list of names")
         objects = [str(o) for o in data["objects"]]
+        for m in data.get("morphisms", []):
+            check_keys(m, ("name", "src", "tgt"))
         morphisms = {m["name"]: (m["src"], m["tgt"]) for m in data.get("morphisms", [])}
         comp = {}
         for key, h in data.get("comp", {}).items():
@@ -479,10 +482,13 @@ def functor_from_dict(data: dict, dom: DirectCategory, cod: DirectCategory) -> C
     """Load from the JSON document format; a malformed document is a
     CategoryError."""
     try:
-        maps = [data.get(key, {}) for key in ("objects", "morphisms")]
-        if not all(isinstance(m, dict) for m in maps):
+        check_keys(data, ("dom", "cod", "objects", "morphisms"))
+        objects, morphisms = data.get("objects", {}), data.get("morphisms", {})
+        if not isinstance(objects, dict) or not isinstance(morphisms, dict):
             raise CategoryError("malformed functor document: objects and morphisms must map names to names")
-        return CatFunctor(dom, cod, *maps)
+        check_keys(objects, dom.objects)
+        check_keys(morphisms, dom.morphisms)
+        return CatFunctor(dom, cod, objects, morphisms)
     except CategoryError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

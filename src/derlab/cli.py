@@ -19,10 +19,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .algebra import Algebra, algebra_from_dict, require_self_injective
 from .cats import CatFunctor, DirectCategory, category_from_dict, disjoint_union, functor_from_dict
-from .field import DerlabError, matrix_from_entries
+from .field import DerlabError, Mat, check_keys, matrix_from_entries
 from .diagrams import (
     Diagram,
-    DiagramMap,
     diagram_from_dict,
     ext1,
     hom_space_diagrams,
@@ -171,9 +170,10 @@ class Session:
         each degree of one period; a malformed document is a ScenarioError."""
         p = self.alg.p
         try:
+            check_keys(data, ("shape", "terms", "diffs", "policy"))
             term_docs, diff_docs = data.get("terms", {}), data.get("diffs", {})
-            if not isinstance(term_docs, dict) or not isinstance(diff_docs, dict) or not all(isinstance(c, dict) for c in diff_docs.values()):
-                raise TypeError("terms, diffs and each diff must be mappings")
+            if not isinstance(term_docs, dict) or not isinstance(diff_docs, dict):
+                raise TypeError("terms and diffs must be mappings")
             terms = {_degree(deg): diagram_from_dict(shape, self.alg, d) for deg, d in term_docs.items()}
             diff_docs = {_degree(deg): comps for deg, comps in diff_docs.items()}
             policy = data.get("policy", "zero-tails")
@@ -188,37 +188,34 @@ class Session:
                     raise ValueError("a periodic complex needs a term and a diff at each degree of one period, and nothing else")
             zero = zero_diagram(shape, self.alg)
 
-            def term_at(k: int) -> Diagram:
-                return terms[lo + (k - lo) % period] if period else terms.get(k, zero)
+            def fold(k: int) -> int:
+                return lo + (k - lo) % period if period else k
 
-            diffs = {}
+            def term_at(k: int) -> Diagram:
+                return terms.get(fold(k), zero)
+
+            mats = {}
             for k, comps in diff_docs.items():
-                unknown = sorted(set(comps) - set(shape.objects))
-                if unknown:
-                    raise ValueError(f"the diff at degree {k} names {unknown}, no object of the shape")
+                check_keys(comps, shape.objects)
                 src, tgt = term_at(k), term_at(k + 1)
-                mats = {}
+                mats[k] = {}
                 for o in shape.objects:
                     rows, cols = tgt.at(o).dim, src.at(o).dim
-                    mats[o] = matrix_from_entries(p, comps[o] if rows * cols else comps.get(o, []), rows, cols)
-                diffs[k] = DiagramMap(src, tgt, mats)
+                    mats[k][o] = matrix_from_entries(p, comps[o] if rows * cols else comps.get(o, []), rows, cols)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"malformed complex document: {exc}") from exc
-        for k, d in diffs.items():
-            try:
-                d.validate()
-            except DerlabError as exc:
-                raise ScenarioError(f"malformed complex document: the diff at degree {k} is not a map of diagrams ({exc})") from exc
-        if period:
-            c = LazyComplex.periodic(shape, self.alg, terms, diffs, period)
-        else:
-            c = LazyComplex.bounded(shape, self.alg, terms, diffs)
+
+        def diff_at(k: int) -> Dict[str, Mat]:
+            src, tgt = term_at(k), term_at(k + 1)
+            return mats.get(fold(k)) or {o: Mat.zeros(p, tgt.at(o).dim, src.at(o).dim) for o in shape.objects}
+
+        c = LazyComplex(shape, self.alg, term_at, diff_at)
         try:
-            for k in diffs:
-                c.diff(k)
+            for k in mats:
+                c.diff(k).validate()
                 c.diff(k + 1)  # materializing d^(k+1) beside d^k checks d o d = 0
         except DerlabError as exc:
-            raise ScenarioError(f"malformed complex document: {exc}") from exc
+            raise ScenarioError(f"malformed complex document: at degree {k}: {exc}") from exc
         return c
 
 
@@ -469,8 +466,10 @@ def run_scenario(scenario_path: str, seed: Optional[int] = None) -> Tuple[dict, 
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         return _error_report(f"cannot read scenario: {exc}", t0)
     try:
-        if not isinstance(scenario, dict):
-            raise ScenarioError(f"malformed scenario: expected a JSON object, got {type(scenario).__name__}")
+        try:
+            check_keys(scenario, ("algebra", "categories", "functors", "diagrams", "complexes", "suites", "seed", "budget", "window_margin"))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"malformed scenario: {exc}") from exc
         suites = scenario.get("suites", [])
         if not isinstance(suites, list):
             raise ScenarioError("malformed scenario: suites must be a list of suite names")

@@ -105,21 +105,6 @@ class LazyComplex:
 
         return LazyComplex(shape, alg, term_fn, diff_fn)
 
-    @staticmethod
-    def periodic(shape: DirectCategory, alg: Algebra, terms: Dict[int, Diagram], diffs: Dict[int, DiagramMap], period: int) -> "LazyComplex":
-        lo = min(terms)
-
-        def fold(n: int) -> int:
-            return lo + ((n - lo) % period)
-
-        def term_fn(n: int) -> Diagram:
-            return terms[fold(n)]
-
-        def diff_fn(n: int) -> Dict[str, Mat]:
-            return diffs[fold(n)].comps
-
-        return LazyComplex(shape, alg, term_fn, diff_fn)
-
 
 def dual_complex(c: LazyComplex) -> LazyComplex:
     """The linear dual over the opposite shape and algebra: (D c)^n is
@@ -431,8 +416,6 @@ class SodResult:
     p_part: LazyComplex
     tc_part: LazyComplex
     map_p: ComplexMap          # p_part -> x
-    map_tc: ComplexMap         # x -> tc_part
-    window: Tuple[int, int]
 
 
 def _component_complex_at_min(c: LazyComplex, i: str) -> Tuple[LazyComplex, ComplexMap]:
@@ -517,7 +500,7 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
     shape, alg = c.shape, c.alg
     if len(shape.objects) <= 1:
         zero = LazyComplex.bounded(shape, alg, {}, {})
-        return SodResult(c, zero, ComplexMap(c, c, {k: identity_diagram_map(c.term(k)) for k in range(lo - 1, hi + 2)}), ComplexMap(c, zero, {}), (lo, hi))
+        return SodResult(c, zero, ComplexMap(c, c, {k: identity_diagram_map(c.term(k)) for k in range(lo - 1, hi + 2)}))
     i = shape.minimal_objects()[0]
     A, eps = _component_complex_at_min(c, i)
     X_ic = cone(eps)  # the i-contractible remainder
@@ -558,14 +541,7 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
         comps = {o: hstack([eps.comp(k).comps[o], f_of(k, o)]) for o in shape.objects}
         phi_comps[k] = DiagramMap(p_part.term(k), c.term(k), comps)
     map_p = ComplexMap(p_part, c, phi_comps)
-    tc_part = cone(map_p)
-    inj_comps: Dict[int, DiagramMap] = {}
-    for k in range(lo - 1, hi + 1):
-        src_t, tgt_t = c.term(k), tc_part.term(k)
-        comps = {o: Mat.identity(alg.p, tgt_t.at(o).dim)[:, : src_t.at(o).dim] for o in shape.objects}
-        inj_comps[k] = DiagramMap(src_t, tgt_t, comps)
-    map_tc = ComplexMap(c, tc_part, inj_comps)
-    return SodResult(p_part, tc_part, map_p, map_tc, (lo, hi))
+    return SodResult(p_part, cone(map_p), map_p)
 
 
 def restrict_complex(u: CatFunctor, c: LazyComplex) -> LazyComplex:

@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import ground_field
 from .cats import CatFunctor, DirectCategory, arrow_category, opposite_category, opposite_functor, product_category, slice_category, terminal_category
 from .field import Mat, block, hstack, kernel_basis, kron, product_defect, rank, solve, vstack
-from .modules import Module, class_reps, direct_sum, free_module, regular_module, submodule, zero_module
+from .modules import Module, class_reps, free_module, regular_module, submodule, sum_module, zero_module
 from .diagrams import (
     Diagram,
     DiagramMap,
@@ -233,7 +233,7 @@ def weighted_hocolim(wc: FreeComplex, f: LazyComplex) -> LazyComplex:
 
     def term_fn(n: int) -> Diagram:
         mods = [f.term(n - q).at(obj) for q, obj, _ in blocks]
-        total = direct_sum(mods)[0] if mods else zero_module(alg)
+        total = sum_module(mods) if mods else zero_module(alg)
         return Diagram(e, alg, {"*": total}, {})
 
     def diff_fn(n: int) -> Dict[str, Mat]:
@@ -405,7 +405,7 @@ def hom_module_from_weight(m: Diagram, d: Diagram) -> Tuple[Module, Mat]:
     alg = d.alg
     p = alg.p
     copies = [d.at(i) for i in cat.objects for _ in range(m.at(i).dim)]
-    amb = direct_sum(copies)[0] if copies else zero_module(alg)
+    amb = sum_module(copies) if copies else zero_module(alg)
     grid, row_dims = [], []
     for h in cat.nonidentity_morphisms():
         a, b = cat.src(h), cat.tgt(h)

@@ -26,7 +26,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import DerlabError, FieldError, Mat, block, block_diag, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, solve_by_pivots, vstack
+from .field import DerlabError, FieldError, Mat, block, block_diag, check_keys, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, solve_by_pivots, vstack
 from .modules import (
     Conflation,
     Module,
@@ -750,6 +750,7 @@ def _parse_module(alg: Algebra, data: dict) -> Module:
     """The module a document gives, its module law not yet checked; a
     malformed document is a DiagramError."""
     try:
+        check_keys(data, ("dim", "action"))
         dim = data["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
             raise TypeError(f"dim {dim!r} is not a non-negative integer")
@@ -762,12 +763,10 @@ def _parse_module(alg: Algebra, data: dict) -> Module:
 
 def diagram_from_dict(shape: DirectCategory, alg: Algebra, data: dict) -> Diagram:
     try:
+        check_keys(data, ("shape", "objects", "morphisms"))
         objects, morphisms = data["objects"], data.get("morphisms", {})
-        if not isinstance(objects, dict) or not isinstance(morphisms, dict):
-            raise TypeError("objects and morphisms must be mappings")
-        unknown = sorted(set(objects) - set(shape.objects)) + sorted(set(morphisms) - set(shape.nonidentity_morphisms()))
-        if unknown:
-            raise ValueError(f"{unknown} name no object or non-identity morphism of the shape")
+        check_keys(objects, shape.objects)
+        check_keys(morphisms, shape.nonidentity_morphisms())
         # parsed unchecked: Diagram.validate checks each module law once
         modules = {o: _parse_module(alg, objects[o]) for o in shape.objects}
         mats = {}

@@ -276,6 +276,16 @@ def check_integer_entries(data) -> None:
             raise TypeError(f"entry {x!r} is not an integer")
 
 
+def check_keys(data, known: Iterable[str]) -> None:
+    """Raise unless a document is a mapping with no key outside known: a key
+    no loader reads (a misspelt "budget", say) must not pass unseen."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; the keys read here are {list(known)}")
+
+
 def matrix_from_entries(p: int, data, rows: int, cols: int) -> Mat:
     """The rows x cols matrix a document gives as nested lists of integers.
 

@@ -21,7 +21,6 @@ from .cats import (
     CatFunctor,
     DirectCategory,
     SlicePresentation,
-    full_subcategory,
     opposite_category,
     opposite_functor,
     punctured_slice,
@@ -235,33 +234,29 @@ def gproj_witness_report(x: Diagram) -> Dict[str, dict]:
 
 
 def colim_gproj_data(x: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
-    """Colimit of a Gorenstein-projective diagram by stripping a maximal
-    object and pushing the latching map out against the sub-colimit.  Legs
-    carry their shares of the cocone's section, in its order (from_colimit):
-    the sub-cocone's read at the share of the pushout leg it goes through."""
-    shape, alg = x.shape, x.alg
-    objs = shape.objects
-    if not objs:
+    """Colimit of a Gorenstein-projective diagram by pushout induction on
+    x's own shape, in degree order: each object's latching map is pushed
+    out against the colimit of the objects before it, which are all the
+    objects that map to it (Hovey, Model Categories, 5.1-5.2).  The cocone
+    lists the newest object first.  Legs carry their shares of the
+    cocone's section, in its order (from_colimit): the old cocone's read
+    at the share of the pushout leg it goes through."""
+    alg = x.alg
+    order = x.shape.objects_by_degree()
+    if not order:
         return zero_module(alg), {}
-    if len(objs) == 1:
-        o = objs[0]
-        d = x.at(o).dim
-        return x.at(o), {o: ModuleMap(x.at(o), x.at(o), Mat.identity(alg.p, d), np.arange(d))}
-    j = shape.objects_by_degree()[-1]  # a maximal object
-    lat = latching(x, j)
-    if not lat.is_inflation:
-        raise PreconditionError(f"latching map at {j} is not an inflation")
-    _, incl = full_subcategory(shape, [o for o in objs if o != j])
-    xJ = restrict(incl, x)
-    colimJ, coconeJ = colim_gproj_data(xJ)
-    legs = {o: coconeJ[i].mat for o, (i, _) in lat.pres.pairs.items()}
-    r = ModuleMap(lat.module, colimJ, from_colimit(lat.module, lat.cocone, legs, colimJ.dim))
-    C, leg_j, leg_J = pushout(lat.map, r)
-    sub = list(coconeJ.values())
-    shares = section_shares(joint_section(sub)[leg_J.section], [leg.src.dim for leg in sub])
-    cocone = {j: leg_j}
-    for (o, leg), share in zip(coconeJ.items(), shares):
-        cocone[o] = ModuleMap(leg.src, C, leg_J.mat @ leg.mat, share)
+    first = x.at(order[0])
+    C, cocone = first, {order[0]: ModuleMap(first, first, Mat.identity(alg.p, first.dim), np.arange(first.dim))}
+    for j in order[1:]:
+        lat = latching(x, j)
+        if not lat.is_inflation:
+            raise PreconditionError(f"latching map at {j} is not an inflation")
+        legs = {o: cocone[i].mat for o, (i, _) in lat.pres.pairs.items()}
+        r = ModuleMap(lat.module, C, from_colimit(lat.module, lat.cocone, legs, C.dim))
+        C, leg_j, leg_old = pushout(lat.map, r)
+        old = list(cocone.values())
+        shares = section_shares(joint_section(old)[leg_old.section], [leg.src.dim for leg in old])
+        cocone = {j: leg_j} | {o: ModuleMap(leg.src, C, leg_old.mat @ leg.mat, share) for (o, leg), share in zip(cocone.items(), shares)}
     return C, cocone
 
 

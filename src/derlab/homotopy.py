@@ -218,15 +218,14 @@ class Triangle:
     base: DiagramConflation
     f: DiagramMap            # a -> b
     g: DiagramMap            # b -> c
-    delta: DiagramMap        # c -> suspension(a)
-    suspension_of_a: Diagram
+    delta: DiagramMap        # c -> suspension(a) = delta.tgt
 
 
 def triangle_from_conflation(confl: DiagramConflation) -> Triangle:
     """The connecting map through an embedding of the subobject."""
     emb = embed_gproj_into_proj(confl.sub)
     delta = _induced_on_quotients(confl, emb, emb.left, "triangle construction: extension failed")
-    return Triangle(confl, confl.left, confl.right, delta, emb.quot)
+    return Triangle(confl, confl.left, confl.right, delta)
 
 
 # -- the loop functor through the square --------------------------------------------------

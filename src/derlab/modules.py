@@ -361,7 +361,7 @@ def pushout(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
         raise ModuleError("pushout needs a common source")
     x, y = f.tgt, g.tgt
     combined = vstack([f.mat, -g.mat if g.mat.rows else g.mat])
-    po, proj = quotient_module(direct_sum([x, y])[0], combined)
+    po, proj = quotient_module(sum_module([x, y]), combined)
     share_x, share_y = section_shares(proj.section, [x.dim, y.dim])
     return po, ModuleMap(x, po, proj.mat[:, : x.dim], share_x), ModuleMap(y, po, proj.mat[:, x.dim :], share_y)
 
@@ -372,7 +372,7 @@ def pullback(f: ModuleMap, g: ModuleMap) -> Tuple[Module, ModuleMap, ModuleMap]:
         raise ModuleError("pullback needs a common target")
     x, y = f.src, g.src
     combined = hstack([f.mat, -g.mat if g.mat.cols else g.mat])
-    pb, incl = submodule(direct_sum([x, y])[0], kernel_basis(combined))
+    pb, incl = submodule(sum_module([x, y]), kernel_basis(combined))
     return pb, ModuleMap(pb, x, incl.mat[: x.dim, :]), ModuleMap(pb, y, incl.mat[x.dim :, :])
 
 
@@ -621,9 +621,10 @@ def stable_iso_pair_in(
     caller already holds and the rest built here.  The cone data comes from
     ops.cone, and only when stable End(a) != 0: otherwise a is projective,
     there is one candidate, and the solve decides it alone."""
-    back = ops.hom(b, a) if back is None else back
     end_src = ops.stable_hom(a, a) if end_src is None else end_src
-    end_tgt = ops.stable_hom(b, b) if end_tgt is None else end_tgt
+    same = b is a  # der2's identity and zero maps: one End serves both ends
+    back = (end_src.basis if same else ops.hom(b, a)) if back is None else back
+    end_tgt = (end_src if same else ops.stable_hom(b, b)) if end_tgt is None else end_tgt
     inflation, cone_sum = ops.cone(a, b) if end_src.quotient_dim else (None, None)
     return StableIsoPair(a, b, back, end_src, end_tgt, inflation, cone_sum)
 
@@ -712,7 +713,7 @@ class _ModuleOps:
         I(a) = D(free), and the module b (+) I(a)."""
         legs = generator_legs(dual_module(a))
         injective = dual_module(free_module(a.alg.opposite(), len(legs)))
-        return hstack(legs).T, direct_sum([b, injective])[0]
+        return hstack(legs).T, sum_module([b, injective])
 
     def stable_hom(self, a: Module, b: Module) -> StableHomReport:
         return stable_hom(a, b)

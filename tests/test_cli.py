@@ -556,7 +556,48 @@ MALFORMED = {
     "diagram-unknown-object": ("diagram", {**_point(1, [[[1]], [[0]]]), "objects": {"*": {"dim": 1, "action": [[[1]], [[0]]]}, "0": {"dim": 0, "action": [[], []]}}}),
     "diagram-identity-morphism": ("diagram", {**_point(1, [[[1]], [[0]]]), "morphisms": {"1_*": [[0]]}}),
     "diff-unknown-object": ("complex", _complex("zero-tails", {"0": _FREE_POINT, "1": _FREE_POINT}, {"0": {"*": _NILPOTENT, "0": [[1]]}})),
+    # a key no loader reads, each misspelt or extra, in every document kind
+    "scenario-unknown-key": ("scenario", {"budgett": 5}),
+    "algebra-unknown-key": ("algebra", {("radicall" if k == "radical" else k): v for k, v in json.loads((SCENARIOS / "dual_numbers.json").read_text()).items()}),
+    "category-unknown-key": ("category", {**json.loads((SCENARIOS / "cat_arrow.json").read_text()), "extra_key": []}),
+    "category-morphism-unknown-key": ("category", {"objects": ["0", "1"], "morphisms": [{"name": "e0", "src": "0", "tgt": "1", "tgtt": "1"}]}),
+    "functor-unknown-key": ("functor", {**json.loads((SCENARIOS / "fun_to_point.json").read_text()), "extra_key": {}}),
+    "functor-unknown-object": ("functor", {"dom": "arrow", "cod": "point", "objects": {"0": "*", "1": "*", "2": "*"}, "morphisms": {"e0": "1_*"}}),
+    "functor-unknown-morphism": ("functor", {"dom": "arrow", "cod": "point", "objects": {"0": "*", "1": "*"}, "morphisms": {"e0": "1_*", "e_9": "1_*"}}),
+    "diagram-unknown-key": ("diagram", {**_point(1, [[[1]], [[0]]]), "extra_key": 1}),
+    "module-unknown-key": ("diagram", _point(1, [[[1]], [[0]]]) | {"objects": {"*": {"dim": 1, "action": [[[1]], [[0]]], "dims": 1}}}),
+    "complex-unknown-key": ("complex", {**_complex("zero-tails", {"0": _FREE_POINT}, {}), "polciy": {"periodic": {"period": 1}}}),
 }
+
+
+def _period_two(d0, d1):
+    """A period-2 complex over the point: F in even degrees, F (+) F in odd
+    ones, with d^0 = d0 and d^1 = d1 (F free of rank one)."""
+    nil2 = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
+    eye4 = [[int(i == j) for j in range(4)] for i in range(4)]
+    two = {"objects": {"*": {"dim": 4, "action": [eye4, nil2]}}, "morphisms": {}}
+    return _complex({"periodic": {"period": 2}}, {"0": _FREE_POINT, "1": two}, {"0": {"*": d0}, "1": {"*": d1}})
+
+
+def test_a_periodic_complex_repeats_its_diffs_and_refuses_d_d_across_the_period(tmp_path):
+    """Each differential of a loaded periodic complex is the one its
+    document gives at the same degree of the period.  A d o d that only
+    the wrap from the period's last degree to its first forms is refused:
+    d^1 d^0 = 0 there, yet d^2 d^1 = d^0 d^1 != 0."""
+    x_col, x_row = [[0, 0], [1, 0], [0, 0], [0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]
+    scen = _one_document_scenario(tmp_path, "complex", _period_two(x_col, x_row))
+    assert run_scenario(str(scen))[1] == 0
+    s = Session(json.loads(scen.read_text()), tmp_path)
+    s.load()
+    c = s.complexes["x"]
+    for k in range(-3, 3):
+        assert c.diff(k).comps["*"].a.tolist() == (x_col if k % 2 == 0 else x_row)
+        assert c.term(k) is c.term(k + 2)
+    incl, proj = [[1, 0], [0, 1], [0, 0], [0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]
+    scen = _one_document_scenario(tmp_path, "complex", _period_two(incl, proj))
+    report, code = run_scenario(str(scen))
+    assert code == 2 and report["items"] == []
+    assert "malformed complex document" in report["error"] and "d o d != 0 between degrees 1 and 3" in report["error"]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

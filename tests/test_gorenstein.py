@@ -630,3 +630,34 @@ def test_recognition_builds_no_latching_colimit(request):
     for x, oracle in zip(s.diagrams.values(), oracles):
         assert _rank_answers(x) == oracle
         assert is_injective_diagram(x) == is_projective_diagram(dual_diagram(x))
+
+
+def test_a_warm_pushout_inductive_colimit_builds_no_category(monkeypatch):
+    """colim_gproj_data walks x's own shape in degree order, so once the
+    square's punctured slices are cached on it, a second call builds no
+    DirectCategory (no subcategory per step), with the cold call's bytes."""
+    import random
+
+    from derlab import cats
+    from derlab.gorenstein import colim_gproj_data
+    from derlab.samples import random_gproj
+
+    x = random_gproj(square_category(), dual_numbers(3), 2, random.Random(37))
+    assert sum(x.at(o).dim > 0 for o in x.shape.objects) > 1
+
+    def data_bytes(data):
+        C, cocone = data
+        return [a.a.tobytes() for a in C.action], [(o, leg.mat.a.tobytes(), leg.section.tobytes()) for o, leg in cocone.items()]
+
+    cold = data_bytes(colim_gproj_data(x))
+    built = []
+    original = cats.DirectCategory.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cats.DirectCategory, "__init__", counting)
+    assert data_bytes(colim_gproj_data(x)) == cold
+    assert built == []
+    assert [o for o, _, _ in cold[1]] == x.shape.objects_by_degree()[::-1]  # newest object first

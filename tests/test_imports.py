@@ -1,4 +1,4 @@
-"""Four lints on the library's names.
+"""Five lints on the library's names.
 
 Every name imported into a library module is used there.  `__init__.py` is
 skipped, since its imports are the package's re-exports, and so is
@@ -19,11 +19,17 @@ The memos the library keeps are the memos README.md documents: the names
 passed to `Algebra.kept(...)` and `by_content(...)` are the rows of the
 table in README's "Memos keyed by content" section.  A name that is not a
 string literal counts as undocumented.
+
+Every annotated field of a library `@dataclass` is read, as an attribute
+load `x.field`, somewhere in `src/`, `tests/` or `bench/`: a field nobody
+reads is a value built for no one.  The check is by name, so a field
+shares its reads with every attribute of the same name.
 """
 
 import ast
 import re
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -249,3 +255,72 @@ def test_the_memo_lint_sees_kept_and_by_content_names():
     assert kept_memo_names([source]) == {"a", "b", "<not a literal>"}
     readme = "### Memos keyed by content\n\n| Memo | rate |\n|---|---|\n| `a` | 0.5 |\n| `b` | 0.1 |\n\n### Next\n\n| `c` | 0 |\n"
     assert documented_memo_names(readme) == {"a", "b"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Is cls decorated @dataclass, @dataclass(...) or @dataclasses.dataclass?"""
+    for deco in cls.decorator_list:
+        f = deco.func if isinstance(deco, ast.Call) else deco
+        if (isinstance(f, ast.Name) and f.id == "dataclass") or (isinstance(f, ast.Attribute) and f.attr == "dataclass"):
+            return True
+    return False
+
+
+def unread_dataclass_fields(sources: dict, readers: Iterable[str]) -> list:
+    """"module.Class.field" for each annotated field of a dataclass in
+    sources (file name -> text) that no attribute load of readers (texts)
+    names."""
+    loads = {n.attr for text in readers for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for module, text in sources.items():
+        for cls in ast.walk(ast.parse(text)):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                fields = [st.target.id for st in cls.body if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+                out += [f"{module[:-3]}.{cls.name}.{name}" for name in fields if name not in loads]
+    return sorted(out)
+
+
+def test_every_dataclass_field_is_read():
+    readers = [p.read_text() for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py") if "_work" not in p.parts]
+    assert unread_dataclass_fields({p.name: p.read_text() for p in MODULES}, readers) == []
+
+
+DATACLASSES = '''
+import dataclasses
+from dataclasses import dataclass
+
+
+@dataclass
+class Plain:
+    read: int
+    unread: int
+
+
+@dataclass(frozen=True)
+class Called:
+    stored_only: str
+    limit: int = 0
+
+
+@dataclasses.dataclass
+class Qualified:
+    orphan: float
+
+
+class NotADataclass:
+    loose: int
+'''
+
+DATACLASS_READER = '''
+def reader(x, y):
+    y.stored_only = x.read  # a store is no read
+    return x.limit, x.loose
+'''
+
+
+def test_the_dataclass_lint_sees_unread_fields():
+    assert unread_dataclass_fields({"shapes.py": DATACLASSES}, [DATACLASSES, DATACLASS_READER]) == [
+        "shapes.Called.stored_only",
+        "shapes.Plain.unread",
+        "shapes.Qualified.orphan",
+    ]

@@ -136,3 +136,19 @@ def test_budget_zero_still_reports_unknown_exit_three(solve_calls):
     assert [it["verdict"] for it in report["items"]] == ["unknown"]
     # a zero budget tries no candidate, so no map is checked
     assert solve_calls == []
+
+
+def test_a_pair_of_one_object_has_one_stable_end(dn, simple):
+    """Checking maps a -> a (der2's identity and zero maps) needs stable
+    End(a) once: the pair's two End reports are one, and its basis of
+    Hom(a, a) is the End report's, for modules and for diagrams alike."""
+    from derlab import homotopy
+    from derlab.cats import arrow_category
+    from derlab.diagrams import constant_diagram
+
+    for ops, a in ((OPS, simple), (homotopy._DIAGRAMS, constant_diagram(arrow_category(), dn, simple))):
+        pair = modules.stable_iso_pair_in(ops, a, a)
+        assert pair.end_tgt is pair.end_src and pair.back is pair.end_src.basis
+        assert [ops.vec(h).a.tobytes() for h in pair.back] == [ops.vec(h).a.tobytes() for h in ops.hom(a, a)]
+        ok, g = ops.is_stable_iso_map(ops.identity(a), pair)
+        assert ok and g is not None
