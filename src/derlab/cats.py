@@ -10,6 +10,7 @@ so that every block decomposition downstream is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import DerlabError, check_keys
@@ -380,7 +381,9 @@ def opposite_functor(u: CatFunctor) -> CatFunctor:
     return op
 
 
+@lru_cache(maxsize=32)
 def product_category(c1: DirectCategory, c2: DirectCategory) -> DirectCategory:
+    """c1 x c2, built once per pair of shape instances."""
     def oname(a, b):
         return f"({a},{b})"
 
@@ -428,22 +431,28 @@ def disjoint_union(c1: DirectCategory, c2: DirectCategory) -> Tuple[DirectCatego
 
 
 # -- standard shapes ---------------------------------------------------------
+# Built once, like products, so that the caches of a shape and the memos
+# keyed on it serve every caller; no construction mutates a category.
 
 
+@lru_cache(maxsize=None)
 def terminal_category() -> DirectCategory:
     return DirectCategory(["*"], {}, {})
 
 
+@lru_cache(maxsize=None)
 def arrow_category() -> DirectCategory:
     """[1] = (0 -> 1)."""
     return DirectCategory(["0", "1"], {"e0": ("0", "1")}, {})
 
 
+@lru_cache(maxsize=None)
 def cospan_category() -> DirectCategory:
     """The cospan x -> z <- y."""
     return DirectCategory(["x", "y", "z"], {"f": ("x", "z"), "g": ("y", "z")}, {})
 
 
+@lru_cache(maxsize=None)
 def span_category() -> DirectCategory:
     """The span x <- w -> y."""
     return DirectCategory(["w", "x", "y"], {"f": ("w", "x"), "g": ("w", "y")}, {})

@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .algebra import Algebra, algebra_from_dict, require_self_injective
+from .algebra import Algebra, algebra_from_dict, is_self_injective, require_self_injective
 from .cats import CatFunctor, DirectCategory, category_from_dict, disjoint_union, functor_from_dict
 from .field import DerlabError, Mat, check_keys, matrix_from_entries
 from .diagrams import (
@@ -247,7 +247,7 @@ def _functor_diagram_pairs(s: Session) -> Iterator[Tuple[str, object, str, Diagr
 
 def _suite_validate(s: Session) -> Suite:
     def algebra():
-        return "pass", {"dim": s.alg.dim, "p": s.alg.p, "self_injective": True}
+        return "pass", {"dim": s.alg.dim, "p": s.alg.p, "self_injective": is_self_injective(s.alg)}
     yield "validate/algebra", algebra
     for name, cat in s.categories.items():
         def category(cat=cat):

@@ -1,6 +1,11 @@
 """Unbounded complexes of diagrams as lazily generated, window-inspected
-values: complete resolutions, shifts, cones, termwise contractibility, and
-the projective/termwise-contractible semiorthogonal decomposition.
+values: complete resolutions, shifts, cones, contractions, and the
+projective/termwise-contractible semiorthogonal decomposition.
+
+One builder, contraction, answers is_contractible_on and, on the complex
+restricted to its objects, is_termwise_contractible: it splits the
+boundaries off by sections of free presentations and checks the h it
+builds by products, so every True is certified.
 
 Cohomological convention: differentials have degree +1; shift satisfies
 d_{C[n]} = (-1)^n d_C; the cone of f: X -> Y has terms Y^k (+) X^{k+1} with
@@ -16,26 +21,31 @@ to at most one worker at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .algebra import Algebra, require_self_injective
 from .cats import CatFunctor, DirectCategory, full_subcategory, opposite_category
-from .field import DerlabError, Mat, block, block_diag, hstack, invert, kernel_basis, product_defect, rank, solve, solve_by_pivots
-from .modules import Module, ModuleMap, dual_module, generators, is_projective, split_section, submodule, zero_module
+from .field import DerlabError, Mat, block, block_diag, hstack, product_defect, rank, solve, solve_by_pivots
+from .modules import ModuleError, is_projective, zero_module
 from .diagrams import (
     Diagram,
+    DiagramError,
     DiagramMap,
     block_sum_diagram,
     cokernel_diagram,
     dual_diagram,
     factor_by_section,
+    free_generators,
+    free_legs_at,
     identity_diagram_map,
     kernel_diagram,
     left_kan_from_point,
     projective_cover_diagram,
     restrict,
+    solve_in_hom,
     zero_diagram,
     zero_diagram_map,
 )
@@ -98,10 +108,7 @@ class LazyComplex:
             return terms.get(n, z)
 
         def diff_fn(n: int) -> Dict[str, Mat]:
-            if n in diffs:
-                return diffs[n].comps
-            src, tgt = term_fn(n), term_fn(n + 1)
-            return {o: Mat.zeros(alg.p, tgt.at(o).dim, src.at(o).dim) for o in shape.objects}
+            return (diffs[n] if n in diffs else zero_diagram_map(term_fn(n), term_fn(n + 1))).comps
 
         return LazyComplex(shape, alg, term_fn, diff_fn)
 
@@ -222,153 +229,125 @@ def cone(f: ComplexMap) -> LazyComplex:
     return LazyComplex(shape, alg, term_fn, diff_fn)
 
 
-# -- contractibility -----------------------------------------------------------
+# -- contractions ---------------------------------------------------------------
+
+
+def contraction(c: LazyComplex, lo: int, hi: int) -> Optional[Dict[int, DiagramMap]]:
+    """Natural maps h^k: C^k -> C^{k-1} (lo < k <= hi) with d h + h d = id
+    at lo+1 .. hi-1, checked by products (check_contraction), or None if
+    there are none: they exist iff the deflations C^k ->> B^{k+1} (lo <= k
+    < hi) and the inflation B^hi >-> C^hi split (Bühler, Exact categories,
+    section 10), B the boundaries, taken to be the cocycles inside the
+    window.  With sections s_k (_section), rho_k = id - s_k d^k in the
+    coordinates of B^k retracts B^k >-> C^k for k < hi, rho_hi = id - sigma pi
+    for a section sigma of pi: C^hi ->> coker d^{hi-1}; h^k = s_{k-1} rho_k."""
+    if hi - lo < 2 or not any(c.term(k).total_dim() for k in range(lo, hi + 1)):
+        return {k: zero_diagram_map(c.term(k), c.term(k - 1)) for k in range(lo + 1, hi + 1)}  # no equation, or only zero terms
+    objs, p = c.shape.objects, c.alg.p
+    defl = {hi: cokernel_diagram(c.diff(hi - 1))[1]}
+    bounds = {k: kernel_diagram(c.diff(k) if k < hi else defl[hi])[1] for k in range(lo + 1, hi + 1)}
+    for k in range(lo, hi):
+        defl[k] = DiagramMap(c.term(k), bounds[k + 1].src, {o: _coordinates(bounds[k + 1].comps[o], c.diff(k).comps[o]) for o in objs})
+    sections = {k: _section(defl[k]) for k in range(lo, hi + 1)}
+    if None in sections.values():
+        return None
+    h = {}
+    for k in range(lo + 1, hi + 1):
+        rho = {o: _coordinates(bounds[k].comps[o], Mat.identity(p, c.term(k).at(o).dim) - sections[k][o] @ defl[k].comps[o]) for o in objs}
+        h[k] = DiagramMap(c.term(k), c.term(k - 1), {o: sections[k - 1][o] @ rho[o] for o in objs})
+    check_contraction(c, h, lo, hi)
+    return h
+
+
+def check_contraction(c: LazyComplex, h: Dict[int, DiagramMap], lo: int, hi: int) -> None:
+    """Check by products that each h^k (lo < k <= hi) is a natural module
+    map C^k -> C^{k-1} and that d h + h d = id at lo+1 .. hi-1; a failure
+    is a VerificationError."""
+    for k in range(lo + 1, hi + 1):
+        try:
+            h[k].validate()
+        except (ModuleError, DiagramError) as exc:
+            raise VerificationError(f"h^{k} is not a map of diagrams: {exc}") from exc
+    for k in range(lo + 1, hi):
+        for o in c.shape.objects:
+            eye = np.identity(c.term(k).at(o).dim, dtype=np.int64)
+            if product_defect(c.alg.p, (c.diff(k - 1).comps[o].a, h[k].comps[o].a), (h[k + 1].comps[o].a, c.diff(k).comps[o].a), c=eye):
+                raise VerificationError(f"d h + h d != id at {o} in degree {k}")
+
+
+def _section(defl: DiagramMap) -> Optional[Dict[str, Mat]]:
+    """The components of a natural section of a deflation defl: X ->> Y, or
+    None.  Lift the free_generators g of Y through defl and extend freely:
+    at each object o, s = S P^-1 with P = [Y(f) a g] and S = [X(f) a lift(g)]
+    over the arrows f: j -> o and the basis a of the algebra.  P is onto
+    (Nakayama's lemma, degree by degree), so it is invertible, and Y free
+    on g, exactly when it is square.  Over a local algebra that is when Y
+    is projective, and a projective X has no other section (a summand of
+    a projective is projective); otherwise, as over an algebra with no
+    declared radical, the split solve diagrams.solve_in_hom."""
+    x, y = defl.src, defl.tgt
+    shape, p = y.shape, y.alg.p
+    legs = {}  # j -> (a g, a lift(g)) side by side over the basis a
+    for j in shape.objects:
+        gens = free_generators(y, j)
+        lifts = solve(defl.comps[j], Mat.identity(p, y.at(j).dim)[:, gens]) if gens else Mat.zeros(p, x.at(j).dim, 0)
+        if lifts is None:
+            return None
+        legs[j] = (np.concatenate([a.a[:, gens] for a in y.at(j).action], axis=1), np.concatenate([a.a @ lifts.a for a in x.at(j).action], axis=1) % p)
+    out = {}
+    for o in shape.objects:
+        free = [(y.mat(f).a @ legs[j][0], x.mat(f).a @ legs[j][1]) for j in shape.objects for f in shape.hom(j, o)]
+        pres = np.concatenate([np.zeros((y.at(o).dim, 0), dtype=np.int64)] + [a for a, _ in free], axis=1) % p
+        lifted = np.concatenate([np.zeros((x.at(o).dim, 0), dtype=np.int64)] + [b for _, b in free], axis=1) % p
+        if pres.shape[0] != pres.shape[1]:
+            if y.alg.is_local() and is_projective_diagram(x):
+                return None
+            s = solve_in_hom(y, x, [(identity_diagram_map(y), defl, identity_diagram_map(y))])
+            return None if s is None else s.comps
+        out[o] = solve(Mat._of(p, pres.T), Mat._of(p, lifted.T)).T
+    return out
+
+
+def _coordinates(incl: Mat, m: Mat) -> Mat:
+    """The x with incl x = m for a canonical column basis incl, which is
+    the identity on its pivot rows, the first nonzero row of each column
+    (field.solve_by_pivots); a VerificationError if m leaves its span."""
+    x = solve_by_pivots(incl, (incl.a != 0).argmax(axis=0) if incl.rows else np.zeros(0, dtype=np.intp), m)
+    if x is None:
+        raise VerificationError("a map leaves the subdiagram it should land in")
+    return x
 
 
 def is_contractible_on(c: LazyComplex, lo: int, hi: int) -> bool:
     """Is there h of degree -1 with d h + h d = id at lo+1 .. hi-1 of c?
-    Decided from the cocycles, with no hom space; the tests compare it with
-    one joint solve for h (tests/oracles.py).
-
-    Such h exist exactly when c is exact there, the deflations
-    C^{k-1} ->> d(C^{k-1}) (lo < k <= hi) split, and so does the inflation
-    d(C^{hi-1}) >-> C^hi (Bühler, Exact categories, section 10).  For terms
-    lo..hi projective diagrams: each inner Z^k and coker d^{hi-1} are
-    projective.  The cokernel, since over more than one object a projective
-    subdiagram need not split off.  On an exact window, a term lo..hi that
-    is not a projective diagram is a PreconditionError.
-    """
-    if hi - lo < 2:
-        return True  # no equations: the empty contraction
-    if not c.is_acyclic_on(lo, hi):
-        return False
-    if not all(is_projective_diagram(c.term(k)) for k in range(lo, hi + 1)):
+    True when contraction builds one, so every True is certified by
+    products; the tests compare the answer with one joint solve for h
+    (tests/oracles.py).  On an exact window, a term lo..hi that is not a
+    projective diagram is a PreconditionError."""
+    if hi - lo < 2 or all(is_projective_diagram(c.term(k)) for k in range(lo, hi + 1)):
+        return contraction(c, lo, hi) is not None
+    if c.is_acyclic_on(lo, hi):
         raise PreconditionError(f"contractibility on {lo}..{hi} is decided for complexes of projective diagrams")
-    cocycles = (kernel_diagram(c.diff(k))[0] for k in range(lo + 1, hi))
-    return all(map(is_projective_diagram, cocycles)) and is_projective_diagram(cokernel_diagram(c.diff(hi - 1))[0])
+    return False
 
 
 def is_termwise_contractible(c: LazyComplex, lo: int, hi: int) -> bool:
     """Does each object's component complex have a contraction on lo..hi,
     degree -1 module maps h with d h + h d = id there?  Asked of a window
-    exact at lo..hi; any other window is a WindowError.
-
-    Decided by building one (_termwise_contraction): a True answer is
-    certified by a contraction checked by products, and one that fails its
-    check is a VerificationError.  False means a section or the top
-    retraction it needs does not exist, which any contraction would supply
-    (Weibel, An Introduction to Homological Algebra, 1.4).  For projective
-    terms over a self-injective algebra that is a cocycle Z^lo .. Z^hi that
-    is not projective.
-    """
+    exact at lo..hi; any other window is a WindowError.  Answered by
+    contraction on c restricted to its objects, on lo-1 .. hi+1, so a True
+    is certified by products; no term need be projective."""
+    if contraction(restrict_complex(_objects_of(c.shape), c), lo - 1, hi + 1) is not None:
+        return True  # a contraction is exact where it contracts
     if not c.is_acyclic_on(lo - 1, hi + 1):
         raise WindowError(f"termwise contractibility asks for a window exact at {lo}..{hi}")
-    witness = _termwise_contraction(c, lo, hi)
-    if witness is None:
-        return False
-    _verify_termwise_contraction(c, witness, lo, hi)
-    return True
+    return False
 
 
-def _cocycles(c: LazyComplex, k: int, o: str) -> Tuple[Module, ModuleMap]:
-    """Z^k = ker d^k at object o, with its inclusion into C^k."""
-    return submodule(c.term(k).at(o), kernel_basis(c.diff(k).comps[o]))
-
-
-@dataclass
-class _ComponentContraction:
-    """A contraction of the component complex at obj on lo..hi.  incl[k] is
-    the inclusion of B^k = im d^{k-1} into C^k (lo <= k <= hi+1), sections[k]
-    a map s_k: B^{k+1} -> C^k with d^k s_k = incl[k+1] (lo-1 <= k <= hi), and
-    h[k] = s_{k-1} rho_k: C^k -> C^{k-1} (lo <= k <= hi+1), with rho_k a
-    retraction of incl[k]."""
-    obj: str
-    incl: Dict[int, Mat]
-    sections: Dict[int, Mat]
-    h: Dict[int, Mat]
-
-
-def _termwise_contraction(c: LazyComplex, lo: int, hi: int) -> Optional[List[_ComponentContraction]]:
-    """A contraction of each object's component complex on a window exact
-    at lo..hi, or None where some C^k ->> B^{k+1} (lo-1 <= k <= hi) has no
-    section or B^{hi+1} >-> C^{hi+1} no retraction.  Unverified: see
-    _verify_termwise_contraction.  On the exact window B^k = Z^k for
-    lo <= k <= hi.
-
-    Each section s_k comes from _section; rho_k = id - s_k d^k in the
-    coordinates of B^k for k <= hi.  d^{hi+1} need not exist, so rho_{hi+1}
-    is the transpose of a section of D(incl): D(C^{hi+1}) ->> D(B^{hi+1}),
-    over the opposite algebra.  Then h^k = s_{k-1} rho_k.
-    """
-    p = c.alg.p
-    out = []
-    for o in c.shape.objects:
-        term = {k: c.term(k).at(o) for k in range(lo - 1, hi + 2)}
-        bounds = {k: _cocycles(c, k, o) for k in range(lo, hi + 1)}
-        bounds[hi + 1] = submodule(term[hi + 1], c.diff(hi).comps[o])
-        sections, rho = {}, {}
-        for k in range(lo - 1, hi + 1):
-            b, incl = bounds[k + 1]
-            dbar = _coordinates(incl, c.diff(k).comps[o])
-            sections[k] = _section(dbar, b, term[k])
-            if sections[k] is None:
-                return None
-            if k >= lo:
-                rho[k] = _coordinates(bounds[k][1], Mat.identity(p, term[k].dim) - sections[k] @ dbar)
-        top, top_incl = bounds[hi + 1]
-        dual_section = _section(top_incl.mat.T, dual_module(top), dual_module(term[hi + 1]))
-        if dual_section is None:
-            return None
-        rho[hi + 1] = dual_section.T
-        h = {k: sections[k - 1] @ rho[k] for k in range(lo, hi + 2)}
-        out.append(_ComponentContraction(o, {k: incl.mat for k, (_, incl) in bounds.items()}, sections, h))
-    return out
-
-
-def _section(dbar: Mat, b: Module, src: Module) -> Optional[Mat]:
-    """s: b -> src with dbar s = id for a module map dbar: src ->> b, or
-    None if there is none.  For b free on generators(b): lift the
-    generators in one solve, then extend freely, s = S F^-1 with
-    F = [b.action[j] g_i] and S = [src.action[j] x_i].  Otherwise (b not
-    free on them, as over an algebra with no declared radical) the split
-    solve of modules.split_section."""
-    if b.dim == 0:
-        return Mat.zeros(b.alg.p, src.dim, 0)
-    gens = generators(b)
-    free = invert(hstack([a @ gens for a in b.action]))
-    if free is None:
-        s = split_section(ModuleMap(src, b, dbar))
-        return None if s is None else s.mat
-    lifts = solve(dbar, gens)
-    if lifts is None:
-        return None
-    return hstack([a @ lifts for a in src.action]) @ free
-
-
-def _coordinates(incl: ModuleMap, m: Mat) -> Mat:
-    """The c with incl c = m, read off the inclusion's pivot rows."""
-    x = solve_by_pivots(incl.mat, incl.pivots, m)
-    if x is None:
-        raise VerificationError("a contraction's map leaves the boundaries")
-    return x
-
-
-def _verify_termwise_contraction(c: LazyComplex, witness: List[_ComponentContraction], lo: int, hi: int) -> None:
-    """Check each component contraction by products: every h^k is a module
-    map, d^k s_k = incl on B^{k+1}, and d h + h d = id at lo..hi."""
-    p = c.alg.p
-    for w in witness:
-        term = {k: c.term(k).at(w.obj) for k in range(lo - 1, hi + 2)}
-        d = {k: c.diff(k).comps[w.obj].a for k in range(lo - 1, hi + 1)}
-        for k in range(lo, hi + 2):
-            if any(product_defect(p, (w.h[k].a, a.a), c=b.a @ w.h[k].a) for a, b in zip(term[k].action, term[k - 1].action)):
-                raise VerificationError(f"contraction at {w.obj} is not a module map in degree {k}")
-        for k in range(lo - 1, hi + 1):
-            if product_defect(p, (d[k], w.sections[k].a), c=w.incl[k + 1].a):
-                raise VerificationError(f"section at {w.obj} does not split d^{k}")
-        for k in range(lo, hi + 1):
-            if product_defect(p, (d[k - 1], w.h[k].a), (w.h[k + 1].a, d[k]), c=np.identity(term[k].dim, dtype=np.int64)):
-                raise VerificationError(f"d h + h d != id at {w.obj} in degree {k}")
+@lru_cache(maxsize=16)
+def _objects_of(shape: DirectCategory) -> CatFunctor:
+    """shape's objects as a discrete shape, included; built once per shape."""
+    return CatFunctor(DirectCategory(shape.objects, {}, {}), shape, {o: o for o in shape.objects}, {})
 
 
 # -- cohomology ------------------------------------------------------------------
@@ -377,35 +356,18 @@ def _verify_termwise_contraction(c: LazyComplex, witness: List[_ComponentContrac
 def cohomology_at(c: LazyComplex, k: int) -> Tuple[DiagramMap, DiagramMap]:
     """The cocycles' inclusion Z^k >-> C^k and the projection Z^k ->> H^k."""
     Z, incl = kernel_diagram(c.diff(k))
-    prev = c.diff(k - 1)
-    comps = {}
-    for o in c.shape.objects:
-        sol = solve(incl.comps[o], prev.comps[o])
-        if sol is None:
-            raise VerificationError("boundaries do not land in the cocycles")
-        comps[o] = sol
+    comps = {o: _coordinates(incl.comps[o], c.diff(k - 1).comps[o]) for o in c.shape.objects}
     return incl, cokernel_diagram(DiagramMap(c.term(k - 1), Z, comps))[1]
 
 
 def induced_on_cohomology(f: ComplexMap, k: int) -> DiagramMap:
     (a_incl, a_proj), (b_incl, b_proj) = cohomology_at(f.src, k), cohomology_at(f.tgt, k)
-    comps = {}
-    for o in f.src.shape.objects:
-        zeta = solve(b_incl.comps[o], f.comp(k).comps[o] @ a_incl.comps[o])
-        if zeta is None:
-            raise VerificationError("cocycles are not preserved")
-        comps[o] = factor_by_section(b_proj.comps[o] @ zeta, a_proj.comps[o], a_proj.sections[o])
-    return DiagramMap(a_proj.tgt, b_proj.tgt, comps)
+    zeta = {o: _coordinates(b_incl.comps[o], f.comp(k).comps[o] @ a_incl.comps[o]) for o in f.src.shape.objects}  # on the cocycles
+    return DiagramMap(a_proj.tgt, b_proj.tgt, {o: factor_by_section(b_proj.comps[o] @ z, a_proj.comps[o], a_proj.sections[o]) for o, z in zeta.items()})
 
 
 def is_quasi_iso_on(f: ComplexMap, lo: int, hi: int) -> bool:
-    for k in range(lo, hi + 1):
-        h = induced_on_cohomology(f, k)
-        for o in f.src.shape.objects:
-            m = h.comps[o]
-            if m.rows != m.cols or rank(m) != m.rows:
-                return False
-    return True
+    return all(m.rows == m.cols == rank(m) for k in range(lo, hi + 1) for m in induced_on_cohomology(f, k).comps.values())
 
 
 # -- semiorthogonal decomposition ---------------------------------------------------
@@ -430,20 +392,13 @@ def _component_complex_at_min(c: LazyComplex, i: str) -> Tuple[LazyComplex, Comp
         return {o: block_diag(alg.p, [d_i] * len(shape.hom(i, o))) for o in shape.objects}
 
     A = LazyComplex(shape, alg, term_fn, diff_fn)
-    comps_by_degree: Dict[int, DiagramMap] = {}
 
-    def eps(k: int) -> DiagramMap:
-        if k not in comps_by_degree:
+    class _Counit(ComplexMap):
+        def comp(self, k: int) -> DiagramMap:
             x = c.term(k)
-            comps = {o: hstack([Mat.zeros(alg.p, x.at(o).dim, 0)] + [x.mat(f) for f in shape.hom(i, o)]) for o in shape.objects}
-            comps_by_degree[k] = DiagramMap(A.term(k), x, comps)
-        return comps_by_degree[k]
+            return DiagramMap(A.term(k), x, {o: free_legs_at(x, i, [Mat.identity(alg.p, x.at(i).dim)], o) for o in shape.objects})
 
-    class _EpsMap(ComplexMap):
-        def comp(self, n: int) -> DiagramMap:
-            return eps(n)
-
-    return A, _EpsMap(A, c, {})
+    return A, _Counit(A, c, {})
 
 
 def _extend_by_zero_complex(sub_shape: DirectCategory, c: LazyComplex, full_shape: DirectCategory, missing: str) -> LazyComplex:
@@ -453,13 +408,7 @@ def _extend_by_zero_complex(sub_shape: DirectCategory, c: LazyComplex, full_shap
         base = c.term(k)
         modules = {o: base.at(o) for o in sub_shape.objects}
         modules[missing] = zero_module(alg)
-        mats = {}
-        for f in full_shape.nonidentity_morphisms():
-            s, t = full_shape.src(f), full_shape.tgt(f)
-            if s in sub_shape.objects and t in sub_shape.objects:
-                mats[f] = base.mat(f)
-            else:
-                mats[f] = Mat.zeros(alg.p, modules[t].dim, modules[s].dim)
+        mats = {f: base.mat(f) if f in sub_shape.morphisms else Mat.zeros(alg.p, modules[full_shape.tgt(f)].dim, modules[full_shape.src(f)].dim) for f in full_shape.nonidentity_morphisms()}
         return Diagram(full_shape, alg, modules, mats)
 
     def diff_fn(k: int) -> Dict[str, Mat]:
@@ -536,11 +485,10 @@ def _sod_recurse(c: LazyComplex, lo: int, hi: int) -> SodResult:
 
     p_part = LazyComplex(shape, alg, p_term, p_diff)
 
-    phi_comps: Dict[int, DiagramMap] = {}
+    map_p = ComplexMap(p_part, c, {})
     for k in range(lo - 1, hi + 2):
-        comps = {o: hstack([eps.comp(k).comps[o], f_of(k, o)]) for o in shape.objects}
-        phi_comps[k] = DiagramMap(p_part.term(k), c.term(k), comps)
-    map_p = ComplexMap(p_part, c, phi_comps)
+        counit = eps.comp(k).comps
+        map_p.comps[k] = DiagramMap(p_part.term(k), c.term(k), {o: hstack([counit[o], f_of(k, o)]) for o in shape.objects})
     return SodResult(p_part, cone(map_p), map_p)
 
 

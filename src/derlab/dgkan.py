@@ -24,13 +24,14 @@ import numpy as np
 from .algebra import ground_field
 from .cats import CatFunctor, DirectCategory, arrow_category, opposite_category, opposite_functor, product_category, slice_category, terminal_category
 from .field import Mat, block, hstack, kernel_basis, kron, product_defect, rank, solve, vstack
-from .modules import Module, class_reps, free_module, regular_module, submodule, sum_module, zero_module
+from .modules import Module, free_module, regular_module, submodule, sum_module, zero_module
 from .diagrams import (
     Diagram,
     DiagramMap,
     constant_diagram,
     dual_diagram,
     free_diagram,
+    free_generators,
     free_legs_at,
     kernel_diagram,
     left_kan_from_point,
@@ -116,16 +117,16 @@ def minimal_resolution(w: Diagram) -> FreeComplex:
     checked exact by ranks.
 
     Degree 0 covers w and each degree below covers the kernel x of the one
-    above: at each object j, one block (q, j, (q, (j,), i)) for each basis
-    vector e_i of x_j outside the latching image, the images of the arrows
-    into j, taken greedily (class_reps).  Over a finite direct category the
-    kernels vanish after at most the longest chain of arrows (Riehl,
-    Categorical Homotopy Theory, ch. 11)."""
+    above: at each object j, one block (q, j, (q, (j,), i)) for each i of
+    diagrams.free_generators(x, j), the e_i of x_j outside the latching
+    image (over k the radical layer is zero).  Over a finite direct
+    category the kernels vanish after at most the longest chain of arrows
+    (Riehl, Categorical Homotopy Theory, ch. 11)."""
     cat, k, p = w.shape, w.alg, w.alg.p
     levels: List[List[tuple]] = []  # per degree 0, -1, ...: (j, i, the image of e_i one degree up)
     x, into, aug = w, None, None
     while True:
-        gens = [(j, i) for j in cat.objects for i in _latching_complement(x, j)]
+        gens = [(j, i) for j in cat.objects for i in free_generators(x, j)]
         legs = {o: [free_legs_at(x, j, [Mat.identity(p, x.at(j).dim).col(i)], o) for j, i in gens] for o in cat.objects}
         cover = {o: hstack([Mat.zeros(p, x.at(o).dim, 0)] + legs[o]) for o in cat.objects}
         aug = aug or cover
@@ -140,15 +141,6 @@ def minimal_resolution(w: Diagram) -> FreeComplex:
         if q < 0:
             cx.coeffs.update({(t, s, arrow): int(c) for (t, arrow), c in zip(cx.value_basis(q + 1, j), v) if c})
     return _check_resolution(cx, w)
-
-
-def _latching_complement(x: Diagram, j: str) -> List[int]:
-    """The i whose e_i are a basis of x_j modulo the latching image."""
-    n, p = x.at(j).dim, x.alg.p
-    if not n:
-        return []
-    image = hstack([Mat.zeros(p, n, 0)] + [x.mat(f) for f in x.shape.nonidentity_morphisms() if x.shape.tgt(f) == j])
-    return class_reps(range(n), Mat.identity(p, n).col, image)
 
 
 def _check_resolution(cx: FreeComplex, w: Diagram) -> FreeComplex:

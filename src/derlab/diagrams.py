@@ -26,7 +26,7 @@ from .cats import (
     same_category,
     slice_category,
 )
-from .field import DerlabError, FieldError, Mat, block, block_diag, check_keys, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, solve_by_pivots, vstack
+from .field import DerlabError, FieldError, Mat, block, block_diag, check_keys, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, rref, solve_by_pivots, vstack
 from .modules import (
     Conflation,
     Module,
@@ -42,6 +42,7 @@ from .modules import (
     joint_section,
     module_key,
     quotient_module,
+    radical_layer,
     section_shares,
     solve_in_basis,
     submodule,
@@ -551,6 +552,21 @@ def pushout_diagrams(f: DiagramMap, g: DiagramMap) -> Tuple[Diagram, DiagramMap,
 
 
 # -- covers and envelopes ------------------------------------------------------
+
+
+def free_generators(x: Diagram, j: str) -> List[int]:
+    """The i whose e_i are a basis of x_j modulo its radical layer and its
+    latching image (the images of the arrows into j), taken greedily as by
+    class_reps.  A projective x over a local algebra is the free diagram
+    on them (Hovey, Model Categories, 5.1-5.2)."""
+    m, p = x.at(j), x.alg.p
+    if not m.dim:
+        return []
+    spans = [x.mat(f) for f in x.shape.nonidentity_morphisms() if x.shape.tgt(f) == j]
+    if x.alg.radical is not None:
+        spans.append(radical_layer(m))
+    sub = sum(s.cols for s in spans)
+    return [c - sub for c in rref(hstack(spans + [Mat.identity(p, m.dim)]))[2] if c >= sub]
 
 
 def free_legs_at(x: Diagram, j: str, legs: Sequence[Mat], o: str) -> Mat:

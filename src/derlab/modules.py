@@ -389,15 +389,15 @@ def generators(m: Module) -> Mat:
         return Mat.identity(p, m.dim)
     # the standard vectors completing a basis of m.rad lift a basis of m/m.rad
     eye = Mat.identity(p, m.dim)
-    return eye[:, class_reps(range(m.dim), eye.col, _radical_layer(m))]
+    return eye[:, class_reps(range(m.dim), eye.col, radical_layer(m))]
 
 
-def _radical_layer(m: Module) -> Mat:
-    """A column basis of m.rad, for an algebra that declares its radical:
+def radical_layer(m: Module) -> Mat:
+    """Columns spanning m.rad, for an algebra that declares its radical:
     the actions sum_k r_k A_k of its radical vectors r, side by side."""
     rad, p, d = m.alg.radical, m.alg.p, m.dim
-    acts = np.tensordot(rad.a.T, np.array([a.a for a in m.action]), 1) % p
-    return column_space_basis(Mat._of(p, acts.transpose(1, 0, 2).reshape(d, rad.cols * d)))
+    acts = (rad.a.T @ np.array([a.a for a in m.action]).reshape(m.alg.dim, d * d)) % p
+    return Mat._of(p, acts.reshape(rad.cols, d, d).transpose(1, 0, 2).reshape(d, rad.cols * d))
 
 
 def generator_legs(m: Module) -> List[Mat]:
@@ -459,7 +459,7 @@ def is_projective(m: Module) -> bool:
 def _is_projective(m: Module) -> bool:
     alg = m.alg
     if alg.is_local():
-        return m.dim % alg.dim == 0 and m.dim == alg.dim * (m.dim - _radical_layer(m).cols)
+        return m.dim % alg.dim == 0 and m.dim == alg.dim * (m.dim - rank(radical_layer(m)))
     return split_section(free_cover(m).right) is not None
 
 

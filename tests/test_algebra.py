@@ -180,7 +180,7 @@ def test_a_malformed_basis_or_dim_is_refused(change, message):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_ground_field_is_local_self_injective_and_stably_zero(p):
-    # a zero radical once made _radical_layer hstack nothing
+    # a zero radical once made radical_layer hstack nothing
     from derlab.modules import free_module, is_injective, is_projective, regular_module, stable_hom, zero_module
 
     k = ground_field(p)

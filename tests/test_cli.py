@@ -30,6 +30,13 @@ def test_gate_rejects_non_self_injective():
     assert "self-injective" in report["error"]
 
 
+def test_validate_algebra_reports_the_computed_self_injectivity(tmp_path, monkeypatch):
+    # the item once carried a literal True; it reads is_self_injective now
+    monkeypatch.setattr(cli, "is_self_injective", lambda alg: "computed")
+    report, code = run_scenario(str(_one_document_scenario(tmp_path, "scenario", {})))
+    assert code == 0 and report["items"][0]["details"]["self_injective"] == "computed"
+
+
 def test_missing_scenario_exit_two():
     report, code = run_scenario(str(SCENARIOS / "no_such_file.json"))
     assert code == 2
@@ -100,8 +107,8 @@ def test_main_report_to_a_missing_directory_is_an_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("margin", [-1, -3])
 def test_negative_window_margin_is_an_input_error(tmp_path, capsys, margin):
-    # -1 gave the sod items the empty window 1..-1 and a pass; -3 escaped
-    # as KeyError: -2 from the termwise contraction
+    # -1 gave the sod items the empty window 1..-1 and a pass; -3 once
+    # escaped the split as an uncaught KeyError: -2
     scen = _one_document_scenario(tmp_path, "scenario", {"window_margin": margin, "suites": ["sod"]})
     report, code = run_scenario(str(scen))
     assert code == 2 and report["items"] == []

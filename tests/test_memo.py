@@ -509,7 +509,11 @@ def test_a_free_diagram_is_kept_by_its_name_and_sized_by_its_parts(dn, simple, r
     assert algebra.memo_counts()["free_diagram"]["not_kept"] == 2
 
 
-def test_each_free_diagram_is_built_once_per_name(monkeypatch):
+def test_each_free_diagram_is_built_only_on_a_memo_miss(monkeypatch):
+    # the standard shapes are shared, so names recur across the 30 diagrams
+    # and hit the memo; a name is built again only once the 64-entry memo
+    # has evicted it, and never more often than when each call built its
+    # own shape and no name recurred (111 builds)
     xs = _seeded_f3_diagrams(range(1, 11))
     assert len(xs) == 30
     names = []
@@ -522,8 +526,8 @@ def test_each_free_diagram_is_built_once_per_name(monkeypatch):
     for x in xs:
         approx_gproj(x)
         hull_ginj(x)
-    assert len(names) > 30 and set(Counter(names).values()) == {1}
     counts = algebra.memo_counts()["free_diagram"]
+    assert 30 < len(names) <= 111 and counts["hits"] > 0
     assert counts["builds"] + counts["not_kept"] == len(names) and counts["lookups"] == counts["hits"] + counts["builds"]
 
 
@@ -567,6 +571,26 @@ def test_a_second_regression_run_reuses_the_first_and_builds_nothing(monkeypatch
     assert {"projective_cover_diagram", "free_diagram", "gproj_left_kan"} <= set(counts)
     for name, c in counts.items():
         assert c["builds"] == 0 and c["lookups"] == c["hits"], name
+
+
+def test_a_second_regression_run_builds_only_the_sod_subshapes(monkeypatch):
+    # the standard shapes, their opposites and punctured slices, [1] x I of
+    # the arrow lifts and the discrete shapes of the termwise contractions
+    # are built once; a second run builds only the full subcategory that
+    # each sod split over the arrow recurses on
+    import derlab.cats as cats
+
+    assert cli.run_scenario(str(SCENARIOS / "regression.json"))[1] == 0
+    built = []
+    init = cats.DirectCategory.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cats.DirectCategory, "__init__", recording)
+    assert cli.run_scenario(str(SCENARIOS / "regression.json"))[1] == 0
+    assert built == [("full_subcategory", "_sod_recurse")] * 2
 
 
 def test_memo_counts_lose_no_update_under_threads(dn, simple):
