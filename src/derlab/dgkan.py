@@ -471,8 +471,8 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
     phi = _lift(pushed, res_i, {i: Mat.identity(p, m.at(i).dim) for i in u.dom.objects})
     if phi is None:
         return Der4Report(underived_ok, False, (lo, hi), {**details, "derived_lift_fails": True})
-    # weighted_holim is the signed dual of weighted_hocolim over D t, and
-    # phi joins blocks of equal degree, so the signs cancel in theta
+    # r_side is the signed dual of weighted_hocolim over D t, the one kept on
+    # t; phi joins blocks of equal degree, so the signs cancel in theta
     dt = dual_complex(t)
     thetas = {n: _induced(pushed, res_i, phi, dt, -n).T for n in range(lo, hi + 2)}
     derived_ok = True

@@ -129,6 +129,11 @@ def stable_hom_diagrams(x: Diagram, y: Diagram) -> StableHomReport:
     return stable_hom_in(_DIAGRAMS, x, y)
 
 
+def stable_iso_pair_diagrams(x: Diagram, y: Diagram) -> StableIsoPair:
+    """The pair data of is_stable_iso_map_diagrams, for several maps x -> y."""
+    return stable_iso_pair_in(_DIAGRAMS, x, y)
+
+
 def is_stable_iso_map_diagrams(
     f: DiagramMap, pair: Optional[StableIsoPair] = None
 ) -> Tuple[bool, Optional[DiagramMap]]:
@@ -161,10 +166,10 @@ def is_weak_equivalence(f: DiagramMap) -> Verdict:
     return Verdict(TRUE, reason="all components are stable isomorphisms")
 
 
-def der2_witness(f: DiagramMap) -> Dict[str, object]:
-    """Both directions of the pointwise-detection axiom for one map."""
+def der2_witness(f: DiagramMap, pair: Optional[StableIsoPair] = None) -> Dict[str, object]:
+    """Both directions of the pointwise-detection axiom for one map; pair as for is_stable_iso_map_diagrams."""
     componentwise = is_weak_equivalence(f)
-    global_ok, inv = is_stable_iso_map_diagrams(f)
+    global_ok, inv = is_stable_iso_map_diagrams(f, pair)
     return {
         "componentwise": componentwise.status,
         "stable_inverse_exists": global_ok,

@@ -135,6 +135,28 @@ def test_main_explain(tmp_path, capsys):
     assert "derivator-axioms/der1" in captured.out
 
 
+@pytest.mark.parametrize("report", [
+    {"items": [{"id": "derivator-axioms/der1"}]},
+    {"items": 5},
+    {"items": [5]},
+    {"items": [{"id": "derivator-axioms/der1", "suite": "derivator-axioms", "verdict": "pass", "details": [1]}]},
+])
+def test_main_explain_says_what_is_malformed(tmp_path, capsys, report):
+    # these printed bare Python messages: 'suite', or 'int' object is not iterable
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(report))
+    assert main(["explain", str(out), "derivator-axioms/der1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: malformed report: items must be a list of objects with id, suite and verdict (and details, if any, an object)\n"
+
+
+def test_main_explain_names_an_unknown_item_once_quoted(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps({"items": [{"id": "a", "suite": "validate", "verdict": "pass"}]}))
+    assert main(["explain", str(out), "no/such/item"]) == 2
+    assert capsys.readouterr().err == "error: unknown item 'no/such/item'\n"
+
+
 def test_main_explain_missing_report_is_an_input_error(tmp_path, capsys):
     assert main(["explain", str(tmp_path / "missing.json"), "derivator-axioms/der1"]) == 2
     err = capsys.readouterr().err
@@ -440,6 +462,49 @@ def test_sod_of_a_loaded_complex_asks_no_projectivity_past_its_window(tmp_path):
     [item] = report["items"]
     assert item["id"] == "sod/far" and item["verdict"] == "pass", item
     assert item["details"]["tc_termwise_contractible"] is True
+
+
+def test_one_regression_run_builds_each_piece_once(monkeypatch):
+    """Counted by wrapping library functions, item by item: a sod item
+    builds one contraction, whose verdict serves both its postcondition and
+    tc_null_on_window (4 in all, not two per resolution); a der2 item's
+    identity and zero maps share one stable pair, so stable End(d) is built
+    once; and a der4 item builds the dual of its stalk complex once, for
+    every object j and for both of its uses there."""
+    from derlab import dgkan, homotopy
+
+    s = _loaded(SCENARIOS / "regression.json")
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            out = real(*args)
+            calls.append((name, args, out))
+            return out
+        monkeypatch.setattr(module, name, counted)
+
+    count(derlab.complexes, "contraction")
+    count(homotopy, "stable_hom_diagrams")
+    count(dgkan, "dual_complex")
+    contractions = 0
+    for suite in ("sod", "derivator-axioms"):
+        for item_id, check in SUITE_RUNNERS[suite](s):
+            calls.clear()
+            assert check()[0] == "pass", item_id
+            if suite == "sod":
+                assert [name for name, _, _ in calls] == ["contraction"], item_id
+                contractions += 1
+            elif item_id.startswith("derivator-axioms/der2/"):
+                d = s.diagrams[item_id.rsplit("/", 1)[1]]
+                assert sum(name == "stable_hom_diagrams" and args[0] is d and args[1] is d for name, args, _ in calls) == 1, item_id
+            elif item_id.startswith("derivator-axioms/der4/"):
+                duals = [(args[0], out) for name, args, out in calls if name == "dual_complex"]
+                t = max((c for c, _ in duals), key=lambda c: sum(a is c for a, _ in duals))
+                asked = [out for c, out in duals if c is t]
+                assert len(asked) > 1 and all(out is asked[0] for out in asked), item_id
+    assert contractions == 4
 
 
 def test_sod_on_the_square_needs_no_joint_contraction_solve(tmp_path):

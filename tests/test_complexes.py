@@ -346,6 +346,70 @@ def test_sod_over_arrow_complete_resolution(dn, simple, reg):
         assert is_projective_diagram(res.p_part.term(k))
 
 
+def _complete_resolutions(dn, simple, reg):
+    arrow = arrow_category()
+    yield complete_resolution(Diagram(arrow, dn, {"0": simple, "1": reg}, {"e0": Mat(2, [[0], [1]])}).validate())
+    rng = random.Random(3)
+    for shape in (arrow, cospan_category()):
+        yield complete_resolution(random_gproj(shape, dn, 3, rng))
+
+
+def test_sod_keeps_a_certified_contraction_of_its_tc_part(dn, simple, reg):
+    # the tc-part's terms are projective diagrams, so the split's termwise
+    # postcondition comes from its natural contraction on the window
+    # widened by one, kept on the result and accepted by the product check
+    for c in _complete_resolutions(dn, simple, reg):
+        res = sod_decompose(c, -1, 1)
+        assert res.tc_null_on_window is True and sorted(res.contraction) == [-1, 0, 1, 2]
+        check_contraction(res.tc_part, res.contraction, -2, 2)
+
+
+def _perturbed(c, h):
+    """h with one entry of h^0 flipped in a row that d^-1 does not kill, so
+    that d h + h d = id fails at degree 0."""
+    d = c.diff(-1).comps
+    o, r = next((o, r) for o in c.shape.objects for r in range(d[o].cols) if not d[o].col(r).is_zero())
+    return _with(h, 0, o, _flip(h[0].comps[o], r, 0))
+
+
+def test_sod_refuses_a_perturbed_contraction(dn, simple, reg, monkeypatch):
+    c = next(_complete_resolutions(dn, simple, reg))
+    res = sod_decompose(c, -1, 1)
+    with pytest.raises(VerificationError):
+        check_contraction(res.tc_part, _perturbed(res.tc_part, res.contraction), -2, 2)
+    # the split's own contraction goes through the same check: perturbed
+    # before it, the split raises
+    real = check_contraction
+    monkeypatch.setattr(derlab.complexes, "check_contraction", lambda c, h, lo, hi: real(c, _perturbed(c, h), lo, hi))
+    with pytest.raises(VerificationError):
+        sod_decompose(c, -1, 1)
+
+
+def test_sod_takes_the_termwise_path_where_no_natural_contraction_is_tried(dn, reg, monkeypatch):
+    # the stalk of Lambda at the source of the arrow is termwise projective
+    # but not a projective diagram, and so is a term of the tc-part: the
+    # split tries no natural contraction and keeps its termwise verdict
+    stalk = stalk_diagram(arrow_category(), dn, "0", reg)
+    two_term = LazyComplex.bounded(stalk.shape, dn, {0: stalk, 1: stalk}, {0: identity_diagram_map(stalk)})
+    termwise = []
+    real = is_termwise_contractible
+    monkeypatch.setattr(derlab.complexes, "is_termwise_contractible", lambda c, lo, hi: termwise.append((lo, hi)) or real(c, lo, hi))
+    res = sod_decompose(two_term, -1, 2)
+    assert not all(is_projective_diagram(res.tc_part.term(k)) for k in range(-2, 4))
+    assert res.contraction is None and res.tc_null_on_window is None
+    assert termwise == [(-1, 2)] and real(res.tc_part, -1, 2)
+
+
+def test_sod_falls_back_to_the_termwise_builder_where_no_natural_contraction_exists(dn, simple, reg, monkeypatch):
+    # a builder that finds no natural contraction on the full shape leaves
+    # the termwise postcondition to the builder on the objects
+    c = next(_complete_resolutions(dn, simple, reg))
+    real = contraction
+    monkeypatch.setattr(derlab.complexes, "contraction", lambda x, lo, hi: None if x.shape is c.shape else real(x, lo, hi))
+    res = sod_decompose(c, -1, 1)
+    assert res.contraction is None and res.tc_null_on_window is False
+
+
 def test_sod_refuses_an_empty_window(dn, simple, reg):
     # 1..-1 once passed, and 3..-3 raised KeyError: -2 from the contraction
     arrow = arrow_category()
