@@ -48,7 +48,6 @@ from .homotopy import der2_witness, is_weak_equivalence, lift_to_arrow_diagram, 
 from .complexes import (
     LazyComplex,
     complete_resolution,
-    is_contractible_on,
     sod_decompose,
 )
 from .dgkan import crosscheck_kan, der4_check
@@ -336,9 +335,7 @@ def _suite_sod(s: Session) -> Suite:
     def check(c: LazyComplex, contract: bool):
         res = sod_decompose(c, -m, m)
         contracted = res.tc_null_on_window if contract else None
-        if contract and contracted is None:  # the split did not try: a tc term there is not projective
-            contracted = is_contractible_on(res.tc_part, -m - 1, m + 1)
-        return ("fail" if contracted is False else "pass"), {"tc_termwise_contractible": True, "p_terms_projective": True, "tc_null_on_window": contracted, "window": [-m, m]}
+        return ("fail" if contract and not contracted else "pass"), {"tc_termwise_contractible": True, "p_terms_projective": True, "tc_null_on_window": contracted, "window": [-m, m]}
 
     for name, c in s.complexes.items():
         yield f"sod/{name}", lambda c=c: check(c, contract=False)

@@ -3,9 +3,10 @@ values: complete resolutions, shifts, cones, contractions, and the
 projective/termwise-contractible semiorthogonal decomposition.
 
 One builder, contraction, checks the h it builds by products, so every
-True is certified.  It answers is_contractible_on; SodResult keeps the
-tc-part's, which restricts to a termwise one; and on the complex restricted
-to its objects it answers is_termwise_contractible, the fallback.
+True is certified.  It answers is_contractible_on; in sod_decompose, the
+tc-part's, which restricts to a termwise one (SodResult.tc_null_on_window);
+and on the complex restricted to its objects, is_termwise_contractible,
+the split's fallback.
 
 Cohomological convention: differentials have degree +1; shift satisfies
 d_{C[n]} = (-1)^n d_C; the cone of f: X -> Y has terms Y^k (+) X^{k+1} with
@@ -64,7 +65,6 @@ class LazyComplex:
         self._diff_fn = diff_fn
         self._terms: Dict[int, Diagram] = {}
         self._diffs: Dict[int, DiagramMap] = {}
-        self._dual: Optional[LazyComplex] = None  # dual_complex(self), once built
 
     def term(self, n: int) -> Diagram:
         if n not in self._terms:
@@ -117,11 +117,15 @@ class LazyComplex:
 def dual_complex(c: LazyComplex) -> LazyComplex:
     """The linear dual over the opposite shape and algebra: (D c)^n is
     D(c^{-n}) and the differential at n is the transpose of c's at -n-1,
-    with no sign, so dual_complex is involutive like dual_diagram.  Built
-    once per complex and kept on c only: the double dual is fresh, not c."""
-    if c._dual is None:
-        c._dual = LazyComplex(opposite_category(c.shape), c.alg.opposite(), lambda n: dual_diagram(c.term(-n)), lambda n: {o: m.T for o, m in c.diff(-n - 1).comps.items()})
-    return c._dual
+    with no sign, so dual_complex is involutive like dual_diagram."""
+
+    def term_fn(n: int) -> Diagram:
+        return dual_diagram(c.term(-n))
+
+    def diff_fn(n: int) -> Dict[str, Mat]:
+        return {o: m.T for o, m in c.diff(-n - 1).comps.items()}
+
+    return LazyComplex(opposite_category(c.shape), c.alg.opposite(), term_fn, diff_fn)
 
 
 def complete_resolution(x: Diagram) -> LazyComplex:
@@ -375,8 +379,7 @@ class SodResult:
     p_part: LazyComplex
     tc_part: LazyComplex
     map_p: ComplexMap          # p_part -> x
-    contraction: Optional[Dict[int, DiagramMap]] = None  # the tc-part's on lo-1..hi+1; None if none or not tried
-    tc_null_on_window: Optional[bool] = None  # whether it exists; None if not tried
+    tc_null_on_window: Optional[bool] = None  # whether the tc-part contracts on lo-1..hi+1; None if not tried
 
 
 def _component_complex_at_min(c: LazyComplex, i: str) -> Tuple[LazyComplex, ComplexMap]:
@@ -423,11 +426,11 @@ def sod_decompose(c: LazyComplex, lo: int, hi: int) -> SodResult:
     projective-diagram part and a termwise-contractible part, by recursion
     over a minimal object; all three postconditions re-verified on the
     window, the tc-part's by its natural contraction on lo-1..hi+1 where
-    its terms there are projective (kept), else is_termwise_contractible.
-    Over more than one object the parts are complexes only near the
-    window: the p-part raises WindowError for a differential outside
-    lo-1..hi+1, the tc-part for one outside lo-2..hi.  Raises AlgebraError
-    over an algebra that is not self-injective."""
+    its terms there are projective (tc_null_on_window), else by
+    is_termwise_contractible.  Over more than one object the parts are
+    complexes only near the window: the p-part raises WindowError for a
+    differential outside lo-1..hi+1, the tc-part for one outside lo-2..hi.
+    Raises AlgebraError over an algebra that is not self-injective."""
     require_self_injective(c.alg)
     if lo > hi:
         raise WindowError(f"the window {lo}..{hi} is empty")
@@ -441,8 +444,7 @@ def sod_decompose(c: LazyComplex, lo: int, hi: int) -> SodResult:
         if not is_projective_diagram(res.p_part.term(k)):
             raise VerificationError("p-part has a non-projective term")
     if all(is_projective_diagram(res.tc_part.term(k)) for k in range(lo - 1, hi + 2)):
-        res.contraction = contraction(res.tc_part, lo - 1, hi + 1)
-        res.tc_null_on_window = res.contraction is not None
+        res.tc_null_on_window = contraction(res.tc_part, lo - 1, hi + 1) is not None
     if not res.tc_null_on_window and not is_termwise_contractible(res.tc_part, lo, hi):  # a natural one restricts to a termwise one
         raise VerificationError("tc-part is not termwise contractible on the window")
     res.map_p.verify_chain_on(lo, hi)

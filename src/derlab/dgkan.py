@@ -463,7 +463,8 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
     # so its collapse theta must be a chain isomorphism on the window
     res_i = minimal_resolution(m)
     res_s = minimal_resolution(constant_diagram(pres.cat, m.alg, regular_module(m.alg)))
-    r_side = weighted_holim(res_i, t)
+    dt = dual_complex(t)
+    r_side = _signed_dual(weighted_hocolim(res_i, dt), {"*": res_i}, t)  # weighted_holim(res_i, t), sharing D t with theta
     l_side = weighted_holim(res_s, restrict_complex(pres.projection, t))
     at = {o: (i, J.hom(j, u.on_obj(i)).index(f)) for o, (i, f) in pres.pairs.items()}  # (i, index of f in m_i)
     blocks = [(q, at[o][0], (q, (at[o][0],), at[o][1]) if q == 0 else label) for q, o, label in res_s.blocks]
@@ -471,9 +472,8 @@ def der4_check(u: CatFunctor, j: str, t: LazyComplex, lo: int = -2, hi: int = 2)
     phi = _lift(pushed, res_i, {i: Mat.identity(p, m.at(i).dim) for i in u.dom.objects})
     if phi is None:
         return Der4Report(underived_ok, False, (lo, hi), {**details, "derived_lift_fails": True})
-    # r_side is the signed dual of weighted_hocolim over D t, the one kept on
-    # t; phi joins blocks of equal degree, so the signs cancel in theta
-    dt = dual_complex(t)
+    # r_side is the signed dual of weighted_hocolim over D t, and phi joins
+    # blocks of equal degree, so the signs cancel in theta
     thetas = {n: _induced(pushed, res_i, phi, dt, -n).T for n in range(lo, hi + 2)}
     derived_ok = True
     for n in range(lo, hi + 1):

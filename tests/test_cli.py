@@ -469,8 +469,8 @@ def test_one_regression_run_builds_each_piece_once(monkeypatch):
     builds one contraction, whose verdict serves both its postcondition and
     tc_null_on_window (4 in all, not two per resolution); a der2 item's
     identity and zero maps share one stable pair, so stable End(d) is built
-    once; and a der4 item builds the dual of its stalk complex once, for
-    every object j and for both of its uses there."""
+    once; and der4_check builds the dual of its stalk complex once per
+    object j, for both of its uses there."""
     from derlab import dgkan, homotopy
 
     s = _loaded(SCENARIOS / "regression.json")
@@ -488,6 +488,7 @@ def test_one_regression_run_builds_each_piece_once(monkeypatch):
     count(derlab.complexes, "contraction")
     count(homotopy, "stable_hom_diagrams")
     count(dgkan, "dual_complex")
+    count(cli, "der4_check")
     contractions = 0
     for suite in ("sod", "derivator-axioms"):
         for item_id, check in SUITE_RUNNERS[suite](s):
@@ -500,11 +501,22 @@ def test_one_regression_run_builds_each_piece_once(monkeypatch):
                 d = s.diagrams[item_id.rsplit("/", 1)[1]]
                 assert sum(name == "stable_hom_diagrams" and args[0] is d and args[1] is d for name, args, _ in calls) == 1, item_id
             elif item_id.startswith("derivator-axioms/der4/"):
-                duals = [(args[0], out) for name, args, out in calls if name == "dual_complex"]
-                t = max((c for c, _ in duals), key=lambda c: sum(a is c for a, _ in duals))
-                asked = [out for c, out in duals if c is t]
-                assert len(asked) > 1 and all(out is asked[0] for out in asked), item_id
+                stalks = [args[2] for name, args, _ in calls if name == "der4_check"]
+                duals = [args[0] for name, args, _ in calls if name == "dual_complex" and args[0] is stalks[0]]
+                assert stalks and all(t is stalks[0] for t in stalks) and len(duals) == len(stalks), item_id
     assert contractions == 4
+
+
+@pytest.mark.parametrize("scenario", ["regression.json", "sod_square.json", "dg_square.json", "budget_zero.json"])
+def test_every_complete_resolution_in_the_scenarios_is_split_by_a_natural_contraction(scenario):
+    # the tc terms of a complete resolution are projective diagrams, so the
+    # split always tries the natural contraction and tc_null_on_window is
+    # never None there; a None would report as a fail, never as a pass
+    s = _loaded(SCENARIOS / scenario)
+    resolutions = [(item_id, check()) for item_id, check in SUITE_RUNNERS["sod"](s) if item_id.startswith("sod/res(")]
+    assert resolutions
+    for item_id, (verdict, details) in resolutions:
+        assert verdict == "pass" and details["tc_null_on_window"] is True, item_id
 
 
 def test_sod_on_the_square_needs_no_joint_contraction_solve(tmp_path):

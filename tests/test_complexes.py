@@ -354,14 +354,16 @@ def _complete_resolutions(dn, simple, reg):
         yield complete_resolution(random_gproj(shape, dn, 3, rng))
 
 
-def test_sod_keeps_a_certified_contraction_of_its_tc_part(dn, simple, reg):
+def test_sod_certifies_its_tc_part_by_a_natural_contraction(dn, simple, reg):
     # the tc-part's terms are projective diagrams, so the split's termwise
     # postcondition comes from its natural contraction on the window
-    # widened by one, kept on the result and accepted by the product check
+    # widened by one, which the product check accepts
     for c in _complete_resolutions(dn, simple, reg):
         res = sod_decompose(c, -1, 1)
-        assert res.tc_null_on_window is True and sorted(res.contraction) == [-1, 0, 1, 2]
-        check_contraction(res.tc_part, res.contraction, -2, 2)
+        assert res.tc_null_on_window is True
+        h = contraction(res.tc_part, -2, 2)
+        assert sorted(h) == [-1, 0, 1, 2]
+        check_contraction(res.tc_part, h, -2, 2)
 
 
 def _perturbed(c, h):
@@ -374,9 +376,9 @@ def _perturbed(c, h):
 
 def test_sod_refuses_a_perturbed_contraction(dn, simple, reg, monkeypatch):
     c = next(_complete_resolutions(dn, simple, reg))
-    res = sod_decompose(c, -1, 1)
+    tc = sod_decompose(c, -1, 1).tc_part
     with pytest.raises(VerificationError):
-        check_contraction(res.tc_part, _perturbed(res.tc_part, res.contraction), -2, 2)
+        check_contraction(tc, _perturbed(tc, contraction(tc, -2, 2)), -2, 2)
     # the split's own contraction goes through the same check: perturbed
     # before it, the split raises
     real = check_contraction
@@ -396,7 +398,7 @@ def test_sod_takes_the_termwise_path_where_no_natural_contraction_is_tried(dn, r
     monkeypatch.setattr(derlab.complexes, "is_termwise_contractible", lambda c, lo, hi: termwise.append((lo, hi)) or real(c, lo, hi))
     res = sod_decompose(two_term, -1, 2)
     assert not all(is_projective_diagram(res.tc_part.term(k)) for k in range(-2, 4))
-    assert res.contraction is None and res.tc_null_on_window is None
+    assert res.tc_null_on_window is None
     assert termwise == [(-1, 2)] and real(res.tc_part, -1, 2)
 
 
@@ -407,7 +409,7 @@ def test_sod_falls_back_to_the_termwise_builder_where_no_natural_contraction_exi
     real = contraction
     monkeypatch.setattr(derlab.complexes, "contraction", lambda x, lo, hi: None if x.shape is c.shape else real(x, lo, hi))
     res = sod_decompose(c, -1, 1)
-    assert res.contraction is None and res.tc_null_on_window is False
+    assert res.tc_null_on_window is False
 
 
 def test_sod_refuses_an_empty_window(dn, simple, reg):

@@ -492,13 +492,6 @@ def test_holim_of_constant_weight_is_the_limit(p, make_shape):
     assert _cohomology_dim(h, 1, "*") == _cohomology_dim(h, 2, "*") == 0
 
 
-def test_dual_complex_is_built_once_per_complex(socle_arrow):
-    # kept on c only: the double dual is a fresh complex, not c
-    c = complete_resolution(socle_arrow)
-    assert dual_complex(c) is dual_complex(c)
-    assert dual_complex(dual_complex(c)) is not c
-
-
 def test_dual_complex_is_an_involution(socle_arrow):
     c = complete_resolution(socle_arrow)
     dd = dual_complex(dual_complex(c))
