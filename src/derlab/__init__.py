@@ -48,6 +48,7 @@ from .cats import (
     arrow_category,
     cospan_category,
     disjoint_union,
+    identity_functor,
     is_cosieve,
     is_sieve,
     object_functor,

@@ -218,80 +218,73 @@ class SlicePresentation:
     index_object: str
 
 
-def slice_category(u: CatFunctor, j: str, side: str) -> SlicePresentation:
-    """u/j has pairs (i, f: u(i) -> j); j/u has pairs (i, f: j -> u(i)).
+def slice_name(i: str, f: str) -> str:
+    """The name of the slice object (i, f)."""
+    return f"({i}|{f})"
 
-    Cached per functor, so that a functor used again gets the same slice
-    shapes and their hom-set, punctured-slice and opposite caches; the
-    arguments are checked on every call, before the cache is read."""
-    I, J = u.dom, u.cod
+
+def _slice(
+    I: DirectCategory, J: DirectCategory, obj_map: Dict[str, str], mor_map: Dict[str, str], j: str, side: str, drop: Optional[Tuple[str, str]] = None
+) -> SlicePresentation:
+    """The slice at j of the functor I -> J with these object and morphism
+    maps, on every pair but drop, with its projection to I."""
     if j not in J.objects:
         raise CategoryError(f"unknown object {j}")
     if side not in ("under", "over"):
         raise CategoryError("side must be 'under' (u/j) or 'over' (j/u)")
-    hit = u._slice_cache.get((j, side))
-    if hit is not None:
-        return hit
-    pair_objs: List[Tuple[str, str]] = []
-    for i in I.objects:
-        homs = J.hom(u.on_obj(i), j) if side == "under" else J.hom(j, u.on_obj(i))
-        for f in homs:
-            pair_objs.append((i, f))
-    name_of = {pair: f"({pair[0]}|{pair[1]})" for pair in pair_objs}
+    found = [(i, f) for i in I.objects for f in (J.hom(obj_map[i], j) if side == "under" else J.hom(j, obj_map[i])) if (i, f) != drop]
+    pairs = {slice_name(i, f): (i, f) for i, f in found}
+    if len(pairs) != len(found):
+        raise CategoryError(f"two objects of the slice at {j} share a name")
     morphisms: Dict[str, Tuple[str, str]] = {}
     identities: Dict[str, str] = {}
     mor_of: Dict[str, str] = {}
-    for (i, f) in pair_objs:
-        for (i2, f2) in pair_objs:
+    for a, (i, f) in pairs.items():
+        for b, (i2, f2) in pairs.items():
             for g in I.hom(i, i2):
-                ug = u.on_mor(g)
-                if side == "under":
-                    ok = J.compose(f2, ug) == f
-                else:
-                    ok = J.compose(ug, f) == f2
-                if not ok:
-                    continue
-                a, b = name_of[(i, f)], name_of[(i2, f2)]
-                if I.is_identity(g) and (i, f) == (i2, f2):
-                    mname = f"1_{a}"
-                    identities[a] = mname
-                else:
-                    mname = f"{g}:{a}->{b}"
-                morphisms[mname] = (a, b)
-                mor_of[mname] = g
+                ug = mor_map[g]
+                ok = J.compose(f2, ug) == f if side == "under" else J.compose(ug, f) == f2
+                if ok:
+                    if I.is_identity(g) and a == b:
+                        mname = identities[a] = f"1_{a}"
+                    else:
+                        mname = f"{g}:{a}->{b}"
+                    morphisms[mname] = (a, b)
+                    mor_of[mname] = g
+    by_under = {(a, b, mor_of[m]): m for m, (a, b) in morphisms.items()}
     comp: Dict[Tuple[str, str], str] = {}
-    by_under: Dict[Tuple[str, str, str], str] = {}
-    for mname, (a, b) in morphisms.items():
-        by_under[(a, b, mor_of[mname])] = mname
     for m2, (b2, c2) in morphisms.items():
         for m1, (a1, b1) in morphisms.items():
-            if b1 != b2:
-                continue
-            g = I.compose(mor_of[m2], mor_of[m1])
-            comp[(m2, m1)] = by_under[(a1, c2, g)]
-    cat = DirectCategory([name_of[p] for p in pair_objs], morphisms, comp, identities)
-    proj = CatFunctor(cat, I, {name_of[p]: p[0] for p in pair_objs}, mor_of)
-    out = SlicePresentation(cat, proj, {name_of[p]: p for p in pair_objs}, side, j)
-    u._slice_cache[(j, side)] = out
-    return out
+            if b1 == b2:
+                comp[(m2, m1)] = by_under[(a1, c2, I.compose(mor_of[m2], mor_of[m1]))]
+    cat = DirectCategory(list(pairs), morphisms, comp, identities)
+    proj = CatFunctor(cat, I, {o: i for o, (i, _) in pairs.items()}, mor_of)
+    return SlicePresentation(cat, proj, pairs, side, j)
+
+
+def slice_category(u: CatFunctor, j: str, side: str) -> SlicePresentation:
+    """u/j has pairs (i, f: u(i) -> j); j/u has pairs (i, f: j -> u(i)).
+
+    Cached per functor, so that a functor used again gets the same slice
+    shapes and their hom-set, punctured-slice and opposite caches.  Bad
+    arguments are refused on every call: they never reach the cache."""
+    hit = u._slice_cache.get((j, side))
+    if hit is None:
+        hit = u._slice_cache[(j, side)] = _slice(u.dom, u.cod, u.obj_map, u.mor_map, j, side)
+    return hit
 
 
 def punctured_slice(c: DirectCategory, i: str, side: str) -> SlicePresentation:
-    """The slice of the identity functor at i with the (co)terminal identity
-    pair removed: its full subcategory on the other pairs.  The index shape
-    for latching (side 'under', all arrows into i) and matching (side
-    'over', all arrows out of i) objects.
+    """The slice of c at i on every pair but the (co)terminal (i, 1_i).  The
+    index shape for latching (side 'under', all arrows into i) and matching
+    (side 'over', all arrows out of i) objects.
 
     Cached per category: latching/matching computations hit this heavily."""
-    if (i, side) in c._punctured_cache:
-        return c._punctured_cache[(i, side)]
-    pres = slice_category(identity_functor(c), i, side)
-    keep = [o for o, pair in pres.pairs.items() if pair != (i, c.id_of(i))]
-    sub, _ = full_subcategory(pres.cat, keep)
-    proj = CatFunctor(sub, c, {o: pres.projection.obj_map[o] for o in keep}, {m: pres.projection.mor_map[m] for m in sub.morphisms})
-    out = SlicePresentation(sub, proj, {o: pres.pairs[o] for o in keep}, side, i)
-    c._punctured_cache[(i, side)] = out
-    return out
+    hit = c._punctured_cache.get((i, side))
+    if hit is None:
+        ids = {o: o for o in c.objects} | {f: f for f in c.morphisms}
+        hit = c._punctured_cache[(i, side)] = _slice(c, c, ids, ids, i, side, (i, c.identities.get(i)))
+    return hit
 
 
 @dataclass

@@ -19,12 +19,12 @@ from .algebra import Algebra
 from .cats import (
     CatFunctor,
     DirectCategory,
-    SlicePresentation,
     analyze_components,
     opposite_category,
     opposite_functor,
     same_category,
     slice_category,
+    slice_name,
 )
 from .field import DerlabError, FieldError, Mat, block, block_diag, check_keys, column_space_basis, hstack, kernel_basis, kron, matrix_from_entries, product_defect, rank, rref, solve_by_pivots, vstack
 from .modules import (
@@ -677,14 +677,6 @@ def _free_image(cover: DiagramConflation, slots: Dict[str, int], y: Diagram) -> 
 # -- pointwise Kan extensions ----------------------------------------------------
 
 
-def slice_object(pres: SlicePresentation, i: str, f: str) -> str:
-    """The object of a slice presentation named by the pair (i, f)."""
-    for name, pair in pres.pairs.items():
-        if pair == (i, f):
-            return name
-    raise DiagramError(f"no slice object for the pair ({i}, {f})")
-
-
 def from_colimit(colim: Module, cocone: Dict[str, ModuleMap], legs: Dict[str, Mat], rows: int) -> Mat:
     """The matrix of the map out of colim whose composite with each cocone
     leg cocone[o] is legs[o]; rows is the dim of the target.  The cocone
@@ -704,22 +696,23 @@ def from_colimit(colim: Module, cocone: Dict[str, ModuleMap], legs: Dict[str, Ma
 
 def left_kan_by_slices(
     u: CatFunctor, x: Diagram, colimit: Callable[[Diagram], Tuple[Module, Dict[str, ModuleMap]]]
-) -> Tuple[Diagram, Dict[str, SlicePresentation], Dict[str, Dict[str, ModuleMap]]]:
-    """(u_! x, the slices u/j, the cocones): at j the colimit of x over u/j,
-    taken by `colimit`.  alpha: j -> j2 sends the pair (i, f) to
-    (i, alpha o f), and the structure map is the map out of the colimit at
-    j that the cocone at j2 gives along that relabelling (from_colimit)."""
+) -> Tuple[Diagram, Dict[str, Dict[str, ModuleMap]]]:
+    """(u_! x, the cocones): at j the colimit of x over the slice u/j,
+    taken by `colimit`, its cocone keyed by slice_name.  alpha: j -> j2
+    sends the pair (i, f) to (i, alpha o f), and the structure map is the
+    map out of the colimit at j that the cocone at j2 gives along that
+    relabelling (from_colimit)."""
     J = u.cod
     slices = {j: slice_category(u, j, "under") for j in J.objects}
     colims = {j: colimit(restrict(pres.projection, x)) for j, pres in slices.items()}
     mats = {}
     for alpha in J.nonidentity_morphisms():
         j, j2 = J.src(alpha), J.tgt(alpha)
-        (L2, cocone2), pres2 = colims[j2], slices[j2]
-        legs = {o: cocone2[slice_object(pres2, i, J.compose(alpha, f))].mat for o, (i, f) in slices[j].pairs.items()}
+        L2, cocone2 = colims[j2]
+        legs = {o: cocone2[slice_name(i, J.compose(alpha, f))].mat for o, (i, f) in slices[j].pairs.items()}
         mats[alpha] = from_colimit(*colims[j], legs, L2.dim)
     modules = {j: L for j, (L, _) in colims.items()}
-    return Diagram(J, x.alg, modules, mats), slices, {j: cocone for j, (_, cocone) in colims.items()}
+    return Diagram(J, x.alg, modules, mats), {j: cocone for j, (_, cocone) in colims.items()}
 
 
 def pointwise_left_kan(u: CatFunctor, x: Diagram) -> Diagram:

@@ -24,6 +24,7 @@ from .cats import (
     opposite_category,
     opposite_functor,
     punctured_slice,
+    slice_name,
 )
 from .field import DerlabError, Mat, block, hstack, product_defect, rank
 from .modules import (
@@ -64,7 +65,6 @@ from .diagrams import (
     projective_cover_diagram,
     pushout_diagrams,
     restrict,
-    slice_object,
     solve_in_hom,
     stalk_diagram,
     zero_diagram,
@@ -305,23 +305,16 @@ class GprojKan:
 
 def gproj_left_kan_data(u: CatFunctor, x: Diagram) -> GprojKan:
     """u_! x by left_kan_by_slices with the pushout-inductive colimit over
-    each slice u/j, on which x must stay Gorenstein projective."""
+    each slice u/j.  The projection u/j -> I is a discrete fibration, so x
+    restricted to u/j has x's own latching objects and stays Gorenstein
+    projective; colim_gproj_data refuses a restriction that does not."""
     if not is_gproj(x):
         raise PreconditionError("left Kan extension requires a Gorenstein-projective diagram")
-
-    def colimit(rest: Diagram) -> Tuple[Module, Dict[str, ModuleMap]]:
-        if not is_gproj(rest):
-            raise VerificationError("restriction to a slice lost Gorenstein projectivity")
-        return colim_gproj_data(rest)
-
-    out, slices, cocones = left_kan_by_slices(u, x, colimit)
+    out, cocones = left_kan_by_slices(u, x, colim_gproj_data)
     if not is_gproj(out):
         raise VerificationError("left Kan extension output failed the latching check")
     J = u.cod
-    unit_comps = {}
-    for i in u.dom.objects:
-        j = u.on_obj(i)
-        unit_comps[i] = cocones[j][slice_object(slices[j], i, J.id_of(j))].mat
+    unit_comps = {i: cocones[u.on_obj(i)][slice_name(i, J.id_of(u.on_obj(i)))].mat for i in u.dom.objects}
     return GprojKan(out, DiagramMap(x, restrict(u, out), unit_comps))
 
 

@@ -15,6 +15,9 @@ ranks or by a certified construction, and the tests compare the two:
 - ext1_by_kernel: Ext^1 with the image of Hom(P, y) from the kernel of
   its equations, against diagrams.ext1, which takes it from the
   adjunction;
+- punctured_slice_by_full_subcategory: the slice of the identity functor
+  cut down to a full subcategory, against cats.punctured_slice, which
+  builds the punctured slice in one pass;
 - factor_by_solve and coordinates_by_solve: maps out of a quotient and
   into a submodule by a solve, the routes diagrams.factor_by_section and
   field.solve_by_pivots replaced.  They take the same arguments, so a
@@ -28,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from derlab.cats import CatFunctor, DirectCategory, SlicePresentation, full_subcategory, identity_functor, slice_category
 from derlab.complexes import LazyComplex
 from derlab.diagrams import (
     Diagram,
@@ -91,6 +95,16 @@ def split_section_diagrams(defl: DiagramMap) -> Optional[DiagramMap]:
     """A section s with defl o s = id, or None."""
     x = defl.tgt
     return solve_in_hom(x, defl.src, [(identity_diagram_map(x), defl, identity_diagram_map(x))])
+
+
+def punctured_slice_by_full_subcategory(c: DirectCategory, i: str, side: str) -> SlicePresentation:
+    """The slice of the identity functor of c at i, then its full
+    subcategory on every pair but (i, 1_i), with the projection restricted."""
+    pres = slice_category(identity_functor(c), i, side)
+    keep = [o for o, pair in pres.pairs.items() if pair != (i, c.id_of(i))]
+    sub, _ = full_subcategory(pres.cat, keep)
+    proj = CatFunctor(sub, c, {o: pres.projection.obj_map[o] for o in keep}, {m: pres.projection.mor_map[m] for m in sub.morphisms})
+    return SlicePresentation(sub, proj, {o: pres.pairs[o] for o in keep}, side, i)
 
 
 def is_projective_inflation(lat: LatchingDatum) -> bool:

@@ -22,6 +22,8 @@ from derlab.cats import (
     square_category,
     terminal_category,
 )
+from derlab.samples import free_category_on_graph
+from oracles import punctured_slice_by_full_subcategory
 
 
 def test_arrow_grading():
@@ -164,6 +166,53 @@ def test_bad_slice_arguments_raise_on_every_call():
     assert slice_category(u, "1", "under").index_object == "1"
     with pytest.raises(CategoryError, match="side must be"):
         slice_category(u, "1", "sideways")
+    c = arrow_category()
+    for _ in range(2):
+        with pytest.raises(CategoryError, match="unknown object"):
+            punctured_slice(c, "2", "under")
+        with pytest.raises(CategoryError, match="side must be"):
+            punctured_slice(c, "1", "sideways")
+
+
+def _items(d):
+    return list(d.items())
+
+
+@pytest.mark.parametrize("name", ["arrow", "cospan", "span", "square", "cube", "parallel-paths"])
+def test_punctured_slice_is_the_full_subcategory_of_the_identity_slice(name):
+    shapes = {
+        "arrow": arrow_category,
+        "cospan": cospan_category,
+        "span": span_category,
+        "square": square_category,
+        "cube": lambda: product_category(square_category(), arrow_category()),
+        "parallel-paths": lambda: free_category_on_graph(["a", "b", "c", "d"], [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c"), ("w", "c", "d")]),
+    }
+    c = shapes[name]()
+    for i in c.objects:
+        for side in ("under", "over"):
+            got, want = punctured_slice(c, i, side), punctured_slice_by_full_subcategory(c, i, side)
+            # item lists, so that the order every block layout follows is compared too
+            assert got.cat.objects == want.cat.objects
+            assert _items(got.cat.morphisms) == _items(want.cat.morphisms)
+            assert _items(got.cat.comp) == _items(want.cat.comp)
+            assert _items(got.cat.identities) == _items(want.cat.identities)
+            assert got.projection.dom is got.cat and got.projection.cod is c
+            assert _items(got.projection.obj_map) == _items(want.projection.obj_map)
+            assert _items(got.projection.mor_map) == _items(want.projection.mor_map)
+            assert _items(got.pairs) == _items(want.pairs)
+            assert (got.side, got.index_object) == (want.side, want.index_object) == (side, i)
+
+
+def test_a_punctured_slice_miss_builds_one_category_and_one_functor(monkeypatch):
+    c = free_category_on_graph(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")])
+    built = []
+    for cls in (DirectCategory, CatFunctor):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init, **k: (built.append(type(self).__name__), _init(self, *a, **k))[1])
+    pres = punctured_slice(c, "c", "under")
+    assert sorted(built) == ["CatFunctor", "DirectCategory"]
+    assert punctured_slice(c, "c", "under") is pres and len(built) == 2
 
 
 def test_disjoint_union():

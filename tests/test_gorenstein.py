@@ -243,6 +243,21 @@ def test_gproj_left_kan_to_point(dn, socle_arrow, arrow):
     assert y.at("*").dim == 2  # Lambda
 
 
+def test_gproj_left_kan_checks_only_its_input_and_its_output(dn, socle_arrow, arrow, monkeypatch):
+    """The slice restrictions are not checked again: colim_gproj_data
+    refuses one whose latching maps are not inflations."""
+    import derlab.gorenstein as gor
+
+    seen = []
+    is_gproj = gor.is_gproj
+    monkeypatch.setattr(gor, "is_gproj", lambda x: (seen.append(x), is_gproj(x))[1])
+    for u in (CatFunctor(arrow, terminal_category(), {"0": "*", "1": "*"}, {"e0": "1_*"}), object_functor(arrow, "1")):
+        seen.clear()
+        x = socle_arrow if u.dom is arrow else restrict(u, socle_arrow)
+        data = gproj_left_kan_data(u, x)
+        assert len(seen) == 2 and seen[0] is x and seen[1] is data.diagram
+
+
 def test_gproj_left_kan_extension_formula(dn, reg, arrow):
     u = object_functor(arrow, "0")
     x = constant_diagram(terminal_category(), dn, reg)
