@@ -19,50 +19,63 @@ from .diagrams import Diagram, projective_cover_diagram
 from .gorenstein import is_gproj
 
 
-_CHUNK = 4096  # candidates whose module axioms all_modules checks at once
+_CHUNK = 4096  # candidates whose module law all_modules checks at once
 
 
 def all_modules(alg: Algebra, max_dim: int) -> List[Module]:
     """Every module structure on F_p^d for d <= max_dim, by brute force over
     action tuples (unit acts as identity, module law holds), in the order of
-    itertools.product over the entries.
-
-    When the unit is a standard basis vector its action matrix is forced to
-    the identity, which cuts the enumeration by a factor of p^(d^2).  The
-    axioms of Module.validate are checked on a chunk of candidates at once."""
+    itertools.product over the entries: candidate n of dim d is the base-p
+    digits of n, most significant first, read row by row as the action
+    matrices in basis order.  When the unit is a standard basis vector its
+    matrix is forced to the identity and takes no digits, which cuts the
+    enumeration by a factor of p^(d^2).  Each chunk of candidates is read
+    off its indices and checked by _law_holds on the pairs of _law_checks,
+    in buffers allocated once per d, so memory is bounded by one chunk."""
     out = [zero_module(alg)]
-    p = alg.p
-    unit_idx = None
-    nz = np.nonzero(alg.unit)[0]
-    if len(nz) == 1 and alg.unit[nz[0]] == 1:
-        unit_idx = int(nz[0])
-    free = [k for k in range(alg.dim) if k != unit_idx]
+    (unit, checks), p = _law_checks(alg), alg.p
+    free = [k for k in range(alg.dim) if k != unit]
     for d in range(1, max_dim + 1):
-        mats = _digits(np.arange(p ** (d * d)), p, d * d).reshape(-1, d, d)
-        total = len(mats) ** len(free)
-        for start in range(0, total, _CHUNK):
-            combos = _digits(np.arange(start, min(start + _CHUNK, total)), len(mats), len(free))
-            acts = np.broadcast_to(np.eye(d, dtype=np.int64), (len(combos), alg.dim, d, d)).copy()
-            acts[:, free] = mats[combos]
-            for action in acts[_module_axioms_hold(alg, acts)]:
-                out.append(Module(alg, [Mat(p, a) for a in action]))
+        width = len(free) * d * d
+        place = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        digits, ok = np.empty((_CHUNK, width), dtype=np.int64), np.empty(_CHUNK, dtype=bool)
+        acts = np.broadcast_to(np.eye(d, dtype=np.int64), (_CHUNK, alg.dim, d, d)).copy()
+        prod, term = np.empty((2, _CHUNK, d, d), dtype=np.int64)
+        for start in range(0, p**width, _CHUNK):
+            m = min(_CHUNK, p**width - start)
+            np.remainder(np.floor_divide(np.arange(start, start + m)[:, None], place, out=digits[:m]), p, out=digits[:m])
+            acts[:m, free] = digits[:m].reshape(m, len(free), d, d)
+            holds = _law_holds(p, checks, acts[:m], prod[:m], term[:m], ok[:m])
+            out += [Module(alg, [Mat(p, a) for a in acts[r]]) for r in np.flatnonzero(holds)]
     return out
 
 
-def _digits(n: np.ndarray, base: int, width: int) -> np.ndarray:
-    """Base-`base` digits of each n, most significant first: row i is the
-    i-th tuple of itertools.product(range(base), repeat=width)."""
-    return n[:, None] // base ** np.arange(width - 1, -1, -1, dtype=np.int64) % base
+def _law_checks(alg: Algebra) -> Tuple[Optional[int], list]:
+    """(u, checks): u = k when the unit is the basis vector e_k, else None;
+    a check (pair, terms) asks that A_j @ A_i for pair (i, j), or I for pair
+    None (the unit law), equal sum c A_k over terms (k, c).  Every pair and
+    the unit law are checked, unless e_u is a two-sided identity of the
+    structure constants: with A_u = I those with a factor u then hold."""
+    nz, eye = np.flatnonzero(alg.unit), np.eye(alg.dim, dtype=np.int64)
+    u = int(nz[0]) if len(nz) == 1 and alg.unit[nz[0]] == 1 else None
+    forced = u is not None and np.array_equal(alg.mul[u], eye) and np.array_equal(alg.mul[:, u], eye)
+    basis = [k for k in range(alg.dim) if k != u or not forced]
+    checks = ([] if forced else [(None, alg.unit)]) + [((i, j), alg.mul[i, j]) for i in basis for j in basis]
+    return u, [(pair, [(int(k), int(c[k])) for k in np.flatnonzero(c)]) for pair, c in checks]
 
 
-def _module_axioms_hold(alg: Algebra, acts: np.ndarray) -> np.ndarray:
-    """For acts[m] = (A_0 .. A_{n-1}): does the unit act as the identity and
-    sum_k c[i][j][k] A_k = A_j @ A_i hold for all i, j?"""
-    p, d = alg.p, acts.shape[-1]
-    unit = np.einsum("k,mkab->mab", alg.unit, acts) % p
-    law = np.einsum("ijk,mkab->mijab", alg.mul, acts) % p
-    prods = np.einsum("mjab,mibc->mijac", acts, acts) % p
-    return (unit == np.eye(d, dtype=np.int64)).all(axis=(1, 2)) & (law == prods).all(axis=(1, 2, 3, 4))
+def _law_holds(p: int, checks: list, acts: np.ndarray, prod: np.ndarray, term: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """ok[m] = does acts[m] = (A_0 .. A_{n-1}) pass the checks (A_u = I for
+    the u of _law_checks)?  One np.matmul per pair and one pass per term,
+    written into prod and term, buffers shaped as acts[:, 0]; returns ok."""
+    eye = np.eye(acts.shape[-1], dtype=np.int64)
+    ok[:] = True
+    for pair, terms in checks:
+        np.matmul(*((acts[:, pair[1]], acts[:, pair[0]]) if pair else (eye, eye)), out=prod)
+        for k, c in terms:
+            prod -= np.multiply(acts[:, k], c, out=term)
+        ok &= ~np.remainder(prod, p, out=prod).any(axis=(1, 2))
+    return ok
 
 
 def all_diagrams(shape: DirectCategory, alg: Algebra, max_dim: int, modules: Optional[List[Module]] = None) -> Iterator[Diagram]:
@@ -74,11 +87,8 @@ def all_diagrams(shape: DirectCategory, alg: Algebra, max_dim: int, modules: Opt
     gens = shape.nonidentity_morphisms()
     for assignment in itertools.product(mods, repeat=len(shape.objects)):
         by_obj = dict(zip(shape.objects, assignment))
-        hom_bases = {}
-        for f in gens:
-            hom_bases[f] = hom_space(by_obj[shape.src(f)], by_obj[shape.tgt(f)])
-        space = [range(p ** len(hom_bases[f])) for f in gens]
-        for picks in itertools.product(*space):
+        hom_bases = {f: hom_space(by_obj[shape.src(f)], by_obj[shape.tgt(f)]) for f in gens}
+        for picks in itertools.product(*[range(p ** len(hom_bases[f])) for f in gens]):
             mats = {}
             for f, pick in zip(gens, picks):
                 zero = Mat.zeros(p, by_obj[shape.tgt(f)].dim, by_obj[shape.src(f)].dim)
@@ -98,10 +108,8 @@ def random_module(alg: Algebra, max_dim: int, rng: random.Random) -> Module:
         if d == 0:
             return zero_module(alg)
         action = [Mat(p, [[rng.randrange(p) for _ in range(d)] for _ in range(d)]) for _ in range(alg.dim)]
-        cand = Module(alg, action)
         try:
-            cand.validate()
-            return cand
+            return Module(alg, action).validate()
         except DerlabError:
             continue
     return zero_module(alg)
@@ -146,11 +154,8 @@ def random_gproj(shape: DirectCategory, alg: Algebra, max_dim: int, rng: random.
 def free_category_on_graph(objects: Sequence[str], edges: Sequence[Tuple[str, str, str]]) -> DirectCategory:
     """The free category on an acyclic graph: morphisms are composable paths,
     named by their edge words; the composition table is concatenation."""
-    morphisms: Dict[str, Tuple[str, str]] = {}
-    paths: Dict[str, List[str]] = {}
-    for name, s, t in edges:
-        morphisms[name] = (s, t)
-        paths[name] = [name]
+    morphisms: Dict[str, Tuple[str, str]] = {name: (s, t) for name, s, t in edges}
+    paths: Dict[str, List[str]] = {name: [name] for name, _, _ in edges}
     grown = True
     while grown:
         grown = False
@@ -162,12 +167,8 @@ def free_category_on_graph(objects: Sequence[str], edges: Sequence[Tuple[str, st
                         morphisms[new] = (s, et)
                         paths[new] = paths[name] + [ename]
                         grown = True
-    comp: Dict[Tuple[str, str], str] = {}
     by_path = {tuple(v): k for k, v in paths.items()}
-    for g, (gs, gt) in morphisms.items():
-        for f, (fs, ft) in morphisms.items():
-            if ft == gs:
-                comp[(g, f)] = by_path[tuple(paths[f] + paths[g])]
+    comp = {(g, f): by_path[tuple(paths[f] + paths[g])] for g, (gs, _) in morphisms.items() for f, (_, ft) in morphisms.items() if ft == gs}
     return DirectCategory(list(objects), morphisms, comp)
 
 
@@ -175,14 +176,9 @@ def random_direct_category(rng: random.Random, max_objects: int = 4, max_edges: 
     """A random free category on a small acyclic graph."""
     n = rng.randrange(1, max_objects + 1)
     objects = [f"o{i}" for i in range(n)]
-    edges = []
     tries = rng.randrange(0, max_edges + 1)
-    for t in range(tries):
-        if n < 2:
-            break
-        a, b = sorted(rng.sample(range(n), 2))
-        edges.append((f"a{t}", objects[a], objects[b]))
-    return free_category_on_graph(objects, edges)
+    ends = [sorted(rng.sample(range(n), 2)) for _ in range(tries if n > 1 else 0)]
+    return free_category_on_graph(objects, [(f"a{t}", objects[a], objects[b]) for t, (a, b) in enumerate(ends)])
 
 
 def random_functor(rng: random.Random, dom: DirectCategory, cod: DirectCategory) -> Optional[CatFunctor]:
@@ -191,19 +187,16 @@ def random_functor(rng: random.Random, dom: DirectCategory, cod: DirectCategory)
     for _ in range(200):
         obj_map = {o: rng.choice(cod.objects) for o in dom.objects}
         mor_map = {}
-        ok = True
         for f in dom.nonidentity_morphisms():
             cands = cod.hom(obj_map[dom.src(f)], obj_map[dom.tgt(f)])
             if not cands:
-                ok = False
                 break
             mor_map[f] = rng.choice(cands)
-        if not ok:
-            continue
-        try:
-            return CatFunctor(dom, cod, obj_map, mor_map)
-        except DerlabError:
-            continue
+        else:
+            try:
+                return CatFunctor(dom, cod, obj_map, mor_map)
+            except DerlabError:
+                pass
     return None
 
 

@@ -619,6 +619,7 @@ MALFORMED = {
     "budget-not-an-integer": ("scenario", {"budget": 1.5}),
     "window-margin-not-an-integer": ("scenario", {"window_margin": None}),
     "window-margin-negative": ("scenario", {"window_margin": -1}),
+    "window-margin-above-bound": ("scenario", {"window_margin": 65}),
     "seed-negative": ("scenario", {"seed": -1}),
     "budget-negative": ("scenario", {"budget": -1}),
     "suite-listed-twice": ("scenario", {"suites": ["validate", "validate"]}),

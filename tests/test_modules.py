@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from derlab.algebra import dual_numbers, group_algebra_c2, upper_triangular_2x2
+from derlab.algebra import Algebra, dual_numbers, ground_field, group_algebra_c2, upper_triangular_2x2, validate_algebra
 from derlab.field import Mat, hstack, in_column_span, kernel_basis, rank
 from derlab.modules import (
     Conflation,
@@ -240,6 +240,33 @@ def test_upper_triangular_modules():
     assert not is_projective(d)  # this is exactly the self-injectivity failure
 
 
+def _forced_unit(alg):
+    """k when the unit is the basis vector e_k, whose matrix all_modules
+    forces to the identity; None otherwise."""
+    unit = [k for k in range(alg.dim) if alg.unit[k]]
+    return unit[0] if len(unit) == 1 and alg.unit[unit[0]] == 1 else None
+
+
+def _unit_not_an_identity():
+    """A hand-built algebra, never passed through validate_algebra: its unit
+    is the basis vector e_0, but e_0 * y = 0, so e_0 is not a two-sided
+    identity of the structure constants.  With A_0 = I the module law on
+    (e_0, y) leaves only A_y = 0."""
+    mul = np.zeros((2, 2, 2), dtype=np.int64)
+    mul[0, 0, 0] = 1
+    mul[1, 0, 1] = 1  # y * e_0 = y, but e_0 * y = 0
+    return Algebra(2, ["e0", "y"], [1, 0], mul)
+
+
+def _g_squared_twice_g():
+    """F_3[g]/(g^2 - 2g), basis {1, g}: g * g = 2g is a structure constant
+    other than 0 and 1, so A_g @ A_g must be 2 A_g."""
+    mul = np.zeros((2, 2, 2), dtype=np.int64)
+    mul[0, 0, 0] = mul[0, 1, 1] = mul[1, 0, 1] = 1
+    mul[1, 1, 1] = 2
+    return validate_algebra(Algebra(3, ["1", "g"], [1, 0], mul))
+
+
 def _all_modules_by_validate(alg, max_dim):
     """The reference enumeration: every action tuple in itertools.product
     order (the unit's matrix forced to the identity when the unit is a
@@ -249,8 +276,7 @@ def _all_modules_by_validate(alg, max_dim):
     from derlab.field import DerlabError
 
     out = [zero_module(alg)]
-    unit = [k for k in range(alg.dim) if alg.unit[k]]
-    fixed = unit[0] if len(unit) == 1 and alg.unit[unit[0]] == 1 else None
+    fixed = _forced_unit(alg)
     free = [k for k in range(alg.dim) if k != fixed]
     for d in range(1, max_dim + 1):
         mats = [Mat(alg.p, np.array(c).reshape(d, d)) for c in itertools.product(range(alg.p), repeat=d * d)]
@@ -270,10 +296,65 @@ def test_all_modules_matches_validate_loop():
     order, that Module.validate accepts one at a time."""
     from derlab.samples import all_modules
 
-    for alg, max_dim in ((dual_numbers(2), 3), (dual_numbers(3), 2), (group_algebra_c2(3), 2), (upper_triangular_2x2(2), 2)):
+    # (dual_numbers(3), 3) has 3^9 candidates of dim 3, five chunks, so
+    # the chunk boundaries are compared too; the last algebra's unit is a
+    # basis vector that is not a two-sided identity
+    cases = ((dual_numbers(2), 3), (dual_numbers(3), 2), (dual_numbers(3), 3), (group_algebra_c2(3), 2), (upper_triangular_2x2(2), 2), (_unit_not_an_identity(), 3))
+    for alg, max_dim in cases:
         got = all_modules(alg, max_dim)
         want = _all_modules_by_validate(alg, max_dim)
         assert [[a.a.tolist() for a in m.action] for m in got] == [[a.a.tolist() for a in m.action] for m in want]
+
+
+def _random_action_tuples(alg, d, rng, count=300):
+    """count action tuples of d x d matrices, each slot zero, the identity
+    or a matrix of sparse random entries with equal chance, and the unit's
+    slot the identity when all_modules forces it."""
+    kind = rng.integers(0, 3, (count, alg.dim, 1, 1))
+    sparse = rng.integers(0, alg.p, (count, alg.dim, d, d)) * (rng.random((count, alg.dim, d, d)) < 0.3)
+    acts = np.where(kind == 0, 0, np.where(kind == 1, np.eye(d, dtype=np.int64), sparse))
+    if _forced_unit(alg) is not None:
+        acts[:, _forced_unit(alg)] = np.eye(d, dtype=np.int64)
+    return acts
+
+
+def test_law_kernel_matches_validate_on_random_action_tuples():
+    """all_modules' law kernel, on its own: its verdict on each seeded
+    random action tuple is Module.validate's.  dual_numbers and
+    group_algebra_c2 take the forced-unit path (only the pairs without a
+    unit factor are checked), upper_triangular_2x2 and the hand-built
+    algebra check the unit law and every pair, and F_3[g]/(g^2 - 2g) has a
+    structure constant 2.  Over ground_field the one candidate per dim is
+    A_0 = I, so only acceptance occurs there."""
+    from derlab.field import DerlabError
+    from derlab.samples import _law_checks, _law_holds
+
+    pairs = {"dual": [(1, 1)], "c2": [(1, 1)], "twice": [(1, 1)], "triangular": [None] + [(i, j) for i in range(3) for j in range(3)], "hand": [None, (0, 0), (0, 1), (1, 0), (1, 1)]}
+    rng = np.random.default_rng(41)
+    algebras = {
+        "field2": ground_field(2), "field3": ground_field(3), "dual": dual_numbers(2), "dual3": dual_numbers(3), "c2": group_algebra_c2(2),
+        "c2_3": group_algebra_c2(3), "triangular": upper_triangular_2x2(2), "triangular3": upper_triangular_2x2(3), "twice": _g_squared_twice_g(),
+        "hand": _unit_not_an_identity(),
+    }
+    for name, alg in algebras.items():
+        unit, checks = _law_checks(alg)
+        assert unit == _forced_unit(alg)
+        if name in pairs:
+            assert [pair for pair, _ in checks] == pairs[name]
+        for d in (1, 2, 3):
+            acts = _random_action_tuples(alg, d, rng)
+            prod, term = np.empty((2, len(acts), d, d), dtype=np.int64)
+            got = _law_holds(alg.p, checks, acts, prod, term, np.empty(len(acts), dtype=bool)).tolist()
+            want = []
+            for action in acts:
+                try:
+                    Module(alg, [Mat(alg.p, a) for a in action]).validate()
+                except DerlabError:
+                    want.append(False)
+                else:
+                    want.append(True)
+            assert got == want, (name, d)
+            assert set(want) == ({True} if alg.dim == 1 else {True, False}), (name, d)
 
 
 def _split_solve_projective(m):
